@@ -24,8 +24,8 @@ from .harness import (compare_policies, decomposition_grid, optimality_gap,
                       simulate_closed_loop, sweep_rate_vs_cost, write_compare_csv,
                       write_decomp_csv, write_gap_csv, write_sweep_csv,
                       write_trace_csv)
-from .scenario import (GridConfig, Scenario, SolverConfig, load_scenario,
-                       scenario_digest)
+from .scenario import (GridConfig, Scenario, SolverConfig, checked_epsilon,
+                       load_scenario, scenario_digest)
 from .solvers import (SolveReport, brute_force_joint, flatten_sampling,
                       greedy_decision_policy, jesp, solve_sampler_for_decision)
 from .tensor import DecisionPolicy, SamplingPolicy
@@ -157,7 +157,7 @@ def cmd_solve(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if algorithm == "brute":
         report = brute_force_joint(scenario.model, epsilon=epsilon,
-                                   budget=scenario.solver.budget)
+                                   budget=scenario.solver.budget, start_state=start)
     elif algorithm == "jesp":
         report = jesp(scenario.model, epsilon=epsilon,
                       step_schedule=scenario.solver.step_schedule,
@@ -364,6 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "epsilon", None) is not None:
+            checked_epsilon(args.epsilon)
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

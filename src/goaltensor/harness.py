@@ -311,7 +311,7 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
             greedy = greedy_decision_policy(model)
             if algorithm == "brute":
                 report = brute_force_joint(model, epsilon=cell.solver.epsilon,
-                                           budget=cell.solver.budget)
+                                           budget=cell.solver.budget, start_state=start)
             elif algorithm == "jesp":
                 report = jesp(model, epsilon=cell.solver.epsilon,
                               step_schedule=cell.solver.step_schedule,
@@ -353,7 +353,7 @@ def optimality_gap(scenario, progress=None):
                                        cell.simulation.initial_estimate,
                                        cell.simulation.initial_context)
         bf = brute_force_joint(cell.model, epsilon=cell.solver.epsilon,
-                               budget=cell.solver.budget)
+                               budget=cell.solver.budget, start_state=start)
         je = jesp(cell.model, epsilon=cell.solver.epsilon,
                   step_schedule=cell.solver.step_schedule,
                   restarts=cell.solver.restarts, seed=cell.solver.seed,
@@ -378,7 +378,7 @@ def decomposition_grid(scenario, algorithm="jesp", progress=None):
                                   cell.simulation.initial_context)
         if algorithm == "brute":
             report = brute_force_joint(model, epsilon=cell.solver.epsilon,
-                                       budget=cell.solver.budget)
+                                       budget=cell.solver.budget, start_state=start)
         else:
             report = jesp(model, epsilon=cell.solver.epsilon,
                           step_schedule=cell.solver.step_schedule,

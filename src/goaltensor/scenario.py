@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,6 +128,23 @@ def _as_number(value, address, minimum=None, maximum=None, integer=False):
     return int(value) if integer else float(value)
 
 
+def checked_epsilon(value):
+    """Solver tolerance, which must be a finite number above zero."""
+    epsilon = _as_number(value, "solver.epsilon")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ScenarioError("solver.epsilon",
+                            f"expected a finite number above 0, got {epsilon}")
+    return epsilon
+
+
+def _as_values(doc, key, default, **bounds):
+    """Non-empty list of numbers at ``grid.<key>``."""
+    raw = doc.get(key, default)
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ScenarioError(f"grid.{key}", "expected a non-empty list of numbers")
+    return tuple(_as_number(x, f"grid.{key}[{i}]", **bounds) for i, x in enumerate(raw))
+
+
 def _as_row(value, length, address):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioError(address, f"expected a list of {length} numbers")
@@ -221,7 +239,7 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
     solver_doc = doc.get("solver", {})
     solver = SolverConfig(
         algorithm=solver_doc.get("algorithm", "jesp"),
-        epsilon=_as_number(solver_doc.get("epsilon", 1e-6), "solver.epsilon", minimum=0),
+        epsilon=checked_epsilon(solver_doc.get("epsilon", 1e-6)),
         max_rvi_sweeps=_as_number(solver_doc.get("max_rvi_sweeps", 10_000),
                                   "solver.max_rvi_sweeps", minimum=1, integer=True),
         max_pi_rounds=_as_number(solver_doc.get("max_pi_rounds", 500),
@@ -265,14 +283,10 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
 
     grid_doc = doc.get("grid", {})
     grid = GridConfig(
-        success_probs=tuple(
-            _as_number(p, f"grid.success_probs[{i}]", minimum=0.0, maximum=1.0)
-            for i, p in enumerate(grid_doc.get("success_probs",
-                                               (0.2, 0.4, 0.6, 0.8, 1.0)))),
-        sampling_costs=tuple(
-            _as_number(c, f"grid.sampling_costs[{i}]", minimum=0.0)
-            for i, c in enumerate(grid_doc.get("sampling_costs",
-                                               (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)))),
+        success_probs=_as_values(grid_doc, "success_probs", GridConfig.success_probs,
+                                 minimum=0.0, maximum=1.0),
+        sampling_costs=_as_values(grid_doc, "sampling_costs", GridConfig.sampling_costs,
+                                  minimum=0.0),
     )
 
     return Scenario(name=doc.get("name", name), model=model, state_values=state_values,

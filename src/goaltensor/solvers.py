@@ -4,10 +4,13 @@ Two exact routes and one fast route:
 
 * relative value iteration on the sampler MDP induced by a fixed decision
   policy, anchored at a reference state;
-* brute-force enumeration of all deterministic decision policies, each scored
-  by the RVI route (optimal under the unichain hypothesis);
+* brute-force enumeration of all deterministic decision policies, each
+  sampler MDP solved by batched multichain policy iteration (Howard 1960;
+  Puterman 1994, section 9.2) and scored by its optimal gain from the start
+  state, with a residual certificate on both multichain optimality equations;
 * alternating best-response search between the two agents, seeded from a
-  perfect-estimate heuristic, which converges to a Nash pair.
+  perfect-estimate heuristic, which converges to a Nash pair (its sampler
+  best response is the RVI route).
 
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
@@ -40,6 +43,8 @@ POISSON_TOL = 1e-8
 ZERO_MARGINAL = 1e-12
 ACCEPT_TOL = 1e-10          # tolerated average-reward loss when accepting a soft-policy step
 IMPROVE_TOL = 1e-9          # minimum gain for a local-search move
+
+PI_NOISE = 1e-12            # relative tie tolerance of a policy-iteration improvement
 
 DEFAULT_EPSILON = 1e-6
 MAX_RVI_SWEEPS = 10_000
@@ -434,6 +439,135 @@ def _rvi_batch(T, R, epsilon, reference_state, max_sweeps, on_stall="error"):
 
 
 # ---------------------------------------------------------------------------
+# multichain policy iteration (Howard 1960; Puterman 1994, section 9.2)
+
+
+def _closed_classes_batch(P):
+    """Closed classes of a batch of chains (K, N, N) by boolean reachability closure.
+
+    Returns ``(representative, closed)``: per state, the lowest index of its
+    communicating class, and whether that class is closed (recurrent).
+    """
+    n = P.shape[1]
+    reach = (P > 0.0).astype(np.float32)
+    reach[:, np.arange(n), np.arange(n)] = 1.0
+    for _ in range((n - 1).bit_length()):             # until paths of n - 1 steps are in
+        reach = np.minimum(reach @ reach, 1.0)
+    reach = reach > 0.0
+    back = reach.transpose(0, 2, 1)
+    closed = ~(reach & ~back).any(axis=2)
+    return (reach & back).argmax(axis=2), closed
+
+
+def _evaluate_batch(P, r):
+    """Gain and bias vectors of a batch of fixed-policy chains.
+
+    A unichain member solves the N x N system g + (I - P) h = r with h[0] = 0.
+    A multichain member solves the 2N x 2N system (I - P) g = 0,
+    g + (I - P) h = r, with h = 0 at the representative state of each closed
+    class in place of that state's (redundant) gain row.  Returns
+    (g, h, number of closed classes), all per member.
+    """
+    k, n, _ = P.shape
+    representative, closed = _closed_classes_batch(P)
+    heads = closed & (representative == np.arange(n))
+    n_closed = heads.sum(axis=1)
+    multi = n_closed > 1
+    eye = np.eye(n)
+    g = np.empty((k, n))
+    h = np.empty((k, n))
+    if not multi.all():
+        uni = ~multi
+        system = eye - P[uni]
+        system[:, :, 0] = 1.0                         # column of h[0] carries g
+        x = np.linalg.solve(system, r[uni][..., None])[..., 0]
+        g[uni] = x[:, :1]
+        x[:, 0] = 0.0
+        h[uni] = x
+    if multi.any():
+        m = int(multi.sum())
+        system = np.zeros((m, 2 * n, 2 * n))
+        system[:, :n, :n] = eye - P[multi]
+        system[:, n:, :n] = eye
+        system[:, n:, n:] = system[:, :n, :n]
+        rhs = np.zeros((m, 2 * n))
+        rhs[:, n:] = r[multi]
+        member, state = np.nonzero(heads[multi])
+        system[member, state, :] = 0.0
+        system[member, state, n + state] = 1.0
+        x = np.linalg.solve(system, rhs[..., None])[..., 0]
+        g[multi] = x[:, :n]
+        h[multi] = x[:, n:]
+    return g, h, n_closed
+
+
+def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
+    """Multichain policy iteration over a batch of MDPs sharing a state space.
+
+    ``T`` is (K, A, N, N) and ``R`` is (K, N, A).  Each member starts from
+    ``initial_action`` everywhere and alternates exact evaluation with
+    Puterman's two-step improvement: first on P g, then on r + P h among the
+    gain-maximizing actions, keeping the incumbent action on ties.  On exit
+    every member's gain and bias satisfy both multichain optimality equations
+    with residual below ``epsilon``; a member that fails this, or still changes
+    after ``max_rounds`` rounds, raises ``NonConvergenceError``.  Returns
+    (policies, gain vectors, rounds, residuals, closed-class counts), all per
+    member.
+    """
+    k, _, n, _ = T.shape
+    # floating noise of an evaluation grows with the member's reward and bias
+    # magnitude; improvements below it are ties and keep the incumbent action
+    reward_scale = 1.0 + np.abs(R).max(axis=(1, 2))
+    policy = np.full((k, n), initial_action, dtype=int)
+    gains = np.empty((k, n))
+    iterations = np.zeros(k, dtype=int)
+    residuals = np.empty(k)
+    n_closed = np.empty(k, dtype=int)
+    active = np.arange(k)
+    for round_ in range(1, max_rounds + 1):
+        Tk, Rk, pol = T[active], R[active], policy[active]
+        chosen = pol[..., None]
+        P = Tk[np.arange(active.size)[:, None], pol, np.arange(n)]
+        g, h, classes = _evaluate_batch(
+            P, np.take_along_axis(Rk, chosen, axis=2)[..., 0])
+        Qg = np.einsum("kans,ks->kna", Tk, g)
+        Qh = Rk + np.einsum("kans,ks->kna", Tk, h)
+        tol = PI_NOISE * (reward_scale[active] + np.abs(h).max(axis=1))[:, None]
+        best_g = Qg.max(axis=2)
+        gain_up = best_g > np.take_along_axis(Qg, chosen, axis=2)[..., 0] + tol
+        # bias improvement only over the gain-maximizing actions
+        Qb = np.where(Qg >= (best_g - tol)[..., None], Qh, -np.inf)
+        best_h = Qb.max(axis=2)
+        bias_up = (best_h > np.take_along_axis(Qh, chosen, axis=2)[..., 0] + tol) \
+            & ~gain_up.any(axis=1)[:, None]
+        new = np.where(gain_up, Qg.argmax(axis=2), np.where(bias_up, Qb.argmax(axis=2), pol))
+        done = (new == pol).all(axis=1)
+        policy[active] = new
+        finished = active[done]
+        gains[finished] = g[done]
+        iterations[finished] = round_
+        n_closed[finished] = classes[done]
+        # certificate: residuals of both multichain optimality equations
+        residuals[finished] = np.maximum(np.abs(best_g - g).max(axis=1),
+                                         np.abs(best_h - g - h).max(axis=1))[done]
+        active = active[~done]
+        if not active.size:
+            break
+    else:
+        raise NonConvergenceError(
+            f"{active.size} of {k} candidates still changing policy after {max_rounds} "
+            f"policy-iteration rounds", iterations=max_rounds)
+    bad = ~(residuals < epsilon)
+    if bad.any():
+        worst = int(np.flatnonzero(bad)[residuals[bad].argmax()])
+        raise NonConvergenceError(
+            f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
+            f"not below {epsilon:g}", residual=float(residuals[worst]),
+            iterations=int(iterations[worst]))
+    return policy, gains, iterations, residuals, n_closed
+
+
+# ---------------------------------------------------------------------------
 # policy containers and helpers
 
 
@@ -644,18 +778,24 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
 
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
-                      budget=200_000, max_sweeps=MAX_RVI_SWEEPS,
-                      chunk=512) -> SolveReport:
+                      budget=200_000, max_sweeps=MAX_PI_ROUNDS,
+                      chunk=128, start_state=0) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
     Decision policies are visited in lexicographic order; each induces a
-    sampler MDP solved by RVI (in vectorized batches, member-for-member
-    identical to ``rvi_solve``), and the best gain wins with
-    earlier-enumerated policies preferred on exact ties.  Policies whose
-    best-response chain has several closed classes are flagged in the
-    diagnostics (their gain may be start-dependent), and a single unichain
-    warning is emitted up front if the reference chain already shows that
-    structure.
+    sampler MDP solved by batched multichain policy iteration (see
+    ``_policy_iteration_batch``), and the candidate's score is its optimal gain
+    from ``start_state``, the rule ``jesp`` scores by.  The best score wins,
+    with earlier-enumerated policies preferred on exact ties.
+
+    ``iterations`` counts policy-iteration rounds summed over candidates, and
+    ``max_sweeps`` caps each candidate's rounds.  Candidates whose sampling
+    policy leaves several closed classes are listed under
+    ``multichain_candidates``; policy iteration keeps sampling wherever
+    sampling ties with idling, so few are.  ``stalled_candidates`` is always
+    empty: a candidate that does not converge raises ``NonConvergenceError``.
+    A single unichain warning is emitted up front if the reference chain
+    (always sample, lowest actuation) already has several closed classes.
     """
     n_states = model.alphabets.n_states
     n_actions = model.alphabets.n_actions
@@ -664,9 +804,11 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         raise EnumerationBudgetError(
             f"{n_actions}^{n_states} = {n_candidates} decision policies exceed the "
             f"enumeration budget {budget}")
+    N = model.n_global_states
+    if not 0 <= start_state < N:
+        raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
     dense = dense_kernels(model)
     xs, xhats, phis = model.state_components()
-    N = model.n_global_states
     rows = np.arange(N)
     per_state_cost = model.action_cost[xs, phis, :]               # (N, A)
 
@@ -679,10 +821,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     best_actions = None
     best_sampling = None
     best_residual = np.nan
-    best_stalled = False
-    total_sweeps = 0
+    total_rounds = 0
     flagged = []
-    stalled = []
     enumerated = itertools.product(range(n_actions), repeat=n_states)
     while True:
         block = list(itertools.islice(enumerated, chunk))
@@ -695,31 +835,28 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         base = np.take_along_axis(per_state_cost[None, :, :], acts[:, :, None],
                                   axis=2)[:, :, 0]                # (K, N)
         R = -np.stack([base, base + model.cost.sampling_cost], axis=2)
-        pol_b, gains, _, iters, residuals, stall_b = _rvi_batch(
-            T, R, epsilon, 0, max_sweeps, on_stall="estimate")
-        total_sweeps += int(iters.sum())
-        for j in range(len(block)):
-            chain = T[j, pol_b[j], rows, :]
-            if len(closed_classes(chain)) != 1:
-                flagged.append(tuple(int(x) for x in policies[j]))
-            if stall_b[j]:
-                stalled.append(tuple(int(x) for x in policies[j]))
-            if gains[j] > best_gain:
-                best_gain = float(gains[j])
-                best_actions = policies[j].copy()
-                best_sampling = pol_b[j].copy()
-                best_residual = float(residuals[j])
-                best_stalled = bool(stall_b[j])
+        pol_b, gains, rounds, residuals, n_closed = _policy_iteration_batch(
+            T, R, epsilon, max_sweeps, initial_action=1)
+        total_rounds += int(rounds.sum())
+        scores = gains[:, start_state]
+        for j in np.flatnonzero(n_closed > 1):
+            flagged.append(tuple(int(x) for x in policies[j]))
+        j = int(scores.argmax())
+        if scores[j] > best_gain:
+            best_gain = float(scores[j])
+            best_actions = policies[j].copy()
+            best_sampling = pol_b[j].copy()
+            best_residual = float(residuals[j])
     return SolveReport(
         sampling_policy=sampling_from_flat(best_sampling, model),
         decision_policy=DecisionPolicy(best_actions),
         average_reward=float(best_gain),
-        iterations=total_sweeps,
+        iterations=total_rounds,
         residual=float(best_residual),
-        converged=not best_stalled,
+        converged=True,
         diagnostics={"candidates_evaluated": n_candidates,
                      "multichain_candidates": flagged,
-                     "stalled_candidates": stalled},
+                     "stalled_candidates": []},
     )
 
 

@@ -140,3 +140,20 @@ def test_compare_reruns_are_byte_identical(tmp_path, scenario_file):
 def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
     assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "cannot read file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0"])
+def test_epsilon_flag_rejects_non_positive_and_non_finite(tmp_path, capsys,
+                                                          scenario_file, epsilon):
+    assert main(["solve", "--scenario", scenario_file, "--algorithm", "brute",
+                 f"--epsilon={epsilon}", "--out", str(tmp_path / "out")]) == 1
+    assert "solver.epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gap_on_empty_grid_fails_cleanly(tmp_path, capsys):
+    doc = default_document()
+    doc["grid"]["sampling_costs"] = []
+    path = save_scenario(doc, tmp_path / "empty.json")
+    assert main(["gap", "--scenario", str(path), "--out", str(tmp_path / "gap")]) == 1
+    assert "grid.sampling_costs" in capsys.readouterr().err

@@ -119,3 +119,22 @@ def test_invalid_channel_probability():
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(doc)
     assert info.value.field == "channel.success_prob"
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), 0, 0.0,
+                                     -1e-6])
+def test_solver_epsilon_must_be_finite_and_positive(epsilon):
+    doc = default_document()
+    doc["solver"]["epsilon"] = epsilon
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == "solver.epsilon"
+
+
+@pytest.mark.parametrize("key", ["success_probs", "sampling_costs"])
+def test_empty_grid_list_is_field_addressed(key):
+    doc = default_document()
+    doc["grid"][key] = []
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == f"grid.{key}"

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
-                               NonConvergenceError, UnreachableObservationError)
-from goaltensor.model import TabularMdp, induced_mdp
+                               NonConvergenceError, ParameterError,
+                               UnreachableObservationError)
+from goaltensor.model import DecPomdpModel, SourceDynamics, TabularMdp, induced_mdp
 from goaltensor.solvers import (analyze_chain, average_reward, brute_force_joint,
                                 cesaro_limit, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
                                 initial_gain, jesp, pi_step_size, policy_chain,
                                 q_tables, relative_reward, rvi_solve, _rvi_batch,
-                                solve_sampler_for_decision,
+                                _policy_iteration_batch, solve_sampler_for_decision,
                                 stationary_distribution)
 from goaltensor.tensor import DecisionPolicy, SamplingPolicy
 
@@ -388,15 +389,104 @@ def test_brute_force_budget_error_names_count(shipped):
 
 
 def test_brute_force_single_action_equals_rvi(shipped):
+    # both routes certify their optimality equations below epsilon, so the
+    # gains agree within epsilon; sampling policies may differ only on ties,
+    # so they are compared by the gain each one earns
     rng = np.random.default_rng(5)
     model = random_model(rng, n_states=2, n_contexts=2, n_actions=1)
-    report = brute_force_joint(model)
+    epsilon = 1e-6
+    report = brute_force_joint(model, epsilon=epsilon)
     decision = DecisionPolicy([0, 0])
-    sampling, gain, _ = solve_sampler_for_decision(model, decision)
-    assert report.average_reward == pytest.approx(gain, abs=0)
+    sampling, gain, _ = solve_sampler_for_decision(model, decision, epsilon=epsilon)
+    assert report.average_reward == pytest.approx(gain, abs=epsilon)
     assert report.decision_policy.actions.tolist() == [0, 0]
-    np.testing.assert_array_equal(report.sampling_policy.decisions, sampling.decisions)
+    for policy in (report.sampling_policy, sampling):
+        P, rbar = policy_chain(model, policy, decision)
+        assert gain_from(P, rbar, 0) == pytest.approx(gain, abs=epsilon)
     assert report.diagnostics["candidates_evaluated"] == 1
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=20, deadline=None)
+def test_policy_iteration_gains_match_rvi_batch(seed):
+    # every candidate's PI gain against the RVI oracle, wherever RVI converges
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states=2, n_contexts=int(rng.integers(1, 3)),
+                         n_actions=int(rng.integers(1, 4)))
+    n_actions = model.alphabets.n_actions
+    mdps = [induced_mdp(model, DecisionPolicy(list(d)))
+            for d in itertools.product(range(n_actions), repeat=2)]
+    T = np.stack([m.transitions for m in mdps])
+    R = np.stack([m.rewards for m in mdps])
+    epsilon = 1e-6
+    _, gains, rounds, residuals, _ = _policy_iteration_batch(T, R, epsilon, 100,
+                                                             initial_action=1)
+    assert np.all(residuals < epsilon)
+    assert np.all(rounds >= 1)
+    _, rvi_gains, _, _, _, stalled = _rvi_batch(T, R, epsilon, 0, 10_000,
+                                                on_stall="estimate")
+    converged = ~stalled
+    np.testing.assert_allclose(gains[converged, 0], rvi_gains[converged], rtol=0,
+                               atol=epsilon)
+
+
+def test_policy_iteration_multichain_gain_vector():
+    # two absorbing states with distinct rewards and a transient state that
+    # chooses where to go: the gain vector differs by class, and the
+    # transient state picks the better class
+    T = np.zeros((1, 2, 3, 3))
+    T[0, :, 0, 0] = 1.0
+    T[0, :, 1, 1] = 1.0
+    T[0, 0, 2, 0] = 1.0
+    T[0, 1, 2, 1] = 1.0
+    R = np.array([[[-1.0, -1.0], [-3.0, -3.0], [-10.0, -10.0]]])
+    policy, gains, _, residuals, n_closed = _policy_iteration_batch(
+        T, R, 1e-9, 50, initial_action=1)
+    np.testing.assert_allclose(gains[0], [-1.0, -3.0, -1.0], atol=1e-12)
+    assert policy[0, 2] == 0
+    assert n_closed[0] == 2
+    assert residuals[0] < 1e-9
+
+
+def test_policy_iteration_round_cap_raises():
+    rng = np.random.default_rng(3)
+    model = random_model(rng, n_states=2, n_contexts=2, n_actions=2)
+    mdp = induced_mdp(model, DecisionPolicy([0, 1]))
+    # always-sample is rarely optimal when sampling costs something, so one
+    # round cannot be enough
+    mdp_rewards = mdp.rewards - np.array([0.0, 50.0])
+    with pytest.raises(NonConvergenceError):
+        _policy_iteration_batch(mdp.transitions[None], mdp_rewards[None], 1e-6, 1,
+                                initial_action=1)
+
+
+def test_brute_force_certificate_refuses_unreachable_epsilon(shipped):
+    # double-precision residuals sit near 1e-13 here: a tolerance below that
+    # must raise instead of returning an uncertified optimum
+    with pytest.raises(NonConvergenceError, match="residual"):
+        brute_force_joint(shipped.model, epsilon=1e-15)
+
+
+def test_brute_force_scores_from_start_state():
+    # a source that never moves splits the world by source state: the optimum
+    # depends on where the run starts, and brute force must score from there
+    rng = np.random.default_rng(17)
+    base = random_model(rng, n_states=2, n_contexts=1, n_actions=2, success_prob=0.7,
+                        sampling_cost=0.5)
+    model = DecPomdpModel(alphabets=base.alphabets,
+                          source=SourceDynamics(np.broadcast_to(
+                              np.eye(2)[:, None, None, :], (2, 1, 2, 2)).copy()),
+                          context=base.context, channel=base.channel, cost=base.cost)
+    values = {}
+    for start in (0, 3):
+        with pytest.warns(UserWarning, match="not unichain"):
+            report = brute_force_joint(model, start_state=start)
+        best, _ = exhaustive_joint_search(model, start=start)
+        assert report.average_reward == pytest.approx(best, abs=1e-6)
+        values[start] = best
+    assert abs(values[0] - values[3]) > 1e-3
+    with pytest.raises(ParameterError):
+        brute_force_joint(model, start_state=4)
 
 
 def test_brute_force_matches_exhaustive_joint_oracle():
