@@ -4,8 +4,11 @@
 Produces, under --out:
     sweep.csv     simulated cost-versus-rate curves (uniform and age families)
     compare.csv   co-design versus baselines per (success prob, sampling cost)
-    gap.csv       exact versus equilibrium solver gap per grid cell
     decomp.csv    cost split of the co-designed policy per grid cell
+    gap.csv       exact versus equilibrium solver gap per grid cell
+
+compare.csv and decomp.csv come from one pass that solves each cell once, as
+in ``goaltensor compare``; gap.csv solves each cell with both algorithms.
 
 Usage:
     python scripts/run_grid_experiments.py --out results [--scenario path.json]
@@ -18,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from goaltensor.harness import (compare_policies, decomposition_grid, optimality_gap,
+from goaltensor.harness import (compare_policies, decomposition_rows, optimality_gap,
                                 sweep_rate_vs_cost, write_compare_csv,
                                 write_decomp_csv, write_gap_csv, write_sweep_csv)
 from goaltensor.scenario import default_scenario, load_scenario
@@ -56,7 +59,10 @@ def main():
     rows = compare_policies(scenario, algorithm=args.algorithm, include_classic=True,
                             progress=lambda p, c: print(f"  compare cell {p} {c}"))
     write_compare_csv(out / "compare.csv", [r for r in rows if "error" not in r])
-    print(f"compare.csv: {len(rows)} rows ({time.time() - t0:.0f}s)")
+    decomp = decomposition_rows(rows)
+    write_decomp_csv(out / "decomp.csv", decomp)
+    print(f"compare.csv: {len(rows)} rows, decomp.csv: {len(decomp)} rows "
+          f"({time.time() - t0:.0f}s)")
 
     t0 = time.time()
     gaps = optimality_gap(scenario,
@@ -65,11 +71,6 @@ def main():
     worst = max(gaps, key=lambda r: r["gap"])
     print(f"gap.csv: worst gap {worst['gap']:.3e} at pS={worst['pS']} "
           f"CS={worst['CS']} ({time.time() - t0:.0f}s)")
-
-    t0 = time.time()
-    decomp = decomposition_grid(scenario, algorithm=args.algorithm)
-    write_decomp_csv(out / "decomp.csv", decomp)
-    print(f"decomp.csv: {len(decomp)} rows ({time.time() - t0:.0f}s)")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ one unless overridden), mirroring the separate-design approach where the
 sampler optimizes its own metric and the actuator is tuned independently.
 
 State-feedback rules (mismatch-triggered, squared-error-optimal) are plain
-sampling policies on the global state.  Time- and history-dependent rules
-(periodic, change-triggered, age-threshold) are evaluated exactly on small
-augmented chains carrying the extra coordinate: the slot phase, the previous
-source state, or the truncated age counter.
+sampling policies on the global state.  History-dependent rules
+(change-triggered, age-threshold) are evaluated exactly on small augmented
+chains carrying the extra coordinate: the previous source state, or the
+truncated age counter.  The periodic rule is evaluated on its one-period map,
+the chain sampled at the start of each period.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ErgodicityError, ParameterError
 from .model import DecPomdpModel, dense_kernels, success_kernels
-from .solvers import (cesaro_limit, closed_classes, _rvi_batch,
-                      sampling_from_flat, stationary_distribution)
+from .solvers import (cesaro_limit, _rvi_batch, sampling_from_flat,
+                      stationary_distribution)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 DEFAULT_AGE_CAP = 50
@@ -205,9 +206,10 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
 
 def _occupation(P, start_index):
     """Stationary law when unique, otherwise the Cesaro row of the start state."""
-    if len(closed_classes(P)) == 1:
+    try:
         return stationary_distribution(P)
-    return cesaro_limit(P)[start_index]
+    except ErgodicityError:
+        return cesaro_limit(P)[start_index]
 
 
 def _cost_pieces(model: DecPomdpModel, decision: DecisionPolicy):
@@ -253,24 +255,36 @@ def _gathered_kernels(model, decision):
 
 def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
                      start_state=0) -> CostSummary:
-    """Exact long-run cost of periodic transmission via the phase-augmented chain."""
+    """Exact long-run cost of periodic transmission, from its one-period map.
+
+    Transmitting at slot 0 and every ``period`` slots after it makes the state
+    at the start of each period a Markov chain of its own, with kernel
+    ``M = transmit @ idle^(period - 1)``.  Every closed class of the
+    phase-augmented chain passes through phase 0, so the classes of that
+    chain and of ``M`` match one for one, and the rule "stationary law, else
+    the Cesaro row of the start state" carries over: ``law`` is taken from
+    ``M`` and phase ``j`` of the period holds ``law @ transmit @ idle^(j - 1)``
+    (``law`` itself at ``j = 0``), each phase a ``1 / period`` share of time.
+    This costs ``period`` products of N x N matrices in place of a solve on
+    the (N * period)-state augmented chain.
+    """
     if period < 1 or int(period) != period:
         raise ParameterError(f"period must be a positive integer, got {period}")
     period = int(period)
-    N = model.n_global_states
     idle, success = _gathered_kernels(model, decision)
     p = model.channel.success_prob
     transmit = p * success + (1.0 - p) * idle
-    big = np.zeros((N * period, N * period))
-    for phase in range(period):
-        step = transmit if phase == 0 else idle
-        nxt = (phase + 1) % period
-        big[phase * N:(phase + 1) * N, nxt * N:(nxt + 1) * N] = step
-    mu = _occupation(big, start_state)          # start at phase 0
-    mu_states = mu.reshape(period, N).sum(axis=0)
-    rate = float(mu[:N].sum())
+    one_period = transmit
+    for _ in range(period - 1):
+        one_period = one_period @ idle
+    law = _occupation(one_period, start_state)          # start at phase 0
+    phase_law = law
+    mu_states = law.copy()
+    for phase in range(1, period):
+        phase_law = phase_law @ (transmit if phase == 1 else idle)
+        mu_states += phase_law
     ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu_states, rate, ramp, spend)
+    return _summarize(model, mu_states / period, 1.0 / period, ramp, spend)
 
 
 def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,

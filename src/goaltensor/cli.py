@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,22 @@ from . import __version__
 from .benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolicyRule,
                          UniformRule, aoii_optimal_policy, mse_optimal_policy)
 from .errors import GoalTensorError, ParameterError, ScenarioError
-from .harness import (compare_policies, decomposition_grid, optimality_gap,
-                      simulate_closed_loop, sweep_rate_vs_cost, write_compare_csv,
-                      write_decomp_csv, write_gap_csv, write_sweep_csv,
-                      write_trace_csv)
-from .scenario import (GridConfig, Scenario, SolverConfig, checked_epsilon,
-                       load_scenario, scenario_digest)
-from .solvers import (SolveReport, brute_force_joint, flatten_sampling,
-                      greedy_decision_policy, jesp, solve_sampler_for_decision)
+from .harness import (compare_policies, decomposition_rows, optimality_gap,
+                      simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
+                      write_compare_csv, write_decomp_csv, write_gap_csv,
+                      write_sweep_csv, write_trace_csv)
+from .scenario import (GridConfig, Scenario, checked_epsilon, load_scenario,
+                       scenario_digest)
+from .solvers import (SolveReport, flatten_sampling, greedy_decision_policy,
+                      solve_sampler_for_decision)
 from .tensor import DecisionPolicy, SamplingPolicy
+
+
+def _grid_value(value, text) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ParameterError(f"grid value {value!r} in {text!r} is not a number") from None
 
 
 def _parse_grid(text) -> GridConfig:
@@ -39,34 +47,18 @@ def _parse_grid(text) -> GridConfig:
         key = key.strip().lower()
         if key not in ("ps", "cs") or not values:
             raise ParameterError(f"grid spec must look like 'ps=...;cs=...', got {text!r}")
-        parts[key] = tuple(float(v) for v in values.split(","))
+        parts[key] = tuple(_grid_value(v, text) for v in values.split(","))
     return GridConfig(success_probs=parts.get("ps", GridConfig().success_probs),
                       sampling_costs=parts.get("cs", GridConfig().sampling_costs))
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    grid = _parse_grid(args.grid) if getattr(args, "grid", None) else scenario.grid
-    solver = scenario.solver
+    """The scenario with the ``--grid`` and ``--epsilon`` flags applied."""
+    if getattr(args, "grid", None):
+        scenario = replace(scenario, grid=_parse_grid(args.grid))
     if getattr(args, "epsilon", None) is not None:
-        solver = SolverConfig(algorithm=solver.algorithm, epsilon=args.epsilon,
-                              max_rvi_sweeps=solver.max_rvi_sweeps,
-                              max_pi_rounds=solver.max_pi_rounds,
-                              max_jesp_rounds=solver.max_jesp_rounds,
-                              step_schedule=solver.step_schedule,
-                              restarts=solver.restarts, seed=solver.seed,
-                              budget=solver.budget)
-    if grid is not scenario.grid or solver is not scenario.solver:
-        scenario = Scenario(name=scenario.name, model=scenario.model,
-                            state_values=scenario.state_values, solver=solver,
-                            simulation=scenario.simulation, sweep=scenario.sweep,
-                            grid=grid, document=scenario.document)
+        scenario = replace(scenario, solver=replace(scenario.solver, epsilon=args.epsilon))
     return scenario
-
-
-def _start_index(scenario: Scenario) -> int:
-    sim = scenario.simulation
-    return scenario.model.state_index(sim.initial_state, sim.initial_estimate,
-                                      sim.initial_context)
 
 
 def _write_manifest(out_dir: Path, args, scenario_path, seed, outputs, started):
@@ -149,32 +141,22 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    scenario = load_scenario(args.scenario)
-    epsilon = args.epsilon if args.epsilon is not None else scenario.solver.epsilon
-    seed = args.seed if args.seed is not None else scenario.solver.seed
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    if args.seed is not None:
+        scenario = replace(scenario, solver=replace(scenario.solver, seed=args.seed))
+    seed = scenario.solver.seed
     algorithm = args.algorithm or scenario.solver.algorithm
-    start = _start_index(scenario)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if algorithm == "brute":
-        report = brute_force_joint(scenario.model, epsilon=epsilon,
-                                   budget=scenario.solver.budget, start_state=start)
-    elif algorithm == "jesp":
-        report = jesp(scenario.model, epsilon=epsilon,
-                      step_schedule=scenario.solver.step_schedule,
-                      restarts=scenario.solver.restarts, seed=seed,
-                      max_rounds=scenario.solver.max_jesp_rounds,
-                      pi_rounds=scenario.solver.max_pi_rounds,
-                      rvi_sweeps=scenario.solver.max_rvi_sweeps, start_state=start)
-    elif algorithm == "rvi-fixed-decision":
+    if algorithm == "rvi-fixed-decision":
         decision = greedy_decision_policy(scenario.model)
         sampling, gain, _ = solve_sampler_for_decision(
-            scenario.model, decision, epsilon=epsilon,
+            scenario.model, decision, epsilon=scenario.solver.epsilon,
             max_sweeps=scenario.solver.max_rvi_sweeps)
         report = SolveReport(sampling_policy=sampling, decision_policy=decision,
                              average_reward=gain, iterations=0, residual=0.0,
                              converged=True, diagnostics={})
     else:
-        raise ParameterError(f"unknown algorithm {algorithm!r}")
+        report = solve_cell(scenario, algorithm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
@@ -196,10 +178,7 @@ def _simulation_rule(args, scenario: Scenario):
         sampling, decision = _load_policy_file(args.policy_file, scenario)
         return StatePolicyRule(sampling, label="policy-file"), decision
     if name == "codesign":
-        report = jesp(model, epsilon=scenario.solver.epsilon,
-                      step_schedule=scenario.solver.step_schedule,
-                      restarts=scenario.solver.restarts, seed=scenario.solver.seed,
-                      start_state=_start_index(scenario))
+        report = solve_cell(scenario, "jesp")
         return (StatePolicyRule(report.sampling_policy, label="got-codesign"),
                 report.decision_policy)
     if name == "aoii":
@@ -217,7 +196,7 @@ def _simulation_rule(args, scenario: Scenario):
 
 
 def cmd_simulate(args):
-    scenario = load_scenario(args.scenario)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     seed = args.seed if args.seed is not None else scenario.simulation.seed
     horizon = args.horizon if args.horizon is not None else scenario.simulation.horizon
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -270,6 +249,11 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
+    """Write compare.csv and decomp.csv from one solve per grid cell.
+
+    A failed cell is named on stderr, missing from both files, and makes the
+    exit status 1; the other cells are still written.
+    """
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     algorithm = args.algorithm or scenario.solver.algorithm
@@ -279,9 +263,8 @@ def cmd_compare(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [write_compare_csv(out_dir / "compare.csv",
-                                 [r for r in rows if "error" not in r])]
-    decomp_rows = decomposition_grid(scenario, algorithm=algorithm)
-    outputs.append(write_decomp_csv(out_dir / "decomp.csv", decomp_rows))
+                                 [r for r in rows if "error" not in r]),
+               write_decomp_csv(out_dir / "decomp.csv", decomposition_rows(rows))]
     _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
     for failure in failures:
         print(f"cell pS={failure['pS']} CS={failure['CS']} failed: {failure['error']}",
@@ -311,12 +294,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, solver=True):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
+        if solver:
+            p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("validate", help="schema-check a scenario file")
     p.add_argument("--scenario", required=True)
@@ -340,7 +323,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="simulate cost-versus-rate curves, write sweep.csv")
-    common(p)
+    common(p, solver=False)
     p.add_argument("--families", default="uniform,age")
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_sweep)

@@ -288,6 +288,36 @@ def _cell_scenarios(scenario, grid):
                 p_success).with_sampling_cost(sampling_cost)
 
 
+def solve_cell(cell, algorithm):
+    """Run the scenario's configured solver on one scenario or grid cell.
+
+    The one place that turns ``cell.solver`` into solver arguments: epsilon,
+    budget and every round cap, scored from the scenario's start state.
+    ``algorithm`` is ``"brute"`` (``brute_force_joint``) or ``"jesp"``.
+    """
+    from .solvers import brute_force_joint, jesp
+    solver = cell.solver
+    if algorithm == "brute":
+        return brute_force_joint(cell.model, epsilon=solver.epsilon, budget=solver.budget,
+                                 max_sweeps=solver.max_pi_rounds,
+                                 start_state=cell.start_state)
+    if algorithm == "jesp":
+        return jesp(cell.model, epsilon=solver.epsilon, step_schedule=solver.step_schedule,
+                    restarts=solver.restarts, seed=solver.seed,
+                    max_rounds=solver.max_jesp_rounds, pi_rounds=solver.max_pi_rounds,
+                    rvi_sweeps=solver.max_rvi_sweeps, start_state=cell.start_state)
+    raise ParameterError(f"unknown algorithm {algorithm!r}")
+
+
+def _decomposition(p_success, sampling_cost, cell, report):
+    """The ``decomp.csv`` row of one cell: the exact cost split of the solved pair."""
+    from .benchmarks import evaluate_state_policy
+    summary = evaluate_state_policy(cell.model, report.sampling_policy,
+                                    report.decision_policy, cell.start_state)
+    return {"pS": p_success, "CS": sampling_cost, "sampling": summary.sampling,
+            "actuation": summary.actuation, "inherent": summary.inherent}
+
+
 def compare_policies(scenario, algorithm="jesp", include_classic=False,
                      progress=None):
     """Average cost of the co-designed pair versus the separate-design baselines.
@@ -295,47 +325,45 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
     One row per (channel success, sampling cost, policy); the co-design row
     carries the solver's value, baselines are evaluated exactly, and each
     baseline row includes its relative saving deficit versus the co-design.
-    Failed cells are recorded with an ``error`` entry and the run continues.
+    The co-design row also carries the cell's cost split under
+    ``decomposition`` (read it with ``decomposition_rows``), so each cell is
+    solved once for both ``compare.csv`` and ``decomp.csv``.
+
+    A failed cell is recorded as a single row with an ``error`` entry and the
+    run continues; having no co-design row, it has no decomposition either.
+    (``goaltensor compare`` thus writes ``decomp.csv`` without the failed
+    cells, where it used to stop at the first failing cell and write none.)
     """
     from .benchmarks import (aoii_optimal_policy, evaluate_change_aware,
                              evaluate_state_policy, evaluate_uniform,
                              mse_optimal_policy)
-    from .solvers import brute_force_joint, greedy_decision_policy, jesp
+    from .solvers import greedy_decision_policy
     rows = []
     for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        model = cell.model
-        start = model.state_index(cell.simulation.initial_state,
-                                  cell.simulation.initial_estimate,
-                                  cell.simulation.initial_context)
+        model, start = cell.model, cell.start_state
         try:
-            greedy = greedy_decision_policy(model)
-            if algorithm == "brute":
-                report = brute_force_joint(model, epsilon=cell.solver.epsilon,
-                                           budget=cell.solver.budget, start_state=start)
-            elif algorithm == "jesp":
-                report = jesp(model, epsilon=cell.solver.epsilon,
-                              step_schedule=cell.solver.step_schedule,
-                              restarts=cell.solver.restarts, seed=cell.solver.seed,
-                              start_state=start)
-            else:
-                raise ParameterError(f"unknown algorithm {algorithm!r}")
+            report = solve_cell(cell, algorithm)
             co_cost = report.average_cost
-            cells = [("got-codesign", co_cost)]
-            cells.append(("aoii-optimal", evaluate_state_policy(
-                model, aoii_optimal_policy(model), greedy, start).average_cost))
-            cells.append(("mse-optimal", evaluate_state_policy(
+            codesign = {"pS": p_success, "CS": sampling_cost, "policy": "got-codesign",
+                        "cost": co_cost, "saving_vs_codesign": None,
+                        "decomposition": _decomposition(p_success, sampling_cost, cell,
+                                                        report)}
+            greedy = greedy_decision_policy(model)
+            baselines = [("aoii-optimal", evaluate_state_policy(
+                model, aoii_optimal_policy(model), greedy, start).average_cost)]
+            baselines.append(("mse-optimal", evaluate_state_policy(
                 model, mse_optimal_policy(model, greedy, cell.state_values),
                 greedy, start).average_cost))
             if include_classic:
                 uniform_costs = [evaluate_uniform(model, d, greedy, start).average_cost
                                  for d in cell.sweep.uniform_periods]
-                cells.append(("uniform-best", min(uniform_costs)))
-                cells.append(("change-aware", evaluate_change_aware(
+                baselines.append(("uniform-best", min(uniform_costs)))
+                baselines.append(("change-aware", evaluate_change_aware(
                     model, greedy, start).average_cost))
-            for policy, cost in cells:
-                saving = None if policy == "got-codesign" else (cost - co_cost) / cost
-                rows.append({"pS": p_success, "CS": sampling_cost, "policy": policy,
-                             "cost": cost, "saving_vs_codesign": saving})
+            rows.append(codesign)
+            rows.extend({"pS": p_success, "CS": sampling_cost, "policy": policy,
+                         "cost": cost, "saving_vs_codesign": (cost - co_cost) / cost}
+                        for policy, cost in baselines)
         except GoalTensorError as exc:
             rows.append({"pS": p_success, "CS": sampling_cost, "policy": algorithm,
                          "cost": float("nan"), "error": str(exc)})
@@ -344,20 +372,17 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
     return rows
 
 
+def decomposition_rows(compare_rows):
+    """The ``decomp.csv`` rows carried by ``compare_policies`` rows, in grid order."""
+    return [row["decomposition"] for row in compare_rows if "decomposition" in row]
+
+
 def optimality_gap(scenario, progress=None):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units."""
-    from .solvers import brute_force_joint, jesp
     rows = []
     for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        start = cell.model.state_index(cell.simulation.initial_state,
-                                       cell.simulation.initial_estimate,
-                                       cell.simulation.initial_context)
-        bf = brute_force_joint(cell.model, epsilon=cell.solver.epsilon,
-                               budget=cell.solver.budget, start_state=start)
-        je = jesp(cell.model, epsilon=cell.solver.epsilon,
-                  step_schedule=cell.solver.step_schedule,
-                  restarts=cell.solver.restarts, seed=cell.solver.seed,
-                  start_state=start)
+        bf = solve_cell(cell, "brute")
+        je = solve_cell(cell, "jesp")
         rows.append({"pS": p_success, "CS": sampling_cost,
                      "theta_bf": bf.average_cost, "theta_jesp": je.average_cost,
                      "gap": je.average_cost - bf.average_cost})
@@ -367,28 +392,15 @@ def optimality_gap(scenario, progress=None):
 
 
 def decomposition_grid(scenario, algorithm="jesp", progress=None):
-    """Cost split of the co-designed policy per grid cell."""
-    from .benchmarks import evaluate_state_policy
-    from .solvers import brute_force_joint, jesp
+    """Cost split of the co-designed policy per grid cell; a failing cell raises.
+
+    ``goaltensor compare`` does not call this: it reads the same rows from its
+    ``compare_policies`` pass (``decomposition_rows``), one solve per cell.
+    """
     rows = []
     for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        model = cell.model
-        start = model.state_index(cell.simulation.initial_state,
-                                  cell.simulation.initial_estimate,
-                                  cell.simulation.initial_context)
-        if algorithm == "brute":
-            report = brute_force_joint(model, epsilon=cell.solver.epsilon,
-                                       budget=cell.solver.budget, start_state=start)
-        else:
-            report = jesp(model, epsilon=cell.solver.epsilon,
-                          step_schedule=cell.solver.step_schedule,
-                          restarts=cell.solver.restarts, seed=cell.solver.seed,
-                          start_state=start)
-        summary = evaluate_state_policy(model, report.sampling_policy,
-                                        report.decision_policy, start)
-        rows.append({"pS": p_success, "CS": sampling_cost,
-                     "sampling": summary.sampling, "actuation": summary.actuation,
-                     "inherent": summary.inherent})
+        rows.append(_decomposition(p_success, sampling_cost, cell,
+                                   solve_cell(cell, algorithm)))
         if progress:
             progress(p_success, sampling_cost)
     return rows

@@ -86,6 +86,13 @@ class Scenario:
     grid: GridConfig
     document: dict = field(repr=False)
 
+    @property
+    def start_state(self) -> int:
+        """Global-state index of the simulation's initial (state, estimate, context)."""
+        sim = self.simulation
+        return self.model.state_index(sim.initial_state, sim.initial_estimate,
+                                      sim.initial_context)
+
     def with_channel(self, success_prob):
         """Same scenario with a different channel success probability."""
         model = DecPomdpModel(alphabets=self.model.alphabets, source=self.model.source,

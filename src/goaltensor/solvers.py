@@ -672,31 +672,38 @@ def _one_hot(actions, n_actions):
 
 
 def _local_search(problem: _FixedSamplingProblem, actions, eta, start, allow_multichain):
-    """Steepest-ascent single-observation deviations until none improves."""
-    n_actions = problem.model.alphabets.n_actions
+    """Steepest-ascent single-observation deviations until none improves.
+
+    Each pass scores every deviation (observation, other action) at once: the
+    K = n_obs * (A - 1) chains go through ``_evaluate_batch`` and a deviation
+    scores its gain from ``start``.  Without ``allow_multichain``, deviations
+    whose chain has several closed classes are skipped.  Deviations are
+    visited in (observation, action) order and one replaces the incumbent only
+    when it beats the best so far by more than ``IMPROVE_TOL``, so the first
+    of equally good moves wins.  The pass applies the best move and repeats.
+    """
+    n_obs, n_actions = len(actions), problem.model.alphabets.n_actions
     actions = np.array(actions, dtype=int)
-    improved = True
-    while improved:
-        improved = False
+    rows = np.arange(len(problem.xhats))
+    obs_of, action_of = np.divmod(np.arange(n_obs * n_actions), n_actions)
+    while True:
+        keep = action_of != actions[obs_of]
+        moves_obs, moves_action = obs_of[keep], action_of[keep]
+        trials = np.repeat(actions[None, :], moves_obs.size, axis=0)
+        trials[np.arange(moves_obs.size), moves_obs] = moves_action
+        acts = trials[:, problem.xhats]                           # (K, N)
+        g, _, n_closed = _evaluate_batch(problem.transitions[acts, rows, :],
+                                         problem.rewards[rows, acts])
         best_eta, best_move = eta, None
-        for obs in range(len(actions)):
-            for a in range(n_actions):
-                if a == actions[obs]:
-                    continue
-                trial = actions.copy()
-                trial[obs] = a
-                try:
-                    trial_eta = problem.eta_of(_one_hot(trial, n_actions), start,
-                                               allow_multichain)
-                except ErgodicityError:
-                    continue
-                if trial_eta > best_eta + IMPROVE_TOL:
-                    best_eta, best_move = trial_eta, (obs, a)
-        if best_move is not None:
-            actions[best_move[0]] = best_move[1]
-            eta = best_eta
-            improved = True
-    return actions, eta
+        for j, trial_eta in enumerate(g[:, start]):
+            if not allow_multichain and n_closed[j] > 1:
+                continue
+            if trial_eta > best_eta + IMPROVE_TOL:
+                best_eta, best_move = trial_eta, j
+        if best_move is None:
+            return actions, eta
+        actions[moves_obs[best_move]] = moves_action[best_move]
+        eta = float(best_eta)
 
 
 def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,

@@ -126,3 +126,66 @@ def tiny_two_state_model(rng=None, success_prob=0.7, sampling_cost=0.5):
     rng = rng or np.random.default_rng(0)
     return random_model(rng, n_states=2, n_contexts=1, n_actions=2,
                         success_prob=success_prob, sampling_cost=sampling_cost)
+
+
+def uniform_by_augmented_chain(model: DecPomdpModel, period, decision, start_state=0):
+    """Exact cost of periodic transmission on the (N * period)-state phase-augmented chain.
+
+    The chain carries the slot phase next to the global state; transmission
+    happens in phase 0.  Occupation is the stationary law when the chain has
+    one closed class, else the Cesaro row of (phase 0, start state).
+    """
+    from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
+    from goaltensor.solvers import cesaro_limit, closed_classes, stationary_distribution
+    N = model.n_global_states
+    idle, success = _gathered_kernels(model, decision)
+    p = model.channel.success_prob
+    transmit = p * success + (1.0 - p) * idle
+    big = np.zeros((N * period, N * period))
+    for phase in range(period):
+        step = transmit if phase == 0 else idle
+        nxt = (phase + 1) % period
+        big[phase * N:(phase + 1) * N, nxt * N:(nxt + 1) * N] = step
+    if len(closed_classes(big)) == 1:
+        mu = stationary_distribution(big)
+    else:
+        mu = cesaro_limit(big)[start_state]
+    ramp, spend = _cost_pieces(model, decision)
+    return _summarize(model, mu.reshape(period, N).sum(axis=0), float(mu[:N].sum()),
+                      ramp, spend)
+
+
+def local_search_one_by_one(problem, actions, eta, start, allow_multichain):
+    """Steepest-ascent single-observation local search, one deviation at a time.
+
+    Each deviation is scored by ``problem.eta_of`` (stationary law, else the
+    Cesaro row of ``start``); a chain with several closed classes is skipped
+    unless ``allow_multichain``.
+    """
+    from goaltensor.errors import ErgodicityError
+    from goaltensor.solvers import IMPROVE_TOL
+    n_actions = problem.model.alphabets.n_actions
+    actions = np.array(actions, dtype=int)
+    improved = True
+    while improved:
+        improved = False
+        best_eta, best_move = eta, None
+        for obs in range(len(actions)):
+            for a in range(n_actions):
+                if a == actions[obs]:
+                    continue
+                trial = actions.copy()
+                trial[obs] = a
+                table = np.zeros((len(trial), n_actions))
+                table[np.arange(len(trial)), trial] = 1.0
+                try:
+                    trial_eta = problem.eta_of(table, start, allow_multichain)
+                except ErgodicityError:
+                    continue
+                if trial_eta > best_eta + IMPROVE_TOL:
+                    best_eta, best_move = trial_eta, (obs, a)
+        if best_move is not None:
+            actions[best_move[0]] = best_move[1]
+            eta = best_eta
+            improved = True
+    return actions, eta

@@ -15,6 +15,7 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.solvers import greedy_decision_policy, policy_chain
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
+from oracles import random_model, uniform_by_augmented_chain
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +273,38 @@ def test_benchmark_spec_dispatch(shipped, greedy):
         BenchmarkSpec(kind="nope", decision_policy=greedy)
     with pytest.raises(ParameterError):
         BenchmarkSpec(kind="uniform", decision_policy=greedy, period=0)
+
+
+def _assert_same_summary(got, want, tol=1e-12):
+    for name in ("average_cost", "sampling_rate", "inherent", "actuation", "sampling"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), abs=tol), name
+
+
+@pytest.mark.parametrize("cell", [(0.2, 0.0), (0.6, 4.0), (1.0, 10.0)])
+def test_uniform_period_map_matches_augmented_chain(shipped, cell):
+    p_success, sampling_cost = cell
+    model = shipped.with_channel(p_success).with_sampling_cost(sampling_cost).model
+    greedy = greedy_decision_policy(model)
+    for period in range(1, 21):
+        _assert_same_summary(evaluate_uniform(model, period, greedy),
+                             uniform_by_augmented_chain(model, period, greedy))
+
+
+def test_uniform_period_map_matches_augmented_chain_when_multichain():
+    # a source that never moves keeps one closed class per source state, so
+    # the cost depends on the start state and comes from a Cesaro row
+    base = random_model(np.random.default_rng(5), n_states=2, n_contexts=2, n_actions=2,
+                        success_prob=0.7, sampling_cost=0.5)
+    model = DecPomdpModel(alphabets=base.alphabets,
+                          source=SourceDynamics(np.broadcast_to(
+                              np.eye(2)[:, None, None, :], (2, 2, 2, 2)).copy()),
+                          context=base.context, channel=base.channel, cost=base.cost)
+    decision = DecisionPolicy([1, 0])
+    for period in range(1, 21):
+        costs = []
+        for start in range(model.n_global_states):
+            got = evaluate_uniform(model, period, decision, start)
+            _assert_same_summary(got, uniform_by_augmented_chain(model, period, decision,
+                                                                 start))
+            costs.append(got.average_cost)
+        assert max(costs) - min(costs) > 1e-3

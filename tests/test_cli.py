@@ -1,11 +1,15 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import goaltensor.solvers as solvers
 from goaltensor.cli import main
-from goaltensor.scenario import default_document, save_scenario
+from goaltensor.errors import NonConvergenceError
+from goaltensor.harness import decomposition_grid, write_decomp_csv
+from goaltensor.scenario import GridConfig, default_document, load_scenario, save_scenario
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
 
@@ -157,3 +161,81 @@ def test_gap_on_empty_grid_fails_cleanly(tmp_path, capsys):
     path = save_scenario(doc, tmp_path / "empty.json")
     assert main(["gap", "--scenario", str(path), "--out", str(tmp_path / "gap")]) == 1
     assert "grid.sampling_costs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, bad", [("ps=a;cs=1", "'a'"), ("ps=0.5,;cs=1", "''")])
+def test_grid_flag_rejects_non_numbers(tmp_path, capsys, scenario_file, grid, bad):
+    assert main(["gap", "--scenario", scenario_file, "--grid", grid,
+                 "--out", str(tmp_path / "gap")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid value " + bad) and err.count("\n") == 1
+
+
+def _spy(monkeypatch, name):
+    """Record the keyword arguments of every call to ``solvers.<name>``."""
+    calls, real = [], getattr(solvers, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, spy)
+    return calls
+
+
+def test_compare_solves_each_cell_once(tmp_path, scenario_file, monkeypatch):
+    calls = _spy(monkeypatch, "jesp")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 2
+    scenario = replace(load_scenario(scenario_file),
+                       grid=GridConfig(success_probs=(0.8,), sampling_costs=(2.0, 4.0)))
+    expected = write_decomp_csv(tmp_path / "expected.csv", decomposition_grid(scenario))
+    assert (out / "decomp.csv").read_bytes() == expected.read_bytes()
+
+
+def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenario_file,
+                                                       monkeypatch):
+    real = solvers.jesp
+
+    def fail_on_cs4(model, **kwargs):
+        if model.cost.sampling_cost == 4.0:
+            raise NonConvergenceError("forced failure")
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(solvers, "jesp", fail_on_cs4)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
+                 "--out", str(out)]) == 1
+    assert "cell pS=0.8 CS=4.0 failed: forced failure" in capsys.readouterr().err
+    compare_lines = (out / "compare.csv").read_text().splitlines()
+    decomp_lines = (out / "decomp.csv").read_text().splitlines()
+    assert len(compare_lines) == 4 and all(",2.0," in line for line in compare_lines[1:])
+    assert len(decomp_lines) == 2 and decomp_lines[1].startswith("0.8,2.0,")
+
+
+def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
+    doc = default_document()
+    doc["solver"].update(max_rvi_sweeps=4321, max_pi_rounds=77, max_jesp_rounds=9)
+    path = str(save_scenario(doc, tmp_path / "caps.json"))
+    jesp_calls = _spy(monkeypatch, "jesp")
+    brute_calls = _spy(monkeypatch, "brute_force_joint")
+    assert main(["gap", "--scenario", path, "--grid", "ps=0.8;cs=2",
+                 "--out", str(tmp_path / "gap")]) == 0
+    assert main(["compare", "--scenario", path, "--grid", "ps=0.8;cs=2",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["solve", "--scenario", path, "--algorithm", "brute",
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert main(["simulate", "--scenario", path, "--policy", "codesign",
+                 "--epsilon", "1e-5", "--horizon", "50", "--out", str(tmp_path / "sim")]) == 0
+    caps = {"max_rounds": 9, "pi_rounds": 77, "rvi_sweeps": 4321}
+    assert [{k: c[k] for k in caps} for c in jesp_calls] == [caps] * 3
+    assert [c["epsilon"] for c in jesp_calls] == [1e-6, 1e-6, 1e-5]
+    assert [c["max_sweeps"] for c in brute_calls] == [77, 77]
+
+
+def test_sweep_has_no_epsilon_flag(tmp_path, scenario_file):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--scenario", scenario_file, "--epsilon", "1e-3",
+              "--out", str(tmp_path / "sweep")])

@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
                                NonConvergenceError, ParameterError,
                                UnreachableObservationError)
-from goaltensor.model import DecPomdpModel, SourceDynamics, TabularMdp, induced_mdp
+from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
+                              SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor.solvers import (analyze_chain, average_reward, brute_force_joint,
                                 cesaro_limit, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
                                 initial_gain, jesp, pi_step_size, policy_chain,
                                 q_tables, relative_reward, rvi_solve, _rvi_batch,
-                                _policy_iteration_batch, solve_sampler_for_decision,
-                                stationary_distribution)
-from goaltensor.tensor import DecisionPolicy, SamplingPolicy
+                                _FixedSamplingProblem, _local_search, _one_hot,
+                                _policy_iteration_batch, sampling_from_flat,
+                                solve_sampler_for_decision, stationary_distribution)
+from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (exhaustive_joint_search, gain_from, joint_chain_by_hand,
-                     limit_matrix, random_model, tiny_two_state_model)
+                     limit_matrix, local_search_one_by_one, random_model,
+                     tiny_two_state_model)
 
 
 # --- stationary analysis -----------------------------------------------------
@@ -377,6 +380,52 @@ def test_pi_multichain_error_and_fallback(shipped):
     # estimate frozen at 0: the gain only prices the estimate-0 slice, and the
     # chosen first-slot action for estimate 0 must be a local optimum there
     assert np.isfinite(res.average_reward)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_local_search_matches_one_by_one_oracle(seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=3)
+    bits = (rng.random(model.n_global_states) < 0.6).astype(int)
+    if seed % 2:
+        # estimates 0 and 1 never refresh: two closed classes at least
+        _, xhats, _ = model.state_components()
+        bits[xhats < 2] = 0
+    problem = _FixedSamplingProblem(model, sampling_from_flat(bits, model))
+    start = int(rng.integers(model.n_global_states))
+    initial = rng.integers(0, 3, size=3)
+    for allow in (False, True):
+        try:
+            eta = problem.eta_of(_one_hot(initial, 3), start, allow)
+        except ErgodicityError:
+            assert seed % 2 and not allow
+            continue
+        actions, value = _local_search(problem, initial, eta, start, allow)
+        want_actions, want_value = local_search_one_by_one(problem, initial, eta, start,
+                                                           allow)
+        assert actions.tolist() == want_actions.tolist()
+        assert value == pytest.approx(want_value, abs=1e-12)
+
+
+def test_local_search_skips_multichain_deviations_unless_allowed():
+    # actuation 0 freezes the source; with fresh estimates, decision [0, 0]
+    # makes both (0, 0) and (1, 1) absorbing, the best chain from (1, 1)
+    src = np.zeros((2, 1, 2, 2))
+    src[:, 0, 0, :] = np.eye(2)
+    src[:, 0, 1, :] = 0.5
+    model = DecPomdpModel(alphabets=Alphabets(2, 1, 2), source=SourceDynamics(src),
+                          context=ContextDynamics(np.eye(1)), channel=ChannelModel(1.0),
+                          cost=CostModel(inherent=[[5, 0]], gain=[0, 0],
+                                         expenditure=[0, 1], sampling_cost=0.0))
+    problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
+    start = model.state_index(1, 1, 0)
+    eta = problem.eta_of(_one_hot([0, 1], 2), start)
+    for allow, want in ((False, [1, 0]), (True, [0, 0])):
+        actions, value = _local_search(problem, [0, 1], eta, start, allow)
+        assert actions.tolist() == want
+        oracle = local_search_one_by_one(problem, [0, 1], eta, start, allow)
+        assert oracle[0].tolist() == want
+        assert value == pytest.approx(oracle[1], abs=1e-12)
 
 
 # --- brute force and equilibrium search --------------------------------------
