@@ -9,10 +9,9 @@ from .model import (ChannelModel, ContextDynamics, DecPomdpModel, GlobalState,
                     JointAction, SourceDynamics, TabularMdp, estimate_kernel,
                     heuristic_mdp, induced_mdp, induced_pomdp, observation_fn,
                     reward, transition_kernel)
-from .solvers import (QTables, RviSolution, SolveReport, StationaryAnalysis,
-                      ValueTable, analyze_chain, average_reward, brute_force_joint,
-                      greedy_decision_policy, jesp, pi_step_size, policy_chain,
-                      q_tables, relative_reward, rvi_solve,
+from .solvers import (QTables, SolveReport, StationaryAnalysis, analyze_chain,
+                      average_reward, brute_force_joint, greedy_decision_policy,
+                      jesp, pi_step_size, policy_chain, q_tables, relative_reward,
                       solve_sampler_for_decision, stationary_distribution)
 from .benchmarks import (BenchmarkSpec, CostSummary, age_threshold_policy,
                          aoii_optimal_policy, change_aware_policy,

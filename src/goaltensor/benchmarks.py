@@ -15,13 +15,13 @@ the chain sampled at the start of each period.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ErgodicityError, ParameterError
 from .model import DecPomdpModel, dense_kernels, success_kernels
-from .solvers import (cesaro_limit, _rvi_batch, sampling_from_flat,
+from .solvers import (MAX_PI_ROUNDS, cesaro_limit, _solve_mdp, sampling_from_flat,
                       stationary_distribution)
 from .tensor import DecisionPolicy, SamplingPolicy
 
@@ -175,13 +175,12 @@ def aoii_optimal_policy(model: DecPomdpModel) -> SamplingPolicy:
 
 
 def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
-                       state_values=None, epsilon=1e-6, max_sweeps=10_000) -> SamplingPolicy:
+                       state_values=None, epsilon=1e-6) -> SamplingPolicy:
     """Sampling policy minimizing long-run squared estimation error plus sampling cost.
 
-    Solved by relative value iteration on the sampler MDP induced by the
-    (greedy by default) decision policy, with the squared-error reward in place
-    of the goal cost.  Value iteration that plateaus (near-tied frozen-estimate
-    slices) is truncated and its greedy policy returned.
+    Solved by multichain policy iteration (``solvers._solve_mdp``) on the
+    sampler MDP induced by the (greedy by default) decision policy, with the
+    squared-error reward in place of the goal cost.
     """
     from .model import induced_mdp
     from .solvers import greedy_decision_policy
@@ -195,9 +194,8 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
     xs, xhats, _ = model.state_components()
     sq_err = (state_values[xs] - state_values[xhats]) ** 2
     rewards = -np.stack([sq_err, sq_err + model.cost.sampling_cost], axis=1)
-    pol, _, _, _, _, _ = _rvi_batch(mdp.transitions[None], rewards[None], epsilon, 0,
-                                    max_sweeps, on_stall="estimate")
-    return sampling_from_flat(pol[0], model)
+    policy, _, _ = _solve_mdp(replace(mdp, rewards=rewards), epsilon, MAX_PI_ROUNDS)
+    return sampling_from_flat(policy, model)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .harness import (compare_policies, decomposition_rows, optimality_gap,
                       simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
                       write_compare_csv, write_decomp_csv, write_gap_csv,
                       write_sweep_csv, write_trace_csv)
-from .scenario import (GridConfig, Scenario, checked_epsilon, load_scenario,
-                       scenario_digest)
+from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon,
+                       load_scenario, scenario_digest)
 from .solvers import (SolveReport, flatten_sampling, greedy_decision_policy,
                       solve_sampler_for_decision)
 from .tensor import DecisionPolicy, SamplingPolicy
@@ -125,7 +125,7 @@ def _report_text(report: SolveReport, scenario: Scenario, algorithm) -> str:
     counts = {key: len(val) if isinstance(val, (list, tuple)) else val
               for key, val in report.diagnostics.items()
               if key in ("candidates_evaluated", "multichain_candidates",
-                         "stalled_candidates", "theta_trace", "rvi_stall_rounds")}
+                         "stalled_candidates", "theta_trace")}
     if counts:
         lines.append("diagnostics: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return "\n".join(lines) + "\n"
@@ -151,7 +151,7 @@ def cmd_solve(args):
         decision = greedy_decision_policy(scenario.model)
         sampling, gain, _ = solve_sampler_for_decision(
             scenario.model, decision, epsilon=scenario.solver.epsilon,
-            max_sweeps=scenario.solver.max_rvi_sweeps)
+            max_sweeps=scenario.solver.max_pi_rounds)
         report = SolveReport(sampling_policy=sampling, decision_policy=decision,
                              average_reward=gain, iterations=0, residual=0.0,
                              converged=True, diagnostics={})
@@ -307,8 +307,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve the joint sampling/actuation problem")
     common(p)
-    p.add_argument("--algorithm", choices=["brute", "jesp", "rvi-fixed-decision"],
-                   default=None)
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="run the closed loop and write trace.csv")

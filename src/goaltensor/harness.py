@@ -305,7 +305,7 @@ def solve_cell(cell, algorithm):
         return jesp(cell.model, epsilon=solver.epsilon, step_schedule=solver.step_schedule,
                     restarts=solver.restarts, seed=solver.seed,
                     max_rounds=solver.max_jesp_rounds, pi_rounds=solver.max_pi_rounds,
-                    rvi_sweeps=solver.max_rvi_sweeps, start_state=cell.start_state)
+                    start_state=cell.start_state)
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 

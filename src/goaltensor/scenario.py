@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ from .tensor import Alphabets, CostModel
 class SolverConfig:
     algorithm: str = "jesp"
     epsilon: float = 1e-6
-    max_rvi_sweeps: int = 10_000
     max_pi_rounds: int = 500
     max_jesp_rounds: int = 100
     step_schedule: object = "harmonic"
@@ -95,26 +94,12 @@ class Scenario:
 
     def with_channel(self, success_prob):
         """Same scenario with a different channel success probability."""
-        model = DecPomdpModel(alphabets=self.model.alphabets, source=self.model.source,
-                              context=self.model.context,
-                              channel=ChannelModel(success_prob), cost=self.model.cost)
-        return Scenario(name=self.name, model=model, state_values=self.state_values,
-                        solver=self.solver, simulation=self.simulation,
-                        sweep=self.sweep, grid=self.grid, document=self.document)
+        return replace(self, model=replace(self.model, channel=ChannelModel(success_prob)))
 
     def with_sampling_cost(self, sampling_cost):
         """Same scenario with a different per-transmission cost."""
-        cost = CostModel(inherent=self.model.cost.inherent, gain=self.model.cost.gain,
-                         expenditure=self.model.cost.expenditure,
-                         gain_weight=self.model.cost.gain_weight,
-                         expenditure_weight=self.model.cost.expenditure_weight,
-                         sampling_cost=float(sampling_cost))
-        model = DecPomdpModel(alphabets=self.model.alphabets, source=self.model.source,
-                              context=self.model.context, channel=self.model.channel,
-                              cost=cost)
-        return Scenario(name=self.name, model=model, state_values=self.state_values,
-                        solver=self.solver, simulation=self.simulation,
-                        sweep=self.sweep, grid=self.grid, document=self.document)
+        cost = replace(self.model.cost, sampling_cost=float(sampling_cost))
+        return replace(self, model=replace(self.model, cost=cost))
 
 
 def _require(doc, key, where):
@@ -126,6 +111,8 @@ def _require(doc, key, where):
 def _as_number(value, address, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(address, f"expected a number, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(address, f"expected a finite number, got {value}")
     if integer and int(value) != value:
         raise ScenarioError(address, f"expected an integer, got {value}")
     if minimum is not None and value < minimum:
@@ -138,10 +125,29 @@ def _as_number(value, address, minimum=None, maximum=None, integer=False):
 def checked_epsilon(value):
     """Solver tolerance, which must be a finite number above zero."""
     epsilon = _as_number(value, "solver.epsilon")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ScenarioError("solver.epsilon",
-                            f"expected a finite number above 0, got {epsilon}")
+    if not epsilon > 0.0:
+        raise ScenarioError("solver.epsilon", f"expected a number above 0, got {epsilon}")
     return epsilon
+
+
+ALGORITHMS = ("brute", "jesp", "rvi-fixed-decision")
+
+
+def _as_algorithm(value):
+    if value not in ALGORITHMS:
+        raise ScenarioError("solver.algorithm",
+                            f"expected one of {', '.join(ALGORITHMS)}, got {value!r}")
+    return value
+
+
+def _as_step_schedule(value):
+    """``"harmonic"`` or a constant step size in (0, 1]."""
+    if value == "harmonic":
+        return value
+    if isinstance(value, str) or not 0.0 < _as_number(value, "solver.step_schedule") <= 1.0:
+        raise ScenarioError("solver.step_schedule",
+                            f'expected "harmonic" or a number in (0, 1], got {value!r}')
+    return value
 
 
 def _as_values(doc, key, default, **bounds):
@@ -245,15 +251,13 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
 
     solver_doc = doc.get("solver", {})
     solver = SolverConfig(
-        algorithm=solver_doc.get("algorithm", "jesp"),
+        algorithm=_as_algorithm(solver_doc.get("algorithm", "jesp")),
         epsilon=checked_epsilon(solver_doc.get("epsilon", 1e-6)),
-        max_rvi_sweeps=_as_number(solver_doc.get("max_rvi_sweeps", 10_000),
-                                  "solver.max_rvi_sweeps", minimum=1, integer=True),
         max_pi_rounds=_as_number(solver_doc.get("max_pi_rounds", 500),
                                  "solver.max_pi_rounds", minimum=1, integer=True),
         max_jesp_rounds=_as_number(solver_doc.get("max_jesp_rounds", 100),
                                    "solver.max_jesp_rounds", minimum=1, integer=True),
-        step_schedule=solver_doc.get("step_schedule", "harmonic"),
+        step_schedule=_as_step_schedule(solver_doc.get("step_schedule", "harmonic")),
         restarts=_as_number(solver_doc.get("restarts", 0), "solver.restarts",
                             minimum=0, integer=True),
         seed=_as_number(solver_doc.get("seed", 0), "solver.seed", integer=True),

@@ -1,16 +1,17 @@
 """Average-reward solvers for the sampler/actuator pair.
 
-Two exact routes and one fast route:
+Every sampler MDP is solved by one routine: batched multichain policy
+iteration (Howard 1960; Puterman 1994, section 9.2), with a residual
+certificate on both multichain optimality equations.  Two exact routes and one
+fast route use it:
 
-* relative value iteration on the sampler MDP induced by a fixed decision
-  policy, anchored at a reference state;
-* brute-force enumeration of all deterministic decision policies, each
-  sampler MDP solved by batched multichain policy iteration (Howard 1960;
-  Puterman 1994, section 9.2) and scored by its optimal gain from the start
-  state, with a residual certificate on both multichain optimality equations;
+* the sampler's best response to a fixed decision policy, one MDP;
+* brute-force enumeration of all deterministic decision policies, their
+  sampler MDPs solved in batches and each scored by its optimal gain from the
+  start state;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
-  best response is the RVI route).
+  step is the best response above).
 
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
@@ -47,7 +48,6 @@ IMPROVE_TOL = 1e-9          # minimum gain for a local-search move
 PI_NOISE = 1e-12            # relative tie tolerance of a policy-iteration improvement
 
 DEFAULT_EPSILON = 1e-6
-MAX_RVI_SWEEPS = 10_000
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
 
@@ -254,12 +254,9 @@ class _FixedSamplingProblem:
 
     def eta_of(self, table, start=0, allow_multichain=False) -> float:
         P, rbar = self.chain(table)
-        try:
-            return average_reward(stationary_distribution(P), rbar)
-        except ErgodicityError:
-            if not allow_multichain:
-                raise
-            return float((cesaro_limit(P) @ rbar)[start])
+        if allow_multichain:
+            return initial_gain(P, rbar, start)
+        return average_reward(stationary_distribution(P), rbar)
 
     def q_values(self, evaluation: _ChainEval):
         """State- and observation-level q-values plus posterior and reachability."""
@@ -320,122 +317,6 @@ def q_tables(model: DecPomdpModel, sampling: SamplingPolicy, decision,
         raise UnreachableObservationError(
             f"estimate observations {missing} have zero stationary probability")
     return QTables(q_global=q_global, q_obs=q_obs, posterior=posterior, reachable=reachable)
-
-
-# ---------------------------------------------------------------------------
-# relative value iteration
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    values: np.ndarray
-    reference_state: int
-
-
-@dataclass(frozen=True)
-class RviSolution:
-    policy: np.ndarray          # best action per state
-    gain: float                 # optimal average reward
-    values: ValueTable
-    iterations: int
-    residual: float
-
-
-def rvi_solve(mdp: TabularMdp, epsilon=DEFAULT_EPSILON, reference_state=0,
-              max_sweeps=MAX_RVI_SWEEPS) -> RviSolution:
-    """Relative value iteration for the average-reward optimality equation.
-
-    Values are re-anchored at the reference state every sweep; on return the
-    gain and values satisfy the optimality equation with residual below
-    ``epsilon`` at every state (raised as an error otherwise).  Ties in the
-    greedy policy break toward the lowest action index.
-    """
-    T, R = mdp.transitions, mdp.rewards
-    n = mdp.n_states
-    if not 0 <= reference_state < n:
-        raise ParameterError(f"reference state {reference_state} outside 0..{n - 1}")
-    V = np.zeros(n)
-    V_older = None
-    diff = cycle = np.inf
-    # the einsum form keeps the reduction order identical to the batched solver
-    for sweep in range(1, max_sweeps + 1):
-        TV = (R + np.einsum("ans,s->na", T, V)).max(axis=1)
-        V_new = TV - TV[reference_state]
-        diff = np.abs(V_new - V).max()
-        cycle = np.abs(V_new - V_older).max() if V_older is not None else np.inf
-        V_older, V = V, V_new
-        if diff < 0.5 * epsilon:
-            break
-    else:
-        if cycle < 0.5 * epsilon <= diff:
-            raise NonConvergenceError(
-                f"period-2 value oscillation after {max_sweeps} sweeps; consider an "
-                f"aperiodicity transform of the kernel",
-                residual=diff, iterations=max_sweeps)
-        raise NonConvergenceError(
-            f"no convergence after {max_sweeps} sweeps; last value change {diff:.3e}",
-            residual=diff, iterations=max_sweeps)
-    Q = R + np.einsum("ans,s->na", T, V)
-    TV = Q.max(axis=1)
-    gain = float(TV[reference_state])
-    residual = float(np.abs(gain + V - TV).max())
-    if residual >= epsilon:
-        raise NonConvergenceError(
-            f"optimality-equation residual {residual:.3e} not below {epsilon:g}",
-            residual=residual, iterations=sweep)
-    policy = Q.argmax(axis=1)
-    return RviSolution(policy=policy, gain=gain,
-                       values=ValueTable(values=V, reference_state=reference_state),
-                       iterations=sweep, residual=residual)
-
-
-def _rvi_batch(T, R, epsilon, reference_state, max_sweeps, on_stall="error"):
-    """Relative value iteration over a batch of MDPs sharing a state space.
-
-    Matches ``rvi_solve`` exactly per batch member: the same sweeps, the same
-    stopping rule (members freeze as soon as they converge), the same greedy
-    tie-breaking.  Returns (policies, gains, values, iterations, residuals,
-    stalled).
-
-    A member stalls when value differences plateau (in this problem family:
-    estimate slices the greedy policy never couples, with gain differences too
-    small for the finite sweep budget to surface an escape).  With
-    ``on_stall="estimate"`` such members are frozen at the cap and reported
-    with ``stalled`` set; their gain is then the reference slice's own gain,
-    which the member can actually achieve, so it never overstates the optimum.
-    """
-    n_batch, _, n, _ = T.shape
-    V = np.zeros((n_batch, n))
-    iterations = np.zeros(n_batch, dtype=int)
-    active = np.ones(n_batch, dtype=bool)
-    for sweep in range(1, max_sweeps + 1):
-        idx = np.flatnonzero(active)
-        TV = (R[idx] + np.einsum("kans,ks->kna", T[idx], V[idx])).max(axis=2)
-        V_new = TV - TV[:, reference_state][:, None]
-        diff = np.abs(V_new - V[idx]).max(axis=1)
-        V[idx] = V_new
-        done = diff < 0.5 * epsilon
-        iterations[idx[done]] = sweep
-        active[idx[done]] = False
-        if not active.any():
-            break
-    stalled = active.copy()
-    iterations[stalled] = max_sweeps
-    if stalled.any() and on_stall != "estimate":
-        raise NonConvergenceError(
-            f"{int(stalled.sum())} of {n_batch} candidates unconverged after {max_sweeps} sweeps",
-            iterations=max_sweeps)
-    Q = R + np.einsum("kans,ks->kna", T, V)
-    TV = Q.max(axis=2)
-    gains = TV[:, reference_state]
-    residuals = np.abs(gains[:, None] + V - TV).max(axis=1)
-    bad = (residuals >= epsilon) & ~stalled
-    if np.any(bad):
-        worst = int(np.flatnonzero(bad)[residuals[bad].argmax()])
-        raise NonConvergenceError(
-            f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
-            f"not below {epsilon:g}", residual=float(residuals[worst]))
-    return Q.argmax(axis=2), gains, V, iterations, residuals, stalled
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +392,8 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     every member's gain and bias satisfy both multichain optimality equations
     with residual below ``epsilon``; a member that fails this, or still changes
     after ``max_rounds`` rounds, raises ``NonConvergenceError``.  Returns
-    (policies, gain vectors, rounds, residuals, closed-class counts), all per
-    member.
+    (policies, gain vectors, bias vectors, rounds, residuals, closed-class
+    counts), all per member.
     """
     k, _, n, _ = T.shape
     # floating noise of an evaluation grows with the member's reward and bias
@@ -520,6 +401,7 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     reward_scale = 1.0 + np.abs(R).max(axis=(1, 2))
     policy = np.full((k, n), initial_action, dtype=int)
     gains = np.empty((k, n))
+    biases = np.empty((k, n))
     iterations = np.zeros(k, dtype=int)
     residuals = np.empty(k)
     n_closed = np.empty(k, dtype=int)
@@ -545,6 +427,7 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
         policy[active] = new
         finished = active[done]
         gains[finished] = g[done]
+        biases[finished] = h[done]
         iterations[finished] = round_
         n_closed[finished] = classes[done]
         # certificate: residuals of both multichain optimality equations
@@ -564,7 +447,20 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
             f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
             f"not below {epsilon:g}", residual=float(residuals[worst]),
             iterations=int(iterations[worst]))
-    return policy, gains, iterations, residuals, n_closed
+    return policy, gains, biases, iterations, residuals, n_closed
+
+
+def _solve_mdp(mdp: TabularMdp, epsilon, max_rounds):
+    """Optimal policy, gain vector and bias vector of one MDP by policy iteration.
+
+    Starts from action 0 (idling, on a sampler MDP) and keeps the incumbent
+    action on ties, so a state whose actions tie keeps the lowest one unless
+    an improvement moved it earlier: a sampler does not transmit where
+    transmitting buys nothing.
+    """
+    policy, gains, biases, _, _, _ = _policy_iteration_batch(
+        mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds, initial_action=0)
+    return policy[0], gains[0], biases[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +491,18 @@ class SolveReport:
         return -self.average_reward
 
 
-def _solve_sampler(model: DecPomdpModel, decision: DecisionPolicy, epsilon,
-                   max_sweeps, on_stall="error"):
-    mdp = induced_mdp(model, decision)
-    pol, gains, V, iters, residuals, stall = _rvi_batch(
-        mdp.transitions[None], mdp.rewards[None], epsilon, 0, max_sweeps, on_stall)
-    return pol[0], float(gains[0]), V[0], int(iters[0]), bool(stall[0])
-
-
 def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
-                               epsilon=DEFAULT_EPSILON,
-                               max_sweeps=MAX_RVI_SWEEPS) -> tuple[SamplingPolicy, float, ValueTable]:
-    """Best-response sampling policy for a fixed decision policy (the RVI route)."""
-    flat, gain, V, _, _ = _solve_sampler(model, decision, epsilon, max_sweeps)
-    return sampling_from_flat(flat, model), gain, ValueTable(values=V, reference_state=0)
+                               epsilon=DEFAULT_EPSILON, max_sweeps=MAX_PI_ROUNDS
+                               ) -> tuple[SamplingPolicy, float, np.ndarray]:
+    """Best-response sampling policy for a fixed decision policy.
+
+    Solves the induced sampler MDP by multichain policy iteration (see
+    ``_solve_mdp``), ``max_sweeps`` capping its rounds as in
+    ``brute_force_joint``.  Returns the policy, its optimal gain from state 0,
+    and the bias vector.
+    """
+    flat, gains, bias = _solve_mdp(induced_mdp(model, decision), epsilon, max_sweeps)
+    return sampling_from_flat(flat, model), float(gains[0]), bias
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +736,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         base = np.take_along_axis(per_state_cost[None, :, :], acts[:, :, None],
                                   axis=2)[:, :, 0]                # (K, N)
         R = -np.stack([base, base + model.cost.sampling_cost], axis=2)
-        pol_b, gains, rounds, residuals, n_closed = _policy_iteration_batch(
+        pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
             T, R, epsilon, max_sweeps, initial_action=1)
         total_rounds += int(rounds.sum())
         scores = gains[:, start_state]
@@ -874,14 +768,14 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
 def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) -> DecisionPolicy:
     """Seed decision policy from the perfect-estimate actuation MDP.
 
-    Solves the (state, context) MDP by RVI, forms its q-values, averages them
-    over the stationary context law, and picks the cost-minimizing actuation
-    per state, read as a per-estimate rule.
+    Solves the (state, context) MDP by multichain policy iteration (see
+    ``_solve_mdp``), forms q-values from its gain and bias, averages them over
+    the stationary context law, and picks the cost-minimizing actuation per
+    state, read as a per-estimate rule.
     """
     mdp = heuristic_mdp(model)
-    sol = rvi_solve(mdp, epsilon=epsilon)
-    V = sol.values.values
-    q = mdp.rewards - sol.gain + (mdp.transitions @ V).T          # (S*V, A)
+    _, gains, bias = _solve_mdp(mdp, epsilon, MAX_PI_ROUNDS)
+    q = mdp.rewards - gains[:, None] + (mdp.transitions @ bias).T     # (S*V, A)
     weights = model.context.stationary()
     n, v = model.alphabets.n_states, model.alphabets.n_contexts
     q_by_state = np.einsum("p,xpa->xa", weights, q.reshape(v, n, -1).transpose(1, 0, 2))
@@ -889,22 +783,17 @@ def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) ->
 
 
 def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
-               pi_rounds, rvi_sweeps, on_multichain, start_state):
+               pi_rounds, on_multichain, start_state):
     decision = initial_decision
     theta_prev = None
     theta = None
     theta_trace = []
-    stall_rounds = []
     converged = False
     rounds = 0
     best = None
     for k in range(1, max_rounds + 1):
         rounds = k
-        flat, _, _, _, stall = _solve_sampler(model, decision, epsilon, rvi_sweeps,
-                                              on_stall="estimate")
-        if stall:
-            stall_rounds.append(k)
-        sampling = sampling_from_flat(flat, model)
+        sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
         pi_res = pi_step_size(model, sampling, decision, epsilon=epsilon,
                               step_schedule=step_schedule, max_rounds=pi_rounds,
                               on_multichain=on_multichain, start_state=start_state)
@@ -922,19 +811,18 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
     return SolveReport(sampling_policy=sampling, decision_policy=decision,
                        average_reward=float(theta), iterations=rounds,
                        residual=float(residual), converged=converged,
-                       diagnostics={"theta_trace": theta_trace,
-                                    "rvi_stall_rounds": stall_rounds})
+                       diagnostics={"theta_trace": theta_trace})
 
 
 def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
          restarts=0, seed=0, max_rounds=MAX_JESP_ROUNDS,
-         pi_rounds=MAX_PI_ROUNDS, rvi_sweeps=MAX_RVI_SWEEPS,
-         on_multichain="initial-state", start_state=0) -> SolveReport:
+         pi_rounds=MAX_PI_ROUNDS, on_multichain="initial-state", start_state=0) -> SolveReport:
     """Alternating best-response search for a Nash policy pair.
 
     The decision policy is seeded from the perfect-estimate heuristic, then the
-    sampler (RVI best response) and the actuator (soft policy iteration)
-    alternate until the average reward stabilizes.  Optional restarts rerun the
+    sampler (policy-iteration best response, ``solve_sampler_for_decision``)
+    and the actuator (soft policy iteration) alternate until the average reward
+    stabilizes; ``pi_rounds`` caps the rounds of both.  Optional restarts rerun the
     loop from uniformly random decision policies and keep the best outcome;
     per-restart results land in the diagnostics.
 
@@ -954,7 +842,7 @@ def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
             start = DecisionPolicy(rng.integers(0, n_actions, size=n_states))
         try:
             report = _jesp_once(model, start, epsilon, step_schedule, max_rounds,
-                                pi_rounds, rvi_sweeps, on_multichain, start_state)
+                                pi_rounds, on_multichain, start_state)
         except GoalTensorError as exc:
             outcomes.append({"start": start.actions.tolist(), "error": str(exc)})
             continue

@@ -6,11 +6,16 @@ so it shares no code path with the package.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from goaltensor.model import DecPomdpModel, GlobalState
+from goaltensor.errors import NonConvergenceError, ParameterError
+from goaltensor.model import DecPomdpModel, GlobalState, TabularMdp
+from goaltensor.solvers import DEFAULT_EPSILON
 from goaltensor.tensor import Alphabets, CostModel
+
+MAX_RVI_SWEEPS = 10_000
 
 
 def tensor_entry_by_hand(cost: CostModel, policy, x, phi, xhat):
@@ -189,3 +194,155 @@ def local_search_one_by_one(problem, actions, eta, start, allow_multichain):
             eta = best_eta
             improved = True
     return actions, eta
+
+
+# ---------------------------------------------------------------------------
+# relative value iteration: the sampler solver before multichain policy
+# iteration replaced it, kept to cross-check the replacement
+
+
+@dataclass(frozen=True)
+class ValueTable:
+    values: np.ndarray
+    reference_state: int
+
+
+@dataclass(frozen=True)
+class RviSolution:
+    policy: np.ndarray          # best action per state
+    gain: float                 # optimal average reward
+    values: ValueTable
+    iterations: int
+    residual: float
+
+
+def rvi_solve(mdp: TabularMdp, epsilon=DEFAULT_EPSILON, reference_state=0,
+              max_sweeps=MAX_RVI_SWEEPS) -> RviSolution:
+    """Relative value iteration for the average-reward optimality equation.
+
+    Values are re-anchored at the reference state every sweep; on return the
+    gain and values satisfy the optimality equation with residual below
+    ``epsilon`` at every state (raised as an error otherwise).  Ties in the
+    greedy policy break toward the lowest action index.
+    """
+    T, R = mdp.transitions, mdp.rewards
+    n = mdp.n_states
+    if not 0 <= reference_state < n:
+        raise ParameterError(f"reference state {reference_state} outside 0..{n - 1}")
+    V = np.zeros(n)
+    V_older = None
+    diff = cycle = np.inf
+    # the einsum form keeps the reduction order identical to the batched solver
+    for sweep in range(1, max_sweeps + 1):
+        TV = (R + np.einsum("ans,s->na", T, V)).max(axis=1)
+        V_new = TV - TV[reference_state]
+        diff = np.abs(V_new - V).max()
+        cycle = np.abs(V_new - V_older).max() if V_older is not None else np.inf
+        V_older, V = V, V_new
+        if diff < 0.5 * epsilon:
+            break
+    else:
+        if cycle < 0.5 * epsilon <= diff:
+            raise NonConvergenceError(
+                f"period-2 value oscillation after {max_sweeps} sweeps; consider an "
+                f"aperiodicity transform of the kernel",
+                residual=diff, iterations=max_sweeps)
+        raise NonConvergenceError(
+            f"no convergence after {max_sweeps} sweeps; last value change {diff:.3e}",
+            residual=diff, iterations=max_sweeps)
+    Q = R + np.einsum("ans,s->na", T, V)
+    TV = Q.max(axis=1)
+    gain = float(TV[reference_state])
+    residual = float(np.abs(gain + V - TV).max())
+    if residual >= epsilon:
+        raise NonConvergenceError(
+            f"optimality-equation residual {residual:.3e} not below {epsilon:g}",
+            residual=residual, iterations=sweep)
+    policy = Q.argmax(axis=1)
+    return RviSolution(policy=policy, gain=gain,
+                       values=ValueTable(values=V, reference_state=reference_state),
+                       iterations=sweep, residual=residual)
+
+
+def _rvi_batch(T, R, epsilon, reference_state, max_sweeps, on_stall="error"):
+    """Relative value iteration over a batch of MDPs sharing a state space.
+
+    Matches ``rvi_solve`` exactly per batch member: the same sweeps, the same
+    stopping rule (members freeze as soon as they converge), the same greedy
+    tie-breaking.  Returns (policies, gains, values, iterations, residuals,
+    stalled).
+
+    A member stalls when value differences plateau (in this problem family:
+    estimate slices the greedy policy never couples, with gain differences too
+    small for the finite sweep budget to surface an escape).  With
+    ``on_stall="estimate"`` such members are frozen at the cap and reported
+    with ``stalled`` set; their gain is then the reference slice's own gain,
+    which the member can actually achieve, so it never overstates the optimum.
+    """
+    n_batch, _, n, _ = T.shape
+    V = np.zeros((n_batch, n))
+    iterations = np.zeros(n_batch, dtype=int)
+    active = np.ones(n_batch, dtype=bool)
+    for sweep in range(1, max_sweeps + 1):
+        idx = np.flatnonzero(active)
+        TV = (R[idx] + np.einsum("kans,ks->kna", T[idx], V[idx])).max(axis=2)
+        V_new = TV - TV[:, reference_state][:, None]
+        diff = np.abs(V_new - V[idx]).max(axis=1)
+        V[idx] = V_new
+        done = diff < 0.5 * epsilon
+        iterations[idx[done]] = sweep
+        active[idx[done]] = False
+        if not active.any():
+            break
+    stalled = active.copy()
+    iterations[stalled] = max_sweeps
+    if stalled.any() and on_stall != "estimate":
+        raise NonConvergenceError(
+            f"{int(stalled.sum())} of {n_batch} candidates unconverged after {max_sweeps} sweeps",
+            iterations=max_sweeps)
+    Q = R + np.einsum("kans,ks->kna", T, V)
+    TV = Q.max(axis=2)
+    gains = TV[:, reference_state]
+    residuals = np.abs(gains[:, None] + V - TV).max(axis=1)
+    bad = (residuals >= epsilon) & ~stalled
+    if np.any(bad):
+        worst = int(np.flatnonzero(bad)[residuals[bad].argmax()])
+        raise NonConvergenceError(
+            f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
+            f"not below {epsilon:g}", residual=float(residuals[worst]))
+    return Q.argmax(axis=2), gains, V, iterations, residuals, stalled
+
+
+def heuristic_decision_by_rvi(model: DecPomdpModel, epsilon=DEFAULT_EPSILON):
+    """Perfect-estimate seed actions from ``rvi_solve``'s gain and relative values."""
+    from goaltensor.model import heuristic_mdp
+    mdp = heuristic_mdp(model)
+    sol = rvi_solve(mdp, epsilon=epsilon)
+    q = mdp.rewards - sol.gain + (mdp.transitions @ sol.values.values).T
+    n, v = model.alphabets.n_states, model.alphabets.n_contexts
+    by_state = np.einsum("p,xpa->xa", model.context.stationary(),
+                         q.reshape(v, n, -1).transpose(1, 0, 2))
+    return by_state.argmax(axis=1)
+
+
+def mse_sampler_by_rvi(model: DecPomdpModel, decision, state_values,
+                       epsilon=DEFAULT_EPSILON):
+    """Squared-error sampler MDP and ``_rvi_batch``'s policy for it.
+
+    Returns (flat policy, whether RVI stalled at its sweep cap, the MDP).
+    """
+    from goaltensor.model import induced_mdp
+    mdp = induced_mdp(model, decision)
+    xs, xhats, _ = model.state_components()
+    sq_err = (state_values[xs] - state_values[xhats]) ** 2
+    rewards = -np.stack([sq_err, sq_err + model.cost.sampling_cost], axis=1)
+    mdp = TabularMdp(transitions=mdp.transitions, rewards=rewards)
+    pol, _, _, _, _, stalled = _rvi_batch(mdp.transitions[None], rewards[None], epsilon, 0,
+                                          MAX_RVI_SWEEPS, on_stall="estimate")
+    return pol[0], bool(stalled[0]), mdp
+
+
+def policy_gain(mdp: TabularMdp, policy, start=0):
+    """Gain from ``start`` of a deterministic policy of a tabular MDP."""
+    rows = np.arange(mdp.n_states)
+    return gain_from(mdp.transitions[policy, rows], mdp.rewards[rows, policy], start)

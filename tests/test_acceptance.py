@@ -20,12 +20,11 @@ from goaltensor.harness import simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
 from goaltensor.solvers import (analyze_chain, brute_force_joint, closed_classes,
-                                greedy_decision_policy, jesp, policy_chain,
-                                rvi_solve)
+                                greedy_decision_policy, jesp, policy_chain)
 from goaltensor.tensor import (DecisionPolicy, SamplingPolicy, build_got_tensor,
                                degenerate_tensor)
 from conftest import WORKED_TENSOR
-from oracles import (exhaustive_joint_search, kernel_by_hand, random_model,
+from oracles import (exhaustive_joint_search, kernel_by_hand, random_model, rvi_solve,
                      tiny_two_state_model)
 
 GRID_PS = (0.2, 0.4, 0.6, 0.8, 1.0)

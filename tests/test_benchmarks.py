@@ -15,7 +15,8 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.solvers import greedy_decision_policy, policy_chain
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import random_model, uniform_by_augmented_chain
+from oracles import (mse_sampler_by_rvi, policy_gain, random_model,
+                     uniform_by_augmented_chain)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,29 @@ def test_mse_optimal_huge_cost_never_samples():
     )
     policy = mse_optimal_policy(model, DecisionPolicy([0, 0]))
     assert not policy.decisions.any()
+
+
+def test_mse_optimal_policy_matches_rvi_oracle_on_bundled_grid(shipped):
+    # policy iteration starts from idling and keeps the incumbent on ties,
+    # which reproduces RVI's lowest-action choice: at zero sampling cost,
+    # sampling where the estimate already equals the state ties with idling
+    from goaltensor.solvers import flatten_sampling
+    compared = 0
+    for p_success in shipped.grid.success_probs:
+        for sampling_cost in shipped.grid.sampling_costs:
+            cell = shipped.with_channel(p_success).with_sampling_cost(sampling_cost)
+            greedy = greedy_decision_policy(cell.model)
+            policy = flatten_sampling(mse_optimal_policy(cell.model, greedy,
+                                                         cell.state_values))
+            oracle, stalled, mdp = mse_sampler_by_rvi(cell.model, greedy, cell.state_values)
+            if stalled:
+                # a stalled RVI returns a truncated greedy policy: compare the
+                # exact squared-error cost instead
+                assert policy_gain(mdp, policy) >= policy_gain(mdp, oracle) - 1e-9
+            else:
+                assert policy.tolist() == oracle.tolist(), (p_success, sampling_cost)
+                compared += 1
+    assert compared > 0
 
 
 def test_mse_policy_beats_aoii_policy_on_mse(shipped, greedy):

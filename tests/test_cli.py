@@ -35,6 +35,28 @@ def test_validate_rejects_bad_scenario(tmp_path, capsys):
     assert "context_dynamics[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key, value, field", [
+    ("validate", "solver", "max_pi_rounds", float("inf"), "solver.max_pi_rounds"),
+    ("validate", "simulation", "horizon", float("nan"), "simulation.horizon"),
+    ("validate", "sweep", "uniform_periods", [float("inf")], "sweep.uniform_periods[0]"),
+    ("validate", "grid", "success_probs", [float("nan")], "grid.success_probs[0]"),
+    ("gap", "solver", "algorithm", "bogus", "solver.algorithm"),
+    ("gap", "solver", "step_schedule", "bogus", "solver.step_schedule"),
+])
+def test_bad_scenario_numbers_and_choices_fail_in_one_line(tmp_path, capsys, command,
+                                                           section, key, value, field):
+    doc = default_document()
+    doc[section][key] = value
+    path = save_scenario(doc, tmp_path / "bad.json")
+    argv = [command, "--scenario", str(path)]
+    if command != "validate":
+        argv += ["--grid", "ps=0.8;cs=2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_writes_report_policy_manifest(tmp_path, scenario_file):
     out = tmp_path / "solve"
     assert main(["solve", "--scenario", scenario_file, "--algorithm", "jesp",
@@ -217,7 +239,7 @@ def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenari
 
 def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
     doc = default_document()
-    doc["solver"].update(max_rvi_sweeps=4321, max_pi_rounds=77, max_jesp_rounds=9)
+    doc["solver"].update(max_pi_rounds=77, max_jesp_rounds=9)
     path = str(save_scenario(doc, tmp_path / "caps.json"))
     jesp_calls = _spy(monkeypatch, "jesp")
     brute_calls = _spy(monkeypatch, "brute_force_joint")
@@ -229,7 +251,7 @@ def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "solve")]) == 0
     assert main(["simulate", "--scenario", path, "--policy", "codesign",
                  "--epsilon", "1e-5", "--horizon", "50", "--out", str(tmp_path / "sim")]) == 0
-    caps = {"max_rounds": 9, "pi_rounds": 77, "rvi_sweeps": 4321}
+    caps = {"max_rounds": 9, "pi_rounds": 77}
     assert [{k: c[k] for k in caps} for c in jesp_calls] == [caps] * 3
     assert [c["epsilon"] for c in jesp_calls] == [1e-6, 1e-6, 1e-5]
     assert [c["max_sweeps"] for c in brute_calls] == [77, 77]

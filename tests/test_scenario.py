@@ -138,3 +138,75 @@ def test_empty_grid_list_is_field_addressed(key):
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(doc)
     assert info.value.field == f"grid.{key}"
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("solver", "max_pi_rounds", float("inf"), "solver.max_pi_rounds"),
+    ("simulation", "horizon", float("nan"), "simulation.horizon"),
+    ("cost", "sampling_cost", float("inf"), "cost.sampling_cost"),
+    ("sweep", "uniform_periods", [float("inf")], "sweep.uniform_periods[0]"),
+    ("grid", "success_probs", [float("nan")], "grid.success_probs[0]"),
+    ("grid", "sampling_costs", [1.0, float("-inf")], "grid.sampling_costs[1]"),
+])
+def test_non_finite_numbers_are_field_addressed(section, key, value, field):
+    doc = default_document()
+    doc[section][key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == field
+    assert "finite" in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["bogus", "RVI", 1, None, ["jesp"]])
+def test_solver_algorithm_must_be_a_known_choice(value):
+    doc = default_document()
+    doc["solver"]["algorithm"] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == "solver.algorithm"
+
+
+@pytest.mark.parametrize("value", ["brute", "jesp", "rvi-fixed-decision"])
+def test_solver_algorithm_choices_load(value):
+    doc = default_document()
+    doc["solver"]["algorithm"] = value
+    assert scenario_from_dict(doc).solver.algorithm == value
+
+
+@pytest.mark.parametrize("value", ["bogus", "", 0, 0.0, -0.5, 1.5, float("nan"), True,
+                                   None, [0.5]])
+def test_step_schedule_must_be_harmonic_or_a_step_size(value):
+    doc = default_document()
+    doc["solver"]["step_schedule"] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == "solver.step_schedule"
+
+
+@pytest.mark.parametrize("value", ["harmonic", 1, 0.5, 1e-3])
+def test_step_schedule_choices_load(value):
+    doc = default_document()
+    doc["solver"]["step_schedule"] = value
+    assert scenario_from_dict(doc).solver.step_schedule == value
+
+
+def test_removed_rvi_sweep_cap_is_ignored():
+    # like every unknown key, a document that still sets the retired RVI cap loads
+    doc = default_document()
+    doc["solver"]["max_rvi_sweeps"] = 4321
+    assert scenario_from_dict(doc).solver == default_scenario().solver
+
+
+def test_rebinds_keep_everything_else(shipped):
+    cell = shipped.with_channel(0.3).with_sampling_cost(9.0)
+    assert cell.model.channel.success_prob == 0.3
+    assert cell.model.cost.sampling_cost == 9.0
+    for name in ("inherent", "gain", "expenditure"):
+        np.testing.assert_array_equal(getattr(cell.model.cost, name),
+                                      getattr(shipped.model.cost, name))
+    assert cell.model.source is shipped.model.source
+    assert cell.model.context is shipped.model.context
+    np.testing.assert_array_equal(cell.model.action_cost, shipped.model.action_cost)
+    assert (cell.name, cell.solver, cell.simulation, cell.sweep, cell.grid, cell.document) \
+        == (shipped.name, shipped.solver, shipped.simulation, shipped.sweep, shipped.grid,
+            shipped.document)

@@ -14,14 +14,15 @@ from goaltensor.solvers import (analyze_chain, average_reward, brute_force_joint
                                 cesaro_limit, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
                                 initial_gain, jesp, pi_step_size, policy_chain,
-                                q_tables, relative_reward, rvi_solve, _rvi_batch,
-                                _FixedSamplingProblem, _local_search, _one_hot,
+                                q_tables, relative_reward, _FixedSamplingProblem,
+                                _local_search, _one_hot,
                                 _policy_iteration_batch, sampling_from_flat,
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import (exhaustive_joint_search, gain_from, joint_chain_by_hand,
-                     limit_matrix, local_search_one_by_one, random_model,
+from oracles import (_rvi_batch, exhaustive_joint_search, gain_from,
+                     heuristic_decision_by_rvi, joint_chain_by_hand, limit_matrix,
+                     local_search_one_by_one, policy_gain, random_model, rvi_solve,
                      tiny_two_state_model)
 
 
@@ -118,7 +119,7 @@ def test_cesaro_limit_multichain():
     np.testing.assert_allclose(star[2], limit_matrix(P)[2], atol=1e-9)
 
 
-# --- relative value iteration ------------------------------------------------
+# --- relative value iteration (the test oracle) ------------------------------
 
 
 def one_state_mdp():
@@ -163,12 +164,15 @@ def test_rvi_bellman_residual_certificate():
 
 
 def test_rvi_gain_matches_stationary_analysis(shipped):
+    # the oracle and the package's best response both earn the stationary gain
     model = shipped.model
     decision = DecisionPolicy([0, 3, 7])
+    sol = rvi_solve(induced_mdp(model, decision))
     sampling, gain, _ = solve_sampler_for_decision(model, decision)
-    P, rbar = policy_chain(model, sampling, decision)
-    eta = analyze_chain(P, rbar).average_reward
-    assert gain == pytest.approx(eta, abs=1e-6)
+    for policy, value in ((sampling_from_flat(sol.policy, model), sol.gain),
+                          (sampling, gain)):
+        P, rbar = policy_chain(model, policy, decision)
+        assert value == pytest.approx(analyze_chain(P, rbar).average_reward, abs=1e-6)
 
 
 def test_rvi_periodic_chain_raises_with_hint():
@@ -446,7 +450,8 @@ def test_brute_force_single_action_equals_rvi(shipped):
     epsilon = 1e-6
     report = brute_force_joint(model, epsilon=epsilon)
     decision = DecisionPolicy([0, 0])
-    sampling, gain, _ = solve_sampler_for_decision(model, decision, epsilon=epsilon)
+    sol = rvi_solve(induced_mdp(model, decision), epsilon=epsilon)
+    sampling, gain = sampling_from_flat(sol.policy, model), sol.gain
     assert report.average_reward == pytest.approx(gain, abs=epsilon)
     assert report.decision_policy.actions.tolist() == [0, 0]
     for policy in (report.sampling_policy, sampling):
@@ -468,8 +473,8 @@ def test_policy_iteration_gains_match_rvi_batch(seed):
     T = np.stack([m.transitions for m in mdps])
     R = np.stack([m.rewards for m in mdps])
     epsilon = 1e-6
-    _, gains, rounds, residuals, _ = _policy_iteration_batch(T, R, epsilon, 100,
-                                                             initial_action=1)
+    _, gains, _, rounds, residuals, _ = _policy_iteration_batch(T, R, epsilon, 100,
+                                                                initial_action=1)
     assert np.all(residuals < epsilon)
     assert np.all(rounds >= 1)
     _, rvi_gains, _, _, _, stalled = _rvi_batch(T, R, epsilon, 0, 10_000,
@@ -489,9 +494,12 @@ def test_policy_iteration_multichain_gain_vector():
     T[0, 0, 2, 0] = 1.0
     T[0, 1, 2, 1] = 1.0
     R = np.array([[[-1.0, -1.0], [-3.0, -3.0], [-10.0, -10.0]]])
-    policy, gains, _, residuals, n_closed = _policy_iteration_batch(
+    policy, gains, biases, _, residuals, n_closed = _policy_iteration_batch(
         T, R, 1e-9, 50, initial_action=1)
     np.testing.assert_allclose(gains[0], [-1.0, -3.0, -1.0], atol=1e-12)
+    # bias is 0 at each closed class's representative; the transient state
+    # pays -10 once against the gain of -1 it joins
+    np.testing.assert_allclose(biases[0], [0.0, 0.0, -9.0], atol=1e-12)
     assert policy[0, 2] == 0
     assert n_closed[0] == 2
     assert residuals[0] < 1e-9
@@ -587,8 +595,8 @@ def test_prohibitive_sampling_cost_converges_to_silent_optimum(shipped):
     # once the transmission charge dwarfs every other cost, the solved design
     # stops transmitting and its value no longer depends on the charge
     from goaltensor.scenario import default_scenario
-    # a small sweep cap: most candidates plateau here (frozen-estimate slices
-    # with distinct gains) and the optimum converges within a few hundred sweeps
+    # policy iteration takes about four rounds per candidate here, far below
+    # the round cap of 1500
     model = default_scenario(sampling_cost=1e5).model
     costly = brute_force_joint(model, max_sweeps=1500)
     costlier = brute_force_joint(default_scenario(sampling_cost=1e6).model,
@@ -610,3 +618,47 @@ def test_heuristic_initial_decision_is_total(shipped):
     policy = heuristic_initial_decision(shipped.model)
     assert policy.actions.shape == (3,)
     assert np.all((0 <= policy.actions) & (policy.actions < 11))
+
+
+# --- sampler best responses against the RVI oracle ----------------------------
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])
+def test_heuristic_initial_decision_matches_rvi_oracle(shipped, seed):
+    if seed is None:
+        model = shipped.model
+    else:
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states=int(rng.integers(2, 4)),
+                             n_contexts=int(rng.integers(1, 3)),
+                             n_actions=int(rng.integers(2, 6)))
+    assert (heuristic_initial_decision(model).actions.tolist()
+            == heuristic_decision_by_rvi(model).tolist())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_sampler_for_decision_matches_rvi_oracle(shipped, seed):
+    # gains agree within epsilon everywhere; on the bundled scenario the
+    # policies agree too, also at zero sampling cost, where sampling ties with
+    # idling wherever the estimate already equals the state and both solvers
+    # stay idle (on random models RVI's sweep noise can break such ties either way)
+    rng = np.random.default_rng(seed)
+    bundled = seed < 3
+    if bundled:
+        model = shipped.with_sampling_cost(2.0 * seed).model
+        decision = DecisionPolicy(rng.integers(0, 11, size=3))
+    else:
+        model = random_model(rng, n_states=int(rng.integers(2, 4)),
+                             n_contexts=int(rng.integers(1, 3)), n_actions=3,
+                             sampling_cost=0.0 if seed % 2 else None)
+        decision = DecisionPolicy(rng.integers(0, 3, size=model.alphabets.n_states))
+    epsilon = 1e-6
+    sampling, gain, bias = solve_sampler_for_decision(model, decision, epsilon=epsilon)
+    mdp = induced_mdp(model, decision)
+    sol = rvi_solve(mdp, epsilon=epsilon)
+    assert gain == pytest.approx(sol.gain, abs=epsilon)
+    assert bias.shape == (model.n_global_states,)
+    policy = flatten_sampling(sampling)
+    assert policy_gain(mdp, policy) == pytest.approx(gain, abs=1e-9)
+    if bundled:
+        assert policy.tolist() == sol.policy.tolist()
