@@ -47,11 +47,11 @@ def main():
     sweep = sweep_rate_vs_cost(scenario.model, "uniform",
                                list(scenario.sweep.uniform_periods), greedy,
                                args.horizon, list(scenario.sweep.seeds),
-                               state_values=scenario.state_values, initial=initial)
+                               initial=initial)
     sweep += sweep_rate_vs_cost(scenario.model, "age",
                                 list(range(scenario.sweep.age_threshold_max + 1)),
                                 greedy, args.horizon, list(scenario.sweep.seeds),
-                                state_values=scenario.state_values, initial=initial)
+                                initial=initial)
     write_sweep_csv(out / "sweep.csv", sweep)
     print(f"sweep.csv: {len(sweep)} points ({time.time() - t0:.0f}s)")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -237,9 +238,7 @@ def cmd_sweep(args):
         else:
             raise ParameterError(f"unknown sweep family {family!r}")
         results.extend(sweep_rate_vs_cost(scenario.model, family, grid, decision,
-                                          horizon, seeds,
-                                          state_values=scenario.state_values,
-                                          initial=initial))
+                                          horizon, seeds, initial=initial))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [write_sweep_csv(out_dir / "sweep.csv", results)]
@@ -354,6 +353,11 @@ def main(argv=None) -> int:
         return 1
     except GoalTensorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # any other failure is a defect: one line on stderr, the traceback in the log
+        logging.getLogger("goaltensor.cli").debug("unexpected failure", exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,17 @@ component (source, context, channel).  Source and context consume exactly one
 draw per slot, the channel one draw per transmission, so runs with different
 sampling rules still see identical source/context paths (common random
 numbers), and a fixed seed reproduces a trace bit for bit.
+
+Two engines run that loop.  ``simulate_closed_loop`` steps one replica slot by
+slot in plain Python and can record a per-slot trace; ``simulate`` and every
+traced run use it.  ``simulate_replicas`` steps all (rule, seed) replicas of a
+sweep family together, each slot a few numpy operations over the whole batch,
+and returns summaries equal bit for bit to the single-replica loop's: it draws
+the same streams, takes the same next states (``bisect_right`` of the same
+cumulative rows) and adds the running sums in the same slot order.  A batch
+costs several microseconds per slot however few replicas it holds, against
+about one for the untraced scalar loop, so single runs keep the scalar loop,
+which also serves as the batched engine's test oracle.
 """
 
 from __future__ import annotations
@@ -166,11 +177,19 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         aos_prev = aos
 
     means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
-    if len(means) > 1:
-        stderr = float(np.std(means, ddof=1) / np.sqrt(len(means)))
+    return records, _summary(horizon, seed, charge, samples,
+                             (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+
+
+def _summary(horizon, seed, charge, samples, sums, batch_means):
+    """One replica's summary from its transmission count, its running sums of
+    cost, raw status cost, clipped ramp and expenditure, and its batch means."""
+    cost_sum, raw_sum, ramp_sum, spend_sum = sums
+    if len(batch_means) > 1:
+        stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
     else:
         stderr = float("nan")
-    summary = SimulationSummary(
+    return SimulationSummary(
         horizon=horizon, seed=seed,
         average_cost=cost_sum / horizon,
         sampling_rate=samples / horizon,
@@ -180,7 +199,146 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         expenditure=spend_sum / horizon,
         sampling_cost=charge * samples / horizon,
     )
-    return records, summary
+
+
+# Slots per time chunk of ``simulate_replicas``: its next-state tables and its
+# record of every replica's states and transmissions hold one chunk at a time,
+# which bounds their memory whatever the horizon.
+SLOT_CHUNK = 128
+
+
+def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, horizon,
+                      seeds, initial=(0, 0, 0), batches=100):
+    """Untraced closed loop of every (rule, seed) replica in one vectorised slot loop.
+
+    Returns ``summaries[i][j]`` for ``rules[i]`` run on ``seeds[j]``, equal bit
+    for bit to ``simulate_closed_loop(model, rules[i], decision, horizon,
+    seeds[j], record_trace=False, initial=initial, batches=batches)[1]``.  The
+    rules must all be of one kind: ``UniformRule``, ``AgeThresholdRule``,
+    ``ChangeAwareRule`` or ``StatePolicyRule``.
+    """
+    from .benchmarks import AgeThresholdRule, ChangeAwareRule, UniformRule
+    if horizon < 1:
+        raise ParameterError(f"horizon must be positive, got {horizon}")
+    if not len(rules) or not len(seeds):
+        raise ParameterError("simulate_replicas needs at least one rule and one seed")
+    kind = type(rules[0])
+    if kind not in (UniformRule, AgeThresholdRule, ChangeAwareRule, StatePolicyRule) \
+            or any(type(rule) is not kind for rule in rules):
+        raise ParameterError("simulate_replicas runs rules of one kind: uniform, age "
+                             "threshold, change-aware or state policy")
+    n, g = model.alphabets.n_states, model.n_global_states
+    n_seeds, n_rules = len(seeds), len(rules)
+    width = n_rules * n_seeds
+    # replica r = i * n_seeds + j runs rules[i] on seeds[j]
+    seed_of = np.tile(np.arange(n_seeds), n_rules)
+
+    # A replica in global state s = x + n*xhat + n*n*phi on seeds[j] carries
+    # q = 2 * (j * g + s); a slot's next-state table maps q to the next q when
+    # idle or lost, and q + 1 to the next q after a delivery.
+    s = np.arange(g)
+    xs, xhats, phis = s % n, (s // n) % n, s // (n * n)
+    acts = decision.actions[xhats]
+    src_rows = _cumulative_rows(model.source.probs)[xs, phis, acts]
+    ctx_rows = _cumulative_rows(model.context.probs)[phis]
+    seed_base = g * np.arange(n_seeds)[:, None]
+    state_of_q = np.tile(np.repeat(s, 2), n_seeds)
+
+    # per-slot terms by q: cost before the transmission charge, raw status
+    # cost, clipped ramp, expenditure, and the cost again for the batch sum
+    inherent = model.cost.inherent.T[xs, phis]
+    ramp = np.maximum(inherent - model.cost.gain_weight * model.cost.gain[acts], 0.0)
+    spend = (model.cost.expenditure_weight * model.cost.expenditure)[acts]
+    got = ramp + spend
+    terms = np.stack([got, inherent, ramp, spend, got], axis=1)[state_of_q]
+    charge = model.cost.sampling_cost
+
+    streams = [[np.random.default_rng(child)
+                for child in np.random.SeedSequence(seed).spawn(3)] for seed in seeds]
+    # channel draws of seeds[j] start at j * horizon; each replica reads its
+    # seed's draws through its own cursor, one draw per transmission
+    delivers = np.concatenate([ch.random(horizon) < model.channel.success_prob
+                               for _, _, ch in streams])
+    cursor = seed_of * horizon
+
+    if kind is UniformRule:
+        periods = np.repeat([rule.period for rule in rules], n_seeds)
+    elif kind is AgeThresholdRule:
+        thresholds = np.repeat([rule.threshold for rule in rules], n_seeds)
+        last = np.full(width, -1)           # slot of the last delivery
+    elif kind is ChangeAwareRule:
+        x_of_q = xs[state_of_q]
+    else:
+        table = np.stack([rule.policy.decisions[xs, xhats, phis] != 0 for rule in rules])
+        policy = table[:, state_of_q].ravel()
+        policy_base = np.repeat(np.arange(n_rules) * state_of_q.size, n_seeds)
+
+    n_batches = max(1, min(batches, horizon))
+    # batch b covers slots t with t * n_batches // horizon == b
+    starts = (-(-np.arange(n_batches + 1) * horizon // n_batches)).tolist()
+    batch_cost = np.zeros((n_batches, width))
+    b = 0
+    sums = np.zeros((width, 5))
+    samples = np.zeros(width, dtype=np.int64)
+
+    states = np.empty((SLOT_CHUNK + 1, width), dtype=np.intp)
+    sent = np.empty((SLOT_CHUNK, width), dtype=bool)
+    x0, xhat0, phi0 = initial
+    states[0] = 2 * (seed_of * g + model.state_index(x0, xhat0, phi0))
+    if kind is ChangeAwareRule:
+        prev = x_of_q[states[0]]
+
+    for t0 in range(0, horizon, SLOT_CHUNK):
+        c = min(SLOT_CHUNK, horizon - t0)
+        slots = np.arange(t0, t0 + c)[:, None]
+        # bisect_right of a cumulative row is the number of its entries <= u;
+        # the last entry is 1.0 and never counts
+        u_src = np.stack([src.random(c) for src, _, _ in streams], axis=1)[:, :, None]
+        u_ctx = np.stack([ctx.random(c) for _, ctx, _ in streams], axis=1)[:, :, None]
+        x_next = sum(src_rows[:, m] <= u_src for m in range(n - 1))
+        phi_next = sum(ctx_rows[:, k] <= u_ctx for k in range(ctx_rows.shape[1] - 1))
+        base = x_next + n * n * phi_next + seed_base
+        nxt = 2 * np.stack([base + n * xhats, base + n * xs], axis=-1).reshape(c, -1)
+        if kind is UniformRule:
+            sent[:c] = slots % periods == 0
+        elif kind is AgeThresholdRule:
+            due = slots - thresholds        # transmit while the last delivery is before this
+
+        for k in range(c):
+            q, a = states[k], sent[k]
+            if kind is AgeThresholdRule:
+                np.less(last, due[k], out=a)
+            elif kind is ChangeAwareRule:
+                x = x_of_q[q]
+                np.not_equal(x, prev, out=a)
+                prev = x
+            elif kind is not UniformRule:
+                a[:] = policy[policy_base + q]
+            delivered = delivers[cursor]
+            delivered &= a
+            cursor += a
+            if kind is AgeThresholdRule:
+                np.copyto(last, t0 + k, where=delivered)
+            states[k + 1] = nxt[k][q + delivered]
+
+        # add the chunk's terms slot by slot, as the single-replica loop does
+        parts = terms[states[:c]]
+        charged = charge * sent[:c]
+        parts[:, :, 0] += charged
+        parts[:, :, 4] += charged
+        for k in range(c):
+            if t0 + k == starts[b + 1]:
+                batch_cost[b] = sums[:, 4]
+                sums[:, 4] = 0.0
+                b += 1
+            sums += parts[k]
+        samples += sent[:c].sum(axis=0)
+        states[0] = states[c]
+    batch_cost[b] = sums[:, 4]
+
+    means = np.ascontiguousarray((batch_cost / np.diff(starts)[:, None]).T)
+    return [[_summary(horizon, seed, charge, int(samples[r]), sums[r, :4].tolist(), means[r])
+             for r, seed in enumerate(seeds, start=i * n_seeds)] for i in range(n_rules)]
 
 
 def metric_traces(records):
@@ -245,24 +403,25 @@ def _rule_for(family, param, model):
 
 
 def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPolicy,
-                       horizon, seeds, state_values=None, initial=(0, 0, 0)):
+                       horizon, seeds, initial=(0, 0, 0)):
     """Simulated cost-versus-rate curve for one policy family.
 
     One ``SweepResult`` per grid parameter, aggregated over the given seeds
-    with the standard error of the per-seed average costs.
+    with the standard error of the per-seed average costs.  Every (parameter,
+    seed) replica of the family runs in one ``simulate_replicas`` batch.
     """
+    if not len(grid):
+        raise ParameterError(f"sweep of family {family!r} needs at least one grid point")
+    if not len(seeds):
+        raise ParameterError("sweep needs at least one seed")
+    rules = [_rule_for(family, param, model) for param in grid]
     results = []
-    for param in grid:
-        costs, rates, splits = [], [], []
-        for seed in seeds:
-            rule = _rule_for(family, param, model)
-            _, summary = simulate_closed_loop(model, rule, decision, horizon, seed,
-                                              record_trace=False, initial=initial,
-                                              state_values=state_values)
-            costs.append(summary.average_cost)
-            rates.append(summary.sampling_rate)
-            splits.append((summary.inherent_cost, summary.gain_offset,
-                           summary.expenditure, summary.sampling_cost))
+    for param, summaries in zip(grid, simulate_replicas(model, rules, decision, horizon,
+                                                        seeds, initial=initial)):
+        costs = [summary.average_cost for summary in summaries]
+        rates = [summary.sampling_rate for summary in summaries]
+        splits = [(summary.inherent_cost, summary.gain_offset,
+                   summary.expenditure, summary.sampling_cost) for summary in summaries]
         if len(costs) > 1:
             stderr = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
         else:

@@ -119,7 +119,12 @@ def _as_number(value, address, minimum=None, maximum=None, integer=False):
         raise ScenarioError(address, f"value {value} below minimum {minimum}")
     if maximum is not None and value > maximum:
         raise ScenarioError(address, f"value {value} above maximum {maximum}")
-    return int(value) if integer else float(value)
+    if integer:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(address, "integer too large for a float") from None
 
 
 def checked_epsilon(value):
@@ -150,12 +155,12 @@ def _as_step_schedule(value):
     return value
 
 
-def _as_values(doc, key, default, **bounds):
-    """Non-empty list of numbers at ``grid.<key>``."""
+def _as_values(doc, section, key, default, **bounds):
+    """Non-empty list of numbers at ``<section>.<key>``."""
     raw = doc.get(key, default)
     if not isinstance(raw, (list, tuple)) or not raw:
-        raise ScenarioError(f"grid.{key}", "expected a non-empty list of numbers")
-    return tuple(_as_number(x, f"grid.{key}[{i}]", **bounds) for i, x in enumerate(raw))
+        raise ScenarioError(f"{section}.{key}", "expected a non-empty list of numbers")
+    return tuple(_as_number(x, f"{section}.{key}[{i}]", **bounds) for i, x in enumerate(raw))
 
 
 def _as_row(value, length, address):
@@ -283,21 +288,19 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
 
     sweep_doc = doc.get("sweep", {})
     sweep = SweepConfig(
-        uniform_periods=tuple(
-            _as_number(d, f"sweep.uniform_periods[{i}]", minimum=1, integer=True)
-            for i, d in enumerate(sweep_doc.get("uniform_periods", range(1, 21)))),
+        uniform_periods=_as_values(sweep_doc, "sweep", "uniform_periods",
+                                   SweepConfig.uniform_periods, minimum=1, integer=True),
         age_threshold_max=_as_number(sweep_doc.get("age_threshold_max", 50),
                                      "sweep.age_threshold_max", minimum=0, integer=True),
-        seeds=tuple(_as_number(s, f"sweep.seeds[{i}]", integer=True)
-                    for i, s in enumerate(sweep_doc.get("seeds", (0, 1, 2)))),
+        seeds=_as_values(sweep_doc, "sweep", "seeds", SweepConfig.seeds, integer=True),
     )
 
     grid_doc = doc.get("grid", {})
     grid = GridConfig(
-        success_probs=_as_values(grid_doc, "success_probs", GridConfig.success_probs,
+        success_probs=_as_values(grid_doc, "grid", "success_probs", GridConfig.success_probs,
                                  minimum=0.0, maximum=1.0),
-        sampling_costs=_as_values(grid_doc, "sampling_costs", GridConfig.sampling_costs,
-                                  minimum=0.0),
+        sampling_costs=_as_values(grid_doc, "grid", "sampling_costs",
+                                  GridConfig.sampling_costs, minimum=0.0),
     )
 
     return Scenario(name=doc.get("name", name), model=model, state_values=state_values,

@@ -346,3 +346,37 @@ def policy_gain(mdp: TabularMdp, policy, start=0):
     """Gain from ``start`` of a deterministic policy of a tabular MDP."""
     rows = np.arange(mdp.n_states)
     return gain_from(mdp.transitions[policy, rows], mdp.rewards[rows, policy], start)
+
+
+def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seeds,
+                     initial=(0, 0, 0)):
+    """``harness.sweep_rate_vs_cost`` as it was before the batched engine:
+    one ``simulate_closed_loop`` run per (grid parameter, seed) replica."""
+    from goaltensor.harness import SweepResult, _rule_for, simulate_closed_loop
+    results = []
+    for param in grid:
+        costs, rates, splits = [], [], []
+        for seed in seeds:
+            rule = _rule_for(family, param, model)
+            _, summary = simulate_closed_loop(model, rule, decision, horizon, seed,
+                                              record_trace=False, initial=initial)
+            costs.append(summary.average_cost)
+            rates.append(summary.sampling_rate)
+            splits.append((summary.inherent_cost, summary.gain_offset,
+                           summary.expenditure, summary.sampling_cost))
+        if len(costs) > 1:
+            stderr = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
+        else:
+            stderr = float("nan")
+        mean_split = np.mean(np.array(splits), axis=0)
+        results.append(SweepResult(
+            policy=family, param=param,
+            sampling_rate=float(np.mean(rates)),
+            average_cost=float(np.mean(costs)),
+            stderr=stderr,
+            cost_breakdown={"inherent": float(mean_split[0]),
+                            "actuation_gain_offset": float(mean_split[1]),
+                            "actuation_expenditure": float(mean_split[2]),
+                            "sampling": float(mean_split[3])},
+            n_seeds=len(costs)))
+    return results

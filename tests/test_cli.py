@@ -40,6 +40,11 @@ def test_validate_rejects_bad_scenario(tmp_path, capsys):
     ("validate", "simulation", "horizon", float("nan"), "simulation.horizon"),
     ("validate", "sweep", "uniform_periods", [float("inf")], "sweep.uniform_periods[0]"),
     ("validate", "grid", "success_probs", [float("nan")], "grid.success_probs[0]"),
+    pytest.param("validate", "cost", "gain_weight", 10 ** 400, "cost.gain_weight",
+                 id="validate-cost-gain_weight-10**400-cost.gain_weight"),
+    ("validate", "sweep", "seeds", [], "sweep.seeds"),
+    ("validate", "sweep", "uniform_periods", [], "sweep.uniform_periods"),
+    ("sweep", "sweep", "seeds", [], "sweep.seeds"),
     ("gap", "solver", "algorithm", "bogus", "solver.algorithm"),
     ("gap", "solver", "step_schedule", "bogus", "solver.step_schedule"),
 ])
@@ -49,7 +54,9 @@ def test_bad_scenario_numbers_and_choices_fail_in_one_line(tmp_path, capsys, com
     doc[section][key] = value
     path = save_scenario(doc, tmp_path / "bad.json")
     argv = [command, "--scenario", str(path)]
-    if command != "validate":
+    if command == "sweep":
+        argv += ["--horizon", "100", "--out", str(tmp_path / "out")]
+    elif command != "validate":
         argv += ["--grid", "ps=0.8;cs=2", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -261,3 +268,14 @@ def test_sweep_has_no_epsilon_flag(tmp_path, scenario_file):
     with pytest.raises(SystemExit):
         main(["sweep", "--scenario", scenario_file, "--epsilon", "1e-3",
               "--out", str(tmp_path / "sweep")])
+
+
+def test_unexpected_failure_is_one_line_not_a_traceback(monkeypatch, capsys):
+    import goaltensor.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert main(["validate", "--scenario", str(SCENARIO)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from goaltensor.benchmarks import StatePolicyRule, UniformRule, aoii_optimal_policy
+from goaltensor.benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolicyRule,
+                                   UniformRule, aoii_optimal_policy)
 from goaltensor.errors import ParameterError
-from goaltensor.harness import (TRACE_HEADER, cost_decomposition, metric_traces,
-                                optimality_gap, simulate_closed_loop,
-                                sweep_rate_vs_cost, compare_policies,
+from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, cost_decomposition,
+                                metric_traces, optimality_gap, simulate_closed_loop,
+                                simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
                                 write_sweep_csv, write_trace_csv)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
@@ -14,6 +15,7 @@ from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import (analyze_chain, greedy_decision_policy,
                                 policy_chain)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
+from oracles import random_model, sweep_one_by_one
 
 
 def cycle_model(sampling_cost=0.5):
@@ -178,6 +180,86 @@ def test_sweep_uniform_rates_and_shape(shipped):
         assert np.isfinite(res.stderr)
         total = sum(res.cost_breakdown.values())
         assert total == pytest.approx(res.average_cost, abs=1e-9)
+
+
+def _random_state_rules(model, seed, count):
+    rng = np.random.default_rng(seed)
+    n, v = model.alphabets.n_states, model.alphabets.n_contexts
+    return [StatePolicyRule(SamplingPolicy(rng.integers(0, 2, size=(n, n, v))))
+            for _ in range(count)]
+
+
+RULE_KINDS = {
+    "uniform": lambda model: [UniformRule(d) for d in (1, 3, 7)],
+    "age": lambda model: [AgeThresholdRule(k) for k in (0, 2, 9)],
+    "change": lambda model: [ChangeAwareRule()],
+    "aoii": lambda model: [StatePolicyRule(aoii_optimal_policy(model))],
+    "random-state": lambda model: _random_state_rules(model, 5, 3),
+}
+
+
+def _assert_matches_scalar_loop(model, rules, decision, horizon, seeds, initial):
+    summaries = simulate_replicas(model, rules, decision, horizon, seeds, initial=initial)
+    assert len(summaries) == len(rules)
+    for rule, row in zip(rules, summaries):
+        assert len(row) == len(seeds)
+        for seed, summary in zip(seeds, row):
+            _, expected = simulate_closed_loop(model, rule, decision, horizon, seed,
+                                               record_trace=False, initial=initial)
+            # repr compares every field bit for bit, NaN stderr included
+            assert repr(summary) == repr(expected)
+
+
+@pytest.mark.parametrize("horizon", [1, 50, 2 * SLOT_CHUNK + 37, 3 * SLOT_CHUNK])
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_simulate_replicas_equals_scalar_loop(kind, horizon):
+    # fractional costs, so a change in the order of additions would show
+    model = random_model(np.random.default_rng(17), n_states=3, n_contexts=2,
+                         n_actions=4, success_prob=0.6)
+    _assert_matches_scalar_loop(model, RULE_KINDS[kind](model),
+                                greedy_decision_policy(model), horizon,
+                                seeds=[3, 11, 3], initial=(2, 1, 1))
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_simulate_replicas_one_context_one_action(kind):
+    model = random_model(np.random.default_rng(21), n_states=3, n_contexts=1,
+                         n_actions=1, success_prob=0.5)
+    _assert_matches_scalar_loop(model, RULE_KINDS[kind](model), DecisionPolicy([0, 0, 0]),
+                                SLOT_CHUNK + 5, seeds=[0, 1], initial=(1, 0, 0))
+
+
+def test_sweep_csv_equals_per_replica_sweep(tmp_path, shipped):
+    model, sweep = shipped.model, shipped.sweep
+    greedy = greedy_decision_policy(model)
+    grids = {"uniform": list(sweep.uniform_periods),
+             "age": list(range(sweep.age_threshold_max + 1)),
+             "change": [None], "aoii": [None]}
+    batched, scalar = [], []
+    for family, grid in grids.items():
+        batched += sweep_rate_vs_cost(model, family, grid, greedy, 300, list(sweep.seeds))
+        scalar += sweep_one_by_one(model, family, grid, greedy, 300, list(sweep.seeds))
+    assert (write_sweep_csv(tmp_path / "batched.csv", batched).read_bytes()
+            == write_sweep_csv(tmp_path / "scalar.csv", scalar).read_bytes())
+    assert [r.cost_breakdown for r in batched] == [r.cost_breakdown for r in scalar]
+
+
+def test_simulate_replicas_rejects_empty_and_bad_calls(shipped):
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    with pytest.raises(ParameterError):
+        simulate_replicas(model, [], greedy, 10, [0])
+    with pytest.raises(ParameterError):
+        simulate_replicas(model, [UniformRule(2)], greedy, 10, [])
+    for horizon in (0, -1):
+        with pytest.raises(ParameterError, match="horizon"):
+            simulate_replicas(model, [UniformRule(2)], greedy, horizon, [0])
+    with pytest.raises(ParameterError, match="one kind"):
+        simulate_replicas(model, [UniformRule(2), AgeThresholdRule(2)], greedy, 10, [0])
+    with pytest.raises(ParameterError, match="grid point"):
+        sweep_rate_vs_cost(model, "uniform", [], greedy, 10, [0])
+    with pytest.raises(ParameterError, match="seed"):
+        sweep_rate_vs_cost(model, "age", [1, 2], greedy, 10, [])
 
 
 def test_compare_policies_dominance_and_rows(shipped):

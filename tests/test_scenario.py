@@ -140,6 +140,35 @@ def test_empty_grid_list_is_field_addressed(key):
     assert info.value.field == f"grid.{key}"
 
 
+@pytest.mark.parametrize("key", ["seeds", "uniform_periods"])
+def test_empty_sweep_list_is_field_addressed(key):
+    doc = default_document()
+    doc["sweep"][key] = []
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == f"sweep.{key}"
+
+
+@pytest.mark.parametrize("section, key, field", [
+    ("cost", "gain_weight", "cost.gain_weight"),
+    ("cost", "sampling_cost", "cost.sampling_cost"),
+    ("grid", "sampling_costs", "grid.sampling_costs[0]"),
+])
+def test_integer_too_large_for_a_float_is_field_addressed(section, key, field):
+    doc = default_document()
+    doc[section][key] = [10 ** 400] if section == "grid" else 10 ** 400
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == field
+    assert "too large" in str(info.value)
+
+
+def test_large_integers_still_load_where_integers_are_expected():
+    doc = default_document()
+    doc["simulation"]["seed"] = 10 ** 400
+    assert scenario_from_dict(doc).simulation.seed == 10 ** 400
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("solver", "max_pi_rounds", float("inf"), "solver.max_pi_rounds"),
     ("simulation", "horizon", float("nan"), "simulation.horizon"),
