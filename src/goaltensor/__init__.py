@@ -21,8 +21,7 @@ from .benchmarks import (BenchmarkSpec, CostSummary, age_threshold_policy,
                          uniform_policy)
 from .harness import (SimulationSummary, SweepResult, TraceRecord,
                       compare_policies, cost_decomposition, metric_traces,
-                      optimality_gap, simulate_closed_loop, simulate_replicas,
-                      sweep_rate_vs_cost)
+                      optimality_gap, simulate_closed_loop, sweep_rate_vs_cost)
 from .scenario import (Scenario, default_document, default_scenario, load_scenario,
                        save_scenario, scenario_from_dict)
 

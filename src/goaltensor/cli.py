@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from dataclasses import replace
@@ -355,8 +354,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        # any other failure is a defect: one line on stderr, the traceback in the log
-        logging.getLogger("goaltensor.cli").debug("unexpected failure", exc_info=True)
+        # any other failure is a defect; report it in one line, not a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

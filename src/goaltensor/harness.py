@@ -82,6 +82,10 @@ class SimulationSummary:
                 "inherent": self.inherent_cost + self.gain_offset}
 
 
+# Batch-means groups behind every simulation summary's ``stderr``.
+BATCHES = 100
+
+
 def _cumulative_rows(probs):
     flat = np.cumsum(probs, axis=-1)
     flat[..., -1] = 1.0
@@ -90,7 +94,7 @@ def _cumulative_rows(probs):
 
 def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
                          horizon, seed, record_trace=True, initial=(0, 0, 0),
-                         state_values=None, batches=100):
+                         state_values=None, batches=BATCHES):
     """Run the sampler/actuator loop for ``horizon`` slots.
 
     Returns ``(records, summary)``; ``records`` is None when ``record_trace``
@@ -208,12 +212,12 @@ SLOT_CHUNK = 128
 
 
 def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, horizon,
-                      seeds, initial=(0, 0, 0), batches=100):
+                      seeds, initial=(0, 0, 0)):
     """Untraced closed loop of every (rule, seed) replica in one vectorised slot loop.
 
     Returns ``summaries[i][j]`` for ``rules[i]`` run on ``seeds[j]``, equal bit
     for bit to ``simulate_closed_loop(model, rules[i], decision, horizon,
-    seeds[j], record_trace=False, initial=initial, batches=batches)[1]``.  The
+    seeds[j], record_trace=False, initial=initial)[1]``.  The
     rules must all be of one kind: ``UniformRule``, ``AgeThresholdRule``,
     ``ChangeAwareRule`` or ``StatePolicyRule``.
     """
@@ -273,7 +277,7 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
         policy = table[:, state_of_q].ravel()
         policy_base = np.repeat(np.arange(n_rules) * state_of_q.size, n_seeds)
 
-    n_batches = max(1, min(batches, horizon))
+    n_batches = max(1, min(BATCHES, horizon))
     # batch b covers slots t with t * n_batches // horizon == b
     starts = (-(-np.arange(n_batches + 1) * horizon // n_batches)).tolist()
     batch_cost = np.zeros((n_batches, width))
