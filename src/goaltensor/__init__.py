@@ -19,9 +19,9 @@ from .benchmarks import (BenchmarkSpec, CostSummary, age_threshold_policy,
                          evaluate_change_aware, evaluate_state_policy,
                          evaluate_uniform, mse_optimal_policy, tune_age_threshold,
                          uniform_policy)
-from .harness import (SimulationSummary, SweepResult, TraceRecord,
-                      compare_policies, cost_decomposition, metric_traces,
-                      optimality_gap, simulate_closed_loop, sweep_rate_vs_cost)
+from .harness import (SimulationSummary, SweepResult, Trace, compare_policies,
+                      cost_decomposition, optimality_gap, simulate_closed_loop,
+                      sweep_rate_vs_cost)
 from .scenario import (Scenario, default_document, default_scenario, load_scenario,
                        save_scenario, scenario_from_dict)
 

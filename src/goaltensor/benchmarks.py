@@ -74,7 +74,7 @@ class UniformRule:
     """Transmit every ``period`` slots, starting at slot 0."""
 
     def __init__(self, period):
-        if period < 1 or int(period) != period:
+        if not period >= 1 or period % 1:
             raise ParameterError(f"period must be a positive integer, got {period}")
         self.period = int(period)
 
@@ -97,7 +97,7 @@ class AgeThresholdRule:
     """
 
     def __init__(self, threshold):
-        if threshold < 0 or int(threshold) != threshold:
+        if not threshold >= 0 or threshold % 1:
             raise ParameterError(f"threshold must be a nonnegative integer, got {threshold}")
         self.threshold = int(threshold)
         self.age = 1

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolicyRule,
                          UniformRule, aoii_optimal_policy, mse_optimal_policy)
-from .errors import GoalTensorError, ParameterError, ScenarioError
+from .errors import GoalTensorError, ParameterError, PolicyFileError, ScenarioError
 from .harness import (compare_policies, decomposition_rows, optimality_gap,
                       simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
                       write_compare_csv, write_decomp_csv, write_gap_csv,
@@ -61,6 +61,17 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
+def _output_dir(path) -> Path:
+    """The ``--out`` directory, created if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"--out {path}: cannot create the output directory: "
+                             f"{exc.strerror}") from None
+    return out_dir
+
+
 def _write_manifest(out_dir: Path, args, scenario_path, seed, outputs, started):
     manifest = {
         "tool": "goaltensor",
@@ -93,13 +104,40 @@ def _policy_document(report: SolveReport, scenario: Scenario) -> dict:
     }
 
 
+def _policy_entries(path, doc, address, length, top):
+    """The list at ``address`` (its last key read from ``doc``) as ``length``
+    whole numbers in ``[0, top)``."""
+    key = address.rpartition(".")[2]
+    if not isinstance(doc, dict) or key not in doc:
+        raise PolicyFileError(path, address, "missing")
+    values = doc[key]
+    if not isinstance(values, list) or len(values) != length:
+        raise PolicyFileError(path, address, f"expected a list of {length} entries")
+    for i, value in enumerate(values):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value < top or value % 1):
+            raise PolicyFileError(path, f"{address}[{i}]",
+                                  f"expected a whole number in [0, {top}), got {value!r}")
+    return np.array(values, dtype=int)
+
+
 def _load_policy_file(path, scenario: Scenario):
-    doc = json.loads(Path(path).read_text())
-    n, v = scenario.model.alphabets.n_states, scenario.model.alphabets.n_contexts
-    decision = DecisionPolicy(np.asarray(doc["decision"], dtype=int))
-    flat = np.asarray(doc["sampling"]["decisions"], dtype=int)
+    """The (sampling, decision) pair of a ``policy.json``, checked against the scenario."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise PolicyFileError(path, "file", f"cannot read: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise PolicyFileError(path, f"line {exc.lineno} column {exc.colno}",
+                              exc.msg) from None
+    except ValueError as exc:               # e.g. an integer literal too long to convert
+        raise PolicyFileError(path, "document", str(exc)) from None
+    alphabets = scenario.model.alphabets
+    n, v = alphabets.n_states, alphabets.n_contexts
+    decision = _policy_entries(path, doc, "decision", n, alphabets.n_actions)
+    flat = _policy_entries(path, doc.get("sampling"), "sampling.decisions", n * n * v, 2)
     sampling = SamplingPolicy(flat.reshape(v, n, n).transpose(2, 1, 0))
-    return sampling, decision
+    return sampling, DecisionPolicy(decision)
 
 
 def _report_text(report: SolveReport, scenario: Scenario, algorithm) -> str:
@@ -157,8 +195,7 @@ def cmd_solve(args):
                              converged=True, diagnostics={})
     else:
         report = solve_cell(scenario, algorithm)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     report_path = out_dir / "report.txt"
     report_path.write_text(_report_text(report, scenario, algorithm))
     policy_path = out_dir / "policy.json"
@@ -172,8 +209,12 @@ def cmd_solve(args):
 
 def _simulation_rule(args, scenario: Scenario):
     model = scenario.model
-    greedy = greedy_decision_policy(model)
     name = args.policy
+    if args.param is not None and (args.policy_file or name not in ("uniform", "age")):
+        used = "--policy-file" if args.policy_file else f"--policy {name}"
+        raise ParameterError(f"--param is the period of --policy uniform or the threshold "
+                             f"of --policy age; {used} takes none")
+    greedy = greedy_decision_policy(model)
     if args.policy_file:
         sampling, decision = _load_policy_file(args.policy_file, scenario)
         return StatePolicyRule(sampling, label="policy-file"), decision
@@ -189,9 +230,9 @@ def _simulation_rule(args, scenario: Scenario):
     if name == "change":
         return ChangeAwareRule(), greedy
     if name == "uniform":
-        return UniformRule(int(args.param or 1)), greedy
+        return UniformRule(1 if args.param is None else args.param), greedy
     if name == "age":
-        return AgeThresholdRule(int(args.param or 0)), greedy
+        return AgeThresholdRule(0 if args.param is None else args.param), greedy
     raise ParameterError(f"unknown policy {name!r}")
 
 
@@ -203,12 +244,11 @@ def cmd_simulate(args):
     rule, decision = _simulation_rule(args, scenario)
     initial = (scenario.simulation.initial_state, scenario.simulation.initial_estimate,
                scenario.simulation.initial_context)
-    records, summary = simulate_closed_loop(
+    trace, summary = simulate_closed_loop(
         scenario.model, rule, decision, horizon, seed,
         record_trace=True, initial=initial, state_values=scenario.state_values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [write_trace_csv(out_dir / "trace.csv", records)]
+    out_dir = _output_dir(args.out)
+    outputs = [write_trace_csv(out_dir / "trace.csv", trace)]
     _write_manifest(out_dir, args, args.scenario, seed, outputs, started)
     print(f"{rule.label}: horizon={horizon} average cost {summary.average_cost!r} "
           f"sampling rate {summary.sampling_rate!r}")
@@ -238,8 +278,7 @@ def cmd_sweep(args):
             raise ParameterError(f"unknown sweep family {family!r}")
         results.extend(sweep_rate_vs_cost(scenario.model, family, grid, decision,
                                           horizon, seeds, initial=initial))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     outputs = [write_sweep_csv(out_dir / "sweep.csv", results)]
     _write_manifest(out_dir, args, args.scenario, seed, outputs, started)
     print(f"swept {len(results)} points over families {', '.join(families)}")
@@ -258,8 +297,7 @@ def cmd_compare(args):
     rows = compare_policies(scenario, algorithm=algorithm,
                             include_classic=args.include_classic)
     failures = [r for r in rows if "error" in r]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     outputs = [write_compare_csv(out_dir / "compare.csv",
                                  [r for r in rows if "error" not in r]),
                write_decomp_csv(out_dir / "decomp.csv", decomposition_rows(rows))]
@@ -276,8 +314,7 @@ def cmd_gap(args):
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     rows = optimality_gap(scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     outputs = [write_gap_csv(out_dir / "gap.csv", rows)]
     _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
     worst = max(rows, key=lambda r: r["gap"])

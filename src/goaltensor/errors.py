@@ -49,3 +49,13 @@ class ParameterError(GoalTensorError):
 
 class UnreachableObservationError(GoalTensorError):
     """An observation has zero stationary probability, so its posterior is undefined."""
+
+
+class PolicyFileError(GoalTensorError):
+    """A policy file (``policy.json`` from ``solve``) is unreadable or does not fit
+    the scenario.  ``field`` addresses the entry, e.g. ``sampling.decisions[4]``."""
+
+    def __init__(self, path, field, message):
+        self.path = str(path)
+        self.field = field
+        super().__init__(f"policy file {path}: {field}: {message}")

@@ -12,22 +12,26 @@ sampling rules still see identical source/context paths (common random
 numbers), and a fixed seed reproduces a trace bit for bit.
 
 Two engines run that loop.  ``simulate_closed_loop`` steps one replica slot by
-slot in plain Python and can record a per-slot trace; ``simulate`` and every
-traced run use it.  ``simulate_replicas`` steps all (rule, seed) replicas of a
-sweep family together, each slot a few numpy operations over the whole batch,
-and returns summaries equal bit for bit to the single-replica loop's: it draws
-the same streams, takes the same next states (``bisect_right`` of the same
-cumulative rows) and adds the running sums in the same slot order.  A batch
-costs several microseconds per slot however few replicas it holds, against
-about one for the untraced scalar loop, so single runs keep the scalar loop,
-which also serves as the batched engine's test oracle.
+slot in plain Python; ``simulate`` and every traced run use it.  Traced or
+not, it runs one loop that keeps the running sums behind the summary; a traced
+run also appends each slot's (x, xhat, phi, a_s, h) to five lists, and numpy
+derives the ``Trace`` columns from them after the loop: actuation and costs by
+table lookup, the ages from running maxima of the slots where they reset.
+``simulate_replicas`` steps all (rule, seed) replicas of a sweep family
+together, each slot a few numpy operations over the whole batch, and returns
+summaries equal bit for bit to the single-replica loop's: it draws the same
+streams, takes the same next states (``bisect_right`` of the same cumulative
+rows) and adds the running sums in the same slot order.  A batch costs several
+microseconds per slot however few replicas it holds, against about one for the
+untraced scalar loop, so single runs keep the scalar loop, which also serves as
+the batched engine's test oracle.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,22 +49,37 @@ GAP_HEADER = ["pS", "CS", "theta_bf", "theta_jesp", "gap"]
 DECOMP_HEADER = ["pS", "CS", "sampling", "actuation", "inherent"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    t: int
-    x: int
-    xhat: int
-    phi: int
-    a_s: int
-    a_a: int
-    h: int | None           # channel draw; present exactly when a_s == 1
-    aoi: int
-    aos: int
-    aoii: float
-    aoci: int
-    mse: float
-    got: float
-    cost: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Per-slot columns of one closed-loop run, in ``trace.csv`` order.
+
+    Every field is a numpy array with one entry per slot.  ``h`` is the channel
+    draw, -1 on slots that draw none (exactly the idle ones).  Two traces are
+    equal when every column is.
+    """
+    t: np.ndarray
+    x: np.ndarray
+    xhat: np.ndarray
+    phi: np.ndarray
+    a_s: np.ndarray
+    a_a: np.ndarray
+    h: np.ndarray
+    aoi: np.ndarray
+    aos: np.ndarray
+    aoii: np.ndarray
+    aoci: np.ndarray
+    mse: np.ndarray
+    got: np.ndarray
+    cost: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -97,16 +116,14 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
                          state_values=None, batches=BATCHES):
     """Run the sampler/actuator loop for ``horizon`` slots.
 
-    Returns ``(records, summary)``; ``records`` is None when ``record_trace``
-    is false (long runs accumulate sums only).  ``rule`` is any object with
-    ``reset/decide/notify`` (see the benchmark rules); wrap a plain
+    Returns ``(trace, summary)``: ``trace`` is a ``Trace``, or None when
+    ``record_trace`` is false (long runs accumulate sums only).  ``rule`` is any
+    object with ``reset/decide/notify`` (see the benchmark rules); wrap a plain
     ``SamplingPolicy`` with ``StatePolicyRule``.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     n = model.alphabets.n_states
-    if state_values is None:
-        state_values = np.arange(n, dtype=float)
     x, xhat, phi = initial
 
     src_stream, ctx_stream, ch_stream = [
@@ -121,30 +138,25 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
                 for i in range(n)]
     ctx_rows = _cumulative_rows(model.context.probs).tolist()
 
-    ramp3 = np.maximum(
-        model.cost.inherent.T[:, :, None]
-        - model.cost.gain_weight * model.cost.gain[None, None, :], 0.0).tolist()
-    spend = (model.cost.expenditure_weight * model.cost.expenditure).tolist()
+    ramp3, spend = (terms.tolist() for terms in _cost_terms(model))
     inherent2 = model.cost.inherent.T.tolist()
-    sq_err = ((state_values[:, None] - state_values[None, :]) ** 2).tolist()
     acts = decision.actions.tolist()
     p_success = model.channel.success_prob
     charge = model.cost.sampling_cost
 
     rule.reset(x, xhat, phi)
-    records = [] if record_trace else None
+    if record_trace:
+        xs, xhats, phis, sent, draws = [], [], [], [], []
     n_batches = max(1, min(batches, horizon))
     batch_cost = [0.0] * n_batches
     batch_len = [0] * n_batches
     cost_sum = raw_sum = ramp_sum = spend_sum = 0.0
     samples = 0
     channel_cursor = 0
-    aoi, aoci = 1, 1
-    aos_prev = 0
 
     for t in range(horizon):
         a_s = rule.decide(t, x, xhat, phi)
-        h = None
+        h = -1
         delivered = False
         if a_s:
             h = 1 if ch_u[channel_cursor] < p_success else 0
@@ -155,7 +167,6 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         ramp_term = ramp3[x][phi][a_a]
         got = ramp_term + spend[a_a]
         slot_cost = got + charge * a_s
-        aos = 0 if x == xhat else aos_prev + 1
 
         cost_sum += slot_cost
         raw_sum += inherent2[x][phi]
@@ -166,23 +177,64 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         batch_len[b] += 1
 
         if record_trace:
-            records.append(TraceRecord(
-                t=t, x=x, xhat=xhat, phi=phi, a_s=a_s, a_a=a_a, h=h,
-                aoi=aoi, aos=aos, aoii=float(aos if x != xhat else 0),
-                aoci=aoci, mse=sq_err[x][xhat], got=got, cost=slot_cost))
+            xs.append(x)
+            xhats.append(xhat)
+            phis.append(phi)
+            sent.append(a_s)
+            draws.append(h)
 
         rule.notify(x, xhat, phi, a_s, delivered)
         next_xhat = x if delivered else xhat
-        aoi = 1 if delivered else aoi + 1
-        aoci = 1 if (delivered and x != xhat) else aoci + 1
         x = bisect_right(src_rows[x][phi][a_a], src_u[t])
         phi = bisect_right(ctx_rows[phi], ctx_u[t])
         xhat = next_xhat
-        aos_prev = aos
 
     means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
-    return records, _summary(horizon, seed, charge, samples,
-                             (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+    summary = _summary(horizon, seed, charge, samples,
+                       (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+    if not record_trace:
+        return None, summary
+    if state_values is None:
+        state_values = np.arange(n, dtype=float)
+    return _derive_trace(model, decision, state_values, xs, xhats, phis, sent,
+                         draws), summary
+
+
+def _cost_terms(model: DecPomdpModel):
+    """Clipped ramp by (x, phi, actuation) and weighted expenditure by actuation."""
+    ramp = np.maximum(model.cost.inherent.T[:, :, None]
+                      - model.cost.gain_weight * model.cost.gain[None, None, :], 0.0)
+    return ramp, model.cost.expenditure_weight * model.cost.expenditure
+
+
+def _latest(mask):
+    """Per slot, the latest slot at or before it where ``mask`` holds, else -1."""
+    return np.maximum.accumulate(np.where(mask, np.arange(mask.size), -1))
+
+
+def _derive_trace(model: DecPomdpModel, decision: DecisionPolicy, state_values,
+                  xs, xhats, phis, sent, draws) -> Trace:
+    """The full trace from the five recorded columns (x, xhat, phi, a_s, h).
+
+    Slot terms are the loop's, gathered by index, so they are equal bit for bit.
+    The ages count slots since an event: ``aoi`` since the last delivery before
+    the slot, ``aoci`` since the last such delivery that changed the estimate
+    (both start at 1 on slot 0), and ``aos`` since the last slot in sync, 0 on
+    a slot in sync.
+    """
+    x, xhat, phi, a_s, h = (np.array(c, dtype=np.intp) for c in (xs, xhats, phis, sent, draws))
+    t = np.arange(x.size)
+    ramp, spend = _cost_terms(model)
+    sq_err = (state_values[:, None] - state_values[None, :]) ** 2
+    a_a = decision.actions[xhat]
+    got = ramp[x, phi, a_a] + spend[a_a]
+    delivered = h == 1
+    aos = t - _latest(x == xhat)
+    return Trace(t=t, x=x, xhat=xhat, phi=phi, a_s=a_s, a_a=a_a, h=h,
+                 aoi=t - np.r_[-1, _latest(delivered)[:-1]],
+                 aos=aos, aoii=aos.astype(float),
+                 aoci=t - np.r_[-1, _latest(delivered & (x != xhat))[:-1]],
+                 mse=sq_err[x, xhat], got=got, cost=got + model.cost.sampling_cost * a_s)
 
 
 def _summary(horizon, seed, charge, samples, sums, batch_means):
@@ -345,35 +397,24 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
              for r, seed in enumerate(seeds, start=i * n_seeds)] for i in range(n_rules)]
 
 
-def metric_traces(records):
-    """Per-slot metric series extracted from a trace."""
-    if not records:
-        raise ParameterError("trace is empty")
-    keys = ("aoi", "aos", "aoii", "aoci", "mse", "got", "cost")
-    return {key: np.array([getattr(r, key) for r in records]) for key in keys}
-
-
 def cost_decomposition(source, model: DecPomdpModel = None) -> dict:
     """Average-cost split {sampling, actuation, inherent-after-actuation}.
 
-    Accepts a ``SimulationSummary``, a benchmark ``CostSummary``, or a trace
-    (list of records, which needs ``model`` to price the recorded actuations);
+    Accepts a ``SimulationSummary``, a benchmark ``CostSummary``, or a
+    ``Trace`` (which needs ``model`` to price the recorded actuations);
     components sum to the average cost.
     """
     from .benchmarks import CostSummary
     if isinstance(source, (SimulationSummary, CostSummary)):
         split = source.decomposition
-    elif isinstance(source, (list, tuple)):
-        if not source:
-            raise ParameterError("trace is empty")
+    elif isinstance(source, Trace):
         if model is None:
             raise ParameterError("trace-level decomposition needs the model")
-        spend = model.cost.expenditure_weight * model.cost.expenditure
-        horizon = len(source)
-        sampling = sum(r.cost - r.got for r in source) / horizon
-        actuation = sum(float(spend[r.a_a]) for r in source) / horizon
-        inherent = sum(r.got for r in source) / horizon - actuation
-        split = {"sampling": sampling, "actuation": actuation, "inherent": inherent}
+        _, spend = _cost_terms(model)
+        actuation = float(np.mean(spend[source.a_a]))
+        split = {"sampling": float(np.mean(source.cost - source.got)),
+                 "actuation": actuation,
+                 "inherent": float(np.mean(source.got)) - actuation}
     else:
         raise ParameterError(f"cannot decompose {type(source).__name__}")
     return {"sampling_cost_avg": split["sampling"],
@@ -591,10 +632,31 @@ def _write_csv(path, header, rows):
     return path
 
 
-def write_trace_csv(path, records):
-    return _write_csv(path, TRACE_HEADER,
-                      [(r.t, r.x, r.xhat, r.phi, r.a_s, r.a_a, r.h, r.aoi, r.aos,
-                        r.aoii, r.aoci, r.mse, r.got, r.cost) for r in records])
+# Rows of ``trace.csv`` joined and written at a time, which bounds the text
+# held in memory however long the trace.
+TRACE_CSV_ROWS = 8192
+
+
+def write_trace_csv(path, trace: Trace):
+    """Write ``trace.csv``, byte for byte what ``csv.writer`` writes for its rows.
+
+    Each column's distinct values are formatted once: ``str`` of a Python
+    float is its shortest round-trip ``repr``, as ``_fmt`` writes it, and a
+    negative ``h`` (no channel draw) is a blank field.
+    """
+    columns = []
+    for column in fields(Trace):
+        values, index = np.unique(getattr(trace, column.name), return_inverse=True)
+        text = ["" if column.name == "h" and v < 0 else str(v) for v in values.tolist()]
+        columns.append((np.array(text, dtype=object), index))
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for start in range(0, len(trace), TRACE_CSV_ROWS):
+            rows = zip(*(text[index[start:start + TRACE_CSV_ROWS]].tolist()
+                         for text, index in columns))
+            fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+    return path
 
 
 def write_sweep_csv(path, results):

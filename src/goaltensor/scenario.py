@@ -319,6 +319,8 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except ValueError as exc:               # e.g. an integer literal too long to convert
+        raise ScenarioError(str(path), str(exc)) from None
     return scenario_from_dict(doc, name=path.stem)
 
 

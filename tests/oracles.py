@@ -5,12 +5,16 @@ explicit enumeration of channel outcomes, long-run limits by matrix squaring)
 so it shares no code path with the package.
 """
 
+import csv
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from goaltensor.errors import NonConvergenceError, ParameterError
+from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecPomdpModel, GlobalState, TabularMdp
 from goaltensor.solvers import DEFAULT_EPSILON
 from goaltensor.tensor import Alphabets, CostModel
@@ -380,3 +384,130 @@ def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seed
                             "sampling": float(mean_split[3])},
             n_seeds=len(costs)))
     return results
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    t: int
+    x: int
+    xhat: int
+    phi: int
+    a_s: int
+    a_a: int
+    h: int | None           # channel draw; present exactly when a_s == 1
+    aoi: int
+    aos: int
+    aoii: float
+    aoci: int
+    mse: float
+    got: float
+    cost: float
+
+
+def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
+                     record_trace=True, initial=(0, 0, 0), state_values=None,
+                     batches=BATCHES):
+    """``harness.simulate_closed_loop`` as it was before the columnar trace: the
+    ages are kept slot by slot and every slot builds a ``TraceRecord``."""
+    if horizon < 1:
+        raise ParameterError(f"horizon must be positive, got {horizon}")
+    n = model.alphabets.n_states
+    if state_values is None:
+        state_values = np.arange(n, dtype=float)
+    x, xhat, phi = initial
+
+    src_stream, ctx_stream, ch_stream = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    src_u = src_stream.random(horizon).tolist()
+    ctx_u = ctx_stream.random(horizon).tolist()
+    ch_u = ch_stream.random(horizon).tolist()
+
+    src_cum = _cumulative_rows(model.source.probs)
+    src_rows = [[[src_cum[i, k, m].tolist() for m in range(model.alphabets.n_actions)]
+                 for k in range(model.alphabets.n_contexts)]
+                for i in range(n)]
+    ctx_rows = _cumulative_rows(model.context.probs).tolist()
+
+    ramp3 = np.maximum(
+        model.cost.inherent.T[:, :, None]
+        - model.cost.gain_weight * model.cost.gain[None, None, :], 0.0).tolist()
+    spend = (model.cost.expenditure_weight * model.cost.expenditure).tolist()
+    inherent2 = model.cost.inherent.T.tolist()
+    sq_err = ((state_values[:, None] - state_values[None, :]) ** 2).tolist()
+    acts = decision.actions.tolist()
+    p_success = model.channel.success_prob
+    charge = model.cost.sampling_cost
+
+    rule.reset(x, xhat, phi)
+    records = [] if record_trace else None
+    n_batches = max(1, min(batches, horizon))
+    batch_cost = [0.0] * n_batches
+    batch_len = [0] * n_batches
+    cost_sum = raw_sum = ramp_sum = spend_sum = 0.0
+    samples = 0
+    channel_cursor = 0
+    aoi, aoci = 1, 1
+    aos_prev = 0
+
+    for t in range(horizon):
+        a_s = rule.decide(t, x, xhat, phi)
+        h = None
+        delivered = False
+        if a_s:
+            h = 1 if ch_u[channel_cursor] < p_success else 0
+            channel_cursor += 1
+            delivered = h == 1
+            samples += 1
+        a_a = acts[xhat]
+        ramp_term = ramp3[x][phi][a_a]
+        got = ramp_term + spend[a_a]
+        slot_cost = got + charge * a_s
+        aos = 0 if x == xhat else aos_prev + 1
+
+        cost_sum += slot_cost
+        raw_sum += inherent2[x][phi]
+        ramp_sum += ramp_term
+        spend_sum += spend[a_a]
+        b = t * n_batches // horizon
+        batch_cost[b] += slot_cost
+        batch_len[b] += 1
+
+        if record_trace:
+            records.append(TraceRecord(
+                t=t, x=x, xhat=xhat, phi=phi, a_s=a_s, a_a=a_a, h=h,
+                aoi=aoi, aos=aos, aoii=float(aos if x != xhat else 0),
+                aoci=aoci, mse=sq_err[x][xhat], got=got, cost=slot_cost))
+
+        rule.notify(x, xhat, phi, a_s, delivered)
+        next_xhat = x if delivered else xhat
+        aoi = 1 if delivered else aoi + 1
+        aoci = 1 if (delivered and x != xhat) else aoci + 1
+        x = bisect_right(src_rows[x][phi][a_a], src_u[t])
+        phi = bisect_right(ctx_rows[phi], ctx_u[t])
+        xhat = next_xhat
+        aos_prev = aos
+
+    means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
+    return records, _summary(horizon, seed, charge, samples,
+                             (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+
+
+def write_records_csv(path, records):
+    """``trace.csv`` from ``TraceRecord`` rows through ``csv.writer``, as
+    ``harness.write_trace_csv`` wrote it before the columnar trace."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        for r in records:
+            writer.writerow([fmt(v) for v in (r.t, r.x, r.xhat, r.phi, r.a_s, r.a_a, r.h,
+                                              r.aoi, r.aos, r.aoii, r.aoci, r.mse, r.got,
+                                              r.cost)])
+    return path

@@ -78,9 +78,9 @@ def test_change_rule_examples():
 
 
 def test_change_rate_equals_change_frequency(shipped, greedy):
-    records, summary = simulate_closed_loop(shipped.model, ChangeAwareRule(), greedy,
-                                            20_000, seed=3)
-    xs = [r.x for r in records]
+    trace, summary = simulate_closed_loop(shipped.model, ChangeAwareRule(), greedy,
+                                          20_000, seed=3)
+    xs = trace.x.tolist()
     changes = sum(1 for a, b in zip(xs, xs[1:]) if a != b)
     assert summary.sampling_rate == pytest.approx(changes / len(xs), abs=1e-12)
 
@@ -94,12 +94,12 @@ def test_aoii_policy_samples_exactly_on_mismatch(shipped):
 
 
 def test_aoii_resets_after_successful_unchanged_delivery(shipped, greedy):
-    records, _ = simulate_closed_loop(
+    trace, _ = simulate_closed_loop(
         shipped.model, StatePolicyRule(aoii_optimal_policy(shipped.model)), greedy,
         20_000, seed=9)
-    for prev, cur in zip(records, records[1:]):
-        if prev.a_s == 1 and prev.h == 1 and cur.x == prev.x:
-            assert cur.aoii == 0
+    for t in range(1, len(trace)):
+        if trace.a_s[t - 1] == 1 and trace.h[t - 1] == 1 and trace.x[t] == trace.x[t - 1]:
+            assert trace.aoii[t] == 0
 
 
 # --- exact evaluation vs simulation ------------------------------------------

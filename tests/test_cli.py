@@ -1,15 +1,22 @@
+import argparse
 import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goaltensor.solvers as solvers
-from goaltensor.cli import main
-from goaltensor.errors import NonConvergenceError
-from goaltensor.harness import decomposition_grid, write_decomp_csv
-from goaltensor.scenario import GridConfig, default_document, load_scenario, save_scenario
+from goaltensor.benchmarks import StatePolicyRule, aoii_optimal_policy
+from goaltensor.cli import _load_policy_file, _simulation_rule, main
+from goaltensor.errors import NonConvergenceError, PolicyFileError
+from goaltensor.harness import decomposition_grid, simulate_closed_loop, write_decomp_csv
+from goaltensor.scenario import (GridConfig, default_document, default_scenario,
+                                 load_scenario, save_scenario)
+from goaltensor.solvers import flatten_sampling, greedy_decision_policy
+from oracles import simulate_records, write_records_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
 
@@ -279,3 +286,195 @@ def test_unexpected_failure_is_one_line_not_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_validate", broken)
     assert main(["validate", "--scenario", str(SCENARIO)]) == 1
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+SIMULATE_POLICIES = [("uniform", "3"), ("age", "2"), ("change", None), ("aoii", None),
+                     ("mse", None), ("codesign", None), ("policy-file", None)]
+
+
+@pytest.mark.parametrize("policy, param", SIMULATE_POLICIES)
+def test_simulate_trace_equals_record_loop_oracle(tmp_path, capsys, scenario_file,
+                                                  policy, param):
+    argv = ["simulate", "--scenario", scenario_file, "--horizon", "1500", "--seed", "7",
+            "--out", str(tmp_path / "sim")]
+    policy_file = None
+    if policy == "policy-file":
+        assert main(["solve", "--scenario", scenario_file, "--algorithm", "jesp",
+                     "--out", str(tmp_path / "solve")]) == 0
+        policy_file = str(tmp_path / "solve" / "policy.json")
+        argv += ["--policy-file", policy_file]
+    else:
+        argv += ["--policy", policy] + (["--param", param] if param else [])
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+
+    scenario = load_scenario(scenario_file)
+    rule, decision = _simulation_rule(argparse.Namespace(
+        policy=policy, param=None if param is None else float(param),
+        policy_file=policy_file), scenario)
+    sim = scenario.simulation
+    initial = (sim.initial_state, sim.initial_estimate, sim.initial_context)
+    records, expected = simulate_records(scenario.model, rule, decision, 1500, 7,
+                                         initial=initial,
+                                         state_values=scenario.state_values)
+    oracle = write_records_csv(tmp_path / "oracle.csv", records)
+    assert (tmp_path / "sim" / "trace.csv").read_bytes() == oracle.read_bytes()
+    _, summary = simulate_closed_loop(scenario.model, rule, decision, 1500, 7,
+                                      record_trace=False, initial=initial)
+    assert repr(summary) == repr(expected)
+    assert f"average cost {expected.average_cost!r}" in printed
+
+
+@pytest.mark.parametrize("extra", [
+    ["--policy", "uniform", "--param", "0"],
+    ["--policy", "uniform", "--param", "1.7"],
+    ["--policy", "uniform", "--param", "nan"],
+    ["--policy", "age", "--param", "2.5"],
+    ["--policy", "age", "--param", "-1"],
+    ["--policy", "codesign", "--param", "2"],
+    ["--policy", "aoii", "--param", "2"],
+    ["--policy", "mse", "--param", "2"],
+    ["--policy", "change", "--param", "2"],
+    ["--policy-file", "policy.json", "--param", "2"],
+])
+def test_simulate_param_mistakes_fail_in_one_line(tmp_path, capsys, scenario_file, extra):
+    assert main(["simulate", "--scenario", scenario_file, "--horizon", "20",
+                 "--out", str(tmp_path / "out")] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--param" in err) or ("period" in err) or ("threshold" in err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy, label", [("uniform", "uniform(1)"), ("age", "age(0)")])
+def test_simulate_param_defaults_when_absent(tmp_path, capsys, scenario_file, policy,
+                                             label):
+    assert main(["simulate", "--scenario", scenario_file, "--horizon", "20",
+                 "--policy", policy, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(f"{label}: horizon=20 ")
+
+
+def _policy_doc(scenario):
+    """A valid policy document: greedy actuation, sampling on mismatch."""
+    model = scenario.model
+    return {"scenario": scenario.name, "average_cost": 1.0,
+            "decision": greedy_decision_policy(model).actions.tolist(),
+            "sampling": {"order": "flat", "decisions":
+                         flatten_sampling(aoii_optimal_policy(model)).tolist()}}
+
+
+def _mutated(doc, mutate):
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, field", [
+    (lambda doc: _mutated(doc, lambda d: d.pop("sampling")), "sampling.decisions"),
+    (lambda doc: _mutated(doc, lambda d: d.pop("decision")), "decision"),
+    (lambda doc: "{not json", "line 1 column 2"),
+    (lambda doc: _mutated(doc, lambda d: d["sampling"]["decisions"].pop()),
+     "sampling.decisions"),
+    (lambda doc: _mutated(doc, lambda d: d["decision"].__setitem__(0, 99)), "decision[0]"),
+    (lambda doc: _mutated(doc, lambda d: d["decision"].__setitem__(1, 1.5)), "decision[1]"),
+    (lambda doc: _mutated(doc, lambda d: d["sampling"]["decisions"].__setitem__(4, 2)),
+     "sampling.decisions[4]"),
+    (lambda doc: _mutated(doc, lambda d: d["sampling"]["decisions"].__setitem__(5, "1")),
+     "sampling.decisions[5]"),
+    (lambda doc: '{"decision": ' + "7" * 5000 + "}", "document"),
+])
+def test_bad_policy_file_fails_in_one_line(tmp_path, capsys, scenario_file, text, field):
+    path = tmp_path / "policy.json"
+    path.write_text(text(_policy_doc(load_scenario(scenario_file))))
+    assert main(["simulate", "--scenario", scenario_file, "--horizon", "20",
+                 "--policy-file", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: policy file {path}: {field}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_policy_file_fails_in_one_line(tmp_path, capsys, scenario_file):
+    path = tmp_path / "nope.json"
+    assert main(["simulate", "--scenario", scenario_file, "--policy-file", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: policy file {path}: file: cannot read")
+
+
+POLICY_LISTS = ("decision", "sampling.decisions")
+NOT_ENTRIES = st.one_of(
+    st.integers().filter(lambda k: not 0 <= k < 2),
+    st.floats(allow_nan=True).filter(lambda f: f % 1 != 0 or not 0 <= f < 2),
+    st.text(max_size=3), st.none(), st.booleans(), st.lists(st.integers(0, 1), max_size=2))
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(
+        ["decision", "sampling", "sampling.decisions", "scenario", "average_cost"])),
+    st.tuples(st.just("truncate"), st.sampled_from(POLICY_LISTS), st.integers(0, 20)),
+    st.tuples(st.just("set"), st.sampled_from(POLICY_LISTS), st.integers(0, 20),
+              NOT_ENTRIES),
+)
+
+
+def _apply(doc, mutation):
+    kind, address = mutation[:2]
+    *parents, key = address.split(".")
+    holder = doc
+    for part in parents:
+        holder = holder.get(part) if isinstance(holder, dict) else None
+    if not isinstance(holder, dict) or key not in holder:
+        return
+    if kind == "drop":
+        del holder[key]
+    elif isinstance(holder[key], list) and holder[key]:
+        index = mutation[2] % len(holder[key])
+        if kind == "truncate":
+            del holder[key][index:]
+        else:
+            holder[key][index] = mutation[3]
+
+
+@given(st.lists(MUTATIONS, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_mutated_policy_file_is_rejected_by_field_or_runs(tmp_path_factory, mutations):
+    scenario = default_scenario()
+    doc = _policy_doc(scenario)
+    for mutation in mutations:
+        _apply(doc, mutation)
+    path = tmp_path_factory.mktemp("policy") / "policy.json"
+    path.write_text(json.dumps(doc))
+    try:
+        sampling, decision = _load_policy_file(path, scenario)
+    except PolicyFileError as exc:
+        assert exc.field and exc.field in str(exc) and str(path) in str(exc)
+        assert "\n" not in str(exc)
+        return
+    trace, _ = simulate_closed_loop(scenario.model, StatePolicyRule(sampling), decision,
+                                    30, seed=1)
+    assert len(trace) == 30
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--policy", "uniform", "--horizon", "20"],
+    ["sweep", "--horizon", "20"],
+    ["solve", "--algorithm", "jesp"],
+])
+def test_out_naming_a_file_fails_in_one_line(tmp_path, capsys, scenario_file, command):
+    target = tmp_path / "taken"
+    target.write_text("a file, not a directory\n")
+    assert main(command[:1] + ["--scenario", scenario_file, "--out", str(target)]
+                + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {target}: ") and err.count("\n") == 1
+    assert target.read_text() == "a file, not a directory\n"
+
+
+def test_oversized_integer_literal_fails_with_the_file_address(tmp_path, capsys):
+    text = json.dumps(default_document()).replace('"gain_weight": ',
+                                                  '"gain_weight": ' + "9" * 5000 + ", "
+                                                  '"unused": ', 1)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path}: ") and err.count("\n") == 1

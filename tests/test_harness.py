@@ -3,9 +3,10 @@ import pytest
 
 from goaltensor.benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolicyRule,
                                    UniformRule, aoii_optimal_policy)
+from goaltensor import harness
 from goaltensor.errors import ParameterError
 from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, cost_decomposition,
-                                metric_traces, optimality_gap, simulate_closed_loop,
+                                optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
                                 write_sweep_csv, write_trace_csv)
@@ -15,7 +16,7 @@ from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import (analyze_chain, greedy_decision_policy,
                                 policy_chain)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
-from oracles import random_model, sweep_one_by_one
+from oracles import random_model, simulate_records, sweep_one_by_one, write_records_csv
 
 
 def cycle_model(sampling_cost=0.5):
@@ -53,11 +54,11 @@ class ScriptedRule:
 def test_zero_success_channel_freezes_estimate(shipped):
     model = shipped.with_channel(0.0).model
     greedy = greedy_decision_policy(shipped.model)
-    records, _ = simulate_closed_loop(
+    trace, _ = simulate_closed_loop(
         model, StatePolicyRule(SamplingPolicy.always(model.alphabets)), greedy,
         5_000, seed=2)
-    assert all(r.xhat == records[0].xhat for r in records)
-    assert all(r.h == 0 for r in records)
+    assert np.all(trace.xhat == trace.xhat[0])
+    assert np.all(trace.h == 0)
 
 
 def test_degenerate_identity_model_constant_trace():
@@ -68,10 +69,12 @@ def test_degenerate_identity_model_constant_trace():
         alphabets=Alphabets(n, v, a), source=SourceDynamics(src),
         context=ContextDynamics(np.eye(1)), channel=ChannelModel(1.0),
         cost=CostModel(inherent=[[0, 1]], gain=[0.0], expenditure=[0.0]))
-    records, _ = simulate_closed_loop(
+    trace, _ = simulate_closed_loop(
         model, StatePolicyRule(SamplingPolicy.never(model.alphabets)),
         DecisionPolicy([0, 0]), 500, seed=4, initial=(1, 1, 0))
-    assert all((r.x, r.xhat, r.phi, r.cost) == (1, 1, 0, 1.0) for r in records)
+    assert len(trace) == 500
+    assert all(np.all(column == value) for column, value in
+               ((trace.x, 1), (trace.xhat, 1), (trace.phi, 0), (trace.cost, 1.0)))
 
 
 def test_seed_reproducibility_and_divergence(shipped):
@@ -92,31 +95,27 @@ def test_common_random_numbers_share_source_path(shipped):
     flat = DecisionPolicy([0, 0, 0])
     r1, _ = simulate_closed_loop(model, UniformRule(2), flat, 2_000, seed=5)
     r2, _ = simulate_closed_loop(model, UniformRule(5), flat, 2_000, seed=5)
-    assert [r.x for r in r1] == [r.x for r in r2]
-    assert [r.phi for r in r1] == [r.phi for r in r2]
+    assert r1.x.tolist() == r2.x.tolist()
+    assert r1.phi.tolist() == r2.phi.tolist()
 
 
 def test_metric_trace_coherence(shipped):
     model = shipped.model
     greedy = greedy_decision_policy(model)
-    records, _ = simulate_closed_loop(model, StatePolicyRule(
+    trace, _ = simulate_closed_loop(model, StatePolicyRule(
         aoii_optimal_policy(model)), greedy, 10_000, seed=8)
-    series = metric_traces(records)
-    xs = np.array([r.x for r in records])
-    xhats = np.array([r.xhat for r in records])
-    assert np.all(series["aoii"] <= series["aos"])
-    assert np.all((series["aoii"] == 0) == (xs == xhats))
-    assert np.all(series["aoi"] >= 1)
-    assert np.all(series["cost"] == series["got"]
-                  + model.cost.sampling_cost * np.array([r.a_s for r in records]))
+    assert np.all(trace.aoii <= trace.aos)
+    assert np.all((trace.aoii == 0) == (trace.x == trace.xhat))
+    assert np.all(trace.aoi >= 1)
+    assert np.all(trace.cost == trace.got + model.cost.sampling_cost * trace.a_s)
 
 
 def test_never_sampling_age_grows_linearly(shipped):
     model = shipped.model
     greedy = greedy_decision_policy(model)
-    records, _ = simulate_closed_loop(model, StatePolicyRule(
+    trace, _ = simulate_closed_loop(model, StatePolicyRule(
         SamplingPolicy.never(model.alphabets)), greedy, 100, seed=1)
-    assert [r.aoi for r in records] == list(range(1, 101))
+    assert trace.aoi.tolist() == list(range(1, 101))
 
 
 def test_synchronized_throughout_zero_mismatch_age():
@@ -128,31 +127,31 @@ def test_synchronized_throughout_zero_mismatch_age():
     frozen = DecPomdpModel(alphabets=base.alphabets,
                            source=SourceDynamics(src), context=base.context,
                            channel=base.channel, cost=base.cost)
-    records, _ = simulate_closed_loop(
+    trace, _ = simulate_closed_loop(
         frozen, StatePolicyRule(SamplingPolicy.never(frozen.alphabets)),
         DecisionPolicy([0, 0, 0]), 100, seed=0, initial=(1, 1, 0))
-    assert all(r.aoii == 0 for r in records)
-    assert all(r.aos == 0 for r in records)
+    assert np.all(trace.aoii == 0)
+    assert np.all(trace.aos == 0)
 
 
 def test_eight_slot_hand_replay():
     model = cycle_model(sampling_cost=0.5)
     script = [0, 0, 1, 0, 1, 0, 0, 1]
-    records, summary = simulate_closed_loop(
+    trace, summary = simulate_closed_loop(
         model, ScriptedRule(script), DecisionPolicy([0, 1, 2]), 8, seed=0,
         initial=(0, 0, 0))
-    got = [r.got for r in records]
-    assert [r.x for r in records] == [0, 1, 2, 0, 1, 2, 0, 1]
-    assert [r.xhat for r in records] == [0, 0, 0, 2, 2, 1, 1, 1]
-    assert [r.a_s for r in records] == script
-    assert [r.aoi for r in records] == [1, 2, 3, 1, 2, 1, 2, 3]
-    assert [r.aos for r in records] == [0, 1, 2, 3, 4, 5, 6, 0]
-    assert [r.aoii for r in records] == [0, 1, 2, 3, 4, 5, 6, 0]
-    assert [r.aoci for r in records] == [1, 2, 3, 1, 2, 1, 2, 3]
-    assert [r.mse for r in records] == [0, 1, 4, 4, 1, 1, 1, 0]
+    got = trace.got.tolist()
+    assert trace.x.tolist() == [0, 1, 2, 0, 1, 2, 0, 1]
+    assert trace.xhat.tolist() == [0, 0, 0, 2, 2, 1, 1, 1]
+    assert trace.a_s.tolist() == script
+    assert trace.aoi.tolist() == [1, 2, 3, 1, 2, 1, 2, 3]
+    assert trace.aos.tolist() == [0, 1, 2, 3, 4, 5, 6, 0]
+    assert trace.aoii.tolist() == [0, 1, 2, 3, 4, 5, 6, 0]
+    assert trace.aoci.tolist() == [1, 2, 3, 1, 2, 1, 2, 3]
+    assert trace.mse.tolist() == [0, 1, 4, 4, 1, 1, 1, 0]
     assert got == [0, 1, 3, 2, 2, 2, 1, 1]
-    assert [r.cost for r in records] == [0, 1, 3.5, 2, 2.5, 2, 1, 1.5]
-    assert summary.average_cost == pytest.approx(sum(r.cost for r in records) / 8)
+    assert trace.cost.tolist() == [0, 1, 3.5, 2, 2.5, 2, 1, 1.5]
+    assert summary.average_cost == pytest.approx(sum(trace.cost.tolist()) / 8)
     assert summary.sampling_rate == pytest.approx(3 / 8)
 
 
@@ -227,6 +226,67 @@ def test_simulate_replicas_one_context_one_action(kind):
                          n_actions=1, success_prob=0.5)
     _assert_matches_scalar_loop(model, RULE_KINDS[kind](model), DecisionPolicy([0, 0, 0]),
                                 SLOT_CHUNK + 5, seeds=[0, 1], initial=(1, 0, 0))
+
+
+def _assert_trace_matches_record_loop(tmp_path, model, rule, decision, horizon, seed,
+                                      initial, state_values=None):
+    """Columnar trace against the record-building loop: ``trace.csv`` byte for
+    byte, the summary by ``repr``, and an untraced run's summary likewise."""
+    trace, summary = simulate_closed_loop(model, rule, decision, horizon, seed,
+                                          initial=initial, state_values=state_values)
+    records, expected = simulate_records(model, rule, decision, horizon, seed,
+                                         initial=initial, state_values=state_values)
+    _, untraced = simulate_closed_loop(model, rule, decision, horizon, seed,
+                                       record_trace=False, initial=initial)
+    assert len(trace) == horizon
+    assert repr(summary) == repr(expected) == repr(untraced)
+    new = write_trace_csv(tmp_path / "columns.csv", trace).read_bytes()
+    assert new == write_records_csv(tmp_path / "records.csv", records).read_bytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 700])
+@pytest.mark.parametrize("p_success", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_trace_equals_record_loop_on_random_models(tmp_path, kind, p_success, horizon):
+    rng = np.random.default_rng(31)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=4, success_prob=p_success)
+    state_values = rng.uniform(-2.0, 5.0, size=3)
+    for rule in RULE_KINDS[kind](model):
+        _assert_trace_matches_record_loop(tmp_path, model, rule,
+                                          greedy_decision_policy(model), horizon, seed=4,
+                                          initial=(2, 1, 1), state_values=state_values)
+
+
+def test_trace_equals_record_loop_hand_replay(tmp_path):
+    # scripted transmissions over a perfect channel: every age resets and grows
+    _assert_trace_matches_record_loop(tmp_path, cycle_model(), ScriptedRule(
+        [0, 0, 1, 0, 1, 0, 0, 1] * 4), DecisionPolicy([0, 1, 2]), 32, seed=0,
+        initial=(1, 2, 0))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 700])
+def test_trace_csv_written_in_chunks_equals_record_writer(tmp_path, monkeypatch, shipped,
+                                                         rows):
+    monkeypatch.setattr(harness, "TRACE_CSV_ROWS", rows)
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    rule = StatePolicyRule(aoii_optimal_policy(model))
+    trace, _ = simulate_closed_loop(model, rule, greedy, 700, seed=2)
+    records, _ = simulate_records(model, rule, greedy, 700, seed=2)
+    assert (write_trace_csv(tmp_path / "columns.csv", trace).read_bytes()
+            == write_records_csv(tmp_path / "records.csv", records).read_bytes())
+
+
+def test_trace_equality_is_column_by_column(shipped):
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    trace, _ = simulate_closed_loop(model, UniformRule(2), greedy, 50, seed=1)
+    same, _ = simulate_closed_loop(model, UniformRule(2), greedy, 50, seed=1)
+    other, _ = simulate_closed_loop(model, UniformRule(3), greedy, 50, seed=1)
+    assert trace == same and trace != other
+    assert trace != "not a trace"
+    # a sampled slot carries its draw, an idle one -1
+    assert np.all((trace.h >= 0) == (trace.a_s == 1))
 
 
 def test_sweep_csv_equals_per_replica_sweep(tmp_path, shipped):
@@ -311,9 +371,9 @@ def test_resource_shift_as_channel_degrades():
 def test_cost_decomposition_dispatch(shipped):
     model = shipped.model
     greedy = greedy_decision_policy(model)
-    records, summary = simulate_closed_loop(model, UniformRule(3), greedy, 5_000,
-                                            seed=6)
-    for split in (cost_decomposition(summary), cost_decomposition(records, model)):
+    trace, summary = simulate_closed_loop(model, UniformRule(3), greedy, 5_000,
+                                          seed=6)
+    for split in (cost_decomposition(summary), cost_decomposition(trace, model)):
         assert split["sampling_cost_avg"] + split["actuation_cost_avg"] + \
             split["inherent_cost_avg"] == pytest.approx(summary.average_cost, abs=1e-9)
     from goaltensor.benchmarks import evaluate_uniform
@@ -321,7 +381,7 @@ def test_cost_decomposition_dispatch(shipped):
     split = cost_decomposition(exact)
     assert sum(split.values()) == pytest.approx(exact.average_cost, abs=1e-12)
     with pytest.raises(ParameterError):
-        cost_decomposition(records)          # trace needs the model
+        cost_decomposition(trace)            # trace needs the model
     with pytest.raises(ParameterError):
         cost_decomposition("nonsense")
 
@@ -329,15 +389,15 @@ def test_cost_decomposition_dispatch(shipped):
 def test_trace_csv_layout(tmp_path, shipped):
     model = shipped.model
     greedy = greedy_decision_policy(model)
-    records, _ = simulate_closed_loop(model, UniformRule(2), greedy, 100, seed=3)
-    path = write_trace_csv(tmp_path / "trace.csv", records)
+    trace, _ = simulate_closed_loop(model, UniformRule(2), greedy, 100, seed=3)
+    path = write_trace_csv(tmp_path / "trace.csv", trace)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_HEADER)
     assert len(lines) == 101
     # the channel column is blank exactly on idle slots
-    for line, record in zip(lines[1:], records):
+    for line, a_s in zip(lines[1:], trace.a_s):
         fields = line.split(",")
-        assert (fields[6] == "") == (record.a_s == 0)
+        assert (fields[6] == "") == (a_s == 0)
 
 
 def test_csv_headers_exact(tmp_path):
