@@ -13,12 +13,10 @@ from .solvers import (QTables, SolveReport, StationaryAnalysis, analyze_chain,
                       average_reward, brute_force_joint, greedy_decision_policy,
                       jesp, pi_step_size, policy_chain, q_tables, relative_reward,
                       solve_sampler_for_decision, stationary_distribution)
-from .benchmarks import (BenchmarkSpec, CostSummary, age_threshold_policy,
-                         aoii_optimal_policy, change_aware_policy,
-                         evaluate_age_threshold, evaluate_benchmark,
-                         evaluate_change_aware, evaluate_state_policy,
-                         evaluate_uniform, mse_optimal_policy, tune_age_threshold,
-                         uniform_policy)
+from .benchmarks import (FAMILIES, CostSummary, aoii_optimal_policy,
+                         evaluate_age_threshold, evaluate_change_aware,
+                         evaluate_state_policy, evaluate_uniform, mse_optimal_policy,
+                         tune_age_threshold)
 from .harness import (SimulationSummary, SweepResult, Trace, compare_policies,
                       cost_decomposition, optimality_gap, simulate_closed_loop,
                       sweep_rate_vs_cost)

@@ -10,12 +10,17 @@ sampling policies on the global state.  History-dependent rules
 chains carrying the extra coordinate: the previous source state, or the
 truncated age counter.  The periodic rule is evaluated on its one-period map,
 the chain sampled at the start of each period.
+
+``FAMILIES`` is the one table of baseline families: per family, its
+simulation rule, exact evaluator, sweep grid and ``--param`` meaning, read by
+``simulate``, ``sweep`` and ``compare`` alike.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,23 +31,6 @@ from .solvers import (MAX_PI_ROUNDS, cesaro_limit, _solve_mdp, sampling_from_fla
 from .tensor import DecisionPolicy, SamplingPolicy
 
 DEFAULT_AGE_CAP = 50
-
-
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    kind: str                   # uniform | age | change | mse | aoii
-    decision_policy: DecisionPolicy
-    period: int = 1             # uniform
-    threshold: int = 0          # age
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "age", "change", "mse", "aoii"):
-            raise ParameterError(f"unknown benchmark kind {self.kind!r}")
-        if self.kind == "uniform" and (self.period < 1 or int(self.period) != self.period):
-            raise ParameterError(f"uniform period must be a positive integer, got {self.period}")
-        if self.kind == "age" and (self.threshold < 0 or int(self.threshold) != self.threshold):
-            raise ParameterError(f"age threshold must be a nonnegative integer, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -150,18 +138,6 @@ class StatePolicyRule:
 
     def notify(self, x, xhat, phi, sampled, delivered):
         pass
-
-
-def uniform_policy(period) -> UniformRule:
-    return UniformRule(period)
-
-
-def age_threshold_policy(threshold) -> AgeThresholdRule:
-    return AgeThresholdRule(threshold)
-
-
-def change_aware_policy() -> ChangeAwareRule:
-    return ChangeAwareRule()
 
 
 def aoii_optimal_policy(model: DecPomdpModel) -> SamplingPolicy:
@@ -366,20 +342,65 @@ def tune_age_threshold(model: DecPomdpModel, decision: DecisionPolicy,
     return curve[best][0], curve
 
 
-def evaluate_benchmark(model: DecPomdpModel, spec: BenchmarkSpec,
-                       state_values=None, start_state=0) -> CostSummary:
-    """Exact cost of one benchmark configuration."""
-    if spec.kind == "uniform":
-        return evaluate_uniform(model, spec.period, spec.decision_policy, start_state)
-    if spec.kind == "age":
-        return evaluate_age_threshold(model, spec.threshold, spec.decision_policy,
-                                      start_state)
-    if spec.kind == "change":
-        return evaluate_change_aware(model, spec.decision_policy, start_state)
-    if spec.kind == "aoii":
-        return evaluate_state_policy(model, aoii_optimal_policy(model),
-                                     spec.decision_policy, start_state)
-    if spec.kind == "mse":
-        policy = mse_optimal_policy(model, spec.decision_policy, state_values)
-        return evaluate_state_policy(model, policy, spec.decision_policy, start_state)
-    raise ParameterError(f"unknown benchmark kind {spec.kind!r}")
+# ---------------------------------------------------------------------------
+# the baseline families
+
+
+@dataclass(frozen=True)
+class Family:
+    """One baseline sampling family, as ``simulate``, ``sweep`` and ``compare`` use it.
+
+    ``rule(model, param, decision, state_values)`` builds its simulation rule
+    and ``evaluate(model, param, decision, start_state, state_values)`` its
+    exact cost.  ``grid(sweep)`` lists the parameters ``sweep`` runs from the
+    scenario's sweep section (None: ``sweep`` does not run the family).
+    ``param`` names what ``simulate --param`` sets and ``default`` its value
+    when the flag is absent (None: the family takes no parameter).
+    ``baseline`` names the family's ``compare.csv`` row, its best cost over its
+    grid (None: no row); a ``classic`` row appears only with
+    ``--include-classic``.
+    """
+
+    rule: Callable
+    evaluate: Callable
+    grid: Callable = None
+    param: str = None
+    default: int = None
+    baseline: str = None
+    classic: bool = False
+
+
+# Table order is the order of the baseline rows in ``compare.csv``.  The entries
+# look the evaluators up by name at call time, so a wrapper bound over a module
+# attribute (a tracer, a test spy) sees every call.
+FAMILIES = {
+    "aoii": Family(
+        rule=lambda model, _, decision, values: StatePolicyRule(
+            aoii_optimal_policy(model), label="aoii-optimal"),
+        evaluate=lambda model, _, decision, start, values: evaluate_state_policy(
+            model, aoii_optimal_policy(model), decision, start),
+        grid=lambda sweep: [None], baseline="aoii-optimal"),
+    "mse": Family(
+        rule=lambda model, _, decision, values: StatePolicyRule(
+            mse_optimal_policy(model, decision, values), label="mse-optimal"),
+        evaluate=lambda model, _, decision, start, values: evaluate_state_policy(
+            model, mse_optimal_policy(model, decision, values), decision, start),
+        baseline="mse-optimal"),
+    "uniform": Family(
+        rule=lambda model, period, decision, values: UniformRule(period),
+        evaluate=lambda model, period, decision, start, values: evaluate_uniform(
+            model, period, decision, start),
+        grid=lambda sweep: list(sweep.uniform_periods), param="period", default=1,
+        baseline="uniform-best", classic=True),
+    "change": Family(
+        rule=lambda model, _, decision, values: ChangeAwareRule(),
+        evaluate=lambda model, _, decision, start, values: evaluate_change_aware(
+            model, decision, start),
+        grid=lambda sweep: [None], baseline="change-aware", classic=True),
+    "age": Family(
+        rule=lambda model, threshold, decision, values: AgeThresholdRule(threshold),
+        evaluate=lambda model, threshold, decision, start, values: evaluate_age_threshold(
+            model, threshold, decision, start),
+        grid=lambda sweep: list(range(sweep.age_threshold_max + 1)), param="threshold",
+        default=0),
+}

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolicyRule,
-                         UniformRule, aoii_optimal_policy, mse_optimal_policy)
+from .benchmarks import FAMILIES, StatePolicyRule
 from .errors import GoalTensorError, ParameterError, PolicyFileError, ScenarioError
 from .harness import (compare_policies, decomposition_rows, optimality_gap,
                       simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
@@ -208,35 +207,34 @@ def cmd_solve(args):
 
 
 def _simulation_rule(args, scenario: Scenario):
-    model = scenario.model
-    name = args.policy
-    if args.param is not None and (args.policy_file or name not in ("uniform", "age")):
-        used = "--policy-file" if args.policy_file else f"--policy {name}"
-        raise ParameterError(f"--param is the period of --policy uniform or the threshold "
-                             f"of --policy age; {used} takes none")
-    greedy = greedy_decision_policy(model)
+    """The (rule, decision policy) pair that ``simulate`` runs.
+
+    ``--policy-file`` and ``--policy codesign`` (the default) bring their own
+    decision policy; a ``FAMILIES`` entry runs with the greedy one.
+    """
+    family = FAMILIES.get(args.policy)
+    if args.param is not None and (family is None or family.param is None):
+        used = ("--policy-file" if args.policy_file
+                else f"--policy {args.policy or 'codesign'}")
+        takes = " or ".join(f"the {f.param} of --policy {name}"
+                            for name, f in FAMILIES.items() if f.param)
+        raise ParameterError(f"--param is {takes}; {used} takes none")
     if args.policy_file:
         sampling, decision = _load_policy_file(args.policy_file, scenario)
         return StatePolicyRule(sampling, label="policy-file"), decision
-    if name == "codesign":
+    if family is None:
         report = solve_cell(scenario, "jesp")
         return (StatePolicyRule(report.sampling_policy, label="got-codesign"),
                 report.decision_policy)
-    if name == "aoii":
-        return StatePolicyRule(aoii_optimal_policy(model), label="aoii-optimal"), greedy
-    if name == "mse":
-        return (StatePolicyRule(mse_optimal_policy(model, greedy, scenario.state_values),
-                                label="mse-optimal"), greedy)
-    if name == "change":
-        return ChangeAwareRule(), greedy
-    if name == "uniform":
-        return UniformRule(1 if args.param is None else args.param), greedy
-    if name == "age":
-        return AgeThresholdRule(0 if args.param is None else args.param), greedy
-    raise ParameterError(f"unknown policy {name!r}")
+    greedy = greedy_decision_policy(scenario.model)
+    param = family.default if args.param is None else args.param
+    return family.rule(scenario.model, param, greedy, scenario.state_values), greedy
 
 
 def cmd_simulate(args):
+    if args.policy is not None and args.policy_file:
+        raise ParameterError(f"--policy {args.policy} and --policy-file each name the "
+                             f"policy to simulate; give one")
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     seed = args.seed if args.seed is not None else scenario.simulation.seed
     horizon = args.horizon if args.horizon is not None else scenario.simulation.horizon
@@ -256,6 +254,14 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    families = [f.strip() for f in args.families.split(",") if f.strip()]
+    swept = [name for name, family in FAMILIES.items() if family.grid]
+    if not families:
+        raise ParameterError(f"--families {args.families!r} names no policy family")
+    for family in families:
+        if family not in swept:
+            raise ParameterError(f"unknown sweep family {family!r}; "
+                                 f"choose from {', '.join(swept)}")
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.simulation.seed
     horizon = args.horizon if args.horizon is not None else scenario.simulation.horizon
@@ -266,17 +272,9 @@ def cmd_sweep(args):
     initial = (scenario.simulation.initial_state, scenario.simulation.initial_estimate,
                scenario.simulation.initial_context)
     results = []
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
     for family in families:
-        if family == "uniform":
-            grid = list(scenario.sweep.uniform_periods)
-        elif family == "age":
-            grid = list(range(scenario.sweep.age_threshold_max + 1))
-        elif family in ("change", "aoii"):
-            grid = [None]
-        else:
-            raise ParameterError(f"unknown sweep family {family!r}")
-        results.extend(sweep_rate_vs_cost(scenario.model, family, grid, decision,
+        results.extend(sweep_rate_vs_cost(scenario.model, family,
+                                          FAMILIES[family].grid(scenario.sweep), decision,
                                           horizon, seeds, initial=initial))
     out_dir = _output_dir(args.out)
     outputs = [write_sweep_csv(out_dir / "sweep.csv", results)]
@@ -347,8 +345,8 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run the closed loop and write trace.csv")
     common(p)
-    p.add_argument("--policy", default="codesign",
-                   choices=["codesign", "aoii", "mse", "change", "uniform", "age"])
+    p.add_argument("--policy", default=None, choices=["codesign", *FAMILIES],
+                   help="policy to simulate (default: codesign; not with --policy-file)")
     p.add_argument("--param", type=float, default=None,
                    help="period for uniform, threshold for age")
     p.add_argument("--policy-file", default=None,
@@ -383,6 +381,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "epsilon", None) is not None:
             checked_epsilon(args.epsilon)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import StatePolicyRule
+from .benchmarks import FAMILIES, StatePolicyRule
 from .errors import GoalTensorError, ParameterError
 from .model import DecPomdpModel
 from .tensor import DecisionPolicy
@@ -433,20 +433,6 @@ class SweepResult:
     n_seeds: int = 1
 
 
-def _rule_for(family, param, model):
-    from .benchmarks import (AgeThresholdRule, ChangeAwareRule, UniformRule,
-                             aoii_optimal_policy)
-    if family == "uniform":
-        return UniformRule(param)
-    if family == "age":
-        return AgeThresholdRule(param)
-    if family == "change":
-        return ChangeAwareRule()
-    if family == "aoii":
-        return StatePolicyRule(aoii_optimal_policy(model), label="aoii-optimal")
-    raise ParameterError(f"unknown policy family {family!r}")
-
-
 def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPolicy,
                        horizon, seeds, initial=(0, 0, 0)):
     """Simulated cost-versus-rate curve for one policy family.
@@ -459,7 +445,9 @@ def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPol
         raise ParameterError(f"sweep of family {family!r} needs at least one grid point")
     if not len(seeds):
         raise ParameterError("sweep needs at least one seed")
-    rules = [_rule_for(family, param, model) for param in grid]
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown policy family {family!r}")
+    rules = [FAMILIES[family].rule(model, param, decision, None) for param in grid]
     results = []
     for param, summaries in zip(grid, simulate_replicas(model, rules, decision, horizon,
                                                         seeds, initial=initial)):
@@ -522,8 +510,7 @@ def _decomposition(p_success, sampling_cost, cell, report):
             "actuation": summary.actuation, "inherent": summary.inherent}
 
 
-def compare_policies(scenario, algorithm="jesp", include_classic=False,
-                     progress=None):
+def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
     One row per (channel success, sampling cost, policy); the co-design row
@@ -537,10 +524,11 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
     run continues; having no co-design row, it has no decomposition either.
     (``goaltensor compare`` thus writes ``decomp.csv`` without the failed
     cells, where it used to stop at the first failing cell and write none.)
+
+    The baselines are the ``FAMILIES`` entries with a ``baseline`` row, each at
+    its best parameter over the cell's sweep grid; ``include_classic`` adds the
+    classic ones.
     """
-    from .benchmarks import (aoii_optimal_policy, evaluate_change_aware,
-                             evaluate_state_policy, evaluate_uniform,
-                             mse_optimal_policy)
     from .solvers import greedy_decision_policy
     rows = []
     for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
@@ -553,17 +541,13 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
                         "decomposition": _decomposition(p_success, sampling_cost, cell,
                                                         report)}
             greedy = greedy_decision_policy(model)
-            baselines = [("aoii-optimal", evaluate_state_policy(
-                model, aoii_optimal_policy(model), greedy, start).average_cost)]
-            baselines.append(("mse-optimal", evaluate_state_policy(
-                model, mse_optimal_policy(model, greedy, cell.state_values),
-                greedy, start).average_cost))
-            if include_classic:
-                uniform_costs = [evaluate_uniform(model, d, greedy, start).average_cost
-                                 for d in cell.sweep.uniform_periods]
-                baselines.append(("uniform-best", min(uniform_costs)))
-                baselines.append(("change-aware", evaluate_change_aware(
-                    model, greedy, start).average_cost))
+            baselines = []
+            for family in FAMILIES.values():
+                if family.baseline and (include_classic or not family.classic):
+                    params = family.grid(cell.sweep) if family.grid else [None]
+                    baselines.append((family.baseline, min(
+                        family.evaluate(model, p, greedy, start, cell.state_values)
+                        .average_cost for p in params)))
             rows.append(codesign)
             rows.extend({"pS": p_success, "CS": sampling_cost, "policy": policy,
                          "cost": cost, "saving_vs_codesign": (cost - co_cost) / cost}
@@ -571,8 +555,6 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False,
         except GoalTensorError as exc:
             rows.append({"pS": p_success, "CS": sampling_cost, "policy": algorithm,
                          "cost": float("nan"), "error": str(exc)})
-        if progress:
-            progress(p_success, sampling_cost)
     return rows
 
 
@@ -581,7 +563,7 @@ def decomposition_rows(compare_rows):
     return [row["decomposition"] for row in compare_rows if "decomposition" in row]
 
 
-def optimality_gap(scenario, progress=None):
+def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units."""
     rows = []
     for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
@@ -590,23 +572,6 @@ def optimality_gap(scenario, progress=None):
         rows.append({"pS": p_success, "CS": sampling_cost,
                      "theta_bf": bf.average_cost, "theta_jesp": je.average_cost,
                      "gap": je.average_cost - bf.average_cost})
-        if progress:
-            progress(p_success, sampling_cost)
-    return rows
-
-
-def decomposition_grid(scenario, algorithm="jesp", progress=None):
-    """Cost split of the co-designed policy per grid cell; a failing cell raises.
-
-    ``goaltensor compare`` does not call this: it reads the same rows from its
-    ``compare_policies`` pass (``decomposition_rows``), one solve per cell.
-    """
-    rows = []
-    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        rows.append(_decomposition(p_success, sampling_cost, cell,
-                                   solve_cell(cell, algorithm)))
-        if progress:
-            progress(p_success, sampling_cost)
     return rows
 
 

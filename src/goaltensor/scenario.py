@@ -108,6 +108,15 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _section(doc, key, where="", required=False):
+    """The object at ``<where>.<key>``; an absent optional one reads as empty."""
+    value = _require(doc, key, where) if required else doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}.{key}" if where else key,
+                            f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def _as_number(value, address, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(address, f"expected a number, got {type(value).__name__}")
@@ -187,7 +196,7 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
     """Validate a scenario document and assemble the model bundle."""
     if not isinstance(doc, dict):
         raise ScenarioError("<document>", "top level must be an object")
-    alpha_doc = _require(doc, "alphabets", "")
+    alpha_doc = _section(doc, "alphabets", required=True)
     n = _as_number(_require(alpha_doc, "states", "alphabets"), "alphabets.states",
                    minimum=2, integer=True)
     v = _as_number(_require(alpha_doc, "contexts", "alphabets"), "alphabets.contexts",
@@ -199,15 +208,16 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
     src_doc = _require(doc, "source_dynamics", "")
     if not isinstance(src_doc, list) or len(src_doc) != n:
         raise ScenarioError("source_dynamics", f"expected {n} state blocks")
-    source = np.zeros((n, v, a, n))
+    rows = []                                # checked before any array is sized
     for i, by_context in enumerate(src_doc):
         if not isinstance(by_context, list) or len(by_context) != v:
             raise ScenarioError(f"source_dynamics[{i}]", f"expected {v} context blocks")
         for k, by_action in enumerate(by_context):
             if not isinstance(by_action, list) or len(by_action) != a:
                 raise ScenarioError(f"source_dynamics[{i}][{k}]", f"expected {a} action rows")
-            for m, row in enumerate(by_action):
-                source[i, k, m] = _as_row(row, n, f"source_dynamics[{i}][{k}][{m}]")
+            rows.extend(_as_row(row, n, f"source_dynamics[{i}][{k}][{m}]")
+                        for m, row in enumerate(by_action))
+    source = np.array(rows).reshape(n, v, a, n)
 
     ctx_doc = _require(doc, "context_dynamics", "")
     if not isinstance(ctx_doc, list) or len(ctx_doc) != v:
@@ -215,11 +225,11 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
     context = np.array([_as_row(row, v, f"context_dynamics[{k}]")
                         for k, row in enumerate(ctx_doc)])
 
-    channel_doc = _require(doc, "channel", "")
+    channel_doc = _section(doc, "channel", required=True)
     p_success = _as_number(_require(channel_doc, "success_prob", "channel"),
                            "channel.success_prob", minimum=0.0, maximum=1.0)
 
-    cost_doc = _require(doc, "cost", "")
+    cost_doc = _section(doc, "cost", required=True)
     inherent_doc = _require(cost_doc, "inherent", "cost")
     if not isinstance(inherent_doc, list) or len(inherent_doc) != v:
         raise ScenarioError("cost.inherent", f"expected {v} context rows")
@@ -254,7 +264,7 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                           context=ContextDynamics(context),
                           channel=ChannelModel(p_success), cost=cost)
 
-    solver_doc = doc.get("solver", {})
+    solver_doc = _section(doc, "solver")
     solver = SolverConfig(
         algorithm=_as_algorithm(solver_doc.get("algorithm", "jesp")),
         epsilon=checked_epsilon(solver_doc.get("epsilon", 1e-6)),
@@ -265,17 +275,18 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
         step_schedule=_as_step_schedule(solver_doc.get("step_schedule", "harmonic")),
         restarts=_as_number(solver_doc.get("restarts", 0), "solver.restarts",
                             minimum=0, integer=True),
-        seed=_as_number(solver_doc.get("seed", 0), "solver.seed", integer=True),
+        seed=_as_number(solver_doc.get("seed", 0), "solver.seed", minimum=0, integer=True),
         budget=_as_number(solver_doc.get("budget", 200_000), "solver.budget",
                           minimum=1, integer=True),
     )
 
-    sim_doc = doc.get("simulation", {})
-    initial = sim_doc.get("initial", {})
+    sim_doc = _section(doc, "simulation")
+    initial = _section(sim_doc, "initial", "simulation")
     simulation = SimulationConfig(
         horizon=_as_number(sim_doc.get("horizon", 100_000), "simulation.horizon",
                            minimum=1, integer=True),
-        seed=_as_number(sim_doc.get("seed", 12345), "simulation.seed", integer=True),
+        seed=_as_number(sim_doc.get("seed", 12345), "simulation.seed", minimum=0,
+                        integer=True),
         initial_state=_as_number(initial.get("state", 0), "simulation.initial.state",
                                  minimum=0, maximum=n - 1, integer=True),
         initial_estimate=_as_number(initial.get("estimate", 0),
@@ -286,16 +297,17 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                                    minimum=0, maximum=v - 1, integer=True),
     )
 
-    sweep_doc = doc.get("sweep", {})
+    sweep_doc = _section(doc, "sweep")
     sweep = SweepConfig(
         uniform_periods=_as_values(sweep_doc, "sweep", "uniform_periods",
                                    SweepConfig.uniform_periods, minimum=1, integer=True),
         age_threshold_max=_as_number(sweep_doc.get("age_threshold_max", 50),
                                      "sweep.age_threshold_max", minimum=0, integer=True),
-        seeds=_as_values(sweep_doc, "sweep", "seeds", SweepConfig.seeds, integer=True),
+        seeds=_as_values(sweep_doc, "sweep", "seeds", SweepConfig.seeds, minimum=0,
+                         integer=True),
     )
 
-    grid_doc = doc.get("grid", {})
+    grid_doc = _section(doc, "grid")
     grid = GridConfig(
         success_probs=_as_values(grid_doc, "grid", "success_probs", GridConfig.success_probs,
                                  minimum=0.0, maximum=1.0),

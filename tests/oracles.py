@@ -356,12 +356,13 @@ def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seed
                      initial=(0, 0, 0)):
     """``harness.sweep_rate_vs_cost`` as it was before the batched engine:
     one ``simulate_closed_loop`` run per (grid parameter, seed) replica."""
-    from goaltensor.harness import SweepResult, _rule_for, simulate_closed_loop
+    from goaltensor.benchmarks import FAMILIES
+    from goaltensor.harness import SweepResult, simulate_closed_loop
     results = []
     for param in grid:
         costs, rates, splits = [], [], []
         for seed in seeds:
-            rule = _rule_for(family, param, model)
+            rule = FAMILIES[family].rule(model, param, decision, None)
             _, summary = simulate_closed_loop(model, rule, decision, horizon, seed,
                                               record_trace=False, initial=initial)
             costs.append(summary.average_cost)
@@ -402,6 +403,20 @@ class TraceRecord:
     mse: float
     got: float
     cost: float
+
+
+def decomposition_grid(scenario, algorithm="jesp"):
+    """Cost split of the co-designed policy per grid cell; a failing cell raises.
+
+    ``goaltensor compare`` does not call this: it reads the same rows from its
+    ``compare_policies`` pass (``decomposition_rows``), one solve per cell.
+    """
+    from goaltensor.harness import _cell_scenarios, _decomposition, solve_cell
+    rows = []
+    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
+        rows.append(_decomposition(p_success, sampling_cost, cell,
+                                   solve_cell(cell, algorithm)))
+    return rows
 
 
 def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,

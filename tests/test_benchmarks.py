@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from goaltensor.benchmarks import (AgeThresholdRule, BenchmarkSpec, ChangeAwareRule,
-                                   StatePolicyRule, UniformRule, age_threshold_policy,
-                                   aoii_optimal_policy, change_aware_policy,
-                                   evaluate_age_threshold, evaluate_benchmark,
-                                   evaluate_change_aware, evaluate_state_policy,
-                                   evaluate_uniform, mse_optimal_policy,
-                                   tune_age_threshold, uniform_policy)
+from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
+                                   StatePolicyRule, UniformRule, aoii_optimal_policy,
+                                   evaluate_age_threshold, evaluate_change_aware,
+                                   evaluate_state_policy, evaluate_uniform,
+                                   mse_optimal_policy, tune_age_threshold)
 from goaltensor.errors import ParameterError
-from goaltensor.harness import simulate_closed_loop
+from goaltensor.harness import simulate_closed_loop, sweep_rate_vs_cost
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
 from goaltensor.solvers import greedy_decision_policy, policy_chain
@@ -27,14 +25,19 @@ def greedy(shipped):
 # --- rules --------------------------------------------------------------------
 
 
+def family_rule(name, param=None):
+    """The simulation rule of a ``FAMILIES`` entry; these rules need no model."""
+    return FAMILIES[name].rule(None, param, None, None)
+
+
 def test_uniform_rule_examples():
-    rule = uniform_policy(1)
+    rule = family_rule("uniform", 1)
     assert all(rule.decide(t, 0, 0, 0) == 1 for t in range(5))
-    rule = uniform_policy(4)
+    rule = family_rule("uniform", 4)
     assert rule.decide(8, 0, 0, 0) == 1
     assert rule.decide(9, 0, 0, 0) == 0
     with pytest.raises(ParameterError):
-        uniform_policy(0)
+        family_rule("uniform", 0)
 
 
 def test_uniform_rate_counting(shipped, greedy):
@@ -51,9 +54,9 @@ def test_uniform_rate_counting(shipped, greedy):
 
 
 def test_age_rule_examples():
-    rule = age_threshold_policy(0)
+    rule = family_rule("age", 0)
     assert rule.decide(0, 0, 0, 0) == 1          # age starts at 1 > 0
-    rule = age_threshold_policy(2)
+    rule = family_rule("age", 2)
     fires = []
     for _ in range(3):                           # ages 1, 2, 3 with no deliveries
         fires.append(rule.decide(0, 1, 0, 0))
@@ -62,11 +65,11 @@ def test_age_rule_examples():
     rule.notify(1, 0, 0, 1, True)
     assert rule.age == 1
     with pytest.raises(ParameterError):
-        age_threshold_policy(-1)
+        family_rule("age", -1)
 
 
 def test_change_rule_examples():
-    rule = change_aware_policy()
+    rule = family_rule("change")
     rule.reset(0, 0, 0)
     assert rule.decide(0, 0, 0, 0) == 0          # no history yet
     rule.notify(0, 0, 0, 0, False)
@@ -287,16 +290,40 @@ def test_age_dominates_uniform_at_matched_rates(shipped, greedy):
             assert interpolated <= s.average_cost + 1e-9
 
 
-def test_benchmark_spec_dispatch(shipped, greedy):
-    for kind in ("uniform", "age", "change", "aoii", "mse"):
-        spec = BenchmarkSpec(kind=kind, decision_policy=greedy, period=4, threshold=2)
-        summary = evaluate_benchmark(shipped.model, spec)
+def test_family_table_dispatch(shipped, greedy):
+    model, values = shipped.model, shipped.state_values
+    mse = mse_optimal_policy(model, greedy, values)
+    expected = {
+        "uniform": (4, UniformRule, evaluate_uniform(model, 4, greedy, 1)),
+        "age": (2, AgeThresholdRule, evaluate_age_threshold(model, 2, greedy, 1)),
+        "change": (None, ChangeAwareRule, evaluate_change_aware(model, greedy, 1)),
+        "aoii": (None, StatePolicyRule, evaluate_state_policy(
+            model, aoii_optimal_policy(model), greedy, 1)),
+        "mse": (None, StatePolicyRule, evaluate_state_policy(model, mse, greedy, 1)),
+    }
+    assert set(FAMILIES) == set(expected)
+    for name, (param, kind, summary) in expected.items():
+        family = FAMILIES[name]
+        assert family.evaluate(model, param, greedy, 1, values) == summary
         assert np.isfinite(summary.average_cost)
         assert 0.0 <= summary.sampling_rate <= 1.0
+        assert type(family.rule(model, param, greedy, values)) is kind
+    assert family_rule("uniform", 4).label == "uniform(4)"
+    assert family_rule("age", 2).label == "age(2)"
+    for name, policy in (("aoii", aoii_optimal_policy(model)), ("mse", mse)):
+        np.testing.assert_array_equal(
+            FAMILIES[name].rule(model, None, greedy, values).policy.decisions,
+            policy.decisions)
+    grids = {name: family.grid and family.grid(shipped.sweep)
+             for name, family in FAMILIES.items()}
+    assert grids == {"uniform": list(range(1, 21)), "age": list(range(51)),
+                     "change": [None], "aoii": [None], "mse": None}
+    assert {name: (family.param, family.default) for name, family in FAMILIES.items()
+            if family.param} == {"uniform": ("period", 1), "age": ("threshold", 0)}
     with pytest.raises(ParameterError):
-        BenchmarkSpec(kind="nope", decision_policy=greedy)
+        FAMILIES["uniform"].evaluate(model, 0, greedy, 0, values)
     with pytest.raises(ParameterError):
-        BenchmarkSpec(kind="uniform", decision_policy=greedy, period=0)
+        sweep_rate_vs_cost(model, "nope", [None], greedy, 10, [0])
 
 
 def _assert_same_summary(got, want, tol=1e-12):

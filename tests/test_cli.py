@@ -12,11 +12,11 @@ import goaltensor.solvers as solvers
 from goaltensor.benchmarks import StatePolicyRule, aoii_optimal_policy
 from goaltensor.cli import _load_policy_file, _simulation_rule, main
 from goaltensor.errors import NonConvergenceError, PolicyFileError
-from goaltensor.harness import decomposition_grid, simulate_closed_loop, write_decomp_csv
+from goaltensor.harness import simulate_closed_loop, write_decomp_csv
 from goaltensor.scenario import (GridConfig, default_document, default_scenario,
                                  load_scenario, save_scenario)
 from goaltensor.solvers import flatten_sampling, greedy_decision_policy
-from oracles import simulate_records, write_records_csv
+from oracles import decomposition_grid, simulate_records, write_records_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
 
@@ -353,6 +353,61 @@ def test_simulate_param_defaults_when_absent(tmp_path, capsys, scenario_file, po
     assert main(["simulate", "--scenario", scenario_file, "--horizon", "20",
                  "--policy", policy, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.startswith(f"{label}: horizon=20 ")
+
+
+def test_simulate_policy_and_policy_file_together_fail_in_one_line(tmp_path, capsys,
+                                                                  scenario_file):
+    assert main(["solve", "--scenario", scenario_file, "--algorithm", "jesp",
+                 "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+    policy_file = str(tmp_path / "solve" / "policy.json")
+    assert main(["simulate", "--scenario", scenario_file, "--horizon", "20",
+                 "--policy", "uniform", "--policy-file", policy_file,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --policy uniform and --policy-file ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--policy", "uniform", "--horizon", "20"],
+    ["sweep", "--families", "change", "--horizon", "20"],
+    ["solve", "--algorithm", "jesp"],
+])
+def test_negative_seed_flag_fails_in_one_line(tmp_path, capsys, scenario_file, command):
+    assert main(command[:1] + ["--scenario", scenario_file, "--seed", "-1",
+                               "--out", str(tmp_path / "out")] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("families, message", [
+    ("", "--families '' names no policy family"),
+    (" , ", "--families ' , ' names no policy family"),
+    ("uniform,bogus", "unknown sweep family 'bogus'; choose from "),
+    ("mse", "unknown sweep family 'mse'; choose from "),
+])
+def test_sweep_families_mistakes_fail_in_one_line(tmp_path, capsys, scenario_file,
+                                                 families, message):
+    assert main(["sweep", "--scenario", scenario_file, "--families", families,
+                 "--horizon", "20", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("address, value", [
+    ("solver", 5), ("channel", 0.5), ("simulation", {"initial": [0, 0, 0]})])
+def test_validate_names_a_section_that_is_not_an_object(tmp_path, capsys, address, value):
+    doc = default_document()
+    doc[address] = value
+    path = save_scenario(doc, tmp_path / "bad.json")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
+    assert "expected an object" in err
 
 
 def _policy_doc(scenario):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goaltensor.cli import main
 from goaltensor.errors import ScenarioError
 from goaltensor.scenario import (default_document, default_scenario, load_scenario,
                                  save_scenario, scenario_from_dict)
@@ -239,3 +242,124 @@ def test_rebinds_keep_everything_else(shipped):
     assert (cell.name, cell.solver, cell.simulation, cell.sweep, cell.grid, cell.document) \
         == (shipped.name, shipped.solver, shipped.simulation, shipped.sweep, shipped.grid,
             shipped.document)
+
+
+@pytest.mark.parametrize("address, value", [
+    ("alphabets", [3, 2, 11]),
+    ("channel", 0.5),
+    ("cost", "free"),
+    ("solver", 5),
+    ("simulation", None),
+    ("simulation.initial", [0, 0, 0]),
+    ("sweep", True),
+    ("grid", [[0.2], [0.0]]),
+])
+def test_section_that_is_not_an_object_is_field_addressed(address, value):
+    doc = default_document()
+    *parents, key = address.split(".")
+    holder = doc
+    for part in parents:
+        holder = holder[part]
+    holder[key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == address
+    assert "expected an object" in str(info.value)
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("solver", "seed", -1, "solver.seed"),
+    ("simulation", "seed", -1, "simulation.seed"),
+    ("sweep", "seeds", [0, -1], "sweep.seeds[1]"),
+])
+def test_negative_seed_is_field_addressed(section, key, value, field):
+    doc = default_document()
+    doc[section][key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == field
+    assert "below minimum 0" in str(info.value)
+
+
+def test_huge_alphabet_is_rejected_before_any_array_is_sized():
+    doc = default_document()
+    doc["alphabets"]["actions"] = 10 ** 12
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == "source_dynamics[0][0]"
+
+
+def _addresses(value, path=()):
+    """Every key and list index path in a document, except inside the
+    source rows (the blocks above them stand in for them)."""
+    if path[:1] == ("source_dynamics",) and len(path) > 2:
+        return []
+    found = [path] if path else []
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        found.extend(_addresses(child, path + (key,)))
+    return found
+
+
+ADDRESSES = _addresses(default_document())
+WRONG_VALUES = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=3), st.none(), st.booleans(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+SCENARIO_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(ADDRESSES)),
+    st.tuples(st.just("set"), st.sampled_from(ADDRESSES), WRONG_VALUES),
+    st.tuples(st.just("truncate"), st.sampled_from(ADDRESSES), st.integers(0, 10)),
+    st.tuples(st.just("negate"), st.sampled_from(ADDRESSES)),
+    st.tuples(st.just("enlarge"), st.sampled_from(ADDRESSES),
+              st.sampled_from([1.5, 2, 10 ** 6, 1e300, 10 ** 400])),
+)
+
+
+def _mutate(doc, mutation):
+    kind, path = mutation[:2]
+    holder = doc
+    for key in path[:-1]:
+        try:
+            holder = holder[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if not isinstance(holder, (dict, list)) or key not in (
+            holder if isinstance(holder, dict) else range(len(holder))):
+        return
+    value = holder[key]
+    if kind == "drop":
+        del holder[key]
+    elif kind == "set":
+        holder[key] = mutation[2]
+    elif kind == "truncate" and isinstance(value, list):
+        del value[mutation[2] % (len(value) + 1):]
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        return
+    elif kind == "negate":
+        holder[key] = -value - 1
+    else:
+        holder[key] = mutation[2]
+
+
+@given(st.lists(SCENARIO_MUTATIONS, min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_mutated_scenario_is_rejected_by_field_or_runs(tmp_path_factory, mutations):
+    doc = default_document()
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    try:
+        scenario_from_dict(doc)
+    except ScenarioError as exc:
+        assert exc.field and str(exc).startswith(exc.field)
+        assert "\n" not in str(exc)
+        return
+    tmp = tmp_path_factory.mktemp("scenario")
+    path = str(save_scenario(doc, tmp / "scenario.json"))
+    assert main(["validate", "--scenario", path]) == 0
+    assert main(["simulate", "--scenario", path, "--policy", "change", "--horizon", "20",
+                 "--out", str(tmp / "sim")]) == 0
+    assert main(["sweep", "--scenario", path, "--families", "change", "--horizon", "5",
+                 "--out", str(tmp / "sweep")]) == 0
