@@ -5,11 +5,10 @@ one unless overridden), mirroring the separate-design approach where the
 sampler optimizes its own metric and the actuator is tuned independently.
 
 State-feedback rules (mismatch-triggered, squared-error-optimal) are plain
-sampling policies on the global state.  History-dependent rules
-(change-triggered, age-threshold) are evaluated exactly on small augmented
-chains carrying the extra coordinate: the previous source state, or the
-truncated age counter.  The periodic rule is evaluated on its one-period map,
-the chain sampled at the start of each period.
+sampling policies on the global state.  The change-triggered rule is evaluated
+on a small chain augmented with the previous source state, the periodic and
+age-threshold rules on the chain of the global states at which each period or
+delivery cycle starts.  Every long-run law comes from ``solvers.chain_law``.
 
 ``FAMILIES`` is the one table of baseline families: per family, its
 simulation rule, exact evaluator, sweep grid and ``--param`` meaning, read by
@@ -24,10 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ErgodicityError, ParameterError
+from .errors import ParameterError
 from .model import DecPomdpModel, dense_kernels, success_kernels
-from .solvers import (MAX_PI_ROUNDS, cesaro_limit, _solve_mdp, sampling_from_flat,
-                      stationary_distribution)
+from .solvers import MAX_PI_ROUNDS, _solve_mdp, chain_law, sampling_from_flat
 from .tensor import DecisionPolicy, SamplingPolicy
 
 DEFAULT_AGE_CAP = 50
@@ -178,14 +176,6 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
 # exact evaluation
 
 
-def _occupation(P, start_index):
-    """Stationary law when unique, otherwise the Cesaro row of the start state."""
-    try:
-        return stationary_distribution(P)
-    except ErgodicityError:
-        return cesaro_limit(P)[start_index]
-
-
 def _cost_pieces(model: DecPomdpModel, decision: DecisionPolicy):
     """Per-global-state ramp and expenditure terms under a decision policy."""
     xs, xhats, phis = model.state_components()
@@ -211,7 +201,7 @@ def evaluate_state_policy(model: DecPomdpModel, sampling: SamplingPolicy,
     """Exact long-run cost of a (sampling policy, decision policy) pair."""
     from .solvers import flatten_sampling, policy_chain
     P, _ = policy_chain(model, sampling, decision)
-    mu = _occupation(P, start_state)
+    mu = chain_law(P, start_state)
     bits = flatten_sampling(sampling)
     ramp, spend = _cost_pieces(model, decision)
     return _summarize(model, mu, float(mu @ bits), ramp, spend)
@@ -235,10 +225,9 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     at the start of each period a Markov chain of its own, with kernel
     ``M = transmit @ idle^(period - 1)``.  Every closed class of the
     phase-augmented chain passes through phase 0, so the classes of that
-    chain and of ``M`` match one for one, and the rule "stationary law, else
-    the Cesaro row of the start state" carries over: ``law`` is taken from
-    ``M`` and phase ``j`` of the period holds ``law @ transmit @ idle^(j - 1)``
-    (``law`` itself at ``j = 0``), each phase a ``1 / period`` share of time.
+    chain and of ``M`` match one for one: ``law = chain_law(M)`` and phase
+    ``j`` of the period holds ``law @ transmit @ idle^(j - 1)`` (``law``
+    itself at ``j = 0``), each phase a ``1 / period`` share of time.
     This costs ``period`` products of N x N matrices in place of a solve on
     the (N * period)-state augmented chain.
     """
@@ -251,7 +240,7 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     one_period = transmit
     for _ in range(period - 1):
         one_period = one_period @ idle
-    law = _occupation(one_period, start_state)          # start at phase 0
+    law = chain_law(one_period, start_state)         # start at phase 0
     phase_law = law
     mu_states = law.copy()
     for phase in range(1, period):
@@ -284,7 +273,7 @@ def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,
         big[prev * N:(prev + 1) * N, :] = block
     # seeding the history with the initial source makes the first slot idle
     start_index = int(xs[start_state]) * N + start_state
-    mu = _occupation(big, start_index)
+    mu = chain_law(big, start_index)
     mu_mat = mu.reshape(n, N)
     mu_states = mu_mat.sum(axis=0)
     moved_mass = sum(float(mu_mat[prev][xs != prev].sum()) for prev in range(n))
@@ -294,34 +283,37 @@ def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,
 
 def evaluate_age_threshold(model: DecPomdpModel, threshold, decision: DecisionPolicy,
                            start_state=0) -> CostSummary:
-    """Exact long-run cost of age-triggered transmission.
+    """Exact long-run cost of age-triggered transmission, between deliveries.
 
-    The chain is augmented with the age of the freshest delivered update,
-    truncated just past the threshold (all older ages behave identically, so
-    the truncation is exact).  Age starts at 1 and resets to 1 on delivery.
+    Age starts at 1 and resets to 1 on the slot after a delivery, so a cycle
+    is ``threshold`` idle slots, then transmissions until one succeeds.  The
+    cycle-start states form a chain with kernel ``M = idle^threshold @ wait @
+    p * success``, where ``wait = (I - (1 - p) * idle)^-1``.  A cycle lasts
+    ``threshold + 1/p`` slots from every state, 1/p of them transmitting, so
+    the time law is ``chain_law(M) @ (sum_{j < threshold} idle^j +
+    idle^threshold @ wait) / (threshold + 1/p)``, class by class when ``M``
+    is multichain, and the rate is ``1 / (1 + p * threshold)``.  At p = 0 the
+    chain idles from the start state and transmits at rate 1.
     """
     if threshold < 0 or int(threshold) != threshold:
         raise ParameterError(f"threshold must be a nonnegative integer, got {threshold}")
     threshold = int(threshold)
-    cap = threshold + 2                      # ages 1..cap, top level absorbs
-    N = model.n_global_states
     idle, success = _gathered_kernels(model, decision)
     p = model.channel.success_prob
-    big = np.zeros((N * cap, N * cap))
-    for level in range(cap):                 # age = level + 1
-        age = level + 1
-        up = min(level + 1, cap - 1)
-        if age > threshold:
-            big[level * N:(level + 1) * N, 0:N] += p * success
-            big[level * N:(level + 1) * N, up * N:(up + 1) * N] += (1.0 - p) * idle
-        else:
-            big[level * N:(level + 1) * N, up * N:(up + 1) * N] += idle
-    mu = _occupation(big, start_state)       # start at age 1
-    mu_mat = mu.reshape(cap, N)
-    mu_states = mu_mat.sum(axis=0)
-    rate = float(mu_mat[threshold:].sum())   # levels with age > threshold
     ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu_states, rate, ramp, spend)
+    if p == 0.0:
+        return _summarize(model, chain_law(idle, start_state), 1.0, ramp, spend)
+    eye = np.eye(model.n_global_states)
+    visits = np.zeros_like(idle)
+    power = eye
+    for _ in range(threshold):
+        visits += power
+        power = power @ idle
+    tail = power @ np.linalg.inv(eye - (1.0 - p) * idle)
+    visits += tail
+    law = chain_law(tail @ (p * success), start_state)
+    return _summarize(model, law @ visits / (threshold + 1.0 / p),
+                      1.0 / (1.0 + p * threshold), ramp, spend)
 
 
 def tune_age_threshold(model: DecPomdpModel, decision: DecisionPolicy,

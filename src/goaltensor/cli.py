@@ -60,6 +60,14 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
+def _solver_scenario(args) -> Scenario:
+    """The scenario with ``--grid``, ``--epsilon`` and ``--seed`` as the solver's seed."""
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    if args.seed is not None:
+        scenario = replace(scenario, solver=replace(scenario.solver, seed=args.seed))
+    return scenario
+
+
 def _output_dir(path) -> Path:
     """The ``--out`` directory, created if missing."""
     out_dir = Path(path)
@@ -178,9 +186,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    if args.seed is not None:
-        scenario = replace(scenario, solver=replace(scenario.solver, seed=args.seed))
+    scenario = _solver_scenario(args)
     seed = scenario.solver.seed
     algorithm = args.algorithm or scenario.solver.algorithm
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -289,7 +295,7 @@ def cmd_compare(args):
     A failed cell is named on stderr, missing from both files, and makes the
     exit status 1; the other cells are still written.
     """
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _solver_scenario(args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     algorithm = args.algorithm or scenario.solver.algorithm
     rows = compare_policies(scenario, algorithm=algorithm,
@@ -309,7 +315,7 @@ def cmd_compare(args):
 
 
 def cmd_gap(args):
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _solver_scenario(args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     rows = optimality_gap(scenario)
     out_dir = _output_dir(args.out)

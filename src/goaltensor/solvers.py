@@ -18,9 +18,11 @@ is always the negation of the long-term average cost.
 
 Chains induced by a fixed sampling policy can fail to be unichain (a sampling
 policy that never transmits out of some estimate freezes that estimate
-forever).  The stationary machinery raises ``ErgodicityError`` in that case;
-the equilibrium search can instead fall back to long-run averages taken from
-the initial state, computed through the Cesaro limit of the chain.
+forever).  One classifier, ``_closed_classes_batch`` (a reachability
+closure), finds the closed classes of every chain.  The stationary machinery
+raises ``ErgodicityError`` on a multichain; ``chain_law`` takes the Cesaro row
+of the start state there, the rule the equilibrium search and every evaluator
+score by.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
                      NonConvergenceError, ParameterError,
@@ -59,36 +59,19 @@ MAX_JESP_ROUNDS = 100
 def closed_classes(P):
     """Recurrent (closed) communicating classes of a stochastic matrix.
 
-    Edges are taken wherever the one-step probability is positive; a strongly
-    connected component is closed when no edge leaves it.
-    """
-    edges = np.asarray(P) > 0.0
-    n_comp, labels = connected_components(csr_matrix(edges), directed=True,
-                                          connection="strong")
-    closed = []
-    for comp in range(n_comp):
-        members = labels == comp
-        if not edges[members][:, ~members].any():
-            closed.append(np.flatnonzero(members))
-    return closed
-
-
-def stationary_distribution(P) -> np.ndarray:
-    """Unique stationary row of a unichain transition matrix.
-
-    Solves the balance equations directly, replacing one (redundant) balance
-    row with the normalization constraint.  Raises ``ErgodicityError`` when the
-    chain has several closed classes and hence no unique stationary law.
+    Edges are taken wherever the one-step probability is positive.  A view of
+    ``_closed_classes_batch`` on one matrix, classes ordered by lowest member.
     """
     P = np.asarray(P, dtype=float)
+    representative, closed = _closed_classes_batch(P[None])
+    heads = np.flatnonzero(closed[0] & (representative[0] == np.arange(P.shape[0])))
+    return [np.flatnonzero(representative[0] == head) for head in heads]
+
+
+def _balance(P) -> np.ndarray:
+    """Stationary row of a chain with one closed class: the balance equations,
+    one (redundant) row replaced by the normalization constraint."""
     n = P.shape[0]
-    classes = closed_classes(P)
-    if len(classes) != 1:
-        inside = classes[0] if classes else np.array([], dtype=int)
-        outside = sorted(set(range(n)) - set(int(i) for i in inside))
-        raise ErgodicityError(
-            f"chain has {len(classes)} closed classes; states {outside} are not "
-            f"reachable from the first class", closed_classes=classes, unreachable=outside)
     system = P.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -101,6 +84,34 @@ def stationary_distribution(P) -> np.ndarray:
         raise ErgodicityError(f"balance solution has negative mass {mu.min():.3e}")
     mu = np.clip(mu, 0.0, None)
     return mu / mu.sum()
+
+
+def stationary_distribution(P) -> np.ndarray:
+    """Unique stationary row of a unichain transition matrix.
+
+    Raises ``ErgodicityError`` when the chain has several closed classes and
+    hence no unique stationary law.
+    """
+    P = np.asarray(P, dtype=float)
+    classes = closed_classes(P)
+    if len(classes) != 1:
+        outside = sorted(set(range(P.shape[0])) - set(classes[0].tolist()))
+        raise ErgodicityError(
+            f"chain has {len(classes)} closed classes; states {outside} are not "
+            f"reachable from the first class", closed_classes=classes, unreachable=outside)
+    return _balance(P)
+
+
+def chain_law(P, start) -> np.ndarray:
+    """Long-run time-average law of a finite chain started in ``start``.
+
+    The stationary law when the chain has one closed class, whatever the
+    start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9).
+    """
+    P = np.asarray(P, dtype=float)
+    if len(closed_classes(P)) == 1:
+        return _balance(P)
+    return cesaro_limit(P)[start]
 
 
 def average_reward(mu, rbar) -> float:
@@ -153,7 +164,7 @@ def cesaro_limit(P) -> np.ndarray:
     recurrent = np.zeros(n, dtype=bool)
     laws = []
     for members in closed_classes(P):
-        law = stationary_distribution(P[np.ix_(members, members)])
+        law = _balance(P[np.ix_(members, members)])
         laws.append((members, law))
         star[np.ix_(members, members)] = law[None, :]
         recurrent[members] = True
@@ -192,15 +203,6 @@ def _general_analysis(P, rbar, start):
             f"multichain differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
             residual=residual)
     return _ChainEval(mu=star[start], eta=float(eta_vec[start]), eta_vec=eta_vec, g=g)
-
-
-def initial_gain(P, rbar, start) -> float:
-    """Long-run average reward from a start state, defined for any finite chain."""
-    try:
-        mu = stationary_distribution(P)
-        return average_reward(mu, rbar)
-    except ErgodicityError:
-        return float((cesaro_limit(P) @ rbar)[start])
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +256,8 @@ class _FixedSamplingProblem:
 
     def eta_of(self, table, start=0, allow_multichain=False) -> float:
         P, rbar = self.chain(table)
-        if allow_multichain:
-            return initial_gain(P, rbar, start)
-        return average_reward(stationary_distribution(P), rbar)
+        law = chain_law(P, start) if allow_multichain else stationary_distribution(P)
+        return average_reward(law, rbar)
 
     def q_values(self, evaluation: _ChainEval):
         """State- and observation-level q-values plus posterior and reachability."""

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from goaltensor.errors import NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
@@ -55,6 +57,24 @@ def kernel_by_hand(model: DecPomdpModel, w: GlobalState, sample, actuate):
                         * model.context.probs[w.phi, r] * weight)
                 out[model.state_index(u, est, r)] += prob
     return out
+
+
+def closed_classes_by_components(P):
+    """Recurrent (closed) communicating classes of a stochastic matrix.
+
+    Edges are taken wherever the one-step probability is positive; a strongly
+    connected component is closed when no edge leaves it.  Classes come in
+    scipy's component order.
+    """
+    edges = np.asarray(P) > 0.0
+    n_comp, labels = connected_components(csr_matrix(edges), directed=True,
+                                          connection="strong")
+    closed = []
+    for comp in range(n_comp):
+        members = labels == comp
+        if not edges[members][:, ~members].any():
+            closed.append(np.flatnonzero(members))
+    return closed
 
 
 def limit_matrix(P, doublings=60):
@@ -162,6 +182,44 @@ def uniform_by_augmented_chain(model: DecPomdpModel, period, decision, start_sta
     ramp, spend = _cost_pieces(model, decision)
     return _summarize(model, mu.reshape(period, N).sum(axis=0), float(mu[:N].sum()),
                       ramp, spend)
+
+
+def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
+    """Exact cost of age-triggered transmission on the truncated age-augmented chain.
+
+    The chain is augmented with the age of the freshest delivered update,
+    truncated just past the threshold (all older ages behave identically, so
+    the truncation is exact).  Age starts at 1 and resets to 1 on delivery.
+    The chain has N * (threshold + 2) states.  Occupation is the stationary
+    law when it has one closed class, else the Cesaro row of (age 1, start
+    state).  Returns one summary per start state, so one limit serves them all.
+    """
+    from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
+    from goaltensor.solvers import cesaro_limit, stationary_distribution
+    cap = threshold + 2                      # ages 1..cap, top level absorbs
+    N = model.n_global_states
+    idle, success = _gathered_kernels(model, decision)
+    p = model.channel.success_prob
+    big = np.zeros((N * cap, N * cap))
+    for level in range(cap):                 # age = level + 1
+        age = level + 1
+        up = min(level + 1, cap - 1)
+        if age > threshold:
+            big[level * N:(level + 1) * N, 0:N] += p * success
+            big[level * N:(level + 1) * N, up * N:(up + 1) * N] += (1.0 - p) * idle
+        else:
+            big[level * N:(level + 1) * N, up * N:(up + 1) * N] += idle
+    if len(closed_classes_by_components(big)) == 1:
+        laws = [stationary_distribution(big)] * N
+    else:
+        laws = cesaro_limit(big)[:N]         # age 1 at each start state
+    ramp, spend = _cost_pieces(model, decision)
+    summaries = []
+    for mu in laws:
+        mu_mat = mu.reshape(cap, N)
+        rate = float(mu_mat[threshold:].sum())   # levels with age > threshold
+        summaries.append(_summarize(model, mu_mat.sum(axis=0), rate, ramp, spend))
+    return summaries
 
 
 def local_search_one_by_one(problem, actions, eta, start, allow_multichain):

@@ -13,8 +13,8 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.solvers import greedy_decision_policy, policy_chain
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import (mse_sampler_by_rvi, policy_gain, random_model,
-                     uniform_by_augmented_chain)
+from oracles import (age_threshold_by_augmented_chain, mse_sampler_by_rvi, policy_gain,
+                     random_model, uniform_by_augmented_chain)
 
 
 @pytest.fixture(scope="module")
@@ -341,15 +341,19 @@ def test_uniform_period_map_matches_augmented_chain(shipped, cell):
                              uniform_by_augmented_chain(model, period, greedy))
 
 
+def _frozen_source_model(success_prob=0.7, n_contexts=2):
+    """A source that never moves: one closed class per source state at least,
+    so costs depend on the start state and come from a Cesaro row."""
+    base = random_model(np.random.default_rng(5), n_states=2, n_contexts=n_contexts,
+                        n_actions=2, success_prob=success_prob, sampling_cost=0.5)
+    return DecPomdpModel(alphabets=base.alphabets,
+                         source=SourceDynamics(np.broadcast_to(
+                             np.eye(2)[:, None, None, :], (2, n_contexts, 2, 2)).copy()),
+                         context=base.context, channel=base.channel, cost=base.cost)
+
+
 def test_uniform_period_map_matches_augmented_chain_when_multichain():
-    # a source that never moves keeps one closed class per source state, so
-    # the cost depends on the start state and comes from a Cesaro row
-    base = random_model(np.random.default_rng(5), n_states=2, n_contexts=2, n_actions=2,
-                        success_prob=0.7, sampling_cost=0.5)
-    model = DecPomdpModel(alphabets=base.alphabets,
-                          source=SourceDynamics(np.broadcast_to(
-                              np.eye(2)[:, None, None, :], (2, 2, 2, 2)).copy()),
-                          context=base.context, channel=base.channel, cost=base.cost)
+    model = _frozen_source_model()
     decision = DecisionPolicy([1, 0])
     for period in range(1, 21):
         costs = []
@@ -357,5 +361,27 @@ def test_uniform_period_map_matches_augmented_chain_when_multichain():
             got = evaluate_uniform(model, period, decision, start)
             _assert_same_summary(got, uniform_by_augmented_chain(model, period, decision,
                                                                  start))
+            costs.append(got.average_cost)
+        assert max(costs) - min(costs) > 1e-3
+
+
+def test_age_delivery_cycles_match_augmented_chain(shipped, greedy):
+    for threshold in (0, 1, 2, 5, 10, 25, 50):
+        _assert_same_summary(evaluate_age_threshold(shipped.model, threshold, greedy),
+                             age_threshold_by_augmented_chain(shipped.model, threshold,
+                                                              greedy)[0])
+
+
+@pytest.mark.parametrize("success_prob", [0.0, 0.05, 0.7, 1.0])
+def test_age_delivery_cycles_match_augmented_chain_when_multichain(success_prob):
+    # one context keeps the oracle chains at 4 * (threshold + 2) states
+    model = _frozen_source_model(success_prob, n_contexts=1)
+    decision = DecisionPolicy([1, 0])
+    for threshold in range(51):
+        want = age_threshold_by_augmented_chain(model, threshold, decision)
+        costs = []
+        for start in range(model.n_global_states):
+            got = evaluate_age_threshold(model, threshold, decision, start)
+            _assert_same_summary(got, want[start])
             costs.append(got.average_cost)
         assert max(costs) - min(costs) > 1e-3

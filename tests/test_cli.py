@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goaltensor
 import goaltensor.solvers as solvers
 from goaltensor.benchmarks import StatePolicyRule, aoii_optimal_policy
 from goaltensor.cli import _load_policy_file, _simulation_rule, main
@@ -381,6 +385,37 @@ def test_negative_seed_flag_fails_in_one_line(tmp_path, capsys, scenario_file, c
     err = capsys.readouterr().err
     assert err == "error: --seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_and_gap_seed_flag_is_the_solver_seed(tmp_path):
+    doc = default_document()
+    doc["solver"]["restarts"] = 2
+    flagged = str(save_scenario(doc, tmp_path / "flagged.json"))
+    doc["solver"]["seed"] = 5
+    seeded = str(save_scenario(doc, tmp_path / "seeded.json"))
+    for command, csvs in (("compare", ("compare.csv", "decomp.csv")), ("gap", ("gap.csv",))):
+        cell = [command, "--grid", "ps=0.2;cs=0"]
+        assert main(cell + ["--scenario", flagged, "--seed", "5",
+                            "--out", str(tmp_path / f"{command}-flag")]) == 0
+        assert main(cell + ["--scenario", seeded,
+                            "--out", str(tmp_path / f"{command}-doc")]) == 0
+        for name in csvs:
+            assert (digest(tmp_path / f"{command}-flag" / name)
+                    == digest(tmp_path / f"{command}-doc" / name))
+        manifest = json.loads((tmp_path / f"{command}-flag" / "manifest.json").read_text())
+        assert manifest["seed"] == 5
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the package must not import it
+    source = str(Path(goaltensor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, goaltensor.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("families, message", [

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goaltensor.cli import main
-from goaltensor.errors import ScenarioError
+from goaltensor.errors import GoalTensorError, ScenarioError
+from goaltensor.harness import solve_cell
 from goaltensor.scenario import (default_document, default_scenario, load_scenario,
                                  save_scenario, scenario_from_dict)
 
@@ -351,7 +352,7 @@ def test_mutated_scenario_is_rejected_by_field_or_runs(tmp_path_factory, mutatio
     for mutation in mutations:
         _mutate(doc, mutation)
     try:
-        scenario_from_dict(doc)
+        scenario = scenario_from_dict(doc)
     except ScenarioError as exc:
         assert exc.field and str(exc).startswith(exc.field)
         assert "\n" not in str(exc)
@@ -363,3 +364,8 @@ def test_mutated_scenario_is_rejected_by_field_or_runs(tmp_path_factory, mutatio
                  "--out", str(tmp / "sim")]) == 0
     assert main(["sweep", "--scenario", path, "--families", "change", "--horizon", "5",
                  "--out", str(tmp / "sweep")]) == 0
+    # round caps can end a valid mutant's solve in a typed NonConvergenceError
+    try:
+        solve_cell(scenario, "jesp")
+    except GoalTensorError as exc:
+        assert "\n" not in str(exc)

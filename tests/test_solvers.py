@@ -11,19 +11,19 @@ from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor.solvers import (analyze_chain, average_reward, brute_force_joint,
-                                cesaro_limit, flatten_sampling,
+                                cesaro_limit, chain_law, closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
-                                initial_gain, jesp, pi_step_size, policy_chain,
+                                jesp, pi_step_size, policy_chain,
                                 q_tables, relative_reward, _FixedSamplingProblem,
                                 _local_search, _one_hot,
                                 _policy_iteration_batch, sampling_from_flat,
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import (_rvi_batch, exhaustive_joint_search, gain_from,
-                     heuristic_decision_by_rvi, joint_chain_by_hand, limit_matrix,
-                     local_search_one_by_one, policy_gain, random_model, rvi_solve,
-                     tiny_two_state_model)
+from oracles import (_rvi_batch, closed_classes_by_components, exhaustive_joint_search,
+                     gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
+                     limit_matrix, local_search_one_by_one, policy_gain, random_model,
+                     rvi_solve, tiny_two_state_model)
 
 
 # --- stationary analysis -----------------------------------------------------
@@ -115,8 +115,71 @@ def test_cesaro_limit_multichain():
     star = cesaro_limit(P)
     np.testing.assert_allclose(star[2], [0.3, 0.7, 0.0], atol=1e-12)
     rbar = np.array([1.0, 3.0, 100.0])
-    assert initial_gain(P, rbar, 2) == pytest.approx(0.3 * 1 + 0.7 * 3, abs=1e-12)
+    assert chain_law(P, 2) @ rbar == pytest.approx(0.3 * 1 + 0.7 * 3, abs=1e-12)
     np.testing.assert_allclose(star[2], limit_matrix(P)[2], atol=1e-9)
+
+
+def _sparse_chain(rng, n):
+    """Random chain with one to three successors per state, some states absorbing."""
+    P = np.zeros((n, n))
+    for i in range(n):
+        if rng.random() < 0.15:
+            P[i, i] = 1.0
+        else:
+            successors = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
+            P[i, successors] = rng.gamma(1.0, size=successors.size) + 0.05
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_closed_classes_match_component_oracle():
+    shapes = set()
+    for n in (1, 2, 5, 18, 54):
+        for seed in range(40):
+            P = _sparse_chain(np.random.default_rng([n, seed]), n)
+            got = [c.tolist() for c in closed_classes(P)]
+            want = sorted((c.tolist() for c in closed_classes_by_components(P)),
+                          key=min)
+            assert got == want
+            shapes.add((len(got) > 1, sum(map(len, got)) < n))
+    # one and several classes, with and without transient states
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _multichain_with_transients(rng):
+    """Two to four closed blocks (one of them periodic) and transient states."""
+    blocks = []
+    for size in rng.integers(1, 5, size=int(rng.integers(2, 5))):
+        block = rng.gamma(1.0, size=(size, size)) + 0.02
+        blocks.append(block / block.sum(axis=1, keepdims=True))
+    blocks[0] = np.roll(np.eye(len(blocks[0])), 1, axis=1)
+    closed = sum(len(b) for b in blocks)
+    n = closed + int(rng.integers(1, 5))
+    P = np.zeros((n, n))
+    at = 0
+    for block in blocks:
+        P[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    leaks = rng.gamma(1.0, size=(n - closed, n)) * (rng.random((n - closed, n)) < 0.5)
+    leaks[:, :closed] += 0.01
+    P[closed:] = leaks / leaks.sum(axis=1, keepdims=True)
+    order = rng.permutation(n)
+    return P[np.ix_(order, order)], len(blocks)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chain_law_matches_limit_oracle_from_every_start(seed):
+    rng = np.random.default_rng(seed)
+    P, n_classes = _multichain_with_transients(rng)
+    assert len(closed_classes(P)) == n_classes
+    limit = limit_matrix(P)
+    for start in range(len(P)):
+        np.testing.assert_allclose(chain_law(P, start), limit[start], atol=1e-9)
+    # every state leads to state 0, so one closed class: the stationary law,
+    # whatever the start
+    U = rng.gamma(1.0, size=(6, 6)) * (rng.random((6, 6)) < 0.5) + 0.01 * np.eye(6)[0]
+    U = U / U.sum(axis=1, keepdims=True)
+    for start in range(6):
+        np.testing.assert_array_equal(chain_law(U, start), stationary_distribution(U))
 
 
 # --- relative value iteration (the test oracle) ------------------------------
@@ -587,7 +650,7 @@ def test_jesp_nash_property(shipped):
             trial = base_actions.copy()
             trial[obs] = a
             P, rbar = policy_chain(model, report.sampling_policy, DecisionPolicy(trial))
-            eta = initial_gain(P, rbar, 0)
+            eta = chain_law(P, 0) @ rbar
             assert eta <= report.average_reward + 1e-6
 
 
