@@ -9,9 +9,8 @@ from .model import (ChannelModel, ContextDynamics, DecPomdpModel, GlobalState,
                     JointAction, SourceDynamics, TabularMdp, estimate_kernel,
                     heuristic_mdp, induced_mdp, induced_pomdp, observation_fn,
                     reward, transition_kernel)
-from .solvers import (QTables, SolveReport, StationaryAnalysis, analyze_chain,
-                      average_reward, brute_force_joint, greedy_decision_policy,
-                      jesp, pi_step_size, policy_chain, q_tables, relative_reward,
+from .solvers import (QTables, SolveReport, brute_force_joint, greedy_decision_policy,
+                      jesp, pi_step_size, policy_chain, q_tables,
                       solve_sampler_for_decision, stationary_distribution)
 from .benchmarks import (FAMILIES, CostSummary, aoii_optimal_policy,
                          evaluate_age_threshold, evaluate_change_aware,

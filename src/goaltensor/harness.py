@@ -104,6 +104,12 @@ class SimulationSummary:
 # Batch-means groups behind every simulation summary's ``stderr``.
 BATCHES = 100
 
+# Slots per time chunk of both engines: the random draws, and in
+# ``simulate_replicas`` the next-state tables and the record of every
+# replica's states and transmissions, are held one chunk at a time, which
+# bounds their memory whatever the horizon.
+SLOT_CHUNK = 128
+
 
 def _cumulative_rows(probs):
     flat = np.cumsum(probs, axis=-1)
@@ -113,7 +119,7 @@ def _cumulative_rows(probs):
 
 def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
                          horizon, seed, record_trace=True, initial=(0, 0, 0),
-                         state_values=None, batches=BATCHES):
+                         state_values=None):
     """Run the sampler/actuator loop for ``horizon`` slots.
 
     Returns ``(trace, summary)``: ``trace`` is a ``Trace``, or None when
@@ -126,11 +132,11 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
     n = model.alphabets.n_states
     x, xhat, phi = initial
 
+    # drawn SLOT_CHUNK at a time, the channel's as its cursor needs them; a
+    # generator drawn in pieces returns the numbers of one draw
     src_stream, ctx_stream, ch_stream = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    src_u = src_stream.random(horizon).tolist()
-    ctx_u = ctx_stream.random(horizon).tolist()
-    ch_u = ch_stream.random(horizon).tolist()
+    ch_u = []
 
     src_cum = _cumulative_rows(model.source.probs)
     src_rows = [[[src_cum[i, k, m].tolist() for m in range(model.alphabets.n_actions)]
@@ -147,47 +153,53 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
     rule.reset(x, xhat, phi)
     if record_trace:
         xs, xhats, phis, sent, draws = [], [], [], [], []
-    n_batches = max(1, min(batches, horizon))
+    n_batches = max(1, min(BATCHES, horizon))
     batch_cost = [0.0] * n_batches
     batch_len = [0] * n_batches
     cost_sum = raw_sum = ramp_sum = spend_sum = 0.0
     samples = 0
     channel_cursor = 0
 
-    for t in range(horizon):
-        a_s = rule.decide(t, x, xhat, phi)
-        h = -1
-        delivered = False
-        if a_s:
-            h = 1 if ch_u[channel_cursor] < p_success else 0
-            channel_cursor += 1
-            delivered = h == 1
-            samples += 1
-        a_a = acts[xhat]
-        ramp_term = ramp3[x][phi][a_a]
-        got = ramp_term + spend[a_a]
-        slot_cost = got + charge * a_s
+    for t0 in range(0, horizon, SLOT_CHUNK):
+        c = min(SLOT_CHUNK, horizon - t0)
+        for t, u_src, u_ctx in zip(range(t0, t0 + c), src_stream.random(c).tolist(),
+                                   ctx_stream.random(c).tolist()):
+            a_s = rule.decide(t, x, xhat, phi)
+            h = -1
+            delivered = False
+            if a_s:
+                if channel_cursor == len(ch_u):
+                    ch_u = ch_stream.random(SLOT_CHUNK).tolist()
+                    channel_cursor = 0
+                h = 1 if ch_u[channel_cursor] < p_success else 0
+                channel_cursor += 1
+                delivered = h == 1
+                samples += 1
+            a_a = acts[xhat]
+            ramp_term = ramp3[x][phi][a_a]
+            got = ramp_term + spend[a_a]
+            slot_cost = got + charge * a_s
 
-        cost_sum += slot_cost
-        raw_sum += inherent2[x][phi]
-        ramp_sum += ramp_term
-        spend_sum += spend[a_a]
-        b = t * n_batches // horizon
-        batch_cost[b] += slot_cost
-        batch_len[b] += 1
+            cost_sum += slot_cost
+            raw_sum += inherent2[x][phi]
+            ramp_sum += ramp_term
+            spend_sum += spend[a_a]
+            b = t * n_batches // horizon
+            batch_cost[b] += slot_cost
+            batch_len[b] += 1
 
-        if record_trace:
-            xs.append(x)
-            xhats.append(xhat)
-            phis.append(phi)
-            sent.append(a_s)
-            draws.append(h)
+            if record_trace:
+                xs.append(x)
+                xhats.append(xhat)
+                phis.append(phi)
+                sent.append(a_s)
+                draws.append(h)
 
-        rule.notify(x, xhat, phi, a_s, delivered)
-        next_xhat = x if delivered else xhat
-        x = bisect_right(src_rows[x][phi][a_a], src_u[t])
-        phi = bisect_right(ctx_rows[phi], ctx_u[t])
-        xhat = next_xhat
+            rule.notify(x, xhat, phi, a_s, delivered)
+            next_xhat = x if delivered else xhat
+            x = bisect_right(src_rows[x][phi][a_a], u_src)
+            phi = bisect_right(ctx_rows[phi], u_ctx)
+            xhat = next_xhat
 
     means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
     summary = _summary(horizon, seed, charge, samples,
@@ -237,30 +249,35 @@ def _derive_trace(model: DecPomdpModel, decision: DecisionPolicy, state_values,
                  mse=sq_err[x, xhat], got=got, cost=got + model.cost.sampling_cost * a_s)
 
 
+def _standard_error(values):
+    """Standard error of the mean, ``np.std(ddof=1) / sqrt(n)``; nan below two values.
+
+    The values are scaled by the power of two of their largest magnitude
+    before squaring, which changes no bit where ``np.std`` of the raw values
+    is finite and keeps values near the float limit from overflowing.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        return float("nan")
+    _, exponent = np.frexp(np.abs(values).max())
+    spread = np.ldexp(np.std(np.ldexp(values, -exponent), ddof=1), exponent)
+    return float(spread / np.sqrt(values.size))
+
+
 def _summary(horizon, seed, charge, samples, sums, batch_means):
     """One replica's summary from its transmission count, its running sums of
     cost, raw status cost, clipped ramp and expenditure, and its batch means."""
     cost_sum, raw_sum, ramp_sum, spend_sum = sums
-    if len(batch_means) > 1:
-        stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
-    else:
-        stderr = float("nan")
     return SimulationSummary(
         horizon=horizon, seed=seed,
         average_cost=cost_sum / horizon,
         sampling_rate=samples / horizon,
-        stderr=stderr,
+        stderr=_standard_error(batch_means),
         inherent_cost=raw_sum / horizon,
         gain_offset=(ramp_sum - raw_sum) / horizon,
         expenditure=spend_sum / horizon,
         sampling_cost=charge * samples / horizon,
     )
-
-
-# Slots per time chunk of ``simulate_replicas``: its next-state tables and its
-# record of every replica's states and transmissions hold one chunk at a time,
-# which bounds their memory whatever the horizon.
-SLOT_CHUNK = 128
 
 
 def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, horizon,
@@ -455,16 +472,12 @@ def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPol
         rates = [summary.sampling_rate for summary in summaries]
         splits = [(summary.inherent_cost, summary.gain_offset,
                    summary.expenditure, summary.sampling_cost) for summary in summaries]
-        if len(costs) > 1:
-            stderr = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
-        else:
-            stderr = float("nan")
         mean_split = np.mean(np.array(splits), axis=0)
         results.append(SweepResult(
             policy=family, param=param,
             sampling_rate=float(np.mean(rates)),
             average_cost=float(np.mean(costs)),
-            stderr=stderr,
+            stderr=_standard_error(costs),
             cost_breakdown={"inherent": float(mean_split[0]),
                             "actuation_gain_offset": float(mean_split[1]),
                             "actuation_expenditure": float(mean_split[2]),

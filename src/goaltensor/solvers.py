@@ -19,10 +19,12 @@ is always the negation of the long-term average cost.
 Chains induced by a fixed sampling policy can fail to be unichain (a sampling
 policy that never transmits out of some estimate freezes that estimate
 forever).  One classifier, ``_closed_classes_batch`` (a reachability
-closure), finds the closed classes of every chain.  The stationary machinery
-raises ``ErgodicityError`` on a multichain; ``chain_law`` takes the Cesaro row
-of the start state there, the rule the equilibrium search and every evaluator
-score by.
+closure), finds the closed classes of every chain, and one evaluator,
+``_evaluate_batch``, solves the multichain Poisson equations of every
+fixed-policy chain: the sampler MDPs and the actuator's soft policy iteration
+alike.  Gains are always taken from the start state, and ``chain_law`` gives
+the matching long-run law: the stationary law with one closed class, else the
+Cesaro row of the start state.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ PI_NOISE = 1e-12            # relative tie tolerance of a policy-iteration impro
 DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
+BRUTE_CHUNK = 128           # decision policies per policy-iteration batch of brute force
 
 
 # ---------------------------------------------------------------------------
@@ -114,44 +117,6 @@ def chain_law(P, start) -> np.ndarray:
     return cesaro_limit(P)[start]
 
 
-def average_reward(mu, rbar) -> float:
-    """Stationary expectation of the per-state expected reward."""
-    return float(np.dot(mu, rbar))
-
-
-def relative_reward(P, rbar, mu, eta) -> np.ndarray:
-    """Differential reward solving eta + g = rbar + P g, normalized so mu @ g = 0."""
-    n = P.shape[0]
-    system = np.eye(n) - P + np.outer(np.ones(n), mu)
-    try:
-        g = np.linalg.solve(system, rbar) - eta
-    except np.linalg.LinAlgError as exc:
-        raise ErgodicityError(f"fundamental-matrix system is singular: {exc}") from exc
-    return g
-
-
-@dataclass(frozen=True)
-class StationaryAnalysis:
-    distribution: np.ndarray
-    expected_reward: np.ndarray
-    average_reward: float
-    relative_reward: np.ndarray
-
-
-def analyze_chain(P, rbar) -> StationaryAnalysis:
-    """Stationary distribution, gain, and differential rewards, residual-checked."""
-    mu = stationary_distribution(P)
-    eta = average_reward(mu, rbar)
-    g = relative_reward(P, rbar, mu, eta)
-    residual = np.abs(eta + g - rbar - P @ g).max()
-    if residual > POISSON_TOL:
-        raise NonConvergenceError(
-            f"differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
-            residual=residual)
-    return StationaryAnalysis(distribution=mu, expected_reward=rbar,
-                              average_reward=eta, relative_reward=g)
-
-
 def cesaro_limit(P) -> np.ndarray:
     """Long-run occupation matrix: row w is the limiting time-average law from w.
 
@@ -178,33 +143,6 @@ def cesaro_limit(P) -> np.ndarray:
     return star
 
 
-@dataclass(frozen=True)
-class _ChainEval:
-    """Internal chain evaluation valid for unichain and multichain cases alike."""
-
-    mu: np.ndarray          # law used for posteriors (stationary, or Cesaro row of start)
-    eta: float              # scalar gain (at the start state when multichain)
-    eta_vec: np.ndarray     # per-state gain; constant when unichain
-    g: np.ndarray           # differential rewards
-
-
-def _general_analysis(P, rbar, start):
-    """Cesaro-limit gain vector and differential rewards (multichain Poisson)."""
-    star = cesaro_limit(P)
-    eta_vec = star @ rbar
-    n = len(rbar)
-    try:
-        g = np.linalg.solve(np.eye(n) - P + star, rbar - eta_vec)
-    except np.linalg.LinAlgError as exc:
-        raise ErgodicityError(f"multichain fundamental system singular: {exc}") from exc
-    residual = np.abs(eta_vec + g - rbar - P @ g).max()
-    if residual > POISSON_TOL:
-        raise NonConvergenceError(
-            f"multichain differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
-            residual=residual)
-    return _ChainEval(mu=star[start], eta=float(eta_vec[start]), eta_vec=eta_vec, g=g)
-
-
 # ---------------------------------------------------------------------------
 # joint-policy chain and observation-side q-values
 
@@ -222,6 +160,16 @@ def _decision_table(decision, n_states, n_actions):
     if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
         raise ParameterError("stochastic decision rows must be nonnegative and sum to 1")
     return table
+
+
+@dataclass(frozen=True)
+class _ChainEval:
+    """Evaluation of one fixed-policy chain, unichain or multichain."""
+
+    mu: np.ndarray          # law used for posteriors (stationary, or Cesaro row of start)
+    eta: float              # gain from the start state, mu @ rbar
+    eta_vec: np.ndarray     # per-state gain; constant when unichain
+    g: np.ndarray           # differential rewards (bias), mu @ g = 0
 
 
 class _FixedSamplingProblem:
@@ -242,22 +190,35 @@ class _FixedSamplingProblem:
         rbar = np.einsum("na,na->n", probs, self.rewards)
         return P, rbar
 
-    def eval_chain(self, table, start=0, allow_multichain=False) -> _ChainEval:
-        P, rbar = self.chain(table)
-        try:
-            analysis = analyze_chain(P, rbar)
-        except ErgodicityError:
-            if not allow_multichain:
-                raise
-            return _general_analysis(P, rbar, start)
-        return _ChainEval(mu=analysis.distribution, eta=analysis.average_reward,
-                          eta_vec=np.full(len(rbar), analysis.average_reward),
-                          g=analysis.relative_reward)
+    def evaluate(self, table, start=0) -> _ChainEval:
+        """Gain, bias and posterior law of the chain under a stochastic decision table.
 
-    def eta_of(self, table, start=0, allow_multichain=False) -> float:
+        Gain and bias come from ``_evaluate_batch``, residual-checked against
+        the Poisson equation.  The law is the stationary one when the chain has
+        one closed class, else the Cesaro row of ``start``; the scalar gain is
+        taken under it.  The bias is shifted to zero mean under every closed
+        class's law (P* h = 0, Puterman's bias), so q-values are differential
+        returns.
+        """
         P, rbar = self.chain(table)
-        law = chain_law(P, start) if allow_multichain else stationary_distribution(P)
-        return average_reward(law, rbar)
+        gain, bias, n_closed = _evaluate_batch(P[None], rbar[None])
+        gain, bias = gain[0], bias[0]
+        if n_closed[0] == 1:
+            law = _balance(P)
+            bias = bias - law @ bias
+        else:
+            star = cesaro_limit(P)
+            law = star[start]
+            bias = bias - star @ bias
+        residual = np.abs(gain + bias - rbar - P @ bias).max()
+        if residual > POISSON_TOL:
+            raise NonConvergenceError(
+                f"differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
+                residual=residual)
+        return _ChainEval(mu=law, eta=float(law @ rbar), eta_vec=gain, g=bias)
+
+    def eta_of(self, table, start=0) -> float:
+        return self.evaluate(table, start).eta
 
     def q_values(self, evaluation: _ChainEval):
         """State- and observation-level q-values plus posterior and reachability."""
@@ -297,22 +258,21 @@ class QTables:
     reachable: np.ndarray       # (n_estimates,) bool
 
 
-def q_tables(model: DecPomdpModel, sampling: SamplingPolicy, decision,
-             analysis: StationaryAnalysis, on_unreachable="raise") -> QTables:
+def q_tables(model: DecPomdpModel, sampling: SamplingPolicy, decision, start_state=0,
+             on_unreachable="raise") -> QTables:
     """Q-values of (state, actuation) and (observation, actuation) pairs.
 
-    The observation-level values average the state-level ones under the
-    Bayesian posterior of the state given the observed estimate.  Observations
-    with zero stationary mass have no posterior; by default that raises, with
-    ``on_unreachable="keep"`` their rows are left NaN for the caller to skip.
+    The chain is evaluated as in soft policy iteration, from ``start_state``
+    (see ``_FixedSamplingProblem.evaluate``).  The observation-level values
+    average the state-level ones under the Bayesian posterior of the state
+    given the observed estimate.  Observations with zero long-run mass have no
+    posterior; by default that raises, with ``on_unreachable="keep"`` their
+    rows are left NaN for the caller to skip.
     """
-    _decision_table(decision, model.alphabets.n_states, model.alphabets.n_actions)
+    table = _decision_table(decision, model.alphabets.n_states, model.alphabets.n_actions)
     problem = _FixedSamplingProblem(model, sampling)
-    evaluation = _ChainEval(mu=analysis.distribution, eta=analysis.average_reward,
-                            eta_vec=np.full(len(analysis.distribution),
-                                            analysis.average_reward),
-                            g=analysis.relative_reward)
-    q_global, q_obs, posterior, reachable = problem.q_values(evaluation)
+    q_global, q_obs, posterior, reachable = problem.q_values(
+        problem.evaluate(table, start_state))
     if on_unreachable == "raise" and not reachable.all():
         missing = np.flatnonzero(~reachable).tolist()
         raise UnreachableObservationError(
@@ -566,16 +526,15 @@ def _one_hot(actions, n_actions):
     return table
 
 
-def _local_search(problem: _FixedSamplingProblem, actions, eta, start, allow_multichain):
+def _local_search(problem: _FixedSamplingProblem, actions, eta, start):
     """Steepest-ascent single-observation deviations until none improves.
 
     Each pass scores every deviation (observation, other action) at once: the
     K = n_obs * (A - 1) chains go through ``_evaluate_batch`` and a deviation
-    scores its gain from ``start``.  Without ``allow_multichain``, deviations
-    whose chain has several closed classes are skipped.  Deviations are
-    visited in (observation, action) order and one replaces the incumbent only
-    when it beats the best so far by more than ``IMPROVE_TOL``, so the first
-    of equally good moves wins.  The pass applies the best move and repeats.
+    scores its gain from ``start``.  Deviations are visited in (observation,
+    action) order and one replaces the incumbent only when it beats the best so
+    far by more than ``IMPROVE_TOL``, so the first of equally good moves wins.
+    The pass applies the best move and repeats.
     """
     n_obs, n_actions = len(actions), problem.model.alphabets.n_actions
     actions = np.array(actions, dtype=int)
@@ -587,12 +546,10 @@ def _local_search(problem: _FixedSamplingProblem, actions, eta, start, allow_mul
         trials = np.repeat(actions[None, :], moves_obs.size, axis=0)
         trials[np.arange(moves_obs.size), moves_obs] = moves_action
         acts = trials[:, problem.xhats]                           # (K, N)
-        g, _, n_closed = _evaluate_batch(problem.transitions[acts, rows, :],
-                                         problem.rewards[rows, acts])
+        g, _, _ = _evaluate_batch(problem.transitions[acts, rows, :],
+                                  problem.rewards[rows, acts])
         best_eta, best_move = eta, None
         for j, trial_eta in enumerate(g[:, start]):
-            if not allow_multichain and n_closed[j] > 1:
-                continue
             if trial_eta > best_eta + IMPROVE_TOL:
                 best_eta, best_move = trial_eta, j
         if best_move is None:
@@ -604,37 +561,29 @@ def _local_search(problem: _FixedSamplingProblem, actions, eta, start, allow_mul
 def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
                  initial_decision: DecisionPolicy, epsilon=DEFAULT_EPSILON,
                  step_schedule=None, max_rounds=MAX_PI_ROUNDS,
-                 on_multichain="error", start_state=0) -> PiResult:
+                 start_state=0) -> PiResult:
     """Soft policy iteration for the actuator given a fixed sampling policy.
 
-    Each round evaluates the current soft decision table (stationary law, gain,
-    differential rewards, observation q-values) and blends the table toward the
+    Each round evaluates the current soft decision table (long-run law, gain,
+    differential rewards, observation q-values; see
+    ``_FixedSamplingProblem.evaluate``) and blends the table toward the
     per-observation greedy action by the scheduled step size.  Steps that lower
-    the gain are rolled back.  Observations with zero stationary mass keep
+    the gain are rolled back.  Observations with zero long-run mass keep
     their incumbent action.  The final deterministic policy is the
     per-observation argmax, then improved by single-observation local search so
     that no single deviation can gain more than the tolerance; the reported
     average reward is evaluated for that deterministic policy.
 
     When the sampling policy freezes some estimates forever the induced chain
-    is not unichain; ``on_multichain="error"`` raises (default), while
-    ``on_multichain="initial-state"`` evaluates gains from ``start_state``
-    through the Cesaro limit of the chain.
+    has several closed classes; gains are then taken from ``start_state`` and
+    the posteriors from the Cesaro row of that state.
     """
-    if on_multichain not in ("error", "initial-state"):
-        raise ParameterError(f"unknown on_multichain mode {on_multichain!r}")
-    allow = on_multichain == "initial-state"
     schedule = _as_schedule(step_schedule)
     n_actions = model.alphabets.n_actions
     problem = _FixedSamplingProblem(model, sampling)
 
     soft = _one_hot(initial_decision.actions, n_actions)
-    try:
-        evaluation = problem.eval_chain(soft, start_state, allow)
-    except ErgodicityError as exc:
-        raise ErgodicityError(
-            f"chain under the fixed sampling policy and the initial decision policy "
-            f"{initial_decision.actions.tolist()} is not unichain: {exc}") from exc
+    evaluation = problem.evaluate(soft, start_state)
     etas = [evaluation.eta]
     converged = False
     prev_target = None
@@ -652,11 +601,7 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
         candidate = (1.0 - schedule(k)) * soft + schedule(k) * _one_hot(target, n_actions)
         candidate = np.clip(candidate, 0.0, None)
         candidate /= candidate.sum(axis=1, keepdims=True)
-        try:
-            candidate_eval = problem.eval_chain(candidate, start_state, allow)
-        except ErgodicityError as exc:
-            raise ErgodicityError(
-                f"soft decision step lost ergodicity at round {k}: {exc}") from exc
+        candidate_eval = problem.evaluate(candidate, start_state)
         if candidate_eval.eta >= evaluation.eta - ACCEPT_TOL:
             soft, evaluation = candidate, candidate_eval
             etas.append(evaluation.eta)
@@ -665,12 +610,11 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
                 break
 
     actions = soft.argmax(axis=1)
-    eta_det = problem.eta_of(_one_hot(actions, n_actions), start_state, allow)
-    eta_init = problem.eta_of(_one_hot(initial_decision.actions, n_actions),
-                              start_state, allow)
+    eta_det = problem.eta_of(_one_hot(actions, n_actions), start_state)
+    eta_init = problem.eta_of(_one_hot(initial_decision.actions, n_actions), start_state)
     if eta_init > eta_det:
         actions, eta_det = initial_decision.actions.copy(), eta_init
-    actions, eta_det = _local_search(problem, actions, eta_det, start_state, allow)
+    actions, eta_det = _local_search(problem, actions, eta_det, start_state)
     return PiResult(decision_policy=DecisionPolicy(actions), average_reward=float(eta_det),
                     iterations=rounds, eta_trace=etas, converged=converged)
 
@@ -681,7 +625,7 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=200_000, max_sweeps=MAX_PI_ROUNDS,
-                      chunk=128, start_state=0) -> SolveReport:
+                      start_state=0) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
     Decision policies are visited in lexicographic order; each induces a
@@ -727,7 +671,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     flagged = []
     enumerated = itertools.product(range(n_actions), repeat=n_states)
     while True:
-        block = list(itertools.islice(enumerated, chunk))
+        block = list(itertools.islice(enumerated, BRUTE_CHUNK))
         if not block:
             break
         policies = np.array(block, dtype=int)                     # (K, S) lexicographic
@@ -784,7 +728,7 @@ def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) ->
 
 
 def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
-               pi_rounds, on_multichain, start_state):
+               pi_rounds, start_state):
     decision = initial_decision
     theta_prev = None
     theta = None
@@ -797,7 +741,7 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
         sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
         pi_res = pi_step_size(model, sampling, decision, epsilon=epsilon,
                               step_schedule=step_schedule, max_rounds=pi_rounds,
-                              on_multichain=on_multichain, start_state=start_state)
+                              start_state=start_state)
         decision = pi_res.decision_policy
         theta = pi_res.average_reward
         theta_trace.append(theta)
@@ -817,7 +761,7 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
 
 def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
          restarts=0, seed=0, max_rounds=MAX_JESP_ROUNDS,
-         pi_rounds=MAX_PI_ROUNDS, on_multichain="initial-state", start_state=0) -> SolveReport:
+         pi_rounds=MAX_PI_ROUNDS, start_state=0) -> SolveReport:
     """Alternating best-response search for a Nash policy pair.
 
     The decision policy is seeded from the perfect-estimate heuristic, then the
@@ -828,9 +772,9 @@ def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
     per-restart results land in the diagnostics.
 
     Sampling best responses occasionally stop transmitting out of some
-    estimates, leaving a multichain; gains are then taken from ``start_state``
-    (see ``pi_step_size``), which matches what a closed-loop run from that
-    state measures.
+    estimates, leaving a multichain; both steps take gains from
+    ``start_state`` (see ``pi_step_size``), which matches what a closed-loop
+    run from that state measures.
     """
     rng = np.random.default_rng(seed)
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
@@ -843,7 +787,7 @@ def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
             start = DecisionPolicy(rng.integers(0, n_actions, size=n_states))
         try:
             report = _jesp_once(model, start, epsilon, step_schedule, max_rounds,
-                                pi_rounds, on_multichain, start_state)
+                                pi_rounds, start_state)
         except GoalTensorError as exc:
             outcomes.append({"start": start.actions.tolist(), "error": str(exc)})
             continue

@@ -15,10 +15,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from goaltensor.errors import NonConvergenceError, ParameterError
+from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecPomdpModel, GlobalState, TabularMdp
-from goaltensor.solvers import DEFAULT_EPSILON
+from goaltensor.solvers import (DEFAULT_EPSILON, POISSON_TOL, _ChainEval, cesaro_limit,
+                                stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel
 
 MAX_RVI_SWEEPS = 10_000
@@ -89,6 +90,68 @@ def limit_matrix(P, doublings=60):
 def gain_from(P, rbar, start):
     """Long-run average reward from a start state via the limit matrix."""
     return float((limit_matrix(P) @ np.asarray(rbar, dtype=float))[start])
+
+
+# ---------------------------------------------------------------------------
+# unichain stationary analysis and the multichain Cesaro-limit Poisson solve:
+# soft policy iteration's chain evaluator before one built on the policy
+# iteration's ``_evaluate_batch`` replaced it, kept to cross-check the
+# replacement
+
+
+def average_reward(mu, rbar) -> float:
+    """Stationary expectation of the per-state expected reward."""
+    return float(np.dot(mu, rbar))
+
+
+def relative_reward(P, rbar, mu, eta) -> np.ndarray:
+    """Differential reward solving eta + g = rbar + P g, normalized so mu @ g = 0."""
+    n = P.shape[0]
+    system = np.eye(n) - P + np.outer(np.ones(n), mu)
+    try:
+        g = np.linalg.solve(system, rbar) - eta
+    except np.linalg.LinAlgError as exc:
+        raise ErgodicityError(f"fundamental-matrix system is singular: {exc}") from exc
+    return g
+
+
+@dataclass(frozen=True)
+class StationaryAnalysis:
+    distribution: np.ndarray
+    expected_reward: np.ndarray
+    average_reward: float
+    relative_reward: np.ndarray
+
+
+def analyze_chain(P, rbar) -> StationaryAnalysis:
+    """Stationary distribution, gain, and differential rewards, residual-checked."""
+    mu = stationary_distribution(P)
+    eta = average_reward(mu, rbar)
+    g = relative_reward(P, rbar, mu, eta)
+    residual = np.abs(eta + g - rbar - P @ g).max()
+    if residual > POISSON_TOL:
+        raise NonConvergenceError(
+            f"differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
+            residual=residual)
+    return StationaryAnalysis(distribution=mu, expected_reward=rbar,
+                              average_reward=eta, relative_reward=g)
+
+
+def _general_analysis(P, rbar, start):
+    """Cesaro-limit gain vector and differential rewards (multichain Poisson)."""
+    star = cesaro_limit(P)
+    eta_vec = star @ rbar
+    n = len(rbar)
+    try:
+        g = np.linalg.solve(np.eye(n) - P + star, rbar - eta_vec)
+    except np.linalg.LinAlgError as exc:
+        raise ErgodicityError(f"multichain fundamental system singular: {exc}") from exc
+    residual = np.abs(eta_vec + g - rbar - P @ g).max()
+    if residual > POISSON_TOL:
+        raise NonConvergenceError(
+            f"multichain differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
+            residual=residual)
+    return _ChainEval(mu=star[start], eta=float(eta_vec[start]), eta_vec=eta_vec, g=g)
 
 
 def joint_chain_by_hand(model: DecPomdpModel, sample_bits, decision_actions):
@@ -165,7 +228,7 @@ def uniform_by_augmented_chain(model: DecPomdpModel, period, decision, start_sta
     one closed class, else the Cesaro row of (phase 0, start state).
     """
     from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
-    from goaltensor.solvers import cesaro_limit, closed_classes, stationary_distribution
+    from goaltensor.solvers import closed_classes
     N = model.n_global_states
     idle, success = _gathered_kernels(model, decision)
     p = model.channel.success_prob
@@ -195,7 +258,6 @@ def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
     state).  Returns one summary per start state, so one limit serves them all.
     """
     from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
-    from goaltensor.solvers import cesaro_limit, stationary_distribution
     cap = threshold + 2                      # ages 1..cap, top level absorbs
     N = model.n_global_states
     idle, success = _gathered_kernels(model, decision)
@@ -222,15 +284,13 @@ def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
     return summaries
 
 
-def local_search_one_by_one(problem, actions, eta, start, allow_multichain):
+def local_search_one_by_one(problem, actions, eta, start):
     """Steepest-ascent single-observation local search, one deviation at a time.
 
-    Each deviation is scored by ``problem.eta_of`` (stationary law, else the
-    Cesaro row of ``start``); a chain with several closed classes is skipped
-    unless ``allow_multichain``.
+    Each deviation is scored by its long-run law from ``start`` (stationary
+    law, else the Cesaro row of ``start``) against its expected reward.
     """
-    from goaltensor.errors import ErgodicityError
-    from goaltensor.solvers import IMPROVE_TOL
+    from goaltensor.solvers import IMPROVE_TOL, chain_law
     n_actions = problem.model.alphabets.n_actions
     actions = np.array(actions, dtype=int)
     improved = True
@@ -245,10 +305,8 @@ def local_search_one_by_one(problem, actions, eta, start, allow_multichain):
                 trial[obs] = a
                 table = np.zeros((len(trial), n_actions))
                 table[np.arange(len(trial)), trial] = 1.0
-                try:
-                    trial_eta = problem.eta_of(table, start, allow_multichain)
-                except ErgodicityError:
-                    continue
+                P, rbar = problem.chain(table)
+                trial_eta = float(chain_law(P, start) @ rbar)
                 if trial_eta > best_eta + IMPROVE_TOL:
                     best_eta, best_move = trial_eta, (obs, a)
         if best_move is not None:

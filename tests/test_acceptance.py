@@ -19,13 +19,13 @@ from goaltensor.cli import main as cli_main
 from goaltensor.harness import simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
-from goaltensor.solvers import (analyze_chain, brute_force_joint, closed_classes,
-                                greedy_decision_policy, jesp, policy_chain)
+from goaltensor.solvers import (_FixedSamplingProblem, _one_hot, brute_force_joint,
+                                closed_classes, greedy_decision_policy, jesp, policy_chain)
 from goaltensor.tensor import (DecisionPolicy, SamplingPolicy, build_got_tensor,
                                degenerate_tensor)
 from conftest import WORKED_TENSOR
-from oracles import (exhaustive_joint_search, kernel_by_hand, random_model, rvi_solve,
-                     tiny_two_state_model)
+from oracles import (analyze_chain, exhaustive_joint_search, kernel_by_hand, random_model,
+                     rvi_solve, tiny_two_state_model)
 
 GRID_PS = (0.2, 0.4, 0.6, 0.8, 1.0)
 GRID_CS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -144,10 +144,11 @@ def test_criterion_5_residual_certificates(shipped, grid_solutions):
     poisson_worst = 0.0
     for sampling, dec in [(aoii_optimal_policy(model), decision),
                           (je.sampling_policy, je.decision_policy)]:
-        P, rbar = policy_chain(model, sampling, dec)
-        analysis = analyze_chain(P, rbar)       # raises above 1e-8 internally
-        residual = np.abs(analysis.average_reward + analysis.relative_reward
-                          - rbar - P @ analysis.relative_reward).max()
+        problem = _FixedSamplingProblem(model, sampling)
+        table = _one_hot(dec.actions, model.alphabets.n_actions)
+        P, rbar = problem.chain(table)
+        evaluation = problem.evaluate(table, shipped.start_state)  # raises above 1e-8
+        residual = np.abs(evaluation.eta_vec + evaluation.g - rbar - P @ evaluation.g).max()
         poisson_worst = max(poisson_worst, residual)
         assert residual < 1e-8
     report(5, f"optimality-equation residuals < 1e-6 and differential-reward "

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -149,6 +150,23 @@ def test_sweep_emits_rows_per_family(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "policy,param,rate,cost,stderr"
     assert len(lines) == 1 + 3 + 4          # uniform periods + thresholds 0..3
+
+
+@pytest.mark.parametrize("command", [["sweep", "--families", "change", "--horizon", "50"],
+                                     ["simulate", "--policy", "change"]])
+def test_costs_near_the_float_limit_give_a_finite_stderr(tmp_path, capsys, command):
+    # the standard errors square values near 1e299: scaled first, they stay
+    # finite, and numpy prints no overflow warning
+    doc = default_document()
+    doc["cost"]["inherent"] = [[1e300 if c else 0 for c in row]
+                               for row in doc["cost"]["inherent"]]
+    path = save_scenario(doc, tmp_path / "scenario.json")
+    out = tmp_path / "out"
+    assert main([*command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command[0] == "sweep":
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(row.split(",")[4])) for row in rows)
 
 
 def test_compare_and_gap_small_grid(tmp_path, scenario_file):

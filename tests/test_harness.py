@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,18 +8,18 @@ from goaltensor.benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolic
                                    UniformRule, aoii_optimal_policy)
 from goaltensor import harness
 from goaltensor.errors import ParameterError
-from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, cost_decomposition,
-                                optimality_gap, simulate_closed_loop,
+from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, _standard_error,
+                                cost_decomposition, optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
                                 write_sweep_csv, write_trace_csv)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
 from goaltensor.scenario import GridConfig, Scenario
-from goaltensor.solvers import (analyze_chain, greedy_decision_policy,
-                                policy_chain)
+from goaltensor.solvers import greedy_decision_policy, policy_chain
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
-from oracles import random_model, simulate_records, sweep_one_by_one, write_records_csv
+from oracles import (analyze_chain, random_model, simulate_records, sweep_one_by_one,
+                     write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -164,6 +167,41 @@ def test_simulation_agrees_with_stationary_analysis(shipped):
     _, summary = simulate_closed_loop(model, StatePolicyRule(policy), greedy,
                                       400_000, seed=77, record_trace=False)
     assert summary.average_cost == pytest.approx(-eta, abs=3 * summary.stderr)
+
+
+def test_untraced_run_memory_does_not_grow_with_the_horizon(shipped):
+    # the random draws are taken one chunk of slots at a time; lists of all
+    # three streams for the whole horizon would hold about 100 bytes a slot
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    rule = StatePolicyRule(aoii_optimal_policy(model))
+    simulate_closed_loop(model, rule, greedy, 10, seed=3, record_trace=False)  # warm-up
+    tracemalloc.start()
+    try:
+        simulate_closed_loop(model, rule, greedy, 20_000, seed=3, record_trace=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_standard_error_is_the_numpy_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(0.0, 1.0, size=int(rng.integers(2, 300)))
+              * 10.0 ** int(rng.integers(-150, 150)))
+    want = float(np.std(values, ddof=1) / np.sqrt(values.size))
+    assert _standard_error(values) == want
+    assert _standard_error(values.tolist()) == want
+
+
+def test_standard_error_edges():
+    assert math.isnan(_standard_error([]))
+    assert math.isnan(_standard_error([3.0]))
+    assert _standard_error([0.0, 0.0, 0.0]) == 0.0
+    # np.std overflows squaring these; the scaled values do not
+    spread = _standard_error([1e300, 1.1e300, 0.9e300])
+    assert spread == pytest.approx(1e300 * _standard_error([1.0, 1.1, 0.9]), rel=1e-14)
 
 
 def test_sweep_uniform_rates_and_shape(shipped):

@@ -10,20 +10,21 @@ from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
                                UnreachableObservationError)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
-from goaltensor.solvers import (analyze_chain, average_reward, brute_force_joint,
-                                cesaro_limit, chain_law, closed_classes, flatten_sampling,
+from goaltensor.solvers import (_ChainEval, brute_force_joint, cesaro_limit, chain_law,
+                                closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
                                 jesp, pi_step_size, policy_chain,
-                                q_tables, relative_reward, _FixedSamplingProblem,
+                                q_tables, _FixedSamplingProblem,
                                 _local_search, _one_hot,
                                 _policy_iteration_batch, sampling_from_flat,
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import (_rvi_batch, closed_classes_by_components, exhaustive_joint_search,
+from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
+                     closed_classes_by_components, exhaustive_joint_search,
                      gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
                      limit_matrix, local_search_one_by_one, policy_gain, random_model,
-                     rvi_solve, tiny_two_state_model)
+                     relative_reward, rvi_solve, tiny_two_state_model)
 
 
 # --- stationary analysis -----------------------------------------------------
@@ -301,7 +302,7 @@ def test_q_tables_posterior_restricts_to_observation(shipped):
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
     analysis = analyze_chain(P, rbar)
-    tables = q_tables(model, sampling, decision, analysis)
+    tables = q_tables(model, sampling, decision)
     _, xhats, _ = model.state_components()
     for obs in range(3):
         assert tables.reachable[obs]
@@ -324,10 +325,10 @@ def test_q_tables_unreachable_observation_raises(shipped):
     sampling = SamplingPolicy(decisions)
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
-    analysis = analyze_chain(P, rbar)
+    assert len(closed_classes(P)) == 1
     with pytest.raises(UnreachableObservationError):
-        q_tables(model, sampling, decision, analysis)
-    tables = q_tables(model, sampling, decision, analysis, on_unreachable="keep")
+        q_tables(model, sampling, decision)
+    tables = q_tables(model, sampling, decision, on_unreachable="keep")
     assert tables.reachable.tolist() == [True, False, False]
     assert np.isnan(tables.q_obs[1]).all()
 
@@ -339,7 +340,7 @@ def test_q_tables_match_monte_carlo_differential_return(shipped):
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
     analysis = analyze_chain(P, rbar)
-    tables = q_tables(model, sampling, decision, analysis)
+    tables = q_tables(model, sampling, decision)
     from goaltensor.model import induced_pomdp
     pomdp = induced_pomdp(model, sampling)
     horizon = 4000
@@ -353,6 +354,44 @@ def test_q_tables_match_monte_carlo_differential_return(shipped):
             total += float(dist @ rbar) - analysis.average_reward
             dist = dist @ P
         assert total == pytest.approx(tables.q_obs[obs, action], abs=1e-4)
+
+
+def test_evaluate_matches_stationary_and_cesaro_oracles(monkeypatch):
+    # the unichain oracle on unichain chains, the Cesaro-limit Poisson solve on
+    # multichain ones (odd seeds freeze estimates 0 and 1)
+    kinds = set()
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states=3, n_contexts=2, n_actions=3)
+        bits = (rng.random(model.n_global_states) < 0.6).astype(int)
+        if seed % 2:
+            _, xhats, _ = model.state_components()
+            bits[xhats < 2] = 0
+        problem = _FixedSamplingProblem(model, sampling_from_flat(bits, model))
+        table = rng.dirichlet(np.ones(3), size=3)
+        P, rbar = problem.chain(table)
+        classes = closed_classes(P)
+        kinds.add((len(classes) > 1, sum(map(len, classes)) < len(P)))
+        for start in range(len(P)):
+            got = problem.evaluate(table, start)
+            if len(classes) > 1:
+                want = _general_analysis(P, rbar, start)
+            else:
+                analysis = analyze_chain(P, rbar)
+                want = _ChainEval(mu=analysis.distribution, eta=analysis.average_reward,
+                                  eta_vec=np.full(len(P), analysis.average_reward),
+                                  g=analysis.relative_reward)
+            np.testing.assert_allclose(got.mu, want.mu, rtol=0, atol=1e-12)
+            assert got.eta == pytest.approx(want.eta, abs=1e-12)
+            np.testing.assert_allclose(got.eta_vec, want.eta_vec, rtol=0, atol=1e-12)
+            shift = problem.q_values(got)[0] - problem.q_values(want)[0]
+            np.testing.assert_allclose(shift, shift.flat[0], rtol=0, atol=1e-9)
+    # one and several classes, with and without transient states
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    # the Poisson residual is certified
+    monkeypatch.setattr("goaltensor.solvers.POISSON_TOL", -1.0)
+    with pytest.raises(NonConvergenceError, match="residual"):
+        problem.evaluate(table, 0)
 
 
 # --- greedy decision policy --------------------------------------------------
@@ -437,13 +476,10 @@ def test_pi_eta_trace_monotone_on_shipped(shipped):
     assert np.all(np.diff(trace) >= -1e-9)
 
 
-def test_pi_multichain_error_and_fallback(shipped):
+def test_pi_multichain_scores_from_start_state(shipped):
     model = shipped.model
     never = SamplingPolicy.never(model.alphabets)
-    with pytest.raises(ErgodicityError):
-        pi_step_size(model, never, DecisionPolicy([0, 3, 7]))
-    res = pi_step_size(model, never, DecisionPolicy([0, 3, 7]),
-                       on_multichain="initial-state", start_state=0)
+    res = pi_step_size(model, never, DecisionPolicy([0, 3, 7]), start_state=0)
     # estimate frozen at 0: the gain only prices the estimate-0 slice, and the
     # chosen first-slot action for estimate 0 must be a local optimum there
     assert np.isfinite(res.average_reward)
@@ -461,20 +497,14 @@ def test_local_search_matches_one_by_one_oracle(seed):
     problem = _FixedSamplingProblem(model, sampling_from_flat(bits, model))
     start = int(rng.integers(model.n_global_states))
     initial = rng.integers(0, 3, size=3)
-    for allow in (False, True):
-        try:
-            eta = problem.eta_of(_one_hot(initial, 3), start, allow)
-        except ErgodicityError:
-            assert seed % 2 and not allow
-            continue
-        actions, value = _local_search(problem, initial, eta, start, allow)
-        want_actions, want_value = local_search_one_by_one(problem, initial, eta, start,
-                                                           allow)
-        assert actions.tolist() == want_actions.tolist()
-        assert value == pytest.approx(want_value, abs=1e-12)
+    eta = problem.eta_of(_one_hot(initial, 3), start)
+    actions, value = _local_search(problem, initial, eta, start)
+    want_actions, want_value = local_search_one_by_one(problem, initial, eta, start)
+    assert actions.tolist() == want_actions.tolist()
+    assert value == pytest.approx(want_value, abs=1e-12)
 
 
-def test_local_search_skips_multichain_deviations_unless_allowed():
+def test_local_search_scores_multichain_deviations_from_start():
     # actuation 0 freezes the source; with fresh estimates, decision [0, 0]
     # makes both (0, 0) and (1, 1) absorbing, the best chain from (1, 1)
     src = np.zeros((2, 1, 2, 2))
@@ -487,12 +517,11 @@ def test_local_search_skips_multichain_deviations_unless_allowed():
     problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
     start = model.state_index(1, 1, 0)
     eta = problem.eta_of(_one_hot([0, 1], 2), start)
-    for allow, want in ((False, [1, 0]), (True, [0, 0])):
-        actions, value = _local_search(problem, [0, 1], eta, start, allow)
-        assert actions.tolist() == want
-        oracle = local_search_one_by_one(problem, [0, 1], eta, start, allow)
-        assert oracle[0].tolist() == want
-        assert value == pytest.approx(oracle[1], abs=1e-12)
+    actions, value = _local_search(problem, [0, 1], eta, start)
+    assert actions.tolist() == [0, 0]
+    oracle = local_search_one_by_one(problem, [0, 1], eta, start)
+    assert oracle[0].tolist() == [0, 0]
+    assert value == pytest.approx(oracle[1], abs=1e-12)
 
 
 # --- brute force and equilibrium search --------------------------------------
