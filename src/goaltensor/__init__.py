@@ -17,8 +17,7 @@ from .benchmarks import (FAMILIES, CostSummary, aoii_optimal_policy,
                          evaluate_state_policy, evaluate_uniform, mse_optimal_policy,
                          tune_age_threshold)
 from .harness import (SimulationSummary, SweepResult, Trace, compare_policies,
-                      cost_decomposition, optimality_gap, simulate_closed_loop,
-                      sweep_rate_vs_cost)
+                      optimality_gap, simulate_closed_loop, sweep_rate_vs_cost)
 from .scenario import (Scenario, default_document, default_scenario, load_scenario,
                        save_scenario, scenario_from_dict)
 

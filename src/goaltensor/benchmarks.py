@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
-from .model import DecPomdpModel, dense_kernels, success_kernels
-from .solvers import MAX_PI_ROUNDS, _solve_mdp, chain_law, sampling_from_flat
+from .errors import NonConvergenceError, ParameterError
+from .model import DecisionRows, DecPomdpModel
+from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _solve_mdp, chain_law, flatten_sampling,
+                      sampling_from_flat)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 DEFAULT_AGE_CAP = 50
@@ -176,21 +177,10 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
 # exact evaluation
 
 
-def _cost_pieces(model: DecPomdpModel, decision: DecisionPolicy):
-    """Per-global-state ramp and expenditure terms under a decision policy."""
-    xs, xhats, phis = model.state_components()
-    acts = decision.actions[xhats]
-    inherent = model.cost.inherent.T[xs, phis]
-    net = inherent - model.cost.gain_weight * model.cost.gain[acts]
-    ramp = np.maximum(net, 0.0)
-    spend = model.cost.expenditure_weight * model.cost.expenditure[acts]
-    return ramp, spend
-
-
-def _summarize(model, mu_states, rate, ramp, spend):
-    inherent = float(mu_states @ ramp)
-    actuation = float(mu_states @ spend)
-    sampling = float(model.cost.sampling_cost * rate)
+def _summarize(rows: DecisionRows, mu_states, rate):
+    inherent = float(mu_states @ rows.ramp)
+    actuation = float(mu_states @ rows.spend)
+    sampling = float(rows.model.cost.sampling_cost * rate)
     return CostSummary(average_cost=inherent + actuation + sampling,
                        sampling_rate=float(rate), inherent=inherent,
                        actuation=actuation, sampling=sampling)
@@ -199,22 +189,11 @@ def _summarize(model, mu_states, rate, ramp, spend):
 def evaluate_state_policy(model: DecPomdpModel, sampling: SamplingPolicy,
                           decision: DecisionPolicy, start_state=0) -> CostSummary:
     """Exact long-run cost of a (sampling policy, decision policy) pair."""
-    from .solvers import flatten_sampling, policy_chain
-    P, _ = policy_chain(model, sampling, decision)
-    mu = chain_law(P, start_state)
+    rows = DecisionRows(model, decision.actions)
     bits = flatten_sampling(sampling)
-    ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu, float(mu @ bits), ramp, spend)
-
-
-def _gathered_kernels(model, decision):
-    """Idle and delivered kernels with the actuation fixed by the decision policy."""
-    _, xhats, _ = model.state_components()
-    acts = decision.actions[xhats]
-    rows = np.arange(model.n_global_states)
-    idle = dense_kernels(model)[0, acts, rows, :]
-    success = success_kernels(model)[acts, rows, :]
-    return idle, success
+    idle, transmit = rows.kernels
+    mu = chain_law(np.where(bits[:, None], transmit, idle), start_state)
+    return _summarize(rows, mu, float(mu @ bits))
 
 
 def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
@@ -234,7 +213,8 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     if period < 1 or int(period) != period:
         raise ParameterError(f"period must be a positive integer, got {period}")
     period = int(period)
-    idle, success = _gathered_kernels(model, decision)
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
     transmit = p * success + (1.0 - p) * idle
     one_period = transmit
@@ -246,8 +226,7 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     for phase in range(1, period):
         phase_law = phase_law @ (transmit if phase == 1 else idle)
         mu_states += phase_law
-    ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu_states / period, 1.0 / period, ramp, spend)
+    return _summarize(rows, mu_states / period, 1.0 / period)
 
 
 def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,
@@ -260,25 +239,22 @@ def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,
     N = model.n_global_states
     n = model.alphabets.n_states
     xs, _, _ = model.state_components()
-    idle, success = _gathered_kernels(model, decision)
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
     transmit = p * success + (1.0 - p) * idle
-    big = np.zeros((N * n, N * n))
+    big = np.zeros((n, N, n, N))
     for prev in range(n):
-        rows_block = np.where((xs != prev)[:, None], transmit, idle)
-        block = np.zeros((N, N * n))
-        for w in range(N):
-            # the history coordinate becomes the current source state
-            block[w, xs[w] * N:(xs[w] + 1) * N] = rows_block[w]
-        big[prev * N:(prev + 1) * N, :] = block
+        # the history coordinate becomes the current source state
+        big[prev, np.arange(N), xs] = np.where((xs != prev)[:, None], transmit, idle)
+    big = big.reshape(n * N, n * N)
     # seeding the history with the initial source makes the first slot idle
     start_index = int(xs[start_state]) * N + start_state
     mu = chain_law(big, start_index)
     mu_mat = mu.reshape(n, N)
     mu_states = mu_mat.sum(axis=0)
     moved_mass = sum(float(mu_mat[prev][xs != prev].sum()) for prev in range(n))
-    ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu_states, moved_mass, ramp, spend)
+    return _summarize(rows, mu_states, moved_mass)
 
 
 def evaluate_age_threshold(model: DecPomdpModel, threshold, decision: DecisionPolicy,
@@ -293,27 +269,41 @@ def evaluate_age_threshold(model: DecPomdpModel, threshold, decision: DecisionPo
     the time law is ``chain_law(M) @ (sum_{j < threshold} idle^j +
     idle^threshold @ wait) / (threshold + 1/p)``, class by class when ``M``
     is multichain, and the rate is ``1 / (1 + p * threshold)``.  At p = 0 the
-    chain idles from the start state and transmits at rate 1.
+    chain idles from the start state and transmits at rate 1.  The solve for
+    ``wait`` is certified: each row of ``p * wait`` must sum to 1 within
+    ``POISSON_TOL``, else (near p = 0, where the solve loses its accuracy)
+    ``NonConvergenceError`` carries the residual.
     """
     if threshold < 0 or int(threshold) != threshold:
         raise ParameterError(f"threshold must be a nonnegative integer, got {threshold}")
     threshold = int(threshold)
-    idle, success = _gathered_kernels(model, decision)
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
-    ramp, spend = _cost_pieces(model, decision)
     if p == 0.0:
-        return _summarize(model, chain_law(idle, start_state), 1.0, ramp, spend)
+        return _summarize(rows, chain_law(idle, start_state), 1.0)
     eye = np.eye(model.n_global_states)
+    try:
+        wait = np.linalg.inv(eye - (1.0 - p) * idle)
+        # a run of transmissions ends in a delivery, so each row of p * wait
+        # sums to 1; near p = 0 the solve loses that, and every digit with it
+        residual = float(np.abs((p * wait).sum(axis=1) - 1.0).max())
+    except np.linalg.LinAlgError:
+        residual = float("inf")             # singular
+    if not residual <= POISSON_TOL:
+        raise NonConvergenceError(
+            f"age-threshold waiting rows at success probability {p!r} sum to 1 "
+            f"within {residual:.3e}, not {POISSON_TOL:g}", residual=residual)
     visits = np.zeros_like(idle)
     power = eye
     for _ in range(threshold):
         visits += power
         power = power @ idle
-    tail = power @ np.linalg.inv(eye - (1.0 - p) * idle)
+    tail = power @ wait
     visits += tail
     law = chain_law(tail @ (p * success), start_state)
-    return _summarize(model, law @ visits / (threshold + 1.0 / p),
-                      1.0 / (1.0 + p * threshold), ramp, spend)
+    return _summarize(rows, law @ visits / (threshold + 1.0 / p),
+                      1.0 / (1.0 + p * threshold))
 
 
 def tune_age_threshold(model: DecPomdpModel, decision: DecisionPolicy,

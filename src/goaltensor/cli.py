@@ -26,8 +26,7 @@ from .harness import (compare_policies, decomposition_rows, optimality_gap,
                       write_sweep_csv, write_trace_csv)
 from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon,
                        load_scenario, scenario_digest)
-from .solvers import (SolveReport, flatten_sampling, greedy_decision_policy,
-                      solve_sampler_for_decision)
+from .solvers import SolveReport, flatten_sampling, greedy_decision_policy
 from .tensor import DecisionPolicy, SamplingPolicy
 
 
@@ -190,16 +189,7 @@ def cmd_solve(args):
     seed = scenario.solver.seed
     algorithm = args.algorithm or scenario.solver.algorithm
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if algorithm == "rvi-fixed-decision":
-        decision = greedy_decision_policy(scenario.model)
-        sampling, gain, _ = solve_sampler_for_decision(
-            scenario.model, decision, epsilon=scenario.solver.epsilon,
-            max_sweeps=scenario.solver.max_pi_rounds)
-        report = SolveReport(sampling_policy=sampling, decision_policy=decision,
-                             average_reward=gain, iterations=0, residual=0.0,
-                             converged=True, diagnostics={})
-    else:
-        report = solve_cell(scenario, algorithm)
+    report = solve_cell(scenario, algorithm)
     out_dir = _output_dir(args.out)
     report_path = out_dir / "report.txt"
     report_path.write_text(_report_text(report, scenario, algorithm))

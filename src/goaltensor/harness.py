@@ -38,7 +38,7 @@ import numpy as np
 
 from .benchmarks import FAMILIES, StatePolicyRule
 from .errors import GoalTensorError, ParameterError
-from .model import DecPomdpModel
+from .model import DecisionRows, DecPomdpModel
 from .tensor import DecisionPolicy
 
 TRACE_HEADER = ["t", "x", "xhat", "phi", "aS", "aA", "h",
@@ -138,15 +138,12 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     ch_u = []
 
-    src_cum = _cumulative_rows(model.source.probs)
-    src_rows = [[[src_cum[i, k, m].tolist() for m in range(model.alphabets.n_actions)]
-                 for k in range(model.alphabets.n_contexts)]
-                for i in range(n)]
+    # the slot's terms and next-source row, by flat state s = x + n*xhat + nn*phi
+    rows = DecisionRows(model, decision.actions)
+    src_rows, got, raw, ramp, spend = (terms.tolist() for terms in (
+        _cumulative_rows(rows.source), rows.got, rows.raw, rows.ramp, rows.spend))
     ctx_rows = _cumulative_rows(model.context.probs).tolist()
-
-    ramp3, spend = (terms.tolist() for terms in _cost_terms(model))
-    inherent2 = model.cost.inherent.T.tolist()
-    acts = decision.actions.tolist()
+    nn = n * n
     p_success = model.channel.success_prob
     charge = model.cost.sampling_cost
 
@@ -175,15 +172,13 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
                 channel_cursor += 1
                 delivered = h == 1
                 samples += 1
-            a_a = acts[xhat]
-            ramp_term = ramp3[x][phi][a_a]
-            got = ramp_term + spend[a_a]
-            slot_cost = got + charge * a_s
+            s = x + n * xhat + nn * phi
+            slot_cost = got[s] + charge * a_s
 
             cost_sum += slot_cost
-            raw_sum += inherent2[x][phi]
-            ramp_sum += ramp_term
-            spend_sum += spend[a_a]
+            raw_sum += raw[s]
+            ramp_sum += ramp[s]
+            spend_sum += spend[s]
             b = t * n_batches // horizon
             batch_cost[b] += slot_cost
             batch_len[b] += 1
@@ -197,7 +192,7 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
 
             rule.notify(x, xhat, phi, a_s, delivered)
             next_xhat = x if delivered else xhat
-            x = bisect_right(src_rows[x][phi][a_a], u_src)
+            x = bisect_right(src_rows[s], u_src)
             phi = bisect_right(ctx_rows[phi], u_ctx)
             xhat = next_xhat
 
@@ -210,13 +205,6 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
         state_values = np.arange(n, dtype=float)
     return _derive_trace(model, decision, state_values, xs, xhats, phis, sent,
                          draws), summary
-
-
-def _cost_terms(model: DecPomdpModel):
-    """Clipped ramp by (x, phi, actuation) and weighted expenditure by actuation."""
-    ramp = np.maximum(model.cost.inherent.T[:, :, None]
-                      - model.cost.gain_weight * model.cost.gain[None, None, :], 0.0)
-    return ramp, model.cost.expenditure_weight * model.cost.expenditure
 
 
 def _latest(mask):
@@ -236,10 +224,10 @@ def _derive_trace(model: DecPomdpModel, decision: DecisionPolicy, state_values,
     """
     x, xhat, phi, a_s, h = (np.array(c, dtype=np.intp) for c in (xs, xhats, phis, sent, draws))
     t = np.arange(x.size)
-    ramp, spend = _cost_terms(model)
+    rows = DecisionRows(model, decision.actions)
+    s = model.state_index(x, xhat, phi)
     sq_err = (state_values[:, None] - state_values[None, :]) ** 2
-    a_a = decision.actions[xhat]
-    got = ramp[x, phi, a_a] + spend[a_a]
+    a_a, got = rows.actions[s], rows.got[s]
     delivered = h == 1
     aos = t - _latest(x == xhat)
     return Trace(t=t, x=x, xhat=xhat, phi=phi, a_s=a_s, a_a=a_a, h=h,
@@ -309,21 +297,17 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
     # A replica in global state s = x + n*xhat + n*n*phi on seeds[j] carries
     # q = 2 * (j * g + s); a slot's next-state table maps q to the next q when
     # idle or lost, and q + 1 to the next q after a delivery.
-    s = np.arange(g)
-    xs, xhats, phis = s % n, (s // n) % n, s // (n * n)
-    acts = decision.actions[xhats]
-    src_rows = _cumulative_rows(model.source.probs)[xs, phis, acts]
+    xs, xhats, phis = model.state_components()
+    rows = DecisionRows(model, decision.actions)
+    src_rows = _cumulative_rows(rows.source)
     ctx_rows = _cumulative_rows(model.context.probs)[phis]
     seed_base = g * np.arange(n_seeds)[:, None]
-    state_of_q = np.tile(np.repeat(s, 2), n_seeds)
+    state_of_q = np.tile(np.repeat(np.arange(g), 2), n_seeds)
 
     # per-slot terms by q: cost before the transmission charge, raw status
     # cost, clipped ramp, expenditure, and the cost again for the batch sum
-    inherent = model.cost.inherent.T[xs, phis]
-    ramp = np.maximum(inherent - model.cost.gain_weight * model.cost.gain[acts], 0.0)
-    spend = (model.cost.expenditure_weight * model.cost.expenditure)[acts]
-    got = ramp + spend
-    terms = np.stack([got, inherent, ramp, spend, got], axis=1)[state_of_q]
+    terms = np.stack([rows.got, rows.raw, rows.ramp, rows.spend, rows.got],
+                     axis=1)[state_of_q]
     charge = model.cost.sampling_cost
 
     streams = [[np.random.default_rng(child)
@@ -414,31 +398,6 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
              for r, seed in enumerate(seeds, start=i * n_seeds)] for i in range(n_rules)]
 
 
-def cost_decomposition(source, model: DecPomdpModel = None) -> dict:
-    """Average-cost split {sampling, actuation, inherent-after-actuation}.
-
-    Accepts a ``SimulationSummary``, a benchmark ``CostSummary``, or a
-    ``Trace`` (which needs ``model`` to price the recorded actuations);
-    components sum to the average cost.
-    """
-    from .benchmarks import CostSummary
-    if isinstance(source, (SimulationSummary, CostSummary)):
-        split = source.decomposition
-    elif isinstance(source, Trace):
-        if model is None:
-            raise ParameterError("trace-level decomposition needs the model")
-        _, spend = _cost_terms(model)
-        actuation = float(np.mean(spend[source.a_a]))
-        split = {"sampling": float(np.mean(source.cost - source.got)),
-                 "actuation": actuation,
-                 "inherent": float(np.mean(source.got)) - actuation}
-    else:
-        raise ParameterError(f"cannot decompose {type(source).__name__}")
-    return {"sampling_cost_avg": split["sampling"],
-            "actuation_cost_avg": split["actuation"],
-            "inherent_cost_avg": split["inherent"]}
-
-
 @dataclass(frozen=True)
 class SweepResult:
     policy: str
@@ -498,9 +457,13 @@ def solve_cell(cell, algorithm):
 
     The one place that turns ``cell.solver`` into solver arguments: epsilon,
     budget and every round cap, scored from the scenario's start state.
-    ``algorithm`` is ``"brute"`` (``brute_force_joint``) or ``"jesp"``.
+    ``algorithm`` is ``"brute"`` (``brute_force_joint``), ``"jesp"``, or
+    ``"rvi-fixed-decision"``: the sampler's best response to the greedy
+    decision policy (``solve_sampler_for_decision``), reported with 0
+    iterations and residual 0.0.
     """
-    from .solvers import brute_force_joint, jesp
+    from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy, jesp,
+                          solve_sampler_for_decision)
     solver = cell.solver
     if algorithm == "brute":
         return brute_force_joint(cell.model, epsilon=solver.epsilon, budget=solver.budget,
@@ -511,6 +474,13 @@ def solve_cell(cell, algorithm):
                     restarts=solver.restarts, seed=solver.seed,
                     max_rounds=solver.max_jesp_rounds, pi_rounds=solver.max_pi_rounds,
                     start_state=cell.start_state)
+    if algorithm == "rvi-fixed-decision":
+        decision = greedy_decision_policy(cell.model)
+        sampling, gain, _ = solve_sampler_for_decision(
+            cell.model, decision, epsilon=solver.epsilon, max_sweeps=solver.max_pi_rounds)
+        return SolveReport(sampling_policy=sampling, decision_policy=decision,
+                           average_reward=gain, iterations=0, residual=0.0,
+                           converged=True, diagnostics={})
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 

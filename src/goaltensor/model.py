@@ -18,13 +18,14 @@ observes only ``xhat``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelIncompleteError
 from .tensor import (Alphabets, CostModel, DecisionPolicy, SamplingPolicy,
-                     actuation_cost_table, validate_cost_model)
+                     split_goal_cost, validate_cost_model)
 
 ROW_SUM_TOL = 1e-9
 
@@ -116,7 +117,23 @@ class DecPomdpModel:
                     if viol.level == "error"]
         if problems:
             raise ModelIncompleteError("; ".join(f"{p.field}: {p.message}" for p in problems))
-        object.__setattr__(self, "action_cost", actuation_cost_table(self.cost))
+        ramp, spend = split_goal_cost(self.cost)
+        object.__setattr__(self, "action_cost", ramp + spend)
+
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        """``dense_kernels(self)``, shape (2, n_actions, N, N), built on first use and
+        shared read-only; a ``dataclasses.replace`` copy starts without it."""
+        kernels = dense_kernels(self)
+        kernels.flags.writeable = False
+        return kernels
+
+    @cached_property
+    def delivered_kernels(self) -> np.ndarray:
+        """``success_kernels(self)``, shape (n_actions, N, N), kept as ``kernels`` is."""
+        kernels = success_kernels(self)
+        kernels.flags.writeable = False
+        return kernels
 
     @property
     def n_global_states(self):
@@ -194,6 +211,53 @@ def success_kernels(model: DecPomdpModel) -> np.ndarray:
     return big.reshape(model.alphabets.n_actions, N, N)
 
 
+class DecisionRows:
+    """What decision tables read from the model at every global state.
+
+    ``decisions`` has shape (..., n_states), one actuation per estimate, with
+    optional leading batch axes that every attribute keeps.  Per global state:
+
+    * ``actions``, the actuation at the state's estimate;
+    * the slot terms: ``raw`` the raw status cost (no batch axes), ``ramp``
+      and ``spend`` the clipped ramp and weighted expenditure
+      (``tensor.split_goal_cost``), ``got`` their sum, and ``rewards``
+      (..., N, 2) the negated cost of idling and of transmitting;
+    * gathered on first read: ``kernels`` (..., 2, N, N) by sampling bit,
+      ``success`` (..., N, N) after a delivered update, and ``source``
+      (..., N, n_states) the source row at (x, phi, actuation).
+    """
+
+    def __init__(self, model: DecPomdpModel, decisions):
+        xs, xhats, phis = model.state_components()
+        ramp, spend = split_goal_cost(model.cost)
+        self.model = model
+        self.actions = np.asarray(decisions)[..., xhats]
+        self.raw = model.cost.inherent.T[xs, phis]
+        self.ramp = ramp[xs, phis, self.actions]
+        self.spend = spend[self.actions]
+        self.got = self.ramp + self.spend
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return -np.stack([self.got, self.got + self.model.cost.sampling_cost], axis=-1)
+
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        rows = np.arange(self.model.n_global_states)
+        # (bit, actuation, state) indices broadcast to (..., 2, N): one C-ordered gather
+        return self.model.kernels[np.arange(2)[:, None], self.actions[..., None, :], rows]
+
+    @cached_property
+    def success(self) -> np.ndarray:
+        rows = np.arange(self.model.n_global_states)
+        return self.model.delivered_kernels[self.actions, rows, :]
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        xs, _, phis = self.model.state_components()
+        return self.model.source.probs[xs, phis, self.actions]
+
+
 def observation_fn(w: GlobalState):
     """Point-mass observations: the sampler sees everything, the actuator sees the estimate."""
     return w, w.xhat
@@ -237,15 +301,8 @@ def induced_mdp(model: DecPomdpModel, policy: DecisionPolicy) -> TabularMdp:
     observation average collapses and each row is the global kernel evaluated
     at the actuation the policy assigns to that state's estimate.
     """
-    dense = dense_kernels(model)
-    xs, xhats, phis = model.state_components()
-    acts = policy.actions[xhats]
-    N = model.n_global_states
-    rows = np.arange(N)
-    transitions = dense[:, acts, rows, :]                        # (2, N, N)
-    base_cost = model.action_cost[xs, phis, acts]
-    rewards = -np.stack([base_cost, base_cost + model.cost.sampling_cost], axis=1)
-    return TabularMdp(transitions=transitions, rewards=rewards)
+    rows = DecisionRows(model, policy.actions)
+    return TabularMdp(transitions=rows.kernels, rewards=rows.rewards)
 
 
 def induced_pomdp(model: DecPomdpModel, sampling: SamplingPolicy) -> TabularMdp:
@@ -254,12 +311,10 @@ def induced_pomdp(model: DecPomdpModel, sampling: SamplingPolicy) -> TabularMdp:
     States remain global; the actuator only ever observes the estimate, so this
     is solved as a memoryless partially-observed problem, not by state lookup.
     """
-    dense = dense_kernels(model)
     xs, xhats, phis = model.state_components()
     bits = sampling.decisions[xs, xhats, phis]
-    N = model.n_global_states
-    rows = np.arange(N)
-    transitions = np.swapaxes(dense[bits, :, rows, :], 0, 1)     # (A, N, N)
+    rows = np.arange(model.n_global_states)
+    transitions = np.swapaxes(model.kernels[bits, :, rows, :], 0, 1)   # (A, N, N)
     rewards = -(model.action_cost[xs, phis, :] +
                 model.cost.sampling_cost * bits[:, None])        # (N, A)
     return TabularMdp(transitions=transitions, rewards=rewards)

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
                      NonConvergenceError, ParameterError,
                      UnreachableObservationError)
-from .model import (DecPomdpModel, TabularMdp, dense_kernels, heuristic_mdp,
+from .model import (DecisionRows, DecPomdpModel, TabularMdp, heuristic_mdp,
                     induced_mdp, induced_pomdp)
 from .tensor import DecisionPolicy, SamplingPolicy
 
@@ -653,12 +653,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
-    dense = dense_kernels(model)
-    xs, xhats, phis = model.state_components()
-    rows = np.arange(N)
-    per_state_cost = model.action_cost[xs, phis, :]               # (N, A)
-
-    reference_chain = dense[1, np.zeros(N, dtype=int), rows, :]
+    reference_chain = DecisionRows(model, np.zeros(n_states, dtype=int)).kernels[1]
     if len(closed_classes(reference_chain)) != 1:
         warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
                       "gains of enumerated policies may be start-dependent", stacklevel=2)
@@ -675,14 +670,9 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         if not block:
             break
         policies = np.array(block, dtype=int)                     # (K, S) lexicographic
-        acts = policies[:, xhats]                                 # (K, N)
-        T = np.ascontiguousarray(
-            dense[:, acts, rows[None, :], :].transpose(1, 0, 2, 3))  # (K, 2, N, N)
-        base = np.take_along_axis(per_state_cost[None, :, :], acts[:, :, None],
-                                  axis=2)[:, :, 0]                # (K, N)
-        R = -np.stack([base, base + model.cost.sampling_cost], axis=2)
+        rows = DecisionRows(model, policies)
         pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
-            T, R, epsilon, max_sweeps, initial_action=1)
+            rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
         total_rounds += int(rounds.sum())
         scores = gains[:, start_state]
         for j in np.flatnonzero(n_closed > 1):

@@ -160,15 +160,12 @@ class GoTensor:
         return self.values.shape[1]
 
 
-def actuation_cost_table(cost: CostModel) -> np.ndarray:
-    """Per-action goal cost, shape (n_states, n_contexts, n_actions).
-
-    ``table[x, phi, a]`` is the instantaneous cost when the true pair is
-    ``(x, phi)`` and actuation ``a`` is applied, before any sampling charge.
-    """
-    inherent = cost.inherent.T[:, :, None]                      # (S, V, 1)
-    net = inherent - cost.gain_weight * cost.gain[None, None, :]
-    return np.maximum(net, 0.0) + cost.expenditure_weight * cost.expenditure[None, None, :]
+def split_goal_cost(cost: CostModel):
+    """The goal cost of actuation ``a`` at ``(x, phi)``, before any sampling
+    charge, as ``ramp[x, phi, a] + spend[a]``: the clipped ramp, shape
+    (n_states, n_contexts, n_actions), and the weighted expenditure."""
+    ramp = np.maximum(cost.inherent.T[:, :, None] - cost.gain_weight * cost.gain, 0.0)
+    return ramp, cost.expenditure_weight * cost.expenditure
 
 
 def build_got_tensor(cost: CostModel, policy: DecisionPolicy) -> GoTensor:
@@ -179,8 +176,8 @@ def build_got_tensor(cost: CostModel, policy: DecisionPolicy) -> GoTensor:
             f"decision policy covers {len(policy)} estimates, cost table has {n_states} states")
     if np.any(policy.actions >= len(cost.gain)):
         raise ModelIncompleteError("decision policy uses an action outside the cost tables")
-    per_action = actuation_cost_table(cost)                     # (S, V, A)
-    values = per_action[:, :, policy.actions]                   # (S, V, S)
+    ramp, spend = split_goal_cost(cost)                         # (S, V, A), (A,)
+    values = (ramp + spend)[:, :, policy.actions]               # (S, V, S)
     return GoTensor(values=values, decision_policy=policy)
 
 

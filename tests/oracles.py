@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
-from goaltensor.model import DecPomdpModel, GlobalState, TabularMdp
+from goaltensor.model import DecisionRows, DecPomdpModel, GlobalState, TabularMdp
 from goaltensor.solvers import (DEFAULT_EPSILON, POISSON_TOL, _ChainEval, cesaro_limit,
                                 stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel
@@ -227,10 +227,11 @@ def uniform_by_augmented_chain(model: DecPomdpModel, period, decision, start_sta
     happens in phase 0.  Occupation is the stationary law when the chain has
     one closed class, else the Cesaro row of (phase 0, start state).
     """
-    from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
+    from goaltensor.benchmarks import _summarize
     from goaltensor.solvers import closed_classes
     N = model.n_global_states
-    idle, success = _gathered_kernels(model, decision)
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
     transmit = p * success + (1.0 - p) * idle
     big = np.zeros((N * period, N * period))
@@ -242,9 +243,7 @@ def uniform_by_augmented_chain(model: DecPomdpModel, period, decision, start_sta
         mu = stationary_distribution(big)
     else:
         mu = cesaro_limit(big)[start_state]
-    ramp, spend = _cost_pieces(model, decision)
-    return _summarize(model, mu.reshape(period, N).sum(axis=0), float(mu[:N].sum()),
-                      ramp, spend)
+    return _summarize(rows, mu.reshape(period, N).sum(axis=0), float(mu[:N].sum()))
 
 
 def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
@@ -257,10 +256,11 @@ def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
     law when it has one closed class, else the Cesaro row of (age 1, start
     state).  Returns one summary per start state, so one limit serves them all.
     """
-    from goaltensor.benchmarks import _cost_pieces, _gathered_kernels, _summarize
+    from goaltensor.benchmarks import _summarize
     cap = threshold + 2                      # ages 1..cap, top level absorbs
     N = model.n_global_states
-    idle, success = _gathered_kernels(model, decision)
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
     big = np.zeros((N * cap, N * cap))
     for level in range(cap):                 # age = level + 1
@@ -275,12 +275,11 @@ def age_threshold_by_augmented_chain(model: DecPomdpModel, threshold, decision):
         laws = [stationary_distribution(big)] * N
     else:
         laws = cesaro_limit(big)[:N]         # age 1 at each start state
-    ramp, spend = _cost_pieces(model, decision)
     summaries = []
     for mu in laws:
         mu_mat = mu.reshape(cap, N)
         rate = float(mu_mat[threshold:].sum())   # levels with age > threshold
-        summaries.append(_summarize(model, mu_mat.sum(axis=0), rate, ramp, spend))
+        summaries.append(_summarize(rows, mu_mat.sum(axis=0), rate))
     return summaries
 
 

@@ -6,7 +6,7 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    evaluate_age_threshold, evaluate_change_aware,
                                    evaluate_state_policy, evaluate_uniform,
                                    mse_optimal_policy, tune_age_threshold)
-from goaltensor.errors import ParameterError
+from goaltensor.errors import NonConvergenceError, ParameterError
 from goaltensor.harness import simulate_closed_loop, sweep_rate_vs_cost
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
@@ -139,6 +139,32 @@ def test_age_zero_threshold_always_samples(shipped, greedy):
                                    greedy)
     assert exact.sampling_rate == pytest.approx(1.0, abs=1e-12)
     assert exact.average_cost == pytest.approx(always.average_cost, abs=1e-9)
+
+
+@pytest.mark.parametrize("p_success", [1e-17, 1e-300])
+def test_age_evaluator_refuses_an_uncertified_solve(shipped, p_success):
+    # (I - (1 - p) * idle)^-1 loses every digit as p -> 0: uncertified, the
+    # bundled model scored -0.89 at 1e-17 and 2.0 at 1e-300
+    from goaltensor.solvers import POISSON_TOL
+    model = shipped.with_channel(p_success).model
+    with pytest.raises(NonConvergenceError, match="age-threshold") as info:
+        evaluate_age_threshold(model, 0, greedy_decision_policy(model))
+    assert info.value.residual > POISSON_TOL
+
+
+# (pS, threshold) -> average cost, from the evaluator before its certificate
+AGE_COSTS = {(0.2, 0): 9.101151858062646, (0.2, 5): 9.138769428036168,
+             (1e-3, 0): 15.869211287098919, (1e-3, 5): 15.85378487340586,
+             (1e-6, 0): 15.941446039534878, (1e-6, 5): 15.941430356702128}
+
+
+@pytest.mark.parametrize("p_success,threshold", sorted(AGE_COSTS))
+def test_age_evaluator_certificate_keeps_small_channel_values(shipped, p_success,
+                                                              threshold):
+    model = shipped.with_channel(p_success).model
+    exact = evaluate_age_threshold(model, threshold, greedy_decision_policy(model))
+    assert exact.average_cost == pytest.approx(AGE_COSTS[p_success, threshold], rel=1e-9)
+    assert exact.sampling_rate == 1.0 / (1.0 + p_success * threshold)
 
 
 def test_change_aware_analytic_matches_simulation(shipped, greedy):

@@ -9,7 +9,7 @@ from goaltensor.benchmarks import (AgeThresholdRule, ChangeAwareRule, StatePolic
 from goaltensor import harness
 from goaltensor.errors import ParameterError
 from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, _standard_error,
-                                cost_decomposition, optimality_gap, simulate_closed_loop,
+                                optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
                                 write_sweep_csv, write_trace_csv)
@@ -377,6 +377,26 @@ def test_compare_policies_dominance_and_rows(shipped):
     assert by_policy["aoii-optimal"]["saving_vs_codesign"] >= -1e-9
 
 
+def test_compare_builds_kernels_once_per_cell_model(shipped, monkeypatch):
+    from goaltensor import model as model_module
+    builds = {"dense_kernels": [], "success_kernels": []}
+    for name, models in builds.items():
+        def spy(model, _build=getattr(model_module, name), _models=models):
+            _models.append(model)           # kept alive, so ids stay distinct
+            return _build(model)
+        monkeypatch.setattr(model_module, name, spy)
+    scenario = Scenario(name=shipped.name, model=shipped.model,
+                        state_values=shipped.state_values, solver=shipped.solver,
+                        simulation=shipped.simulation, sweep=shipped.sweep,
+                        grid=GridConfig(success_probs=(0.8,), sampling_costs=(2.0, 4.0)),
+                        document=shipped.document)
+    rows = compare_policies(scenario, algorithm="jesp", include_classic=True)
+    assert len(rows) == 10
+    for name, models in builds.items():
+        assert 1 <= len(models) <= 2, name
+        assert len({id(model) for model in models}) == len(models), name
+
+
 def test_optimality_gap_rows(shipped):
     scenario = Scenario(name=shipped.name, model=shipped.model,
                         state_values=shipped.state_values, solver=shipped.solver,
@@ -411,17 +431,14 @@ def test_cost_decomposition_dispatch(shipped):
     greedy = greedy_decision_policy(model)
     trace, summary = simulate_closed_loop(model, UniformRule(3), greedy, 5_000,
                                           seed=6)
-    for split in (cost_decomposition(summary), cost_decomposition(trace, model)):
-        assert split["sampling_cost_avg"] + split["actuation_cost_avg"] + \
-            split["inherent_cost_avg"] == pytest.approx(summary.average_cost, abs=1e-9)
+    assert sum(summary.decomposition.values()) == pytest.approx(summary.average_cost,
+                                                                abs=1e-9)
+    # the trace's sampling charge and goal cost columns split the same cost
+    assert float(np.mean(trace.cost - trace.got)) + float(np.mean(trace.got)) == \
+        pytest.approx(summary.average_cost, abs=1e-9)
     from goaltensor.benchmarks import evaluate_uniform
     exact = evaluate_uniform(model, 3, greedy)
-    split = cost_decomposition(exact)
-    assert sum(split.values()) == pytest.approx(exact.average_cost, abs=1e-12)
-    with pytest.raises(ParameterError):
-        cost_decomposition(trace)            # trace needs the model
-    with pytest.raises(ParameterError):
-        cost_decomposition("nonsense")
+    assert sum(exact.decomposition.values()) == pytest.approx(exact.average_cost, abs=1e-12)
 
 
 def test_trace_csv_layout(tmp_path, shipped):

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goaltensor.errors import ModelIncompleteError
-from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
+from goaltensor.model import (ChannelModel, ContextDynamics, DecisionRows, DecPomdpModel,
                               GlobalState, JointAction, SourceDynamics,
                               dense_kernels, estimate_kernel, heuristic_mdp,
                               induced_mdp, induced_pomdp, observation_fn, reward,
                               success_kernels, transition_kernel)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import kernel_by_hand, random_model
+from oracles import kernel_by_hand, random_model, tensor_entry_by_hand
 
 
 def identity_model(sampling_cost=0.0, success_prob=0.5):
@@ -105,6 +107,62 @@ def test_kernel_oracle_on_random_models(seed):
                 np.testing.assert_allclose(dense[a_s, a_a, model.state_index(*w)],
                                            kernel_by_hand(model, w, a_s, a_a),
                                            atol=1e-12)
+
+
+def test_copies_build_their_own_kernels():
+    from goaltensor.scenario import default_scenario
+    base = default_scenario()
+    cached = base.model.kernels             # fill the 0.8 model's cache first
+    moved = base.with_channel(0.3).model
+    np.testing.assert_array_equal(moved.kernels,
+                                  dense_kernels(default_scenario(success_prob=0.3).model))
+    assert not np.array_equal(moved.kernels, cached)
+    assert base.model.kernels is cached and moved.kernels is moved.kernels
+    with pytest.raises(ValueError):
+        cached[0, 0, 0, 0] = 1.0            # shared, so read-only
+    decision = np.zeros(3, dtype=int)
+    costly = DecisionRows(base.with_sampling_cost(5.0).model, decision)
+    np.testing.assert_array_equal(costly.rewards[:, 1], -(costly.got + 5.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decision_rows_match_oracles_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states=int(rng.integers(2, 4)),
+                         n_contexts=int(rng.integers(1, 3)),
+                         n_actions=int(rng.integers(1, 4)))
+    cost = replace(model.cost, gain_weight=float(rng.uniform(0, 2)),
+                   expenditure_weight=float(rng.uniform(0, 2)))
+    model = replace(model, cost=cost)
+    delivered = replace(model, channel=ChannelModel(1.0))
+    ramp_only = replace(cost, expenditure_weight=0.0)
+    n, a, N = model.alphabets.n_states, model.alphabets.n_actions, model.n_global_states
+    tables = rng.integers(0, a, size=(2, 3, n))
+    batched = DecisionRows(model, tables)
+    assert batched.kernels.shape == (2, 3, 2, N, N)
+    assert batched.success.shape == (2, 3, N, N)
+    for index in np.ndindex(tables.shape[:-1]):
+        policy = DecisionPolicy(tables[index])
+        single = DecisionRows(model, policy.actions)
+        for name in ("actions", "ramp", "spend", "got", "rewards", "kernels", "success",
+                     "source"):
+            np.testing.assert_array_equal(getattr(batched, name)[index],
+                                          getattr(single, name), err_msg=name)
+        for w in model.states():
+            s = model.state_index(*w)
+            act = policy(w.xhat)
+            assert single.actions[s] == act
+            assert single.raw[s] == cost.inherent[w.phi, w.x]
+            assert single.ramp[s] == tensor_entry_by_hand(ramp_only, policy, w.x, w.phi,
+                                                          w.xhat)
+            assert single.got[s] == tensor_entry_by_hand(cost, policy, w.x, w.phi, w.xhat)
+            assert single.rewards[s, 1] == -(single.got[s] + cost.sampling_cost)
+            np.testing.assert_array_equal(single.source[s], model.source.probs[w.x, w.phi, act])
+            for a_s in (0, 1):
+                np.testing.assert_allclose(single.kernels[a_s, s],
+                                           kernel_by_hand(model, w, a_s, act), atol=1e-12)
+            np.testing.assert_allclose(single.success[s],
+                                       kernel_by_hand(delivered, w, 1, act), atol=1e-12)
 
 
 def test_source_context_marginal_ignores_sampling(shipped):

@@ -46,6 +46,29 @@ def test_bundled_scenario_file_loads():
     assert scenario.model.n_global_states == 18
 
 
+def test_bundled_scenario_file_is_the_default_document():
+    # what scripts/make_default_scenario.py writes
+    import json
+    from pathlib import Path
+    bundled = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
+    assert bundled.read_text() == json.dumps(default_document(), indent=2) + "\n"
+
+
+def test_solve_cell_runs_the_fixed_decision_best_response():
+    from goaltensor.solvers import greedy_decision_policy, solve_sampler_for_decision
+    scenario = default_scenario()
+    report = solve_cell(scenario, "rvi-fixed-decision")
+    greedy = greedy_decision_policy(scenario.model)
+    sampling, gain, _ = solve_sampler_for_decision(
+        scenario.model, greedy, epsilon=scenario.solver.epsilon,
+        max_sweeps=scenario.solver.max_pi_rounds)
+    np.testing.assert_array_equal(report.decision_policy.actions, greedy.actions)
+    np.testing.assert_array_equal(report.sampling_policy.decisions, sampling.decisions)
+    assert report.average_reward == gain
+    assert (report.iterations, report.residual, report.converged) == (0, 0.0, True)
+    assert report.diagnostics == {}
+
+
 def test_stochasticity_violation_reports_row_address():
     doc = default_document()
     doc["source_dynamics"][1][0][3] = [0.5, 0.4, 0.099999]     # off by 1e-6
