@@ -57,36 +57,74 @@ class CostSummary:
 # simulation-facing rules
 
 
-class UniformRule:
-    """Transmit every ``period`` slots, starting at slot 0."""
+def _whole(name, value, least):
+    """The one check of a family parameter, shared by its rule and its evaluator."""
+    if not value >= least or value % 1:
+        kind = "positive" if least else "nonnegative"
+        raise ParameterError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
 
-    def __init__(self, period):
-        if not period >= 1 or period % 1:
-            raise ParameterError(f"period must be a positive integer, got {period}")
-        self.period = int(period)
 
-    label = property(lambda self: f"uniform({self.period})")
+class Rule:
+    """A sampling rule, in one form per simulator; both take the same decisions.
+
+    ``harness.simulate_closed_loop`` calls ``reset(x, xhat, phi)``, then per
+    slot ``t`` ``decide(t, x, xhat, phi)``, the transmission bit, and
+    ``notify(x, xhat, phi, sampled, delivered)``.  ``harness.simulate_replicas`` runs ``copies``
+    replicas of each of ``rules`` (one class) through the nested ``Replicas(rules,
+    model, state_of, copies)``: replica ``r`` follows ``rules[r // copies]`` from
+    state code ``q``, global state ``state_of[q]``; ``start(t0, sent)`` opens a
+    chunk of slots (``sent``: a row of bits per slot), and slot ``t0 + k`` calls
+    ``decide(k, q, out)``, which writes the bits, then ``notify(k, delivered)``.
+    """
 
     def reset(self, x, xhat, phi):
         pass
-
-    def decide(self, t, x, xhat, phi):
-        return 1 if t % self.period == 0 else 0
 
     def notify(self, x, xhat, phi, sampled, delivered):
         pass
 
 
-class AgeThresholdRule:
+class ReplicaForm:
+    """Base of the replica forms (see ``Rule``); unneeded hooks do nothing."""
+
+    def start(self, t0, sent):
+        pass
+
+    def decide(self, k, q, out):
+        pass
+
+    def notify(self, k, delivered):
+        pass
+
+
+class UniformRule(Rule):
+    """Transmit every ``period`` slots, starting at slot 0."""
+
+    def __init__(self, period):
+        self.period = _whole("period", period, 1)
+
+    label = property(lambda self: f"uniform({self.period})")
+
+    def decide(self, t, x, xhat, phi):
+        return 1 if t % self.period == 0 else 0
+
+    class Replicas(ReplicaForm):
+        def __init__(self, rules, model, state_of, copies):
+            self.periods = np.repeat([rule.period for rule in rules], copies)
+
+        def start(self, t0, sent):
+            sent[:] = np.arange(t0, t0 + len(sent))[:, None] % self.periods == 0
+
+
+class AgeThresholdRule(Rule):
     """Transmit whenever the age of the freshest delivered update exceeds the threshold.
 
     Age starts at 1 and resets to 1 on the slot after a delivery.
     """
 
     def __init__(self, threshold):
-        if not threshold >= 0 or threshold % 1:
-            raise ParameterError(f"threshold must be a nonnegative integer, got {threshold}")
-        self.threshold = int(threshold)
+        self.threshold = _whole("threshold", threshold, 0)
         self.age = 1
 
     label = property(lambda self: f"age({self.threshold})")
@@ -100,17 +138,31 @@ class AgeThresholdRule:
     def notify(self, x, xhat, phi, sampled, delivered):
         self.age = 1 if delivered else self.age + 1
 
+    class Replicas(ReplicaForm):
+        # slot t's age is t - last, so a replica transmits while last < t - threshold
+        def __init__(self, rules, model, state_of, copies):
+            self.thresholds = np.repeat([rule.threshold for rule in rules], copies)
+            self.last = np.full(self.thresholds.size, -1)     # slot of the last delivery
 
-class ChangeAwareRule:
+        def start(self, t0, sent):
+            self.t0 = t0
+            self.due = np.arange(t0, t0 + len(sent))[:, None] - self.thresholds
+
+        def decide(self, k, q, out):
+            np.less(self.last, self.due[k], out=out)
+
+        def notify(self, k, delivered):
+            np.copyto(self.last, self.t0 + k, where=delivered)
+
+
+class ChangeAwareRule(Rule):
     """Transmit whenever the source differs from its previous-slot value.
 
     The first slot has no history and stays idle.
     """
 
     label = "change-aware"
-
-    def __init__(self):
-        self.prev = None
+    prev = None                 # the previous slot's source; none before the first
 
     def reset(self, x, xhat, phi):
         self.prev = None
@@ -121,22 +173,37 @@ class ChangeAwareRule:
     def notify(self, x, xhat, phi, sampled, delivered):
         self.prev = x
 
+    class Replicas(ReplicaForm):
+        def __init__(self, rules, model, state_of, copies):
+            self.x_of = model.state_components()[0][state_of]
+            self.prev = None
 
-class StatePolicyRule:
+        def decide(self, k, q, out):
+            x = self.x_of[q]
+            np.not_equal(x, x if self.prev is None else self.prev, out=out)
+            self.prev = x
+
+
+class StatePolicyRule(Rule):
     """Adapter running a global-state sampling policy inside the simulator."""
 
     def __init__(self, policy: SamplingPolicy, label="state-policy"):
         self.policy = policy
         self.label = label
-
-    def reset(self, x, xhat, phi):
-        pass
+        self.table = policy.decisions.tolist()      # list lookups beat numpy scalars
 
     def decide(self, t, x, xhat, phi):
-        return int(self.policy.decisions[x, xhat, phi])
+        return self.table[x][xhat][phi]
 
-    def notify(self, x, xhat, phi, sampled, delivered):
-        pass
+    class Replicas(ReplicaForm):
+        # one table of every rule's bit by state code; replica r reads row r // copies
+        def __init__(self, rules, model, state_of, copies):
+            table = np.stack([r.policy.decisions[model.state_components()] != 0 for r in rules])
+            self.table = table[:, state_of].ravel()
+            self.base = np.repeat(np.arange(len(rules)) * state_of.size, copies)
+
+        def decide(self, k, q, out):
+            out[:] = self.table[self.base + q]
 
 
 def aoii_optimal_policy(model: DecPomdpModel) -> SamplingPolicy:
@@ -210,9 +277,7 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     This costs ``period`` products of N x N matrices in place of a solve on
     the (N * period)-state augmented chain.
     """
-    if period < 1 or int(period) != period:
-        raise ParameterError(f"period must be a positive integer, got {period}")
-    period = int(period)
+    period = _whole("period", period, 1)
     rows = DecisionRows(model, decision.actions)
     idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
@@ -274,9 +339,7 @@ def evaluate_age_threshold(model: DecPomdpModel, threshold, decision: DecisionPo
     ``POISSON_TOL``, else (near p = 0, where the solve loses its accuracy)
     ``NonConvergenceError`` carries the residual.
     """
-    if threshold < 0 or int(threshold) != threshold:
-        raise ParameterError(f"threshold must be a nonnegative integer, got {threshold}")
-    threshold = int(threshold)
+    threshold = _whole("threshold", threshold, 0)
     rows = DecisionRows(model, decision.actions)
     idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob

@@ -11,32 +11,31 @@ draw per slot, the channel one draw per transmission, so runs with different
 sampling rules still see identical source/context paths (common random
 numbers), and a fixed seed reproduces a trace bit for bit.
 
-Two engines run that loop.  ``simulate_closed_loop`` steps one replica slot by
-slot in plain Python; ``simulate`` and every traced run use it.  Traced or
-not, it runs one loop that keeps the running sums behind the summary; a traced
-run also appends each slot's (x, xhat, phi, a_s, h) to five lists, and numpy
-derives the ``Trace`` columns from them after the loop: actuation and costs by
-table lookup, the ages from running maxima of the slots where they reset.
+Two engines run that loop, each through its own form of the sampling rule
+(``benchmarks.Rule``).  ``simulate_closed_loop`` steps one replica slot by slot
+in plain Python and sums only cost and transmissions; ``simulate`` and every
+traced run use it, a traced run also keeping each slot's (x, xhat, phi, a_s,
+h), from which numpy derives the ``Trace`` columns after the loop.
 ``simulate_replicas`` steps all (rule, seed) replicas of a sweep family
 together, each slot a few numpy operations over the whole batch, and returns
 summaries equal bit for bit to the single-replica loop's: it draws the same
 streams, takes the same next states (``bisect_right`` of the same cumulative
 rows) and adds the running sums in the same slot order.  A batch costs several
 microseconds per slot however few replicas it holds, against about one for the
-untraced scalar loop, so single runs keep the scalar loop, which also serves as
-the batched engine's test oracle.
+untraced scalar loop, so single runs keep the scalar loop, the batched
+engine's test oracle.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import FAMILIES, StatePolicyRule
+from .benchmarks import FAMILIES
 from .errors import GoalTensorError, ParameterError
 from .model import DecisionRows, DecPomdpModel
 from .tensor import DecisionPolicy
@@ -89,22 +88,19 @@ class SimulationSummary:
     average_cost: float
     sampling_rate: float
     stderr: float           # batch-means standard error of the average cost
-    inherent_cost: float    # raw status cost average
-    gain_offset: float      # actuation gain clipped by the ramp (nonpositive)
-    expenditure: float      # weighted actuation expenditure average
-    sampling_cost: float    # transmission charge average
-
-    @property
-    def decomposition(self):
-        """Three-way split; terms sum to the average cost."""
-        return {"sampling": self.sampling_cost, "actuation": self.expenditure,
-                "inherent": self.inherent_cost + self.gain_offset}
 
 
 # Batch-means groups behind every simulation summary's ``stderr``.
 BATCHES = 100
 
-# Slots per time chunk of both engines: the random draws, and in
+
+def _batch_starts(horizon):
+    """Where each batch-means group (equal ``t * n_batches // horizon``) starts, and the end."""
+    n_batches = max(1, min(BATCHES, horizon))
+    return (-(-np.arange(n_batches + 1) * horizon // n_batches)).tolist()
+
+
+# Most slots per time chunk of both engines: the random draws, and in
 # ``simulate_replicas`` the next-state tables and the record of every
 # replica's states and transmissions, are held one chunk at a time, which
 # bounds their memory whatever the horizon.
@@ -124,81 +120,75 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
 
     Returns ``(trace, summary)``: ``trace`` is a ``Trace``, or None when
     ``record_trace`` is false (long runs accumulate sums only).  ``rule`` is any
-    object with ``reset/decide/notify`` (see the benchmark rules); wrap a plain
-    ``SamplingPolicy`` with ``StatePolicyRule``.
+    object with the scalar rule form ``reset/decide/notify`` (see
+    ``benchmarks``, whose state-policy rule runs a plain ``SamplingPolicy``).
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     n = model.alphabets.n_states
     x, xhat, phi = initial
 
-    # drawn SLOT_CHUNK at a time, the channel's as its cursor needs them; a
-    # generator drawn in pieces returns the numbers of one draw
+    # drawn a chunk at a time (a chunk ends with its batch-means group), the
+    # channel's as its cursor needs them; a generator drawn in pieces returns
+    # the numbers of one draw
     src_stream, ctx_stream, ch_stream = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     ch_u = []
 
-    # the slot's terms and next-source row, by flat state s = x + n*xhat + nn*phi
+    # the slot's goal cost and next-source row, by flat state s = x + n*xhat + nn*phi
     rows = DecisionRows(model, decision.actions)
-    src_rows, got, raw, ramp, spend = (terms.tolist() for terms in (
-        _cumulative_rows(rows.source), rows.got, rows.raw, rows.ramp, rows.spend))
+    src_rows, got = _cumulative_rows(rows.source).tolist(), rows.got.tolist()
     ctx_rows = _cumulative_rows(model.context.probs).tolist()
     nn = n * n
     p_success = model.channel.success_prob
     charge = model.cost.sampling_cost
 
     rule.reset(x, xhat, phi)
+    decide, notify = rule.decide, rule.notify
     if record_trace:
         xs, xhats, phis, sent, draws = [], [], [], [], []
-    n_batches = max(1, min(BATCHES, horizon))
-    batch_cost = [0.0] * n_batches
-    batch_len = [0] * n_batches
-    cost_sum = raw_sum = ramp_sum = spend_sum = 0.0
-    samples = 0
-    channel_cursor = 0
+    starts = _batch_starts(horizon)
+    means = []
+    cost_sum = 0.0
+    samples = channel_cursor = 0
 
-    for t0 in range(0, horizon, SLOT_CHUNK):
-        c = min(SLOT_CHUNK, horizon - t0)
-        for t, u_src, u_ctx in zip(range(t0, t0 + c), src_stream.random(c).tolist(),
-                                   ctx_stream.random(c).tolist()):
-            a_s = rule.decide(t, x, xhat, phi)
-            h = -1
-            delivered = False
-            if a_s:
-                if channel_cursor == len(ch_u):
-                    ch_u = ch_stream.random(SLOT_CHUNK).tolist()
-                    channel_cursor = 0
-                h = 1 if ch_u[channel_cursor] < p_success else 0
-                channel_cursor += 1
-                delivered = h == 1
-                samples += 1
-            s = x + n * xhat + nn * phi
-            slot_cost = got[s] + charge * a_s
+    for b0, b1 in zip(starts, starts[1:]):
+        batch_sum = 0.0
+        for t0 in range(b0, b1, SLOT_CHUNK):
+            c = min(SLOT_CHUNK, b1 - t0)
+            for t, u_src, u_ctx in zip(range(t0, t0 + c), src_stream.random(c).tolist(),
+                                       ctx_stream.random(c).tolist()):
+                a_s = decide(t, x, xhat, phi)
+                h = -1
+                delivered = False
+                if a_s:
+                    if channel_cursor == len(ch_u):
+                        ch_u = ch_stream.random(SLOT_CHUNK).tolist()
+                        channel_cursor = 0
+                    h = 1 if ch_u[channel_cursor] < p_success else 0
+                    channel_cursor += 1
+                    delivered = h == 1
+                    samples += 1
+                s = x + n * xhat + nn * phi
+                slot_cost = got[s] + charge * a_s
+                cost_sum += slot_cost
+                batch_sum += slot_cost
 
-            cost_sum += slot_cost
-            raw_sum += raw[s]
-            ramp_sum += ramp[s]
-            spend_sum += spend[s]
-            b = t * n_batches // horizon
-            batch_cost[b] += slot_cost
-            batch_len[b] += 1
+                if record_trace:
+                    xs.append(x)
+                    xhats.append(xhat)
+                    phis.append(phi)
+                    sent.append(a_s)
+                    draws.append(h)
 
-            if record_trace:
-                xs.append(x)
-                xhats.append(xhat)
-                phis.append(phi)
-                sent.append(a_s)
-                draws.append(h)
+                notify(x, xhat, phi, a_s, delivered)
+                next_xhat = x if delivered else xhat
+                x = bisect_right(src_rows[s], u_src)
+                phi = bisect_right(ctx_rows[phi], u_ctx)
+                xhat = next_xhat
+        means.append(batch_sum / (b1 - b0))
 
-            rule.notify(x, xhat, phi, a_s, delivered)
-            next_xhat = x if delivered else xhat
-            x = bisect_right(src_rows[s], u_src)
-            phi = bisect_right(ctx_rows[phi], u_ctx)
-            xhat = next_xhat
-
-    means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
-    summary = _summary(horizon, seed, charge, samples,
-                       (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+    summary = _summary(horizon, seed, samples, cost_sum, means)
     if not record_trace:
         return None, summary
     if state_values is None:
@@ -252,20 +242,11 @@ def _standard_error(values):
     return float(spread / np.sqrt(values.size))
 
 
-def _summary(horizon, seed, charge, samples, sums, batch_means):
-    """One replica's summary from its transmission count, its running sums of
-    cost, raw status cost, clipped ramp and expenditure, and its batch means."""
-    cost_sum, raw_sum, ramp_sum, spend_sum = sums
-    return SimulationSummary(
-        horizon=horizon, seed=seed,
-        average_cost=cost_sum / horizon,
-        sampling_rate=samples / horizon,
-        stderr=_standard_error(batch_means),
-        inherent_cost=raw_sum / horizon,
-        gain_offset=(ramp_sum - raw_sum) / horizon,
-        expenditure=spend_sum / horizon,
-        sampling_cost=charge * samples / horizon,
-    )
+def _summary(horizon, seed, samples, cost_sum, batch_means):
+    """One replica's summary from its transmission count, cost sum and batch means."""
+    return SimulationSummary(horizon=horizon, seed=seed, average_cost=cost_sum / horizon,
+                             sampling_rate=samples / horizon,
+                             stderr=_standard_error(batch_means))
 
 
 def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, horizon,
@@ -274,20 +255,19 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
 
     Returns ``summaries[i][j]`` for ``rules[i]`` run on ``seeds[j]``, equal bit
     for bit to ``simulate_closed_loop(model, rules[i], decision, horizon,
-    seeds[j], record_trace=False, initial=initial)[1]``.  The
-    rules must all be of one kind: ``UniformRule``, ``AgeThresholdRule``,
-    ``ChangeAwareRule`` or ``StatePolicyRule``.
+    seeds[j], record_trace=False, initial=initial)[1]``.  The rules must all be
+    of one class, which runs them through its replica form (``Replicas``).
     """
-    from .benchmarks import AgeThresholdRule, ChangeAwareRule, UniformRule
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if not len(rules) or not len(seeds):
         raise ParameterError("simulate_replicas needs at least one rule and one seed")
-    kind = type(rules[0])
-    if kind not in (UniformRule, AgeThresholdRule, ChangeAwareRule, StatePolicyRule) \
-            or any(type(rule) is not kind for rule in rules):
-        raise ParameterError("simulate_replicas runs rules of one kind: uniform, age "
-                             "threshold, change-aware or state policy")
+    rule_class = type(rules[0])
+    if any(type(rule) is not rule_class for rule in rules):
+        raise ParameterError("simulate_replicas runs rules of one class, got "
+                             + ", ".join(sorted({type(rule).__name__ for rule in rules})))
+    if not hasattr(rule_class, "Replicas"):
+        raise ParameterError(f"{rule_class.__name__} has no replica form to batch")
     n, g = model.alphabets.n_states, model.n_global_states
     n_seeds, n_rules = len(seeds), len(rules)
     width = n_rules * n_seeds
@@ -303,12 +283,9 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
     ctx_rows = _cumulative_rows(model.context.probs)[phis]
     seed_base = g * np.arange(n_seeds)[:, None]
     state_of_q = np.tile(np.repeat(np.arange(g), 2), n_seeds)
-
-    # per-slot terms by q: cost before the transmission charge, raw status
-    # cost, clipped ramp, expenditure, and the cost again for the batch sum
-    terms = np.stack([rows.got, rows.raw, rows.ramp, rows.spend, rows.got],
-                     axis=1)[state_of_q]
+    got = rows.got[state_of_q]              # the slot's cost before the charge, by q
     charge = model.cost.sampling_cost
+    replicas = rule_class.Replicas(rules, model, state_of_q, n_seeds)
 
     streams = [[np.random.default_rng(child)
                 for child in np.random.SeedSequence(seed).spawn(3)] for seed in seeds]
@@ -318,36 +295,19 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
                                for _, _, ch in streams])
     cursor = seed_of * horizon
 
-    if kind is UniformRule:
-        periods = np.repeat([rule.period for rule in rules], n_seeds)
-    elif kind is AgeThresholdRule:
-        thresholds = np.repeat([rule.threshold for rule in rules], n_seeds)
-        last = np.full(width, -1)           # slot of the last delivery
-    elif kind is ChangeAwareRule:
-        x_of_q = xs[state_of_q]
-    else:
-        table = np.stack([rule.policy.decisions[xs, xhats, phis] != 0 for rule in rules])
-        policy = table[:, state_of_q].ravel()
-        policy_base = np.repeat(np.arange(n_rules) * state_of_q.size, n_seeds)
-
-    n_batches = max(1, min(BATCHES, horizon))
-    # batch b covers slots t with t * n_batches // horizon == b
-    starts = (-(-np.arange(n_batches + 1) * horizon // n_batches)).tolist()
-    batch_cost = np.zeros((n_batches, width))
+    starts = _batch_starts(horizon)
+    batch_cost = np.zeros((len(starts) - 1, width))
     b = 0
-    sums = np.zeros((width, 5))
+    sums = np.zeros((2, width))             # running cost, and cost of the batch so far
     samples = np.zeros(width, dtype=np.int64)
 
     states = np.empty((SLOT_CHUNK + 1, width), dtype=np.intp)
     sent = np.empty((SLOT_CHUNK, width), dtype=bool)
-    x0, xhat0, phi0 = initial
-    states[0] = 2 * (seed_of * g + model.state_index(x0, xhat0, phi0))
-    if kind is ChangeAwareRule:
-        prev = x_of_q[states[0]]
+    states[0] = 2 * (seed_of * g + model.state_index(*initial))
+    start, decide, notify = replicas.start, replicas.decide, replicas.notify
 
     for t0 in range(0, horizon, SLOT_CHUNK):
         c = min(SLOT_CHUNK, horizon - t0)
-        slots = np.arange(t0, t0 + c)[:, None]
         # bisect_right of a cumulative row is the number of its entries <= u;
         # the last entry is 1.0 and never counts
         u_src = np.stack([src.random(c) for src, _, _ in streams], axis=1)[:, :, None]
@@ -356,45 +316,32 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
         phi_next = sum(ctx_rows[:, k] <= u_ctx for k in range(ctx_rows.shape[1] - 1))
         base = x_next + n * n * phi_next + seed_base
         nxt = 2 * np.stack([base + n * xhats, base + n * xs], axis=-1).reshape(c, -1)
-        if kind is UniformRule:
-            sent[:c] = slots % periods == 0
-        elif kind is AgeThresholdRule:
-            due = slots - thresholds        # transmit while the last delivery is before this
+        start(t0, sent[:c])
 
         for k in range(c):
             q, a = states[k], sent[k]
-            if kind is AgeThresholdRule:
-                np.less(last, due[k], out=a)
-            elif kind is ChangeAwareRule:
-                x = x_of_q[q]
-                np.not_equal(x, prev, out=a)
-                prev = x
-            elif kind is not UniformRule:
-                a[:] = policy[policy_base + q]
+            decide(k, q, a)
             delivered = delivers[cursor]
             delivered &= a
             cursor += a
-            if kind is AgeThresholdRule:
-                np.copyto(last, t0 + k, where=delivered)
+            notify(k, delivered)
             states[k + 1] = nxt[k][q + delivered]
 
-        # add the chunk's terms slot by slot, as the single-replica loop does
-        parts = terms[states[:c]]
-        charged = charge * sent[:c]
-        parts[:, :, 0] += charged
-        parts[:, :, 4] += charged
+        # add the chunk's costs slot by slot, as the single-replica loop does;
+        # rows shaped as ``sums`` add several times faster than a broadcast row
+        parts = np.repeat((got[states[:c]] + charge * sent[:c])[:, None], 2, axis=1)
         for k in range(c):
             if t0 + k == starts[b + 1]:
-                batch_cost[b] = sums[:, 4]
-                sums[:, 4] = 0.0
+                batch_cost[b] = sums[1]
+                sums[1] = 0.0
                 b += 1
             sums += parts[k]
         samples += sent[:c].sum(axis=0)
         states[0] = states[c]
-    batch_cost[b] = sums[:, 4]
+    batch_cost[b] = sums[1]
 
     means = np.ascontiguousarray((batch_cost / np.diff(starts)[:, None]).T)
-    return [[_summary(horizon, seed, charge, int(samples[r]), sums[r, :4].tolist(), means[r])
+    return [[_summary(horizon, seed, int(samples[r]), float(sums[0, r]), means[r])
              for r, seed in enumerate(seeds, start=i * n_seeds)] for i in range(n_rules)]
 
 
@@ -405,8 +352,6 @@ class SweepResult:
     sampling_rate: float
     average_cost: float
     stderr: float
-    cost_breakdown: dict = field(default_factory=dict)
-    n_seeds: int = 1
 
 
 def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPolicy,
@@ -429,19 +374,9 @@ def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPol
                                                         seeds, initial=initial)):
         costs = [summary.average_cost for summary in summaries]
         rates = [summary.sampling_rate for summary in summaries]
-        splits = [(summary.inherent_cost, summary.gain_offset,
-                   summary.expenditure, summary.sampling_cost) for summary in summaries]
-        mean_split = np.mean(np.array(splits), axis=0)
-        results.append(SweepResult(
-            policy=family, param=param,
-            sampling_rate=float(np.mean(rates)),
-            average_cost=float(np.mean(costs)),
-            stderr=_standard_error(costs),
-            cost_breakdown={"inherent": float(mean_split[0]),
-                            "actuation_gain_offset": float(mean_split[1]),
-                            "actuation_expenditure": float(mean_split[2]),
-                            "sampling": float(mean_split[3])},
-            n_seeds=len(costs)))
+        results.append(SweepResult(policy=family, param=param, stderr=_standard_error(costs),
+                                   sampling_rate=float(np.mean(rates)),
+                                   average_cost=float(np.mean(costs))))
     return results
 
 

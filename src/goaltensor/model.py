@@ -97,7 +97,7 @@ class ChannelModel:
             raise ModelIncompleteError(f"success_prob {self.success_prob} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)          # models compare and hash by identity
 class DecPomdpModel:
     alphabets: Alphabets
     source: SourceDynamics
@@ -218,10 +218,9 @@ class DecisionRows:
     optional leading batch axes that every attribute keeps.  Per global state:
 
     * ``actions``, the actuation at the state's estimate;
-    * the slot terms: ``raw`` the raw status cost (no batch axes), ``ramp``
-      and ``spend`` the clipped ramp and weighted expenditure
-      (``tensor.split_goal_cost``), ``got`` their sum, and ``rewards``
-      (..., N, 2) the negated cost of idling and of transmitting;
+    * the slot terms: ``ramp`` and ``spend`` the clipped ramp and weighted
+      expenditure (``tensor.split_goal_cost``), ``got`` their sum, and
+      ``rewards`` (..., N, 2) the negated cost of idling and of transmitting;
     * gathered on first read: ``kernels`` (..., 2, N, N) by sampling bit,
       ``success`` (..., N, N) after a delivered update, and ``source``
       (..., N, n_states) the source row at (x, phi, actuation).
@@ -232,7 +231,6 @@ class DecisionRows:
         ramp, spend = split_goal_cost(model.cost)
         self.model = model
         self.actions = np.asarray(decisions)[..., xhats]
-        self.raw = model.cost.inherent.T[xs, phis]
         self.ramp = ramp[xs, phis, self.actions]
         self.spend = spend[self.actions]
         self.got = self.ramp + self.spend

@@ -239,17 +239,24 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
             raise ScenarioError(f"cost.inherent[{k}]", f"expected {n} entries")
         for i, x in enumerate(row):
             inherent[k, i] = _as_number(x, f"cost.inherent[{k}][{i}]", minimum=0)
-    cost = CostModel(
-        inherent=inherent,
-        gain=_cost_table(_require(cost_doc, "gain", "cost"), a, "cost.gain"),
-        expenditure=_cost_table(_require(cost_doc, "expenditure", "cost"), a,
-                                "cost.expenditure"),
-        gain_weight=_as_number(cost_doc.get("gain_weight", 1.0), "cost.gain_weight"),
-        expenditure_weight=_as_number(cost_doc.get("expenditure_weight", 1.0),
-                                      "cost.expenditure_weight"),
-        sampling_cost=_as_number(cost_doc.get("sampling_cost", 0.0),
-                                 "cost.sampling_cost", minimum=0),
-    )
+    try:
+        with np.errstate(over="raise"):     # weights times tables, and their sums
+            cost = CostModel(
+                inherent=inherent,
+                gain=_cost_table(_require(cost_doc, "gain", "cost"), a, "cost.gain"),
+                expenditure=_cost_table(_require(cost_doc, "expenditure", "cost"), a,
+                                        "cost.expenditure"),
+                gain_weight=_as_number(cost_doc.get("gain_weight", 1.0), "cost.gain_weight"),
+                expenditure_weight=_as_number(cost_doc.get("expenditure_weight", 1.0),
+                                              "cost.expenditure_weight"),
+                sampling_cost=_as_number(cost_doc.get("sampling_cost", 0.0),
+                                         "cost.sampling_cost", minimum=0),
+            )
+            model = DecPomdpModel(alphabets=alphabets, source=SourceDynamics(source),
+                                  context=ContextDynamics(context),
+                                  channel=ChannelModel(p_success), cost=cost)
+    except FloatingPointError:
+        raise ScenarioError("cost", "weighted cost tables overflow a float") from None
 
     if "state_values" in doc:
         raw = doc["state_values"]
@@ -259,10 +266,6 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                                  for i, x in enumerate(raw)], dtype=float)
     else:
         state_values = np.arange(n, dtype=float)
-
-    model = DecPomdpModel(alphabets=alphabets, source=SourceDynamics(source),
-                          context=ContextDynamics(context),
-                          channel=ChannelModel(p_success), cost=cost)
 
     solver_doc = _section(doc, "solver")
     solver = SolverConfig(

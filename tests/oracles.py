@@ -475,30 +475,22 @@ def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seed
     from goaltensor.harness import SweepResult, simulate_closed_loop
     results = []
     for param in grid:
-        costs, rates, splits = [], [], []
+        costs, rates = [], []
         for seed in seeds:
             rule = FAMILIES[family].rule(model, param, decision, None)
             _, summary = simulate_closed_loop(model, rule, decision, horizon, seed,
                                               record_trace=False, initial=initial)
             costs.append(summary.average_cost)
             rates.append(summary.sampling_rate)
-            splits.append((summary.inherent_cost, summary.gain_offset,
-                           summary.expenditure, summary.sampling_cost))
         if len(costs) > 1:
             stderr = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
         else:
             stderr = float("nan")
-        mean_split = np.mean(np.array(splits), axis=0)
         results.append(SweepResult(
             policy=family, param=param,
             sampling_rate=float(np.mean(rates)),
             average_cost=float(np.mean(costs)),
-            stderr=stderr,
-            cost_breakdown={"inherent": float(mean_split[0]),
-                            "actuation_gain_offset": float(mean_split[1]),
-                            "actuation_expenditure": float(mean_split[2]),
-                            "sampling": float(mean_split[3])},
-            n_seeds=len(costs)))
+            stderr=stderr))
     return results
 
 
@@ -562,7 +554,6 @@ def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
         model.cost.inherent.T[:, :, None]
         - model.cost.gain_weight * model.cost.gain[None, None, :], 0.0).tolist()
     spend = (model.cost.expenditure_weight * model.cost.expenditure).tolist()
-    inherent2 = model.cost.inherent.T.tolist()
     sq_err = ((state_values[:, None] - state_values[None, :]) ** 2).tolist()
     acts = decision.actions.tolist()
     p_success = model.channel.success_prob
@@ -573,7 +564,7 @@ def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
     n_batches = max(1, min(batches, horizon))
     batch_cost = [0.0] * n_batches
     batch_len = [0] * n_batches
-    cost_sum = raw_sum = ramp_sum = spend_sum = 0.0
+    cost_sum = 0.0
     samples = 0
     channel_cursor = 0
     aoi, aoci = 1, 1
@@ -595,9 +586,6 @@ def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
         aos = 0 if x == xhat else aos_prev + 1
 
         cost_sum += slot_cost
-        raw_sum += inherent2[x][phi]
-        ramp_sum += ramp_term
-        spend_sum += spend[a_a]
         b = t * n_batches // horizon
         batch_cost[b] += slot_cost
         batch_len[b] += 1
@@ -618,8 +606,7 @@ def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
         aos_prev = aos
 
     means = [batch_cost[i] / batch_len[i] for i in range(n_batches) if batch_len[i]]
-    return records, _summary(horizon, seed, charge, samples,
-                             (cost_sum, raw_sum, ramp_sum, spend_sum), means)
+    return records, _summary(horizon, seed, samples, cost_sum, means)
 
 
 def write_records_csv(path, records):

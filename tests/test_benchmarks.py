@@ -68,6 +68,17 @@ def test_age_rule_examples():
         family_rule("age", -1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, -1])
+@pytest.mark.parametrize("family", ["uniform", "age"])
+def test_rule_and_evaluator_check_a_parameter_alike(shipped, greedy, family, value):
+    with pytest.raises(ParameterError) as by_rule:
+        family_rule(family, value)
+    with pytest.raises(ParameterError) as by_evaluator:
+        FAMILIES[family].evaluate(shipped.model, value, greedy, 0, None)
+    assert str(by_rule.value) == str(by_evaluator.value)
+    assert str(by_rule.value).startswith(FAMILIES[family].param)
+
+
 def test_change_rule_examples():
     rule = family_rule("change")
     rule.reset(0, 0, 0)

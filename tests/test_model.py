@@ -125,6 +125,15 @@ def test_copies_build_their_own_kernels():
     np.testing.assert_array_equal(costly.rewards[:, 1], -(costly.got + 5.0))
 
 
+def test_models_compare_and_hash_by_identity():
+    from goaltensor.scenario import default_scenario
+    one, other = default_scenario().model, default_scenario().model
+    assert one == one and one != other          # equal tables, distinct models
+    assert isinstance(hash(one), int) and len({one, other, one}) == 2
+    cache = {one: "one", other: "other"}
+    assert cache[one] == "one" and cache[other] == "other"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_decision_rows_match_oracles_on_random_models(seed):
     rng = np.random.default_rng(seed)
@@ -152,7 +161,6 @@ def test_decision_rows_match_oracles_on_random_models(seed):
             s = model.state_index(*w)
             act = policy(w.xhat)
             assert single.actions[s] == act
-            assert single.raw[s] == cost.inherent[w.phi, w.x]
             assert single.ramp[s] == tensor_entry_by_hand(ramp_only, policy, w.x, w.phi,
                                                           w.xhat)
             assert single.got[s] == tensor_entry_by_hand(cost, policy, w.x, w.phi, w.xhat)

@@ -213,6 +213,22 @@ def test_non_finite_numbers_are_field_addressed(section, key, value, field):
     assert "finite" in str(info.value)
 
 
+# finite numbers whose weighted cost tables leave the float range (the
+# mutation property test below once drew each of these)
+@pytest.mark.parametrize("key, value", [
+    ("expenditure_weight", 1.797693134862316e+307),
+    ("gain_weight", 2.247116418577895e+306),
+    ("gain", {"linear": 1.797693134862316e+307}),
+    ("gain_weight", -1e308),
+])
+def test_overflowing_cost_weights_are_field_addressed(key, value):
+    doc = default_document()
+    doc["cost"][key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == "cost" and "overflow" in str(info.value)
+
+
 @pytest.mark.parametrize("value", ["bogus", "RVI", 1, None, ["jesp"]])
 def test_solver_algorithm_must_be_a_known_choice(value):
     doc = default_document()
