@@ -223,8 +223,9 @@ def _random_state_rules(model, seed, count):
             for _ in range(count)]
 
 
-# every ``FAMILIES`` entry, at two parameters where it takes one, and random
-# state-policy rules
+# every ``FAMILIES`` entry, at its default (period 1 sends every slot,
+# threshold 0 makes every slot due) and two larger parameters where it takes
+# one, and random state-policy rules
 RULE_KINDS = sorted(FAMILIES) + ["random-state"]
 
 
@@ -232,7 +233,8 @@ def _rules(kind, model, decision):
     if kind == "random-state":
         return _random_state_rules(model, 5, 3)
     family = FAMILIES[kind]
-    params = [family.default + 2, family.default + 8] if family.param else [None]
+    params = ([family.default, family.default + 2, family.default + 8]
+              if family.param else [None])
     return [family.rule(model, param, decision, None) for param in params]
 
 
