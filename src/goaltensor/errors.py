@@ -43,6 +43,11 @@ class EnumerationBudgetError(GoalTensorError):
     """Policy enumeration would exceed the configured budget."""
 
 
+class MemoryBudgetError(GoalTensorError):
+    """Dense kernels would exceed the package's byte limit (``model.MAX_KERNEL_BYTES``);
+    raised before anything of that size is allocated."""
+
+
 class ParameterError(GoalTensorError):
     """A policy or tuning parameter is outside its valid range."""
 

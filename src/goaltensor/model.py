@@ -23,11 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelIncompleteError
+from .errors import MemoryBudgetError, ModelIncompleteError
 from .tensor import (Alphabets, CostModel, DecisionPolicy, SamplingPolicy,
                      split_goal_cost, validate_cost_model)
 
 ROW_SUM_TOL = 1e-9
+MAX_KERNEL_BYTES = 2 ** 28      # largest stack of dense N x N kernels built at once (256 MiB)
 
 
 class GlobalState(NamedTuple):
@@ -182,8 +183,21 @@ def transition_kernel(model: DecPomdpModel, w: GlobalState, action: JointAction)
     return np.einsum("u,e,r->reu", src, est, ctx).reshape(model.n_global_states)
 
 
+def check_kernel_bytes(alphabets: Alphabets, count, what):
+    """Refuse ``count`` (idle, transmit) pairs of dense N x N float kernels, ``what``
+    in the message, when they exceed ``MAX_KERNEL_BYTES``; call before allocating."""
+    n_global = alphabets.n_states ** 2 * alphabets.n_contexts
+    size = count * 2 * n_global ** 2 * 8
+    if size > MAX_KERNEL_BYTES:
+        raise MemoryBudgetError(
+            f"{alphabets.n_states} states x {alphabets.n_contexts} contexts x "
+            f"{alphabets.n_actions} actions (N = {n_global} global states): {what} "
+            f"need {size:,} bytes, over the {MAX_KERNEL_BYTES:,}-byte limit")
+
+
 def dense_kernels(model: DecPomdpModel) -> np.ndarray:
     """All transition rows at once: shape (2, n_actions, N, N), first axis the sampling bit."""
+    check_kernel_bytes(model.alphabets, model.alphabets.n_actions, "the dense kernels")
     n = model.alphabets.n_states
     eye = np.eye(n)
     p = model.channel.success_prob

@@ -61,6 +61,9 @@ class SimulationConfig:
     initial_context: int = 0
 
 
+MAX_SWEEP_PARAMETER = 1_000     # longest sampling period or age threshold a sweep may list
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     uniform_periods: tuple = tuple(range(1, 21))
@@ -303,9 +306,11 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
     sweep_doc = _section(doc, "sweep")
     sweep = SweepConfig(
         uniform_periods=_as_values(sweep_doc, "sweep", "uniform_periods",
-                                   SweepConfig.uniform_periods, minimum=1, integer=True),
+                                   SweepConfig.uniform_periods, minimum=1,
+                                   maximum=MAX_SWEEP_PARAMETER, integer=True),
         age_threshold_max=_as_number(sweep_doc.get("age_threshold_max", 50),
-                                     "sweep.age_threshold_max", minimum=0, integer=True),
+                                     "sweep.age_threshold_max", minimum=0,
+                                     maximum=MAX_SWEEP_PARAMETER, integer=True),
         seeds=_as_values(sweep_doc, "sweep", "seeds", SweepConfig.seeds, minimum=0,
                          integer=True),
     )

@@ -8,7 +8,8 @@ fast route use it:
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, their
   sampler MDPs solved in batches and each scored by its optimal gain from the
-  start state;
+  start state (a batch whose kernels would pass ``model.MAX_KERNEL_BYTES`` is
+  refused before it is built);
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -19,12 +20,14 @@ is always the negation of the long-term average cost.
 Chains induced by a fixed sampling policy can fail to be unichain (a sampling
 policy that never transmits out of some estimate freezes that estimate
 forever).  One classifier, ``_closed_classes_batch`` (a reachability
-closure), finds the closed classes of every chain, and one evaluator,
-``_evaluate_batch``, solves the multichain Poisson equations of every
-fixed-policy chain: the sampler MDPs and the actuator's soft policy iteration
-alike.  Gains are always taken from the start state, and ``chain_law`` gives
-the matching long-run law: the stationary law with one closed class, else the
-Cesaro row of the start state.
+closure, squared until it stops changing), finds the closed classes of every
+chain, and one evaluator, ``_evaluate_batch``, solves the multichain Poisson
+equations of every fixed-policy chain: the sampler MDPs and the actuator's
+soft policy iteration alike.  Policy iteration reads a batch's kernels in
+place and copies the still-changing members' kernels only each time half of
+them have finished.  Gains are always taken from the start state, and
+``chain_law`` gives the matching long-run law: the stationary law with one
+closed class, else the Cesaro row of the start state.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import numpy as np
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
                      NonConvergenceError, ParameterError,
                      UnreachableObservationError)
-from .model import (DecisionRows, DecPomdpModel, TabularMdp, heuristic_mdp,
-                    induced_mdp, induced_pomdp)
+from .model import (DecisionRows, DecPomdpModel, TabularMdp, check_kernel_bytes,
+                    heuristic_mdp, induced_mdp, induced_pomdp)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 POISSON_TOL = 1e-8
@@ -287,14 +290,20 @@ def q_tables(model: DecPomdpModel, sampling: SamplingPolicy, decision, start_sta
 def _closed_classes_batch(P):
     """Closed classes of a batch of chains (K, N, N) by boolean reachability closure.
 
-    Returns ``(representative, closed)``: per state, the lowest index of its
+    The reflexive one-step reachability matrix is squared until it holds every
+    path of N - 1 steps, or until a squaring leaves the whole batch unchanged:
+    a reflexive R with R R = R is already its transitive closure.  Returns
+    ``(representative, closed)``: per state, the lowest index of its
     communicating class, and whether that class is closed (recurrent).
     """
     n = P.shape[1]
     reach = (P > 0.0).astype(np.float32)
     reach[:, np.arange(n), np.arange(n)] = 1.0
     for _ in range((n - 1).bit_length()):             # until paths of n - 1 steps are in
-        reach = np.minimum(reach @ reach, 1.0)
+        squared = np.minimum(reach @ reach, 1.0)
+        if np.array_equal(squared, reach):
+            break
+        reach = squared
     reach = reach > 0.0
     back = reach.transpose(0, 2, 1)
     closed = ~(reach & ~back).any(axis=2)
@@ -355,6 +364,13 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     after ``max_rounds`` rounds, raises ``NonConvergenceError``.  Returns
     (policies, gain vectors, bias vectors, rounds, residuals, closed-class
     counts), all per member.
+
+    Rounds read the kernels of the members still changing from a held array:
+    ``T`` itself at first, then a compact copy of the active members' kernels,
+    taken each time half of the held members have finished, so the copies
+    add up to at most one batch.  Q-values are formed over every held member
+    and read at the active ones, the same arithmetic per member as a copy
+    taken every round.
     """
     k, _, n, _ = T.shape
     # floating noise of an evaluation grows with the member's reward and bias
@@ -367,14 +383,22 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     residuals = np.empty(k)
     n_closed = np.empty(k, dtype=int)
     active = np.arange(k)
+    held, at = T, active            # kernels read this round; the active members' rows in them
+
+    def q_values(x):
+        """(T x)[at] over the held kernels, x given at the active members."""
+        spread = np.zeros((len(held), n))
+        spread[at] = x
+        return np.einsum("kans,ks->kna", held, spread)[at]
+
     for round_ in range(1, max_rounds + 1):
-        Tk, Rk, pol = T[active], R[active], policy[active]
+        Rk, pol = R[active], policy[active]
         chosen = pol[..., None]
-        P = Tk[np.arange(active.size)[:, None], pol, np.arange(n)]
+        P = held[at[:, None], pol, np.arange(n)]
         g, h, classes = _evaluate_batch(
             P, np.take_along_axis(Rk, chosen, axis=2)[..., 0])
-        Qg = np.einsum("kans,ks->kna", Tk, g)
-        Qh = Rk + np.einsum("kans,ks->kna", Tk, h)
+        Qg = q_values(g)
+        Qh = Rk + q_values(h)
         tol = PI_NOISE * (reward_scale[active] + np.abs(h).max(axis=1))[:, None]
         best_g = Qg.max(axis=2)
         gain_up = best_g > np.take_along_axis(Qg, chosen, axis=2)[..., 0] + tol
@@ -394,9 +418,11 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
         # certificate: residuals of both multichain optimality equations
         residuals[finished] = np.maximum(np.abs(best_g - g).max(axis=1),
                                          np.abs(best_h - g - h).max(axis=1))[done]
-        active = active[~done]
+        active, at = active[~done], at[~done]
         if not active.size:
             break
+        if 2 * active.size <= len(held):               # half the held members finished
+            held, at = T[active], np.arange(active.size)
     else:
         raise NonConvergenceError(
             f"{active.size} of {k} candidates still changing policy after {max_rounds} "
@@ -650,6 +676,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         raise EnumerationBudgetError(
             f"{n_actions}^{n_states} = {n_candidates} decision policies exceed the "
             f"enumeration budget {budget}")
+    chunk = min(BRUTE_CHUNK, n_candidates)
+    check_kernel_bytes(model.alphabets, chunk, f"the kernels of {chunk} candidates per batch")
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")

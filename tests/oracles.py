@@ -18,8 +18,8 @@ from scipy.sparse.csgraph import connected_components
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecisionRows, DecPomdpModel, GlobalState, TabularMdp
-from goaltensor.solvers import (DEFAULT_EPSILON, POISSON_TOL, _ChainEval, cesaro_limit,
-                                stationary_distribution)
+from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, _ChainEval,
+                                _evaluate_batch, cesaro_limit, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel
 
 MAX_RVI_SWEEPS = 10_000
@@ -465,6 +465,98 @@ def policy_gain(mdp: TabularMdp, policy, start=0):
     """Gain from ``start`` of a deterministic policy of a tabular MDP."""
     rows = np.arange(mdp.n_states)
     return gain_from(mdp.transitions[policy, rows], mdp.rewards[rows, policy], start)
+
+
+# ---------------------------------------------------------------------------
+# the chain classifier with a fixed number of squarings, and policy iteration
+# copying the active members' kernels every round: the forms before the
+# classifier stopped at its fixed point and policy iteration held its kernels,
+# kept to check that both give the same bits
+
+
+def closed_classes_by_squaring(P):
+    """Closed classes of a batch of chains (K, N, N) by boolean reachability closure.
+
+    Returns ``(representative, closed)``: per state, the lowest index of its
+    communicating class, and whether that class is closed (recurrent).
+    """
+    n = P.shape[1]
+    reach = (P > 0.0).astype(np.float32)
+    reach[:, np.arange(n), np.arange(n)] = 1.0
+    for _ in range((n - 1).bit_length()):             # until paths of n - 1 steps are in
+        reach = np.minimum(reach @ reach, 1.0)
+    reach = reach > 0.0
+    back = reach.transpose(0, 2, 1)
+    closed = ~(reach & ~back).any(axis=2)
+    return (reach & back).argmax(axis=2), closed
+
+
+def policy_iteration_copying(T, R, epsilon, max_rounds, initial_action):
+    """Multichain policy iteration over a batch of MDPs sharing a state space.
+
+    ``T`` is (K, A, N, N) and ``R`` is (K, N, A).  Each member starts from
+    ``initial_action`` everywhere and alternates exact evaluation with
+    Puterman's two-step improvement: first on P g, then on r + P h among the
+    gain-maximizing actions, keeping the incumbent action on ties.  On exit
+    every member's gain and bias satisfy both multichain optimality equations
+    with residual below ``epsilon``; a member that fails this, or still changes
+    after ``max_rounds`` rounds, raises ``NonConvergenceError``.  Returns
+    (policies, gain vectors, bias vectors, rounds, residuals, closed-class
+    counts), all per member.
+    """
+    k, _, n, _ = T.shape
+    # floating noise of an evaluation grows with the member's reward and bias
+    # magnitude; improvements below it are ties and keep the incumbent action
+    reward_scale = 1.0 + np.abs(R).max(axis=(1, 2))
+    policy = np.full((k, n), initial_action, dtype=int)
+    gains = np.empty((k, n))
+    biases = np.empty((k, n))
+    iterations = np.zeros(k, dtype=int)
+    residuals = np.empty(k)
+    n_closed = np.empty(k, dtype=int)
+    active = np.arange(k)
+    for round_ in range(1, max_rounds + 1):
+        Tk, Rk, pol = T[active], R[active], policy[active]
+        chosen = pol[..., None]
+        P = Tk[np.arange(active.size)[:, None], pol, np.arange(n)]
+        g, h, classes = _evaluate_batch(
+            P, np.take_along_axis(Rk, chosen, axis=2)[..., 0])
+        Qg = np.einsum("kans,ks->kna", Tk, g)
+        Qh = Rk + np.einsum("kans,ks->kna", Tk, h)
+        tol = PI_NOISE * (reward_scale[active] + np.abs(h).max(axis=1))[:, None]
+        best_g = Qg.max(axis=2)
+        gain_up = best_g > np.take_along_axis(Qg, chosen, axis=2)[..., 0] + tol
+        # bias improvement only over the gain-maximizing actions
+        Qb = np.where(Qg >= (best_g - tol)[..., None], Qh, -np.inf)
+        best_h = Qb.max(axis=2)
+        bias_up = (best_h > np.take_along_axis(Qh, chosen, axis=2)[..., 0] + tol) \
+            & ~gain_up.any(axis=1)[:, None]
+        new = np.where(gain_up, Qg.argmax(axis=2), np.where(bias_up, Qb.argmax(axis=2), pol))
+        done = (new == pol).all(axis=1)
+        policy[active] = new
+        finished = active[done]
+        gains[finished] = g[done]
+        biases[finished] = h[done]
+        iterations[finished] = round_
+        n_closed[finished] = classes[done]
+        # certificate: residuals of both multichain optimality equations
+        residuals[finished] = np.maximum(np.abs(best_g - g).max(axis=1),
+                                         np.abs(best_h - g - h).max(axis=1))[done]
+        active = active[~done]
+        if not active.size:
+            break
+    else:
+        raise NonConvergenceError(
+            f"{active.size} of {k} candidates still changing policy after {max_rounds} "
+            f"policy-iteration rounds", iterations=max_rounds)
+    bad = ~(residuals < epsilon)
+    if bad.any():
+        worst = int(np.flatnonzero(bad)[residuals[bad].argmax()])
+        raise NonConvergenceError(
+            f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
+            f"not below {epsilon:g}", residual=float(residuals[worst]),
+            iterations=int(iterations[worst]))
+    return policy, gains, biases, iterations, residuals, n_closed
 
 
 def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seeds,

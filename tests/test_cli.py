@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -586,3 +587,34 @@ def test_oversized_integer_literal_fails_with_the_file_address(tmp_path, capsys)
     assert main(["validate", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {path}: ") and err.count("\n") == 1
+
+
+def uniform_document(states, contexts, actions):
+    """A valid scenario of the given alphabets whose every row is uniform."""
+    return {
+        "alphabets": {"states": states, "contexts": contexts, "actions": actions},
+        "source_dynamics": [[[[1.0 / states] * states] * actions] * contexts] * states,
+        "context_dynamics": [[1.0 / contexts] * contexts] * contexts,
+        "channel": {"success_prob": 0.5},
+        "cost": {"inherent": [list(range(states))] * contexts, "gain": {"linear": 1.0},
+                 "expenditure": {"linear": 1.0}, "sampling_cost": 1.0},
+    }
+
+
+def test_brute_force_refuses_oversized_kernels_before_allocating(tmp_path, capsys):
+    # 8 x 16 x 2: N = 1,024 and only 256 candidates, but one batch of their
+    # kernels would take 128 * 2 * 1,024**2 * 8 bytes, about 2.1 GB
+    path = str(save_scenario(uniform_document(8, 16, 2), tmp_path / "large.json"))
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--scenario", path, "--algorithm", "brute",
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: 8 states x 16 contexts x 2 actions (N = 1024")
+    assert f"{128 * 2 * 1024 ** 2 * 8:,} bytes" in err
+    assert peak < 10 * 2 ** 20

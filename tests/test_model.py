@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goaltensor.errors import ModelIncompleteError
-from goaltensor.model import (ChannelModel, ContextDynamics, DecisionRows, DecPomdpModel,
-                              GlobalState, JointAction, SourceDynamics,
-                              dense_kernels, estimate_kernel, heuristic_mdp,
+from goaltensor.errors import MemoryBudgetError, ModelIncompleteError
+from goaltensor.model import (MAX_KERNEL_BYTES, ChannelModel, ContextDynamics, DecisionRows,
+                              DecPomdpModel, GlobalState, JointAction, SourceDynamics,
+                              check_kernel_bytes, dense_kernels, estimate_kernel,
+                              heuristic_mdp,
                               induced_mdp, induced_pomdp, observation_fn, reward,
                               success_kernels, transition_kernel)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
@@ -313,3 +315,35 @@ def test_row_sum_validation_rejects_bad_rows():
         ContextDynamics([[0.5, 0.5], [1.1, -0.1]])
     with pytest.raises(ModelIncompleteError):
         ChannelModel(1.5)
+
+
+def test_dense_kernels_refuse_oversized_alphabets_before_allocating():
+    # 16 x 16 x 2: N = 4,096, so the kernels would take 2 * 2 * 4,096**2 * 8 bytes
+    n, v, a = 16, 16, 2
+    model = DecPomdpModel(
+        alphabets=Alphabets(n, v, a),
+        source=SourceDynamics(np.full((n, v, a, n), 1.0 / n)),
+        context=ContextDynamics(np.full((v, v), 1.0 / v)),
+        channel=ChannelModel(0.5),
+        cost=CostModel(inherent=np.zeros((v, n)), gain=[0.0, 1.0], expenditure=[0.0, 1.0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError) as info:
+            dense_kernels(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"16 states x 16 contexts x 2 actions (N = 4096 global states): the dense kernels "
+        f"need {2 * 2 * 4096 ** 2 * 8:,} bytes, over the {MAX_KERNEL_BYTES:,}-byte limit")
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 11), (4, 3, 6)], ids=["bundled", "generated"])
+def test_bundled_and_generated_kernels_fit_the_byte_limit(shape):
+    # the bundled scenario and the benchmark's generated 4 x 3 x 6 documents
+    from goaltensor.solvers import BRUTE_CHUNK
+    alphabets = Alphabets(*shape)
+    check_kernel_bytes(alphabets, alphabets.n_actions, "the dense kernels")
+    candidates = alphabets.n_actions ** alphabets.n_states
+    check_kernel_bytes(alphabets, min(BRUTE_CHUNK, candidates), "one batch")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from goaltensor.cli import main
 from goaltensor.errors import GoalTensorError, ScenarioError
 from goaltensor.harness import solve_cell
-from goaltensor.scenario import (default_document, default_scenario, load_scenario,
-                                 save_scenario, scenario_from_dict)
+from goaltensor.scenario import (MAX_SWEEP_PARAMETER, default_document, default_scenario,
+                                 load_scenario, save_scenario, scenario_from_dict)
 
 
 def test_default_scenario_shape(shipped):
@@ -174,6 +174,24 @@ def test_empty_sweep_list_is_field_addressed(key):
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(doc)
     assert info.value.field == f"sweep.{key}"
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("uniform_periods", [1, 10 ** 8], "sweep.uniform_periods[1]"),
+    ("age_threshold_max", 10 ** 8, "sweep.age_threshold_max"),
+])
+def test_sweep_values_are_bounded_from_above(key, value, field):
+    # a period of 10**8 would multiply 10**8 kernels in the uniform evaluator,
+    # and an age threshold of 10**8 would run 10**8 + 1 sweep replicas
+    doc = default_document()
+    doc["sweep"][key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.field == field
+    assert f"above maximum {MAX_SWEEP_PARAMETER}" in str(info.value)
+    sweep = default_scenario().sweep
+    assert max(sweep.uniform_periods) <= MAX_SWEEP_PARAMETER
+    assert sweep.age_threshold_max <= MAX_SWEEP_PARAMETER
 
 
 @pytest.mark.parametrize("section, key, field", [

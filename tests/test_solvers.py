@@ -10,7 +10,10 @@ from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
                                UnreachableObservationError)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
-from goaltensor.solvers import (_ChainEval, brute_force_joint, cesaro_limit, chain_law,
+from goaltensor import solvers
+from goaltensor.scenario import default_scenario
+from goaltensor.solvers import (_ChainEval, _closed_classes_batch, brute_force_joint,
+                                cesaro_limit, chain_law,
                                 closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
                                 jesp, pi_step_size, policy_chain,
@@ -21,10 +24,12 @@ from goaltensor.solvers import (_ChainEval, brute_force_joint, cesaro_limit, cha
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
-                     closed_classes_by_components, exhaustive_joint_search,
+                     closed_classes_by_components, closed_classes_by_squaring,
+                     exhaustive_joint_search,
                      gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
-                     limit_matrix, local_search_one_by_one, policy_gain, random_model,
-                     relative_reward, rvi_solve, tiny_two_state_model)
+                     limit_matrix, local_search_one_by_one, policy_gain,
+                     policy_iteration_copying, random_model, relative_reward, rvi_solve,
+                     tiny_two_state_model)
 
 
 # --- stationary analysis -----------------------------------------------------
@@ -607,6 +612,97 @@ def test_policy_iteration_round_cap_raises():
     with pytest.raises(NonConvergenceError):
         _policy_iteration_batch(mdp.transitions[None], mdp_rewards[None], 1e-6, 1,
                                 initial_action=1)
+
+
+def _sparse_pi_batch(rng, n, k=32, n_actions=4, density=0.15):
+    """A batch of k random sparse MDPs on n states, with planted members:
+
+    * 0-3 give every action the same kernel and favour the initial action 1
+      by 10 in reward, so they finish in the first round;
+    * 4-9 hold states 0 and 1 absorbing under every action, so every policy
+      has several closed classes;
+    * 10 (when n > 2) walks the directed path 0 -> 1 -> ... -> n - 1 under
+      every action; at n = 10 its closure needs every squaring (2**3 < 9).
+    """
+    support = rng.random((k, n_actions, n, n)) < density
+    np.put_along_axis(support, rng.integers(0, n, size=(k, n_actions, n, 1)), True, axis=-1)
+    T = rng.gamma(1.0, size=(k, n_actions, n, n)) * support
+    T /= T.sum(axis=-1, keepdims=True)
+    R = rng.normal(size=(k, n, n_actions))
+    T[:4] = T[:4, :1]
+    R[:4, :, 1] += 10.0
+    absorbing = np.eye(n)[:2]
+    T[4:10, :, :len(absorbing)] = absorbing
+    if n > 2:
+        T[10] = np.eye(n, k=1)
+        T[10, :, -1, -1] = 1.0
+    return T, R
+
+
+def _assert_same_bits(got, want):
+    for ours, theirs in zip(got, want, strict=True):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (10, 2), (2, 0), (2, 1), (1, 0)])
+def test_policy_iteration_matches_copying_oracle(monkeypatch, n, seed):
+    # policies, gains, biases, rounds, residuals and class counts are the bits
+    # of policy iteration that copies every round and squares a fixed number
+    # of times
+    T, R = _sparse_pi_batch(np.random.default_rng(seed), n)
+    got = _policy_iteration_batch(T, R, 1e-6, 100, initial_action=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_closed_classes_batch", closed_classes_by_squaring)
+        want = policy_iteration_copying(T, R, 1e-6, 100, initial_action=1)
+    _assert_same_bits(got, want)
+    rounds, n_closed = got[3], got[5]
+    if n > 1:
+        assert (n_closed > 1).any()
+    if n == 10:
+        assert set(range(1, 6)) <= set(rounds.tolist())
+        # the held kernels were compacted while some members were still changing
+        assert any(0 < (rounds > r).sum() <= len(rounds) // 2 for r in range(1, rounds.max()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_classes_batch_matches_fixed_squaring_oracle(seed):
+    # a long path shares the batch with chains that close in one squaring
+    rng = np.random.default_rng(seed)
+    n = 10
+    P = rng.gamma(1.0, size=(12, n, n)) * (rng.random((12, n, n)) < 0.2)
+    P[np.arange(12)[:, None], np.arange(n), rng.integers(0, n, size=(12, n))] += 1.0
+    P[0] = np.eye(n, k=1)
+    P[0, -1, -1] = 1.0
+    P[1] = 1.0
+    P /= P.sum(axis=-1, keepdims=True)
+    _assert_same_bits(_closed_classes_batch(P), closed_classes_by_squaring(P))
+    # the path alone: the last state is the one closed class, found by both
+    representative, closed = _closed_classes_batch(P[:1])
+    assert closed[0].tolist() == [False] * (n - 1) + [True]
+    assert representative[0].tolist() == list(range(n))
+
+
+def _brute_outcome(model):
+    report = brute_force_joint(model)
+    return (repr(report.average_reward), report.decision_policy.actions.tolist(),
+            report.sampling_policy.decisions.tolist(), report.iterations,
+            repr(report.residual), report.diagnostics["multichain_candidates"])
+
+
+@pytest.mark.parametrize("model, multichain", [
+    (default_scenario(0.2, 10.0).model, True),
+    (default_scenario(1.0, 0.0).model, False),
+    (random_model(np.random.default_rng(7), n_states=3, n_contexts=2, n_actions=3), True),
+], ids=["bundled-0.2-10", "bundled-1.0-0", "random"])
+def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
+    n_candidates = model.alphabets.n_actions ** model.alphabets.n_states
+    outcomes = []
+    for chunk in (1, 7, 128, n_candidates):
+        monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+        outcomes.append(_brute_outcome(model))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert bool(outcomes[0][-1]) == multichain
 
 
 def test_brute_force_certificate_refuses_unreachable_epsilon(shipped):
