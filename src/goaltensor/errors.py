@@ -31,11 +31,14 @@ class ErgodicityError(GoalTensorError):
 
 
 class NonConvergenceError(GoalTensorError):
-    """An iterative solver hit its sweep cap before meeting its tolerance."""
+    """An iterative solver hit its sweep cap before meeting its tolerance.
 
-    def __init__(self, message, residual=None, iterations=None):
+    ``candidate`` is the index of the failing member when a batch was solved."""
+
+    def __init__(self, message, residual=None, iterations=None, candidate=None):
         self.residual = residual
         self.iterations = iterations
+        self.candidate = candidate
         super().__init__(message)
 
 

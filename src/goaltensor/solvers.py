@@ -19,15 +19,18 @@ is always the negation of the long-term average cost.
 
 Chains induced by a fixed sampling policy can fail to be unichain (a sampling
 policy that never transmits out of some estimate freezes that estimate
-forever).  One classifier, ``_closed_classes_batch`` (a reachability
-closure, squared until it stops changing), finds the closed classes of every
-chain, and one evaluator, ``_evaluate_batch``, solves the multichain Poisson
-equations of every fixed-policy chain: the sampler MDPs and the actuator's
-soft policy iteration alike.  Policy iteration reads a batch's kernels in
-place and copies the still-changing members' kernels only each time half of
-them have finished.  Gains are always taken from the start state, and
-``chain_law`` gives the matching long-run law: the stationary law with one
-closed class, else the Cesaro row of the start state.
+forever).  One certificate, ``_unichain_batch`` (every state reaches the state
+with the largest column sum), passes most chains as unichain in a few
+mat-vec sweeps; one classifier, ``_closed_classes_batch`` (a reachability
+closure, squared until it stops changing), finds the closed classes of the
+rest.  One evaluator, ``_evaluate_batch``, asks the certificate first and
+solves the multichain Poisson equations of every fixed-policy chain: the
+sampler MDPs and the actuator's soft policy iteration alike.  Policy
+iteration reads a batch's kernels in place and copies the still-changing
+members' kernels only each time half of them have finished.  Gains are always
+taken from the start state, and ``chain_law`` gives the matching long-run
+law: the stationary law with one closed class, else the Cesaro row of the
+start state.
 """
 
 from __future__ import annotations
@@ -113,9 +116,11 @@ def chain_law(P, start) -> np.ndarray:
 
     The stationary law when the chain has one closed class, whatever the
     start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9).
+    ``_unichain_batch`` is asked first, and the chain is classified only when
+    it cannot certify one closed class.
     """
     P = np.asarray(P, dtype=float)
-    if len(closed_classes(P)) == 1:
+    if _unichain_batch(P[None])[0] or len(closed_classes(P)) == 1:
         return _balance(P)
     return cesaro_limit(P)[start]
 
@@ -305,30 +310,58 @@ def _closed_classes_batch(P):
             break
         reach = squared
     reach = reach > 0.0
-    back = reach.transpose(0, 2, 1)
+    back = np.ascontiguousarray(reach.transpose(0, 2, 1))
     closed = ~(reach & ~back).any(axis=2)
     return (reach & back).argmax(axis=2), closed
+
+
+def _unichain_batch(P):
+    """Members of a batch of chains (K, N, N) certified to have one closed class.
+
+    A member is certified when every state reaches one target state, the one
+    with the largest column sum, in the support graph.  A closed class holds
+    every state its own states reach, so each closed class then contains the
+    target, and closed classes are disjoint: there is exactly one.  A member
+    that is not certified may still be unichain (its target is transient).
+    The states that reach the target grow by one step backwards per sweep,
+    until a sweep adds none.
+    """
+    n = P.shape[1]
+    target = (np.ones(n) @ P).argmax(axis=1)
+    support = (P > 0.0).astype(np.float32)
+    reached = (np.arange(n) == target[:, None]).astype(np.float32)[..., None]
+    while not reached.all():
+        grown = np.minimum(reached + support @ reached, 1.0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return reached.all(axis=(1, 2))
 
 
 def _evaluate_batch(P, r):
     """Gain and bias vectors of a batch of fixed-policy chains.
 
-    A unichain member solves the N x N system g + (I - P) h = r with h[0] = 0.
-    A multichain member solves the 2N x 2N system (I - P) g = 0,
-    g + (I - P) h = r, with h = 0 at the representative state of each closed
-    class in place of that state's (redundant) gain row.  Returns
-    (g, h, number of closed classes), all per member.
+    ``_unichain_batch`` certifies most members as unichain; only the rest go
+    through the full classifier, ``_closed_classes_batch``.  A unichain member
+    solves the N x N system g + (I - P) h = r with h[0] = 0.  A multichain
+    member solves the 2N x 2N system (I - P) g = 0, g + (I - P) h = r, with
+    h = 0 at the representative state of each closed class in place of that
+    state's (redundant) gain row.  Returns (g, h, number of closed classes),
+    all per member.
     """
     k, n, _ = P.shape
-    representative, closed = _closed_classes_batch(P)
-    heads = closed & (representative == np.arange(n))
-    n_closed = heads.sum(axis=1)
+    n_closed = np.ones(k, dtype=int)
+    rest = np.flatnonzero(~_unichain_batch(P))
+    if rest.size:
+        representative, closed = _closed_classes_batch(P[rest])
+        heads = closed & (representative == np.arange(n))
+        n_closed[rest] = heads.sum(axis=1)
     multi = n_closed > 1
     eye = np.eye(n)
     g = np.empty((k, n))
     h = np.empty((k, n))
     if not multi.all():
-        uni = ~multi
+        uni = ~multi if multi.any() else slice(None)  # a slice reads P and r in place
         system = eye - P[uni]
         system[:, :, 0] = 1.0                         # column of h[0] carries g
         x = np.linalg.solve(system, r[uni][..., None])[..., 0]
@@ -343,7 +376,7 @@ def _evaluate_batch(P, r):
         system[:, n:, n:] = system[:, :n, :n]
         rhs = np.zeros((m, 2 * n))
         rhs[:, n:] = r[multi]
-        member, state = np.nonzero(heads[multi])
+        member, state = np.nonzero(heads[multi[rest]])
         system[member, state, :] = 0.0
         system[member, state, n + state] = 1.0
         x = np.linalg.solve(system, rhs[..., None])[..., 0]
@@ -360,10 +393,11 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     Puterman's two-step improvement: first on P g, then on r + P h among the
     gain-maximizing actions, keeping the incumbent action on ties.  On exit
     every member's gain and bias satisfy both multichain optimality equations
-    with residual below ``epsilon``; a member that fails this, or still changes
-    after ``max_rounds`` rounds, raises ``NonConvergenceError``.  Returns
-    (policies, gain vectors, bias vectors, rounds, residuals, closed-class
-    counts), all per member.
+    with residual below ``epsilon``; otherwise ``NonConvergenceError`` names the
+    first member, in batch order, that fails this or still changes after
+    ``max_rounds`` rounds (its ``candidate``).  Returns (policies, gain
+    vectors, bias vectors, rounds, residuals, closed-class counts), all per
+    member.
 
     Rounds read the kernels of the members still changing from a held array:
     ``T`` itself at first, then a compact copy of the active members' kernels,
@@ -380,7 +414,7 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     gains = np.empty((k, n))
     biases = np.empty((k, n))
     iterations = np.zeros(k, dtype=int)
-    residuals = np.empty(k)
+    residuals = np.full(k, np.nan)
     n_closed = np.empty(k, dtype=int)
     active = np.arange(k)
     held, at = T, active            # kernels read this round; the active members' rows in them
@@ -391,22 +425,21 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
         spread[at] = x
         return np.einsum("kans,ks->kna", held, spread)[at]
 
+    states = np.arange(n)
     for round_ in range(1, max_rounds + 1):
         Rk, pol = R[active], policy[active]
-        chosen = pol[..., None]
-        P = held[at[:, None], pol, np.arange(n)]
-        g, h, classes = _evaluate_batch(
-            P, np.take_along_axis(Rk, chosen, axis=2)[..., 0])
+        members = np.arange(active.size)[:, None]
+        P = held[at[:, None], pol, states]
+        g, h, classes = _evaluate_batch(P, Rk[members, states, pol])
         Qg = q_values(g)
         Qh = Rk + q_values(h)
         tol = PI_NOISE * (reward_scale[active] + np.abs(h).max(axis=1))[:, None]
         best_g = Qg.max(axis=2)
-        gain_up = best_g > np.take_along_axis(Qg, chosen, axis=2)[..., 0] + tol
+        gain_up = best_g > Qg[members, states, pol] + tol
         # bias improvement only over the gain-maximizing actions
         Qb = np.where(Qg >= (best_g - tol)[..., None], Qh, -np.inf)
         best_h = Qb.max(axis=2)
-        bias_up = (best_h > np.take_along_axis(Qh, chosen, axis=2)[..., 0] + tol) \
-            & ~gain_up.any(axis=1)[:, None]
+        bias_up = (best_h > Qh[members, states, pol] + tol) & ~gain_up.any(axis=1)[:, None]
         new = np.where(gain_up, Qg.argmax(axis=2), np.where(bias_up, Qb.argmax(axis=2), pol))
         done = (new == pol).all(axis=1)
         policy[active] = new
@@ -423,17 +456,17 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
             break
         if 2 * active.size <= len(held):               # half the held members finished
             held, at = T[active], np.arange(active.size)
-    else:
+    failed = np.flatnonzero(~(residuals < epsilon))   # NaN: still changing
+    if failed.size:
+        j = int(failed[0])
+        if not iterations[j]:
+            raise NonConvergenceError(
+                f"candidate {j} still changing policy after {max_rounds} policy-iteration "
+                f"rounds", iterations=max_rounds, candidate=j)
         raise NonConvergenceError(
-            f"{active.size} of {k} candidates still changing policy after {max_rounds} "
-            f"policy-iteration rounds", iterations=max_rounds)
-    bad = ~(residuals < epsilon)
-    if bad.any():
-        worst = int(np.flatnonzero(bad)[residuals[bad].argmax()])
-        raise NonConvergenceError(
-            f"candidate {worst} optimality-equation residual {residuals[worst]:.3e} "
-            f"not below {epsilon:g}", residual=float(residuals[worst]),
-            iterations=int(iterations[worst]))
+            f"candidate {j} optimality-equation residual {residuals[j]:.3e} not below "
+            f"{epsilon:g}", residual=float(residuals[j]), iterations=int(iterations[j]),
+            candidate=j)
     return policy, gains, biases, iterations, residuals, n_closed
 
 
@@ -665,7 +698,9 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     policy leaves several closed classes are listed under
     ``multichain_candidates``; policy iteration keeps sampling wherever
     sampling ties with idling, so few are.  ``stalled_candidates`` is always
-    empty: a candidate that does not converge raises ``NonConvergenceError``.
+    empty: a candidate that does not converge raises ``NonConvergenceError``,
+    which names the lexicographically first failing decision policy whatever
+    the chunk size (``BRUTE_CHUNK``).
     A single unichain warning is emitted up front if the reference chain
     (always sample, lowest actuation) already has several closed classes.
     """
@@ -699,8 +734,16 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
             break
         policies = np.array(block, dtype=int)                     # (K, S) lexicographic
         rows = DecisionRows(model, policies)
-        pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
-            rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
+        try:
+            pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
+                rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
+        except NonConvergenceError as exc:
+            # chunks run in enumeration order, so this is the lexicographically
+            # first failing decision policy, whatever the chunk size
+            name = f"decision policy {tuple(policies[exc.candidate].tolist())}"
+            raise NonConvergenceError(
+                name + str(exc).removeprefix(f"candidate {exc.candidate}"),
+                residual=exc.residual, iterations=exc.iterations) from None
         total_rounds += int(rounds.sum())
         scores = gains[:, start_state]
         for j in np.flatnonzero(n_closed > 1):

@@ -19,7 +19,7 @@ from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterErr
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecisionRows, DecPomdpModel, GlobalState, TabularMdp
 from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, _ChainEval,
-                                _evaluate_batch, cesaro_limit, stationary_distribution)
+                                cesaro_limit, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel
 
 MAX_RVI_SWEEPS = 10_000
@@ -468,10 +468,11 @@ def policy_gain(mdp: TabularMdp, policy, start=0):
 
 
 # ---------------------------------------------------------------------------
-# the chain classifier with a fixed number of squarings, and policy iteration
-# copying the active members' kernels every round: the forms before the
-# classifier stopped at its fixed point and policy iteration held its kernels,
-# kept to check that both give the same bits
+# the chain classifier with a fixed number of squarings, the evaluator that
+# classifies every member with it, and policy iteration copying the active
+# members' kernels every round: the forms before the classifier stopped at its
+# fixed point, the evaluator certified unichain members first and policy
+# iteration held its kernels, kept to check that all three give the same bits
 
 
 def closed_classes_by_squaring(P):
@@ -489,6 +490,48 @@ def closed_classes_by_squaring(P):
     back = reach.transpose(0, 2, 1)
     closed = ~(reach & ~back).any(axis=2)
     return (reach & back).argmax(axis=2), closed
+
+
+def evaluate_by_closure(P, r):
+    """Gain and bias vectors of a batch of fixed-policy chains.
+
+    A unichain member solves the N x N system g + (I - P) h = r with h[0] = 0.
+    A multichain member solves the 2N x 2N system (I - P) g = 0,
+    g + (I - P) h = r, with h = 0 at the representative state of each closed
+    class in place of that state's (redundant) gain row.  Returns
+    (g, h, number of closed classes), all per member.
+    """
+    k, n, _ = P.shape
+    representative, closed = closed_classes_by_squaring(P)
+    heads = closed & (representative == np.arange(n))
+    n_closed = heads.sum(axis=1)
+    multi = n_closed > 1
+    eye = np.eye(n)
+    g = np.empty((k, n))
+    h = np.empty((k, n))
+    if not multi.all():
+        uni = ~multi
+        system = eye - P[uni]
+        system[:, :, 0] = 1.0                         # column of h[0] carries g
+        x = np.linalg.solve(system, r[uni][..., None])[..., 0]
+        g[uni] = x[:, :1]
+        x[:, 0] = 0.0
+        h[uni] = x
+    if multi.any():
+        m = int(multi.sum())
+        system = np.zeros((m, 2 * n, 2 * n))
+        system[:, :n, :n] = eye - P[multi]
+        system[:, n:, :n] = eye
+        system[:, n:, n:] = system[:, :n, :n]
+        rhs = np.zeros((m, 2 * n))
+        rhs[:, n:] = r[multi]
+        member, state = np.nonzero(heads[multi])
+        system[member, state, :] = 0.0
+        system[member, state, n + state] = 1.0
+        x = np.linalg.solve(system, rhs[..., None])[..., 0]
+        g[multi] = x[:, :n]
+        h[multi] = x[:, n:]
+    return g, h, n_closed
 
 
 def policy_iteration_copying(T, R, epsilon, max_rounds, initial_action):
@@ -519,7 +562,7 @@ def policy_iteration_copying(T, R, epsilon, max_rounds, initial_action):
         Tk, Rk, pol = T[active], R[active], policy[active]
         chosen = pol[..., None]
         P = Tk[np.arange(active.size)[:, None], pol, np.arange(n)]
-        g, h, classes = _evaluate_batch(
+        g, h, classes = evaluate_by_closure(
             P, np.take_along_axis(Rk, chosen, axis=2)[..., 0])
         Qg = np.einsum("kans,ks->kna", Tk, g)
         Qh = Rk + np.einsum("kans,ks->kna", Tk, h)

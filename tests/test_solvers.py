@@ -12,7 +12,8 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor import solvers
 from goaltensor.scenario import default_scenario
-from goaltensor.solvers import (_ChainEval, _closed_classes_batch, brute_force_joint,
+from goaltensor.solvers import (_ChainEval, _closed_classes_batch, _evaluate_batch,
+                                _unichain_batch, brute_force_joint,
                                 cesaro_limit, chain_law,
                                 closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
@@ -25,7 +26,7 @@ from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPoli
 
 from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
                      closed_classes_by_components, closed_classes_by_squaring,
-                     exhaustive_joint_search,
+                     evaluate_by_closure, exhaustive_joint_search,
                      gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
                      limit_matrix, local_search_one_by_one, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
@@ -125,11 +126,12 @@ def test_cesaro_limit_multichain():
     np.testing.assert_allclose(star[2], limit_matrix(P)[2], atol=1e-9)
 
 
-def _sparse_chain(rng, n):
-    """Random chain with one to three successors per state, some states absorbing."""
+def _sparse_chain(rng, n, absorbing=0.15):
+    """Random chain with one to three successors per state, each state absorbing
+    with probability ``absorbing``."""
     P = np.zeros((n, n))
     for i in range(n):
-        if rng.random() < 0.15:
+        if rng.random() < absorbing:
             P[i, i] = 1.0
         else:
             successors = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
@@ -149,6 +151,83 @@ def test_closed_classes_match_component_oracle():
             shapes.add((len(got) > 1, sum(map(len, got)) < n))
     # one and several classes, with and without transient states
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 18, 48])
+def test_unichain_certificate_matches_component_oracle(monkeypatch, n):
+    # 80 chains per size, half of them with absorbing states: the certificate
+    # never passes a chain with several closed classes, and the evaluator
+    # classifies exactly the members it leaves
+    chains = [_sparse_chain(np.random.default_rng([n, seed]), n, absorbing)
+              for absorbing in (0.15, 0.0) for seed in range(40)]
+    P = np.array(chains)
+    r = np.random.default_rng(n).normal(size=(len(P), n))
+    certified = _unichain_batch(P)
+    assert certified.tolist() == [bool(_unichain_batch(c[None])[0]) for c in chains]
+    n_classes = np.array([len(closed_classes_by_components(c)) for c in chains])
+    assert (n_classes[certified] == 1).all()
+    classified = []
+    monkeypatch.setattr(solvers, "_closed_classes_batch",
+                        lambda Q: classified.append(len(Q)) or _closed_classes_batch(Q))
+    got = _evaluate_batch(P, r)
+    assert got[2].tolist() == n_classes.tolist()
+    assert classified == ([] if certified.all() else [int((~certified).sum())])
+    _assert_same_bits(got, evaluate_by_closure(P, r))
+    if n >= 5:
+        # certified, uncertified unichain (the fallback) and multichain members
+        kinds = set(zip(certified.tolist(), (n_classes > 1).tolist()))
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_unichain_with_transient_target_takes_the_fallback(monkeypatch):
+    # state 0 is the one closed class, but transient state 2 has the largest
+    # column sum (2.5 against 1.5), so the certificate cannot pass the chain
+    P = np.array([[1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0],
+                  [0.5, 0.0, 0.5, 0.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    assert P.sum(axis=0).argmax() == 2
+    assert not _unichain_batch(P[None])[0]
+    classified = []
+    monkeypatch.setattr(solvers, "_closed_classes_batch",
+                        lambda Q: classified.append(len(Q)) or _closed_classes_batch(Q))
+    g, h, n_closed = _evaluate_batch(P[None], np.arange(4.0)[None])
+    assert classified == [1] and n_closed.tolist() == [1]
+    np.testing.assert_allclose(g[0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(chain_law(P, 3), [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+
+
+def test_unichain_certificate_on_empty_and_one_state_batches():
+    # an empty batch is what local search scores for a one-action model
+    assert _unichain_batch(np.zeros((0, 3, 3))).shape == (0,)
+    g, h, n_closed = _evaluate_batch(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+    assert g.shape == h.shape == (0, 3) and n_closed.shape == (0,)
+    assert _unichain_batch(np.ones((2, 1, 1))).tolist() == [True, True]
+    g, h, n_closed = _evaluate_batch(np.ones((2, 1, 1)), np.array([[2.0], [-1.0]]))
+    assert g.tolist() == [[2.0], [-1.0]] and h.tolist() == [[0.0], [0.0]]
+    assert n_closed.tolist() == [1, 1]
+    model = random_model(np.random.default_rng(5), n_states=2, n_contexts=2, n_actions=1)
+    problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
+    eta = problem.eta_of(_one_hot([0, 0], 1))
+    actions, value = _local_search(problem, [0, 0], eta, 0)
+    assert actions.tolist() == [0, 0] and value == eta
+
+
+def test_certified_batch_never_runs_the_classifier(monkeypatch):
+    def forbidden(P):
+        raise AssertionError("a certified chain was classified")
+
+    rng = np.random.default_rng(11)
+    P = rng.gamma(1.0, size=(16, 12, 12)) * (rng.random((16, 12, 12)) < 0.3)
+    P[:, :, 0] += 5.0                       # every state steps to state 0, the target
+    P /= P.sum(axis=-1, keepdims=True)
+    r = rng.normal(size=(16, 12))
+    want, law = evaluate_by_closure(P, r), stationary_distribution(P[0])
+    monkeypatch.setattr(solvers, "_closed_classes_batch", forbidden)
+    got = _evaluate_batch(P, r)
+    _assert_same_bits(got, want)
+    assert got[2].tolist() == [1] * 16
+    np.testing.assert_array_equal(chain_law(P[0], 5), law)
 
 
 def _multichain_with_transients(rng):
@@ -646,15 +725,13 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (10, 2), (2, 0), (2, 1), (1, 0)])
-def test_policy_iteration_matches_copying_oracle(monkeypatch, n, seed):
+def test_policy_iteration_matches_copying_oracle(n, seed):
     # policies, gains, biases, rounds, residuals and class counts are the bits
-    # of policy iteration that copies every round and squares a fixed number
-    # of times
+    # of policy iteration that copies every round and classifies every member
+    # by squaring a fixed number of times
     T, R = _sparse_pi_batch(np.random.default_rng(seed), n)
     got = _policy_iteration_batch(T, R, 1e-6, 100, initial_action=1)
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_closed_classes_batch", closed_classes_by_squaring)
-        want = policy_iteration_copying(T, R, 1e-6, 100, initial_action=1)
+    want = policy_iteration_copying(T, R, 1e-6, 100, initial_action=1)
     _assert_same_bits(got, want)
     rounds, n_closed = got[3], got[5]
     if n > 1:
@@ -703,6 +780,24 @@ def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
         outcomes.append(_brute_outcome(model))
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert bool(outcomes[0][-1]) == multichain
+
+
+@pytest.mark.parametrize("limits, failure", [
+    ({"epsilon": 1e-15}, "decision policy (0, 0, 0) optimality-equation residual "),
+    ({"max_sweeps": 2}, "decision policy (0, 0, 9) still changing policy after 2 "),
+], ids=["epsilon", "max_sweeps"])
+def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, shipped,
+                                                                    limits, failure):
+    # the lexicographically first failing decision policy, not a chunk's index
+    # or count, so the message does not depend on BRUTE_CHUNK
+    messages = set()
+    for chunk in (1, 7, 128, 11 ** 3):
+        monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+        with pytest.raises(NonConvergenceError) as info:
+            brute_force_joint(shipped.model, **limits)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith(failure)
 
 
 def test_brute_force_certificate_refuses_unreachable_epsilon(shipped):
