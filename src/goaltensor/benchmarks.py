@@ -76,6 +76,9 @@ class Rule:
     state code ``q``, global state ``state_of[q]``; ``start(t0, sent)`` opens a
     chunk of slots (``sent``: a row of bits per slot), and slot ``t0 + k`` calls
     ``decide(k, q, out)``, which writes the bits, then ``notify(k, delivered)``.
+    A form that overrides neither ``decide`` nor ``notify`` fixes every send
+    of the chunk in ``start``, and the batch reads the chunk's channel draws
+    at once.
     """
 
     def reset(self, x, xhat, phi):
@@ -236,7 +239,8 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
     xs, xhats, _ = model.state_components()
     sq_err = (state_values[xs] - state_values[xhats]) ** 2
     rewards = -np.stack([sq_err, sq_err + model.cost.sampling_cost], axis=1)
-    policy, _, _ = _solve_mdp(replace(mdp, rewards=rewards), epsilon, MAX_PI_ROUNDS)
+    policy, _, _ = _solve_mdp(replace(mdp, rewards=rewards), epsilon, MAX_PI_ROUNDS,
+                              "squared-error sampler MDP")
     return sampling_from_flat(policy, model)
 
 

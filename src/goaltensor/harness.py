@@ -20,10 +20,14 @@ h), from which numpy derives the ``Trace`` columns after the loop.
 together, each slot a few numpy operations over the whole batch, and returns
 summaries equal bit for bit to the single-replica loop's: it draws the same
 streams, takes the same next states (``bisect_right`` of the same cumulative
-rows) and adds the running sums in the same slot order.  A batch costs several
-microseconds per slot however few replicas it holds, against about one for the
-untraced scalar loop, so single runs keep the scalar loop, the batched
-engine's test oracle.
+rows) and adds the running sums in the same slot order.  A rule whose replica
+form fixes a chunk's sends in advance (the uniform rule) reads the chunk's
+channel draws at once, so each of its slots is one next-state gather; rules
+that answer the state (age, change, state-policy) decide slot by slot.  A
+batch costs several microseconds per slot however few replicas it holds,
+against under one per replica for the untraced scalar loop, so single runs,
+and sweep families of fewer than ``MIN_BATCH_REPLICAS`` replicas, keep the
+scalar loop, the batched engine's test oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import FAMILIES
+from .benchmarks import FAMILIES, ReplicaForm
 from .errors import GoalTensorError, ParameterError
 from .model import DecisionRows, DecPomdpModel
 from .tensor import DecisionPolicy
@@ -257,6 +261,9 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
     for bit to ``simulate_closed_loop(model, rules[i], decision, horizon,
     seeds[j], record_trace=False, initial=initial)[1]``.  The rules must all be
     of one class, which runs them through its replica form (``Replicas``).
+    A form that overrides neither ``decide`` nor ``notify`` fixes a chunk's
+    sends in ``start``, and the chunk's channel draws are then read at once;
+    other forms run slot by slot.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
@@ -305,6 +312,8 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
     sent = np.empty((SLOT_CHUNK, width), dtype=bool)
     states[0] = 2 * (seed_of * g + model.state_index(*initial))
     start, decide, notify = replicas.start, replicas.decide, replicas.notify
+    scheduled = (type(replicas).decide is ReplicaForm.decide
+                 and type(replicas).notify is ReplicaForm.notify)
 
     for t0 in range(0, horizon, SLOT_CHUNK):
         c = min(SLOT_CHUNK, horizon - t0)
@@ -318,14 +327,22 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
         nxt = 2 * np.stack([base + n * xhats, base + n * xs], axis=-1).reshape(c, -1)
         start(t0, sent[:c])
 
-        for k in range(c):
-            q, a = states[k], sent[k]
-            decide(k, q, a)
-            delivered = delivers[cursor]
-            delivered &= a
-            cursor += a
-            notify(k, delivered)
-            states[k + 1] = nxt[k][q + delivered]
+        if scheduled:
+            # slot k reads the draw after its replica's earlier sends in the chunk
+            used = np.cumsum(sent[:c], axis=0)
+            delivered = delivers[cursor + used - sent[:c]] & sent[:c]
+            cursor += used[-1]
+            for k in range(c):
+                states[k + 1] = nxt[k][states[k] + delivered[k]]
+        else:
+            for k in range(c):
+                q, a = states[k], sent[k]
+                decide(k, q, a)
+                delivered = delivers[cursor]
+                delivered &= a
+                cursor += a
+                notify(k, delivered)
+                states[k + 1] = nxt[k][q + delivered]
 
         # add the chunk's costs slot by slot, as the single-replica loop does;
         # rows shaped as ``sums`` add several times faster than a broadcast row
@@ -345,6 +362,13 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
              for r, seed in enumerate(seeds, start=i * n_seeds)] for i in range(n_rules)]
 
 
+# Fewest (grid point, seed) replicas that ``sweep_rate_vs_cost`` runs as one
+# ``simulate_replicas`` batch; a narrower family runs replica by replica in
+# the scalar loop, which costs less per replica-slot below this width
+# (ms per 10,000 slots by family and width in BENCH_14.json).
+MIN_BATCH_REPLICAS = 9
+
+
 @dataclass(frozen=True)
 class SweepResult:
     policy: str
@@ -359,8 +383,10 @@ def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPol
     """Simulated cost-versus-rate curve for one policy family.
 
     One ``SweepResult`` per grid parameter, aggregated over the given seeds
-    with the standard error of the per-seed average costs.  Every (parameter,
-    seed) replica of the family runs in one ``simulate_replicas`` batch.
+    with the standard error of the per-seed average costs.  A family of at
+    least ``MIN_BATCH_REPLICAS`` (parameter, seed) replicas runs them in one
+    ``simulate_replicas`` batch; a narrower one runs each replica in
+    ``simulate_closed_loop``.  Both give the same summaries bit for bit.
     """
     if not len(grid):
         raise ParameterError(f"sweep of family {family!r} needs at least one grid point")
@@ -369,9 +395,14 @@ def sweep_rate_vs_cost(model: DecPomdpModel, family, grid, decision: DecisionPol
     if family not in FAMILIES:
         raise ParameterError(f"unknown policy family {family!r}")
     rules = [FAMILIES[family].rule(model, param, decision, None) for param in grid]
+    if len(rules) * len(seeds) < MIN_BATCH_REPLICAS:
+        table = [[simulate_closed_loop(model, rule, decision, horizon, seed,
+                                       record_trace=False, initial=initial)[1]
+                  for seed in seeds] for rule in rules]
+    else:
+        table = simulate_replicas(model, rules, decision, horizon, seeds, initial=initial)
     results = []
-    for param, summaries in zip(grid, simulate_replicas(model, rules, decision, horizon,
-                                                        seeds, initial=initial)):
+    for param, summaries in zip(grid, table):
         costs = [summary.average_cost for summary in summaries]
         rates = [summary.sampling_rate for summary in summaries]
         results.append(SweepResult(policy=family, param=param, stderr=_standard_error(costs),

@@ -185,14 +185,16 @@ def transition_kernel(model: DecPomdpModel, w: GlobalState, action: JointAction)
 
 def check_kernel_bytes(alphabets: Alphabets, count, what):
     """Refuse ``count`` (idle, transmit) pairs of dense N x N float kernels, ``what``
-    in the message, when they exceed ``MAX_KERNEL_BYTES``; call before allocating."""
+    in the message, when they exceed ``MAX_KERNEL_BYTES``; call before allocating.
+    Returns how many such pairs fit in the limit."""
     n_global = alphabets.n_states ** 2 * alphabets.n_contexts
-    size = count * 2 * n_global ** 2 * 8
-    if size > MAX_KERNEL_BYTES:
+    pair = 2 * n_global ** 2 * 8
+    if count * pair > MAX_KERNEL_BYTES:
         raise MemoryBudgetError(
             f"{alphabets.n_states} states x {alphabets.n_contexts} contexts x "
             f"{alphabets.n_actions} actions (N = {n_global} global states): {what} "
-            f"need {size:,} bytes, over the {MAX_KERNEL_BYTES:,}-byte limit")
+            f"need {count * pair:,} bytes, over the {MAX_KERNEL_BYTES:,}-byte limit")
+    return MAX_KERNEL_BYTES // pair
 
 
 def dense_kernels(model: DecPomdpModel) -> np.ndarray:

@@ -8,8 +8,9 @@ fast route use it:
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, their
   sampler MDPs solved in batches and each scored by its optimal gain from the
-  start state (a batch whose kernels would pass ``model.MAX_KERNEL_BYTES`` is
-  refused before it is built);
+  start state (batches are sized to keep their kernels within
+  ``model.MAX_KERNEL_BYTES``, and a model where one candidate's kernels
+  already pass it is refused before anything is built);
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -470,16 +471,26 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     return policy, gains, biases, iterations, residuals, n_closed
 
 
-def _solve_mdp(mdp: TabularMdp, epsilon, max_rounds):
+def _renamed(exc: NonConvergenceError, name):
+    """A batch member's ``NonConvergenceError`` naming ``name`` in place of its index."""
+    return NonConvergenceError(name + str(exc).removeprefix(f"candidate {exc.candidate}"),
+                               residual=exc.residual, iterations=exc.iterations)
+
+
+def _solve_mdp(mdp: TabularMdp, epsilon, max_rounds, name):
     """Optimal policy, gain vector and bias vector of one MDP by policy iteration.
 
     Starts from action 0 (idling, on a sampler MDP) and keeps the incumbent
     action on ties, so a state whose actions tie keeps the lowest one unless
     an improvement moved it earlier: a sampler does not transmit where
-    transmitting buys nothing.
+    transmitting buys nothing.  A ``NonConvergenceError`` names the MDP as
+    ``name``.
     """
-    policy, gains, biases, _, _, _ = _policy_iteration_batch(
-        mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds, initial_action=0)
+    try:
+        policy, gains, biases, _, _, _ = _policy_iteration_batch(
+            mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds, initial_action=0)
+    except NonConvergenceError as exc:
+        raise _renamed(exc, name) from None
     return policy[0], gains[0], biases[0]
 
 
@@ -521,7 +532,9 @@ def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
     ``brute_force_joint``.  Returns the policy, its optimal gain from state 0,
     and the bias vector.
     """
-    flat, gains, bias = _solve_mdp(induced_mdp(model, decision), epsilon, max_sweeps)
+    flat, gains, bias = _solve_mdp(
+        induced_mdp(model, decision), epsilon, max_sweeps,
+        f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
     return sampling_from_flat(flat, model), float(gains[0]), bias
 
 
@@ -700,7 +713,10 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     sampling ties with idling, so few are.  ``stalled_candidates`` is always
     empty: a candidate that does not converge raises ``NonConvergenceError``,
     which names the lexicographically first failing decision policy whatever
-    the chunk size (``BRUTE_CHUNK``).
+    the chunk size.  A chunk holds ``BRUTE_CHUNK`` candidates, or as many as
+    keep its kernels within ``model.MAX_KERNEL_BYTES``; a model where one
+    candidate's kernels already pass the limit is refused with
+    ``MemoryBudgetError`` before anything of that size is built.
     A single unichain warning is emitted up front if the reference chain
     (always sample, lowest actuation) already has several closed classes.
     """
@@ -711,8 +727,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         raise EnumerationBudgetError(
             f"{n_actions}^{n_states} = {n_candidates} decision policies exceed the "
             f"enumeration budget {budget}")
-    chunk = min(BRUTE_CHUNK, n_candidates)
-    check_kernel_bytes(model.alphabets, chunk, f"the kernels of {chunk} candidates per batch")
+    chunk = min(BRUTE_CHUNK, n_candidates,
+                check_kernel_bytes(model.alphabets, 1, "the kernels of one candidate"))
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
@@ -729,7 +745,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     flagged = []
     enumerated = itertools.product(range(n_actions), repeat=n_states)
     while True:
-        block = list(itertools.islice(enumerated, BRUTE_CHUNK))
+        block = list(itertools.islice(enumerated, chunk))
         if not block:
             break
         policies = np.array(block, dtype=int)                     # (K, S) lexicographic
@@ -740,10 +756,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         except NonConvergenceError as exc:
             # chunks run in enumeration order, so this is the lexicographically
             # first failing decision policy, whatever the chunk size
-            name = f"decision policy {tuple(policies[exc.candidate].tolist())}"
-            raise NonConvergenceError(
-                name + str(exc).removeprefix(f"candidate {exc.candidate}"),
-                residual=exc.residual, iterations=exc.iterations) from None
+            raise _renamed(exc, f"decision policy {tuple(policies[exc.candidate].tolist())}"
+                           ) from None
         total_rounds += int(rounds.sum())
         scores = gains[:, start_state]
         for j in np.flatnonzero(n_closed > 1):
@@ -780,7 +794,7 @@ def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) ->
     state, read as a per-estimate rule.
     """
     mdp = heuristic_mdp(model)
-    _, gains, bias = _solve_mdp(mdp, epsilon, MAX_PI_ROUNDS)
+    _, gains, bias = _solve_mdp(mdp, epsilon, MAX_PI_ROUNDS, "perfect-estimate actuation MDP")
     q = mdp.rewards - gains[:, None] + (mdp.transitions @ bias).T     # (S*V, A)
     weights = model.context.stationary()
     n, v = model.alphabets.n_states, model.alphabets.n_contexts

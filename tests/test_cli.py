@@ -602,9 +602,9 @@ def uniform_document(states, contexts, actions):
 
 
 def test_brute_force_refuses_oversized_kernels_before_allocating(tmp_path, capsys):
-    # 8 x 16 x 2: N = 1,024 and only 256 candidates, but one batch of their
-    # kernels would take 128 * 2 * 1,024**2 * 8 bytes, about 2.1 GB
-    path = str(save_scenario(uniform_document(8, 16, 2), tmp_path / "large.json"))
+    # 16 x 17 x 2: N = 4,352, so even one candidate's kernels would take
+    # 2 * 4,352**2 * 8 bytes, over the 256 MiB limit (smaller batches cannot help)
+    path = str(save_scenario(uniform_document(16, 17, 2), tmp_path / "large.json"))
     tracemalloc.start()
     try:
         code = main(["solve", "--scenario", path, "--algorithm", "brute",
@@ -615,6 +615,6 @@ def test_brute_force_refuses_oversized_kernels_before_allocating(tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("error: 8 states x 16 contexts x 2 actions (N = 1024")
-    assert f"{128 * 2 * 1024 ** 2 * 8:,} bytes" in err
+    assert err.startswith("error: 16 states x 17 contexts x 2 actions (N = 4352")
+    assert f"the kernels of one candidate need {2 * 4352 ** 2 * 8:,} bytes" in err
     assert peak < 10 * 2 ** 20

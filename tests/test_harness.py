@@ -8,7 +8,7 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, StatePolicyRule, 
                                    aoii_optimal_policy)
 from goaltensor import harness
 from goaltensor.errors import ParameterError
-from goaltensor.harness import (SLOT_CHUNK, TRACE_HEADER, _standard_error,
+from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_HEADER, _standard_error,
                                 optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
@@ -232,6 +232,9 @@ RULE_KINDS = sorted(FAMILIES) + ["random-state"]
 def _rules(kind, model, decision):
     if kind == "random-state":
         return _random_state_rules(model, 5, 3)
+    if kind == "uniform-long":
+        # sends fall on a different slot of each chunk, and some chunks have none
+        return [UniformRule(2 * SLOT_CHUNK + 1), UniformRule(SLOT_CHUNK - 1)]
     family = FAMILIES[kind]
     params = ([family.default, family.default + 2, family.default + 8]
               if family.param else [None])
@@ -251,8 +254,10 @@ def _assert_matches_scalar_loop(model, kind, decision, horizon, seeds, initial):
             assert repr(summary) == repr(expected)
 
 
-@pytest.mark.parametrize("horizon", [1, 50, 2 * SLOT_CHUNK + 37, 3 * SLOT_CHUNK])
-@pytest.mark.parametrize("kind", RULE_KINDS)
+# horizon BATCHES * SLOT_CHUNK starts every batch-means group on a chunk start
+@pytest.mark.parametrize("horizon", [1, 50, 2 * SLOT_CHUNK + 37, 3 * SLOT_CHUNK,
+                                     BATCHES * SLOT_CHUNK])
+@pytest.mark.parametrize("kind", RULE_KINDS + ["uniform-long"])
 def test_simulate_replicas_equals_scalar_loop(kind, horizon):
     # fractional costs, so a change in the order of additions would show
     model = random_model(np.random.default_rng(17), n_states=3, n_contexts=2,
@@ -330,18 +335,43 @@ def test_trace_equality_is_column_by_column(shipped):
     assert np.all((trace.h >= 0) == (trace.a_s == 1))
 
 
-def test_sweep_csv_equals_per_replica_sweep(tmp_path, shipped):
+SWEPT = ("uniform", "age", "change", "aoii")
+
+
+def test_sweep_csv_equals_per_replica_sweep(tmp_path, monkeypatch, shipped):
     model, sweep = shipped.model, shipped.sweep
     greedy = greedy_decision_policy(model)
-    grids = {"uniform": list(sweep.uniform_periods),
-             "age": list(range(sweep.age_threshold_max + 1)),
-             "change": [None], "aoii": [None]}
-    batched, scalar = [], []
-    for family, grid in grids.items():
-        batched += sweep_rate_vs_cost(model, family, grid, greedy, 300, list(sweep.seeds))
-        scalar += sweep_one_by_one(model, family, grid, greedy, 300, list(sweep.seeds))
-    assert (write_sweep_csv(tmp_path / "batched.csv", batched).read_bytes()
-            == write_sweep_csv(tmp_path / "scalar.csv", scalar).read_bytes())
+    seeds = list(sweep.seeds)
+    scalar = []
+    for family in SWEPT:
+        scalar += sweep_one_by_one(model, family, FAMILIES[family].grid(sweep), greedy, 300,
+                                   seeds)
+    want = write_sweep_csv(tmp_path / "scalar.csv", scalar).read_bytes()
+    # the default batches the wide families only, 0 batches every family and
+    # 10**9 runs every replica in the scalar loop
+    for min_batch in (harness.MIN_BATCH_REPLICAS, 0, 10 ** 9):
+        monkeypatch.setattr(harness, "MIN_BATCH_REPLICAS", min_batch)
+        swept = []
+        for family in SWEPT:
+            swept += sweep_rate_vs_cost(model, family, FAMILIES[family].grid(sweep), greedy,
+                                        300, seeds)
+        assert write_sweep_csv(tmp_path / "swept.csv", swept).read_bytes() == want, min_batch
+
+
+def test_narrow_sweep_families_run_in_the_scalar_loop(monkeypatch, shipped):
+    batches = []
+    def spy(model, rules, *args, **kwargs):
+        batches.append(type(rules[0]).__name__)
+        return simulate_replicas(model, rules, *args, **kwargs)
+    monkeypatch.setattr(harness, "simulate_replicas", spy)
+    model, sweep = shipped.model, shipped.sweep
+    greedy = greedy_decision_policy(model)
+    seeds = list(sweep.seeds)
+    assert len(seeds) == 3 < harness.MIN_BATCH_REPLICAS
+    for family in SWEPT:
+        sweep_rate_vs_cost(model, family, FAMILIES[family].grid(sweep), greedy, 50, seeds)
+    # the 3-replica change and aoii families never reach the batched engine
+    assert batches == ["UniformRule", "AgeThresholdRule"]
 
 
 def test_simulate_replicas_rejects_empty_and_bad_calls(shipped):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goaltensor.errors import (EnumerationBudgetError, ErgodicityError,
+from goaltensor.errors import (EnumerationBudgetError, ErgodicityError, MemoryBudgetError,
                                NonConvergenceError, ParameterError,
                                UnreachableObservationError)
+from goaltensor import benchmarks
+from goaltensor import model as model_module
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor import solvers
@@ -798,6 +800,66 @@ def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, 
         messages.add(str(info.value))
     assert len(messages) == 1
     assert messages.pop().startswith(failure)
+
+
+def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
+    model = default_scenario(0.2, 10.0).model     # multichain candidates, N = 18
+    want = _brute_outcome(model)                  # also builds the model's kernels
+    pair = 2 * model.n_global_states ** 2 * 8     # one candidate's kernels, in bytes
+    batches = []
+    def spy(T, *args, **kwargs):
+        batches.append(len(T))
+        return _policy_iteration_batch(T, *args, **kwargs)
+    monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
+    # room for 7 candidates' kernels, far below BRUTE_CHUNK's 128
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 8 * pair - 1)
+    assert _brute_outcome(model) == want
+    assert max(batches) == 7 and sum(batches) == 11 ** 3
+
+
+def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
+    model = default_scenario().model
+    pair = 2 * model.n_global_states ** 2 * 8
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", pair - 1)
+    def unexpected(*args, **kwargs):
+        raise AssertionError("kernels gathered before the refusal")
+    monkeypatch.setattr(solvers, "DecisionRows", unexpected)
+    with pytest.raises(MemoryBudgetError, match=f"the kernels of one candidate need {pair:,} "
+                       f"bytes, over the {pair - 1:,}-byte limit"):
+        brute_force_joint(model)
+
+
+def _starts_with_name_not_index(exc_info, name):
+    message = str(exc_info.value)
+    assert message.startswith(name + " still changing policy after 1 policy-iteration")
+    assert "candidate" not in message
+
+
+def test_sampler_best_response_failure_names_the_decision_policy(shipped):
+    with pytest.raises(NonConvergenceError) as info:
+        solve_sampler_for_decision(shipped.model, DecisionPolicy([0, 3, 7]), max_sweeps=1)
+    _starts_with_name_not_index(info, "sampler best response to decision policy (0, 3, 7)")
+
+
+def test_jesp_restart_outcomes_name_the_failing_best_response(shipped):
+    # the heuristic seed is (0, 3, 7); one round cannot settle its best response
+    with pytest.raises(NonConvergenceError) as info:
+        jesp(shipped.model, pi_rounds=1)
+    assert str(info.value) == (
+        "all 1 equilibrium searches failed: [{'start': [0, 3, 7], 'error': 'sampler best "
+        "response to decision policy (0, 3, 7) still changing policy after 1 "
+        "policy-iteration rounds'}]")
+
+
+@pytest.mark.parametrize("module, solve, name", [
+    (solvers, heuristic_initial_decision, "perfect-estimate actuation MDP"),
+    (benchmarks, benchmarks.mse_optimal_policy, "squared-error sampler MDP"),
+], ids=["heuristic", "mse"])
+def test_single_mdp_failures_name_the_mdp(monkeypatch, shipped, module, solve, name):
+    monkeypatch.setattr(module, "MAX_PI_ROUNDS", 1)
+    with pytest.raises(NonConvergenceError) as info:
+        solve(shipped.model)
+    _starts_with_name_not_index(info, name)
 
 
 def test_brute_force_certificate_refuses_unreachable_epsilon(shipped):
