@@ -17,7 +17,6 @@ simulation rule, exact evaluator, sweep grid and ``--param`` meaning, read by
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -28,8 +27,6 @@ from .model import DecisionRows, DecPomdpModel
 from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _solve_mdp, chain_law, flatten_sampling,
                       sampling_from_flat)
 from .tensor import DecisionPolicy, SamplingPolicy
-
-DEFAULT_AGE_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -371,24 +368,6 @@ def evaluate_age_threshold(model: DecPomdpModel, threshold, decision: DecisionPo
     law = chain_law(tail @ (p * success), start_state)
     return _summarize(rows, law @ visits / (threshold + 1.0 / p),
                       1.0 / (1.0 + p * threshold))
-
-
-def tune_age_threshold(model: DecPomdpModel, decision: DecisionPolicy,
-                       max_threshold=DEFAULT_AGE_CAP, start_state=0):
-    """Sweep integer thresholds and return (best threshold, per-threshold summaries).
-
-    Ties prefer the smaller threshold.  If the minimum sits on the sweep
-    boundary a warning is emitted and the boundary returned.
-    """
-    curve = []
-    for delta in range(max_threshold + 1):
-        curve.append((delta, evaluate_age_threshold(model, delta, decision, start_state)))
-    costs = [summary.average_cost for _, summary in curve]
-    best = int(np.argmin(costs))
-    if best == max_threshold:
-        warnings.warn(f"age-threshold sweep hit its boundary {max_threshold} without an "
-                      f"interior minimum", stacklevel=2)
-    return curve[best][0], curve
 
 
 # ---------------------------------------------------------------------------

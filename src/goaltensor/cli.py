@@ -24,7 +24,7 @@ from .harness import (compare_policies, decomposition_rows, optimality_gap,
                       simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
                       write_compare_csv, write_decomp_csv, write_gap_csv,
                       write_sweep_csv, write_trace_csv)
-from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon,
+from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon, checked_grid,
                        load_scenario, scenario_digest)
 from .solvers import SolveReport, flatten_sampling, greedy_decision_policy
 from .tensor import DecisionPolicy, SamplingPolicy
@@ -37,23 +37,26 @@ def _grid_value(value, text) -> float:
         raise ParameterError(f"grid value {value!r} in {text!r} is not a number") from None
 
 
-def _parse_grid(text) -> GridConfig:
-    """Parse ``ps=0.2,0.4;cs=0,2,4`` into a grid configuration."""
+def _parse_grid(text, grid: GridConfig) -> GridConfig:
+    """``grid`` with the lists ``ps=0.2,0.4;cs=0,2,4`` names replaced, each key at
+    most once, checked as the scenario's ``grid`` section is."""
+    keys = {"ps": "success_probs", "cs": "sampling_costs"}
     parts = {}
     for chunk in text.split(";"):
         key, _, values = chunk.partition("=")
         key = key.strip().lower()
-        if key not in ("ps", "cs") or not values:
+        if key not in keys or not values:
             raise ParameterError(f"grid spec must look like 'ps=...;cs=...', got {text!r}")
-        parts[key] = tuple(_grid_value(v, text) for v in values.split(","))
-    return GridConfig(success_probs=parts.get("ps", GridConfig().success_probs),
-                      sampling_costs=parts.get("cs", GridConfig().sampling_costs))
+        if keys[key] in parts:
+            raise ParameterError(f"grid key {key!r} given twice in {text!r}")
+        parts[keys[key]] = [_grid_value(v, text) for v in values.split(",")]
+    return checked_grid(parts, grid)
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     """The scenario with the ``--grid`` and ``--epsilon`` flags applied."""
     if getattr(args, "grid", None):
-        scenario = replace(scenario, grid=_parse_grid(args.grid))
+        scenario = replace(scenario, grid=_parse_grid(args.grid, scenario.grid))
     if getattr(args, "epsilon", None) is not None:
         scenario = replace(scenario, solver=replace(scenario.solver, epsilon=args.epsilon))
     return scenario

@@ -55,10 +55,6 @@ class ParameterError(GoalTensorError):
     """A policy or tuning parameter is outside its valid range."""
 
 
-class UnreachableObservationError(GoalTensorError):
-    """An observation has zero stationary probability, so its posterior is undefined."""
-
-
 class PolicyFileError(GoalTensorError):
     """A policy file (``policy.json`` from ``solve``) is unreadable or does not fit
     the scenario.  ``field`` addresses the entry, e.g. ``sampling.decisions[4]``."""

@@ -107,7 +107,8 @@ def _batch_starts(horizon):
 # Most slots per time chunk of both engines: the random draws, and in
 # ``simulate_replicas`` the next-state tables and the record of every
 # replica's states and transmissions, are held one chunk at a time, which
-# bounds their memory whatever the horizon.
+# bounds their memory whatever the horizon.  ``simulate_replicas`` also keeps
+# every channel outcome drawn so far, one byte per seed-slot.
 SLOT_CHUNK = 128
 
 
@@ -296,10 +297,12 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
 
     streams = [[np.random.default_rng(child)
                 for child in np.random.SeedSequence(seed).spawn(3)] for seed in seeds]
-    # channel draws of seeds[j] start at j * horizon; each replica reads its
-    # seed's draws through its own cursor, one draw per transmission
-    delivers = np.concatenate([ch.random(horizon) < model.channel.success_prob
-                               for _, _, ch in streams])
+    # channel outcomes of seeds[j] start at j * horizon and are drawn a chunk
+    # at a time, as the other streams are; each replica reads its seed's
+    # outcomes through its own cursor, one per transmission, so no cursor
+    # passes the end of the chunk being run
+    delivers = np.empty(n_seeds * horizon, dtype=bool)
+    p_success = model.channel.success_prob
     cursor = seed_of * horizon
 
     starts = _batch_starts(horizon)
@@ -321,6 +324,8 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
         # the last entry is 1.0 and never counts
         u_src = np.stack([src.random(c) for src, _, _ in streams], axis=1)[:, :, None]
         u_ctx = np.stack([ctx.random(c) for _, ctx, _ in streams], axis=1)[:, :, None]
+        for j, (_, _, ch) in enumerate(streams):
+            np.less(ch.random(c), p_success, out=delivers[j * horizon + t0:][:c])
         x_next = sum(src_rows[:, m] <= u_src for m in range(n - 1))
         phi_next = sum(ctx_rows[:, k] <= u_ctx for k in range(ctx_rows.shape[1] - 1))
         base = x_next + n * n * phi_next + seed_base

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +28,6 @@ from .tensor import (Alphabets, CostModel, DecisionPolicy, SamplingPolicy,
 
 ROW_SUM_TOL = 1e-9
 MAX_KERNEL_BYTES = 2 ** 28      # largest stack of dense N x N kernels built at once (256 MiB)
-
-
-class GlobalState(NamedTuple):
-    x: int
-    xhat: int
-    phi: int
-
-
-class JointAction(NamedTuple):
-    sample: int     # 0 = idle, 1 = sample and transmit
-    actuate: int    # actuation index
 
 
 def _check_rows(probs, name):
@@ -114,8 +102,7 @@ class DecPomdpModel:
                 f"source dynamics shape {self.source.probs.shape} does not match alphabets {(n, v, a, n)}")
         if self.context.probs.shape != (v, v):
             raise ModelIncompleteError("context dynamics shape does not match alphabets")
-        problems = [viol for viol in validate_cost_model(self.cost, self.alphabets)
-                    if viol.level == "error"]
+        problems = validate_cost_model(self.cost, self.alphabets)
         if problems:
             raise ModelIncompleteError("; ".join(f"{p.field}: {p.message}" for p in problems))
         ramp, spend = split_goal_cost(self.cost)
@@ -144,43 +131,11 @@ class DecPomdpModel:
         n = self.alphabets.n_states
         return x + n * xhat + n * n * phi
 
-    def state_of(self, index):
-        n = self.alphabets.n_states
-        return GlobalState(index % n, (index // n) % n, index // (n * n))
-
     def state_components(self):
         """Arrays (x, xhat, phi), one entry per flat state index."""
         idx = np.arange(self.n_global_states)
         n = self.alphabets.n_states
         return idx % n, (idx // n) % n, idx // (n * n)
-
-    def states(self):
-        return [self.state_of(i) for i in range(self.n_global_states)]
-
-
-def estimate_kernel(x, xhat, sample, channel: ChannelModel, n_states) -> np.ndarray:
-    """Distribution of the next estimate given the sampling action.
-
-    Idle keeps the estimate; an attempted transmission lands the current state
-    with the channel success probability and otherwise keeps the estimate.
-    """
-    row = np.zeros(n_states)
-    if sample:
-        row[x] += channel.success_prob
-        row[xhat] += 1.0 - channel.success_prob
-    else:
-        row[xhat] = 1.0
-    return row
-
-
-def transition_kernel(model: DecPomdpModel, w: GlobalState, action: JointAction) -> np.ndarray:
-    """One row of the global transition function, flat-indexed over next states."""
-    x, xhat, phi = w
-    n = model.alphabets.n_states
-    src = model.source.probs[x, phi, action.actuate]
-    ctx = model.context.probs[phi]
-    est = estimate_kernel(x, xhat, action.sample, model.channel, n)
-    return np.einsum("u,e,r->reu", src, est, ctx).reshape(model.n_global_states)
 
 
 def check_kernel_bytes(alphabets: Alphabets, count, what):
@@ -270,19 +225,6 @@ class DecisionRows:
     def source(self) -> np.ndarray:
         xs, _, phis = self.model.state_components()
         return self.model.source.probs[xs, phis, self.actions]
-
-
-def observation_fn(w: GlobalState):
-    """Point-mass observations: the sampler sees everything, the actuator sees the estimate."""
-    return w, w.xhat
-
-
-def reward(model: DecPomdpModel, w: GlobalState, action: JointAction,
-           policy: DecisionPolicy) -> float:
-    """Negated goal cost of the slot, minus the sampling charge when transmitting."""
-    x, xhat, phi = w
-    cost = model.action_cost[x, phi, policy(xhat)]
-    return -(cost + model.cost.sampling_cost * action.sample)
 
 
 @dataclass(frozen=True)

@@ -315,17 +315,20 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                          integer=True),
     )
 
-    grid_doc = _section(doc, "grid")
-    grid = GridConfig(
-        success_probs=_as_values(grid_doc, "grid", "success_probs", GridConfig.success_probs,
+    return Scenario(name=doc.get("name", name), model=model, state_values=state_values,
+                    solver=solver, simulation=simulation, sweep=sweep,
+                    grid=checked_grid(_section(doc, "grid")), document=doc)
+
+
+def checked_grid(grid_doc, default=GridConfig()) -> GridConfig:
+    """The ``grid`` section's lists, each non-empty and within its bounds; a list
+    the section omits is ``default``'s."""
+    return GridConfig(
+        success_probs=_as_values(grid_doc, "grid", "success_probs", default.success_probs,
                                  minimum=0.0, maximum=1.0),
         sampling_costs=_as_values(grid_doc, "grid", "sampling_costs",
-                                  GridConfig.sampling_costs, minimum=0.0),
+                                  default.sampling_costs, minimum=0.0),
     )
-
-    return Scenario(name=doc.get("name", name), model=model, state_values=state_values,
-                    solver=solver, simulation=simulation, sweep=sweep, grid=grid,
-                    document=doc)
 
 
 def load_scenario(path) -> Scenario:

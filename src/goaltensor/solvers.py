@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
-                     NonConvergenceError, ParameterError,
-                     UnreachableObservationError)
+                     NonConvergenceError, ParameterError)
 from .model import (DecisionRows, DecPomdpModel, TabularMdp, check_kernel_bytes,
                     heuristic_mdp, induced_mdp, induced_pomdp)
 from .tensor import DecisionPolicy, SamplingPolicy
@@ -153,22 +152,7 @@ def cesaro_limit(P) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# joint-policy chain and observation-side q-values
-
-
-def _decision_table(decision, n_states, n_actions):
-    """Normalize a decision policy to a stochastic (estimate x action) table."""
-    if isinstance(decision, DecisionPolicy):
-        table = np.zeros((n_states, n_actions))
-        table[np.arange(n_states), decision.actions] = 1.0
-        return table
-    table = np.asarray(decision, dtype=float)
-    if table.shape != (n_states, n_actions):
-        raise ParameterError(
-            f"stochastic decision table has shape {table.shape}, expected {(n_states, n_actions)}")
-    if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
-        raise ParameterError("stochastic decision rows must be nonnegative and sum to 1")
-    return table
+# actuator-side chain evaluation
 
 
 @dataclass(frozen=True)
@@ -247,46 +231,6 @@ class _FixedSamplingProblem:
         q_obs = np.where(reachable[:, None], np.where(np.isnan(posterior), 0.0, posterior) @ q_global,
                          np.nan)
         return q_global, q_obs, posterior, reachable
-
-
-def policy_chain(model: DecPomdpModel, sampling: SamplingPolicy, decision):
-    """Transition matrix and expected reward under both policies.
-
-    ``decision`` may be a deterministic ``DecisionPolicy`` or a stochastic
-    (estimate x action) probability table.
-    """
-    table = _decision_table(decision, model.alphabets.n_states, model.alphabets.n_actions)
-    return _FixedSamplingProblem(model, sampling).chain(table)
-
-
-@dataclass(frozen=True)
-class QTables:
-    q_global: np.ndarray        # (N, n_actions)
-    q_obs: np.ndarray           # (n_estimates, n_actions); NaN rows are unreachable
-    posterior: np.ndarray       # (n_estimates, N); rows sum to 1 where reachable
-    reachable: np.ndarray       # (n_estimates,) bool
-
-
-def q_tables(model: DecPomdpModel, sampling: SamplingPolicy, decision, start_state=0,
-             on_unreachable="raise") -> QTables:
-    """Q-values of (state, actuation) and (observation, actuation) pairs.
-
-    The chain is evaluated as in soft policy iteration, from ``start_state``
-    (see ``_FixedSamplingProblem.evaluate``).  The observation-level values
-    average the state-level ones under the Bayesian posterior of the state
-    given the observed estimate.  Observations with zero long-run mass have no
-    posterior; by default that raises, with ``on_unreachable="keep"`` their
-    rows are left NaN for the caller to skip.
-    """
-    table = _decision_table(decision, model.alphabets.n_states, model.alphabets.n_actions)
-    problem = _FixedSamplingProblem(model, sampling)
-    q_global, q_obs, posterior, reachable = problem.q_values(
-        problem.evaluate(table, start_state))
-    if on_unreachable == "raise" and not reachable.all():
-        missing = np.flatnonzero(~reachable).tolist()
-        raise UnreachableObservationError(
-            f"estimate observations {missing} have zero stationary probability")
-    return QTables(q_global=q_global, q_obs=q_obs, posterior=posterior, reachable=reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +486,12 @@ def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
 # greedy decision policy (separate-design baseline)
 
 
-def greedy_decision_policy(model: DecPomdpModel, context_weights=None,
-                           tie_break="high") -> DecisionPolicy:
+def greedy_decision_policy(model: DecPomdpModel, context_weights=None) -> DecisionPolicy:
     """Myopic per-estimate actuation assuming the estimate is perfect.
 
     The inherent cost is averaged over the context under ``context_weights``
     (stationary context law by default).  Exact cost ties break toward the
-    larger actuation index by default; pass ``tie_break="low"`` to flip.
+    larger actuation index.
     """
     weights = (model.context.stationary() if context_weights is None
                else np.asarray(context_weights, dtype=float))
@@ -556,14 +499,8 @@ def greedy_decision_policy(model: DecPomdpModel, context_weights=None,
         raise ParameterError("context weights must assign one weight per context")
     weights = weights / weights.sum()
     expected = np.einsum("p,xpa->xa", weights, model.action_cost)
-    if tie_break == "high":
-        flipped = expected[:, ::-1].argmin(axis=1)
-        actions = model.alphabets.n_actions - 1 - flipped
-    elif tie_break == "low":
-        actions = expected.argmin(axis=1)
-    else:
-        raise ParameterError(f"unknown tie_break {tie_break!r}")
-    return DecisionPolicy(actions)
+    flipped = expected[:, ::-1].argmin(axis=1)
+    return DecisionPolicy(model.alphabets.n_actions - 1 - flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +515,6 @@ def _as_schedule(step_schedule):
         if not 0.0 < size <= 1.0:
             raise ParameterError(f"constant step size {size} outside (0, 1]")
         return lambda k: size
-    if callable(step_schedule):
-        return step_schedule
     raise ParameterError(f"cannot interpret step schedule {step_schedule!r}")
 
 

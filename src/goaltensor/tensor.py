@@ -181,14 +181,6 @@ def build_got_tensor(cost: CostModel, policy: DecisionPolicy) -> GoTensor:
     return GoTensor(values=values, decision_policy=policy)
 
 
-def got_value(tensor: GoTensor, x: int, phi: int, xhat: int) -> float:
-    """Table lookup with range checks; no recomputation."""
-    n_states, n_contexts, _ = tensor.values.shape
-    if not (0 <= x < n_states and 0 <= xhat < n_states and 0 <= phi < n_contexts):
-        raise IndexError(f"index ({x}, {phi}, {xhat}) outside tensor of shape {tensor.values.shape}")
-    return float(tensor.values[x, phi, xhat])
-
-
 def degenerate_tensor(kind: str, *, n_states=None, context_values=None,
                       n_contexts=None, state_values=None, error_matrix=None) -> np.ndarray:
     """Build the tensor-shaped table of a classic metric.
@@ -250,20 +242,19 @@ def degenerate_tensor(kind: str, *, n_states=None, context_values=None,
 
 @dataclass(frozen=True)
 class Violation:
-    level: str      # "error" or "warning"
     field: str
     message: str
 
 
 def validate_cost_model(cost: CostModel, alphabets: Alphabets) -> list[Violation]:
-    """Diagnostic sweep over the cost tables; empty list means ok."""
+    """Every error in the cost tables; an empty list means the model is usable.
+
+    A negative gain or expenditure weight is allowed, although it can make
+    tensor entries negative."""
     out = []
 
     def err(field, message):
-        out.append(Violation("error", field, message))
-
-    def warn(field, message):
-        out.append(Violation("warning", field, message))
+        out.append(Violation(field, message))
 
     expected = (alphabets.n_contexts, alphabets.n_states)
     if cost.inherent.shape != expected:
@@ -287,10 +278,7 @@ def validate_cost_model(cost: CostModel, alphabets: Alphabets) -> list[Violation
                         ("sampling_cost", cost.sampling_cost)):
         if not np.isfinite(value):
             err(name, "must be finite")
-        elif value < 0:
-            if name == "sampling_cost":
-                err(name, "must be nonnegative")
-            else:
-                warn(name, "negative weight can produce negative tensor entries")
+        elif value < 0 and name == "sampling_cost":
+            err(name, "must be nonnegative")
 
     return out

@@ -10,6 +10,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -17,12 +18,25 @@ from scipy.sparse.csgraph import connected_components
 
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
-from goaltensor.model import DecisionRows, DecPomdpModel, GlobalState, TabularMdp
+from goaltensor.model import DecisionRows, DecPomdpModel, TabularMdp
 from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, _ChainEval,
-                                cesaro_limit, stationary_distribution)
-from goaltensor.tensor import Alphabets, CostModel
+                                _FixedSamplingProblem, cesaro_limit, stationary_distribution)
+from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy
 
 MAX_RVI_SWEEPS = 10_000
+
+
+class GlobalState(NamedTuple):
+    x: int
+    xhat: int
+    phi: int
+
+
+def global_states(model: DecPomdpModel):
+    """Every global state in flat-index order: x fastest, then xhat, then phi."""
+    n, v = model.alphabets.n_states, model.alphabets.n_contexts
+    return [GlobalState(x, xhat, phi)
+            for phi in range(v) for xhat in range(n) for x in range(n)]
 
 
 def tensor_entry_by_hand(cost: CostModel, policy, x, phi, xhat):
@@ -154,13 +168,32 @@ def _general_analysis(P, rbar, start):
     return _ChainEval(mu=star[start], eta=float(eta_vec[start]), eta_vec=eta_vec, g=g)
 
 
+def policy_chain(model: DecPomdpModel, sampling, decision):
+    """Transition matrix and expected reward under both policies.
+
+    ``decision`` may be a deterministic ``DecisionPolicy`` or a stochastic
+    (estimate x action) probability table.
+    """
+    n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
+    if isinstance(decision, DecisionPolicy):
+        table = np.zeros((n_states, n_actions))
+        table[np.arange(n_states), decision.actions] = 1.0
+    else:
+        table = np.asarray(decision, dtype=float)
+        if table.shape != (n_states, n_actions):
+            raise ParameterError(f"stochastic decision table has shape {table.shape}, "
+                                 f"expected {(n_states, n_actions)}")
+        if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+            raise ParameterError("stochastic decision rows must be nonnegative and sum to 1")
+    return _FixedSamplingProblem(model, sampling).chain(table)
+
+
 def joint_chain_by_hand(model: DecPomdpModel, sample_bits, decision_actions):
     """Chain and reward of a deterministic joint policy, built state by state."""
     N = model.n_global_states
     P = np.zeros((N, N))
     rbar = np.zeros(N)
-    for i in range(N):
-        w = model.state_of(i)
+    for i, w in enumerate(global_states(model)):
         a_s = int(sample_bits[i])
         a_a = int(decision_actions[w.xhat])
         P[i] = kernel_by_hand(model, w, a_s, a_a)

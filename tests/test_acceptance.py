@@ -20,12 +20,12 @@ from goaltensor.harness import simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
 from goaltensor.solvers import (_FixedSamplingProblem, _one_hot, brute_force_joint,
-                                closed_classes, greedy_decision_policy, jesp, policy_chain)
+                                closed_classes, greedy_decision_policy, jesp)
 from goaltensor.tensor import (DecisionPolicy, SamplingPolicy, build_got_tensor,
                                degenerate_tensor)
 from conftest import WORKED_TENSOR
-from oracles import (analyze_chain, exhaustive_joint_search, kernel_by_hand, random_model,
-                     rvi_solve, tiny_two_state_model)
+from oracles import (analyze_chain, exhaustive_joint_search, global_states, kernel_by_hand,
+                     policy_chain, random_model, rvi_solve, tiny_two_state_model)
 
 GRID_PS = (0.2, 0.4, 0.6, 0.8, 1.0)
 GRID_CS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -92,7 +92,7 @@ def test_criterion_3_kernel_equals_channel_enumeration(shipped):
     model = shipped.model
     count = 0
     dense = dense_kernels(model)
-    for w in model.states():
+    for w in global_states(model):
         for a_s in (0, 1):
             for a_a in range(model.alphabets.n_actions):
                 np.testing.assert_allclose(
@@ -106,7 +106,7 @@ def test_criterion_3_kernel_equals_channel_enumeration(shipped):
                              n_actions=int(rng.integers(1, 4)))
         dense = dense_kernels(small)
         assert np.abs(dense.sum(axis=-1) - 1.0).max() < 1e-12
-        for w in small.states():
+        for w in global_states(small):
             for a_s in (0, 1):
                 for a_a in range(small.alphabets.n_actions):
                     np.testing.assert_allclose(
@@ -156,8 +156,7 @@ def test_criterion_5_residual_certificates(shipped, grid_solutions):
 
 
 def test_criterion_6_greedy_policy_reproduction(shipped):
-    policy = greedy_decision_policy(shipped.model, context_weights=[0.5, 0.5],
-                                    tie_break="high")
+    policy = greedy_decision_policy(shipped.model, context_weights=[0.5, 0.5])
     assert policy.actions.tolist() == [0, 3, 7]
     assert greedy_decision_policy(shipped.model).actions.tolist() == [0, 3, 7]
     report(6, "greedy decision policy is [a0, a3, a7] under uniform context weights "

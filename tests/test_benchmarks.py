@@ -5,16 +5,16 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    StatePolicyRule, UniformRule, aoii_optimal_policy,
                                    evaluate_age_threshold, evaluate_change_aware,
                                    evaluate_state_policy, evaluate_uniform,
-                                   mse_optimal_policy, tune_age_threshold)
+                                   mse_optimal_policy)
 from goaltensor.errors import NonConvergenceError, ParameterError
 from goaltensor.harness import simulate_closed_loop, sweep_rate_vs_cost
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
-from goaltensor.solvers import greedy_decision_policy, policy_chain
+from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import (age_threshold_by_augmented_chain, mse_sampler_by_rvi, policy_gain,
-                     random_model, uniform_by_augmented_chain)
+from oracles import (age_threshold_by_augmented_chain, mse_sampler_by_rvi, policy_chain,
+                     policy_gain, random_model, uniform_by_augmented_chain)
 
 
 @pytest.fixture(scope="module")
@@ -301,18 +301,8 @@ def test_mse_policy_beats_aoii_policy_on_mse(shipped, greedy):
 
 def test_tuner_finds_interior_minimum(shipped, greedy):
     model = shipped.with_sampling_cost(6.0).model
-    best, curve = tune_age_threshold(model, greedy, max_threshold=20)
-    costs = [summary.average_cost for _, summary in curve]
-    assert len(curve) == 21
-    assert best == int(np.argmin(costs))
-    assert 0 < best < 20
-
-
-def test_tuner_warns_on_boundary(shipped, greedy):
-    # a tiny sweep cap forces the minimum onto the boundary
-    model = shipped.with_sampling_cost(10.0).model
-    with pytest.warns(UserWarning):
-        tune_age_threshold(model, greedy, max_threshold=1)
+    costs = [evaluate_age_threshold(model, delta, greedy).average_cost for delta in range(21)]
+    assert 0 < int(np.argmin(costs)) < 20
 
 
 def test_age_dominates_uniform_at_matched_rates(shipped, greedy):

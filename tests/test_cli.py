@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -230,6 +231,28 @@ def test_grid_flag_rejects_non_numbers(tmp_path, capsys, scenario_file, grid, ba
     assert err.startswith("error: grid value " + bad) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid, outcome", [
+    ("cs=0", ["0.5,0.0"]),                      # the scenario's success probs stay
+    ("ps=0.6;ps=0.2", "error: grid key 'ps' given twice in 'ps=0.6;ps=0.2'\n"),
+    ("ps=1.5;cs=0", "scenario error: grid.success_probs[0]: value 1.5 above maximum 1.0\n"),
+    ("ps=0.5;cs=-1", "scenario error: grid.sampling_costs[0]: value -1.0 below minimum 0.0\n"),
+], ids=["omitted-key", "repeated-key", "ps-out-of-range", "cs-out-of-range"])
+def test_grid_flag_replaces_only_the_keys_it_names_and_checks_them(tmp_path, capsys, grid,
+                                                                   outcome):
+    doc = default_document()
+    doc["grid"]["success_probs"] = [0.5]
+    path = save_scenario(doc, tmp_path / "scenario.json")
+    out = tmp_path / "gap"
+    code = main(["gap", "--scenario", str(path), "--grid", grid, "--out", str(out)])
+    if isinstance(outcome, str):
+        assert code == 1 and capsys.readouterr().err == outcome
+        assert not out.exists()
+    else:
+        assert code == 0
+        rows = (out / "gap.csv").read_text().splitlines()[1:]
+        assert [",".join(row.split(",")[:2]) for row in rows] == outcome
+
+
 def _spy(monkeypatch, name):
     """Record the keyword arguments of every call to ``solvers.<name>``."""
     calls, real = [], getattr(solvers, name)
@@ -435,6 +458,71 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+# Top-level definitions no command reaches, each kept for a release criterion
+# of tests/test_acceptance.py that checks a claim of the paper.
+UNREACHED_BY_COMMANDS = {
+    ("tensor", "GoTensor"): "criterion 1",
+    ("tensor", "build_got_tensor"): "criterion 1",
+    ("tensor", "degenerate_tensor"): "criterion 2",
+}
+
+
+def _definitions(package):
+    """Each top-level definition of the package's modules, as (module, name), with
+    the definitions its statement names; dunder names (``__all__``) are left out."""
+    defs, modules = {}, {path.stem for path in package.glob("*.py")}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        local = {}                           # name bound by a relative import -> target
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        local[alias.asname or alias.name] = (node.module, alias.name)
+                    elif alias.name in modules:
+                        local[alias.asname or alias.name] = alias.name
+                    else:
+                        local[alias.asname or alias.name] = ("__init__", alias.name)
+        names = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = node
+            elif isinstance(node, ast.Assign):
+                names.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        for name, node in names.items():
+            edges = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    target = (path.stem, sub.id) if sub.id in names else local.get(sub.id)
+                    if isinstance(target, tuple):
+                        edges.add(target)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                        and isinstance(local.get(sub.value.id), str):
+                    edges.add((local[sub.value.id], sub.attr))
+            if not name.startswith("__"):
+                defs[(path.stem, name)] = edges
+    return defs
+
+
+def test_every_definition_is_reached_by_a_command_or_kept_for_a_criterion():
+    root = Path(__file__).resolve().parents[1]
+    defs = _definitions(root / "src" / "goaltensor")
+    todo = [("cli", "main")]
+    for script in (root / "scripts").glob("*.py"):
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("goaltensor."):
+                todo += [(node.module.partition(".")[2], alias.name) for alias in node.names]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in seen:
+            seen.add(key)
+            todo += defs[key]
+    unreached = sorted(".".join(key) for key in defs.keys() - seen - UNREACHED_BY_COMMANDS.keys())
+    assert unreached == []
+    assert seen.isdisjoint(UNREACHED_BY_COMMANDS)       # a kept name a command now reaches
 
 
 @pytest.mark.parametrize("families, message", [

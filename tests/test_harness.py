@@ -16,10 +16,10 @@ from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_HEADER, _standard_err
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
 from goaltensor.scenario import GridConfig, Scenario
-from goaltensor.solvers import greedy_decision_policy, policy_chain
+from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
-from oracles import (analyze_chain, random_model, simulate_records, sweep_one_by_one,
-                     write_records_csv)
+from oracles import (analyze_chain, policy_chain, random_model, simulate_records,
+                     sweep_one_by_one, write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -272,6 +272,27 @@ def test_simulate_replicas_one_context_one_action(kind):
                          n_actions=1, success_prob=0.5)
     _assert_matches_scalar_loop(model, kind, DecisionPolicy([0, 0, 0]), SLOT_CHUNK + 5,
                                 seeds=[0, 1], initial=(1, 0, 0))
+
+
+def test_simulate_replicas_draws_a_chunk_at_a_time(monkeypatch):
+    # no engine asks a stream for more than a chunk of numbers, whatever the horizon
+    model = random_model(np.random.default_rng(17), n_states=3, n_contexts=2,
+                         n_actions=4, success_prob=0.6)
+    requests = []
+    default_rng = np.random.default_rng
+
+    class RecordingStream:
+        def __init__(self, seed):
+            self.stream = default_rng(seed)
+
+        def random(self, size):
+            requests.append(size)
+            return self.stream.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingStream)
+    _assert_matches_scalar_loop(model, "uniform", greedy_decision_policy(model),
+                                5 * SLOT_CHUNK + 3, seeds=[3, 11], initial=(2, 1, 1))
+    assert requests and max(requests) <= SLOT_CHUNK
 
 
 def _assert_trace_matches_record_loop(tmp_path, model, rule, decision, horizon, seed,

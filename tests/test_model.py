@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from goaltensor.errors import MemoryBudgetError, ModelIncompleteError
 from goaltensor.model import (MAX_KERNEL_BYTES, ChannelModel, ContextDynamics, DecisionRows,
-                              DecPomdpModel, GlobalState, JointAction, SourceDynamics,
-                              check_kernel_bytes, dense_kernels, estimate_kernel,
-                              heuristic_mdp,
-                              induced_mdp, induced_pomdp, observation_fn, reward,
-                              success_kernels, transition_kernel)
+                              DecPomdpModel, SourceDynamics, check_kernel_bytes,
+                              dense_kernels, heuristic_mdp, induced_mdp, induced_pomdp,
+                              success_kernels)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
-from oracles import kernel_by_hand, random_model, tensor_entry_by_hand
+from oracles import global_states, kernel_by_hand, random_model, tensor_entry_by_hand
 
 
-def identity_model(sampling_cost=0.0, success_prob=0.5):
+def identity_model(sampling_cost=0.0, success_prob=0.5, n_states=2):
     # frozen world: source and context never move
-    n, v, a = 2, 2, 2
+    n, v, a = n_states, 2, 2
     src = np.zeros((n, v, a, n))
     src[np.arange(n), :, :, np.arange(n)] = 1.0
     return DecPomdpModel(
@@ -34,22 +32,27 @@ def identity_model(sampling_cost=0.0, success_prob=0.5):
 
 
 def test_estimate_kernel_cases():
-    ch = ChannelModel(0.7)
-    np.testing.assert_array_equal(estimate_kernel(2, 1, 0, ch, 3), [0, 1, 0])
-    np.testing.assert_array_equal(estimate_kernel(2, 0, 1, ChannelModel(1.0), 3),
-                                  [0, 0, 1])
-    np.testing.assert_allclose(estimate_kernel(2, 0, 1, ch, 3), [0.3, 0.0, 0.7])
-    assert estimate_kernel(1, 1, 1, ch, 3).sum() == 1.0
+    # in a frozen world a kernel row is the next estimate's law
+    def estimate_law(success_prob, x, xhat, sample):
+        model = identity_model(success_prob=success_prob, n_states=3)
+        row = model.kernels[sample, 0, model.state_index(x, xhat, 1)]
+        return row[[model.state_index(x, e, 1) for e in range(3)]]
+
+    np.testing.assert_array_equal(estimate_law(0.7, 2, 1, 0), [0, 1, 0])
+    np.testing.assert_array_equal(estimate_law(1.0, 2, 0, 1), [0, 0, 1])
+    np.testing.assert_allclose(estimate_law(0.7, 2, 0, 1), [0.3, 0.0, 0.7])
+    assert estimate_law(0.7, 1, 1, 1).sum() == 1.0
 
 
 def test_state_indexing_round_trip(shipped):
     model = shipped.model
+    xs, xhats, phis = model.state_components()
     seen = set()
     for x in range(3):
         for xhat in range(3):
             for phi in range(2):
                 idx = model.state_index(x, xhat, phi)
-                assert model.state_of(idx) == GlobalState(x, xhat, phi)
+                assert (xs[idx], xhats[idx], phis[idx]) == (x, xhat, phi)
                 seen.add(idx)
     assert seen == set(range(18))
     # documented order: x fastest, then xhat, then phi
@@ -68,8 +71,8 @@ def test_transition_rows_are_stochastic(shipped):
 def test_idle_keeps_estimate_marginal(shipped):
     model = shipped.model
     _, xhats, _ = model.state_components()
-    for w in model.states():
-        row = transition_kernel(model, w, JointAction(0, 4))
+    for i, w in enumerate(global_states(model)):
+        row = model.kernels[0, 4, i]
         for est in range(3):
             mass = row[xhats == est].sum()
             assert mass == pytest.approx(1.0 if est == w.xhat else 0.0, abs=1e-15)
@@ -77,21 +80,19 @@ def test_idle_keeps_estimate_marginal(shipped):
 
 def test_frozen_world_is_a_fixed_point():
     model = identity_model()
-    w = GlobalState(1, 0, 1)
-    row = transition_kernel(model, w, JointAction(0, 1))
+    index = model.state_index(1, 0, 1)
     expected = np.zeros(model.n_global_states)
-    expected[model.state_index(*w)] = 1.0
-    np.testing.assert_array_equal(row, expected)
+    expected[index] = 1.0
+    np.testing.assert_array_equal(model.kernels[0, 1, index], expected)
 
 
 def test_kernel_matches_channel_enumeration_oracle(shipped):
     model = shipped.model
-    for w in model.states():
+    for i, w in enumerate(global_states(model)):
         for a_s in (0, 1):
             for a_a in range(model.alphabets.n_actions):
-                row = transition_kernel(model, w, JointAction(a_s, a_a))
-                np.testing.assert_allclose(row, kernel_by_hand(model, w, a_s, a_a),
-                                           atol=1e-12)
+                np.testing.assert_allclose(model.kernels[a_s, a_a, i],
+                                           kernel_by_hand(model, w, a_s, a_a), atol=1e-12)
 
 
 @given(st.integers(0, 10**9))
@@ -103,7 +104,7 @@ def test_kernel_oracle_on_random_models(seed):
                          n_actions=int(rng.integers(1, 4)))
     dense = dense_kernels(model)
     np.testing.assert_allclose(dense.sum(axis=-1), 1.0, atol=1e-12)
-    for w in model.states():
+    for w in global_states(model):
         for a_s in (0, 1):
             for a_a in range(model.alphabets.n_actions):
                 np.testing.assert_allclose(dense[a_s, a_a, model.state_index(*w)],
@@ -159,7 +160,7 @@ def test_decision_rows_match_oracles_on_random_models(seed):
                      "source"):
             np.testing.assert_array_equal(getattr(batched, name)[index],
                                           getattr(single, name), err_msg=name)
-        for w in model.states():
+        for w in global_states(model):
             s = model.state_index(*w)
             act = policy(w.xhat)
             assert single.actions[s] == act
@@ -179,20 +180,12 @@ def test_source_context_marginal_ignores_sampling(shipped):
     # sampling only moves the estimate coordinate
     model = shipped.model
     xs, _, phis = model.state_components()
-    for w in model.states()[::5]:
-        idle = transition_kernel(model, w, JointAction(0, 3))
-        tx = transition_kernel(model, w, JointAction(1, 3))
+    for s in range(0, model.n_global_states, 5):
+        idle, tx = model.kernels[:, 3, s]
         for u in range(3):
             for r in range(2):
                 mask = (xs == u) & (phis == r)
                 assert idle[mask].sum() == pytest.approx(tx[mask].sum(), abs=1e-12)
-
-
-def test_observation_fn_is_deterministic_projection():
-    w = GlobalState(1, 2, 0)
-    assert observation_fn(w) == (w, 2)
-    assert observation_fn(w) == observation_fn(w)
-    assert observation_fn(GlobalState(0, 0, 0))[1] == 0
 
 
 def test_reward_examples(worked_cost, worked_policy):
@@ -203,9 +196,10 @@ def test_reward_examples(worked_cost, worked_policy):
         channel=ChannelModel(0.5),
         cost=worked_cost,
     )
-    assert reward(model, GlobalState(2, 2, 0), JointAction(1, 2), worked_policy) == -3.0
-    assert reward(model, GlobalState(0, 0, 0), JointAction(0, 0), worked_policy) == 0.0
-    assert reward(model, GlobalState(2, 0, 1), JointAction(0, 0), worked_policy) == -5.0
+    rewards = DecisionRows(model, worked_policy.actions).rewards
+    assert rewards[model.state_index(2, 2, 0), 1] == -3.0
+    assert rewards[model.state_index(0, 0, 0), 0] == 0.0
+    assert rewards[model.state_index(2, 0, 1), 0] == -5.0
 
 
 def test_induced_mdp_collapses_observation_sum(shipped):
@@ -213,13 +207,12 @@ def test_induced_mdp_collapses_observation_sum(shipped):
     policy = DecisionPolicy([0, 3, 7])
     mdp = induced_mdp(model, policy)
     assert mdp.transitions.shape == (2, 18, 18)
-    for i, w in enumerate(model.states()):
+    for i, w in enumerate(global_states(model)):
         for a_s in (0, 1):
-            np.testing.assert_allclose(
-                mdp.transitions[a_s, i],
-                transition_kernel(model, w, JointAction(a_s, policy(w.xhat))),
-                atol=0)
-            expected = reward(model, w, JointAction(a_s, policy(w.xhat)), policy)
+            np.testing.assert_array_equal(mdp.transitions[a_s, i],
+                                          model.kernels[a_s, policy(w.xhat), i])
+            expected = -(tensor_entry_by_hand(model.cost, policy, w.x, w.phi, w.xhat)
+                         + model.cost.sampling_cost * a_s)
             assert mdp.rewards[i, a_s] == pytest.approx(expected, abs=1e-12)
 
 
@@ -238,7 +231,7 @@ def test_induced_mdp_matches_observation_average_oracle(seed):
     model = random_model(rng, n_states=2, n_contexts=1, n_actions=3)
     policy = DecisionPolicy(rng.integers(0, 3, size=2))
     mdp = induced_mdp(model, policy)
-    for i, w in enumerate(model.states()):
+    for i, w in enumerate(global_states(model)):
         for a_s in (0, 1):
             mix = np.zeros(model.n_global_states)
             for obs in range(2):                 # explicit sum over observations
@@ -257,7 +250,7 @@ def test_induced_pomdp_substitutes_sampling_policy(shipped):
     rng = np.random.default_rng(3)
     mixed = SamplingPolicy(rng.integers(0, 2, size=(3, 3, 2)))
     pomdp = induced_pomdp(model, mixed)
-    for i, w in enumerate(model.states()):
+    for i, w in enumerate(global_states(model)):
         bit = mixed(w.x, w.xhat, w.phi)
         for a_a in range(model.alphabets.n_actions):
             np.testing.assert_allclose(pomdp.transitions[a_a, i],

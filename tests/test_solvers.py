@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goaltensor.errors import (EnumerationBudgetError, ErgodicityError, MemoryBudgetError,
-                               NonConvergenceError, ParameterError,
-                               UnreachableObservationError)
+                               NonConvergenceError, ParameterError)
 from goaltensor import benchmarks
 from goaltensor import model as model_module
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
@@ -19,8 +18,7 @@ from goaltensor.solvers import (_ChainEval, _closed_classes_batch, _evaluate_bat
                                 cesaro_limit, chain_law,
                                 closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
-                                jesp, pi_step_size, policy_chain,
-                                q_tables, _FixedSamplingProblem,
+                                jesp, pi_step_size, _FixedSamplingProblem,
                                 _local_search, _one_hot,
                                 _policy_iteration_batch, sampling_from_flat,
                                 solve_sampler_for_decision, stationary_distribution)
@@ -30,7 +28,7 @@ from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_rewar
                      closed_classes_by_components, closed_classes_by_squaring,
                      evaluate_by_closure, exhaustive_joint_search,
                      gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
-                     limit_matrix, local_search_one_by_one, policy_gain,
+                     limit_matrix, local_search_one_by_one, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
                      tiny_two_state_model)
 
@@ -382,28 +380,34 @@ def test_policy_chain_stochastic_mixture_is_convex(shipped):
     np.testing.assert_allclose(rbar, 0.5 * r2 + 0.5 * r5, atol=1e-12)
 
 
+def q_values(model, sampling, decision):
+    """(q_global, q_obs, posterior, reachable) of a deterministic decision
+    policy, evaluated from state 0 as soft policy iteration does."""
+    problem = _FixedSamplingProblem(model, sampling)
+    return problem.q_values(problem.evaluate(_one_hot(decision.actions,
+                                                      model.alphabets.n_actions)))
+
+
 def test_q_tables_posterior_restricts_to_observation(shipped):
     model = shipped.model
     sampling = SamplingPolicy.on_mismatch(model.alphabets)
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
     analysis = analyze_chain(P, rbar)
-    tables = q_tables(model, sampling, decision)
+    q_global, q_obs, posterior, reachable = q_values(model, sampling, decision)
     _, xhats, _ = model.state_components()
     for obs in range(3):
-        assert tables.reachable[obs]
-        row = tables.posterior[obs]
+        assert reachable[obs]
+        row = posterior[obs]
         assert row[xhats != obs].sum() == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-10)
         expected = np.where(xhats == obs, analysis.distribution, 0.0)
         np.testing.assert_allclose(row, expected / expected.sum(), atol=1e-12)
     # q_obs is the posterior-weighted q_global
-    np.testing.assert_allclose(tables.q_obs,
-                               np.nan_to_num(tables.posterior) @ tables.q_global,
-                               atol=1e-12)
+    np.testing.assert_allclose(q_obs, np.nan_to_num(posterior) @ q_global, atol=1e-12)
 
 
-def test_q_tables_unreachable_observation_raises(shipped):
+def test_q_tables_unreachable_observation_is_nan(shipped):
     model = shipped.model
     # transmit only when the source sits at 0: estimates 1 and 2 die out
     decisions = np.zeros((3, 3, 2), dtype=int)
@@ -412,11 +416,9 @@ def test_q_tables_unreachable_observation_raises(shipped):
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
     assert len(closed_classes(P)) == 1
-    with pytest.raises(UnreachableObservationError):
-        q_tables(model, sampling, decision)
-    tables = q_tables(model, sampling, decision, on_unreachable="keep")
-    assert tables.reachable.tolist() == [True, False, False]
-    assert np.isnan(tables.q_obs[1]).all()
+    _, q_obs, _, reachable = q_values(model, sampling, decision)
+    assert reachable.tolist() == [True, False, False]
+    assert np.isnan(q_obs[1]).all()
 
 
 def test_q_tables_match_monte_carlo_differential_return(shipped):
@@ -426,20 +428,20 @@ def test_q_tables_match_monte_carlo_differential_return(shipped):
     decision = DecisionPolicy([0, 3, 7])
     P, rbar = policy_chain(model, sampling, decision)
     analysis = analyze_chain(P, rbar)
-    tables = q_tables(model, sampling, decision)
+    _, q_obs, posterior, _ = q_values(model, sampling, decision)
     from goaltensor.model import induced_pomdp
     pomdp = induced_pomdp(model, sampling)
     horizon = 4000
     for obs, action in [(0, 3), (1, 0), (2, 7)]:
         # exact expectation: one forced first step, then the policy chain
-        start = tables.posterior[obs]
+        start = posterior[obs]
         first = float(start @ pomdp.rewards[:, action])
         dist = start @ pomdp.transitions[action]
         total = first - analysis.average_reward
         for _ in range(horizon):
             total += float(dist @ rbar) - analysis.average_reward
             dist = dist @ P
-        assert total == pytest.approx(tables.q_obs[obs, action], abs=1e-4)
+        assert total == pytest.approx(q_obs[obs, action], abs=1e-4)
 
 
 def test_evaluate_matches_stationary_and_cesaro_oracles(monkeypatch):
@@ -502,11 +504,8 @@ def test_greedy_hand_enumeration_for_middle_estimate(shipped):
 
 def test_greedy_tie_break_knobs(shipped):
     # estimate 2 ties at actions 6 and 7 (both cost 7) under uniform weights
-    model = shipped.model
-    high = greedy_decision_policy(model, context_weights=[0.5, 0.5], tie_break="high")
-    low = greedy_decision_policy(model, context_weights=[0.5, 0.5], tie_break="low")
-    assert high.actions[2] == 7 and low.actions[2] == 6
-    assert high.actions[0] == low.actions[0] == 0
+    high = greedy_decision_policy(shipped.model, context_weights=[0.5, 0.5])
+    assert high.actions[2] == 7 and high.actions[0] == 0
 
 
 def test_greedy_zero_cost_state_prefers_no_actuation(shipped):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from goaltensor.errors import ModelIncompleteError, ParameterError
 from goaltensor.tensor import (Alphabets, CostModel, DecisionPolicy,
-                               build_got_tensor, degenerate_tensor, got_value,
-                               validate_cost_model)
+                               build_got_tensor, degenerate_tensor, validate_cost_model)
 
 from conftest import WORKED_TENSOR
 from oracles import tensor_entry_by_hand
@@ -19,20 +18,13 @@ def test_worked_instance_matches_hand_evaluation(worked_cost, worked_policy):
 
 
 def test_worked_instance_spot_values(worked_cost, worked_policy):
-    tensor = build_got_tensor(worked_cost, worked_policy)
-    assert got_value(tensor, 2, 0, 2) == 2       # ramp clips 3 - 4, expenditure 2
-    assert got_value(tensor, 0, 0, 0) == 0
-    assert got_value(tensor, 2, 1, 0) == 5
-    assert got_value(tensor, 1, 0, 1) == 1
-    assert got_value(tensor, 0, 1, 0) == 0
-    assert got_value(tensor, 1, 1, 2) == 2
-
-
-def test_got_value_range_errors(worked_cost, worked_policy):
-    tensor = build_got_tensor(worked_cost, worked_policy)
-    for bad in [(3, 0, 0), (0, 2, 0), (0, 0, 3), (-4, 0, 0)]:
-        with pytest.raises(IndexError):
-            got_value(tensor, *bad)
+    values = build_got_tensor(worked_cost, worked_policy).values     # [x, phi, xhat]
+    assert values[2, 0, 2] == 2       # ramp clips 3 - 4, expenditure 2
+    assert values[0, 0, 0] == 0
+    assert values[2, 1, 0] == 5
+    assert values[1, 0, 1] == 1
+    assert values[0, 1, 0] == 0
+    assert values[1, 1, 2] == 2
 
 
 def test_build_rejects_incomplete_model(worked_cost):
@@ -175,7 +167,7 @@ def test_validate_reports_nan_and_negative():
     cost = CostModel(inherent=[[0, np.nan, 3], [0, 2, 5]], gain=[0, 2, 4],
                      expenditure=[0, 1, 2])
     problems = validate_cost_model(cost, Alphabets(3, 2, 3))
-    assert len(problems) == 1 and problems[0].level == "error"
+    assert len(problems) == 1
     assert "non-finite" in problems[0].message and problems[0].field == "inherent"
 
     cost = CostModel(inherent=[[0, 1, 3], [0, 2, 5]], gain=[0, -2, 4],
@@ -194,8 +186,7 @@ def test_empty_action_alphabet_rejected():
         Alphabets(3, 2, 0)
 
 
-def test_negative_weight_is_warning_not_error():
+def test_negative_weight_is_not_an_error():
     cost = CostModel(inherent=[[0, 1], [0, 2]], gain=[0, 2], expenditure=[0, 1],
                      gain_weight=-1.0)
-    problems = validate_cost_model(cost, Alphabets(2, 2, 2))
-    assert [p.level for p in problems] == ["warning"]
+    assert validate_cost_model(cost, Alphabets(2, 2, 2)) == []
