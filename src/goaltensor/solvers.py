@@ -8,9 +8,12 @@ fast route use it:
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, their
   sampler MDPs solved in batches and each scored by its optimal gain from the
-  start state (batches are sized to keep their kernels within
+  start state (the batches in flight keep their kernels within
   ``model.MAX_KERNEL_BYTES``, and a model where one candidate's kernels
-  already pass it is refused before anything is built);
+  already pass it is refused before anything is built; from
+  ``BRUTE_THREADED_STATES`` global states on, where numpy's solves, which
+  release the GIL, hold most of the time, one thread per core solves
+  batches, and results are reduced in enumeration order);
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -36,7 +39,9 @@ start state.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,7 +63,11 @@ PI_NOISE = 1e-12            # relative tie tolerance of a policy-iteration impro
 DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
-BRUTE_CHUNK = 128           # decision policies per policy-iteration batch of brute force
+BRUTE_CHUNK = 128           # decision policies in flight at once in brute force, over all workers
+# threads for brute force's chunks: one per core this process may run on
+BRUTE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+BRUTE_THREADED_STATES = 24  # global states N from which brute force's chunks run on threads
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +639,34 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
 # brute force over decision policies
 
 
+def _chunk_sizes(n, cap, workers):
+    """Sizes of the chunks that ``n`` candidates are split into, none over ``cap``.
+
+    One worker takes full chunks in turn.  Several take a multiple of
+    ``workers`` chunks of near-equal size, so that no chunk is left to run
+    alone at the end.
+    """
+    count = -(-n // cap)
+    if workers == 1:
+        return [cap] * (count - 1) + [n - cap * (count - 1)]
+    count = min(n, -(-count // workers) * workers)
+    base, extra = divmod(n, count)
+    return [base + 1] * extra + [base] * (count - extra)
+
+
+def _solve_chunk(model, policies, epsilon, max_sweeps):
+    """One brute-force chunk: the sampler MDPs of the decision tables ``policies``
+    (K, S) in one policy-iteration batch.  Returns ``policies`` and the batch's
+    results; a ``NonConvergenceError`` names the failing decision policy."""
+    rows = DecisionRows(model, policies)
+    try:
+        return policies, _policy_iteration_batch(rows.kernels, rows.rewards, epsilon,
+                                                 max_sweeps, initial_action=1)
+    except NonConvergenceError as exc:
+        raise _renamed(exc, f"decision policy {tuple(policies[exc.candidate].tolist())}"
+                       ) from None
+
+
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=200_000, max_sweeps=MAX_PI_ROUNDS,
                       start_state=0) -> SolveReport:
@@ -648,10 +685,16 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     sampling ties with idling, so few are.  ``stalled_candidates`` is always
     empty: a candidate that does not converge raises ``NonConvergenceError``,
     which names the lexicographically first failing decision policy whatever
-    the chunk size.  A chunk holds ``BRUTE_CHUNK`` candidates, or as many as
-    keep its kernels within ``model.MAX_KERNEL_BYTES``; a model where one
-    candidate's kernels already pass the limit is refused with
-    ``MemoryBudgetError`` before anything of that size is built.
+    the chunk size or the worker count.  ``BRUTE_CHUNK`` candidates are in
+    flight at once, or as many as keep their kernels within
+    ``model.MAX_KERNEL_BYTES``; a model where one candidate's kernels already
+    pass the limit is refused with ``MemoryBudgetError`` before anything of
+    that size is built.  With ``BRUTE_THREADED_STATES`` global states or more,
+    ``BRUTE_WORKERS`` threads (one per core) share those candidates, each
+    chunk one ``DecisionRows`` gather and one policy-iteration batch; numpy
+    releases the GIL in its solves and array loops.  Below that, the chunks
+    run in turn on the calling thread.  Every candidate's arithmetic is the
+    same either way, and the results are reduced in enumeration order.
     A single unichain warning is emitted up front if the reference chain
     (always sample, lowest actuation) already has several closed classes.
     """
@@ -662,15 +705,26 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         raise EnumerationBudgetError(
             f"{n_actions}^{n_states} = {n_candidates} decision policies exceed the "
             f"enumeration budget {budget}")
-    chunk = min(BRUTE_CHUNK, n_candidates,
-                check_kernel_bytes(model.alphabets, 1, "the kernels of one candidate"))
+    fit = check_kernel_bytes(model.alphabets, 1, "the kernels of one candidate")
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
+    # this also builds the cached ``model.kernels`` before any worker starts, so
+    # the workers only read it
     reference_chain = DecisionRows(model, np.zeros(n_states, dtype=int)).kernels[1]
     if len(closed_classes(reference_chain)) != 1:
         warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
                       "gains of enumerated policies may be start-dependent", stacklevel=2)
+
+    # below BRUTE_THREADED_STATES, Python bookkeeping that holds the GIL outweighs
+    # numpy's work that releases it, and threads lose to one loop
+    workers = min(BRUTE_WORKERS if N >= BRUTE_THREADED_STATES else 1,
+                  BRUTE_CHUNK, fit, n_candidates)
+    sizes = _chunk_sizes(n_candidates, min(BRUTE_CHUNK, fit) // workers, workers)
+    enumerated = itertools.product(range(n_actions), repeat=n_states)
+    blocks = (np.array(list(itertools.islice(enumerated, size)), dtype=int)  # (K, S)
+              for size in sizes)
+    solve = functools.partial(_solve_chunk, model, epsilon=epsilon, max_sweeps=max_sweeps)
 
     best_gain = -np.inf
     best_actions = None
@@ -678,31 +732,31 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     best_residual = np.nan
     total_rounds = 0
     flagged = []
-    enumerated = itertools.product(range(n_actions), repeat=n_states)
-    while True:
-        block = list(itertools.islice(enumerated, chunk))
-        if not block:
-            break
-        policies = np.array(block, dtype=int)                     # (K, S) lexicographic
-        rows = DecisionRows(model, policies)
-        try:
-            pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
-                rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
-        except NonConvergenceError as exc:
-            # chunks run in enumeration order, so this is the lexicographically
-            # first failing decision policy, whatever the chunk size
-            raise _renamed(exc, f"decision policy {tuple(policies[exc.candidate].tolist())}"
-                           ) from None
-        total_rounds += int(rounds.sum())
-        scores = gains[:, start_state]
-        for j in np.flatnonzero(n_closed > 1):
-            flagged.append(tuple(int(x) for x in policies[j]))
-        j = int(scores.argmax())
-        if scores[j] > best_gain:
-            best_gain = float(scores[j])
-            best_actions = policies[j].copy()
-            best_sampling = pol_b[j].copy()
-            best_residual = float(residuals[j])
+    pool = None
+    if workers > 1:
+        # imported only here: it loads logging and queue, which runs that never
+        # start a worker would carry in memory for nothing
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+    try:
+        # results come back in enumeration order, so the first failing chunk's
+        # error, naming the lexicographically first failing decision policy, is
+        # the one raised, whatever the chunk size or worker count
+        solved = (map if pool is None else pool.map)(solve, blocks)
+        for policies, (pol_b, gains, _, rounds, residuals, n_closed) in solved:
+            total_rounds += int(rounds.sum())
+            scores = gains[:, start_state]
+            for j in np.flatnonzero(n_closed > 1):
+                flagged.append(tuple(int(x) for x in policies[j]))
+            j = int(scores.argmax())
+            if scores[j] > best_gain:
+                best_gain = float(scores[j])
+                best_actions = policies[j].copy()
+                best_sampling = pol_b[j].copy()
+                best_residual = float(residuals[j])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return SolveReport(
         sampling_policy=sampling_from_flat(best_sampling, model),
         decision_policy=DecisionPolicy(best_actions),

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -768,16 +769,27 @@ def _brute_outcome(model):
             repr(report.residual), report.diagnostics["multichain_candidates"])
 
 
+def _threaded(monkeypatch, workers):
+    # threads at every N, so the bundled scenario's N = 18 runs them too
+    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
+    monkeypatch.setattr(solvers, "BRUTE_WORKERS", workers)
+
+
 @pytest.mark.parametrize("model, multichain", [
     (default_scenario(0.2, 10.0).model, True),
     (default_scenario(1.0, 0.0).model, False),
     (random_model(np.random.default_rng(7), n_states=3, n_contexts=2, n_actions=3), True),
-], ids=["bundled-0.2-10", "bundled-1.0-0", "random"])
+    # N = 48 and 1,296 candidates, the shape exact-large's generated documents have
+    (random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6), True),
+], ids=["bundled-0.2-10", "bundled-1.0-0", "random", "random-48"])
 def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
     n_candidates = model.alphabets.n_actions ** model.alphabets.n_states
-    outcomes = []
-    for chunk in (1, 7, 128, n_candidates):
+    outcomes = [_brute_outcome(model)]            # the default chunk, workers and threshold
+    # one candidate in flight leaves one worker, so chunk 1 runs once
+    grid = [(1, 1), *itertools.product((7, 128, n_candidates), (1, 2, 3))]
+    for chunk, workers in grid:
         monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+        _threaded(monkeypatch, workers)
         outcomes.append(_brute_outcome(model))
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert bool(outcomes[0][-1]) == multichain
@@ -790,10 +802,11 @@ def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
 def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, shipped,
                                                                     limits, failure):
     # the lexicographically first failing decision policy, not a chunk's index
-    # or count, so the message does not depend on BRUTE_CHUNK
+    # or count, so the message depends neither on BRUTE_CHUNK nor on the workers
     messages = set()
-    for chunk in (1, 7, 128, 11 ** 3):
+    for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 2, 3)):
         monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+        _threaded(monkeypatch, workers)
         with pytest.raises(NonConvergenceError) as info:
             brute_force_joint(shipped.model, **limits)
         messages.add(str(info.value))
@@ -814,6 +827,76 @@ def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
     monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 8 * pair - 1)
     assert _brute_outcome(model) == want
     assert max(batches) == 7 and sum(batches) == 11 ** 3
+
+
+def test_brute_force_workers_share_the_byte_limit(monkeypatch):
+    model = default_scenario(0.2, 10.0).model
+    want = _brute_outcome(model)
+    pair = 2 * model.n_global_states ** 2 * 8
+    batches = []
+    lock = threading.Lock()
+    in_flight = peak = 0
+    def spy(T, *args, **kwargs):
+        nonlocal in_flight, peak
+        with lock:
+            batches.append(len(T))
+            in_flight += len(T)
+            peak = max(peak, in_flight)
+        try:
+            return _policy_iteration_batch(T, *args, **kwargs)
+        finally:
+            with lock:
+                in_flight -= len(T)
+    monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 8 * pair - 1)   # room for 7
+    _threaded(monkeypatch, 2)
+    assert _brute_outcome(model) == want
+    assert 2 * max(batches) <= 7 and sum(batches) == 11 ** 3
+    assert peak <= 7
+
+
+def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
+    _threaded(monkeypatch, 3)
+    before = set(threading.enumerate())
+    brute_force_joint(shipped.model)
+    assert set(threading.enumerate()) == before
+    with pytest.raises(NonConvergenceError):
+        brute_force_joint(shipped.model, max_sweeps=2)
+    assert set(threading.enumerate()) == before
+
+    # one chunk fails while another is still running, and later ones wait
+    together = threading.Barrier(2, timeout=10)
+    lock = threading.Lock()
+    calls = 0
+    def failing(*args, **kwargs):
+        nonlocal calls
+        with lock:
+            calls += 1
+            first_two = calls <= 2
+        if first_two and together.wait() == 0:
+            raise RuntimeError("injected")
+        return _policy_iteration_batch(*args, **kwargs)
+    monkeypatch.setattr(solvers, "_policy_iteration_batch", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        brute_force_joint(shipped.model)
+    assert set(threading.enumerate()) == before
+    # the chunks not yet started were cancelled
+    assert calls < len(solvers._chunk_sizes(11 ** 3, 128 // 3, 3))
+
+
+def test_brute_force_workers_call_no_wrapped_function(monkeypatch):
+    # perfbench/tracing.py wraps module functions such as these with one span
+    # stack; the kernels are built on the calling thread before any worker starts
+    model = default_scenario(0.2, 10.0).model      # a fresh model: no kernels yet
+    threads = []
+    for module, name in ((model_module, "dense_kernels"), (solvers, "closed_classes")):
+        def spy(*args, _original=getattr(module, name), **kwargs):
+            threads.append(threading.current_thread())
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    _threaded(monkeypatch, 2)
+    brute_force_joint(model)
+    assert len(threads) == 2 and set(threads) == {threading.main_thread()}
 
 
 def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
