@@ -11,7 +11,8 @@ this directory):
   CS = 0.5;
 * ``compare --include-classic`` with ``jesp`` and with ``brute``
   (``compare.csv`` and ``decomp.csv``);
-* ``solve`` with ``brute`` and with ``jesp`` (``report.txt``, ``policy.json``);
+* ``solve`` with ``brute``, ``jesp`` and ``rvi-fixed-decision`` (``report.txt``,
+  ``policy.json``);
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots.
@@ -60,6 +61,8 @@ def runs(work):
                                        "--include-classic", "--algorithm", algorithm]
         yield f"solve-{algorithm}", ["solve", "--scenario", BUNDLED,
                                      "--algorithm", algorithm]
+    yield "solve-rvi-fixed-decision", ["solve", "--scenario", BUNDLED,
+                                       "--algorithm", "rvi-fixed-decision"]
     for family in ("uniform", "age", "change", "aoii"):
         yield f"sweep-{family}", ["sweep", "--scenario", BUNDLED, "--families", family,
                                   "--horizon", HORIZON]

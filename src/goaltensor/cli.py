@@ -20,10 +20,9 @@ import numpy as np
 from . import __version__
 from .benchmarks import FAMILIES, StatePolicyRule
 from .errors import GoalTensorError, ParameterError, PolicyFileError, ScenarioError
-from .harness import (compare_policies, decomposition_rows, optimality_gap,
-                      simulate_closed_loop, solve_cell, sweep_rate_vs_cost,
-                      write_compare_csv, write_decomp_csv, write_gap_csv,
-                      write_sweep_csv, write_trace_csv)
+from .harness import (compare_policies, optimality_gap, simulate_closed_loop, solve_cell,
+                      sweep_rate_vs_cost, write_compare_csv, write_decomp_csv,
+                      write_gap_csv, write_sweep_csv, write_trace_csv)
 from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon, checked_grid,
                        load_scenario, scenario_digest)
 from .solvers import SolveReport, flatten_sampling, greedy_decision_policy
@@ -282,41 +281,45 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_compare(args):
-    """Write compare.csv and decomp.csv from one solve per grid cell.
+def _finish_grid(out_dir: Path, args, scenario: Scenario, outputs, started, failed):
+    """The tail of ``compare`` and ``gap``, whose CSVs hold the cells that
+    succeeded: write the manifest, name each failed cell on stderr, and return
+    the exit status, 1 if any cell failed."""
+    _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
+    for p_success, sampling_cost, message in failed:
+        print(f"cell pS={p_success} CS={sampling_cost} failed: {message}", file=sys.stderr)
+    return 1 if failed else 0
 
-    A failed cell is named on stderr, missing from both files, and makes the
-    exit status 1; the other cells are still written.
-    """
+
+def cmd_compare(args):
+    """Write compare.csv and decomp.csv from one solve per grid cell."""
     scenario = _solver_scenario(args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     algorithm = args.algorithm or scenario.solver.algorithm
-    rows = compare_policies(scenario, algorithm=algorithm,
-                            include_classic=args.include_classic)
-    failures = [r for r in rows if "error" in r]
+    rows, splits, failed = compare_policies(scenario, algorithm=algorithm,
+                                            include_classic=args.include_classic)
     out_dir = _output_dir(args.out)
-    outputs = [write_compare_csv(out_dir / "compare.csv",
-                                 [r for r in rows if "error" not in r]),
-               write_decomp_csv(out_dir / "decomp.csv", decomposition_rows(rows))]
-    _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
-    for failure in failures:
-        print(f"cell pS={failure['pS']} CS={failure['CS']} failed: {failure['error']}",
-              file=sys.stderr)
-    print(f"compared {len(rows)} rows over {len(scenario.grid.success_probs)}x"
+    outputs = [write_compare_csv(out_dir / "compare.csv", rows),
+               write_decomp_csv(out_dir / "decomp.csv", splits)]
+    status = _finish_grid(out_dir, args, scenario, outputs, started, failed)
+    # a failed cell counts as one compared row
+    print(f"compared {len(rows) + len(failed)} rows over {len(scenario.grid.success_probs)}x"
           f"{len(scenario.grid.sampling_costs)} grid")
-    return 1 if failures else 0
+    return status
 
 
 def cmd_gap(args):
+    """Write gap.csv from one brute-force and one jesp solve per grid cell."""
     scenario = _solver_scenario(args)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    rows = optimality_gap(scenario)
+    rows, failed = optimality_gap(scenario)
     out_dir = _output_dir(args.out)
     outputs = [write_gap_csv(out_dir / "gap.csv", rows)]
-    _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
-    worst = max(rows, key=lambda r: r["gap"])
-    print(f"max gap {worst['gap']!r} at pS={worst['pS']} CS={worst['CS']}")
-    return 0
+    status = _finish_grid(out_dir, args, scenario, outputs, started, failed)
+    if rows:
+        worst = max(rows, key=lambda r: r["gap"])
+        print(f"max gap {worst['gap']!r} at pS={worst['pS']} CS={worst['CS']}")
+    return status
 
 
 def build_parser():

@@ -1,4 +1,4 @@
-"""Seeded closed-loop simulation and the figure-style experiment sweeps.
+"""Seeded closed-loop simulation, the figure-style sweeps and the grid studies.
 
 Slot ordering: observe the global state, let the sampling rule decide, draw the
 channel only when transmitting, actuate on the current estimate, charge the
@@ -28,6 +28,9 @@ batch costs several microseconds per slot however few replicas it holds,
 against under one per replica for the untraced scalar loop, so single runs,
 and sweep families of fewer than ``MIN_BATCH_REPLICAS`` replicas, keep the
 scalar loop, the batched engine's test oracle.
+
+The grid studies, ``compare_policies`` and ``optimality_gap``, are per-cell
+row builders over one cell loop, ``_grid``, which sets failed cells aside.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import FAMILIES, ReplicaForm
+from .benchmarks import FAMILIES, ReplicaForm, evaluate_state_policy
 from .errors import GoalTensorError, ParameterError
 from .model import DecisionRows, DecPomdpModel
 from .tensor import DecisionPolicy
@@ -423,6 +426,22 @@ def _cell_scenarios(scenario, grid):
                 p_success).with_sampling_cost(sampling_cost)
 
 
+def _grid(scenario, cell_rows):
+    """Call ``cell_rows(p_success, sampling_cost, cell)`` on every grid cell.
+
+    Returns what it returned for each cell that succeeded, in grid order, and
+    ``(pS, CS, message)`` for each cell where it raised a ``GoalTensorError``;
+    a failed cell does not stop the others.
+    """
+    done, failed = [], []
+    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
+        try:
+            done.append(cell_rows(p_success, sampling_cost, cell))
+        except GoalTensorError as exc:
+            failed.append((p_success, sampling_cost, str(exc)))
+    return done, failed
+
+
 def solve_cell(cell, algorithm):
     """Run the scenario's configured solver on one scenario or grid cell.
 
@@ -448,85 +467,61 @@ def solve_cell(cell, algorithm):
     if algorithm == "rvi-fixed-decision":
         decision = greedy_decision_policy(cell.model)
         sampling, gain, _ = solve_sampler_for_decision(
-            cell.model, decision, epsilon=solver.epsilon, max_sweeps=solver.max_pi_rounds)
+            cell.model, decision, epsilon=solver.epsilon, max_sweeps=solver.max_pi_rounds,
+            start_state=cell.start_state)
         return SolveReport(sampling_policy=sampling, decision_policy=decision,
                            average_reward=gain, iterations=0, residual=0.0,
                            converged=True, diagnostics={})
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 
-def _decomposition(p_success, sampling_cost, cell, report):
-    """The ``decomp.csv`` row of one cell: the exact cost split of the solved pair."""
-    from .benchmarks import evaluate_state_policy
-    summary = evaluate_state_policy(cell.model, report.sampling_policy,
-                                    report.decision_policy, cell.start_state)
-    return {"pS": p_success, "CS": sampling_cost, "sampling": summary.sampling,
-            "actuation": summary.actuation, "inherent": summary.inherent}
-
-
 def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
-    One row per (channel success, sampling cost, policy); the co-design row
-    carries the solver's value, baselines are evaluated exactly, and each
-    baseline row includes its relative saving deficit versus the co-design.
-    The co-design row also carries the cell's cost split under
-    ``decomposition`` (read it with ``decomposition_rows``), so each cell is
-    solved once for both ``compare.csv`` and ``decomp.csv``.
-
-    A failed cell is recorded as a single row with an ``error`` entry and the
-    run continues; having no co-design row, it has no decomposition either.
-    (``goaltensor compare`` thus writes ``decomp.csv`` without the failed
-    cells, where it used to stop at the first failing cell and write none.)
-
-    The baselines are the ``FAMILIES`` entries with a ``baseline`` row, each at
-    its best parameter over the cell's sweep grid; ``include_classic`` adds the
-    classic ones.
+    Returns ``(compare rows, decomp rows, failed cells)`` from one
+    ``solve_cell`` per grid cell (failures as in ``_grid``).  A cell's compare
+    rows are the solver's value, then each ``FAMILIES`` baseline
+    (``include_classic`` adds the classic ones) evaluated exactly at its best
+    parameter over the cell's sweep grid; its decomp row is the exact cost
+    split of the solved pair.
     """
     from .solvers import greedy_decision_policy
-    rows = []
-    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
+
+    def cell_rows(p_success, sampling_cost, cell):
         model, start = cell.model, cell.start_state
-        try:
-            report = solve_cell(cell, algorithm)
-            co_cost = report.average_cost
-            codesign = {"pS": p_success, "CS": sampling_cost, "policy": "got-codesign",
-                        "cost": co_cost, "saving_vs_codesign": None,
-                        "decomposition": _decomposition(p_success, sampling_cost, cell,
-                                                        report)}
-            greedy = greedy_decision_policy(model)
-            baselines = []
-            for family in FAMILIES.values():
-                if family.baseline and (include_classic or not family.classic):
-                    params = family.grid(cell.sweep) if family.grid else [None]
-                    baselines.append((family.baseline, min(
-                        family.evaluate(model, p, greedy, start, cell.state_values)
-                        .average_cost for p in params)))
-            rows.append(codesign)
-            rows.extend({"pS": p_success, "CS": sampling_cost, "policy": policy,
-                         "cost": cost, "saving_vs_codesign": (cost - co_cost) / cost}
-                        for policy, cost in baselines)
-        except GoalTensorError as exc:
-            rows.append({"pS": p_success, "CS": sampling_cost, "policy": algorithm,
-                         "cost": float("nan"), "error": str(exc)})
-    return rows
+        report = solve_cell(cell, algorithm)
+        split = evaluate_state_policy(model, report.sampling_policy,
+                                      report.decision_policy, start)
+        greedy = greedy_decision_policy(model)
+        costs = [("got-codesign", report.average_cost)]
+        for family in FAMILIES.values():
+            if family.baseline and (include_classic or not family.classic):
+                params = family.grid(cell.sweep) if family.grid else [None]
+                costs.append((family.baseline, min(
+                    family.evaluate(model, p, greedy, start, cell.state_values)
+                    .average_cost for p in params)))
+        return ([{"pS": p_success, "CS": sampling_cost, "policy": policy, "cost": cost}
+                 for policy, cost in costs],
+                {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
+                 "actuation": split.actuation, "inherent": split.inherent})
 
-
-def decomposition_rows(compare_rows):
-    """The ``decomp.csv`` rows carried by ``compare_policies`` rows, in grid order."""
-    return [row["decomposition"] for row in compare_rows if "decomposition" in row]
+    cells, failed = _grid(scenario, cell_rows)
+    return [row for rows, _ in cells for row in rows], [split for _, split in cells], failed
 
 
 def optimality_gap(scenario):
-    """Exact-versus-equilibrium cost gap per grid cell, in cost units."""
-    rows = []
-    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        bf = solve_cell(cell, "brute")
-        je = solve_cell(cell, "jesp")
-        rows.append({"pS": p_success, "CS": sampling_cost,
-                     "theta_bf": bf.average_cost, "theta_jesp": je.average_cost,
-                     "gap": je.average_cost - bf.average_cost})
-    return rows
+    """Exact-versus-equilibrium cost gap per grid cell, in cost units.
+
+    Brute force and jesp each solve every cell once.  Returns ``(gap rows,
+    failed cells)``, failures as in ``_grid``.
+    """
+    def cell_row(p_success, sampling_cost, cell):
+        bf = solve_cell(cell, "brute").average_cost
+        je = solve_cell(cell, "jesp").average_cost
+        return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf, "theta_jesp": je,
+                "gap": je - bf}
+
+    return _grid(scenario, cell_row)
 
 
 # ---------------------------------------------------------------------------

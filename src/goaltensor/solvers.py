@@ -476,19 +476,20 @@ class SolveReport:
 
 
 def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
-                               epsilon=DEFAULT_EPSILON, max_sweeps=MAX_PI_ROUNDS
-                               ) -> tuple[SamplingPolicy, float, np.ndarray]:
+                               epsilon=DEFAULT_EPSILON, max_sweeps=MAX_PI_ROUNDS,
+                               start_state=0) -> tuple[SamplingPolicy, float, np.ndarray]:
     """Best-response sampling policy for a fixed decision policy.
 
     Solves the induced sampler MDP by multichain policy iteration (see
     ``_solve_mdp``), ``max_sweeps`` capping its rounds as in
-    ``brute_force_joint``.  Returns the policy, its optimal gain from state 0,
+    ``brute_force_joint``.  Returns the policy, its optimal gain from
+    ``start_state`` (the rule ``brute_force_joint`` and ``jesp`` score by),
     and the bias vector.
     """
     flat, gains, bias = _solve_mdp(
         induced_mdp(model, decision), epsilon, max_sweeps,
         f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
-    return sampling_from_flat(flat, model), float(gains[0]), bias
+    return sampling_from_flat(flat, model), float(gains[start_state]), bias
 
 
 # ---------------------------------------------------------------------------

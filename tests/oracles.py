@@ -681,16 +681,24 @@ class TraceRecord:
 
 
 def decomposition_grid(scenario, algorithm="jesp"):
-    """Cost split of the co-designed policy per grid cell; a failing cell raises.
+    """``decomp.csv``'s rows, the exact cost split of the solved pair per grid
+    cell, in grid order; a failing cell raises.
 
-    ``goaltensor compare`` does not call this: it reads the same rows from its
-    ``compare_policies`` pass (``decomposition_rows``), one solve per cell.
+    Each cell is solved with ``solve_cell`` and its pair scored from the
+    scenario's start state by ``benchmarks.evaluate_state_policy``, outside
+    the grid loop that ``compare_policies`` builds the same rows in.
     """
-    from goaltensor.harness import _cell_scenarios, _decomposition, solve_cell
+    from goaltensor.benchmarks import evaluate_state_policy
+    from goaltensor.harness import solve_cell
     rows = []
-    for p_success, sampling_cost, cell in _cell_scenarios(scenario, scenario.grid):
-        rows.append(_decomposition(p_success, sampling_cost, cell,
-                                   solve_cell(cell, algorithm)))
+    for p_success in scenario.grid.success_probs:
+        for sampling_cost in scenario.grid.sampling_costs:
+            cell = scenario.with_channel(p_success).with_sampling_cost(sampling_cost)
+            report = solve_cell(cell, algorithm)
+            split = evaluate_state_policy(cell.model, report.sampling_policy,
+                                          report.decision_policy, cell.start_state)
+            rows.append({"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
+                         "actuation": split.actuation, "inherent": split.inherent})
     return rows
 
 

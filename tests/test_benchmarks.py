@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    evaluate_state_policy, evaluate_uniform,
                                    mse_optimal_policy)
 from goaltensor.errors import NonConvergenceError, ParameterError
-from goaltensor.harness import simulate_closed_loop, sweep_rate_vs_cost
+from goaltensor.harness import simulate_closed_loop, solve_cell, sweep_rate_vs_cost
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
 from goaltensor.solvers import greedy_decision_policy
@@ -390,6 +392,23 @@ def test_uniform_period_map_matches_augmented_chain_when_multichain():
                                                                  start))
             costs.append(got.average_cost)
         assert max(costs) - min(costs) > 1e-3
+
+
+def test_fixed_decision_solve_scores_from_the_start_state(shipped):
+    # each source state is closed, so the best response's gain depends on the start
+    model = _frozen_source_model()
+    decision = greedy_decision_policy(model)
+    costs = []
+    for start, (x, xhat, phi) in enumerate(zip(*model.state_components())):
+        cell = replace(shipped, model=model, simulation=replace(
+            shipped.simulation, initial_state=int(x), initial_estimate=int(xhat),
+            initial_context=int(phi)))
+        assert cell.start_state == start
+        report = solve_cell(cell, "rvi-fixed-decision")
+        want = evaluate_state_policy(model, report.sampling_policy, decision, start)
+        assert report.average_cost == pytest.approx(want.average_cost, abs=1e-9)
+        costs.append(report.average_cost)
+    assert max(costs) - min(costs) > 1e-3
 
 
 def test_age_delivery_cycles_match_augmented_chain(shipped, greedy):

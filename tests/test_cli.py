@@ -297,6 +297,33 @@ def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenari
     assert len(decomp_lines) == 2 and decomp_lines[1].startswith("0.8,2.0,")
 
 
+@pytest.mark.parametrize("command, failing, files", [
+    ("gap", (4.0,), {"gap.csv": 1}),
+    ("gap", (2.0, 4.0), {"gap.csv": 1}),
+    ("compare", (2.0, 4.0), {"compare.csv": 3, "decomp.csv": 1}),
+])
+def test_failed_cells_are_left_out_and_named(tmp_path, capsys, scenario_file, monkeypatch,
+                                             command, failing, files):
+    real = solvers.jesp
+
+    def fail_on(model, **kwargs):
+        if model.cost.sampling_cost in failing:
+            raise NonConvergenceError("forced failure")
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(solvers, "jesp", fail_on)
+    out = tmp_path / command
+    assert main([command, "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"cell pS=0.8 CS={cs} failed: forced failure" for cs in failing]
+    for name, rows_per_cell in files.items():
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) == 1 + rows_per_cell * (2 - len(failing)), name
+        assert all(line.startswith("0.8,2.0,") for line in lines[1:]), name
+    assert (out / "manifest.json").exists()
+
+
 def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
     doc = default_document()
     doc["solver"].update(max_pi_rounds=77, max_jesp_rounds=9)

@@ -422,15 +422,14 @@ def test_compare_policies_dominance_and_rows(shipped):
                         simulation=shipped.simulation, sweep=shipped.sweep,
                         grid=GridConfig(success_probs=(0.8,), sampling_costs=(2.0,)),
                         document=shipped.document)
-    rows = compare_policies(scenario, algorithm="jesp", include_classic=True)
-    assert len(rows) == 5
+    rows, splits, failed = compare_policies(scenario, algorithm="jesp", include_classic=True)
+    assert len(rows) == 5 and len(splits) == 1 and failed == []
     by_policy = {r["policy"]: r for r in rows}
     co = by_policy["got-codesign"]["cost"]
     assert co <= by_policy["aoii-optimal"]["cost"] + 1e-6
     assert co <= by_policy["mse-optimal"]["cost"] + 1e-6
     assert co <= by_policy["uniform-best"]["cost"] + 1e-6
     assert co <= by_policy["change-aware"]["cost"] + 1e-6
-    assert by_policy["aoii-optimal"]["saving_vs_codesign"] >= -1e-9
 
 
 def test_compare_builds_kernels_once_per_cell_model(shipped, monkeypatch):
@@ -446,8 +445,8 @@ def test_compare_builds_kernels_once_per_cell_model(shipped, monkeypatch):
                         simulation=shipped.simulation, sweep=shipped.sweep,
                         grid=GridConfig(success_probs=(0.8,), sampling_costs=(2.0, 4.0)),
                         document=shipped.document)
-    rows = compare_policies(scenario, algorithm="jesp", include_classic=True)
-    assert len(rows) == 10
+    rows, splits, failed = compare_policies(scenario, algorithm="jesp", include_classic=True)
+    assert len(rows) == 10 and len(splits) == 2 and failed == []
     for name, models in builds.items():
         assert 1 <= len(models) <= 2, name
         assert len({id(model) for model in models}) == len(models), name
@@ -459,8 +458,8 @@ def test_optimality_gap_rows(shipped):
                         simulation=shipped.simulation, sweep=shipped.sweep,
                         grid=GridConfig(success_probs=(0.6,), sampling_costs=(0.0, 4.0)),
                         document=shipped.document)
-    rows = optimality_gap(scenario)
-    assert len(rows) == 2
+    rows, failed = optimality_gap(scenario)
+    assert len(rows) == 2 and failed == []
     for row in rows:
         assert row["gap"] >= -1e-6
         assert row["gap"] == pytest.approx(row["theta_jesp"] - row["theta_bf"], abs=0)
