@@ -9,11 +9,13 @@ fast route use it:
 * brute-force enumeration of all deterministic decision policies, their
   sampler MDPs solved in batches and each scored by its optimal gain from the
   start state (the batches in flight keep their kernels within
-  ``model.MAX_KERNEL_BYTES``, and a model where one candidate's kernels
-  already pass it is refused before anything is built; from
-  ``BRUTE_THREADED_STATES`` global states on, where numpy's solves, which
-  release the GIL, hold most of the time, one thread per core solves
-  batches, and results are reduced in enumeration order);
+  ``model.MAX_KERNEL_BYTES``, a limit that holds per process, and a model
+  where one candidate's kernels already pass it is refused before anything
+  is built; from ``BRUTE_THREADED_STATES`` global states on, where numpy's
+  solves, which release the GIL, hold most of the time, ``BRUTE_WORKERS``
+  threads, one per core with at least 64 candidates each, solve batches,
+  and results are reduced in enumeration order; a forked grid-cell worker,
+  see ``harness``, runs its batches in turn);
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -64,9 +66,13 @@ DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
 BRUTE_CHUNK = 128           # decision policies in flight at once in brute force, over all workers
-# threads for brute force's chunks: one per core this process may run on
-BRUTE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
+# cores this process may run on
+CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# threads for brute force's chunks: one per core, but each gets at least 64 of
+# the BRUTE_CHUNK candidates in flight, because smaller threaded chunks lose to
+# one loop even at N = 48
+BRUTE_WORKERS = max(1, min(CORES, BRUTE_CHUNK // 64))
 BRUTE_THREADED_STATES = 24  # global states N from which brute force's chunks run on threads
 
 
@@ -691,7 +697,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     ``model.MAX_KERNEL_BYTES``; a model where one candidate's kernels already
     pass the limit is refused with ``MemoryBudgetError`` before anything of
     that size is built.  With ``BRUTE_THREADED_STATES`` global states or more,
-    ``BRUTE_WORKERS`` threads (one per core) share those candidates, each
+    ``BRUTE_WORKERS`` threads (one per core, at most ``BRUTE_CHUNK // 64``;
+    one inside a forked grid-cell worker) share those candidates, each
     chunk one ``DecisionRows`` gather and one policy-iteration batch; numpy
     releases the GIL in its solves and array loops.  Below that, the chunks
     run in turn on the calling thread.  Every candidate's arithmetic is the

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,9 @@ WORKED_TENSOR = np.array([
 @pytest.fixture(scope="session")
 def shipped():
     return default_scenario()
+
+
+def assert_no_child_process():
+    """Fail if this process has a child, running or exited and not yet reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

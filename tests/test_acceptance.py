@@ -16,7 +16,7 @@ from goaltensor.benchmarks import (StatePolicyRule, aoii_optimal_policy,
                                    evaluate_state_policy, evaluate_uniform,
                                    mse_optimal_policy)
 from goaltensor.cli import main as cli_main
-from goaltensor.harness import simulate_closed_loop
+from goaltensor.harness import fork_map, simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
 from goaltensor.solvers import (_FixedSamplingProblem, _one_hot, brute_force_joint,
@@ -37,15 +37,15 @@ def report(number, text):
 
 @pytest.fixture(scope="module")
 def grid_solutions():
-    """Brute-force and equilibrium solves over the full evaluation grid."""
-    cells = {}
-    for p_success in GRID_PS:
-        for sampling_cost in GRID_CS:
-            scenario = default_scenario(p_success, sampling_cost)
-            bf = brute_force_joint(scenario.model)
-            je = jesp(scenario.model)
-            cells[(p_success, sampling_cost)] = (scenario, bf, je)
-    return cells
+    """Brute-force and equilibrium solves over the full evaluation grid, the
+    cells spread over worker processes as ``goaltensor gap`` spreads them."""
+    def solve(cell):
+        model = default_scenario(*cell).model
+        return brute_force_joint(model), jesp(model)
+
+    cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
+    return {cell: (default_scenario(*cell), bf, je)
+            for cell, (bf, je) in zip(cells, fork_map(solve, cells))}
 
 
 def test_criterion_1_worked_tensor_reproduction(worked_cost, worked_policy):

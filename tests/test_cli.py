@@ -23,6 +23,7 @@ from goaltensor.harness import simulate_closed_loop, write_decomp_csv
 from goaltensor.scenario import (GridConfig, default_document, default_scenario,
                                  load_scenario, save_scenario)
 from goaltensor.solvers import flatten_sampling, greedy_decision_policy
+from conftest import assert_no_child_process
 from oracles import decomposition_grid, simulate_records, write_records_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
@@ -190,6 +191,7 @@ def test_compare_and_gap_small_grid(tmp_path, scenario_file):
     assert len(gap_lines) == 3
     for line in gap_lines[1:]:
         assert float(line.split(",")[-1]) >= -1e-6
+    assert_no_child_process()
 
 
 def test_compare_reruns_are_byte_identical(tmp_path, scenario_file):
@@ -266,6 +268,7 @@ def _spy(monkeypatch, name):
 
 
 def test_compare_solves_each_cell_once(tmp_path, scenario_file, monkeypatch):
+    monkeypatch.setattr(solvers, "CORES", 1)    # the spy counts in this process
     calls = _spy(monkeypatch, "jesp")
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
@@ -290,7 +293,9 @@ def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenari
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
                  "--out", str(out)]) == 1
-    assert "cell pS=0.8 CS=4.0 failed: forced failure" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "cell pS=0.8 CS=4.0 failed: forced failure" in printed.err
+    assert printed.out == "compared 3 rows over 1x2 grid\n"
     compare_lines = (out / "compare.csv").read_text().splitlines()
     decomp_lines = (out / "decomp.csv").read_text().splitlines()
     assert len(compare_lines) == 4 and all(",2.0," in line for line in compare_lines[1:])
@@ -304,6 +309,7 @@ def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenari
 ])
 def test_failed_cells_are_left_out_and_named(tmp_path, capsys, scenario_file, monkeypatch,
                                              command, failing, files):
+    monkeypatch.setattr(solvers, "CORES", 3)    # gap's cells run on worker processes
     real = solvers.jesp
 
     def fail_on(model, **kwargs):
@@ -322,6 +328,7 @@ def test_failed_cells_are_left_out_and_named(tmp_path, capsys, scenario_file, mo
         assert len(lines) == 1 + rows_per_cell * (2 - len(failing)), name
         assert all(line.startswith("0.8,2.0,") for line in lines[1:]), name
     assert (out / "manifest.json").exists()
+    assert_no_child_process()
 
 
 def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
@@ -475,16 +482,44 @@ def test_compare_and_gap_seed_flag_is_the_solver_seed(tmp_path):
         assert manifest["seed"] == 5
 
 
+def _package_env():
+    """This environment, with the package under test first on ``PYTHONPATH``."""
+    source = str(Path(goaltensor.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; the package must not import it
-    source = str(Path(goaltensor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _package_env()
     code = ("import sys, goaltensor.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_gap_output_through_pipes_does_not_depend_on_the_worker_count(tmp_path):
+    # text a caller left in the pipes' buffers is written once, not once per
+    # worker; one worker runs the cells in this process
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)       # pipes block-buffered, as by default
+    code = ("import sys; import goaltensor.solvers as solvers; "
+            "from goaltensor.cli import main; "
+            "solvers.CORES = int(sys.argv[1]) or solvers.CORES; "
+            "sys.stdout.write('started '); sys.stderr.write('started '); "
+            "sys.exit(main(sys.argv[2:]))")
+    runs = []
+    for workers in (1, 0):                  # 0: one worker per core
+        out = tmp_path / f"gap-{workers}"
+        done = subprocess.run([sys.executable, "-c", code, str(workers), "gap",
+                               "--scenario", str(SCENARIO), "--out", str(out)],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, done.stderr, (out / "gap.csv").read_bytes()))
+    assert runs[0][0].startswith(b"started max gap ") and runs[0][1] == b"started "
+    assert len(runs[0][2].splitlines()) == 31
+    assert runs[1] == runs[0]
 
 
 # Top-level definitions no command reaches, each kept for a release criterion

@@ -1,12 +1,14 @@
 import math
+import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, StatePolicyRule, UniformRule,
                                    aoii_optimal_policy)
-from goaltensor import harness
+from goaltensor import harness, solvers
 from goaltensor.errors import ParameterError
 from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_HEADER, _standard_error,
                                 optimality_gap, simulate_closed_loop,
@@ -18,6 +20,7 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
+from conftest import assert_no_child_process
 from oracles import (analyze_chain, policy_chain, random_model, simulate_records,
                      sweep_one_by_one, write_records_csv)
 
@@ -434,6 +437,7 @@ def test_compare_policies_dominance_and_rows(shipped):
 
 def test_compare_builds_kernels_once_per_cell_model(shipped, monkeypatch):
     from goaltensor import model as model_module
+    monkeypatch.setattr(solvers, "CORES", 1)    # the spies count in this process
     builds = {"dense_kernels": [], "success_kernels": []}
     for name, models in builds.items():
         def spy(model, _build=getattr(model_module, name), _models=models):
@@ -463,6 +467,100 @@ def test_optimality_gap_rows(shipped):
     for row in rows:
         assert row["gap"] >= -1e-6
         assert row["gap"] == pytest.approx(row["theta_jesp"] - row["theta_bf"], abs=0)
+
+
+@pytest.fixture()
+def three_workers(monkeypatch):
+    """Three cell workers, more than the cores of a small machine."""
+    monkeypatch.setattr(solvers, "CORES", 3)
+
+
+def test_fork_map_returns_results_in_order_from_worker_processes(three_workers):
+    parent, chunk_threads = os.getpid(), solvers.BRUTE_WORKERS
+    results = harness.fork_map(lambda i: (i, os.getpid(), solvers.BRUTE_WORKERS), range(7))
+    assert [i for i, _, _ in results] == list(range(7))
+    assert parent not in {pid for _, pid, _ in results}
+    # brute force runs its chunks on one thread inside a worker, not in this process
+    assert {threads for _, _, threads in results} == {1}
+    assert solvers.BRUTE_WORKERS == chunk_threads
+    assert_no_child_process()
+    # one item runs here
+    assert harness.fork_map(lambda i: os.getpid(), [0]) == [parent]
+
+
+def test_brute_force_chunk_threads_take_at_least_64_candidates_each():
+    assert 1 <= solvers.BRUTE_WORKERS <= solvers.CORES
+    assert solvers.BRUTE_CHUNK // solvers.BRUTE_WORKERS >= 64
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_unexpected_cell_error_reaches_the_caller(shipped, monkeypatch, workers):
+    monkeypatch.setattr(solvers, "CORES", workers)
+    real = solvers.jesp
+
+    def boom_on_cs4(model, **kwargs):
+        if model.cost.sampling_cost == 4.0:
+            raise RuntimeError("boom")
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(solvers, "jesp", boom_on_cs4)
+    scenario = replace(shipped, grid=GridConfig(success_probs=(0.8,),
+                                                sampling_costs=(2.0, 4.0, 6.0)))
+    with pytest.raises(RuntimeError, match="^boom$"):
+        optimality_gap(scenario)
+    assert_no_child_process()
+
+
+def test_jesp_grid_cells_run_in_this_process(shipped, three_workers, monkeypatch):
+    pids, real = [], solvers.jesp
+
+    def spy(model, **kwargs):
+        pids.append(os.getpid())
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(solvers, "jesp", spy)
+    scenario = replace(shipped, grid=GridConfig(success_probs=(0.8,),
+                                                sampling_costs=(2.0, 4.0)))
+    compare_policies(scenario, algorithm="jesp")
+    assert pids == [os.getpid()] * 2
+
+
+def _bundled_three_cells(shipped):
+    return replace(shipped, grid=GridConfig(success_probs=(0.6,),
+                                            sampling_costs=(0.0, 2.0, 4.0)))
+
+
+def _generated_two_cells(shipped):
+    # N = 48 and 1,296 candidates, the shape of exact-large's generated documents
+    model = random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6)
+    return replace(shipped, model=model, state_values=np.arange(4.0),
+                   grid=GridConfig(success_probs=(0.6,), sampling_costs=(0.5, 1.0)))
+
+
+@pytest.mark.parametrize("study, grid", [
+    ("gap", _generated_two_cells),
+    ("compare-brute", _bundled_three_cells),
+], ids=["gap-48", "compare-brute-18"])
+def test_grid_csvs_do_not_depend_on_the_worker_count(tmp_path, shipped, monkeypatch,
+                                                     study, grid):
+    scenario = grid(shipped)
+    digests = []
+    for workers in (1, 3):
+        monkeypatch.setattr(solvers, "CORES", workers)
+        out = tmp_path / str(workers)
+        out.mkdir()
+        if study == "gap":
+            rows, failed = optimality_gap(scenario)
+            paths = [write_gap_csv(out / "gap.csv", rows)]
+        else:
+            rows, splits, failed = compare_policies(scenario, algorithm="brute",
+                                                    include_classic=True)
+            paths = [write_compare_csv(out / "compare.csv", rows),
+                     write_decomp_csv(out / "decomp.csv", splits)]
+        assert failed == [] and rows
+        digests.append([path.read_bytes() for path in paths])
+        assert_no_child_process()
+    assert digests[0] == digests[1]
 
 
 def test_resource_shift_as_channel_degrades():
