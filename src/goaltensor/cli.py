@@ -1,9 +1,10 @@
 """Command-line front end: scenario ingestion, solving, simulation, sweeps.
 
 Every run that writes files also writes ``manifest.json`` beside them with the
-scenario digest, tool version, command line, seed, and timestamps.  All CSV
-and report files are byte-reproducible for a fixed (scenario, command, seed);
-the manifest is the one file carrying wall-clock timestamps.
+scenario digest, tool version, command line, seed (a sweep's replica seeds),
+and timestamps.  All CSV and report files are byte-reproducible for a fixed
+(scenario, command, seed); the manifest is the one file carrying wall-clock
+timestamps.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def _output_dir(path) -> Path:
     return out_dir
 
 
-def _write_manifest(out_dir: Path, args, scenario_path, seed, outputs, started):
+def _write_manifest(out_dir: Path, args, scenario_path, outputs, started, **seed):
+    """Write ``manifest.json``; ``seed`` is ``seed=`` the run's seed, or ``seeds=``
+    the seeds of a sweep's replicas."""
     manifest = {
         "tool": "goaltensor",
         "version": __version__,
@@ -89,7 +92,7 @@ def _write_manifest(out_dir: Path, args, scenario_path, seed, outputs, started):
         "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "scenario": str(scenario_path),
         "scenario_sha256": scenario_digest(scenario_path),
-        "seed": seed,
+        **seed,
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": sorted(str(p.name) for p in outputs),
@@ -188,7 +191,6 @@ def cmd_validate(args):
 
 def cmd_solve(args):
     scenario = _solver_scenario(args)
-    seed = scenario.solver.seed
     algorithm = args.algorithm or scenario.solver.algorithm
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = solve_cell(scenario, algorithm)
@@ -197,8 +199,8 @@ def cmd_solve(args):
     report_path.write_text(_report_text(report, scenario, algorithm))
     policy_path = out_dir / "policy.json"
     policy_path.write_text(json.dumps(_policy_document(report, scenario), indent=2) + "\n")
-    _write_manifest(out_dir, args, args.scenario, seed, [report_path, policy_path],
-                    started)
+    _write_manifest(out_dir, args, args.scenario, [report_path, policy_path], started,
+                    seed=scenario.solver.seed)
     print(f"{algorithm}: average cost {report.average_cost!r} "
           f"({'converged' if report.converged else 'NOT converged'})")
     return 0 if report.converged else 1
@@ -238,14 +240,13 @@ def cmd_simulate(args):
     horizon = args.horizon if args.horizon is not None else scenario.simulation.horizon
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     rule, decision = _simulation_rule(args, scenario)
-    initial = (scenario.simulation.initial_state, scenario.simulation.initial_estimate,
-               scenario.simulation.initial_context)
     trace, summary = simulate_closed_loop(
         scenario.model, rule, decision, horizon, seed,
-        record_trace=True, initial=initial, state_values=scenario.state_values)
+        record_trace=True, initial=scenario.simulation.initial,
+        state_values=scenario.state_values)
     out_dir = _output_dir(args.out)
     outputs = [write_trace_csv(out_dir / "trace.csv", trace)]
-    _write_manifest(out_dir, args, args.scenario, seed, outputs, started)
+    _write_manifest(out_dir, args, args.scenario, outputs, started, seed=seed)
     print(f"{rule.label}: horizon={horizon} average cost {summary.average_cost!r} "
           f"sampling rate {summary.sampling_rate!r}")
     return 0
@@ -261,22 +262,20 @@ def cmd_sweep(args):
             raise ParameterError(f"unknown sweep family {family!r}; "
                                  f"choose from {', '.join(swept)}")
     scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.simulation.seed
     horizon = args.horizon if args.horizon is not None else scenario.simulation.horizon
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    seeds = [seed + k for k in range(len(scenario.sweep.seeds))] \
+    seeds = [args.seed + k for k in range(len(scenario.sweep.seeds))] \
         if args.seed is not None else list(scenario.sweep.seeds)
     decision = greedy_decision_policy(scenario.model)
-    initial = (scenario.simulation.initial_state, scenario.simulation.initial_estimate,
-               scenario.simulation.initial_context)
     results = []
     for family in families:
         results.extend(sweep_rate_vs_cost(scenario.model, family,
                                           FAMILIES[family].grid(scenario.sweep), decision,
-                                          horizon, seeds, initial=initial))
+                                          horizon, seeds,
+                                          initial=scenario.simulation.initial))
     out_dir = _output_dir(args.out)
     outputs = [write_sweep_csv(out_dir / "sweep.csv", results)]
-    _write_manifest(out_dir, args, args.scenario, seed, outputs, started)
+    _write_manifest(out_dir, args, args.scenario, outputs, started, seeds=seeds)
     print(f"swept {len(results)} points over families {', '.join(families)}")
     return 0
 
@@ -285,7 +284,7 @@ def _finish_grid(out_dir: Path, args, scenario: Scenario, outputs, started, fail
     """The tail of ``compare`` and ``gap``, whose CSVs hold the cells that
     succeeded: write the manifest, name each failed cell on stderr, and return
     the exit status, 1 if any cell failed."""
-    _write_manifest(out_dir, args, args.scenario, scenario.solver.seed, outputs, started)
+    _write_manifest(out_dir, args, args.scenario, outputs, started, seed=scenario.solver.seed)
     for p_success, sampling_cost, message in failed:
         print(f"cell pS={p_success} CS={sampling_cost} failed: {message}", file=sys.stderr)
     return 1 if failed else 0

@@ -32,9 +32,10 @@ scalar loop, the batched engine's test oracle.
 The grid studies, ``compare_policies`` and ``optimality_gap``, are per-cell
 row builders over one cell loop, ``_grid``, which sets failed cells aside.
 Cells that run brute force (``gap``, ``compare --algorithm brute``) are
-solved on forked worker processes, one per core (``fork_map``), because at
-N = 18 a brute-force solve holds the GIL and threads over cells gain
-nothing; one-cell grids and jesp's cells stay in this process.  Every
+solved on forked worker processes, one per core (``solvers.pool_map``),
+because at N = 18 a brute-force solve holds the GIL and threads over cells
+gain nothing; one-cell grids and jesp's cells stay in this process, and
+brute force's chunk threads stay off inside a worker.  Every
 worker holds its own kernels, so ``model.MAX_KERNEL_BYTES`` bounds each
 process, not their sum.  Results come back in grid order, and every CSV is
 the same byte for byte whatever the worker count.
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -436,59 +436,6 @@ def _cell_scenarios(scenario, grid):
                 p_success).with_sampling_cost(sampling_cost)
 
 
-# A forked worker's (function, items) of ``fork_map``, set in the worker only.
-_WORKER_JOB = None
-
-
-def _start_worker(fn, items):
-    """Set up a forked worker of ``fork_map``.  The worker inherits ``fn`` and
-    the items at the fork; brute force runs its chunks on one thread there,
-    since the workers already use every core."""
-    global _WORKER_JOB
-    _WORKER_JOB = fn, items
-    solvers.BRUTE_WORKERS = 1
-
-
-def _worker_call(index):
-    fn, items = _WORKER_JOB
-    return fn(items[index])
-
-
-def fork_map(fn, items):
-    """``list(map(fn, items))``, the calls spread over forked worker processes.
-
-    One worker per core (``solvers.CORES``), at most one per item.  Neither
-    ``fn`` nor the items are pickled, since the workers inherit them at the
-    fork; each result comes back pickled, in item order.  An exception that
-    ``fn`` raises reaches the caller as it would from ``map``, after the
-    pool is shut down: every worker is joined before this returns or raises.
-    Runs in this process instead with fewer than two workers, where the
-    platform has no ``fork`` start method, and while other threads run: a
-    fork copies only the calling thread, so a lock another thread held would
-    stay held in the workers.
-    """
-    workers = min(solvers.CORES, len(items))
-    if workers < 2:
-        return list(map(fn, items))
-    # imported only here, so runs that never fork do not load them
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return list(map(fn, items))
-    # a worker flushes the stdio buffers it inherited when it exits: empty them
-    # first, or their text is written once more by every worker (CPython's
-    # fork start method flushes them too, but documents no such promise)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn, items))
-    try:
-        return list(pool.map(_worker_call, range(len(items))))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _cell_outcome(cell_rows, cell):
     """``(True, rows)`` of one grid cell, or ``(False, message)`` where
     ``cell_rows`` raised a ``GoalTensorError``: a message crosses from a
@@ -506,13 +453,14 @@ def _grid(scenario, cell_rows, forked):
     Returns what it returned for each cell that succeeded, in grid order, and
     ``(pS, CS, message)`` for each cell where it raised a ``GoalTensorError``;
     a failed cell does not stop the others.  With ``forked`` the cells run on
-    ``fork_map``'s worker processes.  Callers pass it for cells that run
-    brute force (about 0.1 s a cell at N = 18), not for jesp's cells (about
-    10 ms), which starting and stopping a pool (12-17 ms) would slow.
+    forked worker processes, one per core (``solvers.pool_map``).  Callers
+    pass it for cells that run brute force (about 0.1 s a cell at N = 18), not
+    for jesp's cells (about 10 ms), which starting and stopping a pool
+    (12-17 ms) would slow.
     """
     cells = list(_cell_scenarios(scenario, scenario.grid))
-    outcomes = (fork_map if forked else map)(functools.partial(_cell_outcome, cell_rows),
-                                             cells)
+    outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
+                                solvers.CORES if forked else 1, fork=True)
     done, failed = [], []
     for (p_success, sampling_cost, _), (ok, result) in zip(cells, outcomes):
         if ok:

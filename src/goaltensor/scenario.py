@@ -56,9 +56,7 @@ class SolverConfig:
 class SimulationConfig:
     horizon: int = 100_000
     seed: int = 12345
-    initial_state: int = 0
-    initial_estimate: int = 0
-    initial_context: int = 0
+    initial: tuple = (0, 0, 0)      # (state, estimate, context) of every run's first slot
 
 
 MAX_SWEEP_PARAMETER = 1_000     # longest sampling period or age threshold a sweep may list
@@ -91,9 +89,7 @@ class Scenario:
     @property
     def start_state(self) -> int:
         """Global-state index of the simulation's initial (state, estimate, context)."""
-        sim = self.simulation
-        return self.model.state_index(sim.initial_state, sim.initial_estimate,
-                                      sim.initial_context)
+        return self.model.state_index(*self.simulation.initial)
 
     def with_channel(self, success_prob):
         """Same scenario with a different channel success probability."""
@@ -293,14 +289,10 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                            minimum=1, integer=True),
         seed=_as_number(sim_doc.get("seed", 12345), "simulation.seed", minimum=0,
                         integer=True),
-        initial_state=_as_number(initial.get("state", 0), "simulation.initial.state",
-                                 minimum=0, maximum=n - 1, integer=True),
-        initial_estimate=_as_number(initial.get("estimate", 0),
-                                    "simulation.initial.estimate",
-                                    minimum=0, maximum=n - 1, integer=True),
-        initial_context=_as_number(initial.get("context", 0),
-                                   "simulation.initial.context",
-                                   minimum=0, maximum=v - 1, integer=True),
+        initial=tuple(_as_number(initial.get(key, 0), f"simulation.initial.{key}",
+                                 minimum=0, maximum=top, integer=True)
+                      for key, top in (("state", n - 1), ("estimate", n - 1),
+                                       ("context", v - 1))),
     )
 
     sweep_doc = _section(doc, "sweep")

@@ -7,15 +7,14 @@ fast route use it:
 
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, their
-  sampler MDPs solved in batches and each scored by its optimal gain from the
-  start state (the batches in flight keep their kernels within
+  sampler MDPs solved in chunks and each scored by its optimal gain from the
+  start state (the chunks in flight keep their kernels within
   ``model.MAX_KERNEL_BYTES``, a limit that holds per process, and a model
   where one candidate's kernels already pass it is refused before anything
   is built; from ``BRUTE_THREADED_STATES`` global states on, where numpy's
-  solves, which release the GIL, hold most of the time, ``BRUTE_WORKERS``
-  threads, one per core with at least 64 candidates each, solve batches,
-  and results are reduced in enumeration order; a forked grid-cell worker,
-  see ``harness``, runs its batches in turn);
+  solves, which release the GIL, hold most of the time, the chunks run on
+  threads, one per core with at least 64 candidates each, and their bests
+  are reduced in enumeration order);
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -37,6 +36,11 @@ members' kernels only each time half of them have finished.  Gains are always
 taken from the start state, and ``chain_law`` gives the matching long-run
 law: the stationary law with one closed class, else the Cesaro row of the
 start state.
+
+One ordered map, ``pool_map``, spreads work over the cores: brute force's
+chunks over threads, and ``harness``'s grid cells over forked processes,
+inside which every ``pool_map`` call runs in place.  ``CORES`` sets the width
+of both, so at ``CORES = 1`` every solve runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,14 +71,75 @@ DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
 BRUTE_CHUNK = 128           # decision policies in flight at once in brute force, over all workers
-# cores this process may run on
+# cores this process may run on: the width of every pool (``pool_map``)
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-# threads for brute force's chunks: one per core, but each gets at least 64 of
-# the BRUTE_CHUNK candidates in flight, because smaller threaded chunks lose to
-# one loop even at N = 48
-BRUTE_WORKERS = max(1, min(CORES, BRUTE_CHUNK // 64))
 BRUTE_THREADED_STATES = 24  # global states N from which brute force's chunks run on threads
+
+
+# ---------------------------------------------------------------------------
+# the one worker pool
+
+
+# A forked worker's (function, items) of ``pool_map``, set in the worker only.
+_WORKER_JOB = None
+
+
+def _start_worker(fn, items):
+    global _WORKER_JOB
+    _WORKER_JOB = fn, items
+
+
+def _worker_call(index):
+    fn, items = _WORKER_JOB
+    return fn(items[index])
+
+
+def pool_map(fn, items, workers, fork=False):
+    """``list(map(fn, items))``, the calls spread over ``workers`` threads, or
+    with ``fork`` over as many forked worker processes.
+
+    At most one worker per item.  Results come back in item order.  An
+    exception that ``fn`` raises reaches the caller as it would from ``map``,
+    the first failing item's, after the pool is shut down: items not yet
+    started are cancelled and every worker is joined before this returns or
+    raises.  Threads suit calls whose time goes to numpy work that releases
+    the GIL; processes suit calls that hold it.  A forked worker inherits
+    ``fn`` and the items at the fork, so neither is pickled; each result comes
+    back pickled.
+
+    Runs in place, in the calling thread, with fewer than two workers and
+    inside a forked worker, whose siblings already use every core.  With
+    ``fork`` it also runs in place where the platform has no ``fork`` start
+    method and while other threads run: a fork copies only the calling
+    thread, so a lock another thread held would stay held in the workers.
+    """
+    workers = min(workers, len(items))
+    if workers < 2 or _WORKER_JOB is not None:
+        return list(map(fn, items))
+    # imported only here: they load logging and queue, which runs that never
+    # start a pool would carry in memory for nothing
+    from concurrent import futures
+    if not fork:
+        pool = futures.ThreadPoolExecutor(workers)
+    else:
+        import multiprocessing
+        import threading
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            return list(map(fn, items))
+        # a worker flushes the stdio buffers it inherited when it exits: empty
+        # them first, or their text is written once more by every worker
+        # (CPython's fork start method flushes them too, but documents no such
+        # promise)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                           initializer=_start_worker, initargs=(fn, items))
+        fn, items = _worker_call, range(len(items))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -647,31 +713,34 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
 
 
 def _chunk_sizes(n, cap, workers):
-    """Sizes of the chunks that ``n`` candidates are split into, none over ``cap``.
-
-    One worker takes full chunks in turn.  Several take a multiple of
-    ``workers`` chunks of near-equal size, so that no chunk is left to run
-    alone at the end.
-    """
+    """Sizes of the near-equal chunks that ``n`` candidates are split into,
+    none over ``cap``.  Their count is a multiple of ``workers`` where there
+    are enough candidates, so that no chunk is left to run alone at the end."""
     count = -(-n // cap)
-    if workers == 1:
-        return [cap] * (count - 1) + [n - cap * (count - 1)]
     count = min(n, -(-count // workers) * workers)
     base, extra = divmod(n, count)
     return [base + 1] * extra + [base] * (count - extra)
 
 
-def _solve_chunk(model, policies, epsilon, max_sweeps):
+def _solve_chunk(model, policies, start_state, epsilon, max_sweeps):
     """One brute-force chunk: the sampler MDPs of the decision tables ``policies``
-    (K, S) in one policy-iteration batch.  Returns ``policies`` and the batch's
-    results; a ``NonConvergenceError`` names the failing decision policy."""
+    (K, S) in one policy-iteration batch, reduced to its best member, the first
+    with the largest gain from ``start_state``.  Returns that member's (decision
+    table, gain, sampling row, residual), the chunk's policy-iteration rounds
+    and its multichain decision tables; a ``NonConvergenceError`` names the
+    failing decision policy."""
     rows = DecisionRows(model, policies)
     try:
-        return policies, _policy_iteration_batch(rows.kernels, rows.rewards, epsilon,
-                                                 max_sweeps, initial_action=1)
+        pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
+            rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
     except NonConvergenceError as exc:
         raise _renamed(exc, f"decision policy {tuple(policies[exc.candidate].tolist())}"
                        ) from None
+    scores = gains[:, start_state]
+    j = int(scores.argmax())
+    multichain = [tuple(int(x) for x in policies[i]) for i in np.flatnonzero(n_closed > 1)]
+    return (policies[j].copy(), float(scores[j]), pol_b[j].copy(), float(residuals[j]),
+            int(rounds.sum()), multichain)
 
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
@@ -696,13 +765,15 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     flight at once, or as many as keep their kernels within
     ``model.MAX_KERNEL_BYTES``; a model where one candidate's kernels already
     pass the limit is refused with ``MemoryBudgetError`` before anything of
-    that size is built.  With ``BRUTE_THREADED_STATES`` global states or more,
-    ``BRUTE_WORKERS`` threads (one per core, at most ``BRUTE_CHUNK // 64``;
-    one inside a forked grid-cell worker) share those candidates, each
-    chunk one ``DecisionRows`` gather and one policy-iteration batch; numpy
-    releases the GIL in its solves and array loops.  Below that, the chunks
-    run in turn on the calling thread.  Every candidate's arithmetic is the
-    same either way, and the results are reduced in enumeration order.
+    that size is built.  Each chunk is one ``DecisionRows`` gather and one
+    policy-iteration batch, reduced to its best member.  With
+    ``BRUTE_THREADED_STATES`` global states or more, ``pool_map`` runs the
+    chunks on one thread per core (``CORES``), with at least 64 of the
+    candidates in flight to a thread, so at most ``BRUTE_CHUNK // 64``
+    threads; numpy releases the GIL in its solves and array loops.  Below
+    that, and inside a forked grid-cell worker, the chunks run in turn on the
+    calling thread.  Every candidate's arithmetic is the same either way, and
+    the chunks' bests are reduced in enumeration order.
     A single unichain warning is emitted up front if the reference chain
     (always sample, lowest actuation) already has several closed classes.
     """
@@ -725,46 +796,32 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       "gains of enumerated policies may be start-dependent", stacklevel=2)
 
     # below BRUTE_THREADED_STATES, Python bookkeeping that holds the GIL outweighs
-    # numpy's work that releases it, and threads lose to one loop
-    workers = min(BRUTE_WORKERS if N >= BRUTE_THREADED_STATES else 1,
-                  BRUTE_CHUNK, fit, n_candidates)
+    # numpy's work that releases it, and threads lose to one loop; above it each
+    # thread gets at least 64 of the candidates in flight, because smaller
+    # threaded chunks lose to one loop even at N = 48
+    threads = max(1, min(CORES, BRUTE_CHUNK // 64)) if N >= BRUTE_THREADED_STATES else 1
+    workers = min(threads, fit, n_candidates)
     sizes = _chunk_sizes(n_candidates, min(BRUTE_CHUNK, fit) // workers, workers)
     enumerated = itertools.product(range(n_actions), repeat=n_states)
-    blocks = (np.array(list(itertools.islice(enumerated, size)), dtype=int)  # (K, S)
-              for size in sizes)
-    solve = functools.partial(_solve_chunk, model, epsilon=epsilon, max_sweeps=max_sweeps)
+    blocks = [np.array(list(itertools.islice(enumerated, size)), dtype=int)  # (K, S)
+              for size in sizes]
+    solve = functools.partial(_solve_chunk, model, start_state=start_state,
+                              epsilon=epsilon, max_sweeps=max_sweeps)
 
-    best_gain = -np.inf
-    best_actions = None
-    best_sampling = None
-    best_residual = np.nan
+    best_gain, best_actions, best_sampling, best_residual = -np.inf, None, None, np.nan
     total_rounds = 0
     flagged = []
-    pool = None
-    if workers > 1:
-        # imported only here: it loads logging and queue, which runs that never
-        # start a worker would carry in memory for nothing
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers)
-    try:
-        # results come back in enumeration order, so the first failing chunk's
-        # error, naming the lexicographically first failing decision policy, is
-        # the one raised, whatever the chunk size or worker count
-        solved = (map if pool is None else pool.map)(solve, blocks)
-        for policies, (pol_b, gains, _, rounds, residuals, n_closed) in solved:
-            total_rounds += int(rounds.sum())
-            scores = gains[:, start_state]
-            for j in np.flatnonzero(n_closed > 1):
-                flagged.append(tuple(int(x) for x in policies[j]))
-            j = int(scores.argmax())
-            if scores[j] > best_gain:
-                best_gain = float(scores[j])
-                best_actions = policies[j].copy()
-                best_sampling = pol_b[j].copy()
-                best_residual = float(residuals[j])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    # results come back in enumeration order, so the first failing chunk's error,
+    # naming the lexicographically first failing decision policy, is the one
+    # raised, and ties go to the earliest chunk, whatever the chunk size or
+    # worker count
+    for actions, gain, sampling, residual, rounds, multichain in pool_map(solve, blocks,
+                                                                          workers):
+        total_rounds += rounds
+        flagged.extend(multichain)
+        if gain > best_gain:
+            best_gain, best_actions, best_sampling, best_residual = (gain, actions, sampling,
+                                                                     residual)
     return SolveReport(
         sampling_policy=sampling_from_flat(best_sampling, model),
         decision_policy=DecisionPolicy(best_actions),

@@ -16,11 +16,11 @@ from goaltensor.benchmarks import (StatePolicyRule, aoii_optimal_policy,
                                    evaluate_state_policy, evaluate_uniform,
                                    mse_optimal_policy)
 from goaltensor.cli import main as cli_main
-from goaltensor.harness import fork_map, simulate_closed_loop
+from goaltensor.harness import simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
-from goaltensor.solvers import (_FixedSamplingProblem, _one_hot, brute_force_joint,
-                                closed_classes, greedy_decision_policy, jesp)
+from goaltensor.solvers import (CORES, _FixedSamplingProblem, _one_hot, brute_force_joint,
+                                closed_classes, greedy_decision_policy, jesp, pool_map)
 from goaltensor.tensor import (DecisionPolicy, SamplingPolicy, build_got_tensor,
                                degenerate_tensor)
 from conftest import WORKED_TENSOR
@@ -45,7 +45,7 @@ def grid_solutions():
 
     cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
     return {cell: (default_scenario(*cell), bf, je)
-            for cell, (bf, je) in zip(cells, fork_map(solve, cells))}
+            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES, fork=True))}
 
 
 def test_criterion_1_worked_tensor_reproduction(worked_cost, worked_policy):

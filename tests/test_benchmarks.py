@@ -401,8 +401,7 @@ def test_fixed_decision_solve_scores_from_the_start_state(shipped):
     costs = []
     for start, (x, xhat, phi) in enumerate(zip(*model.state_components())):
         cell = replace(shipped, model=model, simulation=replace(
-            shipped.simulation, initial_state=int(x), initial_estimate=int(xhat),
-            initial_context=int(phi)))
+            shipped.simulation, initial=(int(x), int(xhat), int(phi))))
         assert cell.start_state == start
         report = solve_cell(cell, "rvi-fixed-decision")
         want = evaluate_state_policy(model, report.sampling_policy, decision, start)

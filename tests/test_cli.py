@@ -155,6 +155,26 @@ def test_sweep_emits_rows_per_family(tmp_path):
     assert len(lines) == 1 + 3 + 4          # uniform periods + thresholds 0..3
 
 
+def test_sweep_manifest_records_the_seeds_its_replicas_ran(tmp_path):
+    doc = default_document()
+    doc["sweep"]["seeds"] = [4, 9]
+    listed = save_scenario(doc, tmp_path / "listed.json")
+    doc["sweep"]["seeds"] = [7, 8]
+    shifted = save_scenario(doc, tmp_path / "shifted.json")
+    manifests = {}
+    for name, path, flag in (("listed", listed, []), ("flag", listed, ["--seed", "7"]),
+                             ("shifted", shifted, [])):
+        assert main(["sweep", "--scenario", str(path), "--families", "change",
+                     "--horizon", "100", "--out", str(tmp_path / name), *flag]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+    # sweep.seeds, not simulation.seed, which no sweep reads
+    assert manifests["listed"]["seeds"] == [4, 9] and "seed" not in manifests["listed"]
+    # --seed 7 runs one seed per sweep.seeds entry from 7 on
+    assert manifests["flag"]["seeds"] == manifests["shifted"]["seeds"] == [7, 8]
+    assert (digest(tmp_path / "flag" / "sweep.csv")
+            == digest(tmp_path / "shifted" / "sweep.csv"))
+
+
 @pytest.mark.parametrize("command", [["sweep", "--families", "change", "--horizon", "50"],
                                      ["simulate", "--policy", "change"]])
 def test_costs_near_the_float_limit_give_a_finite_stderr(tmp_path, capsys, command):
@@ -393,8 +413,7 @@ def test_simulate_trace_equals_record_loop_oracle(tmp_path, capsys, scenario_fil
     rule, decision = _simulation_rule(argparse.Namespace(
         policy=policy, param=None if param is None else float(param),
         policy_file=policy_file), scenario)
-    sim = scenario.simulation
-    initial = (sim.initial_state, sim.initial_estimate, sim.initial_context)
+    initial = scenario.simulation.initial
     records, expected = simulate_records(scenario.model, rule, decision, 1500, 7,
                                          initial=initial,
                                          state_values=scenario.state_values)

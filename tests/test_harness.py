@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -475,22 +476,41 @@ def three_workers(monkeypatch):
     monkeypatch.setattr(solvers, "CORES", 3)
 
 
-def test_fork_map_returns_results_in_order_from_worker_processes(three_workers):
-    parent, chunk_threads = os.getpid(), solvers.BRUTE_WORKERS
-    results = harness.fork_map(lambda i: (i, os.getpid(), solvers.BRUTE_WORKERS), range(7))
+def _nested_calls(i):
+    # a pool_map call inside a forked worker, threaded or forked, runs in that
+    # worker's process and thread
+    here = os.getpid(), threading.get_ident()
+    threaded = solvers.pool_map(lambda _: (os.getpid(), threading.get_ident()), range(4), 3)
+    forked = solvers.pool_map(lambda _: (os.getpid(), threading.get_ident()), range(4), 3,
+                              fork=True)
+    return i, here[0], set(threaded) | set(forked) == {here}
+
+
+def test_pool_map_forks_results_in_order_from_worker_processes(three_workers):
+    parent = os.getpid()
+    results = solvers.pool_map(_nested_calls, range(7), solvers.CORES, fork=True)
     assert [i for i, _, _ in results] == list(range(7))
     assert parent not in {pid for _, pid, _ in results}
-    # brute force runs its chunks on one thread inside a worker, not in this process
-    assert {threads for _, _, threads in results} == {1}
-    assert solvers.BRUTE_WORKERS == chunk_threads
+    assert all(nested_in_place for _, _, nested_in_place in results)
     assert_no_child_process()
     # one item runs here
-    assert harness.fork_map(lambda i: os.getpid(), [0]) == [parent]
+    assert solvers.pool_map(lambda i: os.getpid(), [0], solvers.CORES, fork=True) == [parent]
 
 
-def test_brute_force_chunk_threads_take_at_least_64_candidates_each():
-    assert 1 <= solvers.BRUTE_WORKERS <= solvers.CORES
-    assert solvers.BRUTE_CHUNK // solvers.BRUTE_WORKERS >= 64
+def test_brute_force_chunk_threads_take_at_least_64_candidates_each(shipped, monkeypatch):
+    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
+    widths, real = [], solvers.pool_map
+
+    def spy(fn, items, workers, fork=False):
+        widths.append(workers)
+        return real(fn, items, 1)
+
+    monkeypatch.setattr(solvers, "pool_map", spy)
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(solvers, "CORES", cores)
+        solvers.brute_force_joint(shipped.model)
+    assert widths == [1, 2, 2]
+    assert solvers.BRUTE_CHUNK // max(widths) >= 64
 
 
 @pytest.mark.parametrize("workers", [1, 3])

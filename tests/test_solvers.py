@@ -1,5 +1,6 @@
 import itertools
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -772,7 +773,17 @@ def _brute_outcome(model):
 def _threaded(monkeypatch, workers):
     # threads at every N, so the bundled scenario's N = 18 runs them too
     monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
-    monkeypatch.setattr(solvers, "BRUTE_WORKERS", workers)
+    monkeypatch.setattr(solvers, "CORES", workers)
+
+
+def _in_flight(monkeypatch, model, count):
+    """``count`` candidates in flight over ``solvers.CORES`` threads.  Threads
+    get at least 64 of the ``BRUTE_CHUNK`` candidates each, so ``BRUTE_CHUNK``
+    stays high enough for every thread and the byte limit sets the count."""
+    model.kernels                                 # built while they fit
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", max(count, 64 * solvers.CORES))
+    pair = 2 * model.n_global_states ** 2 * 8     # one candidate's kernels, in bytes
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", (count + 1) * pair - 1)
 
 
 @pytest.mark.parametrize("model, multichain", [
@@ -788,8 +799,8 @@ def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
     # one candidate in flight leaves one worker, so chunk 1 runs once
     grid = [(1, 1), *itertools.product((7, 128, n_candidates), (1, 2, 3))]
     for chunk, workers in grid:
-        monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
         _threaded(monkeypatch, workers)
+        _in_flight(monkeypatch, model, chunk)
         outcomes.append(_brute_outcome(model))
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert bool(outcomes[0][-1]) == multichain
@@ -805,8 +816,8 @@ def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, 
     # or count, so the message depends neither on BRUTE_CHUNK nor on the workers
     messages = set()
     for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 2, 3)):
-        monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
         _threaded(monkeypatch, workers)
+        _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
             brute_force_joint(shipped.model, **limits)
         messages.add(str(info.value))
@@ -857,6 +868,7 @@ def test_brute_force_workers_share_the_byte_limit(monkeypatch):
 
 def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
     _threaded(monkeypatch, 3)
+    _in_flight(monkeypatch, shipped.model, 128)
     before = set(threading.enumerate())
     brute_force_joint(shipped.model)
     assert set(threading.enumerate()) == before
@@ -882,6 +894,33 @@ def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
     assert set(threading.enumerate()) == before
     # the chunks not yet started were cancelled
     assert calls < len(solvers._chunk_sizes(11 ** 3, 128 // 3, 3))
+
+
+def test_pool_map_threads_return_in_order_and_raise_the_first_failure():
+    before = set(threading.enumerate())
+    # later items finish first, and still come back in item order
+    slow_first = solvers.pool_map(lambda i: time.sleep((6 - i) * 0.005) or i, range(6), 3)
+    assert slow_first == list(range(6))
+    assert set(threading.enumerate()) == before
+
+    # item 1 fails first, then item 0: item 0's error is raised, as map raises it
+    failed = threading.Event()
+    started = []
+    def work(i):
+        started.append(i)
+        if i == 0:
+            failed.wait(timeout=10)
+            raise RuntimeError("item 0")
+        if i == 1:
+            failed.set()
+            raise RuntimeError("item 1")
+        time.sleep(0.05)
+        return i
+    with pytest.raises(RuntimeError, match="^item 0$"):
+        solvers.pool_map(work, range(12), 2)
+    assert set(threading.enumerate()) == before
+    # the items not yet started were cancelled
+    assert len(started) < 12
 
 
 def test_brute_force_workers_call_no_wrapped_function(monkeypatch):
