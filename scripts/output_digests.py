@@ -17,12 +17,18 @@ this directory):
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots.
 
-Each output line is ``<sha256>  <run>/<file>``.  Running it on two commits
-and diffing the lines shows which outputs a change moved; every CSV, report
-and policy file is meant to be byte-identical for a fixed input.  Takes
-about 20 seconds on one core.
+Each output line is ``<sha256>  <run>/<file>``.  Every CSV, report and
+policy file is meant to be byte-identical for a fixed input, so the lines of
+two commits show which outputs a change moved:
+
+    python3 scripts/output_digests.py --check digests.txt
+
+runs the same set on this checkout and prints each output whose digest
+differs from the saved list (or that only one side has), then exits 1 if
+any did and 0 if none did.  Takes about 20 seconds on one core.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -72,7 +78,8 @@ def runs(work):
         yield f"simulate-{policy}", argv + (["--param", param] if param else [])
 
 
-def main_digests():
+def digests():
+    """``<sha256>  <run>/<file>`` for every output file, in run order."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, argv in runs(work):
@@ -84,8 +91,48 @@ def main_digests():
             for path in sorted(out.iterdir()):
                 if path.name != "manifest.json":        # carries timestamps
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {name}/{path.name}", flush=True)
+                    yield f"{digest}  {name}/{path.name}"
+
+
+def _by_file(lines):
+    return {name: digest for digest, name in (line.split(None, 1) for line in lines
+                                              if line.strip())}
+
+
+def moved(saved, current):
+    """Lines of digest list ``current`` that differ from ``saved``, both lists of
+    ``<sha256>  <run>/<file>`` lines: a changed digest as ``changed <file>:
+    <saved> -> <current>``, a file only one list names as ``added`` or
+    ``missing``."""
+    before, after = _by_file(saved), _by_file(current)
+    lines = []
+    for name, digest in after.items():
+        if name not in before:
+            lines.append(f"added {name}: {digest}")
+        elif before[name] != digest:
+            lines.append(f"changed {name}: {before[name]} -> {digest}")
+    lines += [f"missing {name}: {digest}" for name, digest in before.items() if name not in after]
+    return lines
+
+
+def main_digests(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="compare with a digest list this script printed before: print "
+                             "each output that moved and exit 1 if any did")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        for line in digests():
+            print(line, flush=True)
+        return 0
+    saved = args.check.read_text().splitlines()
+    lines = moved(saved, list(digests()))
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"all {len(_by_file(saved))} digests unchanged")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main_digests()
+    sys.exit(main_digests())

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
 from .model import DecisionRows, DecPomdpModel
-from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _solve_mdp, chain_law, flatten_sampling,
-                      sampling_from_flat)
+from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _balance_batch, _solve_mdp, _unichain_batch,
+                      chain_law, flatten_sampling, sampling_from_flat)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 
@@ -266,7 +266,15 @@ def evaluate_state_policy(model: DecPomdpModel, sampling: SamplingPolicy,
 
 def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
                      start_state=0) -> CostSummary:
-    """Exact long-run cost of periodic transmission, from its one-period map.
+    """Exact long-run cost of transmitting every ``period`` slots: the
+    one-period view of ``evaluate_uniform_periods``."""
+    return evaluate_uniform_periods(model, [period], decision, start_state)[0]
+
+
+def evaluate_uniform_periods(model: DecPomdpModel, periods, decision: DecisionPolicy,
+                             start_state=0) -> list[CostSummary]:
+    """Exact long-run cost of periodic transmission at each of ``periods``, in
+    their order, from the one-period maps.
 
     Transmitting at slot 0 and every ``period`` slots after it makes the state
     at the start of each period a Markov chain of its own, with kernel
@@ -277,22 +285,42 @@ def evaluate_uniform(model: DecPomdpModel, period, decision: DecisionPolicy,
     itself at ``j = 0``), each phase a ``1 / period`` share of time.
     This costs ``period`` products of N x N matrices in place of a solve on
     the (N * period)-state augmented chain.
+
+    The distinct periods share one product chain: ``transmit @ idle @ idle
+    ...``, multiplied left to right and read off at each period in ascending
+    order, so each map is the product a period alone would build.
+    ``_unichain_batch`` certifies the maps at once and ``_balance_batch``
+    solves the certified maps' balance systems in one batch; a map it cannot
+    certify goes through ``chain_law``, which classifies it and takes the
+    Cesaro row of ``start_state`` when it has several closed classes.
     """
-    period = _whole("period", period, 1)
+    periods = [_whole("period", period, 1) for period in periods]
     rows = DecisionRows(model, decision.actions)
     idle, success = rows.kernels[0], rows.success
     p = model.channel.success_prob
     transmit = p * success + (1.0 - p) * idle
-    one_period = transmit
-    for _ in range(period - 1):
-        one_period = one_period @ idle
-    law = chain_law(one_period, start_state)         # start at phase 0
-    phase_law = law
-    mu_states = law.copy()
-    for phase in range(1, period):
-        phase_law = phase_law @ (transmit if phase == 1 else idle)
-        mu_states += phase_law
-    return _summarize(rows, mu_states / period, 1.0 / period)
+    distinct = sorted(set(periods))
+    maps, one_period, length = [], transmit, 1
+    for period in distinct:
+        for _ in range(period - length):
+            one_period = one_period @ idle
+        maps.append(one_period)
+        length = period
+    maps = np.array(maps)
+    certified = _unichain_batch(maps)
+    laws = np.empty(maps.shape[:2])
+    laws[certified] = _balance_batch(maps[certified])
+    for j in np.flatnonzero(~certified):
+        laws[j] = chain_law(maps[j], start_state)       # start at phase 0
+    summaries = {}
+    for period, law in zip(distinct, laws):
+        phase_law = law
+        mu_states = law.copy()
+        for phase in range(1, period):
+            phase_law = phase_law @ (transmit if phase == 1 else idle)
+            mu_states += phase_law
+        summaries[period] = _summarize(rows, mu_states / period, 1.0 / period)
+    return [summaries[period] for period in periods]
 
 
 def evaluate_change_aware(model: DecPomdpModel, decision: DecisionPolicy,
@@ -379,9 +407,11 @@ class Family:
     """One baseline sampling family, as ``simulate``, ``sweep`` and ``compare`` use it.
 
     ``rule(model, param, decision, state_values)`` builds its simulation rule
-    and ``evaluate(model, param, decision, start_state, state_values)`` its
-    exact cost.  ``grid(sweep)`` lists the parameters ``sweep`` runs from the
-    scenario's sweep section (None: ``sweep`` does not run the family).
+    and ``evaluate(model, params, decision, start_state, state_values)`` its
+    exact cost at each of a list of parameters, one ``CostSummary`` per
+    parameter in their order (a family without a parameter takes ``[None]``).
+    ``grid(sweep)`` lists the parameters ``sweep`` runs from the scenario's
+    sweep section (None: ``sweep`` does not run the family).
     ``param`` names what ``simulate --param`` sets and ``default`` its value
     when the flag is absent (None: the family takes no parameter).
     ``baseline`` names the family's ``compare.csv`` row, its best cost over its
@@ -405,30 +435,31 @@ FAMILIES = {
     "aoii": Family(
         rule=lambda model, _, decision, values: StatePolicyRule(
             aoii_optimal_policy(model), label="aoii-optimal"),
-        evaluate=lambda model, _, decision, start, values: evaluate_state_policy(
-            model, aoii_optimal_policy(model), decision, start),
+        evaluate=lambda model, params, decision, start, values: [evaluate_state_policy(
+            model, aoii_optimal_policy(model), decision, start) for _ in params],
         grid=lambda sweep: [None], baseline="aoii-optimal"),
     "mse": Family(
         rule=lambda model, _, decision, values: StatePolicyRule(
             mse_optimal_policy(model, decision, values), label="mse-optimal"),
-        evaluate=lambda model, _, decision, start, values: evaluate_state_policy(
-            model, mse_optimal_policy(model, decision, values), decision, start),
+        evaluate=lambda model, params, decision, start, values: [evaluate_state_policy(
+            model, mse_optimal_policy(model, decision, values), decision, start)
+            for _ in params],
         baseline="mse-optimal"),
     "uniform": Family(
         rule=lambda model, period, decision, values: UniformRule(period),
-        evaluate=lambda model, period, decision, start, values: evaluate_uniform(
-            model, period, decision, start),
+        evaluate=lambda model, periods, decision, start, values: evaluate_uniform_periods(
+            model, periods, decision, start),
         grid=lambda sweep: list(sweep.uniform_periods), param="period", default=1,
         baseline="uniform-best", classic=True),
     "change": Family(
         rule=lambda model, _, decision, values: ChangeAwareRule(),
-        evaluate=lambda model, _, decision, start, values: evaluate_change_aware(
-            model, decision, start),
+        evaluate=lambda model, params, decision, start, values: [evaluate_change_aware(
+            model, decision, start) for _ in params],
         grid=lambda sweep: [None], baseline="change-aware", classic=True),
     "age": Family(
         rule=lambda model, threshold, decision, values: AgeThresholdRule(threshold),
-        evaluate=lambda model, threshold, decision, start, values: evaluate_age_threshold(
-            model, threshold, decision, start),
+        evaluate=lambda model, thresholds, decision, start, values: [evaluate_age_threshold(
+            model, threshold, decision, start) for threshold in thresholds],
         grid=lambda sweep: list(range(sweep.age_threshold_max + 1)), param="threshold",
         default=0),
 }

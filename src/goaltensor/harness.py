@@ -455,8 +455,8 @@ def _grid(scenario, cell_rows, forked):
     a failed cell does not stop the others.  With ``forked`` the cells run on
     forked worker processes, one per core (``solvers.pool_map``).  Callers
     pass it for cells that run brute force (about 0.1 s a cell at N = 18), not
-    for jesp's cells (about 10 ms), which starting and stopping a pool
-    (12-17 ms) would slow.
+    for jesp's cells (about 7 ms with their baselines, on one 2-vCPU core),
+    which starting and stopping a pool (12-17 ms) would slow.
     """
     cells = list(_cell_scenarios(scenario, scenario.grid))
     outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
@@ -526,8 +526,8 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             if family.baseline and (include_classic or not family.classic):
                 params = family.grid(cell.sweep) if family.grid else [None]
                 costs.append((family.baseline, min(
-                    family.evaluate(model, p, greedy, start, cell.state_values)
-                    .average_cost for p in params)))
+                    summary.average_cost for summary in family.evaluate(
+                        model, params, greedy, start, cell.state_values))))
         return ([{"pS": p_success, "CS": sampling_cost, "policy": policy, "cost": cost}
                  for policy, cost in costs],
                 {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,

@@ -159,21 +159,32 @@ def closed_classes(P):
 
 
 def _balance(P) -> np.ndarray:
-    """Stationary row of a chain with one closed class: the balance equations,
-    one (redundant) row replaced by the normalization constraint."""
-    n = P.shape[0]
-    system = P.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
+    """Stationary row of a chain with one closed class (``_balance_batch`` of one)."""
+    return _balance_batch(P[None])[0]
+
+
+def _balance_batch(P) -> np.ndarray:
+    """Stationary rows of a batch of chains (K, N, N), each with one closed class:
+    the balance equations, one (redundant) row replaced by the normalization
+    constraint, in one batched solve.  numpy solves a stack member by member,
+    so each row is, to the bit, what a solve of that member alone gives.
+    ``ErgodicityError`` names the first member, in batch order, whose solution
+    has negative mass."""
+    k, n, _ = P.shape
+    system = P.transpose(0, 2, 1) - np.eye(n)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros((k, n, 1))
+    rhs[:, -1] = 1.0
     try:
-        mu = np.linalg.solve(system, rhs)
+        mu = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ErgodicityError(f"balance system is singular: {exc}") from exc
-    if mu.min() < -1e-10:
-        raise ErgodicityError(f"balance solution has negative mass {mu.min():.3e}")
+    negative = np.flatnonzero(mu.min(axis=1) < -1e-10)
+    if negative.size:
+        raise ErgodicityError(
+            f"balance solution has negative mass {mu[negative[0]].min():.3e}")
     mu = np.clip(mu, 0.0, None)
-    return mu / mu.sum()
+    return mu / mu.sum(axis=1, keepdims=True)
 
 
 def stationary_distribution(P) -> np.ndarray:
@@ -290,9 +301,6 @@ class _FixedSamplingProblem:
                 f"differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
                 residual=residual)
         return _ChainEval(mu=law, eta=float(law @ rbar), eta_vec=gain, g=bias)
-
-    def eta_of(self, table, start=0) -> float:
-        return self.evaluate(table, start).eta
 
     def q_values(self, evaluation: _ChainEval):
         """State- and observation-level q-values plus posterior and reachability."""
@@ -666,13 +674,26 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
     When the sampling policy freezes some estimates forever the induced chain
     has several closed classes; gains are then taken from ``start_state`` and
     the posteriors from the Cesaro row of that state.
+
+    Each distinct table is evaluated once per call: a table met again reads
+    its first evaluation.  The one-hot initial table is the usual repeat: it
+    is round 1's blend when the greedy action agrees with it everywhere, the
+    final argmax when no step was accepted, and the fallback the argmax is
+    compared with, which reads the gain ``eta_trace`` starts with.
     """
     schedule = _as_schedule(step_schedule)
     n_actions = model.alphabets.n_actions
     problem = _FixedSamplingProblem(model, sampling)
+    evaluations = {}
+
+    def evaluate(table):
+        key = table.tobytes()
+        if key not in evaluations:
+            evaluations[key] = problem.evaluate(table, start_state)
+        return evaluations[key]
 
     soft = _one_hot(initial_decision.actions, n_actions)
-    evaluation = problem.evaluate(soft, start_state)
+    evaluation = evaluate(soft)
     etas = [evaluation.eta]
     converged = False
     prev_target = None
@@ -690,7 +711,7 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
         candidate = (1.0 - schedule(k)) * soft + schedule(k) * _one_hot(target, n_actions)
         candidate = np.clip(candidate, 0.0, None)
         candidate /= candidate.sum(axis=1, keepdims=True)
-        candidate_eval = problem.evaluate(candidate, start_state)
+        candidate_eval = evaluate(candidate)
         if candidate_eval.eta >= evaluation.eta - ACCEPT_TOL:
             soft, evaluation = candidate, candidate_eval
             etas.append(evaluation.eta)
@@ -699,10 +720,9 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
                 break
 
     actions = soft.argmax(axis=1)
-    eta_det = problem.eta_of(_one_hot(actions, n_actions), start_state)
-    eta_init = problem.eta_of(_one_hot(initial_decision.actions, n_actions), start_state)
-    if eta_init > eta_det:
-        actions, eta_det = initial_decision.actions.copy(), eta_init
+    eta_det = evaluate(_one_hot(actions, n_actions)).eta
+    if etas[0] > eta_det:
+        actions, eta_det = initial_decision.actions.copy(), etas[0]
     actions, eta_det = _local_search(problem, actions, eta_det, start_state)
     return PiResult(decision_policy=DecisionPolicy(actions), average_reward=float(eta_det),
                     iterations=rounds, eta_trace=etas, converged=converged)
@@ -865,12 +885,18 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
     converged = False
     rounds = 0
     best = None
+    # a round is a pure function of the decision table it starts from, so a
+    # table met before replays that round: (sampling, soft-PI result) by table
+    played = {}
     for k in range(1, max_rounds + 1):
         rounds = k
-        sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
-        pi_res = pi_step_size(model, sampling, decision, epsilon=epsilon,
-                              step_schedule=step_schedule, max_rounds=pi_rounds,
-                              start_state=start_state)
+        key = decision.actions.tobytes()
+        if key not in played:
+            sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
+            played[key] = sampling, pi_step_size(
+                model, sampling, decision, epsilon=epsilon, step_schedule=step_schedule,
+                max_rounds=pi_rounds, start_state=start_state)
+        sampling, pi_res = played[key]
         decision = pi_res.decision_policy
         theta = pi_res.average_reward
         theta_trace.append(theta)
@@ -899,6 +925,16 @@ def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
     stabilizes; ``pi_rounds`` caps the rounds of both.  Optional restarts rerun the
     loop from uniformly random decision policies and keep the best outcome;
     per-restart results land in the diagnostics.
+
+    A round whose decision policy an earlier round of the same search started
+    from is counted, not run: both steps are pure functions of that policy, so
+    it replays the earlier round's sampling policy, decision policy and
+    average reward.  The usual case is a soft-PI step that returns the policy
+    it started from: the next round repeats it, the average reward moves by 0,
+    and the search stops converged with residual 0 one round later, the
+    replayed round counted in ``iterations`` and ``theta_trace``.  When that
+    round would be round ``max_rounds + 1``, it is not counted, and the
+    search reports itself unconverged.
 
     Sampling best responses occasionally stop transmitting out of some
     estimates, leaving a multichain; both steps take gains from

@@ -635,6 +635,134 @@ def policy_iteration_copying(T, R, epsilon, max_rounds, initial_action):
     return policy, gains, biases, iterations, residuals, n_closed
 
 
+# ---------------------------------------------------------------------------
+# the equilibrium search running every round, soft policy iteration
+# evaluating every table it meets, and the uniform baseline building and
+# solving each period's map alone: the forms before they reused the results
+# they had already computed, kept to check that the reuse gives the same bits
+
+
+def balance_alone(P):
+    """Stationary row of a chain with one closed class, from one solve of its
+    own balance equations (one row replaced by the normalization)."""
+    n = P.shape[0]
+    system = P.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    mu = np.linalg.solve(system, rhs)
+    if mu.min() < -1e-10:
+        raise ErgodicityError(f"balance solution has negative mass {mu.min():.3e}")
+    mu = np.clip(mu, 0.0, None)
+    return mu / mu.sum()
+
+
+def uniform_period_by_period(model: DecPomdpModel, period, decision, start_state=0):
+    """Exact cost of transmitting every ``period`` slots from that period's own
+    one-period map ``transmit @ idle^(period - 1)``, classified and solved alone."""
+    from goaltensor.benchmarks import _summarize
+    from goaltensor.solvers import closed_classes
+    rows = DecisionRows(model, decision.actions)
+    idle, success = rows.kernels[0], rows.success
+    p = model.channel.success_prob
+    transmit = p * success + (1.0 - p) * idle
+    one_period = transmit
+    for _ in range(period - 1):
+        one_period = one_period @ idle
+    if len(closed_classes(one_period)) == 1:
+        law = balance_alone(one_period)
+    else:
+        law = cesaro_limit(one_period)[start_state]
+    phase_law = law
+    mu_states = law.copy()
+    for phase in range(1, period):
+        phase_law = phase_law @ (transmit if phase == 1 else idle)
+        mu_states += phase_law
+    return _summarize(rows, mu_states / period, 1.0 / period)
+
+
+def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
+                             epsilon=DEFAULT_EPSILON, step_schedule=None, max_rounds=500,
+                             start_state=0):
+    """``solvers.pi_step_size`` evaluating every table it meets, repeats included."""
+    from goaltensor.solvers import (ACCEPT_TOL, PiResult, _as_schedule, _local_search,
+                                    _one_hot)
+    schedule = _as_schedule(step_schedule)
+    n_actions = model.alphabets.n_actions
+    problem = _FixedSamplingProblem(model, sampling)
+    soft = _one_hot(initial_decision.actions, n_actions)
+    evaluation = problem.evaluate(soft, start_state)
+    etas = [evaluation.eta]
+    converged = False
+    prev_target = None
+    rounds = 0
+    for k in range(1, max_rounds + 1):
+        rounds = k
+        _, q_obs, _, reachable = problem.q_values(evaluation)
+        current = soft.argmax(axis=1)
+        target = np.where(reachable, np.nan_to_num(q_obs, nan=-np.inf).argmax(axis=1), current)
+        if prev_target is not None and np.array_equal(target, prev_target) \
+                and np.array_equal(target, current):
+            converged = True
+            break
+        prev_target = target
+        candidate = (1.0 - schedule(k)) * soft + schedule(k) * _one_hot(target, n_actions)
+        candidate = np.clip(candidate, 0.0, None)
+        candidate /= candidate.sum(axis=1, keepdims=True)
+        candidate_eval = problem.evaluate(candidate, start_state)
+        if candidate_eval.eta >= evaluation.eta - ACCEPT_TOL:
+            soft, evaluation = candidate, candidate_eval
+            etas.append(evaluation.eta)
+            if abs(etas[-1] - etas[-2]) < epsilon:
+                converged = True
+                break
+    actions = soft.argmax(axis=1)
+    eta_det = problem.evaluate(_one_hot(actions, n_actions), start_state).eta
+    eta_init = problem.evaluate(_one_hot(initial_decision.actions, n_actions),
+                                start_state).eta
+    if eta_init > eta_det:
+        actions, eta_det = initial_decision.actions.copy(), eta_init
+    actions, eta_det = _local_search(problem, actions, eta_det, start_state)
+    return PiResult(decision_policy=DecisionPolicy(actions), average_reward=float(eta_det),
+                    iterations=rounds, eta_trace=etas, converged=converged)
+
+
+def jesp_once_every_round(model, initial_decision, epsilon, step_schedule, max_rounds,
+                          pi_rounds, start_state):
+    """``solvers._jesp_once`` running both steps in every round, a round that
+    repeats its predecessor included, with ``pi_step_size_every_table`` as the
+    actuator step."""
+    from goaltensor.solvers import SolveReport, solve_sampler_for_decision
+    decision = initial_decision
+    theta_prev = None
+    theta = None
+    theta_trace = []
+    converged = False
+    rounds = 0
+    best = None
+    for k in range(1, max_rounds + 1):
+        rounds = k
+        sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
+        pi_res = pi_step_size_every_table(model, sampling, decision, epsilon=epsilon,
+                                          step_schedule=step_schedule, max_rounds=pi_rounds,
+                                          start_state=start_state)
+        decision = pi_res.decision_policy
+        theta = pi_res.average_reward
+        theta_trace.append(theta)
+        if best is None or theta > best[2]:
+            best = (sampling, decision, theta)
+        if theta_prev is not None and abs(theta - theta_prev) < epsilon:
+            converged = True
+            break
+        theta_prev = theta
+    residual = abs(theta - theta_prev) if theta_prev is not None else np.inf
+    sampling, decision, theta = best
+    return SolveReport(sampling_policy=sampling, decision_policy=decision,
+                       average_reward=float(theta), iterations=rounds,
+                       residual=float(residual), converged=converged,
+                       diagnostics={"theta_trace": theta_trace})
+
+
 def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seeds,
                      initial=(0, 0, 0)):
     """``harness.sweep_rate_vs_cost`` as it was before the batched engine:

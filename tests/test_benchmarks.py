@@ -7,7 +7,7 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    StatePolicyRule, UniformRule, aoii_optimal_policy,
                                    evaluate_age_threshold, evaluate_change_aware,
                                    evaluate_state_policy, evaluate_uniform,
-                                   mse_optimal_policy)
+                                   evaluate_uniform_periods, mse_optimal_policy)
 from goaltensor.errors import NonConvergenceError, ParameterError
 from goaltensor.harness import simulate_closed_loop, solve_cell, sweep_rate_vs_cost
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
@@ -16,7 +16,8 @@ from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (age_threshold_by_augmented_chain, mse_sampler_by_rvi, policy_chain,
-                     policy_gain, random_model, uniform_by_augmented_chain)
+                     policy_gain, random_model, uniform_by_augmented_chain,
+                     uniform_period_by_period)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def test_rule_and_evaluator_check_a_parameter_alike(shipped, greedy, family, val
     with pytest.raises(ParameterError) as by_rule:
         family_rule(family, value)
     with pytest.raises(ParameterError) as by_evaluator:
-        FAMILIES[family].evaluate(shipped.model, value, greedy, 0, None)
+        FAMILIES[family].evaluate(shipped.model, [value], greedy, 0, None)
     assert str(by_rule.value) == str(by_evaluator.value)
     assert str(by_rule.value).startswith(FAMILIES[family].param)
 
@@ -333,7 +334,7 @@ def test_family_table_dispatch(shipped, greedy):
     assert set(FAMILIES) == set(expected)
     for name, (param, kind, summary) in expected.items():
         family = FAMILIES[name]
-        assert family.evaluate(model, param, greedy, 1, values) == summary
+        assert family.evaluate(model, [param], greedy, 1, values) == [summary]
         assert np.isfinite(summary.average_cost)
         assert 0.0 <= summary.sampling_rate <= 1.0
         assert type(family.rule(model, param, greedy, values)) is kind
@@ -350,7 +351,7 @@ def test_family_table_dispatch(shipped, greedy):
     assert {name: (family.param, family.default) for name, family in FAMILIES.items()
             if family.param} == {"uniform": ("period", 1), "age": ("threshold", 0)}
     with pytest.raises(ParameterError):
-        FAMILIES["uniform"].evaluate(model, 0, greedy, 0, values)
+        FAMILIES["uniform"].evaluate(model, [0], greedy, 0, values)
     with pytest.raises(ParameterError):
         sweep_rate_vs_cost(model, "nope", [None], greedy, 10, [0])
 
@@ -365,9 +366,8 @@ def test_uniform_period_map_matches_augmented_chain(shipped, cell):
     p_success, sampling_cost = cell
     model = shipped.with_channel(p_success).with_sampling_cost(sampling_cost).model
     greedy = greedy_decision_policy(model)
-    for period in range(1, 21):
-        _assert_same_summary(evaluate_uniform(model, period, greedy),
-                             uniform_by_augmented_chain(model, period, greedy))
+    for period, got in zip(range(1, 21), evaluate_uniform_periods(model, range(1, 21), greedy)):
+        _assert_same_summary(got, uniform_by_augmented_chain(model, period, greedy))
 
 
 def _frozen_source_model(success_prob=0.7, n_contexts=2):
@@ -384,14 +384,40 @@ def _frozen_source_model(success_prob=0.7, n_contexts=2):
 def test_uniform_period_map_matches_augmented_chain_when_multichain():
     model = _frozen_source_model()
     decision = DecisionPolicy([1, 0])
-    for period in range(1, 21):
-        costs = []
-        for start in range(model.n_global_states):
-            got = evaluate_uniform(model, period, decision, start)
+    by_start = [evaluate_uniform_periods(model, range(1, 21), decision, start)
+                for start in range(model.n_global_states)]
+    for period, summaries in zip(range(1, 21), zip(*by_start)):
+        for start, got in enumerate(summaries):
             _assert_same_summary(got, uniform_by_augmented_chain(model, period, decision,
                                                                  start))
-            costs.append(got.average_cost)
+        costs = [got.average_cost for got in summaries]
         assert max(costs) - min(costs) > 1e-3
+
+
+@pytest.mark.parametrize("periods", [[1], [7, 3, 3, 12, 1, 7], list(range(20, 0, -1))])
+@pytest.mark.parametrize("cell", [(0.2, 0.0), (0.6, 4.0), (1.0, 10.0)])
+def test_uniform_period_scan_matches_period_by_period_oracle(shipped, cell, periods):
+    # one product chain over the sorted periods and one batched balance solve
+    # give each period the bits of its own map solved alone, in the list's order
+    p_success, sampling_cost = cell
+    model = shipped.with_channel(p_success).with_sampling_cost(sampling_cost).model
+    greedy = greedy_decision_policy(model)
+    for start in (0, 7):
+        want = [uniform_period_by_period(model, period, greedy, start) for period in periods]
+        assert evaluate_uniform_periods(model, periods, greedy, start) == want
+        assert evaluate_uniform(model, periods[0], greedy, start) == want[0]
+
+
+def test_uniform_period_scan_matches_oracle_on_multichain_maps():
+    # a frozen source leaves every one-period map with several closed classes,
+    # so each law is the Cesaro row of the start state
+    model = _frozen_source_model()
+    decision = DecisionPolicy([1, 0])
+    periods = [5, 1, 20, 5, 2]
+    for start in range(model.n_global_states):
+        want = [uniform_period_by_period(model, period, decision, start) for period in periods]
+        assert evaluate_uniform_periods(model, periods, decision, start) == want
+        assert [evaluate_uniform(model, period, decision, start) for period in periods] == want
 
 
 def test_fixed_decision_solve_scores_from_the_start_state(shipped):

@@ -547,6 +547,9 @@ UNREACHED_BY_COMMANDS = {
     ("tensor", "GoTensor"): "criterion 1",
     ("tensor", "build_got_tensor"): "criterion 1",
     ("tensor", "degenerate_tensor"): "criterion 2",
+    # compare scans its periods with ``evaluate_uniform_periods``; the one-period
+    # view is also the name perfbench's tracer hooks
+    ("benchmarks", "evaluate_uniform"): "criteria 8 and 10",
 }
 
 
@@ -787,3 +790,41 @@ def test_brute_force_refuses_oversized_kernels_before_allocating(tmp_path, capsy
     assert err.startswith("error: 16 states x 17 contexts x 2 actions (N = 4352")
     assert f"the kernels of one candidate need {2 * 4352 ** 2 * 8:,} bytes" in err
     assert peak < 10 * 2 ** 20
+
+
+def _digest_script(monkeypatch):
+    """``scripts/output_digests.py`` as a module; its ``sys.path`` edits are undone."""
+    import importlib.util
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_check_prints_each_moved_output(monkeypatch):
+    module = _digest_script(monkeypatch)
+    saved = ["a" * 64 + "  run/x.csv", "b" * 64 + "  run/y.csv", ""]
+    assert module.moved(saved, ["a" * 64 + "  run/x.csv", "b" * 64 + "  run/y.csv"]) == []
+    assert module.moved(saved, ["c" * 64 + "  run/x.csv", "d" * 64 + "  run/z.csv"]) == [
+        f"changed run/x.csv: {'a' * 64} -> {'c' * 64}", f"added run/z.csv: {'d' * 64}",
+        f"missing run/y.csv: {'b' * 64}"]
+
+
+def test_digest_check_exits_1_when_an_output_moved(monkeypatch, tmp_path, capsys):
+    module = _digest_script(monkeypatch)
+    monkeypatch.setattr(module, "runs", lambda work: iter([(
+        "solve-rvi", ["solve", "--scenario", SCENARIO, "--algorithm", "rvi-fixed-decision"])]))
+    assert module.main_digests([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["solve-rvi/policy.json",
+                                                       "solve-rvi/report.txt"]
+    saved = tmp_path / "digests.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert module.main_digests(["--check", str(saved)]) == 0
+    assert capsys.readouterr().out == "all 2 digests unchanged\n"
+    saved.write_text("\n".join(["0" * 64 + "  solve-rvi/policy.json", lines[1]]) + "\n")
+    assert module.main_digests(["--check", str(saved)]) == 1
+    assert capsys.readouterr().out == (
+        f"changed solve-rvi/policy.json: {'0' * 64} -> {lines[0].split()[0]}\n")

@@ -15,8 +15,8 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor import solvers
 from goaltensor.scenario import default_scenario
-from goaltensor.solvers import (_ChainEval, _closed_classes_batch, _evaluate_batch,
-                                _unichain_batch, brute_force_joint,
+from goaltensor.solvers import (_ChainEval, _balance, _balance_batch, _closed_classes_batch,
+                                _evaluate_batch, _unichain_batch, brute_force_joint,
                                 cesaro_limit, chain_law,
                                 closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
@@ -27,10 +27,11 @@ from goaltensor.solvers import (_ChainEval, _closed_classes_batch, _evaluate_bat
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
-                     closed_classes_by_components, closed_classes_by_squaring,
+                     balance_alone, closed_classes_by_components, closed_classes_by_squaring,
                      evaluate_by_closure, exhaustive_joint_search,
-                     gain_from, heuristic_decision_by_rvi, joint_chain_by_hand,
-                     limit_matrix, local_search_one_by_one, policy_chain, policy_gain,
+                     gain_from, heuristic_decision_by_rvi, jesp_once_every_round,
+                     joint_chain_by_hand, limit_matrix, local_search_one_by_one,
+                     pi_step_size_every_table, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
                      tiny_two_state_model)
 
@@ -210,7 +211,7 @@ def test_unichain_certificate_on_empty_and_one_state_batches():
     assert n_closed.tolist() == [1, 1]
     model = random_model(np.random.default_rng(5), n_states=2, n_contexts=2, n_actions=1)
     problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
-    eta = problem.eta_of(_one_hot([0, 0], 1))
+    eta = problem.evaluate(_one_hot([0, 0], 1)).eta
     actions, value = _local_search(problem, [0, 0], eta, 0)
     assert actions.tolist() == [0, 0] and value == eta
 
@@ -584,7 +585,7 @@ def test_local_search_matches_one_by_one_oracle(seed):
     problem = _FixedSamplingProblem(model, sampling_from_flat(bits, model))
     start = int(rng.integers(model.n_global_states))
     initial = rng.integers(0, 3, size=3)
-    eta = problem.eta_of(_one_hot(initial, 3), start)
+    eta = problem.evaluate(_one_hot(initial, 3), start).eta
     actions, value = _local_search(problem, initial, eta, start)
     want_actions, want_value = local_search_one_by_one(problem, initial, eta, start)
     assert actions.tolist() == want_actions.tolist()
@@ -603,7 +604,7 @@ def test_local_search_scores_multichain_deviations_from_start():
                                          expenditure=[0, 1], sampling_cost=0.0))
     problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
     start = model.state_index(1, 1, 0)
-    eta = problem.eta_of(_one_hot([0, 1], 2), start)
+    eta = problem.evaluate(_one_hot([0, 1], 2), start).eta
     actions, value = _local_search(problem, [0, 1], eta, start)
     assert actions.tolist() == [0, 0]
     oracle = local_search_one_by_one(problem, [0, 1], eta, start)
@@ -1078,6 +1079,146 @@ def test_jesp_restarts_recorded(shipped):
     outcomes = report.diagnostics["restart_outcomes"]
     assert len(outcomes) == 3
     assert all("average_reward" in o or "error" in o for o in outcomes)
+
+
+# --- reuse of results already computed: against the every-round oracles -------
+
+
+def _grid_cells(scenario):
+    return [scenario.with_channel(p_success).with_sampling_cost(sampling_cost)
+            for p_success in scenario.grid.success_probs
+            for sampling_cost in scenario.grid.sampling_costs]
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except NonConvergenceError as exc:
+        return str(exc)
+
+
+def _assert_same_report(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("average_reward", "iterations", "residual", "converged"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.diagnostics == want.diagnostics          # theta_trace and restart_outcomes
+    np.testing.assert_array_equal(got.sampling_policy.decisions, want.sampling_policy.decisions)
+    np.testing.assert_array_equal(got.decision_policy.actions, want.decision_policy.actions)
+
+
+def _jesp_against_oracle(monkeypatch, solve):
+    got = _outcome(solve)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_jesp_once", jesp_once_every_round)
+        want = _outcome(solve)
+    _assert_same_report(got, want)
+    return got
+
+
+def test_jesp_matches_every_round_oracle_on_the_bundled_grid(monkeypatch, shipped):
+    from goaltensor.harness import solve_cell
+    replayed = []
+    for cell in _grid_cells(shipped):
+        report = _jesp_against_oracle(monkeypatch, lambda: solve_cell(cell, "jesp"))
+        trace = report.diagnostics["theta_trace"]
+        if report.iterations == 2 and trace[0] == trace[1]:
+            replayed.append(cell)            # round 1 returned the policy it started from
+        for max_rounds in (1, 2):
+            capped = _jesp_against_oracle(monkeypatch, lambda: jesp(
+                cell.model, max_rounds=max_rounds, start_state=cell.start_state))
+            assert capped.iterations <= max_rounds
+    assert replayed
+    # the replay found on the last allowed round is not counted
+    for cell in replayed:
+        capped = jesp(cell.model, max_rounds=1, start_state=cell.start_state)
+        assert (capped.iterations, capped.converged) == (1, False)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("max_rounds", [1, 2, solvers.MAX_JESP_ROUNDS])
+def test_jesp_matches_every_round_oracle_on_random_models(monkeypatch, seed, max_rounds):
+    rng = np.random.default_rng(100 + seed)
+    model = random_model(rng, n_states=int(rng.integers(2, 4)),
+                         n_contexts=int(rng.integers(1, 3)), n_actions=int(rng.integers(2, 5)))
+    _jesp_against_oracle(monkeypatch, lambda: jesp(model, restarts=2, seed=seed,
+                                                   max_rounds=max_rounds, start_state=1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("schedule", ["harmonic", 1.0, 0.5])
+def test_pi_step_size_matches_every_table_oracle(seed, schedule):
+    rng = np.random.default_rng(200 + seed)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=int(rng.integers(2, 5)))
+    shape = (model.alphabets.n_states,) * 2 + (model.alphabets.n_contexts,)
+    sampling = SamplingPolicy(rng.integers(0, 2, size=shape))
+    initial = DecisionPolicy(rng.integers(0, model.alphabets.n_actions, size=3))
+    got = pi_step_size(model, sampling, initial, step_schedule=schedule, start_state=2)
+    want = pi_step_size_every_table(model, sampling, initial, step_schedule=schedule,
+                                    start_state=2)
+    np.testing.assert_array_equal(got.decision_policy.actions, want.decision_policy.actions)
+    assert (got.average_reward, got.iterations, got.eta_trace, got.converged) == (
+        want.average_reward, want.iterations, want.eta_trace, want.converged)
+
+
+def test_compare_grid_runs_no_round_twice_and_scores_the_start_table_once(monkeypatch,
+                                                                          shipped):
+    from goaltensor.harness import compare_policies
+    responses, start_scores, start_table, rounds = [], [], [], []
+    once = solvers._jesp_once
+    respond = solvers.solve_sampler_for_decision
+    step = solvers.pi_step_size
+    evaluate = _FixedSamplingProblem.evaluate
+
+    def search(*args):
+        responses.append([])
+        report = once(*args)
+        rounds.append(report.iterations)
+        return report
+
+    def response(model, decision, *args):
+        responses[-1].append(decision.actions.tobytes())
+        return respond(model, decision, *args)
+
+    def scored(problem, table, *args):
+        start_scores[-1] += np.array_equal(table, start_table[0])
+        return evaluate(problem, table, *args)
+
+    def soft_pi(model, sampling, initial, **kwargs):
+        start_table[:] = [_one_hot(initial.actions, model.alphabets.n_actions)]
+        start_scores.append(0)
+        return step(model, sampling, initial, **kwargs)
+
+    monkeypatch.setattr(solvers, "_jesp_once", search)
+    monkeypatch.setattr(solvers, "solve_sampler_for_decision", response)
+    monkeypatch.setattr(solvers, "pi_step_size", soft_pi)
+    monkeypatch.setattr(_FixedSamplingProblem, "evaluate", scored)
+    compare_policies(shipped, "jesp", include_classic=True)
+    assert len(responses) == 30
+    assert all(len(set(tables)) == len(tables) for tables in responses)
+    assert start_scores and set(start_scores) == {1}
+    # the rounds counted outnumber the rounds run: some were replayed
+    assert sum(rounds) > sum(map(len, responses)) == len(start_scores)
+
+
+def test_balance_batch_matches_one_solve_per_chain():
+    rng = np.random.default_rng(3)
+    for n, k in [(1, 1), (2, 5), (18, 20), (48, 3)]:
+        P = rng.random((k, n, n)) * (rng.random((k, n, n)) < 0.3)
+        P[:, np.arange(n), (np.arange(n) + 1) % n] += 0.1           # one closed class
+        P /= P.sum(axis=2, keepdims=True)
+        laws = _balance_batch(P)
+        for member, law in zip(P, laws):
+            np.testing.assert_array_equal(law, balance_alone(member))
+            np.testing.assert_array_equal(_balance(member), law)
+    # rows summing to 1 with a negative entry: the first such member is named
+    good = np.full((2, 2), 0.5)
+    bad = [np.array([[0.5, 0.5], [-0.4, 1.4]]), np.array([[0.5, 0.5], [-0.2, 1.2]])]
+    with pytest.raises(ErgodicityError, match=r"has negative mass -4\.000e\+00$"):
+        _balance_batch(np.stack([good, *bad]))
+    with pytest.raises(ErgodicityError, match=r"has negative mass -6\.667e-01$"):
+        _balance(bad[1])
 
 
 def test_heuristic_initial_decision_is_total(shipped):
