@@ -6,7 +6,8 @@
 Runs through ``goaltensor.cli.main`` (the package under ``src/`` next to
 this directory):
 
-* ``gap`` on the bundled scenario's 30-cell grid, and on generated 4x3x6
+* ``gap`` on the bundled scenario's 30-cell grid, on the permuted grid with
+  repeated values pS = 0.6, 1.0, 0.2, 1.0 and CS = 10, 0, and on generated 4x3x6
   documents 0-5 (``perfbench/generate.py``) at the cells pS = 0.6 and 1.0,
   CS = 0.5;
 * ``compare --include-classic`` with ``jesp`` and with ``brute``
@@ -25,7 +26,7 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 20 seconds on one core.
+any did and 0 if none did.  Takes about 10 seconds on one core.
 """
 
 import argparse
@@ -57,6 +58,10 @@ GENERATED = range(6)
 def runs(work):
     """(run name, CLI arguments) for every run, outputs under ``work``."""
     yield "gap-bundled", ["gap", "--scenario", BUNDLED]
+    # grid values out of order and repeated: the brute-force anchor cell
+    # (largest pS, smallest CS) is the grid's fourth and eighth cell
+    yield "gap-bundled-permuted", ["gap", "--scenario", BUNDLED,
+                                   "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]
     for gen in GENERATED:
         path = work / f"large-{gen}.json"
         path.write_text(json.dumps(large_document(gen)))

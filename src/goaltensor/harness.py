@@ -39,6 +39,21 @@ brute force's chunk threads stay off inside a worker.  Every
 worker holds its own kernels, so ``model.MAX_KERNEL_BYTES`` bounds each
 process, not their sum.  Results come back in grid order, and every CSV is
 the same byte for byte whatever the worker count.
+
+Before forking, a grid of two or more cells solves its anchor cell, (max pS,
+min CS), by brute force in this process (``brute_anchor``); the workers
+inherit its report.  A decision table's optimal sampler gain from the start
+state does not rise with the sampling cost c >= 0, which every policy pays
+per transmission.  Nor does it fall with the success probability: at p' >= p
+the sampler can attempt with probability p/p' wherever it attempted at p,
+for the same law at less charge, and no randomized policy beats the best
+deterministic one (Puterman 1994, ch. 9).  So each candidate's anchor gain
+bounds its gain at every cell.  ``solve_cell`` then skips, in each other
+cell, every candidate whose anchor gain is below the incumbent less the
+solver's epsilon, and the anchor's own cell reuses the anchor's report.  A
+skipped candidate is worse than the cell's optimum, so the winner and every
+exact tie are still solved, with the same arithmetic: every CSV is the same
+as without the anchor.
 """
 
 from __future__ import annotations
@@ -454,9 +469,12 @@ def _grid(scenario, cell_rows, forked):
     ``(pS, CS, message)`` for each cell where it raised a ``GoalTensorError``;
     a failed cell does not stop the others.  With ``forked`` the cells run on
     forked worker processes, one per core (``solvers.pool_map``).  Callers
-    pass it for cells that run brute force (about 0.1 s a cell at N = 18), not
-    for jesp's cells (about 7 ms with their baselines, on one 2-vCPU core),
-    which starting and stopping a pool (12-17 ms) would slow.
+    pass it for cells that run brute force (about 0.1 s a cell at N = 18 in
+    full, 0.03 s with the anchor's bound, on one core of a 2-vCPU machine),
+    not for jesp's cells (about 7 ms with their baselines), which starting
+    and stopping a pool (12-17 ms) would slow.  A caller that runs brute
+    force solves the grid's anchor (``brute_anchor``) before calling this,
+    so the forked workers inherit it.
     """
     cells = list(_cell_scenarios(scenario, scenario.grid))
     outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
@@ -470,7 +488,37 @@ def _grid(scenario, cell_rows, forked):
     return done, failed
 
 
-def solve_cell(cell, algorithm):
+@dataclass(frozen=True)
+class Anchor:
+    """The brute-force solve of a grid's anchor cell (``brute_anchor``)."""
+    success_prob: float
+    sampling_cost: float
+    report: object          # ``solvers.SolveReport``, every candidate's gain in its diagnostics
+
+
+def brute_anchor(scenario):
+    """Brute force at the grid's anchor cell, (max pS, min CS), whose
+    candidate gains bound theirs at every cell of the grid (see the module
+    docstring).
+
+    Returns None for a grid of fewer than two cells, whose one solve would
+    gain nothing from it, and where the anchor's solve raises a
+    ``GoalTensorError``: every cell is then solved in full, and fails as it
+    would have.
+    """
+    grid = scenario.grid
+    if len(grid.success_probs) * len(grid.sampling_costs) < 2:
+        return None
+    p_success, sampling_cost = max(grid.success_probs), min(grid.sampling_costs)
+    try:
+        report = solve_cell(scenario.with_channel(p_success).with_sampling_cost(sampling_cost),
+                            "brute")
+    except GoalTensorError:
+        return None
+    return Anchor(p_success, sampling_cost, report)
+
+
+def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
     """Run the scenario's configured solver on one scenario or grid cell.
 
     The one place that turns ``cell.solver`` into solver arguments: epsilon,
@@ -479,14 +527,27 @@ def solve_cell(cell, algorithm):
     ``"rvi-fixed-decision"``: the sampler's best response to the greedy
     decision policy (``solve_sampler_for_decision``), reported with 0
     iterations and residual 0.0.
+
+    Brute force given the grid's ``anchor`` (``brute_anchor``) returns the
+    anchor's report on the anchor cell, and elsewhere skips every candidate
+    whose anchor gain is below the incumbent less the solver's epsilon: the
+    larger of ``floor``, a gain known to be reached at this cell, and the
+    best gain solved so far.  The winner and its report are the same as
+    without the anchor.
     """
     from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy, jesp,
                           solve_sampler_for_decision)
     solver = cell.solver
     if algorithm == "brute":
+        ceiling = None
+        if anchor is not None:
+            if (cell.model.channel.success_prob == anchor.success_prob
+                    and cell.model.cost.sampling_cost == anchor.sampling_cost):
+                return anchor.report
+            ceiling = anchor.report.diagnostics["candidate_gains"]
         return brute_force_joint(cell.model, epsilon=solver.epsilon, budget=solver.budget,
                                  max_sweeps=solver.max_pi_rounds,
-                                 start_state=cell.start_state)
+                                 start_state=cell.start_state, ceiling=ceiling, floor=floor)
     if algorithm == "jesp":
         return jesp(cell.model, epsilon=solver.epsilon, step_schedule=solver.step_schedule,
                     restarts=solver.restarts, seed=solver.seed,
@@ -511,13 +572,17 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     rows are the solver's value, then each ``FAMILIES`` baseline
     (``include_classic`` adds the classic ones) evaluated exactly at its best
     parameter over the cell's sweep grid; its decomp row is the exact cost
-    split of the solved pair.
+    split of the solved pair.  With ``algorithm="brute"`` the grid's anchor
+    (``brute_anchor``) is solved first, here, and each cell's brute force
+    skips what the anchor's gains prove worse than the best gain it has
+    solved so far.
     """
     from .solvers import greedy_decision_policy
+    anchor = brute_anchor(scenario) if algorithm == "brute" else None
 
     def cell_rows(p_success, sampling_cost, cell):
         model, start = cell.model, cell.start_state
-        report = solve_cell(cell, algorithm)
+        report = solve_cell(cell, algorithm, anchor)
         split = evaluate_state_policy(model, report.sampling_policy,
                                       report.decision_policy, start)
         greedy = greedy_decision_policy(model)
@@ -540,14 +605,24 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
 def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units.
 
-    Brute force and jesp each solve every cell once.  Returns ``(gap rows,
-    failed cells)``, failures as in ``_grid``.
+    Brute force and jesp each solve every cell once.  The grid's anchor
+    (``brute_anchor``) is solved first, here, and in each cell jesp runs
+    before brute force, whose candidates the anchor's gains prove worse than
+    jesp's reward, or than the best gain solved so far, are skipped.
+    Returns ``(gap rows, failed cells)``, failures as in ``_grid``.
     """
+    anchor = brute_anchor(scenario)
+
     def cell_row(p_success, sampling_cost, cell):
-        bf = solve_cell(cell, "brute").average_cost
-        je = solve_cell(cell, "jesp").average_cost
-        return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf, "theta_jesp": je,
-                "gap": je - bf}
+        try:
+            je = solve_cell(cell, "jesp")
+        except GoalTensorError:
+            # brute force ran first once: where it fails too, its error is the one named
+            solve_cell(cell, "brute", anchor)
+            raise
+        bf = solve_cell(cell, "brute", anchor, floor=je.average_reward).average_cost
+        return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf,
+                "theta_jesp": je.average_cost, "gap": je.average_cost - bf}
 
     return _grid(scenario, cell_row, forked=True)
 

@@ -14,7 +14,9 @@ fast route use it:
   is built; from ``BRUTE_THREADED_STATES`` global states on, where numpy's
   solves, which release the GIL, hold most of the time, the chunks run on
   threads, one per core with at least 64 candidates each, and their bests
-  are reduced in enumeration order);
+  are reduced in enumeration order); given an upper bound on each
+  candidate's gain, such as its gain in a grid cell that dominates this one,
+  it skips every candidate the bound proves worse than the incumbent;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic, which converges to a Nash pair (its sampler
   step is the best response above).
@@ -744,11 +746,11 @@ def _chunk_sizes(n, cap, workers):
 
 def _solve_chunk(model, policies, start_state, epsilon, max_sweeps):
     """One brute-force chunk: the sampler MDPs of the decision tables ``policies``
-    (K, S) in one policy-iteration batch, reduced to its best member, the first
-    with the largest gain from ``start_state``.  Returns that member's (decision
-    table, gain, sampling row, residual), the chunk's policy-iteration rounds
-    and its multichain decision tables; a ``NonConvergenceError`` names the
-    failing decision policy."""
+    (K, S) in one policy-iteration batch.  Returns every member's gain from
+    ``start_state``, the index of the best member (the first with the largest
+    gain) with its sampling row and residual, the chunk's policy-iteration
+    rounds and its multichain decision tables; a ``NonConvergenceError`` names
+    the failing decision policy."""
     rows = DecisionRows(model, policies)
     try:
         pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
@@ -759,13 +761,30 @@ def _solve_chunk(model, policies, start_state, epsilon, max_sweeps):
     scores = gains[:, start_state]
     j = int(scores.argmax())
     multichain = [tuple(int(x) for x in policies[i]) for i in np.flatnonzero(n_closed > 1)]
-    return (policies[j].copy(), float(scores[j]), pol_b[j].copy(), float(residuals[j]),
-            int(rounds.sum()), multichain)
+    return scores, j, pol_b[j].copy(), float(residuals[j]), int(rounds.sum()), multichain
+
+
+def _pruned_chunks(solve, candidates, ceiling, floor, margin, size):
+    """``(indices, result)`` of each ``solve`` of a chunk of ``candidates``,
+    in enumeration order, skipping every candidate whose ``ceiling`` is below
+    the incumbent less ``margin``.  The incumbent is the larger of ``floor``
+    and the best gain solved so far; each chunk is the next ``size``
+    candidates that survive it."""
+    incumbent = floor
+    pending = np.arange(len(candidates))
+    while True:
+        pending = pending[~(ceiling[pending] < incumbent - margin)]
+        if not pending.size:
+            return
+        chunk, pending = pending[:size], pending[size:]
+        result = solve(candidates[chunk])
+        incumbent = max(incumbent, float(result[0].max()))
+        yield chunk, result
 
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=200_000, max_sweeps=MAX_PI_ROUNDS,
-                      start_state=0) -> SolveReport:
+                      start_state=0, ceiling=None, floor=-np.inf) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
     Decision policies are visited in lexicographic order; each induces a
@@ -774,27 +793,42 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     from ``start_state``, the rule ``jesp`` scores by.  The best score wins,
     with earlier-enumerated policies preferred on exact ties.
 
-    ``iterations`` counts policy-iteration rounds summed over candidates, and
-    ``max_sweeps`` caps each candidate's rounds.  Candidates whose sampling
-    policy leaves several closed classes are listed under
-    ``multichain_candidates``; policy iteration keeps sampling wherever
-    sampling ties with idling, so few are.  ``stalled_candidates`` is always
-    empty: a candidate that does not converge raises ``NonConvergenceError``,
-    which names the lexicographically first failing decision policy whatever
-    the chunk size or the worker count.  ``BRUTE_CHUNK`` candidates are in
-    flight at once, or as many as keep their kernels within
-    ``model.MAX_KERNEL_BYTES``; a model where one candidate's kernels already
-    pass the limit is refused with ``MemoryBudgetError`` before anything of
-    that size is built.  Each chunk is one ``DecisionRows`` gather and one
-    policy-iteration batch, reduced to its best member.  With
-    ``BRUTE_THREADED_STATES`` global states or more, ``pool_map`` runs the
-    chunks on one thread per core (``CORES``), with at least 64 of the
-    candidates in flight to a thread, so at most ``BRUTE_CHUNK // 64``
-    threads; numpy releases the GIL in its solves and array loops.  Below
-    that, and inside a forked grid-cell worker, the chunks run in turn on the
-    calling thread.  Every candidate's arithmetic is the same either way, and
-    the chunks' bests are reduced in enumeration order.
-    A single unichain warning is emitted up front if the reference chain
+    ``ceiling``, one value per candidate in enumeration order, is an upper
+    bound on each candidate's gain, such as its gain in a grid cell that
+    dominates this one (``harness.brute_anchor``).  With it, a candidate whose
+    ceiling is below the incumbent less ``epsilon`` is skipped: the incumbent
+    is the larger of ``floor``, a gain some policy pair is known to reach
+    (``gap`` passes jesp's), and the best gain solved so far.  Every solved
+    gain is certified to within ``epsilon``, so a skipped candidate is worse
+    than the optimum, and the winner and every exact tie are still solved,
+    their arithmetic the same as unpruned.  The chunks then run in turn on
+    the calling thread, each the next candidates that survive the incumbent
+    so far.  Without a ceiling every candidate is solved.
+
+    ``iterations`` counts policy-iteration rounds summed over the solved
+    candidates, and ``max_sweeps`` caps each candidate's rounds.  The
+    diagnostics hold ``candidate_gains``, each candidate's gain in
+    enumeration order (NaN where skipped), ``candidates_evaluated`` and
+    ``candidates_pruned``, the solved and skipped counts, which add up to
+    A^S, and ``multichain_candidates``, the solved candidates whose sampling
+    policy leaves several closed classes; policy iteration keeps sampling
+    wherever sampling ties with idling, so few are.  ``stalled_candidates``
+    is always empty: a candidate that does not converge raises
+    ``NonConvergenceError``, which names the lexicographically first failing
+    decision policy among those solved, whatever the chunk size or the
+    worker count.  ``BRUTE_CHUNK`` candidates are in flight at once, or as
+    many as keep their kernels within ``model.MAX_KERNEL_BYTES``; a model
+    where one candidate's kernels already pass the limit is refused with
+    ``MemoryBudgetError`` before anything of that size is built.  Each chunk
+    is one ``DecisionRows`` gather and one policy-iteration batch.  Without a
+    ceiling and with ``BRUTE_THREADED_STATES`` global states or more,
+    ``pool_map`` runs the chunks on one thread per core (``CORES``), with at
+    least 64 of the candidates in flight to a thread, so at most
+    ``BRUTE_CHUNK // 64`` threads; numpy releases the GIL in its solves and
+    array loops.  Below that, and inside a forked grid-cell worker, the
+    chunks run in turn on the calling thread.  Every candidate's arithmetic
+    is the same either way, and the chunks' bests are reduced in enumeration
+    order.  A single unichain warning is emitted up front if the reference chain
     (always sample, lowest actuation) already has several closed classes.
     """
     n_states = model.alphabets.n_states
@@ -815,41 +849,58 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
                       "gains of enumerated policies may be start-dependent", stacklevel=2)
 
-    # below BRUTE_THREADED_STATES, Python bookkeeping that holds the GIL outweighs
-    # numpy's work that releases it, and threads lose to one loop; above it each
-    # thread gets at least 64 of the candidates in flight, because smaller
-    # threaded chunks lose to one loop even at N = 48
-    threads = max(1, min(CORES, BRUTE_CHUNK // 64)) if N >= BRUTE_THREADED_STATES else 1
-    workers = min(threads, fit, n_candidates)
-    sizes = _chunk_sizes(n_candidates, min(BRUTE_CHUNK, fit) // workers, workers)
-    enumerated = itertools.product(range(n_actions), repeat=n_states)
-    blocks = [np.array(list(itertools.islice(enumerated, size)), dtype=int)  # (K, S)
-              for size in sizes]
+    candidates = np.array(list(itertools.product(range(n_actions), repeat=n_states)),
+                          dtype=int).reshape(n_candidates, n_states)
     solve = functools.partial(_solve_chunk, model, start_state=start_state,
                               epsilon=epsilon, max_sweeps=max_sweeps)
+    if ceiling is None:
+        # below BRUTE_THREADED_STATES, Python bookkeeping that holds the GIL
+        # outweighs numpy's work that releases it, and threads lose to one loop;
+        # above it each thread gets at least 64 of the candidates in flight,
+        # because smaller threaded chunks lose to one loop even at N = 48
+        threads = max(1, min(CORES, BRUTE_CHUNK // 64)) if N >= BRUTE_THREADED_STATES else 1
+        workers = min(threads, fit, n_candidates)
+        sizes = _chunk_sizes(n_candidates, min(BRUTE_CHUNK, fit) // workers, workers)
+        chunks = np.split(np.arange(n_candidates), np.cumsum(sizes)[:-1])
+        results = zip(chunks, pool_map(solve, [candidates[c] for c in chunks], workers))
+    else:
+        ceiling = np.asarray(ceiling, dtype=float)
+        if ceiling.shape != (n_candidates,):
+            raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
+                                 f"of the {n_candidates} decision policies")
+        # the grid's cells already use every core: no chunk threads here
+        results = _pruned_chunks(solve, candidates, ceiling, floor, epsilon,
+                                 min(BRUTE_CHUNK, fit))
 
-    best_gain, best_actions, best_sampling, best_residual = -np.inf, None, None, np.nan
+    gains = np.full(n_candidates, np.nan)
+    best_gain, best_index, best_sampling, best_residual = -np.inf, None, None, np.nan
     total_rounds = 0
     flagged = []
     # results come back in enumeration order, so the first failing chunk's error,
     # naming the lexicographically first failing decision policy, is the one
     # raised, and ties go to the earliest chunk, whatever the chunk size or
     # worker count
-    for actions, gain, sampling, residual, rounds, multichain in pool_map(solve, blocks,
-                                                                          workers):
+    for chunk, (scores, j, sampling, residual, rounds, multichain) in results:
+        gains[chunk] = scores
         total_rounds += rounds
         flagged.extend(multichain)
-        if gain > best_gain:
-            best_gain, best_actions, best_sampling, best_residual = (gain, actions, sampling,
-                                                                     residual)
+        if scores[j] > best_gain:
+            best_gain, best_index, best_sampling, best_residual = (scores[j], chunk[j],
+                                                                   sampling, residual)
+    if best_index is None:
+        raise ParameterError(f"every decision policy's ceiling is below the floor {floor!r} "
+                             f"less {epsilon:g}: none is left to solve")
+    evaluated = int(np.count_nonzero(~np.isnan(gains)))
     return SolveReport(
         sampling_policy=sampling_from_flat(best_sampling, model),
-        decision_policy=DecisionPolicy(best_actions),
+        decision_policy=DecisionPolicy(candidates[best_index].copy()),
         average_reward=float(best_gain),
         iterations=total_rounds,
         residual=float(best_residual),
         converged=True,
-        diagnostics={"candidates_evaluated": n_candidates,
+        diagnostics={"candidates_evaluated": evaluated,
+                     "candidates_pruned": n_candidates - evaluated,
+                     "candidate_gains": gains,
                      "multichain_candidates": flagged,
                      "stalled_candidates": []},
     )

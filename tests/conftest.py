@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goaltensor.scenario import default_scenario
+from goaltensor.solvers import CORES, brute_force_joint, jesp, pool_map
 from goaltensor.tensor import CostModel, DecisionPolicy
 
 
@@ -19,6 +20,10 @@ def worked_policy():
     return DecisionPolicy([0, 1, 2])
 
 
+GRID_PS = (0.2, 0.4, 0.6, 0.8, 1.0)
+GRID_CS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+
+
 # full hand evaluation of the worked instance, values[x][phi][xhat]
 WORKED_TENSOR = np.array([
     [[0, 1, 2], [0, 1, 2]],
@@ -30,6 +35,22 @@ WORKED_TENSOR = np.array([
 @pytest.fixture(scope="session")
 def shipped():
     return default_scenario()
+
+
+@pytest.fixture(scope="session")
+def grid_solutions():
+    """Brute-force and equilibrium solves over the bundled scenario's full
+    evaluation grid, by (pS, CS): (cell scenario, brute-force report, jesp
+    report).  Each brute force solves every candidate, with no grid anchor.
+    The cells are spread over worker processes as ``goaltensor gap`` spreads
+    them."""
+    def solve(cell):
+        model = default_scenario(*cell).model
+        return brute_force_joint(model), jesp(model)
+
+    cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
+    return {cell: (default_scenario(*cell), bf, je)
+            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES, fork=True))}
 
 
 def assert_no_child_process():

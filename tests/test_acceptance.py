@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The grid solves are shared through module-scoped fixtures, so the whole
-module stays well inside its time budget.
+lines.  The grid solves are shared through a session-scoped fixture
+(``conftest.py``), so the whole module stays well inside its time budget.
 """
 
 import hashlib
@@ -19,33 +19,16 @@ from goaltensor.cli import main as cli_main
 from goaltensor.harness import simulate_closed_loop
 from goaltensor.model import dense_kernels, induced_mdp
 from goaltensor.scenario import default_document, default_scenario, save_scenario
-from goaltensor.solvers import (CORES, _FixedSamplingProblem, _one_hot, brute_force_joint,
-                                closed_classes, greedy_decision_policy, jesp, pool_map)
+from goaltensor.solvers import (_FixedSamplingProblem, _one_hot, brute_force_joint,
+                                closed_classes, greedy_decision_policy)
 from goaltensor.tensor import (DecisionPolicy, SamplingPolicy, build_got_tensor,
                                degenerate_tensor)
 from conftest import WORKED_TENSOR
 from oracles import (analyze_chain, exhaustive_joint_search, global_states, kernel_by_hand,
                      policy_chain, random_model, rvi_solve, tiny_two_state_model)
 
-GRID_PS = (0.2, 0.4, 0.6, 0.8, 1.0)
-GRID_CS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
-
-
 def report(number, text):
     print(f"\n[criterion {number:02d}] PASS: {text}")
-
-
-@pytest.fixture(scope="module")
-def grid_solutions():
-    """Brute-force and equilibrium solves over the full evaluation grid, the
-    cells spread over worker processes as ``goaltensor gap`` spreads them."""
-    def solve(cell):
-        model = default_scenario(*cell).model
-        return brute_force_joint(model), jesp(model)
-
-    cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
-    return {cell: (default_scenario(*cell), bf, je)
-            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES, fork=True))}
 
 
 def test_criterion_1_worked_tensor_reproduction(worked_cost, worked_policy):

@@ -635,3 +635,183 @@ def test_csv_headers_exact(tmp_path):
         ["pS,CS,theta_bf,theta_jesp,gap"]
     assert write_decomp_csv(tmp_path / "d.csv", []).read_text().splitlines() == \
         ["pS,CS,sampling,actuation,inherent"]
+
+
+# ---------------------------------------------------------------------------
+# the anchor bound across a grid's brute-force cells
+
+
+def _report_key(report):
+    """What a brute-force report gives a grid CSV, to the bit."""
+    return repr((report.average_reward, report.residual,
+                 report.sampling_policy.decisions.tolist(),
+                 report.decision_policy.actions.tolist()))
+
+
+def _record_brute_reports(monkeypatch):
+    """Every brute-force report ``solve_cell`` returns, by (pS, CS), and the
+    candidates each skipped, all solved in this process so the spy sees them."""
+    monkeypatch.setattr(solvers, "CORES", 1)
+    reports, pruned = {}, []
+    real = harness.solve_cell
+
+    def spy(cell, algorithm, *args, **kwargs):
+        result = real(cell, algorithm, *args, **kwargs)
+        if algorithm == "brute":
+            key = cell.model.channel.success_prob, cell.model.cost.sampling_cost
+            reports.setdefault(key, []).append(_report_key(result))
+            pruned.append(result.diagnostics["candidates_pruned"])
+        return result
+
+    monkeypatch.setattr(harness, "solve_cell", spy)
+    return reports, pruned
+
+
+def _grid_studies(scenario):
+    """Both brute-force grid studies' rows and failures, as text."""
+    return repr((optimality_gap(scenario),
+                 compare_policies(scenario, algorithm="brute", include_classic=True)))
+
+
+def _against_unpruned_path(monkeypatch, scenario, solve=None):
+    """The grid studies and brute-force reports of ``scenario`` with the
+    anchor, then on the unpruned path (no anchor, every candidate solved,
+    through ``solve`` when given): both, as (studies, reports, candidates
+    skipped per solve)."""
+    sides = []
+    for pruned in (True, False):
+        with monkeypatch.context() as patch:
+            reports, skipped = _record_brute_reports(patch)
+            if not pruned:
+                patch.setattr(harness, "brute_anchor", lambda scenario: None)
+                if solve is not None:
+                    patch.setattr(solvers, "brute_force_joint", solve)
+            sides.append((_grid_studies(scenario), reports, skipped))
+    return sides
+
+
+def _assert_pruned_equals_unpruned(sides):
+    """The pruned side's rows and reports are the unpruned side's, and only
+    the pruned side skipped candidates."""
+    (pruned, pruned_reports, skipped), (unpruned, unpruned_reports, none_skipped) = sides
+    assert pruned == unpruned
+    # the anchor cell's report is recorded once more, when the anchor is solved
+    assert pruned_reports.keys() == unpruned_reports.keys()
+    for cell, keys in pruned_reports.items():
+        assert set(keys) == set(unpruned_reports[cell]), cell
+    assert sum(skipped) > 0 and sum(none_skipped) == 0
+
+
+def test_anchor_gains_bound_every_cell_of_the_bundled_grid(grid_solutions):
+    _, anchor, _ = grid_solutions[(1.0, 0.0)]
+    ceiling = anchor.diagnostics["candidate_gains"]
+    assert ceiling.shape == (11 ** 3,) and np.isfinite(ceiling).all()
+    for cell, (scenario, bf, _) in grid_solutions.items():
+        gains = bf.diagnostics["candidate_gains"]
+        assert (gains <= ceiling + scenario.solver.epsilon).all(), cell
+
+
+def test_pruned_grid_studies_equal_the_unpruned_path_on_the_bundled_grid(monkeypatch, shipped,
+                                                                         grid_solutions):
+    def unpruned(model, ceiling=None, **kwargs):
+        # the fixture's solves: every candidate, the scenario's solver settings
+        assert ceiling is None
+        key = model.channel.success_prob, model.cost.sampling_cost
+        return grid_solutions[key][1]
+
+    sides = _against_unpruned_path(monkeypatch, shipped, unpruned)
+    _assert_pruned_equals_unpruned(sides)
+    assert len(sides[0][1]) == 30
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_anchor_gains_bound_random_grids_and_pruning_keeps_their_rows(monkeypatch, shipped,
+                                                                      seed):
+    rng = np.random.default_rng(300 + seed)
+    model = random_model(rng, n_states=3, n_contexts=int(rng.integers(1, 3)),
+                         n_actions=int(rng.integers(2, 5)))
+    scenario = replace(shipped, model=model, state_values=np.arange(3.0),
+                       grid=GridConfig(success_probs=(0.3, 1.0, 0.65),
+                                       sampling_costs=(2.0, 0.0, 0.7)))
+    monkeypatch.setattr(solvers, "CORES", 1)
+    # chunks smaller than the 8 to 64 candidates, so that compare's running
+    # incumbent, which starts unbounded, skips some too
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", 4)
+    anchor = harness.brute_anchor(scenario)
+    assert (anchor.success_prob, anchor.sampling_cost) == (1.0, 0.0)
+    ceiling = anchor.report.diagnostics["candidate_gains"]
+    for _, _, cell in harness._cell_scenarios(scenario, scenario.grid):
+        gains = harness.solve_cell(cell, "brute").diagnostics["candidate_gains"]
+        assert (gains <= ceiling + scenario.solver.epsilon).all()
+    _assert_pruned_equals_unpruned(_against_unpruned_path(monkeypatch, scenario))
+
+
+def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
+    # actuations 1 and 2 are the same in every respect, so a decision table
+    # and its copy with 1 and 2 swapped tie to the bit
+    model = random_model(np.random.default_rng(11), n_states=3, n_contexts=2, n_actions=3)
+    src = model.source.probs.copy()
+    src[:, :, 2] = src[:, :, 1]
+    cost = replace(model.cost, gain=model.cost.gain[[0, 1, 1]],
+                   expenditure=model.cost.expenditure[[0, 1, 1]])
+    model = replace(model, source=SourceDynamics(src), cost=cost)
+    scenario = replace(shipped, model=model, state_values=np.arange(3.0),
+                       grid=GridConfig(success_probs=(0.5, 1.0), sampling_costs=(0.0, 1.5)))
+    sides = _against_unpruned_path(monkeypatch, scenario)
+    _assert_pruned_equals_unpruned(sides)
+    tied = 0
+    for _, _, cell in harness._cell_scenarios(scenario, scenario.grid):
+        report = harness.solve_cell(cell, "brute")
+        gains = report.diagnostics["candidate_gains"]
+        winners = np.flatnonzero(gains == gains.max())
+        tied += winners.size > 1
+        first = np.unravel_index(winners[0], (3, 3, 3))
+        assert report.decision_policy.actions.tolist() == list(first)
+    assert tied == 4                        # every cell's winner has a twin
+
+
+def test_failed_anchor_leaves_every_cell_unpruned(monkeypatch, shipped):
+    # a budget below 11^3 fails every cell, the anchor's first
+    scenario = replace(shipped, solver=replace(shipped.solver, budget=1000),
+                       grid=GridConfig(success_probs=(0.6, 0.8), sampling_costs=(2.0, 4.0)))
+    assert harness.brute_anchor(scenario) is None
+    message = "11^3 = 1331 decision policies exceed the enumeration budget 1000"
+    failed = [(p, c, message) for p in (0.6, 0.8) for c in (2.0, 4.0)]
+    assert optimality_gap(scenario) == ([], failed)
+    assert compare_policies(scenario, algorithm="brute") == ([], [], failed)
+    assert_no_child_process()
+
+
+def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shipped):
+    monkeypatch.setattr(solvers, "CORES", 1)
+    sorted_grid = replace(shipped, grid=GridConfig(success_probs=(0.2, 0.6, 1.0),
+                                                   sampling_costs=(0.0, 10.0)))
+    permuted = replace(shipped, grid=GridConfig(success_probs=(0.6, 1.0, 0.2, 1.0),
+                                                sampling_costs=(10.0, 0.0)))
+    want, got = harness.brute_anchor(sorted_grid), harness.brute_anchor(permuted)
+    assert (got.success_prob, got.sampling_cost) == (want.success_prob,
+                                                     want.sampling_cost) == (1.0, 0.0)
+    assert _report_key(got.report) == _report_key(want.report)
+    rows, failed = optimality_gap(permuted)
+    assert failed == [] and [(r["pS"], r["CS"]) for r in rows] == [
+        (p, c) for p in (0.6, 1.0, 0.2, 1.0) for c in (10.0, 0.0)]
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "brute_anchor", lambda scenario: None)
+        assert optimality_gap(permuted) == (rows, failed)
+
+
+def test_brute_grid_solves_its_anchor_here_and_the_cells_in_workers(monkeypatch, shipped,
+                                                                    three_workers):
+    calls, real = [], solvers.brute_force_joint
+
+    def spy(model, **kwargs):
+        calls.append((os.getpid(), model.channel.success_prob, model.cost.sampling_cost,
+                      kwargs["ceiling"] is None))
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(solvers, "brute_force_joint", spy)
+    rows, failed = optimality_gap(_bundled_three_cells(shipped))
+    assert len(rows) == 3 and failed == []
+    # the cells' solves ran in the forked workers, which inherited the anchor
+    assert calls == [(os.getpid(), 0.6, 0.0, True)]
+    assert_no_child_process()

@@ -951,6 +951,98 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
         brute_force_joint(model)
 
 
+def _ceiling_run(monkeypatch, model, ceiling, floor):
+    """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
+    report, the enumeration indices of each chunk it solved, in order, with
+    their gains, and the batch sizes policy iteration saw."""
+    n_actions, n_states = model.alphabets.n_actions, model.alphabets.n_states
+    chunks, batches = [], []
+    real_chunk, real_batch = solvers._solve_chunk, solvers._policy_iteration_batch
+
+    def chunk_spy(model, policies, **kwargs):
+        result = real_chunk(model, policies, **kwargs)
+        chunks.append((np.ravel_multi_index(policies.T, (n_actions,) * n_states), result[0]))
+        return result
+
+    def batch_spy(T, *args, **kwargs):
+        batches.append(len(T))
+        return real_batch(T, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_solve_chunk", chunk_spy)
+        patch.setattr(solvers, "_policy_iteration_batch", batch_spy)
+        report = brute_force_joint(model, ceiling=ceiling, floor=floor)
+    return report, chunks, batches
+
+
+@pytest.mark.parametrize("floor", ["jesp", -np.inf], ids=["jesp-floor", "no-floor"])
+@pytest.mark.parametrize("chunk", [7, 128])
+def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, floor, chunk):
+    ceiling = brute_force_joint(default_scenario(1.0, 0.0).model).diagnostics["candidate_gains"]
+    model = default_scenario(0.6, 4.0).model
+    full = brute_force_joint(model)
+    floor = jesp(model).average_reward if floor == "jesp" else floor
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+    report, chunks, batches = _ceiling_run(monkeypatch, model, ceiling, floor)
+    diagnostics = report.diagnostics
+    gains = diagnostics["candidate_gains"]
+    solved = np.concatenate([indices for indices, _ in chunks])
+    skipped = np.flatnonzero(np.isnan(gains))
+    # skipped candidates never reach policy iteration
+    assert sum(batches) == solved.size == diagnostics["candidates_evaluated"]
+    assert np.array_equal(np.sort(solved), np.flatnonzero(~np.isnan(gains)))
+    assert diagnostics["candidates_pruned"] == skipped.size > 0
+    assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
+    # each skipped candidate's ceiling was below the incumbent less epsilon by
+    # the time the first chunk past it was formed
+    incumbent, before = floor, []
+    for indices, scores in chunks:
+        before.append(incumbent)
+        incumbent = max(incumbent, scores.max())
+    chunk_ends = np.array([indices[-1] for indices, _ in chunks])
+    for d in skipped:
+        k = np.searchsorted(chunk_ends, d)
+        bound = before[k] if k < len(chunks) else incumbent
+        assert ceiling[d] < bound - solvers.DEFAULT_EPSILON, d
+    # solved gains, the winner and its certificate are the unpruned solve's, to the bit
+    assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
+    assert (repr(report.average_reward), repr(report.residual)) == (
+        repr(full.average_reward), repr(full.residual))
+    np.testing.assert_array_equal(report.decision_policy.actions, full.decision_policy.actions)
+    np.testing.assert_array_equal(report.sampling_policy.decisions,
+                                  full.sampling_policy.decisions)
+
+
+def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
+    diagnostics = brute_force_joint(shipped.model).diagnostics
+    assert (diagnostics["candidates_evaluated"], diagnostics["candidates_pruned"]) == (11 ** 3, 0)
+    assert np.isfinite(diagnostics["candidate_gains"]).all()
+
+
+def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(monkeypatch,
+                                                                           shipped):
+    # unpruned, (0, 0, 9) is the first to fail; skip it and the nine before it
+    ceiling = np.zeros(11 ** 3)
+    ceiling[:10] = -np.inf
+    messages = set()
+    for chunk in (1, 7, 128):
+        _in_flight(monkeypatch, shipped.model, chunk)
+        with pytest.raises(NonConvergenceError) as info:
+            brute_force_joint(shipped.model, max_sweeps=2, ceiling=ceiling, floor=-1.0)
+        messages.add(str(info.value))
+    # with one candidate a chunk, the first failure met is the first failing
+    # policy among those solved; every chunk size names the same one
+    assert len(messages) == 1
+    assert messages.pop().startswith("decision policy (0, 0, 10) still changing policy after 2 ")
+
+
+def test_brute_force_refuses_a_ceiling_of_the_wrong_shape_or_below_the_floor(shipped):
+    with pytest.raises(ParameterError, match="not one value for each of the 1331"):
+        brute_force_joint(shipped.model, ceiling=np.zeros(10))
+    with pytest.raises(ParameterError, match="none is left to solve"):
+        brute_force_joint(shipped.model, ceiling=np.zeros(11 ** 3), floor=1.0)
+
+
 def _starts_with_name_not_index(exc_info, name):
     message = str(exc_info.value)
     assert message.startswith(name + " still changing policy after 1 policy-iteration")
