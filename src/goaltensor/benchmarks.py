@@ -18,14 +18,14 @@ simulation rule, exact evaluator, sweep grid and ``--param`` meaning, read by
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
 from .model import DecisionRows, DecPomdpModel
-from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _balance_batch, _solve_mdp, _unichain_batch,
-                      chain_law, flatten_sampling, sampling_from_flat)
+from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _balance_batch, _policy_iteration_batch,
+                      _renamed, _unichain_batch, chain_law, flatten_sampling, sampling_from_flat)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 
@@ -217,12 +217,16 @@ def aoii_optimal_policy(model: DecPomdpModel) -> SamplingPolicy:
 
 
 def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
-                       state_values=None, epsilon=1e-6) -> SamplingPolicy:
+                       state_values=None, epsilon=1e-6, sampling_costs=None):
     """Sampling policy minimizing long-run squared estimation error plus sampling cost.
 
-    Solved by multichain policy iteration (``solvers._solve_mdp``) on the
-    sampler MDP induced by the (greedy by default) decision policy, with the
-    squared-error reward in place of the goal cost.
+    Solved by multichain policy iteration (``solvers._policy_iteration_batch``)
+    on the sampler MDP induced by the (greedy by default) decision policy,
+    with the squared-error reward in place of the goal cost.  Given a list of
+    ``sampling_costs``, returns a list: the policy at each cost in place of
+    the model's.  Their MDPs share the kernels and differ only in the charge,
+    so they are solved as one batch, each member with the arithmetic it has
+    alone; a ``NonConvergenceError`` names the MDP, not the member.
     """
     from .model import induced_mdp
     from .solvers import greedy_decision_policy
@@ -232,13 +236,20 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
         state_values = np.arange(model.alphabets.n_states, dtype=float)
     else:
         state_values = np.asarray(state_values, dtype=float)
+    costs = [model.cost.sampling_cost] if sampling_costs is None else list(sampling_costs)
     mdp = induced_mdp(model, decision)
     xs, xhats, _ = model.state_components()
     sq_err = (state_values[xs] - state_values[xhats]) ** 2
-    rewards = -np.stack([sq_err, sq_err + model.cost.sampling_cost], axis=1)
-    policy, _, _ = _solve_mdp(replace(mdp, rewards=rewards), epsilon, MAX_PI_ROUNDS,
-                              "squared-error sampler MDP")
-    return sampling_from_flat(policy, model)
+    rewards = -np.stack([np.broadcast_to(sq_err, (len(costs), sq_err.size)),
+                         sq_err + np.array(costs, dtype=float)[:, None]], axis=2)
+    try:
+        flat, _, _, _, _, _ = _policy_iteration_batch(
+            np.repeat(mdp.transitions[None], len(costs), axis=0), rewards, epsilon,
+            MAX_PI_ROUNDS, initial_action=0)
+    except NonConvergenceError as exc:
+        raise _renamed(exc, "squared-error sampler MDP") from None
+    policies = [sampling_from_flat(policy, model) for policy in flat]
+    return policies[0] if sampling_costs is None else policies
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +263,20 @@ def _summarize(rows: DecisionRows, mu_states, rate):
     return CostSummary(average_cost=inherent + actuation + sampling,
                        sampling_rate=float(rate), inherent=inherent,
                        actuation=actuation, sampling=sampling)
+
+
+def priced(summary: CostSummary, sampling_cost) -> CostSummary:
+    """``summary`` with each transmission charged ``sampling_cost``.
+
+    A policy's long-run law does not depend on the charge, which enters its
+    cost only as ``sampling_cost * rate``.  The float operations are
+    ``_summarize``'s, so the result equals, bit for bit, an evaluation at that
+    charge.
+    """
+    sampling = float(sampling_cost * summary.sampling_rate)
+    return CostSummary(average_cost=summary.inherent + summary.actuation + sampling,
+                       sampling_rate=summary.sampling_rate, inherent=summary.inherent,
+                       actuation=summary.actuation, sampling=sampling)
 
 
 def evaluate_state_policy(model: DecPomdpModel, sampling: SamplingPolicy,
@@ -417,6 +442,14 @@ class Family:
     ``baseline`` names the family's ``compare.csv`` row, its best cost over its
     grid (None: no row); a ``classic`` row appears only with
     ``--include-classic``.
+
+    ``by_cost`` is set exactly for a family whose sampling policy depends on
+    the sampling cost: ``by_cost(model, costs, decision, state_values)`` gives
+    its policy at each of a list of costs, the model's success probability
+    fixed, and the family takes no parameter.  Every other family's policies,
+    and so their long-run laws, do not depend on the cost, so ``compare``
+    evaluates them once per success probability and re-prices the summaries
+    at each cost (``priced``).
     """
 
     rule: Callable
@@ -426,6 +459,7 @@ class Family:
     default: int = None
     baseline: str = None
     classic: bool = False
+    by_cost: Callable = None
 
 
 # Table order is the order of the baseline rows in ``compare.csv``.  The entries
@@ -444,7 +478,9 @@ FAMILIES = {
         evaluate=lambda model, params, decision, start, values: [evaluate_state_policy(
             model, mse_optimal_policy(model, decision, values), decision, start)
             for _ in params],
-        baseline="mse-optimal"),
+        baseline="mse-optimal",
+        by_cost=lambda model, costs, decision, values: mse_optimal_policy(
+            model, decision, values, sampling_costs=costs)),
     "uniform": Family(
         rule=lambda model, period, decision, values: UniformRule(period),
         evaluate=lambda model, periods, decision, start, values: evaluate_uniform_periods(

@@ -54,6 +54,20 @@ solver's epsilon, and the anchor's own cell reuses the anchor's report.  A
 skipped candidate is worse than the cell's optimum, so the winner and every
 exact tie are still solved, with the same arithmetic: every CSV is the same
 as without the anchor.
+
+A grid study also computes once what several of its cells share, and keeps
+it for that one call: jesp's seed and the greedy decision table, which read
+no channel and no sampling charge, once per grid, before any cell forks; and
+once per success probability (a grid row), the baselines' long-run laws.  A
+policy's law depends on the success probability only, and the sampling cost
+CS enters its cost as CS times its transmission rate, so ``compare`` re-prices
+one evaluation at each cell's CS (``benchmarks.priced``), bit for bit what an
+evaluation at that CS gives.  The baseline whose policy itself depends on CS
+(``Family.by_cost``, the MSE-optimal sampler) has the sampler MDPs of a whole
+row solved as one policy-iteration batch.  A shared computation that raised
+a ``GoalTensorError`` raises it again in every cell that uses it, where the
+cell would have raised computing it, so the same cells fail with the same
+messages.
 """
 
 from __future__ import annotations
@@ -67,7 +81,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
-from .benchmarks import FAMILIES, ReplicaForm, evaluate_state_policy
+from .benchmarks import FAMILIES, ReplicaForm, evaluate_state_policy, priced
 from .errors import GoalTensorError, ParameterError
 from .model import DecisionRows, DecPomdpModel
 from .tensor import DecisionPolicy
@@ -451,15 +465,38 @@ def _cell_scenarios(scenario, grid):
                 p_success).with_sampling_cost(sampling_cost)
 
 
+def _attempt(compute):
+    """``(True, compute())``, or ``(False, error)`` where it raised a ``GoalTensorError``."""
+    try:
+        return True, compute()
+    except GoalTensorError as exc:
+        return False, exc
+
+
+def _unwrap(outcome):
+    """An ``_attempt``'s result, or the error it caught, raised again here."""
+    ok, result = outcome
+    if not ok:
+        raise result.with_traceback(None)
+    return result
+
+
+def _kept(shared, key, compute):
+    """``compute()``, run on the first use of ``key`` only and kept in the dict
+    ``shared`` with the ``GoalTensorError`` it raised, if any: every use
+    returns the result or raises that error again."""
+    if key not in shared:
+        shared[key] = _attempt(compute)
+    return _unwrap(shared[key])
+
+
 def _cell_outcome(cell_rows, cell):
     """``(True, rows)`` of one grid cell, or ``(False, message)`` where
     ``cell_rows`` raised a ``GoalTensorError``: a message crosses from a
     worker process where not every error class would unpickle."""
     p_success, sampling_cost, scenario = cell
-    try:
-        return True, cell_rows(p_success, sampling_cost, scenario)
-    except GoalTensorError as exc:
-        return False, str(exc)
+    ok, result = _attempt(lambda: cell_rows(p_success, sampling_cost, scenario))
+    return ok, result if ok else str(result)
 
 
 def _grid(scenario, cell_rows, forked):
@@ -518,7 +555,7 @@ def brute_anchor(scenario):
     return Anchor(p_success, sampling_cost, report)
 
 
-def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
+def solve_cell(cell, algorithm, anchor=None, floor=-np.inf, initial_decision=None):
     """Run the scenario's configured solver on one scenario or grid cell.
 
     The one place that turns ``cell.solver`` into solver arguments: epsilon,
@@ -526,7 +563,8 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
     ``algorithm`` is ``"brute"`` (``brute_force_joint``), ``"jesp"``, or
     ``"rvi-fixed-decision"``: the sampler's best response to the greedy
     decision policy (``solve_sampler_for_decision``), reported with 0
-    iterations and residual 0.0.
+    iterations and residual 0.0.  jesp starts from ``initial_decision``, the
+    cell's ``heuristic_initial_decision``, computed here when not given.
 
     Brute force given the grid's ``anchor`` (``brute_anchor``) returns the
     anchor's report on the anchor cell, and elsewhere skips every candidate
@@ -535,8 +573,8 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
     best gain solved so far.  The winner and its report are the same as
     without the anchor.
     """
-    from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy, jesp,
-                          solve_sampler_for_decision)
+    from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy,
+                          heuristic_initial_decision, jesp, solve_sampler_for_decision)
     solver = cell.solver
     if algorithm == "brute":
         ceiling = None
@@ -549,10 +587,12 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
                                  max_sweeps=solver.max_pi_rounds,
                                  start_state=cell.start_state, ceiling=ceiling, floor=floor)
     if algorithm == "jesp":
-        return jesp(cell.model, epsilon=solver.epsilon, step_schedule=solver.step_schedule,
-                    restarts=solver.restarts, seed=solver.seed,
-                    max_rounds=solver.max_jesp_rounds, pi_rounds=solver.max_pi_rounds,
-                    start_state=cell.start_state)
+        if initial_decision is None:
+            initial_decision = heuristic_initial_decision(cell.model, epsilon=solver.epsilon)
+        return jesp(cell.model, initial_decision=initial_decision, epsilon=solver.epsilon,
+                    step_schedule=solver.step_schedule, restarts=solver.restarts,
+                    seed=solver.seed, max_rounds=solver.max_jesp_rounds,
+                    pi_rounds=solver.max_pi_rounds, start_state=cell.start_state)
     if algorithm == "rvi-fixed-decision":
         decision = greedy_decision_policy(cell.model)
         sampling, gain, _ = solve_sampler_for_decision(
@@ -564,6 +604,21 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf):
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 
+def _grid_seed(scenario):
+    """jesp's seed for every cell of the grid (``heuristic_initial_decision``),
+    ``_attempt``ed: it reads the source, the context and the action costs,
+    which no cell changes."""
+    from .solvers import heuristic_initial_decision
+    return _attempt(lambda: heuristic_initial_decision(scenario.model,
+                                                       epsilon=scenario.solver.epsilon))
+
+
+# Baselines whose pairs (a stationary sampling policy of the global state with
+# the greedy decision table) brute force's greedy candidate weakly beats from
+# the start state, so their best reward is a floor for brute force.
+FLOOR_FAMILIES = ("aoii", "mse")
+
+
 def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
@@ -572,27 +627,72 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     rows are the solver's value, then each ``FAMILIES`` baseline
     (``include_classic`` adds the classic ones) evaluated exactly at its best
     parameter over the cell's sweep grid; its decomp row is the exact cost
-    split of the solved pair.  With ``algorithm="brute"`` the grid's anchor
-    (``brute_anchor``) is solved first, here, and each cell's brute force
-    skips what the anchor's gains prove worse than the best gain it has
-    solved so far.
+    split of the solved pair.
+
+    Work that several cells share is done once and kept for this call only.
+    Once per grid: the greedy decision table, and jesp's seed.  Once per
+    success probability (a row of the grid): each baseline family whose
+    policies do not depend on the sampling cost (``Family.by_cost`` is None)
+    is evaluated and re-priced at each cell's cost (``benchmarks.priced``,
+    bit for bit an evaluation at that cost); the other families' policies
+    for every cost of the row are solved in one batch (``by_cost``), falling
+    back to one solve per cell when the batch fails; and each distinct
+    (sampling policy, decision policy) pair is evaluated once and re-priced.
+    A shared computation that raised a ``GoalTensorError`` raises it again in
+    every cell that uses it, where that cell would have raised it.
+
+    With ``algorithm="brute"`` the grid's anchor (``brute_anchor``) is solved
+    first, here, and each cell's brute force skips what the anchor's gains
+    prove worse than the incumbent: the best gain solved so far, or the best
+    of the ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the
+    cell succeeded.
     """
     from .solvers import greedy_decision_policy
     anchor = brute_anchor(scenario) if algorithm == "brute" else None
+    seed = _grid_seed(scenario) if algorithm == "jesp" else (True, None)
+    greedy = _attempt(lambda: greedy_decision_policy(scenario.model))
+    families = [(name, family) for name, family in FAMILIES.items()
+                if family.baseline and (include_classic or not family.classic)]
+    row_costs = list(dict.fromkeys(scenario.grid.sampling_costs))
+    shared = {}
+
+    def pair_cost(cell, sampling, decision):
+        model = cell.model
+        key = ("pair", model.channel.success_prob, sampling.decisions.tobytes(),
+               decision.actions.tobytes())
+        law = _kept(shared, key, lambda: evaluate_state_policy(model, sampling, decision,
+                                                               cell.start_state))
+        return priced(law, model.cost.sampling_cost)
+
+    def baseline_cost(name, family, cell):
+        model, values = cell.model, cell.state_values
+        p_success, sampling_cost = model.channel.success_prob, model.cost.sampling_cost
+        decision = _unwrap(greedy)
+        if family.by_cost is None:
+            params = family.grid(cell.sweep) if family.grid else [None]
+            summaries = _kept(shared, (name, p_success), lambda: family.evaluate(
+                model, params, decision, cell.start_state, values))
+            return min(priced(summary, sampling_cost).average_cost for summary in summaries)
+        try:
+            policies = _kept(shared, (name, p_success), lambda: dict(zip(
+                row_costs, family.by_cost(model, row_costs, decision, values))))
+            policy = policies[sampling_cost]
+        except GoalTensorError:
+            # the row's batch failed: the cell's own solve raises the cell's own error
+            policy = family.by_cost(model, [sampling_cost], decision, values)[0]
+        return pair_cost(cell, policy, decision).average_cost
 
     def cell_rows(p_success, sampling_cost, cell):
-        model, start = cell.model, cell.start_state
-        report = solve_cell(cell, algorithm, anchor)
-        split = evaluate_state_policy(model, report.sampling_policy,
-                                      report.decision_policy, start)
-        greedy = greedy_decision_policy(model)
+        baselines = [(name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
+                     for name, family in families]
+        floor = -np.inf
+        if algorithm == "brute" and all(ok for _, _, (ok, _) in baselines):
+            floor = max((-cost for name, _, (_, cost) in baselines if name in FLOOR_FAMILIES),
+                        default=-np.inf)
+        report = solve_cell(cell, algorithm, anchor, floor, _unwrap(seed))
+        split = pair_cost(cell, report.sampling_policy, report.decision_policy)
         costs = [("got-codesign", report.average_cost)]
-        for family in FAMILIES.values():
-            if family.baseline and (include_classic or not family.classic):
-                params = family.grid(cell.sweep) if family.grid else [None]
-                costs.append((family.baseline, min(
-                    summary.average_cost for summary in family.evaluate(
-                        model, params, greedy, start, cell.state_values))))
+        costs += [(label, _unwrap(outcome)) for _, label, outcome in baselines]
         return ([{"pS": p_success, "CS": sampling_cost, "policy": policy, "cost": cost}
                  for policy, cost in costs],
                 {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
@@ -605,17 +705,19 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
 def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units.
 
-    Brute force and jesp each solve every cell once.  The grid's anchor
-    (``brute_anchor``) is solved first, here, and in each cell jesp runs
-    before brute force, whose candidates the anchor's gains prove worse than
-    jesp's reward, or than the best gain solved so far, are skipped.
-    Returns ``(gap rows, failed cells)``, failures as in ``_grid``.
+    Brute force and jesp each solve every cell once.  jesp's seed and the
+    grid's anchor (``brute_anchor``) are computed first, here, before the
+    cells fork; in each cell jesp runs before brute force, whose candidates
+    the anchor's gains prove worse than jesp's reward, or than the best gain
+    solved so far, are skipped.  Returns ``(gap rows, failed cells)``,
+    failures as in ``_grid``.
     """
     anchor = brute_anchor(scenario)
+    seed = _grid_seed(scenario)
 
     def cell_row(p_success, sampling_cost, cell):
         try:
-            je = solve_cell(cell, "jesp")
+            je = solve_cell(cell, "jesp", initial_decision=_unwrap(seed))
         except GoalTensorError:
             # brute force ran first once: where it fails too, its error is the one named
             solve_cell(cell, "brute", anchor)

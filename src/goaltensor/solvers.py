@@ -18,8 +18,8 @@ fast route use it:
   candidate's gain, such as its gain in a grid cell that dominates this one,
   it skips every candidate the bound proves worse than the incumbent;
 * alternating best-response search between the two agents, seeded from a
-  perfect-estimate heuristic, which converges to a Nash pair (its sampler
-  step is the best response above).
+  perfect-estimate heuristic that the caller computes, which converges to a
+  Nash pair (its sampler step is the best response above).
 
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
@@ -965,17 +965,20 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
                        diagnostics={"theta_trace": theta_trace})
 
 
-def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
-         restarts=0, seed=0, max_rounds=MAX_JESP_ROUNDS,
+def jesp(model: DecPomdpModel, initial_decision: DecisionPolicy, epsilon=DEFAULT_EPSILON,
+         step_schedule=None, restarts=0, seed=0, max_rounds=MAX_JESP_ROUNDS,
          pi_rounds=MAX_PI_ROUNDS, start_state=0) -> SolveReport:
     """Alternating best-response search for a Nash policy pair.
 
-    The decision policy is seeded from the perfect-estimate heuristic, then the
-    sampler (policy-iteration best response, ``solve_sampler_for_decision``)
-    and the actuator (soft policy iteration) alternate until the average reward
-    stabilizes; ``pi_rounds`` caps the rounds of both.  Optional restarts rerun the
-    loop from uniformly random decision policies and keep the best outcome;
-    per-restart results land in the diagnostics.
+    The search starts from ``initial_decision``, the seed decision policy
+    (``heuristic_initial_decision``, which depends on the source, the context
+    and the action costs only, so a grid study computes it once for all its
+    cells), then the sampler (policy-iteration best response,
+    ``solve_sampler_for_decision``) and the actuator (soft policy iteration)
+    alternate until the average reward stabilizes; ``pi_rounds`` caps the
+    rounds of both.  Optional restarts rerun the loop from uniformly random
+    decision policies and keep the best outcome; per-restart results land in
+    the diagnostics.
 
     A round whose decision policy an earlier round of the same search started
     from is counted, not run: both steps are pure functions of that policy, so
@@ -998,7 +1001,7 @@ def jesp(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, step_schedule=None,
     best = None
     for attempt in range(restarts + 1):
         if attempt == 0:
-            start = heuristic_initial_decision(model, epsilon=epsilon)
+            start = initial_decision
         else:
             start = DecisionPolicy(rng.integers(0, n_actions, size=n_states))
         try:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from goaltensor.scenario import default_scenario
-from goaltensor.solvers import CORES, brute_force_joint, jesp, pool_map
+from goaltensor.solvers import (CORES, brute_force_joint, heuristic_initial_decision, jesp,
+                                pool_map)
 from goaltensor.tensor import CostModel, DecisionPolicy
 
 
@@ -46,7 +47,7 @@ def grid_solutions():
     them."""
     def solve(cell):
         model = default_scenario(*cell).model
-        return brute_force_joint(model), jesp(model)
+        return brute_force_joint(model), jesp(model, heuristic_initial_decision(model))
 
     cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
     return {cell: (default_scenario(*cell), bf, je)

@@ -830,6 +830,45 @@ def decomposition_grid(scenario, algorithm="jesp"):
     return rows
 
 
+def compare_cell_by_cell(scenario, algorithm="jesp", include_classic=False):
+    """``harness.compare_policies`` computing every cell's work in that cell:
+    the solve (jesp's seed with it, no brute-force anchor or floor), the
+    greedy decision table, each baseline family's exact costs at the cell's
+    sampling cost, and the solved pair's cost split.  Returns the same
+    ``(compare rows, decomp rows, failed cells)``; a cell that raises a
+    ``GoalTensorError`` is failed with its message, as in ``harness._grid``.
+    """
+    from goaltensor.benchmarks import FAMILIES, evaluate_state_policy
+    from goaltensor.errors import GoalTensorError
+    from goaltensor.harness import solve_cell
+    from goaltensor.solvers import greedy_decision_policy
+    rows, splits, failed = [], [], []
+    for p_success in scenario.grid.success_probs:
+        for sampling_cost in scenario.grid.sampling_costs:
+            cell = scenario.with_channel(p_success).with_sampling_cost(sampling_cost)
+            model, start = cell.model, cell.start_state
+            try:
+                report = solve_cell(cell, algorithm)
+                split = evaluate_state_policy(model, report.sampling_policy,
+                                              report.decision_policy, start)
+                greedy = greedy_decision_policy(model)
+                costs = [("got-codesign", report.average_cost)]
+                for family in FAMILIES.values():
+                    if family.baseline and (include_classic or not family.classic):
+                        params = family.grid(cell.sweep) if family.grid else [None]
+                        costs.append((family.baseline, min(
+                            summary.average_cost for summary in family.evaluate(
+                                model, params, greedy, start, cell.state_values))))
+            except GoalTensorError as exc:
+                failed.append((p_success, sampling_cost, str(exc)))
+                continue
+            rows += [{"pS": p_success, "CS": sampling_cost, "policy": policy, "cost": cost}
+                     for policy, cost in costs]
+            splits.append({"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
+                           "actuation": split.actuation, "inherent": split.inherent})
+    return rows, splits, failed
+
+
 def simulate_records(model: DecPomdpModel, rule, decision, horizon, seed,
                      record_trace=True, initial=(0, 0, 0), state_values=None,
                      batches=BATCHES):

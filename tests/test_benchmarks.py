@@ -3,16 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from goaltensor import benchmarks
 from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    StatePolicyRule, UniformRule, aoii_optimal_policy,
                                    evaluate_age_threshold, evaluate_change_aware,
                                    evaluate_state_policy, evaluate_uniform,
-                                   evaluate_uniform_periods, mse_optimal_policy)
+                                   evaluate_uniform_periods, mse_optimal_policy, priced)
 from goaltensor.errors import NonConvergenceError, ParameterError
-from goaltensor.harness import simulate_closed_loop, solve_cell, sweep_rate_vs_cost
+from goaltensor.harness import (_cell_scenarios, simulate_closed_loop, solve_cell,
+                                sweep_rate_vs_cost)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics)
-from goaltensor.solvers import greedy_decision_policy
+from goaltensor.scenario import GridConfig
+from goaltensor.solvers import flatten_sampling, greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (age_threshold_by_augmented_chain, mse_sampler_by_rvi, policy_chain,
@@ -456,3 +459,89 @@ def test_age_delivery_cycles_match_augmented_chain_when_multichain(success_prob)
             _assert_same_summary(got, want[start])
             costs.append(got.average_cost)
         assert max(costs) - min(costs) > 1e-3
+
+
+# --- work shared across a grid row: re-priced laws, batched MSE samplers -------
+
+
+def _sharing_scenario(shipped, case):
+    """The bundled scenario, or a random model on a grid with pS = 0 and
+    unsorted, repeated sampling costs."""
+    if case == "bundled":
+        return shipped
+    rng = np.random.default_rng(500 + case)
+    model = random_model(rng, n_states=3, n_contexts=int(rng.integers(1, 3)),
+                         n_actions=int(rng.integers(2, 5)))
+    return replace(shipped, model=model, state_values=np.arange(3.0),
+                   grid=GridConfig(success_probs=(0.0, 0.45, 1.0),
+                                   sampling_costs=(2.5, 0.0, 40.0, 0.3, 2.5)))
+
+
+def _grid_rows(scenario):
+    """The grid's cell scenarios, one list per success probability."""
+    rows = {}
+    for p_success, _, cell in _cell_scenarios(scenario, scenario.grid):
+        rows.setdefault(p_success, []).append(cell)
+    return list(rows.values())
+
+
+SHARING_CASES = ["bundled", 0, 1, 2]
+
+
+@pytest.mark.parametrize("case", SHARING_CASES)
+def test_priced_summaries_equal_an_evaluation_at_each_cost(shipped, case):
+    scenario = _sharing_scenario(shipped, case)
+    rng = np.random.default_rng(7)
+    n, v = scenario.model.alphabets.n_states, scenario.model.alphabets.n_contexts
+    for cells in _grid_rows(scenario):
+        first, start, values = cells[0], scenario.start_state, scenario.state_values
+        greedy = greedy_decision_policy(first.model)
+        pairs = [(SamplingPolicy(rng.integers(0, 2, size=(n, n, v))), greedy),
+                 (mse_optimal_policy(cells[-1].model, greedy, values), greedy)]
+        for cell in cells:
+            model, cost = cell.model, cell.model.cost.sampling_cost
+            for name, family in FAMILIES.items():
+                if family.by_cost is None:
+                    params = family.grid(cell.sweep) if family.grid else [None]
+                    laws = family.evaluate(first.model, params, greedy, start, values)
+                    want = family.evaluate(model, params, greedy, start, values)
+                    assert repr([priced(law, cost) for law in laws]) == repr(want), name
+            for sampling, decision in pairs:
+                law = evaluate_state_policy(first.model, sampling, decision, start)
+                want = evaluate_state_policy(model, sampling, decision, start)
+                assert repr(priced(law, cost)) == repr(want)
+
+
+@pytest.mark.parametrize("case", SHARING_CASES)
+def test_batched_mse_row_equals_one_solve_per_cost(monkeypatch, shipped, case):
+    scenario = _sharing_scenario(shipped, case)
+    rounds, real = [], benchmarks._policy_iteration_batch
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rounds.append(result[3].tolist())
+        return result
+
+    for cells in _grid_rows(scenario):
+        model, values = cells[0].model, scenario.state_values
+        greedy = greedy_decision_policy(model)
+        costs = [cell.model.cost.sampling_cost for cell in cells]
+        with monkeypatch.context() as patch:
+            patch.setattr(benchmarks, "_policy_iteration_batch", spy)
+            batch = mse_optimal_policy(model, greedy, values, sampling_costs=costs)
+        assert len(batch) == len(costs)
+        for cell, policy in zip(cells, batch):
+            alone = mse_optimal_policy(cell.model, greedy, values)
+            np.testing.assert_array_equal(flatten_sampling(policy), flatten_sampling(alone))
+    assert len(rounds) == len(scenario.grid.success_probs)
+    if case == "bundled":
+        # each row has members that stop after different numbers of
+        # policy-iteration rounds (2 to 5)
+        assert all(len(set(members)) > 1 for members in rounds)
+
+
+def test_batched_mse_failure_names_the_mdp(monkeypatch, shipped):
+    monkeypatch.setattr(benchmarks, "MAX_PI_ROUNDS", 1)
+    with pytest.raises(NonConvergenceError) as info:
+        mse_optimal_policy(shipped.model, sampling_costs=[0.0, 2.0, 10.0])
+    assert str(info.value).startswith("squared-error sampler MDP still changing policy")

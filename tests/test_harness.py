@@ -10,7 +10,7 @@ import pytest
 from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, StatePolicyRule, UniformRule,
                                    aoii_optimal_policy)
 from goaltensor import harness, solvers
-from goaltensor.errors import ParameterError
+from goaltensor.errors import NonConvergenceError, ParameterError
 from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_HEADER, _standard_error,
                                 optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
@@ -22,8 +22,8 @@ from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 from conftest import assert_no_child_process
-from oracles import (analyze_chain, policy_chain, random_model, simulate_records,
-                     sweep_one_by_one, write_records_csv)
+from oracles import (analyze_chain, compare_cell_by_cell, policy_chain, random_model,
+                     simulate_records, sweep_one_by_one, write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -815,3 +815,205 @@ def test_brute_grid_solves_its_anchor_here_and_the_cells_in_workers(monkeypatch,
     # the cells' solves ran in the forked workers, which inherited the anchor
     assert calls == [(os.getpid(), 0.6, 0.0, True)]
     assert_no_child_process()
+
+
+# ---------------------------------------------------------------------------
+# work that the cells of a grid study share, computed once per grid or row
+
+
+def _small_grid(scenario, success_probs=(0.2, 0.6, 1.0), sampling_costs=(0.0, 4.0)):
+    return replace(scenario, grid=GridConfig(success_probs=success_probs,
+                                             sampling_costs=sampling_costs))
+
+
+def _random_grid(shipped, seed):
+    rng = np.random.default_rng(600 + seed)
+    model = random_model(rng, n_states=3, n_contexts=int(rng.integers(1, 3)),
+                         n_actions=int(rng.integers(2, 5)))
+    return replace(shipped, model=model, state_values=np.arange(3.0),
+                   grid=GridConfig(success_probs=(0.45, 0.0, 1.0),
+                                   sampling_costs=(2.5, 0.0, 40.0, 2.5)))
+
+
+@pytest.mark.parametrize("study", [
+    ("bundled", "jesp", True), ("bundled", "jesp", False), ("bundled-small", "brute", True),
+    (0, "jesp", True), (1, "jesp", True), (2, "brute", True)],
+    ids=["bundled-jesp", "bundled-jesp-no-classic", "bundled-brute", "random-0-jesp",
+         "random-1-jesp", "random-2-brute"])
+def test_compare_equals_the_cell_by_cell_oracle(monkeypatch, shipped, study):
+    case, algorithm, include_classic = study
+    monkeypatch.setattr(solvers, "CORES", 1)
+    scenario = {"bundled": shipped, "bundled-small": _small_grid(shipped)}.get(case)
+    if scenario is None:
+        scenario = _random_grid(shipped, case)
+    got = compare_policies(scenario, algorithm=algorithm, include_classic=include_classic)
+    assert got[2] == [] and got[0]
+    assert repr(got) == repr(compare_cell_by_cell(scenario, algorithm, include_classic))
+
+
+def _count_calls(monkeypatch, module, name, record):
+    """Patch ``module.name`` (and every harness binding of it) with a spy that
+    appends ``record(*args, **kwargs)`` to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    if getattr(harness, name, None) is real:
+        monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+def test_compare_computes_shared_work_once_per_grid_and_row(monkeypatch, shipped):
+    from goaltensor import benchmarks
+    monkeypatch.setattr(solvers, "CORES", 1)        # the spies count in this process
+    p_of = lambda model, *args, **kwargs: model.channel.success_prob    # noqa: E731
+    seeds = _count_calls(monkeypatch, solvers, "heuristic_initial_decision", p_of)
+    greedy = _count_calls(monkeypatch, solvers, "greedy_decision_policy", p_of)
+    uniform = _count_calls(monkeypatch, benchmarks, "evaluate_uniform_periods", p_of)
+    change = _count_calls(monkeypatch, benchmarks, "evaluate_change_aware", p_of)
+    pairs = _count_calls(
+        monkeypatch, benchmarks, "evaluate_state_policy",
+        lambda model, sampling, decision, start=0: (
+            model.channel.success_prob, sampling.decisions.tobytes(),
+            decision.actions.tobytes()))
+    mse = _count_calls(
+        monkeypatch, benchmarks, "mse_optimal_policy",
+        lambda model, *args, sampling_costs=None, **kwargs: (
+            model.channel.success_prob, sampling_costs))
+    rows, splits, failed = compare_policies(shipped, algorithm="jesp", include_classic=True)
+    assert len(rows) == 30 * 5 and failed == []
+    ps, cs = shipped.grid.success_probs, list(shipped.grid.sampling_costs)
+    assert len(seeds) == 1 and len(greedy) == 1
+    # each CS-free baseline once per pS row, the MSE samplers in one batch per row
+    assert uniform == list(ps) and change == list(ps)
+    assert mse == [(p, cs) for p in ps]
+    # each (pS, sampling policy, decision policy) law once: aoii-optimal's,
+    # mse-optimal's distinct policies, and the distinct solved pairs
+    assert len(pairs) == len(set(pairs))
+    aoii = (aoii_optimal_policy(shipped.model).decisions.tobytes(),
+            greedy_decision_policy(shipped.model).actions.tobytes())
+    assert [p for p, *pair in pairs if tuple(pair) == aoii] == list(ps)
+    assert len(pairs) < 30 * 3
+    # gap computes jesp's seed once, too
+    seeds.clear()
+    rows, failed = optimality_gap(_small_grid(shipped))
+    assert len(rows) == 6 and failed == [] and len(seeds) == 1
+
+
+def _file_spy(monkeypatch, module, name, path):
+    """Patch ``module.name`` with a spy that appends its process id to ``path``,
+    which forked workers share."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_forked_cells_inherit_the_grid_wide_work(monkeypatch, shipped, three_workers, tmp_path):
+    _file_spy(monkeypatch, solvers, "greedy_decision_policy", tmp_path / "greedy")
+    _file_spy(monkeypatch, solvers, "heuristic_initial_decision", tmp_path / "seed")
+    scenario = _small_grid(shipped, sampling_costs=(0.0, 2.0, 4.0))
+    rows, splits, failed = compare_policies(scenario, algorithm="brute")
+    assert len(splits) == 9 and failed == []
+    assert (tmp_path / "greedy").read_text() == f"{os.getpid()}\n"
+    rows, failed = optimality_gap(scenario)
+    assert len(rows) == 9 and failed == []
+    assert (tmp_path / "seed").read_text() == f"{os.getpid()}\n"
+    assert_no_child_process()
+
+
+def _failing_at(real, message, fails):
+    def patched(model, *args, **kwargs):
+        if fails(model, *args, **kwargs):
+            raise NonConvergenceError(message)
+        return real(model, *args, **kwargs)
+    return patched
+
+
+@pytest.mark.parametrize("algorithm", ["jesp", "brute"])
+def test_a_baseline_failing_at_one_success_probability_fails_that_row(monkeypatch, shipped,
+                                                                     algorithm):
+    from goaltensor import benchmarks
+    monkeypatch.setattr(solvers, "CORES", 1)
+    scenario = _small_grid(shipped)
+    whole = compare_policies(scenario, algorithm=algorithm, include_classic=True)
+    message = "change-aware chain did not settle"
+    monkeypatch.setattr(benchmarks, "evaluate_change_aware", _failing_at(
+        benchmarks.evaluate_change_aware, message,
+        lambda model, *args: model.channel.success_prob == 0.6))
+    rows, splits, failed = compare_policies(scenario, algorithm=algorithm, include_classic=True)
+    assert failed == [(0.6, 0.0, message), (0.6, 4.0, message)]
+    assert rows == [row for row in whole[0] if row["pS"] != 0.6]
+    assert splits == [split for split in whole[1] if split["pS"] != 0.6]
+    assert repr((rows, splits, failed)) == repr(
+        compare_cell_by_cell(scenario, algorithm, include_classic=True))
+
+
+def test_a_failed_mse_batch_falls_back_to_each_cells_own_solve(monkeypatch, shipped):
+    from goaltensor import benchmarks
+    monkeypatch.setattr(solvers, "CORES", 1)
+    scenario = _small_grid(shipped, sampling_costs=(0.0, 4.0, 10.0))
+    whole = compare_policies(scenario)
+    # the batch of every row holds CS = 4, whose solve alone fails too
+    message = "squared-error sampler MDP still changing policy after 1 policy-iteration rounds"
+    real = benchmarks.mse_optimal_policy
+    monkeypatch.setattr(benchmarks, "mse_optimal_policy", _failing_at(
+        real, message, lambda model, *args, sampling_costs=None: 4.0 in (
+            sampling_costs or [model.cost.sampling_cost])))
+    rows, splits, failed = compare_policies(scenario)
+    assert failed == [(p, 4.0, message) for p in (0.2, 0.6, 1.0)]
+    assert rows == [row for row in whole[0] if row["CS"] != 4.0]
+    assert repr((rows, splits, failed)) == repr(compare_cell_by_cell(scenario))
+
+
+def test_a_failed_seed_fails_every_jesp_cell_with_its_message(monkeypatch, shipped):
+    monkeypatch.setattr(solvers, "CORES", 1)
+    scenario = _small_grid(shipped)
+    message = "perfect-estimate actuation MDP still changing policy"
+    monkeypatch.setattr(solvers, "heuristic_initial_decision", _failing_at(
+        solvers.heuristic_initial_decision, message, lambda model, *args, **kwargs: True))
+    cells = [(p, c, message) for p in (0.2, 0.6, 1.0) for c in (0.0, 4.0)]
+    assert compare_policies(scenario) == ([], [], cells) == compare_cell_by_cell(scenario)
+    assert optimality_gap(scenario) == ([], cells)
+    # brute force needs no seed
+    assert compare_policies(scenario, algorithm="brute")[2] == []
+
+
+def test_compare_brute_floor_is_the_best_stationary_baseline(monkeypatch, shipped):
+    # on the bundled grid: each pruned cell's floor is the better of the
+    # aoii-optimal and mse-optimal rewards, never above brute force's reward,
+    # and it skips candidates without changing a row
+    monkeypatch.setattr(solvers, "CORES", 1)
+    runs = {}
+    for families in (harness.FLOOR_FAMILIES, ()):
+        monkeypatch.setattr(harness, "FLOOR_FAMILIES", families)
+        solves, real = [], solvers.brute_force_joint
+
+        def spy(model, **kwargs):
+            report = real(model, **kwargs)
+            solves.append((kwargs["floor"], report.average_reward,
+                           report.diagnostics["candidates_evaluated"]))
+            return report
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "brute_force_joint", spy)
+            runs[families] = (compare_policies(shipped, algorithm="brute", include_classic=True),
+                              solves)
+    (floored, solves), (unfloored, plain) = runs.values()
+    assert floored == unfloored
+    costs = {(row["pS"], row["CS"], row["policy"]): row["cost"] for row in floored[0]}
+    cells = [(p, c) for p in shipped.grid.success_probs for c in shipped.grid.sampling_costs
+             if (p, c) != (1.0, 0.0)]
+    # solves[0] is the anchor's, in full
+    assert [floor for floor, _, _ in solves[1:]] == [
+        max(-costs[cell + ("aoii-optimal",)], -costs[cell + ("mse-optimal",)]) for cell in cells]
+    assert all(floor <= reward for floor, reward, _ in solves)
+    assert all(floor == -np.inf for floor, _, _ in plain)
+    assert sum(n for _, _, n in solves) < sum(n for _, _, n in plain)

@@ -981,7 +981,8 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     ceiling = brute_force_joint(default_scenario(1.0, 0.0).model).diagnostics["candidate_gains"]
     model = default_scenario(0.6, 4.0).model
     full = brute_force_joint(model)
-    floor = jesp(model).average_reward if floor == "jesp" else floor
+    if floor == "jesp":
+        floor = jesp(model, heuristic_initial_decision(model)).average_reward
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
     report, chunks, batches = _ceiling_run(monkeypatch, model, ceiling, floor)
     diagnostics = report.diagnostics
@@ -1058,7 +1059,7 @@ def test_sampler_best_response_failure_names_the_decision_policy(shipped):
 def test_jesp_restart_outcomes_name_the_failing_best_response(shipped):
     # the heuristic seed is (0, 3, 7); one round cannot settle its best response
     with pytest.raises(NonConvergenceError) as info:
-        jesp(shipped.model, pi_rounds=1)
+        jesp(shipped.model, heuristic_initial_decision(shipped.model), pi_rounds=1)
     assert str(info.value) == (
         "all 1 equilibrium searches failed: [{'start': [0, 3, 7], 'error': 'sampler best "
         "response to decision policy (0, 3, 7) still changing policy after 1 "
@@ -1119,12 +1120,12 @@ def test_brute_force_matches_exhaustive_joint_oracle():
 def test_jesp_matches_brute_force_on_tiny_instance():
     model = tiny_two_state_model()
     bf = brute_force_joint(model)
-    je = jesp(model)
+    je = jesp(model, heuristic_initial_decision(model))
     assert je.average_reward == pytest.approx(bf.average_reward, abs=1e-6)
 
 
 def test_jesp_theta_trace_monotone(shipped):
-    report = jesp(shipped.model)
+    report = jesp(shipped.model, heuristic_initial_decision(shipped.model))
     trace = np.array(report.diagnostics["theta_trace"])
     assert np.all(np.diff(trace) >= -1e-9)
     assert report.converged
@@ -1132,7 +1133,7 @@ def test_jesp_theta_trace_monotone(shipped):
 
 def test_jesp_nash_property(shipped):
     model = shipped.model
-    report = jesp(model)
+    report = jesp(model, heuristic_initial_decision(model))
     # sampler side: a fresh best response cannot improve the value
     _, gain, _ = solve_sampler_for_decision(model, report.decision_policy)
     assert gain <= report.average_reward + 1e-6
@@ -1167,7 +1168,7 @@ def test_prohibitive_sampling_cost_converges_to_silent_optimum(shipped):
 
 
 def test_jesp_restarts_recorded(shipped):
-    report = jesp(shipped.model, restarts=2, seed=11)
+    report = jesp(shipped.model, heuristic_initial_decision(shipped.model), restarts=2, seed=11)
     outcomes = report.diagnostics["restart_outcomes"]
     assert len(outcomes) == 3
     assert all("average_reward" in o or "error" in o for o in outcomes)
@@ -1219,12 +1220,14 @@ def test_jesp_matches_every_round_oracle_on_the_bundled_grid(monkeypatch, shippe
             replayed.append(cell)            # round 1 returned the policy it started from
         for max_rounds in (1, 2):
             capped = _jesp_against_oracle(monkeypatch, lambda: jesp(
-                cell.model, max_rounds=max_rounds, start_state=cell.start_state))
+                cell.model, heuristic_initial_decision(cell.model), max_rounds=max_rounds,
+                start_state=cell.start_state))
             assert capped.iterations <= max_rounds
     assert replayed
     # the replay found on the last allowed round is not counted
     for cell in replayed:
-        capped = jesp(cell.model, max_rounds=1, start_state=cell.start_state)
+        capped = jesp(cell.model, heuristic_initial_decision(cell.model), max_rounds=1,
+                      start_state=cell.start_state)
         assert (capped.iterations, capped.converged) == (1, False)
 
 
@@ -1234,8 +1237,9 @@ def test_jesp_matches_every_round_oracle_on_random_models(monkeypatch, seed, max
     rng = np.random.default_rng(100 + seed)
     model = random_model(rng, n_states=int(rng.integers(2, 4)),
                          n_contexts=int(rng.integers(1, 3)), n_actions=int(rng.integers(2, 5)))
-    _jesp_against_oracle(monkeypatch, lambda: jesp(model, restarts=2, seed=seed,
-                                                   max_rounds=max_rounds, start_state=1))
+    _jesp_against_oracle(monkeypatch, lambda: jesp(
+        model, heuristic_initial_decision(model), restarts=2, seed=seed, max_rounds=max_rounds,
+        start_state=1))
 
 
 @pytest.mark.parametrize("seed", range(6))
