@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
 from .model import DecisionRows, DecPomdpModel
-from .solvers import (MAX_PI_ROUNDS, POISSON_TOL, _balance_batch, _policy_iteration_batch,
-                      _renamed, _unichain_batch, chain_law, flatten_sampling, sampling_from_flat)
+from .solvers import (DEFAULT_EPSILON, MAX_PI_ROUNDS, POISSON_TOL, chain_law, flatten_sampling,
+                      sampling_from_flat, solve_mdps)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 
@@ -217,16 +217,16 @@ def aoii_optimal_policy(model: DecPomdpModel) -> SamplingPolicy:
 
 
 def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
-                       state_values=None, epsilon=1e-6, sampling_costs=None):
+                       state_values=None, epsilon=DEFAULT_EPSILON, sampling_costs=None):
     """Sampling policy minimizing long-run squared estimation error plus sampling cost.
 
-    Solved by multichain policy iteration (``solvers._policy_iteration_batch``)
-    on the sampler MDP induced by the (greedy by default) decision policy,
-    with the squared-error reward in place of the goal cost.  Given a list of
+    Solved by multichain policy iteration (``solvers.solve_mdps``) on the
+    sampler MDP induced by the (greedy by default) decision policy, with the
+    squared-error reward in place of the goal cost.  Given a list of
     ``sampling_costs``, returns a list: the policy at each cost in place of
     the model's.  Their MDPs share the kernels and differ only in the charge,
     so they are solved as one batch, each member with the arithmetic it has
-    alone; a ``NonConvergenceError`` names the MDP, not the member.
+    alone.
     """
     from .model import induced_mdp
     from .solvers import greedy_decision_policy
@@ -242,12 +242,8 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
     sq_err = (state_values[xs] - state_values[xhats]) ** 2
     rewards = -np.stack([np.broadcast_to(sq_err, (len(costs), sq_err.size)),
                          sq_err + np.array(costs, dtype=float)[:, None]], axis=2)
-    try:
-        flat, _, _, _, _, _ = _policy_iteration_batch(
-            np.repeat(mdp.transitions[None], len(costs), axis=0), rewards, epsilon,
-            MAX_PI_ROUNDS, initial_action=0)
-    except NonConvergenceError as exc:
-        raise _renamed(exc, "squared-error sampler MDP") from None
+    flat, _, _ = solve_mdps(np.repeat(mdp.transitions[None], len(costs), axis=0), rewards,
+                            epsilon, MAX_PI_ROUNDS, "squared-error sampler MDP")
     policies = [sampling_from_flat(policy, model) for policy in flat]
     return policies[0] if sampling_costs is None else policies
 
@@ -257,20 +253,18 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
 
 
 def _summarize(rows: DecisionRows, mu_states, rate):
-    inherent = float(mu_states @ rows.ramp)
-    actuation = float(mu_states @ rows.spend)
-    sampling = float(rows.model.cost.sampling_cost * rate)
-    return CostSummary(average_cost=inherent + actuation + sampling,
-                       sampling_rate=float(rate), inherent=inherent,
-                       actuation=actuation, sampling=sampling)
+    unpriced = CostSummary(average_cost=np.nan, sampling_rate=float(rate),
+                           inherent=float(mu_states @ rows.ramp),
+                           actuation=float(mu_states @ rows.spend), sampling=np.nan)
+    return priced(unpriced, rows.model.cost.sampling_cost)
 
 
 def priced(summary: CostSummary, sampling_cost) -> CostSummary:
     """``summary`` with each transmission charged ``sampling_cost``.
 
     A policy's long-run law does not depend on the charge, which enters its
-    cost only as ``sampling_cost * rate``.  The float operations are
-    ``_summarize``'s, so the result equals, bit for bit, an evaluation at that
+    cost only as ``sampling_cost * rate``.  Every evaluation prices its
+    summary here, so the result equals, bit for bit, an evaluation at that
     charge.
     """
     sampling = float(sampling_cost * summary.sampling_rate)
@@ -313,11 +307,8 @@ def evaluate_uniform_periods(model: DecPomdpModel, periods, decision: DecisionPo
 
     The distinct periods share one product chain: ``transmit @ idle @ idle
     ...``, multiplied left to right and read off at each period in ascending
-    order, so each map is the product a period alone would build.
-    ``_unichain_batch`` certifies the maps at once and ``_balance_batch``
-    solves the certified maps' balance systems in one batch; a map it cannot
-    certify goes through ``chain_law``, which classifies it and takes the
-    Cesaro row of ``start_state`` when it has several closed classes.
+    order, so each map is the product a period alone would build, and one
+    ``chain_law`` call takes the laws of the stack of maps.
     """
     periods = [_whole("period", period, 1) for period in periods]
     rows = DecisionRows(model, decision.actions)
@@ -331,12 +322,7 @@ def evaluate_uniform_periods(model: DecPomdpModel, periods, decision: DecisionPo
             one_period = one_period @ idle
         maps.append(one_period)
         length = period
-    maps = np.array(maps)
-    certified = _unichain_batch(maps)
-    laws = np.empty(maps.shape[:2])
-    laws[certified] = _balance_batch(maps[certified])
-    for j in np.flatnonzero(~certified):
-        laws[j] = chain_law(maps[j], start_state)       # start at phase 0
+    laws = chain_law(np.array(maps), start_state)       # start at phase 0
     summaries = {}
     for period, law in zip(distinct, laws):
         phase_law = law

@@ -26,8 +26,8 @@ from .harness import (compare_policies, optimality_gap, simulate_closed_loop, so
                       write_gap_csv, write_sweep_csv, write_trace_csv)
 from .scenario import (ALGORITHMS, GridConfig, Scenario, checked_epsilon, checked_grid,
                        load_scenario, scenario_digest)
-from .solvers import SolveReport, flatten_sampling, greedy_decision_policy
-from .tensor import DecisionPolicy, SamplingPolicy
+from .solvers import SolveReport, flatten_sampling, greedy_decision_policy, sampling_from_flat
+from .tensor import DecisionPolicy
 
 
 def _grid_value(value, text) -> float:
@@ -147,8 +147,7 @@ def _load_policy_file(path, scenario: Scenario):
     n, v = alphabets.n_states, alphabets.n_contexts
     decision = _policy_entries(path, doc, "decision", n, alphabets.n_actions)
     flat = _policy_entries(path, doc.get("sampling"), "sampling.decisions", n * n * v, 2)
-    sampling = SamplingPolicy(flat.reshape(v, n, n).transpose(2, 1, 0))
-    return sampling, DecisionPolicy(decision)
+    return sampling_from_flat(flat, scenario.model), DecisionPolicy(decision)
 
 
 def _report_text(report: SolveReport, scenario: Scenario, algorithm) -> str:

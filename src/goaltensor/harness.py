@@ -56,16 +56,17 @@ exact tie are still solved, with the same arithmetic: every CSV is the same
 as without the anchor.
 
 A grid study also computes once what several of its cells share, and keeps
-it for that one call: jesp's seed and the greedy decision table, which read
-no channel and no sampling charge, once per grid, before any cell forks; and
-once per success probability (a grid row), the baselines' long-run laws.  A
-policy's law depends on the success probability only, and the sampling cost
-CS enters its cost as CS times its transmission rate, so ``compare`` re-prices
-one evaluation at each cell's CS (``benchmarks.priced``), bit for bit what an
-evaluation at that CS gives.  The baseline whose policy itself depends on CS
-(``Family.by_cost``, the MSE-optimal sampler) has the sampler MDPs of a whole
-row solved as one policy-iteration batch.  A shared computation that raised
-a ``GoalTensorError`` raises it again in every cell that uses it, where the
+it for that one call, computed before any cell forks: jesp's seed and the
+greedy decision table, which read no channel and no sampling charge, once
+per grid; and once per success probability (a grid row), the baselines'
+long-run laws.  A policy's law depends on the success probability only,
+and the sampling cost CS enters its cost as CS times its transmission rate,
+so ``compare`` re-prices one evaluation at each cell's CS
+(``benchmarks.priced``), bit for bit what an evaluation at that CS gives.
+The baseline whose policy itself depends on CS (``Family.by_cost``, the
+MSE-optimal sampler) has the sampler MDPs of a whole row solved as one
+policy-iteration batch.  A shared computation that raised a
+``GoalTensorError`` raises it again in every cell that uses it, where the
 cell would have raised computing it, so the same cells fail with the same
 messages.
 """
@@ -154,6 +155,11 @@ def _batch_starts(horizon):
 SLOT_CHUNK = 128
 
 
+def _streams(seed):
+    """The (source, context, channel) generators of one seed's run."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
+
+
 def _cumulative_rows(probs):
     flat = np.cumsum(probs, axis=-1)
     flat[..., -1] = 1.0
@@ -178,8 +184,7 @@ def simulate_closed_loop(model: DecPomdpModel, rule, decision: DecisionPolicy,
     # drawn a chunk at a time (a chunk ends with its batch-means group), the
     # channel's as its cursor needs them; a generator drawn in pieces returns
     # the numbers of one draw
-    src_stream, ctx_stream, ch_stream = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    src_stream, ctx_stream, ch_stream = _streams(seed)
     ch_u = []
 
     # the slot's goal cost and next-source row, by flat state s = x + n*xhat + nn*phi
@@ -337,8 +342,7 @@ def simulate_replicas(model: DecPomdpModel, rules, decision: DecisionPolicy, hor
     charge = model.cost.sampling_cost
     replicas = rule_class.Replicas(rules, model, state_of_q, n_seeds)
 
-    streams = [[np.random.default_rng(child)
-                for child in np.random.SeedSequence(seed).spawn(3)] for seed in seeds]
+    streams = [_streams(seed) for seed in seeds]
     # channel outcomes of seeds[j] start at j * horizon and are drawn a chunk
     # at a time, as the other streams are; each replica reads its seed's
     # outcomes through its own cursor, one per transmission, so no cursor
@@ -641,11 +645,12 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     A shared computation that raised a ``GoalTensorError`` raises it again in
     every cell that uses it, where that cell would have raised it.
 
-    With ``algorithm="brute"`` the grid's anchor (``brute_anchor``) is solved
-    first, here, and each cell's brute force skips what the anchor's gains
-    prove worse than the incumbent: the best gain solved so far, or the best
-    of the ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the
-    cell succeeded.
+    With ``algorithm="brute"`` the grid's anchor (``brute_anchor``) and every
+    cell's baselines are computed first, here, before the cells fork, and
+    each cell's brute force skips what the anchor's gains prove worse than the
+    incumbent: the best gain solved so far, or the best of the
+    ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the cell
+    succeeded.
     """
     from .solvers import greedy_decision_policy
     anchor = brute_anchor(scenario) if algorithm == "brute" else None
@@ -698,6 +703,11 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
                 {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
                  "actuation": split.actuation, "inherent": split.inherent})
 
+    if algorithm == "brute":
+        # fill the shared results here, before the cells fork, so every worker inherits them
+        for _, _, cell in _cell_scenarios(scenario, scenario.grid):
+            for name, family in families:
+                _attempt(lambda: baseline_cost(name, family, cell))
     cells, failed = _grid(scenario, cell_rows, forked=algorithm == "brute")
     return [row for rows, _ in cells for row in rows], [split for _, split in cells], failed
 

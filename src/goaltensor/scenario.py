@@ -37,15 +37,16 @@ import numpy as np
 from .errors import ScenarioError
 from .model import (ChannelModel, ContextDynamics, DecPomdpModel, ROW_SUM_TOL,
                     SourceDynamics)
+from .solvers import DEFAULT_EPSILON, MAX_JESP_ROUNDS, MAX_PI_ROUNDS
 from .tensor import Alphabets, CostModel
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str = "jesp"
-    epsilon: float = 1e-6
-    max_pi_rounds: int = 500
-    max_jesp_rounds: int = 100
+    epsilon: float = DEFAULT_EPSILON
+    max_pi_rounds: int = MAX_PI_ROUNDS
+    max_jesp_rounds: int = MAX_JESP_ROUNDS
     step_schedule: object = "harmonic"
     restarts: int = 0
     seed: int = 0
@@ -163,6 +164,11 @@ def _as_step_schedule(value):
     return value
 
 
+def _as_field(doc, config, section, key, **bounds):
+    """The number at ``<section>.<key>``, or the ``config`` class's default."""
+    return _as_number(doc.get(key, getattr(config, key)), f"{section}.{key}", **bounds)
+
+
 def _as_values(doc, section, key, default, **bounds):
     """Non-empty list of numbers at ``<section>.<key>``."""
     raw = doc.get(key, default)
@@ -245,11 +251,9 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
                 gain=_cost_table(_require(cost_doc, "gain", "cost"), a, "cost.gain"),
                 expenditure=_cost_table(_require(cost_doc, "expenditure", "cost"), a,
                                         "cost.expenditure"),
-                gain_weight=_as_number(cost_doc.get("gain_weight", 1.0), "cost.gain_weight"),
-                expenditure_weight=_as_number(cost_doc.get("expenditure_weight", 1.0),
-                                              "cost.expenditure_weight"),
-                sampling_cost=_as_number(cost_doc.get("sampling_cost", 0.0),
-                                         "cost.sampling_cost", minimum=0),
+                gain_weight=_as_field(cost_doc, CostModel, "cost", "gain_weight"),
+                expenditure_weight=_as_field(cost_doc, CostModel, "cost", "expenditure_weight"),
+                sampling_cost=_as_field(cost_doc, CostModel, "cost", "sampling_cost", minimum=0),
             )
             model = DecPomdpModel(alphabets=alphabets, source=SourceDynamics(source),
                                   context=ContextDynamics(context),
@@ -268,31 +272,32 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
 
     solver_doc = _section(doc, "solver")
     solver = SolverConfig(
-        algorithm=_as_algorithm(solver_doc.get("algorithm", "jesp")),
-        epsilon=checked_epsilon(solver_doc.get("epsilon", 1e-6)),
-        max_pi_rounds=_as_number(solver_doc.get("max_pi_rounds", 500),
-                                 "solver.max_pi_rounds", minimum=1, integer=True),
-        max_jesp_rounds=_as_number(solver_doc.get("max_jesp_rounds", 100),
-                                   "solver.max_jesp_rounds", minimum=1, integer=True),
-        step_schedule=_as_step_schedule(solver_doc.get("step_schedule", "harmonic")),
-        restarts=_as_number(solver_doc.get("restarts", 0), "solver.restarts",
-                            minimum=0, integer=True),
-        seed=_as_number(solver_doc.get("seed", 0), "solver.seed", minimum=0, integer=True),
-        budget=_as_number(solver_doc.get("budget", 200_000), "solver.budget",
-                          minimum=1, integer=True),
+        algorithm=_as_algorithm(solver_doc.get("algorithm", SolverConfig.algorithm)),
+        epsilon=checked_epsilon(solver_doc.get("epsilon", SolverConfig.epsilon)),
+        max_pi_rounds=_as_field(solver_doc, SolverConfig, "solver", "max_pi_rounds",
+                                minimum=1, integer=True),
+        max_jesp_rounds=_as_field(solver_doc, SolverConfig, "solver", "max_jesp_rounds",
+                                  minimum=1, integer=True),
+        step_schedule=_as_step_schedule(solver_doc.get("step_schedule",
+                                                       SolverConfig.step_schedule)),
+        restarts=_as_field(solver_doc, SolverConfig, "solver", "restarts", minimum=0,
+                           integer=True),
+        seed=_as_field(solver_doc, SolverConfig, "solver", "seed", minimum=0, integer=True),
+        budget=_as_field(solver_doc, SolverConfig, "solver", "budget", minimum=1, integer=True),
     )
 
     sim_doc = _section(doc, "simulation")
     initial = _section(sim_doc, "initial", "simulation")
     simulation = SimulationConfig(
-        horizon=_as_number(sim_doc.get("horizon", 100_000), "simulation.horizon",
-                           minimum=1, integer=True),
-        seed=_as_number(sim_doc.get("seed", 12345), "simulation.seed", minimum=0,
-                        integer=True),
-        initial=tuple(_as_number(initial.get(key, 0), f"simulation.initial.{key}",
+        horizon=_as_field(sim_doc, SimulationConfig, "simulation", "horizon", minimum=1,
+                          integer=True),
+        seed=_as_field(sim_doc, SimulationConfig, "simulation", "seed", minimum=0,
+                       integer=True),
+        initial=tuple(_as_number(initial.get(key, default), f"simulation.initial.{key}",
                                  minimum=0, maximum=top, integer=True)
-                      for key, top in (("state", n - 1), ("estimate", n - 1),
-                                       ("context", v - 1))),
+                      for key, top, default in zip(("state", "estimate", "context"),
+                                                   (n - 1, n - 1, v - 1),
+                                                   SimulationConfig.initial)),
     )
 
     sweep_doc = _section(doc, "sweep")
@@ -300,9 +305,8 @@ def scenario_from_dict(doc: dict, name="<memory>") -> Scenario:
         uniform_periods=_as_values(sweep_doc, "sweep", "uniform_periods",
                                    SweepConfig.uniform_periods, minimum=1,
                                    maximum=MAX_SWEEP_PARAMETER, integer=True),
-        age_threshold_max=_as_number(sweep_doc.get("age_threshold_max", 50),
-                                     "sweep.age_threshold_max", minimum=0,
-                                     maximum=MAX_SWEEP_PARAMETER, integer=True),
+        age_threshold_max=_as_field(sweep_doc, SweepConfig, "sweep", "age_threshold_max",
+                                    minimum=0, maximum=MAX_SWEEP_PARAMETER, integer=True),
         seeds=_as_values(sweep_doc, "sweep", "seeds", SweepConfig.seeds, minimum=0,
                          integer=True),
     )

@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
                      NonConvergenceError, ParameterError)
-from .model import (DecisionRows, DecPomdpModel, TabularMdp, check_kernel_bytes,
-                    heuristic_mdp, induced_mdp, induced_pomdp)
+from .model import (DecisionRows, DecPomdpModel, check_kernel_bytes, heuristic_mdp, induced_mdp,
+                    induced_pomdp)
 from .tensor import DecisionPolicy, SamplingPolicy
 
 POISSON_TOL = 1e-8
@@ -206,17 +206,23 @@ def stationary_distribution(P) -> np.ndarray:
 
 
 def chain_law(P, start) -> np.ndarray:
-    """Long-run time-average law of a finite chain started in ``start``.
+    """Long-run time-average law of a finite chain started in ``start``, or
+    the law of each chain of a (K, N, N) stack, every one started in ``start``.
 
     The stationary law when the chain has one closed class, whatever the
     start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9).
-    ``_unichain_batch`` is asked first, and the chain is classified only when
-    it cannot certify one closed class.
+    The chains ``_unichain_batch`` certifies are solved in one batch; only
+    the rest are classified, one by one.
     """
     P = np.asarray(P, dtype=float)
-    if _unichain_batch(P[None])[0] or len(closed_classes(P)) == 1:
-        return _balance(P)
-    return cesaro_limit(P)[start]
+    stack = P if P.ndim == 3 else P[None]
+    laws = np.empty(stack.shape[:2])
+    certified = _unichain_batch(stack)
+    laws[certified] = _balance_batch(stack[certified])
+    for j in np.flatnonzero(~certified):
+        chain = stack[j]
+        laws[j] = _balance(chain) if len(closed_classes(chain)) == 1 else cesaro_limit(chain)[start]
+    return laws if P.ndim == 3 else laws[0]
 
 
 def cesaro_limit(P) -> np.ndarray:
@@ -512,21 +518,22 @@ def _renamed(exc: NonConvergenceError, name):
                                residual=exc.residual, iterations=exc.iterations)
 
 
-def _solve_mdp(mdp: TabularMdp, epsilon, max_rounds, name):
-    """Optimal policy, gain vector and bias vector of one MDP by policy iteration.
+def solve_mdps(transitions, rewards, epsilon, max_rounds, name):
+    """Optimal policies, gain vectors and bias vectors of a batch of MDPs,
+    transitions (K, A, N, N) and rewards (K, N, A), by policy iteration.
 
     Starts from action 0 (idling, on a sampler MDP) and keeps the incumbent
     action on ties, so a state whose actions tie keeps the lowest one unless
     an improvement moved it earlier: a sampler does not transmit where
-    transmitting buys nothing.  A ``NonConvergenceError`` names the MDP as
-    ``name``.
+    transmitting buys nothing.  A ``NonConvergenceError`` names the failing
+    MDP as ``name``.
     """
     try:
-        policy, gains, biases, _, _, _ = _policy_iteration_batch(
-            mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds, initial_action=0)
+        policies, gains, biases, _, _, _ = _policy_iteration_batch(
+            transitions, rewards, epsilon, max_rounds, initial_action=0)
     except NonConvergenceError as exc:
         raise _renamed(exc, name) from None
-    return policy[0], gains[0], biases[0]
+    return policies, gains, biases
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +570,14 @@ def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
     """Best-response sampling policy for a fixed decision policy.
 
     Solves the induced sampler MDP by multichain policy iteration (see
-    ``_solve_mdp``), ``max_sweeps`` capping its rounds as in
+    ``solve_mdps``), ``max_sweeps`` capping its rounds as in
     ``brute_force_joint``.  Returns the policy, its optimal gain from
     ``start_state`` (the rule ``brute_force_joint`` and ``jesp`` score by),
     and the bias vector.
     """
-    flat, gains, bias = _solve_mdp(
-        induced_mdp(model, decision), epsilon, max_sweeps,
+    mdp = induced_mdp(model, decision)
+    (flat,), (gains,), (bias,) = solve_mdps(
+        mdp.transitions[None], mdp.rewards[None], epsilon, max_sweeps,
         f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
     return sampling_from_flat(flat, model), float(gains[start_state]), bias
 
@@ -914,12 +922,13 @@ def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) ->
     """Seed decision policy from the perfect-estimate actuation MDP.
 
     Solves the (state, context) MDP by multichain policy iteration (see
-    ``_solve_mdp``), forms q-values from its gain and bias, averages them over
+    ``solve_mdps``), forms q-values from its gain and bias, averages them over
     the stationary context law, and picks the cost-minimizing actuation per
     state, read as a per-estimate rule.
     """
     mdp = heuristic_mdp(model)
-    _, gains, bias = _solve_mdp(mdp, epsilon, MAX_PI_ROUNDS, "perfect-estimate actuation MDP")
+    _, (gains,), (bias,) = solve_mdps(mdp.transitions[None], mdp.rewards[None], epsilon,
+                                      MAX_PI_ROUNDS, "perfect-estimate actuation MDP")
     q = mdp.rewards - gains[:, None] + (mdp.transitions @ bias).T     # (S*V, A)
     weights = model.context.stationary()
     n, v = model.alphabets.n_states, model.alphabets.n_contexts

@@ -72,20 +72,6 @@ class CostModel:
         if self.gain.shape != self.expenditure.shape:
             raise ModelIncompleteError("gain and expenditure tables must cover the same actions")
 
-    @classmethod
-    def linear(cls, inherent, gain_coefficient, expenditure_coefficient, n_actions,
-               gain_weight=1.0, expenditure_weight=1.0, sampling_cost=0.0):
-        """Build a model whose gain/expenditure are linear in the actuation index."""
-        levels = np.arange(n_actions, dtype=float)
-        return cls(
-            inherent=inherent,
-            gain=gain_coefficient * levels,
-            expenditure=expenditure_coefficient * levels,
-            gain_weight=gain_weight,
-            expenditure_weight=expenditure_weight,
-            sampling_cost=sampling_cost,
-        )
-
 
 @dataclass(frozen=True)
 class DecisionPolicy:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from goaltensor import benchmarks
+from goaltensor import benchmarks, solvers
 from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, ChangeAwareRule,
                                    StatePolicyRule, UniformRule, aoii_optimal_policy,
                                    evaluate_age_threshold, evaluate_change_aware,
@@ -515,7 +515,7 @@ def test_priced_summaries_equal_an_evaluation_at_each_cost(shipped, case):
 @pytest.mark.parametrize("case", SHARING_CASES)
 def test_batched_mse_row_equals_one_solve_per_cost(monkeypatch, shipped, case):
     scenario = _sharing_scenario(shipped, case)
-    rounds, real = [], benchmarks._policy_iteration_batch
+    rounds, real = [], solvers._policy_iteration_batch
 
     def spy(*args, **kwargs):
         result = real(*args, **kwargs)
@@ -527,7 +527,7 @@ def test_batched_mse_row_equals_one_solve_per_cost(monkeypatch, shipped, case):
         greedy = greedy_decision_policy(model)
         costs = [cell.model.cost.sampling_cost for cell in cells]
         with monkeypatch.context() as patch:
-            patch.setattr(benchmarks, "_policy_iteration_batch", spy)
+            patch.setattr(solvers, "_policy_iteration_batch", spy)
             batch = mse_optimal_policy(model, greedy, values, sampling_costs=costs)
         assert len(batch) == len(costs)
         for cell, policy in zip(cells, batch):

@@ -609,6 +609,28 @@ def test_every_definition_is_reached_by_a_command_or_kept_for_a_criterion():
     assert seen.isdisjoint(UNREACHED_BY_COMMANDS)       # a kept name a command now reaches
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its module: another module of
+    # the package neither imports it nor reads it as ``module._name``
+    package = Path(__file__).resolve().parents[1] / "src" / "goaltensor"
+    modules = {path.stem for path in package.glob("*.py")}
+    private = lambda name: name.startswith("_") and not name.startswith("__")  # noqa: E731
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree, bound = ast.parse(path.read_text()), set()   # package modules bound by name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.stem}: from .{node.module or ''} import {alias.name}"
+                          for alias in node.names if private(alias.name)]
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if not node.module and alias.name in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in bound and private(node.attr):
+                found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert found == []
+
+
 @pytest.mark.parametrize("families, message", [
     ("", "--families '' names no policy family"),
     (" , ", "--families ' , ' names no policy family"),

@@ -929,6 +929,22 @@ def test_forked_cells_inherit_the_grid_wide_work(monkeypatch, shipped, three_wor
     assert_no_child_process()
 
 
+def test_forked_compare_computes_each_rows_baselines_in_the_parent(monkeypatch, shipped,
+                                                                   tmp_path):
+    from goaltensor import benchmarks
+    monkeypatch.setattr(solvers, "CORES", 2)
+    _file_spy(monkeypatch, benchmarks, "evaluate_change_aware", tmp_path / "change")
+    _file_spy(monkeypatch, benchmarks, "mse_optimal_policy", tmp_path / "mse")
+    scenario = _small_grid(shipped, sampling_costs=(0.0, 4.0, 10.0))
+    rows, splits, failed = compare_policies(scenario, algorithm="brute", include_classic=True)
+    assert len(splits) == 9 and failed == []
+    # one change-aware evaluation and one batch of MSE samplers per row, all here
+    parent = f"{os.getpid()}\n"
+    assert (tmp_path / "change").read_text() == parent * 3
+    assert (tmp_path / "mse").read_text() == parent * 3
+    assert_no_child_process()
+
+
 def _failing_at(real, message, fails):
     def patched(model, *args, **kwargs):
         if fails(model, *args, **kwargs):

@@ -22,7 +22,7 @@ from goaltensor.solvers import (_ChainEval, _balance, _balance_batch, _closed_cl
                                 greedy_decision_policy, heuristic_initial_decision,
                                 jesp, pi_step_size, _FixedSamplingProblem,
                                 _local_search, _one_hot,
-                                _policy_iteration_batch, sampling_from_flat,
+                                _policy_iteration_batch, sampling_from_flat, solve_mdps,
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
@@ -268,6 +268,59 @@ def test_chain_law_matches_limit_oracle_from_every_start(seed):
     U = U / U.sum(axis=1, keepdims=True)
     for start in range(6):
         np.testing.assert_array_equal(chain_law(U, start), stationary_distribution(U))
+
+
+def test_stacked_chain_law_equals_one_law_per_chain(monkeypatch):
+    rng = np.random.default_rng(23)
+    certified = rng.gamma(1.0, size=(5, 4, 4)) * (rng.random((5, 4, 4)) < 0.5)
+    certified[:, :, 0] += 5.0               # every state steps to state 0, the target
+    certified /= certified.sum(axis=-1, keepdims=True)
+    # one closed class whose target, state 2, is transient; and two absorbing
+    # states that transient states 2 and 3 split between
+    fallback = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                         [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    multichain = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                           [0.3, 0.7, 0.0, 0.0], [0.0, 0.5, 0.25, 0.25]])
+    assert _unichain_batch(certified).all()
+    assert not _unichain_batch(np.stack([fallback, multichain])).any()
+    stacks = {"every chain certified": certified,
+              "none certified": np.stack([fallback, multichain, multichain]),
+              "mixed": np.stack([certified[0], multichain, fallback, certified[1]]),
+              "K = 1": multichain[None]}
+    balanced = []
+    monkeypatch.setattr(solvers, "_balance_batch",
+                        lambda P: balanced.append(len(P)) or _balance_batch(P))
+    for name, stack in stacks.items():
+        for start in range(4):
+            balanced.clear()
+            got = chain_law(stack, start)
+            assert balanced[0] == int(_unichain_batch(stack).sum()), name
+            want = np.array([chain_law(P, start) for P in stack])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, start)
+    # the multichain member's law is the Cesaro row of the start
+    laws = [chain_law(stacks["mixed"], start)[1] for start in range(4)]
+    assert laws[0].tolist() == [1.0, 0.0, 0.0, 0.0] and laws[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+    np.testing.assert_allclose(laws[2], [0.3, 0.7, 0.0, 0.0], atol=1e-12)
+
+
+def test_solve_mdps_names_the_failing_mdp():
+    model = random_model(np.random.default_rng(3), n_states=2, n_contexts=2, n_actions=2)
+    mdp = induced_mdp(model, DecisionPolicy([0, 1]))
+    # member 0's transmissions change nothing and cost 10, so it idles from
+    # the first round; member 1 is paid to transmit, so its policy still
+    # changes after one round
+    transitions = np.stack([mdp.transitions[[0, 0]], mdp.transitions])
+    rewards = np.stack([mdp.rewards[:, [0, 0]] - [0.0, 10.0], mdp.rewards + [0.0, 50.0]])
+    solve_mdps(transitions[:1], rewards[:1], 1e-6, 1, "the idle MDP")
+    with pytest.raises(NonConvergenceError) as info:
+        solve_mdps(transitions, rewards, 1e-6, 1, "the paid MDP")
+    assert str(info.value) == "the paid MDP still changing policy after 1 policy-iteration rounds"
+    assert info.value.iterations == 1
+    # no residual is below 0
+    with pytest.raises(NonConvergenceError) as info:
+        solve_mdps(transitions, rewards, 0.0, 100, "the exact MDP")
+    assert str(info.value).startswith("the exact MDP optimality-equation residual ")
+    assert str(info.value).endswith(" not below 0") and info.value.residual >= 0.0
 
 
 # --- relative value iteration (the test oracle) ------------------------------
