@@ -252,25 +252,27 @@ def mse_optimal_policy(model: DecPomdpModel, decision: DecisionPolicy = None,
 # exact evaluation
 
 
+def _cost_summary(inherent, actuation, rate, sampling_cost) -> CostSummary:
+    """The one pricing formula: each transmission charged ``sampling_cost``."""
+    sampling = float(sampling_cost * rate)
+    return CostSummary(average_cost=inherent + actuation + sampling, sampling_rate=rate,
+                       inherent=inherent, actuation=actuation, sampling=sampling)
+
+
 def _summarize(rows: DecisionRows, mu_states, rate):
-    unpriced = CostSummary(average_cost=np.nan, sampling_rate=float(rate),
-                           inherent=float(mu_states @ rows.ramp),
-                           actuation=float(mu_states @ rows.spend), sampling=np.nan)
-    return priced(unpriced, rows.model.cost.sampling_cost)
+    return _cost_summary(float(mu_states @ rows.ramp), float(mu_states @ rows.spend),
+                         float(rate), rows.model.cost.sampling_cost)
 
 
 def priced(summary: CostSummary, sampling_cost) -> CostSummary:
     """``summary`` with each transmission charged ``sampling_cost``.
 
     A policy's long-run law does not depend on the charge, which enters its
-    cost only as ``sampling_cost * rate``.  Every evaluation prices its
-    summary here, so the result equals, bit for bit, an evaluation at that
-    charge.
+    cost only as ``sampling_cost * rate``, so the result equals, bit for bit,
+    an evaluation at that charge.
     """
-    sampling = float(sampling_cost * summary.sampling_rate)
-    return CostSummary(average_cost=summary.inherent + summary.actuation + sampling,
-                       sampling_rate=summary.sampling_rate, inherent=summary.inherent,
-                       actuation=summary.actuation, sampling=sampling)
+    return _cost_summary(summary.inherent, summary.actuation, summary.sampling_rate,
+                         sampling_cost)
 
 
 def evaluate_state_policy(model: DecPomdpModel, sampling: SamplingPolicy,

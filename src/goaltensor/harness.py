@@ -503,8 +503,9 @@ def _cell_outcome(cell_rows, cell):
     return ok, result if ok else str(result)
 
 
-def _grid(scenario, cell_rows, forked):
-    """Call ``cell_rows(p_success, sampling_cost, cell)`` on every grid cell.
+def _grid(cells, cell_rows, forked):
+    """Call ``cell_rows(p_success, sampling_cost, cell)`` on every grid cell
+    ``(p_success, sampling_cost, cell)`` of ``cells`` (``_cell_scenarios``).
 
     Returns what it returned for each cell that succeeded, in grid order, and
     ``(pS, CS, message)`` for each cell where it raised a ``GoalTensorError``;
@@ -517,7 +518,6 @@ def _grid(scenario, cell_rows, forked):
     force solves the grid's anchor (``brute_anchor``) before calling this,
     so the forked workers inherit it.
     """
-    cells = list(_cell_scenarios(scenario, scenario.grid))
     outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
                                 solvers.CORES if forked else 1, fork=True)
     done, failed = [], []
@@ -645,8 +645,8 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     A shared computation that raised a ``GoalTensorError`` raises it again in
     every cell that uses it, where that cell would have raised it.
 
-    With ``algorithm="brute"`` the grid's anchor (``brute_anchor``) and every
-    cell's baselines are computed first, here, before the cells fork, and
+    Every cell's baselines are computed first, here, before the cells run;
+    with ``algorithm="brute"`` so is the grid's anchor (``brute_anchor``), and
     each cell's brute force skips what the anchor's gains prove worse than the
     incumbent: the best gain solved so far, or the best of the
     ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the cell
@@ -687,9 +687,16 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             policy = family.by_cost(model, [sampling_cost], decision, values)[0]
         return pair_cost(cell, policy, decision).average_cost
 
+    # every cell's baselines, here, before the cells fork: each row's shared work runs once
+    cells = list(_cell_scenarios(scenario, scenario.grid))
+    cell_baselines = {
+        (p_success, sampling_cost): [
+            (name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
+            for name, family in families]
+        for p_success, sampling_cost, cell in cells}
+
     def cell_rows(p_success, sampling_cost, cell):
-        baselines = [(name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
-                     for name, family in families]
+        baselines = cell_baselines[p_success, sampling_cost]
         floor = -np.inf
         if algorithm == "brute" and all(ok for _, _, (ok, _) in baselines):
             floor = max((-cost for name, _, (_, cost) in baselines if name in FLOOR_FAMILIES),
@@ -703,13 +710,8 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
                 {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
                  "actuation": split.actuation, "inherent": split.inherent})
 
-    if algorithm == "brute":
-        # fill the shared results here, before the cells fork, so every worker inherits them
-        for _, _, cell in _cell_scenarios(scenario, scenario.grid):
-            for name, family in families:
-                _attempt(lambda: baseline_cost(name, family, cell))
-    cells, failed = _grid(scenario, cell_rows, forked=algorithm == "brute")
-    return [row for rows, _ in cells for row in rows], [split for _, split in cells], failed
+    done, failed = _grid(cells, cell_rows, forked=algorithm == "brute")
+    return [row for rows, _ in done for row in rows], [split for _, split in done], failed
 
 
 def optimality_gap(scenario):
@@ -736,7 +738,7 @@ def optimality_gap(scenario):
         return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf,
                 "theta_jesp": je.average_cost, "gap": je.average_cost - bf}
 
-    return _grid(scenario, cell_row, forked=True)
+    return _grid(list(_cell_scenarios(scenario, scenario.grid)), cell_row, forked=True)
 
 
 # ---------------------------------------------------------------------------

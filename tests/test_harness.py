@@ -989,6 +989,23 @@ def test_a_failed_mse_batch_falls_back_to_each_cells_own_solve(monkeypatch, ship
     assert repr((rows, splits, failed)) == repr(compare_cell_by_cell(scenario))
 
 
+def test_forked_compare_falls_back_to_each_cells_own_solve_once(monkeypatch, shipped,
+                                                                tmp_path):
+    from goaltensor import benchmarks
+    monkeypatch.setattr(solvers, "CORES", 2)
+    scenario = _small_grid(shipped, sampling_costs=(0.0, 4.0, 10.0))
+    message = "squared-error sampler MDP still changing policy after 1 policy-iteration rounds"
+    monkeypatch.setattr(benchmarks, "mse_optimal_policy", _failing_at(
+        benchmarks.mse_optimal_policy, message, lambda model, *args, sampling_costs=None:
+        4.0 in (sampling_costs or [model.cost.sampling_cost])))
+    _file_spy(monkeypatch, benchmarks, "mse_optimal_policy", tmp_path / "mse")
+    rows, splits, failed = compare_policies(scenario, algorithm="brute")
+    assert failed == [(p, 4.0, message) for p in (0.2, 0.6, 1.0)]
+    # per row: the failed batch, then each cell's own solve, all here and once
+    assert (tmp_path / "mse").read_text() == f"{os.getpid()}\n" * 12
+    assert_no_child_process()
+
+
 def test_a_failed_seed_fails_every_jesp_cell_with_its_message(monkeypatch, shipped):
     monkeypatch.setattr(solvers, "CORES", 1)
     scenario = _small_grid(shipped)
