@@ -12,6 +12,8 @@ this directory):
   CS = 0.5;
 * ``compare --include-classic`` with ``jesp`` and with ``brute``
   (``compare.csv`` and ``decomp.csv``);
+* ``compare --include-classic`` and ``gap`` on a copy of the bundled
+  scenario whose solver runs jesp with two restarts;
 * ``solve`` with ``brute``, ``jesp`` and ``rvi-fixed-decision`` (``report.txt``,
   ``policy.json``);
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
@@ -67,6 +69,12 @@ def runs(work):
         path.write_text(json.dumps(large_document(gen)))
         yield f"gap-large-{gen}", ["gap", "--scenario", path,
                                    "--grid", "ps=0.6,1.0;cs=0.5"]
+    restarts = work / "restarts.json"
+    document = json.loads(BUNDLED.read_text())
+    document.setdefault("solver", {})["restarts"] = 2
+    restarts.write_text(json.dumps(document))
+    yield "compare-restarts", ["compare", "--scenario", restarts, "--include-classic"]
+    yield "gap-restarts", ["gap", "--scenario", restarts]
     for algorithm in ("jesp", "brute"):
         yield f"compare-{algorithm}", ["compare", "--scenario", BUNDLED,
                                        "--include-classic", "--algorithm", algorithm]

@@ -7,7 +7,7 @@ from .tensor import (Alphabets, CostModel, DecisionPolicy, GoTensor, SamplingPol
 from .model import (ChannelModel, ContextDynamics, DecPomdpModel, SourceDynamics,
                     TabularMdp, heuristic_mdp, induced_mdp, induced_pomdp)
 from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy, jesp,
-                      pi_step_size, solve_sampler_for_decision, stationary_distribution)
+                      solve_sampler_for_decision, stationary_distribution)
 from .benchmarks import (FAMILIES, CostSummary, aoii_optimal_policy,
                          evaluate_age_threshold, evaluate_change_aware,
                          evaluate_state_policy, evaluate_uniform, mse_optimal_policy)

@@ -34,8 +34,8 @@ row builders over one cell loop, ``_grid``, which sets failed cells aside.
 Cells that run brute force (``gap``, ``compare --algorithm brute``) are
 solved on forked worker processes, one per core (``solvers.pool_map``),
 because at N = 18 a brute-force solve holds the GIL and threads over cells
-gain nothing; one-cell grids and jesp's cells stay in this process, and
-brute force's chunk threads stay off inside a worker.  Every
+gain nothing; one-cell grids and ``compare``'s jesp cells stay in this
+process, and brute force's chunk threads stay off inside a worker.  Every
 worker holds its own kernels, so ``model.MAX_KERNEL_BYTES`` bounds each
 process, not their sum.  Results come back in grid order, and every CSV is
 the same byte for byte whatever the worker count.
@@ -54,6 +54,14 @@ solver's epsilon, and the anchor's own cell reuses the anchor's report.  A
 skipped candidate is worse than the cell's optimum, so the winner and every
 exact tie are still solved, with the same arithmetic: every CSV is the same
 as without the anchor.
+
+Both studies run jesp on every cell before any cell forks, in one pass
+(``_grid_jesp``): the cells' searches advance together in
+``solvers.lockstep``, which stacks the pending solver calls of all of them
+into one batched call per step.  At N = 18 a call's time is mostly numpy's
+per-call overhead, so the bundled 30-cell pass takes about 70 ms against
+about 130 ms for the searches one after another (one core of a 2-vCPU
+machine), and every report is the same to the bit.
 
 A grid study also computes once what several of its cells share, and keeps
 it for that one call, computed before any cell forks: jesp's seed and the
@@ -513,10 +521,10 @@ def _grid(cells, cell_rows, forked):
     forked worker processes, one per core (``solvers.pool_map``).  Callers
     pass it for cells that run brute force (about 0.1 s a cell at N = 18 in
     full, 0.03 s with the anchor's bound, on one core of a 2-vCPU machine),
-    not for jesp's cells (about 7 ms with their baselines), which starting
-    and stopping a pool (12-17 ms) would slow.  A caller that runs brute
-    force solves the grid's anchor (``brute_anchor``) before calling this,
-    so the forked workers inherit it.
+    not for ``compare``'s jesp cells, whose solves (``_grid_jesp``) and
+    baselines are made before the loop, leaving about 0.5 ms of pricing a
+    cell, which starting and stopping a pool (12-17 ms) would slow.  A caller solves the grid's anchor (``brute_anchor``) and its jesp
+    cells before calling this, so the forked workers inherit them.
     """
     outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
                                 solvers.CORES if forked else 1, fork=True)
@@ -593,10 +601,7 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf, initial_decision=Non
     if algorithm == "jesp":
         if initial_decision is None:
             initial_decision = heuristic_initial_decision(cell.model, epsilon=solver.epsilon)
-        return jesp(cell.model, initial_decision=initial_decision, epsilon=solver.epsilon,
-                    step_schedule=solver.step_schedule, restarts=solver.restarts,
-                    seed=solver.seed, max_rounds=solver.max_jesp_rounds,
-                    pi_rounds=solver.max_pi_rounds, start_state=cell.start_state)
+        return jesp(cell.model, initial_decision, **_jesp_settings(cell))
     if algorithm == "rvi-fixed-decision":
         decision = greedy_decision_policy(cell.model)
         sampling, gain, _ = solve_sampler_for_decision(
@@ -608,13 +613,32 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf, initial_decision=Non
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 
-def _grid_seed(scenario):
-    """jesp's seed for every cell of the grid (``heuristic_initial_decision``),
-    ``_attempt``ed: it reads the source, the context and the action costs,
-    which no cell changes."""
+def _jesp_settings(cell):
+    """``jesp``'s keyword arguments from ``cell.solver``, scored from the cell's start state."""
+    solver = cell.solver
+    return dict(epsilon=solver.epsilon, step_schedule=solver.step_schedule,
+                restarts=solver.restarts, seed=solver.seed, max_rounds=solver.max_jesp_rounds,
+                pi_rounds=solver.max_pi_rounds, start_state=cell.start_state)
+
+
+def _grid_jesp(scenario, cells):
+    """jesp on every cell of ``cells`` (``_cell_scenarios``), ``_attempt``ed, by
+    (pS, CS).
+
+    Every distinct cell's search (``solvers.jesp_search``) runs in one
+    ``solvers.lockstep`` pass in this process, from the grid's seed
+    (``heuristic_initial_decision``, which reads the source, the context and
+    the action costs, which no cell changes); where the seed fails, every
+    cell fails with its error.  Each report is what ``solve_cell`` gives.
+    """
     from .solvers import heuristic_initial_decision
-    return _attempt(lambda: heuristic_initial_decision(scenario.model,
-                                                       epsilon=scenario.solver.epsilon))
+    keys = {(p_success, sampling_cost): cell for p_success, sampling_cost, cell in cells}
+    ok, seed = _attempt(lambda: heuristic_initial_decision(scenario.model,
+                                                           epsilon=scenario.solver.epsilon))
+    if not ok:
+        return dict.fromkeys(keys, (False, seed))
+    return dict(zip(keys, solvers.lockstep([
+        solvers.jesp_search(cell.model, seed, **_jesp_settings(cell)) for cell in keys.values()])))
 
 
 # Baselines whose pairs (a stationary sampling policy of the global state with
@@ -626,8 +650,9 @@ FLOOR_FAMILIES = ("aoii", "mse")
 def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
-    Returns ``(compare rows, decomp rows, failed cells)`` from one
-    ``solve_cell`` per grid cell (failures as in ``_grid``).  A cell's compare
+    Returns ``(compare rows, decomp rows, failed cells)`` from one solve per
+    grid cell (failures as in ``_grid``): brute force by ``solve_cell``, jesp
+    by the grid's lockstep pass (``_grid_jesp``).  A cell's compare
     rows are the solver's value, then each ``FAMILIES`` baseline
     (``include_classic`` adds the classic ones) evaluated exactly at its best
     parameter over the cell's sweep grid; its decomp row is the exact cost
@@ -646,7 +671,8 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     every cell that uses it, where that cell would have raised it.
 
     Every cell's baselines are computed first, here, before the cells run;
-    with ``algorithm="brute"`` so is the grid's anchor (``brute_anchor``), and
+    with ``algorithm="jesp"`` so is every cell's solve, and with
+    ``algorithm="brute"`` the grid's anchor (``brute_anchor``), and
     each cell's brute force skips what the anchor's gains prove worse than the
     incumbent: the best gain solved so far, or the best of the
     ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the cell
@@ -654,7 +680,6 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """
     from .solvers import greedy_decision_policy
     anchor = brute_anchor(scenario) if algorithm == "brute" else None
-    seed = _grid_seed(scenario) if algorithm == "jesp" else (True, None)
     greedy = _attempt(lambda: greedy_decision_policy(scenario.model))
     families = [(name, family) for name, family in FAMILIES.items()
                 if family.baseline and (include_classic or not family.classic)]
@@ -687,8 +712,10 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             policy = family.by_cost(model, [sampling_cost], decision, values)[0]
         return pair_cost(cell, policy, decision).average_cost
 
-    # every cell's baselines, here, before the cells fork: each row's shared work runs once
+    # every cell's baselines, and jesp's reports, here, before the cells fork:
+    # each row's shared work runs once
     cells = list(_cell_scenarios(scenario, scenario.grid))
+    reports = _grid_jesp(scenario, cells) if algorithm == "jesp" else None
     cell_baselines = {
         (p_success, sampling_cost): [
             (name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
@@ -701,7 +728,8 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
         if algorithm == "brute" and all(ok for _, _, (ok, _) in baselines):
             floor = max((-cost for name, _, (_, cost) in baselines if name in FLOOR_FAMILIES),
                         default=-np.inf)
-        report = solve_cell(cell, algorithm, anchor, floor, _unwrap(seed))
+        report = (_unwrap(reports[p_success, sampling_cost]) if reports is not None
+                  else solve_cell(cell, algorithm, anchor, floor))
         split = pair_cost(cell, report.sampling_policy, report.decision_policy)
         costs = [("got-codesign", report.average_cost)]
         costs += [(label, _unwrap(outcome)) for _, label, outcome in baselines]
@@ -717,28 +745,27 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
 def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units.
 
-    Brute force and jesp each solve every cell once.  jesp's seed and the
-    grid's anchor (``brute_anchor``) are computed first, here, before the
-    cells fork; in each cell jesp runs before brute force, whose candidates
-    the anchor's gains prove worse than jesp's reward, or than the best gain
-    solved so far, are skipped.  Returns ``(gap rows, failed cells)``,
+    Brute force and jesp each solve every cell once.  Every cell's jesp, in
+    one lockstep pass (``_grid_jesp``), and the grid's anchor
+    (``brute_anchor``) are computed first, here, before the cells fork; in
+    each cell brute force skips the candidates the anchor's gains prove worse
+    than jesp's reward, or than the best gain solved so far.  Returns ``(gap rows, failed cells)``,
     failures as in ``_grid``.
     """
     anchor = brute_anchor(scenario)
-    seed = _grid_seed(scenario)
+    cells = list(_cell_scenarios(scenario, scenario.grid))
+    reports = _grid_jesp(scenario, cells)
 
     def cell_row(p_success, sampling_cost, cell):
-        try:
-            je = solve_cell(cell, "jesp", initial_decision=_unwrap(seed))
-        except GoalTensorError:
+        if not reports[p_success, sampling_cost][0]:
             # brute force ran first once: where it fails too, its error is the one named
             solve_cell(cell, "brute", anchor)
-            raise
+        je = _unwrap(reports[p_success, sampling_cost])
         bf = solve_cell(cell, "brute", anchor, floor=je.average_reward).average_cost
         return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf,
                 "theta_jesp": je.average_cost, "gap": je.average_cost - bf}
 
-    return _grid(list(_cell_scenarios(scenario, scenario.grid)), cell_row, forked=True)
+    return _grid(cells, cell_row, forked=True)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ScenarioError
 from .model import (ChannelModel, ContextDynamics, DecPomdpModel, ROW_SUM_TOL,
                     SourceDynamics)
-from .solvers import DEFAULT_EPSILON, MAX_JESP_ROUNDS, MAX_PI_ROUNDS
+from .solvers import DEFAULT_BUDGET, DEFAULT_EPSILON, MAX_JESP_ROUNDS, MAX_PI_ROUNDS
 from .tensor import Alphabets, CostModel
 
 
@@ -50,7 +50,7 @@ class SolverConfig:
     step_schedule: object = "harmonic"
     restarts: int = 0
     seed: int = 0
-    budget: int = 200_000
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,16 @@ fast route use it:
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
 
+The search is written once, as a generator (``jesp_search``) that yields
+each solver call it needs: a sampler MDP to solve, a chain to evaluate in
+soft policy iteration, or a local-search pass's deviation chains.  One
+driver, ``lockstep``, runs any number of searches together, stacking every
+waiting call of one kind into a single batched solve, split into sub-batches
+within ``model.MAX_KERNEL_BYTES``; ``jesp`` is that driver on one search, and
+a grid study runs all its cells' searches in one pass.  numpy solves a stack
+member by member, so each search gets, to the bit, what it gets alone, and a
+member's failure goes to its own search only.
+
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
 
@@ -35,9 +45,9 @@ solves the multichain Poisson equations of every fixed-policy chain: the
 sampler MDPs and the actuator's soft policy iteration alike.  Policy
 iteration reads a batch's kernels in place and copies the still-changing
 members' kernels only each time half of them have finished.  Gains are always
-taken from the start state, and ``chain_law`` gives the matching long-run
-law: the stationary law with one closed class, else the Cesaro row of the
-start state.
+taken from the start state, and ``_chain_laws`` gives the matching long-run
+law, for ``chain_law`` and for soft policy iteration: the stationary law with
+one closed class, else the Cesaro row of the start state.
 
 One ordered map, ``pool_map``, spreads work over the cores: brute force's
 chunks over threads, and ``harness``'s grid cells over forked processes,
@@ -53,9 +63,11 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import model as model_module
 from .errors import (EnumerationBudgetError, ErgodicityError, GoalTensorError,
                      NonConvergenceError, ParameterError)
 from .model import (DecisionRows, DecPomdpModel, check_kernel_bytes, heuristic_mdp, induced_mdp,
@@ -72,6 +84,7 @@ PI_NOISE = 1e-12            # relative tie tolerance of a policy-iteration impro
 DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
+DEFAULT_BUDGET = 200_000    # most decision policies brute force enumerates
 BRUTE_CHUNK = 128           # decision policies in flight at once in brute force, over all workers
 # cores this process may run on: the width of every pool (``pool_map``)
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -211,18 +224,34 @@ def chain_law(P, start) -> np.ndarray:
 
     The stationary law when the chain has one closed class, whatever the
     start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9).
-    The chains ``_unichain_batch`` certifies are solved in one batch; only
-    the rest are classified, one by one.
+    The chains ``_unichain_batch`` certifies need no classifying; only the
+    rest are classified, one by one (see ``_chain_laws``).
     """
     P = np.asarray(P, dtype=float)
     stack = P if P.ndim == 3 else P[None]
-    laws = np.empty(stack.shape[:2])
-    certified = _unichain_batch(stack)
-    laws[certified] = _balance_batch(stack[certified])
-    for j in np.flatnonzero(~certified):
-        chain = stack[j]
-        laws[j] = _balance(chain) if len(closed_classes(chain)) == 1 else cesaro_limit(chain)[start]
+    single = _unichain_batch(stack)
+    for j in np.flatnonzero(~single):
+        single[j] = len(closed_classes(stack[j])) == 1
+    laws, _ = _chain_laws(stack, np.full(len(stack), start), single)
     return laws if P.ndim == 3 else laws[0]
+
+
+def _chain_laws(P, starts, single):
+    """The long-run law of each chain of a stack (K, N, N), chain j started in
+    ``starts[j]``: the stationary law where the chain has one closed class
+    (``single``), solved for all such chains in one ``_balance_batch``, else
+    the Cesaro row of its start.  Returns the laws (K, N) and, per chain,
+    its Cesaro matrix where it has several closed classes and None where it
+    has one, which is what soft policy iteration shifts its bias by."""
+    stars = [None] * len(P)
+    if single.all():
+        return _balance_batch(P), stars
+    laws = np.empty(P.shape[:2])
+    laws[single] = _balance_batch(P[single])
+    for j in np.flatnonzero(~single):
+        stars[j] = cesaro_limit(P[j])
+        laws[j] = stars[j][starts[j]]
+    return laws, stars
 
 
 def cesaro_limit(P) -> np.ndarray:
@@ -283,26 +312,21 @@ class _FixedSamplingProblem:
         rbar = np.einsum("na,na->n", probs, self.rewards)
         return P, rbar
 
-    def evaluate(self, table, start=0) -> _ChainEval:
-        """Gain, bias and posterior law of the chain under a stochastic decision table.
+    def evaluation(self, table, start=0):
+        """Search step (see ``lockstep``) returning the gain, bias and
+        posterior law of the chain under a stochastic decision table.
 
         Gain and bias come from ``_evaluate_batch``, residual-checked against
         the Poisson equation.  The law is the stationary one when the chain has
-        one closed class, else the Cesaro row of ``start``; the scalar gain is
-        taken under it.  The bias is shifted to zero mean under every closed
-        class's law (P* h = 0, Puterman's bias), so q-values are differential
-        returns.
+        one closed class, else the Cesaro row of ``start`` (``_chain_laws``);
+        the scalar gain is taken under it.  The bias is shifted to zero mean
+        under every closed class's law (P* h = 0, Puterman's bias), so
+        q-values are differential returns.
         """
         P, rbar = self.chain(table)
-        gain, bias, n_closed = _evaluate_batch(P[None], rbar[None])
-        gain, bias = gain[0], bias[0]
-        if n_closed[0] == 1:
-            law = _balance(P)
-            bias = bias - law @ bias
-        else:
-            star = cesaro_limit(P)
-            law = star[start]
-            bias = bias - star @ bias
+        (gain, bias, law, star), = yield _Request(
+            _CHAINS, (), len(rbar), 1, lambda lo, hi: (P[None], rbar[None], np.array([start])))
+        bias = bias - (law @ bias if star is None else star @ bias)
         residual = np.abs(gain + bias - rbar - P @ bias).max()
         if residual > POISSON_TOL:
             raise NonConvergenceError(
@@ -537,6 +561,160 @@ def solve_mdps(transitions, rewards, epsilon, max_rounds, name):
 
 
 # ---------------------------------------------------------------------------
+# searches run in lockstep
+
+
+_CHAINS, _TRIALS, _SAMPLERS = range(3)      # request kinds, in the order they are served
+
+# Dense N x N float arrays that serving one member of a kind holds at most:
+# the member's stacked kernels, ``_evaluate_batch``'s copies and systems (a
+# multichain member's 2N x 2N system counts four; about 7.3 arrays in all at
+# N = 48 and 144, by tracemalloc) and, for a sampler MDP, its two kernels with
+# policy iteration's copies of them (about 9.5); one more copy of the kernels
+# where a batch is solved again without a failing member.
+_MEMBER_ARRAYS = {_CHAINS: 9, _TRIALS: 9, _SAMPLERS: 12}
+
+
+class _Request(NamedTuple):
+    """What a search asks ``lockstep`` to solve: ``count`` members of one
+    ``kind`` over ``n`` global states, ``settings`` the solve's further
+    arguments.  ``take(lo, hi)`` returns the arrays of members lo..hi - 1,
+    each stacked along a first axis."""
+    kind: int
+    settings: tuple
+    n: int
+    count: int
+    take: Callable
+
+
+def _solve_chains(P, r, starts):
+    """Gain and bias vectors (``_evaluate_batch``) of fixed-policy chains, with
+    their laws from the given starts and Cesaro matrices (``_chain_laws``)."""
+    g, h, n_closed = _evaluate_batch(P, r)
+    return (g, h) + _chain_laws(P, starts, n_closed == 1)
+
+
+def _solve_trials(P, r):
+    return _evaluate_batch(P, r)[:1]
+
+
+def _solve_samplers(T, R, epsilon, max_rounds):
+    return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action=0)[:3]
+
+
+_SOLVES = {_CHAINS: _solve_chains, _TRIALS: _solve_trials, _SAMPLERS: _solve_samplers}
+
+
+def _serve(kind, settings, stacks):
+    """``(True, result)`` or ``(False, error)`` for each member of the stacked
+    arrays ``stacks``, solved as one batch of ``kind``.
+
+    Where the batch raises a ``GoalTensorError``, the member it names (its
+    ``candidate``) gets that error and the rest are solved again without it;
+    an error that names no member has every member solved alone.  numpy
+    solves and reduces a stack member by member, so every result is, to the
+    bit, what the member gives alone.
+    """
+    outcomes = [None] * len(stacks[0])
+    left = list(range(len(stacks[0])))
+    alone = False
+    while left:
+        batch = left[:1] if alone else left
+        members = stacks if len(batch) == len(stacks[0]) else [stack[batch] for stack in stacks]
+        try:
+            results = _SOLVES[kind](*members, *settings)
+        except GoalTensorError as exc:
+            j = 0 if len(batch) == 1 else getattr(exc, "candidate", None)
+            if j is None:
+                alone = True
+            else:
+                outcomes[batch[j]] = False, exc
+                left.remove(batch[j])
+            continue
+        for member, result in zip(batch, zip(*results)):
+            outcomes[member] = True, result
+        left = left[len(batch):]
+    return outcomes
+
+
+def _served(requests):
+    """Each request's member outcomes (``_serve``).  The members of all
+    ``requests``, which share kind, settings and N, are stacked in request
+    order and solved in consecutive sub-batches, each of as many members as
+    keep their working set (``_MEMBER_ARRAYS``) within
+    ``model.MAX_KERNEL_BYTES``, and at least one."""
+    kind, settings, n = requests[0][:3]
+    room = max(1, model_module.MAX_KERNEL_BYTES // (_MEMBER_ARRAYS[kind] * n * n * 8))
+    batches, batch, free = [], [], room      # sub-batches of (request, lo, hi) pieces
+    for i, request in enumerate(requests):
+        lo = 0
+        while lo < request.count:
+            hi = min(request.count, lo + free)
+            batch.append((i, lo, hi))
+            free -= hi - lo
+            lo = hi
+            if not free:
+                batches.append(batch)
+                batch, free = [], room
+    if batch:
+        batches.append(batch)
+    outcomes = [[] for _ in requests]
+    for batch in batches:
+        stacks = [arrays[0] if len(arrays) == 1 else np.concatenate(arrays) for arrays in
+                  zip(*(requests[i].take(lo, hi) for i, lo, hi in batch))]
+        served = iter(_serve(kind, settings, stacks))
+        for i, lo, hi in batch:
+            outcomes[i].extend(itertools.islice(served, hi - lo))
+    return outcomes
+
+
+def lockstep(searches):
+    """Run every generator of ``searches`` to its end, together.
+
+    A search yields a ``_Request`` and receives the list of its members'
+    results, or has the first failing member's ``GoalTensorError`` thrown
+    in.  Each step serves every waiting request of one kind, settings and N
+    at once (``_served``), the cheapest kind first: chains to evaluate, then
+    local-search trials, then sampler MDPs, whose policy-iteration batch
+    costs little more for many members than for one, so they wait until
+    every search that can reach one has.  Every result is what the search
+    run alone gets.  Returns per search ``(True, value returned)`` or
+    ``(False, GoalTensorError raised)``; any other exception reaches the
+    caller.
+    """
+    outcomes = [None] * len(searches)
+    waiting = {}
+
+    def advance(i, ok, value):
+        try:
+            request = searches[i].send(value) if ok else searches[i].throw(value)
+        except StopIteration as stop:
+            outcomes[i] = True, stop.value
+        except GoalTensorError as exc:
+            outcomes[i] = False, exc
+        else:
+            waiting[i] = request
+
+    for i in range(len(searches)):
+        advance(i, True, None)
+    while waiting:
+        key = min(request[:3] for request in waiting.values())
+        ready = sorted(i for i, request in waiting.items() if request[:3] == key)
+        for i, results in zip(ready, _served([waiting.pop(i) for i in ready])):
+            failed = [value for ok, value in results if not ok]
+            advance(i, not failed, failed[0] if failed else [value for _, value in results])
+    return outcomes
+
+
+def _run(search):
+    """What one search returns, run by ``lockstep``; its error raised here."""
+    (ok, value), = lockstep([search])
+    if not ok:
+        raise value
+    return value
+
+
+# ---------------------------------------------------------------------------
 # policy containers and helpers
 
 
@@ -575,11 +753,23 @@ def solve_sampler_for_decision(model: DecPomdpModel, decision: DecisionPolicy,
     ``start_state`` (the rule ``brute_force_joint`` and ``jesp`` score by),
     and the bias vector.
     """
+    sampling, gains, bias = _run(_best_response(model, decision, epsilon, max_sweeps))
+    return sampling, float(gains[start_state]), bias
+
+
+def _best_response(model, decision, epsilon, max_rounds):
+    """Search step (see ``lockstep``) returning the sampling policy, gain
+    vector and bias vector of ``solve_sampler_for_decision``.  A
+    ``NonConvergenceError`` names the decision policy."""
     mdp = induced_mdp(model, decision)
-    (flat,), (gains,), (bias,) = solve_mdps(
-        mdp.transitions[None], mdp.rewards[None], epsilon, max_sweeps,
-        f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
-    return sampling_from_flat(flat, model), float(gains[start_state]), bias
+    try:
+        (flat, gains, bias), = yield _Request(
+            _SAMPLERS, (epsilon, max_rounds), model.n_global_states, 1,
+            lambda lo, hi: (mdp.transitions[None], mdp.rewards[None]))
+    except NonConvergenceError as exc:
+        raise _renamed(exc, "sampler best response to decision policy "
+                            f"{tuple(decision.actions.tolist())}") from None
+    return sampling_from_flat(flat, model), gains, bias
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +824,8 @@ def _one_hot(actions, n_actions):
 
 
 def _local_search(problem: _FixedSamplingProblem, actions, eta, start):
-    """Steepest-ascent single-observation deviations until none improves.
+    """Search step (see ``lockstep``): steepest-ascent single-observation
+    deviations until none improves; returns the actions and their gain.
 
     Each pass scores every deviation (observation, other action) at once: the
     K = n_obs * (A - 1) chains go through ``_evaluate_batch`` and a deviation
@@ -653,27 +844,26 @@ def _local_search(problem: _FixedSamplingProblem, actions, eta, start):
         trials = np.repeat(actions[None, :], moves_obs.size, axis=0)
         trials[np.arange(moves_obs.size), moves_obs] = moves_action
         acts = trials[:, problem.xhats]                           # (K, N)
-        g, _, _ = _evaluate_batch(problem.transitions[acts, rows, :],
-                                  problem.rewards[rows, acts])
+        scores = yield _Request(_TRIALS, (), rows.size, len(acts), lambda lo, hi: (
+            problem.transitions[acts[lo:hi], rows, :], problem.rewards[rows, acts[lo:hi]]))
         best_eta, best_move = eta, None
-        for j, trial_eta in enumerate(g[:, start]):
-            if trial_eta > best_eta + IMPROVE_TOL:
-                best_eta, best_move = trial_eta, j
+        for j, (g,) in enumerate(scores):
+            if g[start] > best_eta + IMPROVE_TOL:
+                best_eta, best_move = g[start], j
         if best_move is None:
             return actions, eta
         actions[moves_obs[best_move]] = moves_action[best_move]
         eta = float(best_eta)
 
 
-def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
-                 initial_decision: DecisionPolicy, epsilon=DEFAULT_EPSILON,
-                 step_schedule=None, max_rounds=MAX_PI_ROUNDS,
-                 start_state=0) -> PiResult:
-    """Soft policy iteration for the actuator given a fixed sampling policy.
+def _soft_pi(model, sampling, initial_decision, epsilon, step_schedule, max_rounds,
+             start_state):
+    """Search step (see ``lockstep``): soft policy iteration for the
+    actuator given a fixed sampling policy, returning a ``PiResult``.
 
     Each round evaluates the current soft decision table (long-run law, gain,
     differential rewards, observation q-values; see
-    ``_FixedSamplingProblem.evaluate``) and blends the table toward the
+    ``_FixedSamplingProblem.evaluation``) and blends the table toward the
     per-observation greedy action by the scheduled step size.  Steps that lower
     the gain are rolled back.  Observations with zero long-run mass keep
     their incumbent action.  The final deterministic policy is the
@@ -699,11 +889,11 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
     def evaluate(table):
         key = table.tobytes()
         if key not in evaluations:
-            evaluations[key] = problem.evaluate(table, start_state)
+            evaluations[key] = yield from problem.evaluation(table, start_state)
         return evaluations[key]
 
     soft = _one_hot(initial_decision.actions, n_actions)
-    evaluation = evaluate(soft)
+    evaluation = yield from evaluate(soft)
     etas = [evaluation.eta]
     converged = False
     prev_target = None
@@ -721,7 +911,7 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
         candidate = (1.0 - schedule(k)) * soft + schedule(k) * _one_hot(target, n_actions)
         candidate = np.clip(candidate, 0.0, None)
         candidate /= candidate.sum(axis=1, keepdims=True)
-        candidate_eval = evaluate(candidate)
+        candidate_eval = yield from evaluate(candidate)
         if candidate_eval.eta >= evaluation.eta - ACCEPT_TOL:
             soft, evaluation = candidate, candidate_eval
             etas.append(evaluation.eta)
@@ -730,10 +920,10 @@ def pi_step_size(model: DecPomdpModel, sampling: SamplingPolicy,
                 break
 
     actions = soft.argmax(axis=1)
-    eta_det = evaluate(_one_hot(actions, n_actions)).eta
+    eta_det = (yield from evaluate(_one_hot(actions, n_actions))).eta
     if etas[0] > eta_det:
         actions, eta_det = initial_decision.actions.copy(), etas[0]
-    actions, eta_det = _local_search(problem, actions, eta_det, start_state)
+    actions, eta_det = yield from _local_search(problem, actions, eta_det, start_state)
     return PiResult(decision_policy=DecisionPolicy(actions), average_reward=float(eta_det),
                     iterations=rounds, eta_trace=etas, converged=converged)
 
@@ -791,7 +981,7 @@ def _pruned_chunks(solve, candidates, ceiling, floor, margin, size):
 
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
-                      budget=200_000, max_sweeps=MAX_PI_ROUNDS,
+                      budget=DEFAULT_BUDGET, max_sweeps=MAX_PI_ROUNDS,
                       start_state=0, ceiling=None, floor=-np.inf) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
@@ -938,6 +1128,8 @@ def heuristic_initial_decision(model: DecPomdpModel, epsilon=DEFAULT_EPSILON) ->
 
 def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
                pi_rounds, start_state):
+    """Search step (see ``lockstep``): one alternating best-response search
+    from ``initial_decision``, returning its report."""
     decision = initial_decision
     theta_prev = None
     theta = None
@@ -952,10 +1144,9 @@ def _jesp_once(model, initial_decision, epsilon, step_schedule, max_rounds,
         rounds = k
         key = decision.actions.tobytes()
         if key not in played:
-            sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
-            played[key] = sampling, pi_step_size(
-                model, sampling, decision, epsilon=epsilon, step_schedule=step_schedule,
-                max_rounds=pi_rounds, start_state=start_state)
+            sampling, _, _ = yield from _best_response(model, decision, epsilon, pi_rounds)
+            played[key] = sampling, (yield from _soft_pi(
+                model, sampling, decision, epsilon, step_schedule, pi_rounds, start_state))
         sampling, pi_res = played[key]
         decision = pi_res.decision_policy
         theta = pi_res.average_reward
@@ -1001,9 +1192,23 @@ def jesp(model: DecPomdpModel, initial_decision: DecisionPolicy, epsilon=DEFAULT
 
     Sampling best responses occasionally stop transmitting out of some
     estimates, leaving a multichain; both steps take gains from
-    ``start_state`` (see ``pi_step_size``), which matches what a closed-loop
+    ``start_state`` (see ``_soft_pi``), which matches what a closed-loop
     run from that state measures.
+
+    This runs ``jesp_search`` alone; a grid study runs the searches of all
+    its cells together in one ``lockstep``, with the same results.
     """
+    return _run(jesp_search(model, initial_decision, epsilon=epsilon,
+                            step_schedule=step_schedule, restarts=restarts, seed=seed,
+                            max_rounds=max_rounds, pi_rounds=pi_rounds,
+                            start_state=start_state))
+
+
+def jesp_search(model: DecPomdpModel, initial_decision: DecisionPolicy, epsilon=DEFAULT_EPSILON,
+                step_schedule=None, restarts=0, seed=0, max_rounds=MAX_JESP_ROUNDS,
+                pi_rounds=MAX_PI_ROUNDS, start_state=0):
+    """``jesp`` of one model as a search for ``lockstep``: it yields its
+    solver requests and returns the report, the restarts run in turn."""
     rng = np.random.default_rng(seed)
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     outcomes = []
@@ -1014,8 +1219,8 @@ def jesp(model: DecPomdpModel, initial_decision: DecisionPolicy, epsilon=DEFAULT
         else:
             start = DecisionPolicy(rng.integers(0, n_actions, size=n_states))
         try:
-            report = _jesp_once(model, start, epsilon, step_schedule, max_rounds,
-                                pi_rounds, start_state)
+            report = yield from _jesp_once(model, start, epsilon, step_schedule, max_rounds,
+                                           pi_rounds, start_state)
         except GoalTensorError as exc:
             outcomes.append({"start": start.actions.tolist(), "error": str(exc)})
             continue

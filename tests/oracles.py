@@ -681,17 +681,68 @@ def uniform_period_by_period(model: DecPomdpModel, period, decision, start_state
     return _summarize(rows, mu_states / period, 1.0 / period)
 
 
-def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
-                             epsilon=DEFAULT_EPSILON, step_schedule=None, max_rounds=500,
-                             start_state=0):
-    """``solvers.pi_step_size`` evaluating every table it meets, repeats included."""
-    from goaltensor.solvers import (ACCEPT_TOL, PiResult, _as_schedule, _local_search,
-                                    _one_hot)
+# --- jesp as it ran before its searches ran in lockstep: one solver call at a time
+
+
+def evaluate_chain(problem, table, start=0):
+    """``solvers._FixedSamplingProblem``'s evaluation of a stochastic decision
+    table, one chain at a time: gain and bias from ``_evaluate_batch`` of the
+    one chain, the law from ``_balance`` where it has one closed class, else
+    the Cesaro row of ``start``, the bias shifted to zero mean under the law."""
+    from goaltensor.solvers import _balance, _evaluate_batch
+    P, rbar = problem.chain(table)
+    gain, bias, n_closed = _evaluate_batch(P[None], rbar[None])
+    gain, bias = gain[0], bias[0]
+    if n_closed[0] == 1:
+        law = _balance(P)
+        bias = bias - law @ bias
+    else:
+        star = cesaro_limit(P)
+        law = star[start]
+        bias = bias - star @ bias
+    residual = np.abs(gain + bias - rbar - P @ bias).max()
+    if residual > POISSON_TOL:
+        raise NonConvergenceError(
+            f"differential-reward residual {residual:.3e} exceeds {POISSON_TOL:g}",
+            residual=residual)
+    return _ChainEval(mu=law, eta=float(law @ rbar), eta_vec=gain, g=bias)
+
+
+def local_search_sequential(problem, actions, eta, start):
+    """Steepest-ascent single-observation local search, each pass's
+    deviations scored in one ``_evaluate_batch`` of their own."""
+    from goaltensor.solvers import IMPROVE_TOL, _evaluate_batch
+    n_obs, n_actions = len(actions), problem.model.alphabets.n_actions
+    actions = np.array(actions, dtype=int)
+    rows = np.arange(len(problem.xhats))
+    obs_of, action_of = np.divmod(np.arange(n_obs * n_actions), n_actions)
+    while True:
+        keep = action_of != actions[obs_of]
+        moves_obs, moves_action = obs_of[keep], action_of[keep]
+        trials = np.repeat(actions[None, :], moves_obs.size, axis=0)
+        trials[np.arange(moves_obs.size), moves_obs] = moves_action
+        acts = trials[:, problem.xhats]                           # (K, N)
+        g, _, _ = _evaluate_batch(problem.transitions[acts, rows, :],
+                                  problem.rewards[rows, acts])
+        best_eta, best_move = eta, None
+        for j, trial_eta in enumerate(g[:, start]):
+            if trial_eta > best_eta + IMPROVE_TOL:
+                best_eta, best_move = trial_eta, j
+        if best_move is None:
+            return actions, eta
+        actions[moves_obs[best_move]] = moves_action[best_move]
+        eta = float(best_eta)
+
+
+def _soft_policy_iteration(model, sampling, initial_decision, epsilon, step_schedule,
+                           max_rounds, start_state, evaluate):
+    """Soft policy iteration scoring each table with ``evaluate(problem, table)``."""
+    from goaltensor.solvers import ACCEPT_TOL, PiResult, _as_schedule, _one_hot
     schedule = _as_schedule(step_schedule)
     n_actions = model.alphabets.n_actions
     problem = _FixedSamplingProblem(model, sampling)
     soft = _one_hot(initial_decision.actions, n_actions)
-    evaluation = problem.evaluate(soft, start_state)
+    evaluation = evaluate(problem, soft)
     etas = [evaluation.eta]
     converged = False
     prev_target = None
@@ -709,7 +760,7 @@ def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
         candidate = (1.0 - schedule(k)) * soft + schedule(k) * _one_hot(target, n_actions)
         candidate = np.clip(candidate, 0.0, None)
         candidate /= candidate.sum(axis=1, keepdims=True)
-        candidate_eval = problem.evaluate(candidate, start_state)
+        candidate_eval = evaluate(problem, candidate)
         if candidate_eval.eta >= evaluation.eta - ACCEPT_TOL:
             soft, evaluation = candidate, candidate_eval
             etas.append(evaluation.eta)
@@ -717,22 +768,46 @@ def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
                 converged = True
                 break
     actions = soft.argmax(axis=1)
-    eta_det = problem.evaluate(_one_hot(actions, n_actions), start_state).eta
-    eta_init = problem.evaluate(_one_hot(initial_decision.actions, n_actions),
-                                start_state).eta
+    eta_det = evaluate(problem, _one_hot(actions, n_actions)).eta
+    eta_init = evaluate(problem, _one_hot(initial_decision.actions, n_actions)).eta
     if eta_init > eta_det:
         actions, eta_det = initial_decision.actions.copy(), eta_init
-    actions, eta_det = _local_search(problem, actions, eta_det, start_state)
+    actions, eta_det = local_search_sequential(problem, actions, eta_det, start_state)
     return PiResult(decision_policy=DecisionPolicy(actions), average_reward=float(eta_det),
                     iterations=rounds, eta_trace=etas, converged=converged)
 
 
-def jesp_once_every_round(model, initial_decision, epsilon, step_schedule, max_rounds,
-                          pi_rounds, start_state):
-    """``solvers._jesp_once`` running both steps in every round, a round that
-    repeats its predecessor included, with ``pi_step_size_every_table`` as the
-    actuator step."""
-    from goaltensor.solvers import SolveReport, solve_sampler_for_decision
+def pi_step_size_sequential(model: DecPomdpModel, sampling, initial_decision,
+                            epsilon=DEFAULT_EPSILON, step_schedule=None, max_rounds=500,
+                            start_state=0):
+    """Soft policy iteration with ``evaluate_chain`` and ``local_search_sequential``,
+    each distinct table evaluated once."""
+    evaluations = {}
+
+    def evaluate(problem, table):
+        key = table.tobytes()
+        if key not in evaluations:
+            evaluations[key] = evaluate_chain(problem, table, start_state)
+        return evaluations[key]
+
+    return _soft_policy_iteration(model, sampling, initial_decision, epsilon, step_schedule,
+                                  max_rounds, start_state, evaluate)
+
+
+def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
+                             epsilon=DEFAULT_EPSILON, step_schedule=None, max_rounds=500,
+                             start_state=0):
+    """``pi_step_size_sequential`` evaluating every table it meets, repeats included."""
+    return _soft_policy_iteration(model, sampling, initial_decision, epsilon, step_schedule,
+                                  max_rounds, start_state,
+                                  lambda problem, table: evaluate_chain(problem, table,
+                                                                        start_state))
+
+
+def _jesp_rounds(model, initial_decision, epsilon, max_rounds, respond):
+    """The alternating best-response loop, ``respond(decision)`` giving a
+    round's (sampling policy, soft-PI result)."""
+    from goaltensor.solvers import SolveReport
     decision = initial_decision
     theta_prev = None
     theta = None
@@ -742,10 +817,7 @@ def jesp_once_every_round(model, initial_decision, epsilon, step_schedule, max_r
     best = None
     for k in range(1, max_rounds + 1):
         rounds = k
-        sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
-        pi_res = pi_step_size_every_table(model, sampling, decision, epsilon=epsilon,
-                                          step_schedule=step_schedule, max_rounds=pi_rounds,
-                                          start_state=start_state)
+        sampling, pi_res = respond(decision)
         decision = pi_res.decision_policy
         theta = pi_res.average_reward
         theta_trace.append(theta)
@@ -761,6 +833,74 @@ def jesp_once_every_round(model, initial_decision, epsilon, step_schedule, max_r
                        average_reward=float(theta), iterations=rounds,
                        residual=float(residual), converged=converged,
                        diagnostics={"theta_trace": theta_trace})
+
+
+def jesp_once_sequential(model, initial_decision, epsilon, step_schedule, max_rounds,
+                         pi_rounds, start_state):
+    """One alternating best-response search, a round whose starting decision
+    table was met before replayed, with ``pi_step_size_sequential`` as the
+    actuator step."""
+    from goaltensor.solvers import solve_sampler_for_decision
+    played = {}
+
+    def respond(decision):
+        key = decision.actions.tobytes()
+        if key not in played:
+            sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
+            played[key] = sampling, pi_step_size_sequential(
+                model, sampling, decision, epsilon=epsilon, step_schedule=step_schedule,
+                max_rounds=pi_rounds, start_state=start_state)
+        return played[key]
+
+    return _jesp_rounds(model, initial_decision, epsilon, max_rounds, respond)
+
+
+def jesp_once_every_round(model, initial_decision, epsilon, step_schedule, max_rounds,
+                          pi_rounds, start_state):
+    """``jesp_once_sequential`` running both steps in every round, a round that
+    repeats its predecessor included, with ``pi_step_size_every_table`` as the
+    actuator step."""
+    from goaltensor.solvers import solve_sampler_for_decision
+
+    def respond(decision):
+        sampling, _, _ = solve_sampler_for_decision(model, decision, epsilon, pi_rounds)
+        return sampling, pi_step_size_every_table(
+            model, sampling, decision, epsilon=epsilon, step_schedule=step_schedule,
+            max_rounds=pi_rounds, start_state=start_state)
+
+    return _jesp_rounds(model, initial_decision, epsilon, max_rounds, respond)
+
+
+def jesp_sequential(model: DecPomdpModel, initial_decision, epsilon=DEFAULT_EPSILON,
+                    step_schedule=None, restarts=0, seed=0, max_rounds=100, pi_rounds=500,
+                    start_state=0, once=jesp_once_sequential):
+    """``solvers.jesp`` with each search run alone by ``once``, the restarts in turn."""
+    from goaltensor.errors import GoalTensorError
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
+    outcomes = []
+    best = None
+    for attempt in range(restarts + 1):
+        if attempt == 0:
+            start = initial_decision
+        else:
+            start = DecisionPolicy(rng.integers(0, n_actions, size=n_states))
+        try:
+            report = once(model, start, epsilon, step_schedule, max_rounds,
+                          pi_rounds, start_state)
+        except GoalTensorError as exc:
+            outcomes.append({"start": start.actions.tolist(), "error": str(exc)})
+            continue
+        outcomes.append({"start": start.actions.tolist(),
+                         "average_reward": report.average_reward,
+                         "converged": report.converged})
+        if best is None or report.average_reward > best.average_reward:
+            best = report
+    if best is None:
+        raise NonConvergenceError(
+            f"all {restarts + 1} equilibrium searches failed: {outcomes}")
+    best.diagnostics["restart_outcomes"] = outcomes
+    return best
 
 
 def sweep_one_by_one(model: DecPomdpModel, family, grid, decision, horizon, seeds,

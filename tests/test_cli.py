@@ -289,7 +289,7 @@ def _spy(monkeypatch, name):
 
 def test_compare_solves_each_cell_once(tmp_path, scenario_file, monkeypatch):
     monkeypatch.setattr(solvers, "CORES", 1)    # the spy counts in this process
-    calls = _spy(monkeypatch, "jesp")
+    calls = _spy(monkeypatch, "jesp_search")
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
                  "--out", str(out)]) == 0
@@ -302,14 +302,14 @@ def test_compare_solves_each_cell_once(tmp_path, scenario_file, monkeypatch):
 
 def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenario_file,
                                                        monkeypatch):
-    real = solvers.jesp
+    real = solvers.jesp_search
 
-    def fail_on_cs4(model, **kwargs):
+    def fail_on_cs4(model, *args, **kwargs):
         if model.cost.sampling_cost == 4.0:
             raise NonConvergenceError("forced failure")
-        return real(model, **kwargs)
+        return (yield from real(model, *args, **kwargs))
 
-    monkeypatch.setattr(solvers, "jesp", fail_on_cs4)
+    monkeypatch.setattr(solvers, "jesp_search", fail_on_cs4)
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
                  "--out", str(out)]) == 1
@@ -330,14 +330,14 @@ def test_compare_failed_cell_is_left_out_of_both_files(tmp_path, capsys, scenari
 def test_failed_cells_are_left_out_and_named(tmp_path, capsys, scenario_file, monkeypatch,
                                              command, failing, files):
     monkeypatch.setattr(solvers, "CORES", 3)    # gap's cells run on worker processes
-    real = solvers.jesp
+    real = solvers.jesp_search
 
-    def fail_on(model, **kwargs):
+    def fail_on(model, *args, **kwargs):
         if model.cost.sampling_cost in failing:
             raise NonConvergenceError("forced failure")
-        return real(model, **kwargs)
+        return (yield from real(model, *args, **kwargs))
 
-    monkeypatch.setattr(solvers, "jesp", fail_on)
+    monkeypatch.setattr(solvers, "jesp_search", fail_on)
     out = tmp_path / command
     assert main([command, "--scenario", scenario_file, "--grid", "ps=0.8;cs=2,4",
                  "--out", str(out)]) == 1
@@ -355,7 +355,7 @@ def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
     doc = default_document()
     doc["solver"].update(max_pi_rounds=77, max_jesp_rounds=9)
     path = str(save_scenario(doc, tmp_path / "caps.json"))
-    jesp_calls = _spy(monkeypatch, "jesp")
+    jesp_calls = _spy(monkeypatch, "jesp_search")
     brute_calls = _spy(monkeypatch, "brute_force_joint")
     assert main(["gap", "--scenario", path, "--grid", "ps=0.8;cs=2",
                  "--out", str(tmp_path / "gap")]) == 0

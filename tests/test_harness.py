@@ -516,14 +516,14 @@ def test_brute_force_chunk_threads_take_at_least_64_candidates_each(shipped, mon
 @pytest.mark.parametrize("workers", [1, 3])
 def test_unexpected_cell_error_reaches_the_caller(shipped, monkeypatch, workers):
     monkeypatch.setattr(solvers, "CORES", workers)
-    real = solvers.jesp
+    real = solvers.jesp_search
 
-    def boom_on_cs4(model, **kwargs):
+    def boom_on_cs4(model, *args, **kwargs):
         if model.cost.sampling_cost == 4.0:
             raise RuntimeError("boom")
-        return real(model, **kwargs)
+        return (yield from real(model, *args, **kwargs))
 
-    monkeypatch.setattr(solvers, "jesp", boom_on_cs4)
+    monkeypatch.setattr(solvers, "jesp_search", boom_on_cs4)
     scenario = replace(shipped, grid=GridConfig(success_probs=(0.8,),
                                                 sampling_costs=(2.0, 4.0, 6.0)))
     with pytest.raises(RuntimeError, match="^boom$"):
@@ -532,13 +532,13 @@ def test_unexpected_cell_error_reaches_the_caller(shipped, monkeypatch, workers)
 
 
 def test_jesp_grid_cells_run_in_this_process(shipped, three_workers, monkeypatch):
-    pids, real = [], solvers.jesp
+    pids, real = [], solvers.jesp_search
 
-    def spy(model, **kwargs):
+    def spy(model, *args, **kwargs):
         pids.append(os.getpid())
-        return real(model, **kwargs)
+        return (yield from real(model, *args, **kwargs))
 
-    monkeypatch.setattr(solvers, "jesp", spy)
+    monkeypatch.setattr(solvers, "jesp_search", spy)
     scenario = replace(shipped, grid=GridConfig(success_probs=(0.8,),
                                                 sampling_costs=(2.0, 4.0)))
     compare_policies(scenario, algorithm="jesp")

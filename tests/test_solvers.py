@@ -1,6 +1,8 @@
 import itertools
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,26 +16,38 @@ from goaltensor import model as model_module
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
                               SourceDynamics, TabularMdp, induced_mdp)
 from goaltensor import solvers
-from goaltensor.scenario import default_scenario
+from goaltensor.scenario import GridConfig, default_scenario
 from goaltensor.solvers import (_ChainEval, _balance, _balance_batch, _closed_classes_batch,
                                 _evaluate_batch, _unichain_batch, brute_force_joint,
                                 cesaro_limit, chain_law,
                                 closed_classes, flatten_sampling,
                                 greedy_decision_policy, heuristic_initial_decision,
-                                jesp, pi_step_size, _FixedSamplingProblem,
-                                _local_search, _one_hot,
-                                _policy_iteration_batch, sampling_from_flat, solve_mdps,
+                                jesp, _FixedSamplingProblem, _local_search, _one_hot,
+                                _policy_iteration_batch, _run, _soft_pi, sampling_from_flat,
+                                solve_mdps,
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
 from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
                      balance_alone, closed_classes_by_components, closed_classes_by_squaring,
                      evaluate_by_closure, exhaustive_joint_search,
-                     gain_from, heuristic_decision_by_rvi, jesp_once_every_round,
+                     gain_from, heuristic_decision_by_rvi, jesp_once_every_round, jesp_sequential,
                      joint_chain_by_hand, limit_matrix, local_search_one_by_one,
                      pi_step_size_every_table, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
                      tiny_two_state_model)
+
+
+def _evaluate(problem, table, start=0):
+    """Soft policy iteration's evaluation of ``table`` (``_FixedSamplingProblem.evaluation``), run alone."""
+    return _run(problem.evaluation(table, start))
+
+
+def pi_step_size(model, sampling, initial_decision, epsilon=solvers.DEFAULT_EPSILON,
+                 step_schedule=None, max_rounds=solvers.MAX_PI_ROUNDS, start_state=0):
+    """Soft policy iteration (``solvers._soft_pi``), run alone."""
+    return _run(_soft_pi(model, sampling, initial_decision, epsilon, step_schedule, max_rounds,
+                         start_state))
 
 
 # --- stationary analysis -----------------------------------------------------
@@ -211,8 +225,8 @@ def test_unichain_certificate_on_empty_and_one_state_batches():
     assert n_closed.tolist() == [1, 1]
     model = random_model(np.random.default_rng(5), n_states=2, n_contexts=2, n_actions=1)
     problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
-    eta = problem.evaluate(_one_hot([0, 0], 1)).eta
-    actions, value = _local_search(problem, [0, 0], eta, 0)
+    eta = _evaluate(problem, _one_hot([0, 0], 1)).eta
+    actions, value = _run(_local_search(problem, [0, 0], eta, 0))
     assert actions.tolist() == [0, 0] and value == eta
 
 
@@ -294,7 +308,8 @@ def test_stacked_chain_law_equals_one_law_per_chain(monkeypatch):
         for start in range(4):
             balanced.clear()
             got = chain_law(stack, start)
-            assert balanced[0] == int(_unichain_batch(stack).sum()), name
+            # every chain with one closed class in one balance batch
+            assert balanced[0] == sum(len(closed_classes(P)) == 1 for P in stack), name
             want = np.array([chain_law(P, start) for P in stack])
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, start)
     # the multichain member's law is the Cesaro row of the start
@@ -440,7 +455,7 @@ def q_values(model, sampling, decision):
     """(q_global, q_obs, posterior, reachable) of a deterministic decision
     policy, evaluated from state 0 as soft policy iteration does."""
     problem = _FixedSamplingProblem(model, sampling)
-    return problem.q_values(problem.evaluate(_one_hot(decision.actions,
+    return problem.q_values(_evaluate(problem, _one_hot(decision.actions,
                                                       model.alphabets.n_actions)))
 
 
@@ -517,7 +532,7 @@ def test_evaluate_matches_stationary_and_cesaro_oracles(monkeypatch):
         classes = closed_classes(P)
         kinds.add((len(classes) > 1, sum(map(len, classes)) < len(P)))
         for start in range(len(P)):
-            got = problem.evaluate(table, start)
+            got = _evaluate(problem, table, start)
             if len(classes) > 1:
                 want = _general_analysis(P, rbar, start)
             else:
@@ -535,7 +550,7 @@ def test_evaluate_matches_stationary_and_cesaro_oracles(monkeypatch):
     # the Poisson residual is certified
     monkeypatch.setattr("goaltensor.solvers.POISSON_TOL", -1.0)
     with pytest.raises(NonConvergenceError, match="residual"):
-        problem.evaluate(table, 0)
+        _evaluate(problem, table, 0)
 
 
 # --- greedy decision policy --------------------------------------------------
@@ -638,8 +653,8 @@ def test_local_search_matches_one_by_one_oracle(seed):
     problem = _FixedSamplingProblem(model, sampling_from_flat(bits, model))
     start = int(rng.integers(model.n_global_states))
     initial = rng.integers(0, 3, size=3)
-    eta = problem.evaluate(_one_hot(initial, 3), start).eta
-    actions, value = _local_search(problem, initial, eta, start)
+    eta = _evaluate(problem, _one_hot(initial, 3), start).eta
+    actions, value = _run(_local_search(problem, initial, eta, start))
     want_actions, want_value = local_search_one_by_one(problem, initial, eta, start)
     assert actions.tolist() == want_actions.tolist()
     assert value == pytest.approx(want_value, abs=1e-12)
@@ -657,8 +672,8 @@ def test_local_search_scores_multichain_deviations_from_start():
                                          expenditure=[0, 1], sampling_cost=0.0))
     problem = _FixedSamplingProblem(model, SamplingPolicy.always(model.alphabets))
     start = model.state_index(1, 1, 0)
-    eta = problem.evaluate(_one_hot([0, 1], 2), start).eta
-    actions, value = _local_search(problem, [0, 1], eta, start)
+    eta = _evaluate(problem, _one_hot([0, 1], 2), start).eta
+    actions, value = _run(_local_search(problem, [0, 1], eta, start))
     assert actions.tolist() == [0, 0]
     oracle = local_search_one_by_one(problem, [0, 1], eta, start)
     assert oracle[0].tolist() == [0, 0]
@@ -1207,7 +1222,7 @@ def test_jesp_nash_property(shipped):
 def test_prohibitive_sampling_cost_converges_to_silent_optimum(shipped):
     # once the transmission charge dwarfs every other cost, the solved design
     # stops transmitting and its value no longer depends on the charge
-    from goaltensor.scenario import default_scenario
+    from goaltensor.scenario import GridConfig, default_scenario
     # policy iteration takes about four rounds per candidate here, far below
     # the round cap of 1500
     model = default_scenario(sampling_cost=1e5).model
@@ -1254,27 +1269,30 @@ def _assert_same_report(got, want):
     np.testing.assert_array_equal(got.decision_policy.actions, want.decision_policy.actions)
 
 
-def _jesp_against_oracle(monkeypatch, solve):
-    got = _outcome(solve)
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_jesp_once", jesp_once_every_round)
-        want = _outcome(solve)
+def _jesp_against_oracle(model, initial, solve=None, **settings):
+    """``solve()``'s report or error message, by default ``jesp``'s on ``model``
+    from ``initial`` with ``settings``, asserted equal to the every-round
+    oracle's (``jesp_sequential`` with ``jesp_once_every_round``)."""
+    got = _outcome(solve or (lambda: jesp(model, initial, **settings)))
+    want = _outcome(lambda: jesp_sequential(model, initial, once=jesp_once_every_round,
+                                            **settings))
     _assert_same_report(got, want)
     return got
 
 
-def test_jesp_matches_every_round_oracle_on_the_bundled_grid(monkeypatch, shipped):
+def test_jesp_matches_every_round_oracle_on_the_bundled_grid(shipped):
     from goaltensor.harness import solve_cell
     replayed = []
     for cell in _grid_cells(shipped):
-        report = _jesp_against_oracle(monkeypatch, lambda: solve_cell(cell, "jesp"))
+        initial = heuristic_initial_decision(cell.model)
+        report = _jesp_against_oracle(cell.model, initial, lambda: solve_cell(cell, "jesp"),
+                                      start_state=cell.start_state)
         trace = report.diagnostics["theta_trace"]
         if report.iterations == 2 and trace[0] == trace[1]:
             replayed.append(cell)            # round 1 returned the policy it started from
         for max_rounds in (1, 2):
-            capped = _jesp_against_oracle(monkeypatch, lambda: jesp(
-                cell.model, heuristic_initial_decision(cell.model), max_rounds=max_rounds,
-                start_state=cell.start_state))
+            capped = _jesp_against_oracle(cell.model, initial, max_rounds=max_rounds,
+                                          start_state=cell.start_state)
             assert capped.iterations <= max_rounds
     assert replayed
     # the replay found on the last allowed round is not counted
@@ -1286,13 +1304,12 @@ def test_jesp_matches_every_round_oracle_on_the_bundled_grid(monkeypatch, shippe
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("max_rounds", [1, 2, solvers.MAX_JESP_ROUNDS])
-def test_jesp_matches_every_round_oracle_on_random_models(monkeypatch, seed, max_rounds):
+def test_jesp_matches_every_round_oracle_on_random_models(seed, max_rounds):
     rng = np.random.default_rng(100 + seed)
     model = random_model(rng, n_states=int(rng.integers(2, 4)),
                          n_contexts=int(rng.integers(1, 3)), n_actions=int(rng.integers(2, 5)))
-    _jesp_against_oracle(monkeypatch, lambda: jesp(
-        model, heuristic_initial_decision(model), restarts=2, seed=seed, max_rounds=max_rounds,
-        start_state=1))
+    _jesp_against_oracle(model, heuristic_initial_decision(model), restarts=2, seed=seed,
+                         max_rounds=max_rounds, start_state=1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1314,41 +1331,181 @@ def test_pi_step_size_matches_every_table_oracle(seed, schedule):
 def test_compare_grid_runs_no_round_twice_and_scores_the_start_table_once(monkeypatch,
                                                                           shipped):
     from goaltensor.harness import compare_policies
-    responses, start_scores, start_table, rounds = [], [], [], []
+    responses, starts, scored, rounds = {}, [], {}, []
     once = solvers._jesp_once
-    respond = solvers.solve_sampler_for_decision
-    step = solvers.pi_step_size
-    evaluate = _FixedSamplingProblem.evaluate
+    respond = solvers._best_response
+    step = solvers._soft_pi
+    evaluate = _FixedSamplingProblem.evaluation
 
-    def search(*args):
-        responses.append([])
-        report = once(*args)
+    # the searches run in lockstep: each spy files what it sees under the
+    # cell's model or the soft-PI call's problem
+    def search(model, *args):
+        responses[model] = []
+        report = yield from once(model, *args)
         rounds.append(report.iterations)
         return report
 
     def response(model, decision, *args):
-        responses[-1].append(decision.actions.tobytes())
+        responses[model].append(decision.actions.tobytes())
         return respond(model, decision, *args)
 
-    def scored(problem, table, *args):
-        start_scores[-1] += np.array_equal(table, start_table[0])
+    def scoring(problem, table, *args):
+        scored.setdefault(problem, []).append(table.tobytes())
         return evaluate(problem, table, *args)
 
-    def soft_pi(model, sampling, initial, **kwargs):
-        start_table[:] = [_one_hot(initial.actions, model.alphabets.n_actions)]
-        start_scores.append(0)
-        return step(model, sampling, initial, **kwargs)
+    def soft_pi(model, sampling, initial, *args):
+        # a soft-PI call builds its problem and scores its first table as it
+        # starts, before any other search moves: calls and problems pair up in order
+        starts.append(_one_hot(initial.actions, model.alphabets.n_actions).tobytes())
+        return step(model, sampling, initial, *args)
 
     monkeypatch.setattr(solvers, "_jesp_once", search)
-    monkeypatch.setattr(solvers, "solve_sampler_for_decision", response)
-    monkeypatch.setattr(solvers, "pi_step_size", soft_pi)
-    monkeypatch.setattr(_FixedSamplingProblem, "evaluate", scored)
+    monkeypatch.setattr(solvers, "_best_response", response)
+    monkeypatch.setattr(solvers, "_soft_pi", soft_pi)
+    monkeypatch.setattr(_FixedSamplingProblem, "evaluation", scoring)
     compare_policies(shipped, "jesp", include_classic=True)
     assert len(responses) == 30
-    assert all(len(set(tables)) == len(tables) for tables in responses)
+    assert all(len(set(tables)) == len(tables) for tables in responses.values())
+    assert all(tables[0] == start for start, tables in zip(starts, scored.values()))
+    start_scores = [tables.count(start) for start, tables in zip(starts, scored.values())]
     assert start_scores and set(start_scores) == {1}
     # the rounds counted outnumber the rounds run: some were replayed
-    assert sum(rounds) > sum(map(len, responses)) == len(start_scores)
+    assert sum(rounds) > sum(map(len, responses.values())) == len(start_scores) == len(scored)
+
+
+# --- the grid's searches in lockstep: against the sequential oracle -----------
+
+
+def _described(outcome):
+    """A report's repr with its diagnostics' (``theta_trace``, ``restart_outcomes``),
+    or an error's message."""
+    if isinstance(outcome, (str, Exception)):
+        return str(outcome)
+    return repr(outcome) + repr(outcome.diagnostics)
+
+
+def _lockstep_against_sequential(cells, **settings):
+    """Every cell ``(model, initial decision, start state)`` searched in one
+    ``lockstep`` pass, each outcome asserted equal to ``jesp_sequential``'s on
+    that cell alone; returns the outcomes."""
+    got = [value for _, value in solvers.lockstep([
+        solvers.jesp_search(model, initial, start_state=start, **settings)
+        for model, initial, start in cells])]
+    for (model, initial, start), outcome in zip(cells, got):
+        want = _outcome(lambda: jesp_sequential(model, initial, start_state=start, **settings))
+        assert _described(outcome) == _described(want)
+    return got
+
+
+def _bundled_cells(shipped, grid=None):
+    initial = heuristic_initial_decision(shipped.model)
+    return [(cell.model, initial, cell.start_state)
+            for cell in _grid_cells(replace(shipped, grid=grid) if grid else shipped)]
+
+
+def _random_cells(seed):
+    """Cells of a random model at pS = 0 (the estimate never refreshes: every
+    chain is multichain), 0.5 and 1, and CS = 0, 1 and 1 again."""
+    rng = np.random.default_rng(300 + seed)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=int(rng.integers(2, 5)))
+    base = replace(default_scenario(), model=model, state_values=np.arange(3.0),
+                   grid=GridConfig(success_probs=(0.0, 0.5, 1.0), sampling_costs=(0.0, 1.0, 1.0)))
+    initial = heuristic_initial_decision(model)
+    return [(cell.model, initial, int(rng.integers(model.n_global_states)))
+            for cell in _grid_cells(base)]
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_lockstep_equals_sequential_jesp_on_the_bundled_grid(shipped, restarts):
+    reports = _lockstep_against_sequential(_bundled_cells(shipped), restarts=restarts, seed=5)
+    assert len(reports) == 30 and not any(isinstance(r, Exception) for r in reports)
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_lockstep_equals_sequential_jesp_on_random_grids(monkeypatch, restarts):
+    multichain, real = [], solvers._chain_laws
+
+    def spy(P, starts, single):
+        multichain.append(int((~single).sum()))
+        return real(P, starts, single)
+
+    monkeypatch.setattr(solvers, "_chain_laws", spy)
+    _lockstep_against_sequential([cell for seed in range(4) for cell in _random_cells(seed)],
+                                 restarts=restarts, seed=9)
+    assert sum(multichain) > 0          # soft policy iteration met multichain chains
+
+
+@pytest.mark.parametrize("step", ["sampler", "chain"])
+def test_a_failing_cell_leaves_every_other_cell_unchanged(monkeypatch, shipped, step):
+    # one cell's inherent costs are raised by 200: every reward its searches
+    # hand the solvers is below -100, which marks its members in any batch.
+    # The sampler step's error names its member; the chain step's names none.
+    marked = lambda rewards: rewards.max(axis=tuple(range(1, rewards.ndim))) < -100  # noqa: E731
+    real_pi, real_eval = solvers._policy_iteration_batch, solvers._evaluate_batch
+
+    def failing_pi(T, R, *args, **kwargs):
+        j = np.flatnonzero(marked(R))
+        if j.size:
+            raise NonConvergenceError(f"candidate {j[0]} forced failure", candidate=int(j[0]))
+        return real_pi(T, R, *args, **kwargs)
+
+    def failing_eval(P, r):
+        if marked(r).any():
+            raise ErgodicityError("forced failure")
+        return real_eval(P, r)
+
+    cells = _bundled_cells(shipped, GridConfig(success_probs=(0.4, 0.8),
+                                               sampling_costs=(2.0, 4.0)))
+    model, initial, start = cells[1]
+    costly = replace(model, cost=replace(model.cost, inherent=model.cost.inherent + 200.0))
+    cells.insert(2, (costly, initial, start))
+    clean = solvers.lockstep([solvers.jesp_search(m, i, start_state=s) for m, i, s in cells])
+    assert all(ok for ok, _ in clean)
+    if step == "sampler":
+        monkeypatch.setattr(solvers, "_policy_iteration_batch", failing_pi)
+    else:
+        monkeypatch.setattr(solvers, "_evaluate_batch", failing_eval)
+    reports = _lockstep_against_sequential(cells)
+    for (cell_model, _, _), report, (_, clean_report) in zip(cells, reports, clean):
+        if cell_model is costly:
+            assert isinstance(report, NonConvergenceError)
+            assert "forced failure" in str(report)
+        else:
+            assert _described(report) == _described(clean_report)
+
+
+def test_lockstep_batches_stay_within_the_byte_limit(monkeypatch):
+    # N = 48: every local-search pass stacks 20 deviation chains per cell
+    rng = np.random.default_rng(41)
+    model = random_model(rng, n_states=4, n_contexts=3, n_actions=6)
+    base = replace(default_scenario(), model=model, state_values=np.arange(4.0),
+                   grid=GridConfig(success_probs=(0.3, 0.6, 1.0), sampling_costs=(0.5, 2.0)))
+    initial = heuristic_initial_decision(model)
+    cells = [(cell.model, initial, 0) for cell in _grid_cells(base)]
+    for cell_model, _, _ in cells:
+        cell_model.kernels                      # built before the measured runs
+
+    def peak_of_run():
+        tracemalloc.start()
+        try:
+            outcomes = solvers.lockstep([solvers.jesp_search(m, i, start_state=s)
+                                         for m, i, s in cells])
+            return tracemalloc.get_traced_memory()[1], [_described(v) for _, v in outcomes]
+        finally:
+            tracemalloc.stop()
+
+    unbounded_peak, unbounded = peak_of_run()
+    # at 1 byte every member is solved alone: the peak is then what the
+    # searches hold themselves, one actuator table per search among them
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 1)
+    alone_peak, outcomes = peak_of_run()
+    assert outcomes == unbounded
+    limit = 4 * 2 ** 20
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", limit)
+    peak, outcomes = peak_of_run()
+    assert outcomes == unbounded
+    assert unbounded_peak > 2 * (limit + alone_peak)
+    assert peak <= limit + alone_peak
 
 
 def test_balance_batch_matches_one_solve_per_chain():
