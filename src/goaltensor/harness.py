@@ -59,9 +59,10 @@ Both studies run jesp on every cell before any cell forks, in one pass
 (``_grid_jesp``): the cells' searches advance together in
 ``solvers.lockstep``, which stacks the pending solver calls of all of them
 into one batched call per step.  At N = 18 a call's time is mostly numpy's
-per-call overhead, so the bundled 30-cell pass takes about 70 ms against
-about 130 ms for the searches one after another (one core of a 2-vCPU
-machine), and every report is the same to the bit.
+per-call overhead, so the bundled 30-cell pass takes about half the time
+of the searches one after another (60 against 129 ms and 81 against 170 ms,
+medians of 40 alternating runs on one core of a shared 2-vCPU machine,
+BENCH_24.json), and every report is the same to the bit.
 
 A grid study also computes once what several of its cells share, and keeps
 it for that one call, computed before any cell forks: jesp's seed and the
@@ -626,7 +627,8 @@ def _grid_jesp(scenario, cells):
     (pS, CS).
 
     Every distinct cell's search (``solvers.jesp_search``) runs in one
-    ``solvers.lockstep`` pass in this process, from the grid's seed
+    ``solvers.lockstep`` pass in this process, as many at once as
+    ``solvers.jesp_in_flight`` keeps within the byte limit, from the grid's seed
     (``heuristic_initial_decision``, which reads the source, the context and
     the action costs, which no cell changes); where the seed fails, every
     cell fails with its error.  Each report is what ``solve_cell`` gives.
@@ -637,8 +639,9 @@ def _grid_jesp(scenario, cells):
                                                            epsilon=scenario.solver.epsilon))
     if not ok:
         return dict.fromkeys(keys, (False, seed))
-    return dict(zip(keys, solvers.lockstep([
-        solvers.jesp_search(cell.model, seed, **_jesp_settings(cell)) for cell in keys.values()])))
+    return dict(zip(keys, solvers.lockstep(
+        [solvers.jesp_search(cell.model, seed, **_jesp_settings(cell)) for cell in keys.values()],
+        solvers.jesp_in_flight(scenario.model))))
 
 
 # Baselines whose pairs (a stationary sampling policy of the global state with

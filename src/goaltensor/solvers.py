@@ -26,8 +26,10 @@ each solver call it needs: a sampler MDP to solve, a chain to evaluate in
 soft policy iteration, or a local-search pass's deviation chains.  One
 driver, ``lockstep``, runs any number of searches together, stacking every
 waiting call of one kind into a single batched solve, split into sub-batches
-within ``model.MAX_KERNEL_BYTES``; ``jesp`` is that driver on one search, and
-a grid study runs all its cells' searches in one pass.  numpy solves a stack
+within half of ``model.MAX_KERNEL_BYTES``; ``jesp`` is that driver on one
+search, and a grid study runs all its cells' searches in one pass, as many
+at once as hold at most the other half between their steps
+(``jesp_in_flight``).  numpy solves a stack
 member by member, so each search gets, to the bit, what it gets alone, and a
 member's failure goes to its own search only.
 
@@ -244,8 +246,6 @@ def _chain_laws(P, starts, single):
     its Cesaro matrix where it has several closed classes and None where it
     has one, which is what soft policy iteration shifts its bias by."""
     stars = [None] * len(P)
-    if single.all():
-        return _balance_batch(P), stars
     laws = np.empty(P.shape[:2])
     laws[single] = _balance_batch(P[single])
     for j in np.flatnonzero(~single):
@@ -542,24 +542,6 @@ def _renamed(exc: NonConvergenceError, name):
                                residual=exc.residual, iterations=exc.iterations)
 
 
-def solve_mdps(transitions, rewards, epsilon, max_rounds, name):
-    """Optimal policies, gain vectors and bias vectors of a batch of MDPs,
-    transitions (K, A, N, N) and rewards (K, N, A), by policy iteration.
-
-    Starts from action 0 (idling, on a sampler MDP) and keeps the incumbent
-    action on ties, so a state whose actions tie keeps the lowest one unless
-    an improvement moved it earlier: a sampler does not transmit where
-    transmitting buys nothing.  A ``NonConvergenceError`` names the failing
-    MDP as ``name``.
-    """
-    try:
-        policies, gains, biases, _, _, _ = _policy_iteration_batch(
-            transitions, rewards, epsilon, max_rounds, initial_action=0)
-    except NonConvergenceError as exc:
-        raise _renamed(exc, name) from None
-    return policies, gains, biases
-
-
 # ---------------------------------------------------------------------------
 # searches run in lockstep
 
@@ -599,6 +581,11 @@ def _solve_trials(P, r):
 
 
 def _solve_samplers(T, R, epsilon, max_rounds):
+    """Optimal policies, gain vectors and bias vectors of sampler MDPs by
+    policy iteration from action 0 (idling).  It keeps the incumbent action
+    on ties, so a state whose actions tie keeps the lowest one unless an
+    improvement moved it earlier: a sampler does not transmit where
+    transmitting buys nothing."""
     return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action=0)[:3]
 
 
@@ -641,10 +628,11 @@ def _served(requests):
     """Each request's member outcomes (``_serve``).  The members of all
     ``requests``, which share kind, settings and N, are stacked in request
     order and solved in consecutive sub-batches, each of as many members as
-    keep their working set (``_MEMBER_ARRAYS``) within
-    ``model.MAX_KERNEL_BYTES``, and at least one."""
+    keep their working set (``_MEMBER_ARRAYS``) within half of
+    ``model.MAX_KERNEL_BYTES``, and at least one: the searches in flight
+    keep the other half (``jesp_in_flight``)."""
     kind, settings, n = requests[0][:3]
-    room = max(1, model_module.MAX_KERNEL_BYTES // (_MEMBER_ARRAYS[kind] * n * n * 8))
+    room = max(1, model_module.MAX_KERNEL_BYTES // 2 // (_MEMBER_ARRAYS[kind] * n * n * 8))
     batches, batch, free = [], [], room      # sub-batches of (request, lo, hi) pieces
     for i, request in enumerate(requests):
         lo = 0
@@ -668,8 +656,10 @@ def _served(requests):
     return outcomes
 
 
-def lockstep(searches):
-    """Run every generator of ``searches`` to its end, together.
+def lockstep(searches, in_flight=None):
+    """Run every generator of ``searches`` to its end, together, at most
+    ``in_flight`` of them (all, by default) under way at once: the next in
+    order starts as one ends.
 
     A search yields a ``_Request`` and receives the list of its members'
     results, or has the first failing member's ``GoalTensorError`` thrown
@@ -684,6 +674,8 @@ def lockstep(searches):
     """
     outcomes = [None] * len(searches)
     waiting = {}
+    queued = iter(range(len(searches)))
+    in_flight = len(searches) if in_flight is None else in_flight
 
     def advance(i, ok, value):
         try:
@@ -695,15 +687,26 @@ def lockstep(searches):
         else:
             waiting[i] = request
 
-    for i in range(len(searches)):
-        advance(i, True, None)
-    while waiting:
+    while True:
+        while len(waiting) < in_flight and (i := next(queued, None)) is not None:
+            advance(i, True, None)
+        if not waiting:
+            return outcomes
         key = min(request[:3] for request in waiting.values())
         ready = sorted(i for i, request in waiting.items() if request[:3] == key)
         for i, results in zip(ready, _served([waiting.pop(i) for i in ready])):
             failed = [value for ok, value in results if not ok]
             advance(i, not failed, failed[0] if failed else [value for _, value in results])
-    return outcomes
+
+
+def jesp_in_flight(model: DecPomdpModel):
+    """How many ``jesp_search``es of ``model``'s size ``lockstep`` runs at
+    once: as many as hold, between their steps, at most half of
+    ``model.MAX_KERNEL_BYTES``, and at least one.  A search holds its
+    actuator tables (A dense N x N arrays, ``_FixedSamplingProblem``), a
+    chain waiting for its evaluation and that chain's Cesaro matrix."""
+    n, a = model.n_global_states, model.alphabets.n_actions
+    return max(1, model_module.MAX_KERNEL_BYTES // 2 // ((a + 2) * n * n * 8))
 
 
 def _run(search):
@@ -712,6 +715,26 @@ def _run(search):
     if not ok:
         raise value
     return value
+
+
+def _sampler_mdps(transitions, rewards, epsilon, max_rounds, name):
+    """Search step (see ``lockstep``) returning, per MDP of the batch,
+    transitions (K, A, N, N) and rewards (K, N, A), its optimal policy, gain
+    vector and bias vector (``_solve_samplers``).  A ``NonConvergenceError``
+    names the failing MDP as ``name``."""
+    try:
+        return (yield _Request(_SAMPLERS, (epsilon, max_rounds), transitions.shape[-1],
+                               len(transitions),
+                               lambda lo, hi: (transitions[lo:hi], rewards[lo:hi])))
+    except NonConvergenceError as exc:
+        raise _renamed(exc, name) from None
+
+
+def solve_mdps(transitions, rewards, epsilon, max_rounds, name):
+    """Optimal policies, gain vectors and bias vectors, each stacked, of a
+    batch of MDPs: ``_sampler_mdps`` run alone."""
+    results = _run(_sampler_mdps(transitions, rewards, epsilon, max_rounds, name))
+    return tuple(np.stack(arrays) for arrays in zip(*results))
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +785,9 @@ def _best_response(model, decision, epsilon, max_rounds):
     vector and bias vector of ``solve_sampler_for_decision``.  A
     ``NonConvergenceError`` names the decision policy."""
     mdp = induced_mdp(model, decision)
-    try:
-        (flat, gains, bias), = yield _Request(
-            _SAMPLERS, (epsilon, max_rounds), model.n_global_states, 1,
-            lambda lo, hi: (mdp.transitions[None], mdp.rewards[None]))
-    except NonConvergenceError as exc:
-        raise _renamed(exc, "sampler best response to decision policy "
-                            f"{tuple(decision.actions.tolist())}") from None
+    (flat, gains, bias), = yield from _sampler_mdps(
+        mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds,
+        f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
     return sampling_from_flat(flat, model), gains, bias
 
 

@@ -1384,13 +1384,13 @@ def _described(outcome):
     return repr(outcome) + repr(outcome.diagnostics)
 
 
-def _lockstep_against_sequential(cells, **settings):
+def _lockstep_against_sequential(cells, in_flight=None, **settings):
     """Every cell ``(model, initial decision, start state)`` searched in one
-    ``lockstep`` pass, each outcome asserted equal to ``jesp_sequential``'s on
-    that cell alone; returns the outcomes."""
+    ``lockstep`` pass, ``in_flight`` at once, each outcome asserted equal to
+    ``jesp_sequential``'s on that cell alone; returns the outcomes."""
     got = [value for _, value in solvers.lockstep([
         solvers.jesp_search(model, initial, start_state=start, **settings)
-        for model, initial, start in cells])]
+        for model, initial, start in cells], in_flight)]
     for (model, initial, start), outcome in zip(cells, got):
         want = _outcome(lambda: jesp_sequential(model, initial, start_state=start, **settings))
         assert _described(outcome) == _described(want)
@@ -1421,8 +1421,8 @@ def test_lockstep_equals_sequential_jesp_on_the_bundled_grid(shipped, restarts):
     assert len(reports) == 30 and not any(isinstance(r, Exception) for r in reports)
 
 
-@pytest.mark.parametrize("restarts", [0, 2])
-def test_lockstep_equals_sequential_jesp_on_random_grids(monkeypatch, restarts):
+@pytest.mark.parametrize("restarts, in_flight", [(0, None), (2, None), (2, 5)])
+def test_lockstep_equals_sequential_jesp_on_random_grids(monkeypatch, restarts, in_flight):
     multichain, real = [], solvers._chain_laws
 
     def spy(P, starts, single):
@@ -1431,7 +1431,7 @@ def test_lockstep_equals_sequential_jesp_on_random_grids(monkeypatch, restarts):
 
     monkeypatch.setattr(solvers, "_chain_laws", spy)
     _lockstep_against_sequential([cell for seed in range(4) for cell in _random_cells(seed)],
-                                 restarts=restarts, seed=9)
+                                 in_flight, restarts=restarts, seed=9)
     assert sum(multichain) > 0          # soft policy iteration met multichain chains
 
 
@@ -1485,27 +1485,29 @@ def test_lockstep_batches_stay_within_the_byte_limit(monkeypatch):
     for cell_model, _, _ in cells:
         cell_model.kernels                      # built before the measured runs
 
-    def peak_of_run():
+    def peak_of_run(in_flight=None):
         tracemalloc.start()
         try:
             outcomes = solvers.lockstep([solvers.jesp_search(m, i, start_state=s)
-                                         for m, i, s in cells])
+                                         for m, i, s in cells], in_flight)
             return tracemalloc.get_traced_memory()[1], [_described(v) for _, v in outcomes]
         finally:
             tracemalloc.stop()
 
     unbounded_peak, unbounded = peak_of_run()
-    # at 1 byte every member is solved alone: the peak is then what the
-    # searches hold themselves, one actuator table per search among them
-    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 1)
-    alone_peak, outcomes = peak_of_run()
-    assert outcomes == unbounded
-    limit = 4 * 2 ** 20
+    limit = 2 ** 20
     monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", limit)
-    peak, outcomes = peak_of_run()
+    in_flight = solvers.jesp_in_flight(model)
+    assert 1 < in_flight < len(cells)
+    peak, outcomes = peak_of_run(in_flight)
     assert outcomes == unbounded
-    assert unbounded_peak > 2 * (limit + alone_peak)
-    assert peak <= limit + alone_peak
+    # the cells' kernels, built before, are not traced: the searches in
+    # flight and each step's sub-batches keep within the limit
+    assert peak <= limit
+    # with every search under way at once, what they hold passes it
+    all_peak, outcomes = peak_of_run()
+    assert outcomes == unbounded
+    assert all_peak > limit and unbounded_peak > 4 * limit
 
 
 def test_balance_batch_matches_one_solve_per_chain():
