@@ -18,7 +18,10 @@ this directory):
   ``policy.json``);
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
-  20,000 slots.
+  20,000 slots;
+* ``simulate`` of the change-aware rule on generated document 0 over 20,000
+  slots, whose goal-cost columns take about three times as many distinct
+  values as the bundled scenario's (21 and 40 against at most 7 and 14).
 
 Each output line is ``<sha256>  <run>/<file>``.  Every CSV, report and
 policy file is meant to be byte-identical for a fixed input, so the lines of
@@ -89,6 +92,8 @@ def runs(work):
                           ("change", None), ("aoii", None), ("mse", None)):
         argv = ["simulate", "--scenario", BUNDLED, "--policy", policy, "--horizon", HORIZON]
         yield f"simulate-{policy}", argv + (["--param", param] if param else [])
+    yield "simulate-large-0", ["simulate", "--scenario", work / "large-0.json",
+                               "--policy", "change", "--horizon", HORIZON]
 
 
 def digests():

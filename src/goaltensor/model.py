@@ -250,6 +250,15 @@ class TabularMdp:
         return self.transitions.shape[0]
 
 
+def _built_mdp(transitions, rewards) -> TabularMdp:
+    """A ``TabularMdp`` over tables this module gathered from a validated model,
+    whose rows ``__post_init__`` would only check again."""
+    mdp = object.__new__(TabularMdp)
+    object.__setattr__(mdp, "transitions", transitions)
+    object.__setattr__(mdp, "rewards", rewards)
+    return mdp
+
+
 def induced_mdp(model: DecPomdpModel, policy: DecisionPolicy) -> TabularMdp:
     """Sampler-side MDP obtained by fixing the decision policy.
 
@@ -258,7 +267,7 @@ def induced_mdp(model: DecPomdpModel, policy: DecisionPolicy) -> TabularMdp:
     at the actuation the policy assigns to that state's estimate.
     """
     rows = DecisionRows(model, policy.actions)
-    return TabularMdp(transitions=rows.kernels, rewards=rows.rewards)
+    return _built_mdp(rows.kernels, rows.rewards)
 
 
 def induced_pomdp(model: DecPomdpModel, sampling: SamplingPolicy) -> TabularMdp:
@@ -273,7 +282,7 @@ def induced_pomdp(model: DecPomdpModel, sampling: SamplingPolicy) -> TabularMdp:
     transitions = np.swapaxes(model.kernels[bits, :, rows, :], 0, 1)   # (A, N, N)
     rewards = -(model.action_cost[xs, phis, :] +
                 model.cost.sampling_cost * bits[:, None])        # (N, A)
-    return TabularMdp(transitions=transitions, rewards=rewards)
+    return _built_mdp(transitions, rewards)
 
 
 def heuristic_mdp(model: DecPomdpModel) -> TabularMdp:
@@ -288,4 +297,4 @@ def heuristic_mdp(model: DecPomdpModel) -> TabularMdp:
     transitions = np.einsum("xpau,pr->apxru", model.source.probs,
                             model.context.probs).reshape(a, n * v, n * v)
     rewards = -model.action_cost.transpose(1, 0, 2).reshape(n * v, a)
-    return TabularMdp(transitions=transitions, rewards=rewards)
+    return _built_mdp(transitions, rewards)

@@ -2,7 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from goaltensor.benchmarks import (FAMILIES, AgeThresholdRule, StatePolicyRule, 
                                    aoii_optimal_policy)
 from goaltensor import harness, solvers
 from goaltensor.errors import NonConvergenceError, ParameterError
-from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_HEADER, _standard_error,
+from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_CSV_ROWS, TRACE_HEADER, Trace,
+                                _standard_error,
                                 optimality_gap, simulate_closed_loop,
                                 simulate_replicas, sweep_rate_vs_cost, compare_policies,
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
@@ -22,8 +23,8 @@ from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 from conftest import assert_no_child_process
-from oracles import (analyze_chain, compare_cell_by_cell, policy_chain, random_model,
-                     simulate_records, sweep_one_by_one, write_records_csv)
+from oracles import (TraceRecord, analyze_chain, compare_cell_by_cell, policy_chain,
+                     random_model, simulate_records, sweep_one_by_one, write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -346,6 +347,78 @@ def test_trace_csv_written_in_chunks_equals_record_writer(tmp_path, monkeypatch,
     records, _ = simulate_records(model, rule, greedy, 700, seed=2)
     assert (write_trace_csv(tmp_path / "columns.csv", trace).read_bytes()
             == write_records_csv(tmp_path / "records.csv", records).read_bytes())
+
+
+FLOAT_COLUMNS = {"aoii", "mse", "got", "cost"}
+
+
+def test_packed_record_gives_the_record_loop_columns(shipped):
+    # the loop keeps one int per slot; a rule may answer bool or int
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    script = [True, 0, 1, False, 1, True, 0, 0, 1, 1, False, True] * 30
+    trace, _ = simulate_closed_loop(model, ScriptedRule(script), greedy, len(script), seed=9,
+                                    initial=(1, 2, 0))
+    records, _ = simulate_records(model, ScriptedRule(script), greedy, len(script), seed=9,
+                                  initial=(1, 2, 0))
+    for column in fields(Trace):
+        values = [getattr(r, column.name) for r in records]
+        if column.name == "h":
+            values = [-1 if v is None else v for v in values]
+        expected = np.array(values, dtype=float if column.name in FLOAT_COLUMNS else np.intp)
+        got = getattr(trace, column.name)
+        assert got.dtype == expected.dtype, column.name
+        assert np.array_equal(got, expected), column.name
+
+
+def _hand_built(columns):
+    """A ``Trace`` of the given columns after ``t``, ``t`` counting slots."""
+    length = len(columns["x"])
+    return Trace(t=np.arange(length), **{name: np.asarray(v) for name, v in columns.items()})
+
+
+def _assert_writes_as_csv_writer(tmp_path, trace):
+    names = [column.name for column in fields(Trace)]
+    records = [TraceRecord(**{name: None if name == "h" and v < 0 else v
+                              for name, v in zip(names, row)})
+               for row in zip(*(getattr(trace, name).tolist() for name in names))]
+    assert (write_trace_csv(tmp_path / "columns.csv", trace).read_bytes()
+            == write_records_csv(tmp_path / "records.csv", records).read_bytes())
+
+
+@pytest.mark.parametrize("length", [1, 2, 700, TRACE_CSV_ROWS, TRACE_CSV_ROWS + 1])
+def test_trace_csv_equals_csv_writer_on_hand_built_columns(tmp_path, length):
+    rng = np.random.default_rng(length)
+
+    def small(low, high):
+        return rng.integers(low, high + 1, size=length)
+
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.5e308, 0.1 + 0.2]
+    mse = rng.normal(size=length) * 10.0 ** rng.integers(-20, 20, size=length)
+    mse[:len(specials)] = specials[:length]
+    trace = _hand_built({
+        "x": small(0, 2), "xhat": small(0, 2), "phi": small(0, 1), "a_s": small(0, 1),
+        "a_a": small(-3, 3),                                # negative, range fits: offsets
+        "h": small(-1, 1),
+        "aoi": rng.integers(-2 ** 62, 2 ** 62, size=length),  # wider than the trace: unique
+        "aos": small(-3 * length, 3 * length),
+        "aoii": rng.normal(size=length),                    # thousands of distinct floats
+        "aoci": small(1, 40), "mse": mse, "got": rng.choice([0.0, 0.5, 50.0], size=length),
+        "cost": rng.uniform(-1e6, 1e6, size=length)})
+    _assert_writes_as_csv_writer(tmp_path, trace)
+
+
+def test_trace_csv_renumbers_a_key_past_the_radix_limit(tmp_path):
+    # every column spans the trace, so the product of the ranges passes 2**62
+    # before the last column, and rows differ in their first column only in
+    # pairs: an overflowing key would lose that column and merge them
+    length = 4096
+    t = np.arange(length)
+    pattern = (t // 2 % 2) * (length - 1)
+    columns = {column.name: pattern for column in fields(Trace)[1:]}
+    columns.update(x=t % 2 * (length - 1), **{name: pattern / 3 for name in FLOAT_COLUMNS})
+    assert length ** 9 * 2 ** 4 > harness._KEY_LIMIT
+    _assert_writes_as_csv_writer(tmp_path, _hand_built(columns))
 
 
 def test_trace_equality_is_column_by_column(shipped):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goaltensor import model as model_module
 from goaltensor.errors import MemoryBudgetError, ModelIncompleteError
 from goaltensor.model import (MAX_KERNEL_BYTES, ChannelModel, ContextDynamics, DecisionRows,
-                              DecPomdpModel, SourceDynamics, check_kernel_bytes,
+                              DecPomdpModel, SourceDynamics, TabularMdp, check_kernel_bytes,
                               dense_kernels, heuristic_mdp, induced_mdp, induced_pomdp,
                               success_kernels)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
@@ -308,6 +309,26 @@ def test_row_sum_validation_rejects_bad_rows():
         ContextDynamics([[0.5, 0.5], [1.1, -0.1]])
     with pytest.raises(ModelIncompleteError):
         ChannelModel(1.5)
+
+
+def test_model_mdps_skip_the_row_check_and_hand_built_ones_keep_it(shipped, monkeypatch):
+    model = shipped.model
+    checked = []
+    monkeypatch.setattr(model_module, "_check_rows", lambda probs, name: checked.append(name))
+    mdps = [induced_mdp(model, DecisionPolicy([0, 3, 7])),
+            induced_pomdp(model, SamplingPolicy.always(model.alphabets)), heuristic_mdp(model)]
+    assert checked == []
+    TabularMdp(transitions=mdps[0].transitions, rewards=mdps[0].rewards)
+    assert checked == ["mdp_transitions"]
+    monkeypatch.undo()
+    for mdp in mdps:
+        # what the check would have seen passes it
+        TabularMdp(transitions=mdp.transitions, rewards=mdp.rewards)
+        assert mdp.rewards.shape == (mdp.n_states, mdp.n_actions)
+    with pytest.raises(ModelIncompleteError, match=r"mdp_transitions\[0, 1, 0\] outside"):
+        TabularMdp(transitions=np.array([[[1.0, 0.0], [1.5, -0.5]]]), rewards=np.zeros((2, 1)))
+    with pytest.raises(ModelIncompleteError, match=r"mdp_transitions row \[0, 0\] sums"):
+        TabularMdp(transitions=np.array([[[0.5, 0.4999], [0.0, 1.0]]]), rewards=np.zeros((2, 1)))
 
 
 def test_dense_kernels_refuse_oversized_alphabets_before_allocating():
