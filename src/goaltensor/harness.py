@@ -822,7 +822,7 @@ def _column_codes(column):
 def write_trace_csv(path, trace: Trace):
     """Write ``trace.csv``, byte for byte what ``csv.writer`` writes for its rows.
 
-    Rows after ``t`` repeat (0.9-5 thousand distinct in 25,000 slots of the
+    Rows after ``t`` repeat (0.9-5.2 thousand distinct in 25,000 slots of the
     bundled scenario, by rule), so each distinct one is formatted once.  A
     row's column codes (``_column_codes``) pack into one mixed-radix int64 key,
     renumbered by ``np.unique`` before the radix could pass ``_KEY_LIMIT``.
