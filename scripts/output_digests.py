@@ -15,7 +15,10 @@ this directory):
 * ``compare --include-classic`` and ``gap`` on a copy of the bundled
   scenario whose solver runs jesp with two restarts;
 * ``solve`` with ``brute``, ``jesp`` and ``rvi-fixed-decision`` (``report.txt``,
-  ``policy.json``);
+  ``policy.json``), and ``solve --algorithm brute`` on generated document 0
+  (N = 48: every candidate solved, the policy-iteration batches on threads
+  where there are cores for them; its ``report.txt`` holds ``iterations``,
+  ``residual`` and ``multichain_candidates``);
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots;
@@ -31,7 +34,7 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 10 seconds on one core.
+any did and 0 if none did.  Takes about 12 seconds on one core.
 """
 
 import argparse
@@ -85,6 +88,8 @@ def runs(work):
                                      "--algorithm", algorithm]
     yield "solve-rvi-fixed-decision", ["solve", "--scenario", BUNDLED,
                                        "--algorithm", "rvi-fixed-decision"]
+    yield "solve-brute-large-0", ["solve", "--scenario", work / "large-0.json",
+                                  "--algorithm", "brute"]
     for family in ("uniform", "age", "change", "aoii"):
         yield f"sweep-{family}", ["sweep", "--scenario", BUNDLED, "--families", family,
                                   "--horizon", HORIZON]

@@ -36,7 +36,7 @@ Cells that run brute force (``gap``, ``compare --algorithm brute``) are
 solved on forked worker processes, one per core (``solvers.pool_map``),
 because at N = 18 a brute-force solve holds the GIL and threads over cells
 gain nothing; one-cell grids and ``compare``'s jesp cells stay in this
-process, and brute force's chunk threads stay off inside a worker.  Every
+process, and the threads of large sampler batches stay off inside a worker.  Every
 worker holds its own kernels, so ``model.MAX_KERNEL_BYTES`` bounds each
 process, not their sum.  Results come back in grid order, and every CSV is
 the same byte for byte whatever the worker count.
@@ -524,10 +524,11 @@ def _grid(cells, cell_rows, forked):
     forked worker processes, one per core (``solvers.pool_map``).  Callers
     pass it for cells that run brute force (about 0.1 s a cell at N = 18 in
     full, 0.03 s with the anchor's bound, on one core of a 2-vCPU machine),
-    not for ``compare``'s jesp cells, whose solves (``_grid_jesp``) and
-    baselines are made before the loop, leaving about 0.5 ms of pricing a
-    cell, which starting and stopping a pool (12-17 ms) would slow.  A caller solves the grid's anchor (``brute_anchor``) and its jesp
-    cells before calling this, so the forked workers inherit them.
+    not for ``compare``'s jesp cells.  Those cells' solves (``_grid_jesp``)
+    and baselines are made before the loop, which leaves about 0.5 ms of
+    pricing a cell; starting and stopping a pool (12-17 ms) would slow that.
+    A caller solves the grid's anchor (``brute_anchor``) and its jesp cells
+    before calling this, so the forked workers inherit them.
     """
     outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
                                 solvers.CORES if forked else 1, fork=True)

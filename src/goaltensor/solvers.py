@@ -6,32 +6,29 @@ certificate on both multichain optimality equations.  Two exact routes and one
 fast route use it:
 
 * the sampler's best response to a fixed decision policy, one MDP;
-* brute-force enumeration of all deterministic decision policies, their
-  sampler MDPs solved in chunks and each scored by its optimal gain from the
-  start state (the chunks in flight keep their kernels within
-  ``model.MAX_KERNEL_BYTES``, a limit that holds per process, and a model
-  where one candidate's kernels already pass it is refused before anything
-  is built; from ``BRUTE_THREADED_STATES`` global states on, where numpy's
-  solves, which release the GIL, hold most of the time, the chunks run on
-  threads, one per core with at least 64 candidates each, and their bests
-  are reduced in enumeration order); given an upper bound on each
-  candidate's gain, such as its gain in a grid cell that dominates this one,
-  it skips every candidate the bound proves worse than the incumbent;
+* brute-force enumeration of all deterministic decision policies, each
+  scored by its sampler MDP's optimal gain from the start state; given an
+  upper bound on each candidate's gain, such as its gain in a grid cell that
+  dominates this one, it skips every candidate the bound proves worse than
+  the incumbent;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
 
-The search is written once, as a generator (``jesp_search``) that yields
-each solver call it needs: a sampler MDP to solve, a chain to evaluate in
-soft policy iteration, or a local-search pass's deviation chains.  One
-driver, ``lockstep``, runs any number of searches together, stacking every
-waiting call of one kind into a single batched solve, split into sub-batches
-within half of ``model.MAX_KERNEL_BYTES``; ``jesp`` is that driver on one
-search, and a grid study runs all its cells' searches in one pass, as many
-at once as hold at most the other half between their steps
-(``jesp_in_flight``).  numpy solves a stack
-member by member, so each search gets, to the bit, what it gets alone, and a
-member's failure goes to its own search only.
+Both searches are written once, as generators (``brute_force_search``,
+``jesp_search``) that yield each solver call they need: a batch of sampler
+MDPs to solve, a chain to evaluate in soft policy iteration, or a
+local-search pass's deviation chains.  One driver, ``lockstep``, runs any
+number of searches together, stacking every waiting call of one kind into
+one batched solve; ``brute_force_joint`` and ``jesp`` are that driver on one
+search, and a grid study runs all its cells' jesp searches in one pass, as
+many at once as hold at most half of ``model.MAX_KERNEL_BYTES`` between
+their steps (``jesp_in_flight``).  One owner, ``_served``, sizes, threads and
+fails every batch: within the other half, at most ``BRUTE_CHUNK`` sampler
+MDPs at once, on threads for large models, and a request ends at its first
+failing member.  numpy solves a stack member by member, so each search
+gets, to the bit, what it gets alone, and a member's failure goes to its
+own search only.
 
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
@@ -51,15 +48,16 @@ taken from the start state, and ``_chain_laws`` gives the matching long-run
 law, for ``chain_law`` and for soft policy iteration: the stationary law with
 one closed class, else the Cesaro row of the start state.
 
-One ordered map, ``pool_map``, spreads work over the cores: brute force's
-chunks over threads, and ``harness``'s grid cells over forked processes,
-inside which every ``pool_map`` call runs in place.  ``CORES`` sets the width
-of both, so at ``CORES = 1`` every solve runs in the calling thread.
+One ordered map, ``pool_map``, spreads work over the cores: the pieces of
+a large sampler batch over threads (``_served``), and ``harness``'s grid
+cells over forked processes, inside which every ``pool_map`` call runs in
+place.  ``CORES`` sets the width of both, so at ``CORES = 1`` every solve
+runs in the calling thread.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import os
 import sys
@@ -87,11 +85,11 @@ DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
 DEFAULT_BUDGET = 200_000    # most decision policies brute force enumerates
-BRUTE_CHUNK = 128           # decision policies in flight at once in brute force, over all workers
+BRUTE_CHUNK = 128           # sampler MDPs in flight at once, over all threads
 # cores this process may run on: the width of every pool (``pool_map``)
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-BRUTE_THREADED_STATES = 24  # global states N from which brute force's chunks run on threads
+BRUTE_THREADED_STATES = 24  # global states N from which sampler batches run on threads
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +240,11 @@ def _chain_laws(P, starts, single):
     """The long-run law of each chain of a stack (K, N, N), chain j started in
     ``starts[j]``: the stationary law where the chain has one closed class
     (``single``), solved for all such chains in one ``_balance_batch``, else
-    the Cesaro row of its start.  Returns the laws (K, N) and, per chain,
-    its Cesaro matrix where it has several closed classes and None where it
-    has one, which is what soft policy iteration shifts its bias by."""
-    stars = [None] * len(P)
+    the Cesaro row of its start.  Returns the laws (K, N) and, per chain in
+    an object array, its Cesaro matrix where it has several closed classes
+    and None where it has one, which is what soft policy iteration shifts
+    its bias by."""
+    stars = np.full(len(P), None, dtype=object)
     laws = np.empty(P.shape[:2])
     laws[single] = _balance_batch(P[single])
     for j in np.flatnonzero(~single):
@@ -324,8 +323,8 @@ class _FixedSamplingProblem:
         q-values are differential returns.
         """
         P, rbar = self.chain(table)
-        (gain, bias, law, star), = yield _Request(
-            _CHAINS, (), len(rbar), 1, lambda lo, hi: (P[None], rbar[None], np.array([start])))
+        gain, bias, law, star = (field[0] for field in (yield _Request(
+            _CHAINS, (), len(rbar), 1, lambda lo, hi: (P[None], rbar[None], np.array([start])))))
         bias = bias - (law @ bias if star is None else star @ bias)
         residual = np.abs(gain + bias - rbar - P @ bias).max()
         if residual > POISSON_TOL:
@@ -536,10 +535,12 @@ def _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action):
     return policy, gains, biases, iterations, residuals, n_closed
 
 
-def _renamed(exc: NonConvergenceError, name):
-    """A batch member's ``NonConvergenceError`` naming ``name`` in place of its index."""
+def _renamed(exc: NonConvergenceError, name, candidate=None):
+    """A batch member's ``NonConvergenceError`` naming ``name`` in place of its
+    index, with ``candidate`` its index where it still has one."""
     return NonConvergenceError(name + str(exc).removeprefix(f"candidate {exc.candidate}"),
-                               residual=exc.residual, iterations=exc.iterations)
+                               residual=exc.residual, iterations=exc.iterations,
+                               candidate=candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -580,80 +581,122 @@ def _solve_trials(P, r):
     return _evaluate_batch(P, r)[:1]
 
 
-def _solve_samplers(T, R, epsilon, max_rounds):
-    """Optimal policies, gain vectors and bias vectors of sampler MDPs by
-    policy iteration from action 0 (idling).  It keeps the incumbent action
-    on ties, so a state whose actions tie keeps the lowest one unless an
-    improvement moved it earlier: a sampler does not transmit where
-    transmitting buys nothing."""
-    return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action=0)[:3]
+def _solve_samplers(T, R, epsilon, max_rounds, initial_action):
+    """``_policy_iteration_batch`` of sampler MDPs.  It keeps the incumbent on
+    ties, so from action 0 (idling), where all but brute force start, a
+    sampler does not transmit where transmitting buys nothing."""
+    return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action)
 
 
 _SOLVES = {_CHAINS: _solve_chains, _TRIALS: _solve_trials, _SAMPLERS: _solve_samplers}
 
 
-def _serve(kind, settings, stacks):
-    """``(True, result)`` or ``(False, error)`` for each member of the stacked
-    arrays ``stacks``, solved as one batch of ``kind``.
-
-    Where the batch raises a ``GoalTensorError``, the member it names (its
-    ``candidate``) gets that error and the rest are solved again without it;
-    an error that names no member has every member solved alone.  numpy
-    solves and reduces a stack member by member, so every result is, to the
-    bit, what the member gives alone.
+def _serve(kind, settings, stacks, ends):
+    """The results of the stacked arrays ``stacks``, of requests that end at
+    members ``ends[0]``, ``ends[1]``, ..., solved as one batch of ``kind``: each
+    field stacked over the members (None where none was solved), and
+    ``(member, error)`` of each failing member.  The rows of a failing member
+    and of its request's later members, which are not solved, hold nothing:
+    where the batch raises a ``GoalTensorError``, the member it names (its
+    ``candidate``) gets that error and the rest are solved again without it
+    and its request's later members; an error that names no member has every
+    member solved alone.  numpy solves and reduces a stack member by member,
+    so every result is, to the bit, what the member gives alone.
     """
-    outcomes = [None] * len(stacks[0])
-    left = list(range(len(stacks[0])))
+    fields, failures = None, []
+    left = list(range(ends[-1]))
     alone = False
     while left:
         batch = left[:1] if alone else left
-        members = stacks if len(batch) == len(stacks[0]) else [stack[batch] for stack in stacks]
+        members = stacks if len(batch) == ends[-1] else [stack[batch] for stack in stacks]
         try:
-            results = _SOLVES[kind](*members, *settings)
+            solved = _SOLVES[kind](*members, *settings)
         except GoalTensorError as exc:
             j = 0 if len(batch) == 1 else getattr(exc, "candidate", None)
             if j is None:
                 alone = True
             else:
-                outcomes[batch[j]] = False, exc
-                left.remove(batch[j])
+                m = batch[j]
+                failures.append((m, exc))
+                end = ends[bisect.bisect_right(ends, m)]
+                left = [k for k in left if not m <= k < end]
             continue
-        for member, result in zip(batch, zip(*results)):
-            outcomes[member] = True, result
+        if len(batch) == ends[-1]:
+            return solved, failures
+        if fields is None:
+            fields = [np.empty((ends[-1],) + rows.shape[1:], rows.dtype) for rows in solved]
+        for field, rows in zip(fields, solved):
+            field[batch] = rows
         left = left[len(batch):]
-    return outcomes
+    return fields, failures
 
 
 def _served(requests):
-    """Each request's member outcomes (``_serve``).  The members of all
-    ``requests``, which share kind, settings and N, are stacked in request
-    order and solved in consecutive sub-batches, each of as many members as
-    keep their working set (``_MEMBER_ARRAYS``) within half of
-    ``model.MAX_KERNEL_BYTES``, and at least one: the searches in flight
-    keep the other half (``jesp_in_flight``)."""
+    """Each request's outcome: ``(True, its results)``, each field stacked
+    over its members, or ``(False, error)`` of its first failing member
+    (``_serve``), a ``NonConvergenceError`` naming it by its request index.
+
+    The members of ``requests``, which share kind, settings and N, are
+    stacked in request order and cut into near-equal pieces, as many in
+    flight as keep their working sets (``_MEMBER_ARRAYS``) within half of
+    ``model.MAX_KERNEL_BYTES`` (``jesp_in_flight`` keeps the other half), at
+    most ``BRUTE_CHUNK`` sampler MDPs, and at least one.  From
+    ``BRUTE_THREADED_STATES`` global states on, where numpy's solves release
+    the GIL most of the time, sampler pieces run on one ``pool_map`` thread
+    per core with at least 64 members each, a multiple of the threads so that
+    none runs alone at the end, each thread taking the next as it finishes
+    one.  A piece takes its arrays in its own call, and skips each request
+    an earlier piece found failing.
+    """
     kind, settings, n = requests[0][:3]
     room = max(1, model_module.MAX_KERNEL_BYTES // 2 // (_MEMBER_ARRAYS[kind] * n * n * 8))
-    batches, batch, free = [], [], room      # sub-batches of (request, lo, hi) pieces
-    for i, request in enumerate(requests):
-        lo = 0
-        while lo < request.count:
-            hi = min(request.count, lo + free)
-            batch.append((i, lo, hi))
-            free -= hi - lo
-            lo = hi
-            if not free:
-                batches.append(batch)
-                batch, free = [], room
-    if batch:
-        batches.append(batch)
-    outcomes = [[] for _ in requests]
-    for batch in batches:
+    total = sum(request.count for request in requests)
+    threads = 1
+    if kind == _SAMPLERS:
+        room = min(room, BRUTE_CHUNK)
+        if n >= BRUTE_THREADED_STATES:
+            threads = max(1, min(CORES, room // 64, total // 64))
+    count = -(-total // (room // threads))
+    count = max(1, min(total, -(-count // threads) * threads))   # 1 for an empty request
+    base, extra = divmod(total, count)
+    # pieces of (request, lo, hi) parts, cut at bounds over the stacked members
+    bounds = list(itertools.accumulate([base + 1] * extra + [base] * (count - extra), initial=0))
+    starts = list(itertools.accumulate((request.count for request in requests), initial=0))
+    pieces = [[(i, lo - starts[i], hi - starts[i]) for i in range(len(requests))
+               if (lo := max(a, starts[i])) < (hi := min(b, starts[i + 1]))]
+              for a, b in zip(bounds, bounds[1:])]
+    # shared by the threads without a lock: appends are atomic, and a failure
+    # missed only costs solving members whose results are not returned
+    solved = [[] for _ in requests]         # (lo, fields of members lo..) of each part
+    failures = [[] for _ in requests]       # (index, error) of each failing member met
+
+    def serve(piece):
+        if any(failures):
+            piece = [(i, lo, hi) for i, lo, hi in piece
+                     if not failures[i] or min(failures[i])[0] >= lo]
+            if not piece:
+                return
         stacks = [arrays[0] if len(arrays) == 1 else np.concatenate(arrays) for arrays in
-                  zip(*(requests[i].take(lo, hi) for i, lo, hi in batch))]
-        served = iter(_serve(kind, settings, stacks))
-        for i, lo, hi in batch:
-            outcomes[i].extend(itertools.islice(served, hi - lo))
-    return outcomes
+                  zip(*(requests[i].take(lo, hi) for i, lo, hi in piece))]
+        ends = list(itertools.accumulate(hi - lo for _, lo, hi in piece))
+        fields, failed = _serve(kind, settings, stacks, ends)
+        for (i, lo, hi), end in zip(piece, ends):
+            if fields is not None:
+                solved[i].append((lo, fields if len(piece) == 1 else
+                                  [field[end - hi + lo:end] for field in fields]))
+        for m, exc in failed:
+            k = bisect.bisect_right(ends, m)
+            i, lo, hi = piece[k]
+            index = m - ends[k] + hi
+            if isinstance(exc, NonConvergenceError):
+                exc = _renamed(exc, f"candidate {index}", index)
+            failures[i].append((index, exc))
+
+    pool_map(serve, pieces, threads)
+    return [(False, min(failed, key=lambda f: f[0])[1]) if failed else
+            (True, parts[0][1] if len(parts) == 1 else [np.concatenate(rows) for rows in
+             zip(*(fields for _, fields in sorted(parts, key=lambda part: part[0])))])
+            for failed, parts in zip(failures, solved)]
 
 
 def lockstep(searches, in_flight=None):
@@ -661,16 +704,17 @@ def lockstep(searches, in_flight=None):
     ``in_flight`` of them (all, by default) under way at once: the next in
     order starts as one ends.
 
-    A search yields a ``_Request`` and receives the list of its members'
-    results, or has the first failing member's ``GoalTensorError`` thrown
-    in.  Each step serves every waiting request of one kind, settings and N
-    at once (``_served``), the cheapest kind first: chains to evaluate, then
-    local-search trials, then sampler MDPs, whose policy-iteration batch
-    costs little more for many members than for one, so they wait until
-    every search that can reach one has.  Every result is what the search
-    run alone gets.  Returns per search ``(True, value returned)`` or
-    ``(False, GoalTensorError raised)``; any other exception reaches the
-    caller.
+    A search yields a ``_Request`` and receives its results, each field
+    stacked over the members, or has the first failing member's
+    ``GoalTensorError`` thrown in, a ``NonConvergenceError`` naming the
+    member by its index in the request.  Each step serves every waiting
+    request of one kind, settings and N at once (``_served``), the cheapest
+    kind first: chains to evaluate, then local-search trials, then sampler
+    MDPs, whose policy-iteration batch costs little more for many members
+    than for one, so they wait until every search that can reach one has.
+    Every result is what the search run alone gets.  Returns per search
+    ``(True, value returned)`` or ``(False, GoalTensorError raised)``; any
+    other exception reaches the caller.
     """
     outcomes = [None] * len(searches)
     waiting = {}
@@ -694,9 +738,8 @@ def lockstep(searches, in_flight=None):
             return outcomes
         key = min(request[:3] for request in waiting.values())
         ready = sorted(i for i, request in waiting.items() if request[:3] == key)
-        for i, results in zip(ready, _served([waiting.pop(i) for i in ready])):
-            failed = [value for ok, value in results if not ok]
-            advance(i, not failed, failed[0] if failed else [value for _, value in results])
+        for i, (ok, value) in zip(ready, _served([waiting.pop(i) for i in ready])):
+            advance(i, ok, value)
 
 
 def jesp_in_flight(model: DecPomdpModel):
@@ -718,23 +761,23 @@ def _run(search):
 
 
 def _sampler_mdps(transitions, rewards, epsilon, max_rounds, name):
-    """Search step (see ``lockstep``) returning, per MDP of the batch,
-    transitions (K, A, N, N) and rewards (K, N, A), its optimal policy, gain
-    vector and bias vector (``_solve_samplers``).  A ``NonConvergenceError``
-    names the failing MDP as ``name``."""
+    """Search step (see ``lockstep``) returning the optimal policies, gain
+    vectors and bias vectors, each stacked, of the MDPs of the batch,
+    transitions (K, A, N, N) and rewards (K, N, A) (``_solve_samplers`` from
+    action 0).  A ``NonConvergenceError`` names the failing MDP as ``name``."""
     try:
-        return (yield _Request(_SAMPLERS, (epsilon, max_rounds), transitions.shape[-1],
-                               len(transitions),
-                               lambda lo, hi: (transitions[lo:hi], rewards[lo:hi])))
+        results = yield _Request(_SAMPLERS, (epsilon, max_rounds, 0), transitions.shape[-1],
+                                 len(transitions),
+                                 lambda lo, hi: (transitions[lo:hi], rewards[lo:hi]))
     except NonConvergenceError as exc:
         raise _renamed(exc, name) from None
+    return tuple(results[:3])
 
 
 def solve_mdps(transitions, rewards, epsilon, max_rounds, name):
     """Optimal policies, gain vectors and bias vectors, each stacked, of a
     batch of MDPs: ``_sampler_mdps`` run alone."""
-    results = _run(_sampler_mdps(transitions, rewards, epsilon, max_rounds, name))
-    return tuple(np.stack(arrays) for arrays in zip(*results))
+    return _run(_sampler_mdps(transitions, rewards, epsilon, max_rounds, name))
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +828,9 @@ def _best_response(model, decision, epsilon, max_rounds):
     vector and bias vector of ``solve_sampler_for_decision``.  A
     ``NonConvergenceError`` names the decision policy."""
     mdp = induced_mdp(model, decision)
-    (flat, gains, bias), = yield from _sampler_mdps(
+    flat, gains, bias = (field[0] for field in (yield from _sampler_mdps(
         mdp.transitions[None], mdp.rewards[None], epsilon, max_rounds,
-        f"sampler best response to decision policy {tuple(decision.actions.tolist())}")
+        f"sampler best response to decision policy {tuple(decision.actions.tolist())}")))
     return sampling_from_flat(flat, model), gains, bias
 
 
@@ -863,12 +906,14 @@ def _local_search(problem: _FixedSamplingProblem, actions, eta, start):
         trials = np.repeat(actions[None, :], moves_obs.size, axis=0)
         trials[np.arange(moves_obs.size), moves_obs] = moves_action
         acts = trials[:, problem.xhats]                           # (K, N)
-        scores = yield _Request(_TRIALS, (), rows.size, len(acts), lambda lo, hi: (
+        if not len(acts):                                         # one action
+            return actions, eta
+        (gains,) = yield _Request(_TRIALS, (), rows.size, len(acts), lambda lo, hi: (
             problem.transitions[acts[lo:hi], rows, :], problem.rewards[rows, acts[lo:hi]]))
         best_eta, best_move = eta, None
-        for j, (g,) in enumerate(scores):
-            if g[start] > best_eta + IMPROVE_TOL:
-                best_eta, best_move = g[start], j
+        for j, g in enumerate(gains[:, start]):
+            if g > best_eta + IMPROVE_TOL:
+                best_eta, best_move = g, j
         if best_move is None:
             return actions, eta
         actions[moves_obs[best_move]] = moves_action[best_move]
@@ -951,54 +996,6 @@ def _soft_pi(model, sampling, initial_decision, epsilon, step_schedule, max_roun
 # brute force over decision policies
 
 
-def _chunk_sizes(n, cap, workers):
-    """Sizes of the near-equal chunks that ``n`` candidates are split into,
-    none over ``cap``.  Their count is a multiple of ``workers`` where there
-    are enough candidates, so that no chunk is left to run alone at the end."""
-    count = -(-n // cap)
-    count = min(n, -(-count // workers) * workers)
-    base, extra = divmod(n, count)
-    return [base + 1] * extra + [base] * (count - extra)
-
-
-def _solve_chunk(model, policies, start_state, epsilon, max_sweeps):
-    """One brute-force chunk: the sampler MDPs of the decision tables ``policies``
-    (K, S) in one policy-iteration batch.  Returns every member's gain from
-    ``start_state``, the index of the best member (the first with the largest
-    gain) with its sampling row and residual, the chunk's policy-iteration
-    rounds and its multichain decision tables; a ``NonConvergenceError`` names
-    the failing decision policy."""
-    rows = DecisionRows(model, policies)
-    try:
-        pol_b, gains, _, rounds, residuals, n_closed = _policy_iteration_batch(
-            rows.kernels, rows.rewards, epsilon, max_sweeps, initial_action=1)
-    except NonConvergenceError as exc:
-        raise _renamed(exc, f"decision policy {tuple(policies[exc.candidate].tolist())}"
-                       ) from None
-    scores = gains[:, start_state]
-    j = int(scores.argmax())
-    multichain = [tuple(int(x) for x in policies[i]) for i in np.flatnonzero(n_closed > 1)]
-    return scores, j, pol_b[j].copy(), float(residuals[j]), int(rounds.sum()), multichain
-
-
-def _pruned_chunks(solve, candidates, ceiling, floor, margin, size):
-    """``(indices, result)`` of each ``solve`` of a chunk of ``candidates``,
-    in enumeration order, skipping every candidate whose ``ceiling`` is below
-    the incumbent less ``margin``.  The incumbent is the larger of ``floor``
-    and the best gain solved so far; each chunk is the next ``size``
-    candidates that survive it."""
-    incumbent = floor
-    pending = np.arange(len(candidates))
-    while True:
-        pending = pending[~(ceiling[pending] < incumbent - margin)]
-        if not pending.size:
-            return
-        chunk, pending = pending[:size], pending[size:]
-        result = solve(candidates[chunk])
-        incumbent = max(incumbent, float(result[0].max()))
-        yield chunk, result
-
-
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=DEFAULT_BUDGET, max_sweeps=MAX_PI_ROUNDS,
                       start_state=0, ceiling=None, floor=-np.inf) -> SolveReport:
@@ -1006,9 +1003,9 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
 
     Decision policies are visited in lexicographic order; each induces a
     sampler MDP solved by batched multichain policy iteration (see
-    ``_policy_iteration_batch``), and the candidate's score is its optimal gain
-    from ``start_state``, the rule ``jesp`` scores by.  The best score wins,
-    with earlier-enumerated policies preferred on exact ties.
+    ``_policy_iteration_batch``) from action 1, and the candidate's score is
+    its optimal gain from ``start_state``, the rule ``jesp`` scores by.  The
+    best score wins, with earlier-enumerated policies preferred on exact ties.
 
     ``ceiling``, one value per candidate in enumeration order, is an upper
     bound on each candidate's gain, such as its gain in a grid cell that
@@ -1018,9 +1015,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     (``gap`` passes jesp's), and the best gain solved so far.  Every solved
     gain is certified to within ``epsilon``, so a skipped candidate is worse
     than the optimum, and the winner and every exact tie are still solved,
-    their arithmetic the same as unpruned.  The chunks then run in turn on
-    the calling thread, each the next candidates that survive the incumbent
-    so far.  Without a ceiling every candidate is solved.
+    their arithmetic the same as unpruned.  Without a ceiling every candidate
+    is solved.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
@@ -1032,78 +1028,80 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     wherever sampling ties with idling, so few are.  ``stalled_candidates``
     is always empty: a candidate that does not converge raises
     ``NonConvergenceError``, which names the lexicographically first failing
-    decision policy among those solved, whatever the chunk size or the
-    worker count.  ``BRUTE_CHUNK`` candidates are in flight at once, or as
-    many as keep their kernels within ``model.MAX_KERNEL_BYTES``; a model
-    where one candidate's kernels already pass the limit is refused with
-    ``MemoryBudgetError`` before anything of that size is built.  Each chunk
-    is one ``DecisionRows`` gather and one policy-iteration batch.  Without a
-    ceiling and with ``BRUTE_THREADED_STATES`` global states or more,
-    ``pool_map`` runs the chunks on one thread per core (``CORES``), with at
-    least 64 of the candidates in flight to a thread, so at most
-    ``BRUTE_CHUNK // 64`` threads; numpy releases the GIL in its solves and
-    array loops.  Below that, and inside a forked grid-cell worker, the
-    chunks run in turn on the calling thread.  Every candidate's arithmetic
-    is the same either way, and the chunks' bests are reduced in enumeration
-    order.  A single unichain warning is emitted up front if the reference chain
-    (always sample, lowest actuation) already has several closed classes.
+    decision policy among those solved, whatever the batching.
+
+    This runs ``brute_force_search`` alone: ``lockstep`` sizes, threads and
+    fails its batches (``_served``).  A model where one candidate's kernels
+    pass ``model.MAX_KERNEL_BYTES`` is refused with ``MemoryBudgetError``
+    before anything of that size is built, and a unichain warning is emitted
+    up front if the reference chain (always sample, lowest actuation) has
+    several closed classes.
     """
-    n_states = model.alphabets.n_states
-    n_actions = model.alphabets.n_actions
+    search = brute_force_search(model, epsilon=epsilon, budget=budget, max_sweeps=max_sweeps,
+                                start_state=start_state, ceiling=ceiling, floor=floor)
+    if len(closed_classes(model.kernels[1, 0])) != 1:
+        warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
+                      "gains of enumerated policies may be start-dependent", stacklevel=2)
+    return _run(search)
+
+
+def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEFAULT_BUDGET,
+                       max_sweeps=MAX_PI_ROUNDS, start_state=0, ceiling=None, floor=-np.inf):
+    """``brute_force_joint`` of one model as a search for ``lockstep``, its
+    arguments checked and the model's kernels built before it starts.  It
+    yields every candidate's sampler MDP in one request, or with a
+    ``ceiling`` the next ``BRUTE_CHUNK`` candidates that survive the
+    incumbent, and returns the report."""
+    n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
         raise EnumerationBudgetError(
             f"{n_actions}^{n_states} = {n_candidates} decision policies exceed the "
             f"enumeration budget {budget}")
-    fit = check_kernel_bytes(model.alphabets, 1, "the kernels of one candidate")
+    check_kernel_bytes(model.alphabets, 1, "the kernels of one candidate")
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
-    # this also builds the cached ``model.kernels`` before any worker starts, so
-    # the workers only read it
-    reference_chain = DecisionRows(model, np.zeros(n_states, dtype=int)).kernels[1]
-    if len(closed_classes(reference_chain)) != 1:
-        warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
-                      "gains of enumerated policies may be start-dependent", stacklevel=2)
-
+    size = n_candidates if ceiling is None else BRUTE_CHUNK
+    ceiling = np.full(n_candidates, np.inf) if ceiling is None else np.asarray(ceiling, float)
+    if ceiling.shape != (n_candidates,):
+        raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
+                             f"of the {n_candidates} decision policies")
+    model.kernels                   # read, never built, by the worker threads
     candidates = np.array(list(itertools.product(range(n_actions), repeat=n_states)),
                           dtype=int).reshape(n_candidates, n_states)
-    solve = functools.partial(_solve_chunk, model, start_state=start_state,
-                              epsilon=epsilon, max_sweeps=max_sweeps)
-    if ceiling is None:
-        # below BRUTE_THREADED_STATES, Python bookkeeping that holds the GIL
-        # outweighs numpy's work that releases it, and threads lose to one loop;
-        # above it each thread gets at least 64 of the candidates in flight,
-        # because smaller threaded chunks lose to one loop even at N = 48
-        threads = max(1, min(CORES, BRUTE_CHUNK // 64)) if N >= BRUTE_THREADED_STATES else 1
-        workers = min(threads, fit, n_candidates)
-        sizes = _chunk_sizes(n_candidates, min(BRUTE_CHUNK, fit) // workers, workers)
-        chunks = np.split(np.arange(n_candidates), np.cumsum(sizes)[:-1])
-        results = zip(chunks, pool_map(solve, [candidates[c] for c in chunks], workers))
-    else:
-        ceiling = np.asarray(ceiling, dtype=float)
-        if ceiling.shape != (n_candidates,):
-            raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
-                                 f"of the {n_candidates} decision policies")
-        # the grid's cells already use every core: no chunk threads here
-        results = _pruned_chunks(solve, candidates, ceiling, floor, epsilon,
-                                 min(BRUTE_CHUNK, fit))
+    return _brute_steps(model, candidates, epsilon, max_sweeps, start_state, ceiling, floor,
+                        size)
 
-    gains = np.full(n_candidates, np.nan)
+
+def _brute_steps(model, candidates, epsilon, max_sweeps, start_state, ceiling, floor, size):
+    gains = np.full(len(candidates), np.nan)
     best_gain, best_index, best_sampling, best_residual = -np.inf, None, None, np.nan
     total_rounds = 0
     flagged = []
-    # results come back in enumeration order, so the first failing chunk's error,
-    # naming the lexicographically first failing decision policy, is the one
-    # raised, and ties go to the earliest chunk, whatever the chunk size or
-    # worker count
-    for chunk, (scores, j, sampling, residual, rounds, multichain) in results:
-        gains[chunk] = scores
-        total_rounds += rounds
-        flagged.extend(multichain)
+    pending = np.arange(len(candidates))
+    while (pending := pending[~(ceiling[pending] < max(floor, best_gain) - epsilon)]).size:
+        chunk, pending = pending[:size], pending[size:]
+
+        def take(lo, hi, chunk=chunk):
+            rows = DecisionRows(model, candidates[chunk[lo:hi]])
+            return rows.kernels, rows.rewards
+
+        try:
+            results = yield _Request(_SAMPLERS, (epsilon, max_sweeps, 1),
+                                     model.n_global_states, len(chunk), take)
+        except NonConvergenceError as exc:
+            policy = tuple(candidates[chunk[exc.candidate]].tolist())
+            raise _renamed(exc, f"decision policy {policy}") from None
+        sampling, gain, _, rounds, residuals, n_closed = results
+        scores = gains[chunk] = gain[:, start_state]
+        total_rounds += int(rounds.sum())
+        flagged.extend(map(tuple, candidates[chunk[n_closed > 1]].tolist()))
+        j = int(scores.argmax())
+        # requests come in enumeration order: ties go to the earliest candidate
         if scores[j] > best_gain:
-            best_gain, best_index, best_sampling, best_residual = (scores[j], chunk[j],
-                                                                   sampling, residual)
+            best_gain, best_index = scores[j], chunk[j]
+            best_sampling, best_residual = sampling[j].copy(), residuals[j]
     if best_index is None:
         raise ParameterError(f"every decision policy's ceiling is below the floor {floor!r} "
                              f"less {epsilon:g}: none is left to solve")
@@ -1116,7 +1114,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
         residual=float(best_residual),
         converged=True,
         diagnostics={"candidates_evaluated": evaluated,
-                     "candidates_pruned": n_candidates - evaluated,
+                     "candidates_pruned": len(candidates) - evaluated,
                      "candidate_gains": gains,
                      "multichain_candidates": flagged,
                      "stalled_candidates": []},

@@ -24,6 +24,7 @@ from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, _ChainEv
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy
 
 MAX_RVI_SWEEPS = 10_000
+DETERMINE_EVERY = 1_000    # sweeps between moves to determined values (``rvi_solve``)
 
 
 class GlobalState(NamedTuple):
@@ -368,6 +369,46 @@ class RviSolution:
     residual: float
 
 
+def _determined(T, R, V, reference_state):
+    """Values to go on sweeping from, once relative value iteration has swept
+    ``DETERMINE_EVERY`` times without converging: those it tends to under its
+    greedy policy at ``V``.
+
+    A fixed policy with gain vector eta and bias h moves the relative values
+    towards h - h[ref] + n (eta - eta[ref]) after n sweeps.  Where eta is
+    constant (one closed class, or classes that gain alike) that is the bias,
+    solved at once where the sweeps would need about the chain's mixing time
+    times log(1 / epsilon).  Where it is not, the values drift apart, and a
+    state switches action only once the drift has paid for leaving its
+    class: far past any sweep cap when the gains lie within about epsilon
+    (``_drifted``).  Where to go on from does not change what relative value
+    iteration converges to, and the residual certifies what it returns.
+    """
+    rows = np.arange(len(V))
+    policy = (R + np.einsum("ans,s->na", T, V)).argmax(axis=1)
+    chain = _general_analysis(T[policy, rows], R[rows, policy], reference_state)
+    drift = chain.eta_vec - chain.eta_vec[reference_state]
+    if np.abs(drift).max() < POISSON_TOL:
+        return chain.g - chain.g[reference_state]
+    return _drifted(T, R, V, drift)
+
+
+def _drifted(T, R, V, drift):
+    """Values ``V`` moved along ``drift`` a sweep to just past the first sweep
+    at which the greedy policy changes, or ``V`` where no action overtakes:
+    each action's q-value moves linearly along the drift, so that sweep has a
+    closed form."""
+    Q = R + np.einsum("ans,s->na", T, V)
+    rise = np.einsum("ans,s->na", T, drift)
+    rows, policy = np.arange(len(V)), Q.argmax(axis=1)
+    gap = Q[rows, policy][:, None] - Q
+    rise = rise - rise[rows, policy][:, None]
+    overtakes = rise > 1e-9 * np.abs(drift).max()          # not rounding noise
+    if not overtakes.any():
+        return V
+    return V + (np.floor((gap[overtakes] / rise[overtakes]).min()) + 1.0) * drift
+
+
 def rvi_solve(mdp: TabularMdp, epsilon=DEFAULT_EPSILON, reference_state=0,
               max_sweeps=MAX_RVI_SWEEPS) -> RviSolution:
     """Relative value iteration for the average-reward optimality equation.
@@ -376,6 +417,14 @@ def rvi_solve(mdp: TabularMdp, epsilon=DEFAULT_EPSILON, reference_state=0,
     gain and values satisfy the optimality equation with residual below
     ``epsilon`` at every state (raised as an error otherwise).  Ties in the
     greedy policy break toward the lowest action index.
+
+    The sweeps stop once they change the values by less than ``epsilon / 2``.
+    Every ``DETERMINE_EVERY`` sweeps without that, the values move to those
+    the greedy policy tends to (``_determined``).  The residual certifies
+    the result on any model, multichain ones included: with gain g and
+    values V, T^n V <= V + n (g + residual), so no policy gains more than
+    g + residual from any state, and the greedy policy's one-step map adds
+    at least g - residual, so it gains at least that.
     """
     T, R = mdp.transitions, mdp.rewards
     n = mdp.n_states
@@ -393,6 +442,8 @@ def rvi_solve(mdp: TabularMdp, epsilon=DEFAULT_EPSILON, reference_state=0,
         V_older, V = V, V_new
         if diff < 0.5 * epsilon:
             break
+        if sweep % DETERMINE_EVERY == 0:
+            V = _determined(T, R, V, reference_state)
     else:
         if cycle < 0.5 * epsilon <= diff:
             raise NonConvergenceError(
@@ -420,9 +471,9 @@ def _rvi_batch(T, R, epsilon, reference_state, max_sweeps, on_stall="error"):
     """Relative value iteration over a batch of MDPs sharing a state space.
 
     Matches ``rvi_solve`` exactly per batch member: the same sweeps, the same
-    stopping rule (members freeze as soon as they converge), the same greedy
-    tie-breaking.  Returns (policies, gains, values, iterations, residuals,
-    stalled).
+    stopping rule (members freeze as soon as they converge), the same moves
+    to determined values, the same greedy tie-breaking.  Returns (policies,
+    gains, values, iterations, residuals, stalled).
 
     A member stalls when value differences plateau (in this problem family:
     estimate slices the greedy policy never couples, with gain differences too
@@ -444,6 +495,8 @@ def _rvi_batch(T, R, epsilon, reference_state, max_sweeps, on_stall="error"):
         done = diff < 0.5 * epsilon
         iterations[idx[done]] = sweep
         active[idx[done]] = False
+        for k in (idx[~done] if sweep % DETERMINE_EVERY == 0 else ()):
+            V[k] = _determined(T[k], R[k], V[k], reference_state)
         if not active.any():
             break
     stalled = active.copy()

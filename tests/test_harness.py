@@ -18,7 +18,7 @@ from goaltensor.harness import (BATCHES, SLOT_CHUNK, TRACE_CSV_ROWS, TRACE_HEADE
                                 write_compare_csv, write_decomp_csv, write_gap_csv,
                                 write_sweep_csv, write_trace_csv)
 from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
-                              SourceDynamics)
+                              SourceDynamics, induced_mdp)
 from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
@@ -584,6 +584,13 @@ def test_brute_force_chunk_threads_take_at_least_64_candidates_each(shipped, mon
         solvers.brute_force_joint(shipped.model)
     assert widths == [1, 2, 2]
     assert solvers.BRUTE_CHUNK // max(widths) >= 64
+    # the rule is the sampler batches' own, whoever asks: 127 MDPs take one
+    # thread, 128 two
+    mdp = induced_mdp(shipped.model, DecisionPolicy([0, 3, 7]))
+    for count in (127, 128):
+        solvers.solve_mdps(np.repeat(mdp.transitions[None], count, axis=0),
+                           np.repeat(mdp.rewards[None], count, axis=0), 1e-6, 100, "mdp")
+    assert widths[3:] == [1, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goaltensor.errors import (EnumerationBudgetError, ErgodicityError, MemoryBudgetError,
@@ -404,6 +405,15 @@ def test_rvi_periodic_chain_raises_with_hint():
 
 
 @given(st.integers(0, 10**9))
+# each has a model on which plain relative value iteration does not settle in
+# 10,000 sweeps: its reference state leaves its class slowly (511, 543591513),
+# or its greedy policy has two closed classes whose gains differ by 1e-6 to
+# 4e-4 (393679212, 338942365, 65841304)
+@example(511)
+@example(393679212)
+@example(338942365)
+@example(65841304)
+@example(543591513)
 @settings(max_examples=25, deadline=None)
 def test_rvi_batch_equals_sequential(seed):
     rng = np.random.default_rng(seed)
@@ -421,6 +431,10 @@ def test_rvi_batch_equals_sequential(seed):
         assert pol_b[k].tolist() == sol.policy.tolist()
         assert iters[k] == sol.iterations
         np.testing.assert_array_equal(V_b[k], sol.values.values)
+    # the certified gains, after moves to determined values too, are policy
+    # iteration's from the reference state within epsilon
+    pi_gains = _policy_iteration_batch(T, R, 1e-6, 100, initial_action=0)[1]
+    np.testing.assert_allclose(gains, pi_gains[:, 0], rtol=0, atol=1e-6)
 
 
 # --- policy chain and q tables ----------------------------------------------
@@ -846,13 +860,18 @@ def _threaded(monkeypatch, workers):
 
 
 def _in_flight(monkeypatch, model, count):
-    """``count`` candidates in flight over ``solvers.CORES`` threads.  Threads
-    get at least 64 of the ``BRUTE_CHUNK`` candidates each, so ``BRUTE_CHUNK``
-    stays high enough for every thread and the byte limit sets the count."""
+    """``count`` sampler MDPs in flight over ``solvers.CORES`` threads.  Threads
+    get at least 64 members each, so ``BRUTE_CHUNK`` stays high enough for
+    every thread and the byte limit sets the count: ``_served`` keeps each
+    member's working set (``_MEMBER_ARRAYS``) within half of the limit."""
     model.kernels                                 # built while they fit
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", max(count, 64 * solvers.CORES))
-    pair = 2 * model.n_global_states ** 2 * 8     # one candidate's kernels, in bytes
-    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", (count + 1) * pair - 1)
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 2 * (count + 1) * _member(model) - 1)
+
+
+def _member(model):
+    """Bytes of one sampler MDP's working set, as ``_served`` counts them."""
+    return solvers._MEMBER_ARRAYS[solvers._SAMPLERS] * model.n_global_states ** 2 * 8
 
 
 @pytest.mark.parametrize("model, multichain", [
@@ -897,14 +916,14 @@ def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, 
 def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
     model = default_scenario(0.2, 10.0).model     # multichain candidates, N = 18
     want = _brute_outcome(model)                  # also builds the model's kernels
-    pair = 2 * model.n_global_states ** 2 * 8     # one candidate's kernels, in bytes
     batches = []
     def spy(T, *args, **kwargs):
         batches.append(len(T))
         return _policy_iteration_batch(T, *args, **kwargs)
     monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
-    # room for 7 candidates' kernels, far below BRUTE_CHUNK's 128
-    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 8 * pair - 1)
+    # room for 7 sampler MDPs' working sets in half the limit, far below
+    # BRUTE_CHUNK's 128
+    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 2 * 8 * _member(model) - 1)
     assert _brute_outcome(model) == want
     assert max(batches) == 7 and sum(batches) == 11 ** 3
 
@@ -912,7 +931,6 @@ def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
 def test_brute_force_workers_share_the_byte_limit(monkeypatch):
     model = default_scenario(0.2, 10.0).model
     want = _brute_outcome(model)
-    pair = 2 * model.n_global_states ** 2 * 8
     batches = []
     lock = threading.Lock()
     in_flight = peak = 0
@@ -928,16 +946,16 @@ def test_brute_force_workers_share_the_byte_limit(monkeypatch):
             with lock:
                 in_flight -= len(T)
     monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
-    monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 8 * pair - 1)   # room for 7
     _threaded(monkeypatch, 2)
+    _in_flight(monkeypatch, model, 130)           # room for two threads of 65
     assert _brute_outcome(model) == want
-    assert 2 * max(batches) <= 7 and sum(batches) == 11 ** 3
-    assert peak <= 7
+    assert 2 * max(batches) <= 130 and sum(batches) == 11 ** 3
+    assert peak <= 130
 
 
 def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
     _threaded(monkeypatch, 3)
-    _in_flight(monkeypatch, shipped.model, 128)
+    _in_flight(monkeypatch, shipped.model, 128)   # two threads: 64 members each
     before = set(threading.enumerate())
     brute_force_joint(shipped.model)
     assert set(threading.enumerate()) == before
@@ -945,7 +963,7 @@ def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
         brute_force_joint(shipped.model, max_sweeps=2)
     assert set(threading.enumerate()) == before
 
-    # one chunk fails while another is still running, and later ones wait
+    # one piece fails while another is still running, and later ones wait
     together = threading.Barrier(2, timeout=10)
     lock = threading.Lock()
     calls = 0
@@ -961,8 +979,82 @@ def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
     with pytest.raises(RuntimeError, match="injected"):
         brute_force_joint(shipped.model)
     assert set(threading.enumerate()) == before
-    # the chunks not yet started were cancelled
-    assert calls < len(solvers._chunk_sizes(11 ** 3, 128 // 3, 3))
+    # the pieces not yet started, of the 22 of at most 64 members, were cancelled
+    assert calls < 11 ** 3 // 64
+
+
+def test_a_failing_member_ends_its_request(monkeypatch, shipped):
+    # nearly every candidate fails at two rounds: once (0, 0, 9) fails, none
+    # of the request's later candidates is solved, in its batch or after it
+    members = []
+    def spy(T, *args, **kwargs):
+        members.append(len(T))
+        return _policy_iteration_batch(T, *args, **kwargs)
+    monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
+    with pytest.raises(NonConvergenceError) as info:
+        brute_force_joint(shipped.model, max_sweeps=2)
+    assert str(info.value).startswith("decision policy (0, 0, 9) still changing policy after 2")
+    assert sum(members) <= 2 * solvers.BRUTE_CHUNK
+
+
+def test_threaded_pieces_give_the_serial_outcomes(monkeypatch):
+    # three requests of 300 two-state MDPs, failing members in the first and
+    # the last, served on more threads than cores with a short switch
+    # interval: every outcome is the serial one, to the bit
+    rng = np.random.default_rng(5)
+    T = rng.random((900, 2, 2, 2)) + 0.1
+    T /= T.sum(axis=-1, keepdims=True)
+    R = rng.normal(size=(900, 2, 2))
+    R[[5, 70, 71, 200, 299, 610, 899]] -= 200.0
+    real = _policy_iteration_batch
+
+    def failing(T, R, *args, **kwargs):
+        j = np.flatnonzero(R.max(axis=(1, 2)) < -100)
+        if j.size:
+            raise NonConvergenceError(f"candidate {j[0]} forced failure", candidate=int(j[0]))
+        return real(T, R, *args, **kwargs)
+
+    def served():
+        return [(ok, str(value) if not ok else [field.tobytes() for field in value])
+                for ok, value in solvers._served([solvers._Request(
+                    solvers._SAMPLERS, (1e-6, 100, 0), 2, 300,
+                    lambda lo, hi, k=k: (T[k + lo:k + hi], R[k + lo:k + hi]))
+                    for k in (0, 300, 600)])]
+
+    monkeypatch.setattr(solvers, "_policy_iteration_batch", failing)
+    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", 256)
+    monkeypatch.setattr(solvers, "CORES", 1)
+    want = served()
+    assert [ok for ok, _ in want] == [False, True, False]
+    assert want[0][1] == "candidate 5 forced failure" and want[2][1].startswith("candidate 10 ")
+    widths, real_map = [], solvers.pool_map
+    monkeypatch.setattr(solvers, "pool_map", lambda fn, items, workers: widths.append(workers)
+                        or real_map(fn, items, workers))
+    monkeypatch.setattr(solvers, "CORES", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert served() == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert widths == [4] * 5
+
+
+def test_brute_searches_in_lockstep_equal_each_alone(shipped):
+    models = [default_scenario(0.2, 10.0).model, shipped.model]
+    alone = [brute_force_joint(model) for model in models]
+    together = solvers.lockstep([solvers.brute_force_search(model) for model in models])
+    for (ok, report), want in zip(together, alone):
+        assert ok
+        assert repr(report) == repr(want)
+        for key in ("candidates_evaluated", "candidates_pruned", "multichain_candidates"):
+            assert report.diagnostics[key] == want.diagnostics[key]
+        np.testing.assert_array_equal(report.diagnostics["candidate_gains"],
+                                      want.diagnostics["candidate_gains"])
+        assert (report.iterations, repr(report.residual)) == (want.iterations,
+                                                              repr(want.residual))
 
 
 def test_pool_map_threads_return_in_order_and_raise_the_first_failure():
@@ -1021,23 +1113,31 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
 
 def _ceiling_run(monkeypatch, model, ceiling, floor):
     """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
-    report, the enumeration indices of each chunk it solved, in order, with
+    report, the enumeration indices of each request it made, in order, with
     their gains, and the batch sizes policy iteration saw."""
     n_actions, n_states = model.alphabets.n_actions, model.alphabets.n_states
-    chunks, batches = [], []
-    real_chunk, real_batch = solvers._solve_chunk, solvers._policy_iteration_batch
+    chunks, batches, taken = [], [], []
+    real_rows, real_served = solvers.DecisionRows, solvers._served
+    real_batch = solvers._policy_iteration_batch
 
-    def chunk_spy(model, policies, **kwargs):
-        result = real_chunk(model, policies, **kwargs)
-        chunks.append((np.ravel_multi_index(policies.T, (n_actions,) * n_states), result[0]))
-        return result
+    def rows_spy(model, policies):
+        taken.append(np.ravel_multi_index(policies.T, (n_actions,) * n_states))
+        return real_rows(model, policies)
+
+    def served_spy(requests):
+        outcomes = real_served(requests)
+        (ok, results), = outcomes
+        chunks.append((np.concatenate(taken), results[1][:, 0]))
+        taken.clear()
+        return outcomes
 
     def batch_spy(T, *args, **kwargs):
         batches.append(len(T))
         return real_batch(T, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_solve_chunk", chunk_spy)
+        patch.setattr(solvers, "DecisionRows", rows_spy)
+        patch.setattr(solvers, "_served", served_spy)
         patch.setattr(solvers, "_policy_iteration_batch", batch_spy)
         report = brute_force_joint(model, ceiling=ceiling, floor=floor)
     return report, chunks, batches
@@ -1164,8 +1264,10 @@ def test_brute_force_scores_from_start_state():
                           context=base.context, channel=base.channel, cost=base.cost)
     values = {}
     for start in (0, 3):
-        with pytest.warns(UserWarning, match="not unichain"):
+        with pytest.warns(UserWarning, match="not unichain") as warned:
             report = brute_force_joint(model, start_state=start)
+        # the warning points at brute_force_joint's caller, here
+        assert [w.filename for w in warned] == [__file__]
         best, _ = exhaustive_joint_search(model, start=start)
         assert report.average_reward == pytest.approx(best, abs=1e-6)
         values[start] = best
