@@ -7,7 +7,8 @@ Runs through ``goaltensor.cli.main`` (the package under ``src/`` next to
 this directory):
 
 * ``gap`` on the bundled scenario's 30-cell grid, on the permuted grid with
-  repeated values pS = 0.6, 1.0, 0.2, 1.0 and CS = 10, 0, and on generated 4x3x6
+  repeated values pS = 0.6, 1.0, 0.2, 1.0 and CS = 10, 0 (and ``compare
+  --include-classic --algorithm brute`` there), and on generated 4x3x6
   documents 0-5 (``perfbench/generate.py``) at the cells pS = 0.6 and 1.0,
   CS = 0.5;
 * ``compare --include-classic`` with ``jesp`` and with ``brute``
@@ -34,7 +35,8 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 12 seconds on one core.
+any did and 0 if none did.  Takes about 12 seconds on one core, and about
+6 on two.
 """
 
 import argparse
@@ -66,10 +68,14 @@ GENERATED = range(6)
 def runs(work):
     """(run name, CLI arguments) for every run, outputs under ``work``."""
     yield "gap-bundled", ["gap", "--scenario", BUNDLED]
-    # grid values out of order and repeated: the brute-force anchor cell
-    # (largest pS, smallest CS) is the grid's fourth and eighth cell
+    # grid values out of order and repeated: brute force's dominance order
+    # starts at the grid's fourth and eighth cell (largest pS, smallest CS)
     yield "gap-bundled-permuted", ["gap", "--scenario", BUNDLED,
                                    "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]
+    # the same grid under compare's floors, the best stationary baselines
+    yield "compare-brute-permuted", ["compare", "--scenario", BUNDLED, "--include-classic",
+                                     "--algorithm", "brute",
+                                     "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]
     for gen in GENERATED:
         path = work / f"large-{gen}.json"
         path.write_text(json.dumps(large_document(gen)))

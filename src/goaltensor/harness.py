@@ -32,31 +32,32 @@ scalar loop, the batched engine's test oracle.
 
 The grid studies, ``compare_policies`` and ``optimality_gap``, are per-cell
 row builders over one cell loop, ``_grid``, which sets failed cells aside.
-Cells that run brute force (``gap``, ``compare --algorithm brute``) are
-solved on forked worker processes, one per core (``solvers.pool_map``),
-because at N = 18 a brute-force solve holds the GIL and threads over cells
-gain nothing; one-cell grids and ``compare``'s jesp cells stay in this
-process, and the threads of large sampler batches stay off inside a worker.  Every
-worker holds its own kernels, so ``model.MAX_KERNEL_BYTES`` bounds each
-process, not their sum.  Results come back in grid order, and every CSV is
-the same byte for byte whatever the worker count.
+Every solve is made before that loop, in one pass per solver, and every row
+is built in this process.
 
-Before forking, a grid of two or more cells solves its anchor cell, (max pS,
-min CS), by brute force in this process (``brute_anchor``); the workers
-inherit its report.  A decision table's optimal sampler gain from the start
-state does not rise with the sampling cost c >= 0, which every policy pays
-per transmission.  Nor does it fall with the success probability: at p' >= p
-the sampler can attempt with probability p/p' wherever it attempted at p,
-for the same law at less charge, and no randomized policy beats the best
-deterministic one (Puterman 1994, ch. 9).  So each candidate's anchor gain
-bounds its gain at every cell.  ``solve_cell`` then skips, in each other
-cell, every candidate whose anchor gain is below the incumbent less the
-solver's epsilon, and the anchor's own cell reuses the anchor's report.  A
-skipped candidate is worse than the cell's optimum, so the winner and every
-exact tie are still solved, with the same arithmetic: every CSV is the same
-as without the anchor.
+Brute force on a grid of two or more distinct cells (``_grid_brute``)
+splits the candidates over forked worker processes, one per core
+(``solvers.pool_map``; at N = 18 a solve holds the GIL): candidate k goes to
+slice k mod W, W = ``solvers.CORES``, and each worker solves its slice at
+every distinct cell in dominance order, pS descending then CS ascending.  A
+decision table's optimal sampler gain from the start state does not rise
+with the sampling cost c >= 0, which every policy pays per transmission, nor
+fall with the success probability: at p' >= p the sampler can attempt with
+probability p/p' wherever it attempted at p, for the same law at less
+charge, and no randomized policy beats the best deterministic one (Puterman
+1994, ch. 9).  So the anchor, (max pS, min CS), is solved in full, and cell
+(i, j) takes as its ceiling the least of the values of cells (i-1, j) and
+(i, j-1): a value is the solved gain, else the ceiling it was skipped by,
+so by induction the least over every dominating cell.  A cell skips each
+candidate whose ceiling is below its floor less the solver's epsilon:
+jesp's reward in ``gap``, the best ``FLOOR_FAMILIES`` baseline in
+``compare --algorithm brute``.  No running incumbent moves the floor, so the
+winner and every exact tie are still solved with the same arithmetic, and
+neither the CSVs nor the candidates solved depend on W.  A grid of one
+distinct cell is solved in this process, where large sampler batches use
+threads.
 
-Both studies run jesp on every cell before any cell forks, in one pass
+Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in
 ``solvers.lockstep``, which stacks the pending solver calls of all of them
 into one batched call per step.  At N = 18 a call's time is mostly numpy's
@@ -66,7 +67,7 @@ medians of 40 alternating runs on one core of a shared 2-vCPU machine,
 BENCH_24.json), and every report is the same to the bit.
 
 A grid study also computes once what several of its cells share, and keeps
-it for that one call, computed before any cell forks: jesp's seed and the
+it for that one call, computed before the cells' rows: jesp's seed and the
 greedy decision table, which read no channel and no sampling charge, once
 per grid; and once per success probability (a grid row), the baselines'
 long-run laws.  A policy's law depends on the success probability only,
@@ -505,103 +506,40 @@ def _kept(shared, key, compute):
     return _unwrap(shared[key])
 
 
-def _cell_outcome(cell_rows, cell):
-    """``(True, rows)`` of one grid cell, or ``(False, message)`` where
-    ``cell_rows`` raised a ``GoalTensorError``: a message crosses from a
-    worker process where not every error class would unpickle."""
-    p_success, sampling_cost, scenario = cell
-    ok, result = _attempt(lambda: cell_rows(p_success, sampling_cost, scenario))
-    return ok, result if ok else str(result)
-
-
-def _grid(cells, cell_rows, forked):
+def _grid(cells, cell_rows):
     """Call ``cell_rows(p_success, sampling_cost, cell)`` on every grid cell
-    ``(p_success, sampling_cost, cell)`` of ``cells`` (``_cell_scenarios``).
-
-    Returns what it returned for each cell that succeeded, in grid order, and
-    ``(pS, CS, message)`` for each cell where it raised a ``GoalTensorError``;
-    a failed cell does not stop the others.  With ``forked`` the cells run on
-    forked worker processes, one per core (``solvers.pool_map``).  Callers
-    pass it for cells that run brute force (about 0.1 s a cell at N = 18 in
-    full, 0.03 s with the anchor's bound, on one core of a 2-vCPU machine),
-    not for ``compare``'s jesp cells.  Those cells' solves (``_grid_jesp``)
-    and baselines are made before the loop, which leaves about 0.5 ms of
-    pricing a cell; starting and stopping a pool (12-17 ms) would slow that.
-    A caller solves the grid's anchor (``brute_anchor``) and its jesp cells
-    before calling this, so the forked workers inherit them.
-    """
-    outcomes = solvers.pool_map(functools.partial(_cell_outcome, cell_rows), cells,
-                                solvers.CORES if forked else 1, fork=True)
+    ``(p_success, sampling_cost, cell)`` of ``cells`` (``_cell_scenarios``), in
+    this process, whose callers solved every cell before.  Returns what it
+    returned for each cell that succeeded, in grid order, and ``(pS, CS,
+    message)`` for each cell where it raised a ``GoalTensorError``; a failed
+    cell does not stop the others."""
     done, failed = [], []
-    for (p_success, sampling_cost, _), (ok, result) in zip(cells, outcomes):
+    for p_success, sampling_cost, cell in cells:
+        ok, result = _attempt(lambda: cell_rows(p_success, sampling_cost, cell))
         if ok:
             done.append(result)
         else:
-            failed.append((p_success, sampling_cost, result))
+            failed.append((p_success, sampling_cost, str(result)))
     return done, failed
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """The brute-force solve of a grid's anchor cell (``brute_anchor``)."""
-    success_prob: float
-    sampling_cost: float
-    report: object          # ``solvers.SolveReport``, every candidate's gain in its diagnostics
-
-
-def brute_anchor(scenario):
-    """Brute force at the grid's anchor cell, (max pS, min CS), whose
-    candidate gains bound theirs at every cell of the grid (see the module
-    docstring).
-
-    Returns None for a grid of fewer than two cells, whose one solve would
-    gain nothing from it, and where the anchor's solve raises a
-    ``GoalTensorError``: every cell is then solved in full, and fails as it
-    would have.
-    """
-    grid = scenario.grid
-    if len(grid.success_probs) * len(grid.sampling_costs) < 2:
-        return None
-    p_success, sampling_cost = max(grid.success_probs), min(grid.sampling_costs)
-    try:
-        report = solve_cell(scenario.with_channel(p_success).with_sampling_cost(sampling_cost),
-                            "brute")
-    except GoalTensorError:
-        return None
-    return Anchor(p_success, sampling_cost, report)
-
-
-def solve_cell(cell, algorithm, anchor=None, floor=-np.inf, initial_decision=None):
+def solve_cell(cell, algorithm, initial_decision=None):
     """Run the scenario's configured solver on one scenario or grid cell.
 
     The one place that turns ``cell.solver`` into solver arguments: epsilon,
     budget and every round cap, scored from the scenario's start state.
-    ``algorithm`` is ``"brute"`` (``brute_force_joint``), ``"jesp"``, or
-    ``"rvi-fixed-decision"``: the sampler's best response to the greedy
-    decision policy (``solve_sampler_for_decision``), reported with 0
-    iterations and residual 0.0.  jesp starts from ``initial_decision``, the
-    cell's ``heuristic_initial_decision``, computed here when not given.
-
-    Brute force given the grid's ``anchor`` (``brute_anchor``) returns the
-    anchor's report on the anchor cell, and elsewhere skips every candidate
-    whose anchor gain is below the incumbent less the solver's epsilon: the
-    larger of ``floor``, a gain known to be reached at this cell, and the
-    best gain solved so far.  The winner and its report are the same as
-    without the anchor.
+    ``algorithm`` is ``"brute"`` (``brute_force_joint``, every candidate
+    solved), ``"jesp"``, or ``"rvi-fixed-decision"``: the sampler's best
+    response to the greedy decision policy (``solve_sampler_for_decision``),
+    reported with 0 iterations and residual 0.0.  jesp starts from
+    ``initial_decision``, the cell's ``heuristic_initial_decision``, computed
+    here when not given.
     """
     from .solvers import (SolveReport, brute_force_joint, greedy_decision_policy,
                           heuristic_initial_decision, jesp, solve_sampler_for_decision)
     solver = cell.solver
     if algorithm == "brute":
-        ceiling = None
-        if anchor is not None:
-            if (cell.model.channel.success_prob == anchor.success_prob
-                    and cell.model.cost.sampling_cost == anchor.sampling_cost):
-                return anchor.report
-            ceiling = anchor.report.diagnostics["candidate_gains"]
-        return brute_force_joint(cell.model, epsilon=solver.epsilon, budget=solver.budget,
-                                 max_sweeps=solver.max_pi_rounds,
-                                 start_state=cell.start_state, ceiling=ceiling, floor=floor)
+        return brute_force_joint(cell.model, **_brute_settings(cell))
     if algorithm == "jesp":
         if initial_decision is None:
             initial_decision = heuristic_initial_decision(cell.model, epsilon=solver.epsilon)
@@ -615,6 +553,13 @@ def solve_cell(cell, algorithm, anchor=None, floor=-np.inf, initial_decision=Non
                            average_reward=gain, iterations=0, residual=0.0,
                            converged=True, diagnostics={})
     raise ParameterError(f"unknown algorithm {algorithm!r}")
+
+
+def _brute_settings(cell):
+    """``brute_force_joint``'s settings from ``cell.solver`` and its start state."""
+    solver = cell.solver
+    return dict(epsilon=solver.epsilon, budget=solver.budget, max_sweeps=solver.max_pi_rounds,
+                start_state=cell.start_state)
 
 
 def _jesp_settings(cell):
@@ -647,6 +592,80 @@ def _grid_jesp(scenario, cells):
         solvers.jesp_in_flight(scenario.model))))
 
 
+def _brute_slice(order, floors, failed, width, w):
+    """Brute force on slice ``w``, the candidates whose index is ``w`` modulo
+    ``width``, at each cell of ``order`` in turn (``_grid_brute``), by (pS, CS):
+    ``(True, solvers.BrutePart)``, or ``(False, (index, message))`` of the
+    failing candidate, -1 where none is named.  A cell of ``failed``, or one
+    that fails here, takes its ceiling as its values."""
+    values, outcomes = {}, {}
+    for key, cell, bounds, (ready, _) in order:
+        alphabets = cell.model.alphabets
+        top = np.full(alphabets.n_actions ** alphabets.n_states, np.inf)
+        values[key] = ceiling = functools.reduce(np.minimum, [values[b] for b in bounds], top)
+        if not ready:
+            continue
+        (ok, result), = solvers.lockstep([solvers.brute_force_search(
+            cell.model, **_brute_settings(cell), ceiling=ceiling, floor=floors[key],
+            members=range(w, len(top), width))])
+        if ok:
+            outcomes[key] = True, result
+            if key not in failed:
+                values[key] = np.where(np.isnan(result.gains), ceiling, result.gains)
+        else:
+            index = getattr(result, "candidate", None)
+            outcomes[key] = False, (-1 if index is None else index, str(result))
+    return outcomes
+
+
+def _grid_brute(scenario, cells, floors):
+    """Brute force on every cell of ``cells``, ``_attempt``ed, by (pS, CS), each
+    skipping what its ``floors`` entry and its dominating cells allow (module
+    docstring).  The cells are checked here, which builds the kernels the
+    workers inherit and warns once per cell.  A cell fails where a slice does,
+    with the error naming the lowest failing candidate index.  A slice cannot
+    see another's failures, so the slices run again, every failed cell's
+    values being its ceiling, until the failed cells repeat: each pass
+    settles the next cell in order, and the last is what one slice gives.
+    Each report merges the slices (``solvers.brute_force_report``) and is
+    ``solve_cell``'s but for the candidates skipped."""
+    keys = {(p_success, sampling_cost): cell for p_success, sampling_cost, cell in cells}
+    if len(keys) == 1:
+        return {key: _attempt(lambda: solve_cell(cell, "brute")) for key, cell in keys.items()}
+    success_probs = sorted({p_success for p_success, _ in keys}, reverse=True)
+    sampling_costs = sorted({sampling_cost for _, sampling_cost in keys})
+    order = []
+    for i, p_success in enumerate(success_probs):
+        for j, sampling_cost in enumerate(sampling_costs):
+            cell = keys[p_success, sampling_cost]
+            checked = _attempt(lambda: solvers.brute_force_search(cell.model,
+                                                                  **_brute_settings(cell)))
+            if checked[0]:
+                solvers.warn_if_start_dependent(cell.model)
+            bounds = [(success_probs[i - 1], sampling_cost)] if i else []
+            bounds += [(p_success, sampling_costs[j - 1])] if j else []
+            order.append(((p_success, sampling_cost), cell, bounds, checked))
+    width, failed = solvers.CORES, set()
+    while True:
+        slices = solvers.pool_map(functools.partial(_brute_slice, order, floors, failed, width),
+                                  range(width), width, fork=True)
+        failing = {key for outcomes in slices for key, (ok, _) in outcomes.items() if not ok}
+        if failing == failed:
+            break
+        failed = failing
+    reports = {}
+    for key, cell, _, checked in order:
+        outcomes = [outcomes[key] for outcomes in slices if key in outcomes]
+        failures = [error for ok, error in outcomes if not ok]
+        if failures:
+            checked = False, GoalTensorError(min(failures)[1])
+        elif checked[0]:
+            checked = _attempt(lambda: solvers.brute_force_report(
+                cell.model, [part for _, part in outcomes], floors[key], cell.solver.epsilon))
+        reports[key] = checked
+    return reports
+
+
 # Baselines whose pairs (a stationary sampling policy of the global state with
 # the greedy decision table) brute force's greedy candidate weakly beats from
 # the start state, so their best reward is a floor for brute force.
@@ -657,12 +676,12 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
     Returns ``(compare rows, decomp rows, failed cells)`` from one solve per
-    grid cell (failures as in ``_grid``): brute force by ``solve_cell``, jesp
-    by the grid's lockstep pass (``_grid_jesp``).  A cell's compare
-    rows are the solver's value, then each ``FAMILIES`` baseline
-    (``include_classic`` adds the classic ones) evaluated exactly at its best
-    parameter over the cell's sweep grid; its decomp row is the exact cost
-    split of the solved pair.
+    grid cell (failures as in ``_grid``): brute force by the grid's slices
+    (``_grid_brute``), jesp by the grid's lockstep pass (``_grid_jesp``).  A
+    cell's compare rows are the solver's value, then each ``FAMILIES``
+    baseline (``include_classic`` adds the classic ones) evaluated exactly at
+    its best parameter over the cell's sweep grid; its decomp row is the
+    exact cost split of the solved pair.
 
     Work that several cells share is done once and kept for this call only.
     Once per grid: the greedy decision table, and jesp's seed.  Once per
@@ -676,16 +695,12 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     A shared computation that raised a ``GoalTensorError`` raises it again in
     every cell that uses it, where that cell would have raised it.
 
-    Every cell's baselines are computed first, here, before the cells run;
-    with ``algorithm="jesp"`` so is every cell's solve, and with
-    ``algorithm="brute"`` the grid's anchor (``brute_anchor``), and
-    each cell's brute force skips what the anchor's gains prove worse than the
-    incumbent: the best gain solved so far, or the best of the
+    Every cell's baselines and solve are computed first, before the rows.
+    With ``algorithm="brute"`` each cell's floor is the best of its
     ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the cell
-    succeeded.
+    succeeded, else none.
     """
     from .solvers import greedy_decision_policy
-    anchor = brute_anchor(scenario) if algorithm == "brute" else None
     greedy = _attempt(lambda: greedy_decision_policy(scenario.model))
     families = [(name, family) for name, family in FAMILIES.items()
                 if family.baseline and (include_classic or not family.classic)]
@@ -718,8 +733,7 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             policy = family.by_cost(model, [sampling_cost], decision, values)[0]
         return pair_cost(cell, policy, decision).average_cost
 
-    # every cell's baselines, and jesp's reports, here, before the cells fork:
-    # each row's shared work runs once
+    # every cell's baselines and solve first: each row's shared work runs once
     cells = list(_cell_scenarios(scenario, scenario.grid))
     reports = _grid_jesp(scenario, cells) if algorithm == "jesp" else None
     cell_baselines = {
@@ -727,15 +741,18 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             (name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
             for name, family in families]
         for p_success, sampling_cost, cell in cells}
+    if algorithm == "brute":
+        floors = dict.fromkeys(cell_baselines, -np.inf)
+        for key, baselines in cell_baselines.items():
+            if all(ok for _, _, (ok, _) in baselines):
+                floors[key] = max((-cost for name, _, (_, cost) in baselines
+                                   if name in FLOOR_FAMILIES), default=-np.inf)
+        reports = _grid_brute(scenario, cells, floors)
 
     def cell_rows(p_success, sampling_cost, cell):
         baselines = cell_baselines[p_success, sampling_cost]
-        floor = -np.inf
-        if algorithm == "brute" and all(ok for _, _, (ok, _) in baselines):
-            floor = max((-cost for name, _, (_, cost) in baselines if name in FLOOR_FAMILIES),
-                        default=-np.inf)
         report = (_unwrap(reports[p_success, sampling_cost]) if reports is not None
-                  else solve_cell(cell, algorithm, anchor, floor))
+                  else solve_cell(cell, algorithm))
         split = pair_cost(cell, report.sampling_policy, report.decision_policy)
         costs = [("got-codesign", report.average_cost)]
         costs += [(label, _unwrap(outcome)) for _, label, outcome in baselines]
@@ -744,34 +761,32 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
                 {"pS": p_success, "CS": sampling_cost, "sampling": split.sampling,
                  "actuation": split.actuation, "inherent": split.inherent})
 
-    done, failed = _grid(cells, cell_rows, forked=algorithm == "brute")
+    done, failed = _grid(cells, cell_rows)
     return [row for rows, _ in done for row in rows], [split for _, split in done], failed
 
 
 def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units.
 
-    Brute force and jesp each solve every cell once.  Every cell's jesp, in
-    one lockstep pass (``_grid_jesp``), and the grid's anchor
-    (``brute_anchor``) are computed first, here, before the cells fork; in
-    each cell brute force skips the candidates the anchor's gains prove worse
-    than jesp's reward, or than the best gain solved so far.  Returns ``(gap rows, failed cells)``,
-    failures as in ``_grid``.
+    Brute force and jesp each solve every cell once, before the rows: jesp in
+    one lockstep pass (``_grid_jesp``), then brute force over the grid's
+    candidate slices (``_grid_brute``), with jesp's reward as each cell's
+    floor where jesp succeeded.  Returns ``(gap rows, failed cells)``,
+    failures as in ``_grid``; where both solvers fail in a cell, brute
+    force's error is the one named.
     """
-    anchor = brute_anchor(scenario)
     cells = list(_cell_scenarios(scenario, scenario.grid))
     reports = _grid_jesp(scenario, cells)
+    brute = _grid_brute(scenario, cells, {key: report.average_reward if ok else -np.inf
+                                          for key, (ok, report) in reports.items()})
 
     def cell_row(p_success, sampling_cost, cell):
-        if not reports[p_success, sampling_cost][0]:
-            # brute force ran first once: where it fails too, its error is the one named
-            solve_cell(cell, "brute", anchor)
+        bf = _unwrap(brute[p_success, sampling_cost]).average_cost
         je = _unwrap(reports[p_success, sampling_cost])
-        bf = solve_cell(cell, "brute", anchor, floor=je.average_reward).average_cost
         return {"pS": p_success, "CS": sampling_cost, "theta_bf": bf,
                 "theta_jesp": je.average_cost, "gap": je.average_cost - bf}
 
-    return _grid(cells, cell_row, forked=True)
+    return _grid(cells, cell_row)
 
 
 # ---------------------------------------------------------------------------

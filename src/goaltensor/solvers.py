@@ -9,8 +9,8 @@ fast route use it:
 * brute-force enumeration of all deterministic decision policies, each
   scored by its sampler MDP's optimal gain from the start state; given an
   upper bound on each candidate's gain, such as its gain in a grid cell that
-  dominates this one, it skips every candidate the bound proves worse than
-  the incumbent;
+  dominates this one, it skips every candidate the bound proves below a
+  floor, a gain known to be reached;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
@@ -49,10 +49,10 @@ law, for ``chain_law`` and for soft policy iteration: the stationary law with
 one closed class, else the Cesaro row of the start state.
 
 One ordered map, ``pool_map``, spreads work over the cores: the pieces of
-a large sampler batch over threads (``_served``), and ``harness``'s grid
-cells over forked processes, inside which every ``pool_map`` call runs in
-place.  ``CORES`` sets the width of both, so at ``CORES = 1`` every solve
-runs in the calling thread.
+a large sampler batch over threads (``_served``), and the candidate slices
+of ``harness``'s grid brute force over forked processes, inside which every
+``pool_map`` call runs in place.  ``CORES`` sets the width of both, so at
+``CORES = 1`` every solve runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -1008,15 +1008,14 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     best score wins, with earlier-enumerated policies preferred on exact ties.
 
     ``ceiling``, one value per candidate in enumeration order, is an upper
-    bound on each candidate's gain, such as its gain in a grid cell that
-    dominates this one (``harness.brute_anchor``).  With it, a candidate whose
-    ceiling is below the incumbent less ``epsilon`` is skipped: the incumbent
-    is the larger of ``floor``, a gain some policy pair is known to reach
-    (``gap`` passes jesp's), and the best gain solved so far.  Every solved
-    gain is certified to within ``epsilon``, so a skipped candidate is worse
-    than the optimum, and the winner and every exact tie are still solved,
-    their arithmetic the same as unpruned.  Without a ceiling every candidate
-    is solved.
+    bound on each candidate's gain, such as its least gain over the grid
+    cells that dominate this one.  With it, a candidate whose ceiling is
+    below ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some
+    policy pair is known to reach (``gap`` passes jesp's); no running
+    incumbent tightens it.  Every solved gain is certified to within
+    ``epsilon``, so a skipped candidate is worse than the optimum, and the
+    winner and every exact tie are still solved, their arithmetic the same
+    as unpruned.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
@@ -1030,28 +1029,49 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     ``NonConvergenceError``, which names the lexicographically first failing
     decision policy among those solved, whatever the batching.
 
-    This runs ``brute_force_search`` alone: ``lockstep`` sizes, threads and
-    fails its batches (``_served``).  A model where one candidate's kernels
+    This runs ``brute_force_search`` alone (``lockstep`` sizes, threads and
+    fails its batches) and ``brute_force_report`` on it, and warns up front
+    (``warn_if_start_dependent``).  A model where one candidate's kernels
     pass ``model.MAX_KERNEL_BYTES`` is refused with ``MemoryBudgetError``
-    before anything of that size is built, and a unichain warning is emitted
-    up front if the reference chain (always sample, lowest actuation) has
-    several closed classes.
+    before anything of that size is built.
     """
     search = brute_force_search(model, epsilon=epsilon, budget=budget, max_sweeps=max_sweeps,
                                 start_state=start_state, ceiling=ceiling, floor=floor)
+    warn_if_start_dependent(model, stacklevel=2)
+    return brute_force_report(model, [_run(search)], floor, epsilon)
+
+
+def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
+    """Warn, at the caller's line (``stacklevel`` 1) or further up, when brute
+    force's gains may depend on the start state: the reference chain (always
+    sample, lowest actuation) has several closed classes."""
     if len(closed_classes(model.kernels[1, 0])) != 1:
         warnings.warn("reference chain (always sample, lowest actuation) is not unichain; "
-                      "gains of enumerated policies may be start-dependent", stacklevel=2)
-    return _run(search)
+                      "gains of enumerated policies may be start-dependent",
+                      stacklevel=stacklevel + 1)
+
+
+class BrutePart(NamedTuple):
+    """What one ``brute_force_search`` solved: each candidate's gain from the
+    start state by enumeration index (NaN where not solved), the flat sampling
+    policy and residual of its first best candidate (None and NaN where none),
+    its policy-iteration rounds, and the indices of its multichain candidates."""
+    gains: np.ndarray
+    sampling: np.ndarray | None
+    residual: float
+    rounds: int
+    multichain: np.ndarray
 
 
 def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEFAULT_BUDGET,
-                       max_sweeps=MAX_PI_ROUNDS, start_state=0, ceiling=None, floor=-np.inf):
-    """``brute_force_joint`` of one model as a search for ``lockstep``, its
-    arguments checked and the model's kernels built before it starts.  It
-    yields every candidate's sampler MDP in one request, or with a
-    ``ceiling`` the next ``BRUTE_CHUNK`` candidates that survive the
-    incumbent, and returns the report."""
+                       max_sweeps=MAX_PI_ROUNDS, start_state=0, ceiling=None, floor=-np.inf,
+                       members=None):
+    """Brute force's solves on one model as a search for ``lockstep``, its
+    arguments checked and the model's kernels built before it starts: the
+    candidates of ``members`` (ascending indices, all by default) whose
+    ``ceiling`` is not below ``floor`` less ``epsilon``, in one request, and
+    none where none is left.  Returns a ``BrutePart``; a failing member's
+    ``NonConvergenceError`` names its decision policy, ``candidate`` its index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
@@ -1062,61 +1082,66 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
-    size = n_candidates if ceiling is None else BRUTE_CHUNK
     ceiling = np.full(n_candidates, np.inf) if ceiling is None else np.asarray(ceiling, float)
     if ceiling.shape != (n_candidates,):
         raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
                              f"of the {n_candidates} decision policies")
+    members = np.arange(n_candidates) if members is None else np.asarray(members, dtype=int)
+    kept = members[~(ceiling[members] < floor - epsilon)]
     model.kernels                   # read, never built, by the worker threads
-    candidates = np.array(list(itertools.product(range(n_actions), repeat=n_states)),
-                          dtype=int).reshape(n_candidates, n_states)
-    return _brute_steps(model, candidates, epsilon, max_sweeps, start_state, ceiling, floor,
-                        size)
+    return _brute_steps(model, kept, epsilon, max_sweeps, start_state, (n_actions,) * n_states)
 
 
-def _brute_steps(model, candidates, epsilon, max_sweeps, start_state, ceiling, floor, size):
-    gains = np.full(len(candidates), np.nan)
-    best_gain, best_index, best_sampling, best_residual = -np.inf, None, None, np.nan
-    total_rounds = 0
-    flagged = []
-    pending = np.arange(len(candidates))
-    while (pending := pending[~(ceiling[pending] < max(floor, best_gain) - epsilon)]).size:
-        chunk, pending = pending[:size], pending[size:]
+def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape):
+    gains = np.full(np.prod(shape), np.nan)
+    if not kept.size:
+        return BrutePart(gains, None, np.nan, 0, kept)
+    candidates = np.stack(np.unravel_index(kept, shape), axis=1)    # in lexicographic order
 
-        def take(lo, hi, chunk=chunk):
-            rows = DecisionRows(model, candidates[chunk[lo:hi]])
-            return rows.kernels, rows.rewards
+    def take(lo, hi):
+        rows = DecisionRows(model, candidates[lo:hi])
+        return rows.kernels, rows.rewards
 
-        try:
-            results = yield _Request(_SAMPLERS, (epsilon, max_sweeps, 1),
-                                     model.n_global_states, len(chunk), take)
-        except NonConvergenceError as exc:
-            policy = tuple(candidates[chunk[exc.candidate]].tolist())
-            raise _renamed(exc, f"decision policy {policy}") from None
-        sampling, gain, _, rounds, residuals, n_closed = results
-        scores = gains[chunk] = gain[:, start_state]
-        total_rounds += int(rounds.sum())
-        flagged.extend(map(tuple, candidates[chunk[n_closed > 1]].tolist()))
-        j = int(scores.argmax())
-        # requests come in enumeration order: ties go to the earliest candidate
-        if scores[j] > best_gain:
-            best_gain, best_index = scores[j], chunk[j]
-            best_sampling, best_residual = sampling[j].copy(), residuals[j]
-    if best_index is None:
+    try:
+        results = yield _Request(_SAMPLERS, (epsilon, max_sweeps, 1), model.n_global_states,
+                                 kept.size, take)
+    except NonConvergenceError as exc:
+        policy = tuple(candidates[exc.candidate].tolist())
+        raise _renamed(exc, f"decision policy {policy}", int(kept[exc.candidate])) from None
+    sampling, gain, _, rounds, residuals, n_closed = results
+    scores = gains[kept] = gain[:, start_state]
+    j = int(scores.argmax())                    # ties go to the earliest candidate
+    return BrutePart(gains, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
+                     kept[n_closed > 1])
+
+
+def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,
+                       epsilon=DEFAULT_EPSILON) -> SolveReport:
+    """``brute_force_joint``'s report from the ``BrutePart``s of searches over
+    disjoint candidates of ``model``: the best gain wins, ties going to the
+    lowest index, with its part's sampling policy and residual; rounds add
+    up.  ``ParameterError`` where no part solved anything."""
+    gains = np.fmax.reduce([part.gains for part in parts])
+    evaluated = int(np.count_nonzero(~np.isnan(gains)))
+    if not evaluated:
         raise ParameterError(f"every decision policy's ceiling is below the floor {floor!r} "
                              f"less {epsilon:g}: none is left to solve")
-    evaluated = int(np.count_nonzero(~np.isnan(gains)))
+    best = int(np.nanargmax(gains))
+    winner = next(part for part in parts if part.gains[best] == gains[best])
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    multichain = np.unravel_index(np.sort(np.concatenate([part.multichain for part in parts])),
+                                  shape)
     return SolveReport(
-        sampling_policy=sampling_from_flat(best_sampling, model),
-        decision_policy=DecisionPolicy(candidates[best_index].copy()),
-        average_reward=float(best_gain),
-        iterations=total_rounds,
-        residual=float(best_residual),
+        sampling_policy=sampling_from_flat(winner.sampling, model),
+        decision_policy=DecisionPolicy(np.unravel_index(best, shape)),
+        average_reward=float(gains[best]),
+        iterations=sum(part.rounds for part in parts),
+        residual=float(winner.residual),
         converged=True,
         diagnostics={"candidates_evaluated": evaluated,
-                     "candidates_pruned": len(candidates) - evaluated,
+                     "candidates_pruned": len(gains) - evaluated,
                      "candidate_gains": gains,
-                     "multichain_candidates": flagged,
+                     "multichain_candidates": list(zip(*(a.tolist() for a in multichain))),
                      "stalled_candidates": []},
     )
 

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
-from conftest import assert_no_child_process
+from conftest import GRID_CS, GRID_PS, assert_no_child_process
 from oracles import (TraceRecord, analyze_chain, compare_cell_by_cell, policy_chain,
                      random_model, simulate_records, sweep_one_by_one, write_records_csv)
 
@@ -718,7 +719,7 @@ def test_csv_headers_exact(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the anchor bound across a grid's brute-force cells
+# the dominance bound across a grid's brute-force cells
 
 
 def _report_key(report):
@@ -728,23 +729,32 @@ def _report_key(report):
                  report.decision_policy.actions.tolist()))
 
 
-def _record_brute_reports(monkeypatch):
-    """Every brute-force report ``solve_cell`` returns, by (pS, CS), and the
-    candidates each skipped, all solved in this process so the spy sees them."""
-    monkeypatch.setattr(solvers, "CORES", 1)
-    reports, pruned = {}, []
-    real = harness.solve_cell
+def _solved_in_full(cell):
+    return harness.solve_cell(cell, "brute")
 
-    def spy(cell, algorithm, *args, **kwargs):
-        result = real(cell, algorithm, *args, **kwargs)
-        if algorithm == "brute":
-            key = cell.model.channel.success_prob, cell.model.cost.sampling_cost
-            reports.setdefault(key, []).append(_report_key(result))
-            pruned.append(result.diagnostics["candidates_pruned"])
-        return result
 
-    monkeypatch.setattr(harness, "solve_cell", spy)
-    return reports, pruned
+def _unpruned(solve=_solved_in_full):
+    """``harness._grid_brute`` on the unpruned path: every distinct cell solved
+    in full by ``solve(cell)``, in this process."""
+    def grid_brute(scenario, cells, floors):
+        return {(p_success, sampling_cost): harness._attempt(lambda: solve(cell))
+                for p_success, sampling_cost, cell in cells}
+    return grid_brute
+
+
+def _spied_grid_brute(monkeypatch, grid_brute=None):
+    """Route ``harness._grid_brute`` through ``grid_brute`` (the real one by
+    default) and return the list it records each call in: (cells, floors,
+    outcomes by (pS, CS))."""
+    calls, real = [], grid_brute or harness._grid_brute
+
+    def spy(scenario, cells, floors):
+        outcomes = real(scenario, cells, floors)
+        calls.append((cells, dict(floors), outcomes))
+        return outcomes
+
+    monkeypatch.setattr(harness, "_grid_brute", spy)
+    return calls
 
 
 def _grid_studies(scenario):
@@ -753,55 +763,84 @@ def _grid_studies(scenario):
                  compare_policies(scenario, algorithm="brute", include_classic=True)))
 
 
-def _against_unpruned_path(monkeypatch, scenario, solve=None):
-    """The grid studies and brute-force reports of ``scenario`` with the
-    anchor, then on the unpruned path (no anchor, every candidate solved,
-    through ``solve`` when given): both, as (studies, reports, candidates
-    skipped per solve)."""
+def _solved(calls):
+    """Candidates solved per cell, by call of ``_grid_brute``, from its reports."""
+    return [{key: report.diagnostics["candidates_evaluated"]
+             for key, (ok, report) in outcomes.items() if ok} for _, _, outcomes in calls]
+
+
+def _against_unpruned_path(monkeypatch, scenario, solve=_solved_in_full):
+    """The grid studies of ``scenario`` with the dominance bound, then on the
+    unpruned path (through ``solve``): both, as (studies, brute force's report
+    keys by cell, ``_grid_brute``'s calls)."""
     sides = []
-    for pruned in (True, False):
+    for grid_brute in (None, _unpruned(solve)):
         with monkeypatch.context() as patch:
-            reports, skipped = _record_brute_reports(patch)
-            if not pruned:
-                patch.setattr(harness, "brute_anchor", lambda scenario: None)
-                if solve is not None:
-                    patch.setattr(solvers, "brute_force_joint", solve)
-            sides.append((_grid_studies(scenario), reports, skipped))
+            calls = _spied_grid_brute(patch, grid_brute)
+            reports = {}
+            studies = _grid_studies(scenario)
+            for _, _, outcomes in calls:
+                for key, (ok, report) in outcomes.items():
+                    if ok:
+                        reports.setdefault(key, set()).add(_report_key(report))
+            sides.append((studies, reports, calls))
     return sides
 
 
 def _assert_pruned_equals_unpruned(sides):
     """The pruned side's rows and reports are the unpruned side's, and only
     the pruned side skipped candidates."""
-    (pruned, pruned_reports, skipped), (unpruned, unpruned_reports, none_skipped) = sides
+    (pruned, pruned_reports, calls), (unpruned, unpruned_reports, full_calls) = sides
     assert pruned == unpruned
-    # the anchor cell's report is recorded once more, when the anchor is solved
-    assert pruned_reports.keys() == unpruned_reports.keys()
-    for cell, keys in pruned_reports.items():
-        assert set(keys) == set(unpruned_reports[cell]), cell
-    assert sum(skipped) > 0 and sum(none_skipped) == 0
+    assert pruned_reports == unpruned_reports
+    solved = [n for cells in _solved(calls) for n in cells.values()]
+    full = [n for cells in _solved(full_calls) for n in cells.values()]
+    assert len(set(full)) == 1 and sum(solved) < sum(full)
+
+
+def _ceilings(scenario, outcomes):
+    """Each cell's ceiling by (pS, CS), rebuilt from the reports ``_grid_brute``
+    returned by the rule of the harness docstring: the least of the values of
+    the cells above and to the left in dominance order, a value being the
+    solved gain, else the ceiling."""
+    ps = sorted(set(scenario.grid.success_probs), reverse=True)
+    cs = sorted(set(scenario.grid.sampling_costs))
+    ceilings, values = {}, {}
+    for i, p_success in enumerate(ps):
+        for j, sampling_cost in enumerate(cs):
+            key = p_success, sampling_cost
+            bounds = [values[k] for k in [(ps[i - 1], sampling_cost)] * (i > 0)
+                      + [(p_success, cs[j - 1])] * (j > 0)]
+            gains = outcomes[key][1].diagnostics["candidate_gains"]
+            ceilings[key] = np.min(bounds, axis=0) if bounds else np.full(gains.shape, np.inf)
+            values[key] = np.where(np.isnan(gains), ceilings[key], gains)
+    return ceilings
 
 
 def test_anchor_gains_bound_every_cell_of_the_bundled_grid(grid_solutions):
-    _, anchor, _ = grid_solutions[(1.0, 0.0)]
-    ceiling = anchor.diagnostics["candidate_gains"]
-    assert ceiling.shape == (11 ** 3,) and np.isfinite(ceiling).all()
-    for cell, (scenario, bf, _) in grid_solutions.items():
+    # as does every cell's gain every cell it dominates
+    for (p, c), (scenario, bf, _) in grid_solutions.items():
         gains = bf.diagnostics["candidate_gains"]
-        assert (gains <= ceiling + scenario.solver.epsilon).all(), cell
+        assert gains.shape == (11 ** 3,) and np.isfinite(gains).all()
+        for (p_up, c_up), (_, dominating, _) in grid_solutions.items():
+            if p_up >= p and c_up <= c:
+                ceiling = dominating.diagnostics["candidate_gains"]
+                assert (gains <= ceiling + scenario.solver.epsilon).all(), (p, c, p_up, c_up)
 
 
 def test_pruned_grid_studies_equal_the_unpruned_path_on_the_bundled_grid(monkeypatch, shipped,
                                                                          grid_solutions):
-    def unpruned(model, ceiling=None, **kwargs):
+    def unpruned(cell):
         # the fixture's solves: every candidate, the scenario's solver settings
-        assert ceiling is None
-        key = model.channel.success_prob, model.cost.sampling_cost
-        return grid_solutions[key][1]
+        return grid_solutions[cell.model.channel.success_prob, cell.model.cost.sampling_cost][1]
 
     sides = _against_unpruned_path(monkeypatch, shipped, unpruned)
     _assert_pruned_equals_unpruned(sides)
     assert len(sides[0][1]) == 30
+    # gap, then compare: fewer candidates solved than the anchor's bound with
+    # a running incumbent solved (11,992 and 12,458)
+    gap, compare = (sum(cells.values()) for cells in _solved(sides[0][2]))
+    assert gap < 11_992 and compare < 12_458
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -813,17 +852,24 @@ def test_anchor_gains_bound_random_grids_and_pruning_keeps_their_rows(monkeypatc
     scenario = replace(shipped, model=model, state_values=np.arange(3.0),
                        grid=GridConfig(success_probs=(0.3, 1.0, 0.65),
                                        sampling_costs=(2.0, 0.0, 0.7)))
-    monkeypatch.setattr(solvers, "CORES", 1)
-    # chunks smaller than the 8 to 64 candidates, so that compare's running
-    # incumbent, which starts unbounded, skips some too
-    monkeypatch.setattr(solvers, "BRUTE_CHUNK", 4)
-    anchor = harness.brute_anchor(scenario)
-    assert (anchor.success_prob, anchor.sampling_cost) == (1.0, 0.0)
-    ceiling = anchor.report.diagnostics["candidate_gains"]
-    for _, _, cell in harness._cell_scenarios(scenario, scenario.grid):
-        gains = harness.solve_cell(cell, "brute").diagnostics["candidate_gains"]
-        assert (gains <= ceiling + scenario.solver.epsilon).all()
-    _assert_pruned_equals_unpruned(_against_unpruned_path(monkeypatch, scenario))
+    sides = _against_unpruned_path(monkeypatch, scenario)
+    _assert_pruned_equals_unpruned(sides)
+    epsilon = scenario.solver.epsilon
+    for (_, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
+        # the anchor is solved in full, and its gains bound every cell's
+        anchor = outcomes[1.0, 0.0][1].diagnostics
+        assert anchor["candidates_pruned"] == 0
+        for key, ceiling in _ceilings(scenario, outcomes).items():
+            assert (full[key][1].diagnostics["candidate_gains"]
+                    <= anchor["candidate_gains"] + epsilon).all(), key
+            gains = outcomes[key][1].diagnostics["candidate_gains"]
+            skipped = np.isnan(gains)
+            # a candidate is skipped exactly where its ceiling is below the
+            # floor less epsilon, and the ceiling bounds its gain there
+            assert np.array_equal(skipped, ceiling < floors[key] - epsilon), key
+            true_gains = full[key][1].diagnostics["candidate_gains"]
+            assert (true_gains[skipped] <= ceiling[skipped] + epsilon).all(), key
+            assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
 
 
 def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
@@ -850,11 +896,10 @@ def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
     assert tied == 4                        # every cell's winner has a twin
 
 
-def test_failed_anchor_leaves_every_cell_unpruned(monkeypatch, shipped):
-    # a budget below 11^3 fails every cell, the anchor's first
+def test_cells_failing_their_checks_fail_alike(monkeypatch, shipped):
+    # a budget below 11^3 fails every cell before any solve
     scenario = replace(shipped, solver=replace(shipped.solver, budget=1000),
                        grid=GridConfig(success_probs=(0.6, 0.8), sampling_costs=(2.0, 4.0)))
-    assert harness.brute_anchor(scenario) is None
     message = "11^3 = 1331 decision policies exceed the enumeration budget 1000"
     failed = [(p, c, message) for p in (0.6, 0.8) for c in (2.0, 4.0)]
     assert optimality_gap(scenario) == ([], failed)
@@ -862,39 +907,153 @@ def test_failed_anchor_leaves_every_cell_unpruned(monkeypatch, shipped):
     assert_no_child_process()
 
 
+def _failing_candidates(monkeypatch, cell, candidates):
+    """Make brute force at ``cell`` (pS, CS) fail for each of ``candidates``
+    (enumeration indices) that it solves: a search raises, as a failing
+    member does, for the lowest of them among what it solved."""
+    real = solvers.brute_force_search
+
+    def search(model, *args, **kwargs):
+        steps = real(model, *args, **kwargs)
+        if (model.channel.success_prob, model.cost.sampling_cost) != cell:
+            return steps
+
+        def failing():
+            part = yield from steps
+            hit = [k for k in candidates if not np.isnan(part.gains[k])]
+            if hit:
+                raise NonConvergenceError(f"candidate {min(hit)} forced failure",
+                                          candidate=min(hit))
+            return part
+        return failing()
+
+    monkeypatch.setattr(solvers, "brute_force_search", search)
+
+
+@pytest.mark.parametrize("cell", [(1.0, 0.0), (0.6, 4.0)], ids=["anchor", "inner"])
+def test_a_failed_cell_bounds_what_it_dominates_by_its_own_ceiling(monkeypatch, shipped, cell):
+    scenario = _small_grid(shipped, sampling_costs=(0.0, 4.0, 10.0))
+    with monkeypatch.context() as patch:
+        full = _spied_grid_brute(patch, _unpruned())
+        want = optimality_gap(scenario)
+    # the winner at the failing cell and one more candidate, in other slices
+    # at three workers; the lower index names the error
+    winner = int(np.ravel_multi_index(full[0][2][cell][1].decision_policy.actions, (11,) * 3))
+    chosen = [winner, winner + 4]
+    runs = []
+    for cores in (1, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "CORES", cores)
+            _failing_candidates(patch, cell, chosen)
+            calls = _spied_grid_brute(patch)
+            runs.append((optimality_gap(scenario), _solved(calls)))
+            assert_no_child_process()
+    (rows, failed), solved = runs[0]
+    assert runs[1] == runs[0]
+    assert failed == [cell + (f"candidate {winner} forced failure",)]
+    assert rows == [row for row in want[0] if (row["pS"], row["CS"]) != cell]
+    solved, = solved
+    if cell == (1.0, 0.0):
+        # the failed anchor's ceiling is +inf: the cells next to it are solved
+        # in full, and those beyond them stay bounded
+        assert solved[1.0, 4.0] == solved[0.6, 0.0] == 11 ** 3
+        assert all(n < 11 ** 3 for key, n in solved.items()
+                   if key not in {(1.0, 4.0), (0.6, 0.0)})
+    else:
+        assert cell not in solved and all(n < 11 ** 3 for key, n in solved.items()
+                                          if key != (1.0, 0.0))
+
+
 def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shipped):
-    monkeypatch.setattr(solvers, "CORES", 1)
+    # and the same dominance order after it
     sorted_grid = replace(shipped, grid=GridConfig(success_probs=(0.2, 0.6, 1.0),
                                                    sampling_costs=(0.0, 10.0)))
     permuted = replace(shipped, grid=GridConfig(success_probs=(0.6, 1.0, 0.2, 1.0),
                                                 sampling_costs=(10.0, 0.0)))
-    want, got = harness.brute_anchor(sorted_grid), harness.brute_anchor(permuted)
-    assert (got.success_prob, got.sampling_cost) == (want.success_prob,
-                                                     want.sampling_cost) == (1.0, 0.0)
-    assert _report_key(got.report) == _report_key(want.report)
-    rows, failed = optimality_gap(permuted)
+    reports = []
+    for scenario in (sorted_grid, permuted):
+        with monkeypatch.context() as patch:
+            calls = _spied_grid_brute(patch)
+            rows, failed = optimality_gap(scenario)
+        (_, _, outcomes), = calls
+        reports.append({key: (_report_key(report), report.diagnostics["candidates_evaluated"])
+                        for key, (_, report) in outcomes.items()})
+    assert reports[0] == reports[1] and len(reports[0]) == 6
+    assert reports[0][1.0, 0.0][1] == 11 ** 3
     assert failed == [] and [(r["pS"], r["CS"]) for r in rows] == [
         (p, c) for p in (0.6, 1.0, 0.2, 1.0) for c in (10.0, 0.0)]
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "brute_anchor", lambda scenario: None)
+        patch.setattr(harness, "_grid_brute", _unpruned())
         assert optimality_gap(permuted) == (rows, failed)
 
 
-def test_brute_grid_solves_its_anchor_here_and_the_cells_in_workers(monkeypatch, shipped,
-                                                                    three_workers):
-    calls, real = [], solvers.brute_force_joint
+def test_brute_grid_checks_cells_here_and_solves_candidate_slices_in_workers(
+        monkeypatch, shipped, three_workers, tmp_path):
+    real, log = solvers.brute_force_search, tmp_path / "searches"
 
-    def spy(model, **kwargs):
-        calls.append((os.getpid(), model.channel.success_prob, model.cost.sampling_cost,
-                      kwargs["ceiling"] is None))
-        return real(model, **kwargs)
+    def spy(model, *args, members=None, **kwargs):
+        with open(log, "a") as fh:
+            span = None if members is None else (members.start, members.step)
+            fh.write(repr((os.getpid(), model.channel.success_prob, model.cost.sampling_cost,
+                           span)) + "\n")
+        return real(model, *args, members=members, **kwargs)
 
-    monkeypatch.setattr(solvers, "brute_force_joint", spy)
-    rows, failed = optimality_gap(_bundled_three_cells(shipped))
-    assert len(rows) == 3 and failed == []
-    # the cells' solves ran in the forked workers, which inherited the anchor
-    assert calls == [(os.getpid(), 0.6, 0.0, True)]
+    monkeypatch.setattr(solvers, "brute_force_search", spy)
+    rows, failed = optimality_gap(_small_grid(shipped))
+    assert len(rows) == 6 and failed == []
+    calls = [eval(line) for line in log.read_text().splitlines()]
+    order = [(p, c) for p in (1.0, 0.6, 0.2) for c in (0.0, 4.0)]
+    # each cell is checked here, in dominance order, with every candidate
+    assert [call[1:] for call in calls[:6]] == [cell + (None,) for cell in order]
+    assert {call[0] for call in calls[:6]} == {os.getpid()}
+    # then each of three workers takes every cell in that order, on its slice
+    by_worker = {}
+    for pid, p, c, span in calls[6:]:
+        by_worker.setdefault(pid, []).append(((p, c), span))
+    assert os.getpid() not in by_worker and len(by_worker) == 3
+    assert sorted(cells[0][1] for cells in by_worker.values()) == [(0, 3), (1, 3), (2, 3)]
+    for cells in by_worker.values():
+        assert [cell for cell, _ in cells] == order and len({span for _, span in cells}) == 1
     assert_no_child_process()
+
+
+def test_grid_brute_force_warns_once_per_cell_whatever_the_worker_count(monkeypatch, shipped):
+    scenario = _random_grid(shipped, 2)
+    cells = {(p, c): cell for p, c, cell in harness._cell_scenarios(scenario, scenario.grid)}
+    start_dependent = sum(len(solvers.closed_classes(cell.model.kernels[1, 0])) != 1
+                          for cell in cells.values())
+    assert len(cells) == 9 and start_dependent > 0
+    for cores in (1, 3):
+        monkeypatch.setattr(solvers, "CORES", cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compare_policies(scenario, algorithm="brute")
+        assert [str(w.message).startswith("reference chain") for w in caught] == [
+            True] * start_dependent
+        assert_no_child_process()
+
+
+@pytest.mark.parametrize("grid", [(GRID_PS, GRID_CS), ((0.6, 1.0, 0.2, 1.0), (10.0, 0.0))],
+                         ids=["bundled", "permuted"])
+def test_grid_brute_force_does_not_depend_on_the_worker_count(tmp_path, shipped, monkeypatch,
+                                                              grid):
+    scenario = replace(shipped, grid=GridConfig(success_probs=grid[0], sampling_costs=grid[1]))
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(solvers, "CORES", cores)
+        out = tmp_path / str(cores)
+        out.mkdir()
+        with monkeypatch.context() as patch:
+            calls = _spied_grid_brute(patch)
+            gap, failed_gap = optimality_gap(scenario)
+            rows, splits, failed = compare_policies(scenario, algorithm="brute",
+                                                    include_classic=True)
+        assert failed_gap == failed == []
+        paths = [write_gap_csv(out / "gap.csv", gap), write_compare_csv(out / "compare.csv", rows),
+                 write_decomp_csv(out / "decomp.csv", splits)]
+        runs.append(([path.read_bytes() for path in paths], _solved(calls)))
+        assert_no_child_process()
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1100,33 +1259,25 @@ def test_a_failed_seed_fails_every_jesp_cell_with_its_message(monkeypatch, shipp
 
 
 def test_compare_brute_floor_is_the_best_stationary_baseline(monkeypatch, shipped):
-    # on the bundled grid: each pruned cell's floor is the better of the
-    # aoii-optimal and mse-optimal rewards, never above brute force's reward,
-    # and it skips candidates without changing a row
-    monkeypatch.setattr(solvers, "CORES", 1)
+    # on the bundled grid: each cell's floor is the better of the aoii-optimal
+    # and mse-optimal rewards, never above brute force's reward, and it skips
+    # candidates without changing a row
     runs = {}
     for families in (harness.FLOOR_FAMILIES, ()):
         monkeypatch.setattr(harness, "FLOOR_FAMILIES", families)
-        solves, real = [], solvers.brute_force_joint
-
-        def spy(model, **kwargs):
-            report = real(model, **kwargs)
-            solves.append((kwargs["floor"], report.average_reward,
-                           report.diagnostics["candidates_evaluated"]))
-            return report
-
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "brute_force_joint", spy)
-            runs[families] = (compare_policies(shipped, algorithm="brute", include_classic=True),
-                              solves)
-    (floored, solves), (unfloored, plain) = runs.values()
+            calls = _spied_grid_brute(patch)
+            result = compare_policies(shipped, algorithm="brute", include_classic=True)
+        (_, floors, outcomes), = calls
+        runs[families] = result, floors, outcomes
+    (floored, floors, outcomes), (unfloored, no_floors, plain) = runs.values()
     assert floored == unfloored
     costs = {(row["pS"], row["CS"], row["policy"]): row["cost"] for row in floored[0]}
-    cells = [(p, c) for p in shipped.grid.success_probs for c in shipped.grid.sampling_costs
-             if (p, c) != (1.0, 0.0)]
-    # solves[0] is the anchor's, in full
-    assert [floor for floor, _, _ in solves[1:]] == [
-        max(-costs[cell + ("aoii-optimal",)], -costs[cell + ("mse-optimal",)]) for cell in cells]
-    assert all(floor <= reward for floor, reward, _ in solves)
-    assert all(floor == -np.inf for floor, _, _ in plain)
-    assert sum(n for _, _, n in solves) < sum(n for _, _, n in plain)
+    cells = [(p, c) for p in shipped.grid.success_probs for c in shipped.grid.sampling_costs]
+    assert floors == {cell: max(-costs[cell + ("aoii-optimal",)], -costs[cell + ("mse-optimal",)])
+                      for cell in cells}
+    assert all(floors[cell] <= outcomes[cell][1].average_reward for cell in cells)
+    assert set(no_floors.values()) == {-np.inf}
+    solved = [sum(cells.values()) for cells in _solved([(None, None, outcomes),
+                                                        (None, None, plain)])]
+    assert solved[0] < solved[1] == 30 * 11 ** 3

@@ -1045,9 +1045,17 @@ def test_threaded_pieces_give_the_serial_outcomes(monkeypatch):
 def test_brute_searches_in_lockstep_equal_each_alone(shipped):
     models = [default_scenario(0.2, 10.0).model, shipped.model]
     alone = [brute_force_joint(model) for model in models]
-    together = solvers.lockstep([solvers.brute_force_search(model) for model in models])
-    for (ok, report), want in zip(together, alone):
-        assert ok
+    # each model whole, then each model in three interleaved slices
+    searches = [solvers.brute_force_search(model) for model in models]
+    searches += [solvers.brute_force_search(model, members=range(w, 11 ** 3, 3))
+                 for model in models for w in range(3)]
+    together = solvers.lockstep(searches)
+    assert all(ok for ok, _ in together)
+    parts = [part for _, part in together]
+    reports = [solvers.brute_force_report(model, [part]) for model, part in zip(models, parts)]
+    reports += [solvers.brute_force_report(model, parts[2 + 3 * i:5 + 3 * i])
+                for i, model in enumerate(models)]
+    for report, want in zip(reports, alone + alone):
         assert repr(report) == repr(want)
         for key in ("candidates_evaluated", "candidates_pruned", "multichain_candidates"):
             assert report.diagnostics[key] == want.diagnostics[key]
@@ -1160,19 +1168,13 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     # skipped candidates never reach policy iteration
     assert sum(batches) == solved.size == diagnostics["candidates_evaluated"]
     assert np.array_equal(np.sort(solved), np.flatnonzero(~np.isnan(gains)))
-    assert diagnostics["candidates_pruned"] == skipped.size > 0
+    assert diagnostics["candidates_pruned"] == skipped.size
     assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
-    # each skipped candidate's ceiling was below the incumbent less epsilon by
-    # the time the first chunk past it was formed
-    incumbent, before = floor, []
-    for indices, scores in chunks:
-        before.append(incumbent)
-        incumbent = max(incumbent, scores.max())
-    chunk_ends = np.array([indices[-1] for indices, _ in chunks])
-    for d in skipped:
-        k = np.searchsorted(chunk_ends, d)
-        bound = before[k] if k < len(chunks) else incumbent
-        assert ceiling[d] < bound - solvers.DEFAULT_EPSILON, d
+    # a candidate is skipped exactly where its ceiling is below the floor less
+    # epsilon: no running incumbent moves the bound
+    assert np.array_equal(skipped,
+                          np.flatnonzero(ceiling < floor - solvers.DEFAULT_EPSILON))
+    assert (skipped.size > 0) == (floor > -np.inf)
     # solved gains, the winner and its certificate are the unpruned solve's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
