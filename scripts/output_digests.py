@@ -19,7 +19,9 @@ this directory):
   ``policy.json``), and ``solve --algorithm brute`` on generated document 0
   (N = 48: every candidate solved, the policy-iteration batches on threads
   where there are cores for them; its ``report.txt`` holds ``iterations``,
-  ``residual`` and ``multichain_candidates``);
+  ``residual`` and ``multichain_candidates``), and ``compare --include-classic
+  --algorithm brute`` there at pS = 0.6, CS = 0.5 (one cell at N = 48 under
+  the baselines' floor);
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots;
@@ -35,8 +37,8 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 12 seconds on one core, and about
-6 on two.
+any did and 0 if none did.  Takes about 5 seconds on one core or on two
+(brute force screens most decision tables before solving them).
 """
 
 import argparse
@@ -96,6 +98,9 @@ def runs(work):
                                        "--algorithm", "rvi-fixed-decision"]
     yield "solve-brute-large-0", ["solve", "--scenario", work / "large-0.json",
                                   "--algorithm", "brute"]
+    yield "compare-brute-large-0", ["compare", "--scenario", work / "large-0.json",
+                                    "--include-classic", "--algorithm", "brute",
+                                    "--grid", "ps=0.6;cs=0.5"]
     for family in ("uniform", "age", "change", "aoii"):
         yield f"sweep-{family}", ["sweep", "--scenario", BUNDLED, "--families", family,
                                   "--horizon", HORIZON]

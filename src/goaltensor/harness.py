@@ -45,17 +45,18 @@ with the sampling cost c >= 0, which every policy pays per transmission, nor
 fall with the success probability: at p' >= p the sampler can attempt with
 probability p/p' wherever it attempted at p, for the same law at less
 charge, and no randomized policy beats the best deterministic one (Puterman
-1994, ch. 9).  So the anchor, (max pS, min CS), is solved in full, and cell
+1994, ch. 9).  So the anchor, (max pS, min CS), has no ceiling, and cell
 (i, j) takes as its ceiling the least of the values of cells (i-1, j) and
-(i, j-1): a value is the solved gain, else the ceiling it was skipped by,
-so by induction the least over every dominating cell.  A cell skips each
-candidate whose ceiling is below its floor less the solver's epsilon:
-jesp's reward in ``gap``, the best ``FLOOR_FAMILIES`` baseline in
-``compare --algorithm brute``.  No running incumbent moves the floor, so the
-winner and every exact tie are still solved with the same arithmetic, and
-neither the CSVs nor the candidates solved depend on W.  A grid of one
-distinct cell is solved in this process, where large sampler batches use
-threads.
+(i, j-1): a value is the solved gain, else the least of the ceiling and the
+screen bound (``solvers``) it was skipped by, so by induction the least over
+every dominating cell.  A cell skips each candidate whose ceiling or screen
+bound is below its floor less the solver's epsilon: jesp's reward in
+``gap``, the best ``FLOOR_FAMILIES`` baseline in ``compare --algorithm
+brute``.  No running incumbent moves the floor, so the winner and every
+exact tie are still solved with the same arithmetic, and neither the CSVs
+nor the candidates solved depend on W.  A grid of one distinct cell is
+solved in this process under the same floor, where large sampler batches
+and screens use threads.
 
 Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in
@@ -611,7 +612,8 @@ def _brute_slice(order, floors, failed, width, w):
         if ok:
             outcomes[key] = True, result
             if key not in failed:
-                values[key] = np.where(np.isnan(result.gains), ceiling, result.gains)
+                values[key] = np.where(np.isnan(result.gains), np.minimum(ceiling, result.bounds),
+                                       result.gains)
         else:
             index = getattr(result, "candidate", None)
             outcomes[key] = False, (-1 if index is None else index, str(result))
@@ -628,10 +630,13 @@ def _grid_brute(scenario, cells, floors):
     values being its ceiling, until the failed cells repeat: each pass
     settles the next cell in order, and the last is what one slice gives.
     Each report merges the slices (``solvers.brute_force_report``) and is
-    ``solve_cell``'s but for the candidates skipped."""
+    ``solve_cell``'s but for the candidates skipped; so is a one-cell grid's,
+    solved here under its floor."""
     keys = {(p_success, sampling_cost): cell for p_success, sampling_cost, cell in cells}
     if len(keys) == 1:
-        return {key: _attempt(lambda: solve_cell(cell, "brute")) for key, cell in keys.items()}
+        return {key: _attempt(lambda: solvers.brute_force_joint(cell.model, floor=floors[key],
+                                                                **_brute_settings(cell)))
+                for key, cell in keys.items()}
     success_probs = sorted({p_success for p_success, _ in keys}, reverse=True)
     sampling_costs = sorted({sampling_cost for _, sampling_cost in keys})
     order = []
@@ -819,20 +824,29 @@ TRACE_CSV_ROWS = 8192
 _KEY_LIMIT = 1 << 62
 
 
-def _column_codes(column):
-    """``(codes, values)``: ``values[codes[i]]`` is ``column[i]`` for every row.
+def _column_codes(column, through=None):
+    """``(codes, values, keyed)``: ``values[codes[i]]`` is ``column[i]`` for every row.
 
-    An integer column whose range is no wider than the column is coded as its
+    ``keyed`` where ``column`` is, bit for bit, a function of the integer
+    column ``through`` and is coded as it, with no sort of its own.  Else an
+    integer column whose range is no wider than the column is coded as its
     offset from the minimum, with no sort; any other column by ``np.unique``
     of its bits, so a float's ``-0.0`` and ``0.0`` stay apart.
     """
+    if through is not None and column.size:
+        codes, _, _ = _column_codes(through)
+        at = np.zeros(int(codes.max()) + 1, dtype=np.intp)
+        at[codes] = np.arange(codes.size)
+        bits = f"i{column.itemsize}"
+        if np.array_equal(column[at][codes].view(bits), column.view(bits)):
+            return codes, column[at].tolist(), True
     if column.dtype.kind in "iu" and column.size:
         low, high = int(column.min()), int(column.max())
         if high - low < column.size:
-            return (column - low).astype(np.int64), range(low, high + 1)
+            return (column - low).astype(np.int64), range(low, high + 1), False
     bits = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
     distinct, codes = np.unique(bits, return_inverse=True)
-    return codes, distinct.view(column.dtype).tolist()
+    return codes, distinct.view(column.dtype).tolist(), False
 
 
 def write_trace_csv(path, trace: Trace):
@@ -842,21 +856,30 @@ def write_trace_csv(path, trace: Trace):
     bundled scenario, by rule), so each distinct one is formatted once.  A
     row's column codes (``_column_codes``) pack into one mixed-radix int64 key,
     renumbered by ``np.unique`` before the radix could pass ``_KEY_LIMIT``.
+    The goal-cost columns are coded through key columns they are functions
+    of, and stay out of the key: ``aoii`` through ``aos``, ``mse`` through
+    (x, xhat), ``got`` through the state and ``cost`` through (state, a_s).
     Each column's distinct values are formatted once: ``str`` of a Python
     float is its shortest round-trip ``repr``, as ``_fmt`` writes it, and a
     negative ``h`` (no channel draw) is a blank field.  Each chunk of
     ``TRACE_CSV_ROWS`` rows interleaves ``str`` of ``t`` with its rows' texts
     in one ``"".join``.
     """
+    n = 1 + int(max(trace.x.max(initial=0), trace.xhat.max(initial=0)))
+    state = trace.x + n * (trace.xhat + n * trace.phi)
+    through = {"aoii": trace.aos, "mse": trace.x + n * trace.xhat, "got": state,
+               "cost": 2 * state + trace.a_s}
     key, radix = np.zeros(len(trace), dtype=np.int64), 1
     columns = []
     for column in fields(Trace)[1:]:
-        codes, values = _column_codes(getattr(trace, column.name))
-        if radix * len(values) > _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            radix = len(distinct)
-        key = key * len(values) + codes
-        radix *= len(values)
+        codes, values, keyed = _column_codes(getattr(trace, column.name),
+                                             through.get(column.name))
+        if not keyed:
+            if radix * len(values) > _KEY_LIMIT:
+                distinct, key = np.unique(key, return_inverse=True)
+                radix = len(distinct)
+            key = key * len(values) + codes
+            radix *= len(values)
         text = ["" if column.name == "h" and v < 0 else str(v) for v in values]
         columns.append((np.array(text, dtype=object), codes))
     _, first, row = np.unique(key, return_index=True, return_inverse=True)

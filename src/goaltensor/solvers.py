@@ -7,13 +7,21 @@ fast route use it:
 
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, each
-  scored by its sampler MDP's optimal gain from the start state; given an
-  upper bound on each candidate's gain, such as its gain in a grid cell that
-  dominates this one, it skips every candidate the bound proves below a
-  floor, a gain known to be reached;
+  scored by its sampler MDP's optimal gain from the start state; it skips
+  every candidate that an upper bound on its gain proves below a floor, a
+  gain known to be reached: a given ceiling, such as its gain in a grid cell
+  that dominates this one, or its screen bound;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
+
+The screen bounds a candidate's gain before any solve.  For any h and any
+policy, g = P*(r + P h - h) <= max_s (T h - h)(s), multichain chains
+included (Puterman 1994, section 8.5 and ch. 9; Odoni 1969), so up to
+``SCREEN_SWEEPS`` relative value-iteration sweeps from h = 0 give a bound
+for a fraction of a solve.  Each bound adds ``PI_NOISE`` times the reward
+and h magnitudes, above the sweep's rounding at any N the byte limit admits,
+so a skip holds at every epsilon.
 
 Both searches are written once, as generators (``brute_force_search``,
 ``jesp_search``) that yield each solver call they need: a batch of sampler
@@ -90,6 +98,7 @@ BRUTE_CHUNK = 128           # sampler MDPs in flight at once, over all threads
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 BRUTE_THREADED_STATES = 24  # global states N from which sampler batches run on threads
+SCREEN_SWEEPS = 10          # most value-iteration sweeps of brute force's screen
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +556,16 @@ def _renamed(exc: NonConvergenceError, name, candidate=None):
 # searches run in lockstep
 
 
-_CHAINS, _TRIALS, _SAMPLERS = range(3)      # request kinds, in the order they are served
+_CHAINS, _TRIALS, _SCREENS, _SAMPLERS = range(4)    # request kinds, in the order served
 
 # Dense N x N float arrays that serving one member of a kind holds at most:
 # the member's stacked kernels, ``_evaluate_batch``'s copies and systems (a
 # multichain member's 2N x 2N system counts four; about 7.3 arrays in all at
 # N = 48 and 144, by tracemalloc) and, for a sampler MDP, its two kernels with
 # policy iteration's copies of them (about 9.5); one more copy of the kernels
-# where a batch is solved again without a failing member.
-_MEMBER_ARRAYS = {_CHAINS: 9, _TRIALS: 9, _SAMPLERS: 12}
+# where a batch is solved again without a failing member.  A screened MDP
+# holds its two kernels and their copy where a piece stacks several requests.
+_MEMBER_ARRAYS = {_CHAINS: 9, _TRIALS: 9, _SCREENS: 4, _SAMPLERS: 12}
 
 
 class _Request(NamedTuple):
@@ -588,7 +598,31 @@ def _solve_samplers(T, R, epsilon, max_rounds, initial_action):
     return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action)
 
 
-_SOLVES = {_CHAINS: _solve_chains, _TRIALS: _solve_trials, _SAMPLERS: _solve_samplers}
+def _screen_bounds(T, R, target):
+    """Upper bounds on the optimal gains, from every start state, of MDPs
+    ``T`` (K, A, N, N), ``R`` (K, N, A): the least over relative
+    value-iteration sweeps from h = 0 of max_s (T h - h)(s) plus a rounding
+    margin (module docstring).  A member's bound stops moving after
+    ``SCREEN_SWEEPS`` sweeps, or once it is below ``target``; the sweeps stop
+    when every member's has.  A member's products are its own, so its bound
+    does not depend on the batch."""
+    k, _, n, _ = T.shape
+    kernels, rewards = T.reshape(k, -1, n), R.transpose(0, 2, 1)
+    scale = 1.0 + np.abs(R).max(axis=(1, 2))
+    bounds = np.full(k, np.inf)
+    h = np.zeros((k, n, 1))
+    for _ in range(SCREEN_SWEEPS):
+        Th = (rewards + (kernels @ h).reshape(rewards.shape)).max(axis=1)
+        bound = (Th - h[..., 0]).max(axis=1) + PI_NOISE * (scale + np.abs(h).max(axis=(1, 2)))
+        np.minimum(bounds, bound, out=bounds, where=~(bounds < target))
+        if (bounds < target).all():
+            break
+        h[..., 0] = Th - Th[:, :1]
+    return (bounds,)
+
+
+_SOLVES = {_CHAINS: _solve_chains, _TRIALS: _solve_trials, _SCREENS: _screen_bounds,
+           _SAMPLERS: _solve_samplers}
 
 
 def _serve(kind, settings, stacks, ends):
@@ -640,9 +674,9 @@ def _served(requests):
     stacked in request order and cut into near-equal pieces, as many in
     flight as keep their working sets (``_MEMBER_ARRAYS``) within half of
     ``model.MAX_KERNEL_BYTES`` (``jesp_in_flight`` keeps the other half), at
-    most ``BRUTE_CHUNK`` sampler MDPs, and at least one.  From
+    most ``BRUTE_CHUNK`` sampler or screened MDPs, and at least one.  From
     ``BRUTE_THREADED_STATES`` global states on, where numpy's solves release
-    the GIL most of the time, sampler pieces run on one ``pool_map`` thread
+    the GIL most of the time, those pieces run on one ``pool_map`` thread
     per core with at least 64 members each, a multiple of the threads so that
     none runs alone at the end, each thread taking the next as it finishes
     one.  A piece takes its arrays in its own call, and skips each request
@@ -652,7 +686,7 @@ def _served(requests):
     room = max(1, model_module.MAX_KERNEL_BYTES // 2 // (_MEMBER_ARRAYS[kind] * n * n * 8))
     total = sum(request.count for request in requests)
     threads = 1
-    if kind == _SAMPLERS:
+    if kind in (_SCREENS, _SAMPLERS):
         room = min(room, BRUTE_CHUNK)
         if n >= BRUTE_THREADED_STATES:
             threads = max(1, min(CORES, room // 64, total // 64))
@@ -1009,18 +1043,20 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
 
     ``ceiling``, one value per candidate in enumeration order, is an upper
     bound on each candidate's gain, such as its least gain over the grid
-    cells that dominate this one.  With it, a candidate whose ceiling is
-    below ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some
-    policy pair is known to reach (``gap`` passes jesp's); no running
-    incumbent tightens it.  Every solved gain is certified to within
-    ``epsilon``, so a skipped candidate is worse than the optimum, and the
-    winner and every exact tie are still solved, their arithmetic the same
-    as unpruned.
+    cells that dominate this one.  A candidate whose ceiling is below
+    ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some policy
+    pair is known to reach (``gap`` passes jesp's); where ``floor`` is
+    finite, the rest are screened (module docstring) and skipped where their
+    screen bound is below it too.  No running incumbent tightens it.  Every
+    solved gain is certified to within ``epsilon``, so a skipped candidate is
+    worse than the optimum, and the winner and every exact tie are still
+    solved, their arithmetic the same as unpruned.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
-    diagnostics hold ``candidate_gains``, each candidate's gain in
-    enumeration order (NaN where skipped), ``candidates_evaluated`` and
+    diagnostics hold ``candidate_gains`` and ``candidate_bounds``, each
+    candidate's gain and screen bound in enumeration order (NaN where
+    skipped, inf where not screened), ``candidates_evaluated`` and
     ``candidates_pruned``, the solved and skipped counts, which add up to
     A^S, and ``multichain_candidates``, the solved candidates whose sampling
     policy leaves several closed classes; policy iteration keeps sampling
@@ -1053,10 +1089,12 @@ def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
 
 class BrutePart(NamedTuple):
     """What one ``brute_force_search`` solved: each candidate's gain from the
-    start state by enumeration index (NaN where not solved), the flat sampling
-    policy and residual of its first best candidate (None and NaN where none),
-    its policy-iteration rounds, and the indices of its multichain candidates."""
+    start state and screen bound by enumeration index (NaN and inf where
+    none), the flat sampling policy and residual of its first best candidate
+    (None and NaN where none), its policy-iteration rounds, and the indices
+    of its multichain candidates."""
     gains: np.ndarray
+    bounds: np.ndarray
     sampling: np.ndarray | None
     residual: float
     rounds: int
@@ -1069,9 +1107,11 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     """Brute force's solves on one model as a search for ``lockstep``, its
     arguments checked and the model's kernels built before it starts: the
     candidates of ``members`` (ascending indices, all by default) whose
-    ``ceiling`` is not below ``floor`` less ``epsilon``, in one request, and
-    none where none is left.  Returns a ``BrutePart``; a failing member's
-    ``NonConvergenceError`` names its decision policy, ``candidate`` its index."""
+    ``ceiling`` is not below ``floor`` less ``epsilon``, screened in one
+    request where the floor is finite, and those whose bound is not below it
+    either solved in one more, none where none is left.  Returns a
+    ``BrutePart``; a failing member's ``NonConvergenceError`` names its
+    decision policy, ``candidate`` its index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
@@ -1089,19 +1129,25 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     members = np.arange(n_candidates) if members is None else np.asarray(members, dtype=int)
     kept = members[~(ceiling[members] < floor - epsilon)]
     model.kernels                   # read, never built, by the worker threads
-    return _brute_steps(model, kept, epsilon, max_sweeps, start_state, (n_actions,) * n_states)
+    return _brute_steps(model, kept, epsilon, max_sweeps, start_state, (n_actions,) * n_states,
+                        floor - epsilon)
 
 
-def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape):
-    gains = np.full(np.prod(shape), np.nan)
-    if not kept.size:
-        return BrutePart(gains, None, np.nan, 0, kept)
+def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, target):
+    gains, bounds = np.full(np.prod(shape), np.nan), np.full(np.prod(shape), np.inf)
     candidates = np.stack(np.unravel_index(kept, shape), axis=1)    # in lexicographic order
 
-    def take(lo, hi):
+    def take(lo, hi):               # of the candidates left when the request is served
         rows = DecisionRows(model, candidates[lo:hi])
         return rows.kernels, rows.rewards
 
+    if kept.size and target > -np.inf:
+        bounds[kept], = yield _Request(_SCREENS, (target,), model.n_global_states, kept.size,
+                                       take)
+        left = ~(bounds[kept] < target)
+        kept, candidates = kept[left], candidates[left]
+    if not kept.size:
+        return BrutePart(gains, bounds, None, np.nan, 0, kept)
     try:
         results = yield _Request(_SAMPLERS, (epsilon, max_sweeps, 1), model.n_global_states,
                                  kept.size, take)
@@ -1111,7 +1157,7 @@ def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape):
     sampling, gain, _, rounds, residuals, n_closed = results
     scores = gains[kept] = gain[:, start_state]
     j = int(scores.argmax())                    # ties go to the earliest candidate
-    return BrutePart(gains, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
+    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
                      kept[n_closed > 1])
 
 
@@ -1124,8 +1170,8 @@ def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,
     gains = np.fmax.reduce([part.gains for part in parts])
     evaluated = int(np.count_nonzero(~np.isnan(gains)))
     if not evaluated:
-        raise ParameterError(f"every decision policy's ceiling is below the floor {floor!r} "
-                             f"less {epsilon:g}: none is left to solve")
+        raise ParameterError(f"every decision policy's ceiling or screen bound is below the "
+                             f"floor {floor!r} less {epsilon:g}: none is left to solve")
     best = int(np.nanargmax(gains))
     winner = next(part for part in parts if part.gains[best] == gains[best])
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
@@ -1141,6 +1187,7 @@ def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,
         diagnostics={"candidates_evaluated": evaluated,
                      "candidates_pruned": len(gains) - evaluated,
                      "candidate_gains": gains,
+                     "candidate_bounds": np.minimum.reduce([part.bounds for part in parts]),
                      "multichain_candidates": list(zip(*(a.tolist() for a in multichain))),
                      "stalled_candidates": []},
     )

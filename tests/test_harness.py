@@ -409,6 +409,22 @@ def test_trace_csv_equals_csv_writer_on_hand_built_columns(tmp_path, length):
     _assert_writes_as_csv_writer(tmp_path, trace)
 
 
+def test_goal_cost_columns_are_coded_through_the_columns_they_follow(tmp_path, shipped):
+    model = shipped.model
+    greedy = greedy_decision_policy(model)
+    trace, _ = simulate_closed_loop(model, UniformRule(3), greedy, 2000, seed=5)
+    codes, values, keyed = harness._column_codes(trace.mse, trace.x + 3 * trace.xhat)
+    assert keyed and np.array_equal(np.array(values)[codes], trace.mse)
+    # one -0.0 where (x, xhat) elsewhere gives 0.0: no longer a function of
+    # them bit for bit, so the column is coded by its own bits
+    mse = trace.mse.copy()
+    mse[np.flatnonzero(trace.x == trace.xhat)[1]] = -0.0
+    codes, values, keyed = harness._column_codes(mse, trace.x + 3 * trace.xhat)
+    assert not keyed and np.array_equal(np.array(values)[codes], mse)
+    assert not harness._column_codes(mse[:0], trace.x[:0])[2]
+    _assert_writes_as_csv_writer(tmp_path, replace(trace, mse=mse))
+
+
 def test_trace_csv_renumbers_a_key_past_the_radix_limit(tmp_path):
     # every column spans the trace, so the product of the ranges passes 2**62
     # before the last column, and rows differ in their first column only in
@@ -802,7 +818,7 @@ def _ceilings(scenario, outcomes):
     """Each cell's ceiling by (pS, CS), rebuilt from the reports ``_grid_brute``
     returned by the rule of the harness docstring: the least of the values of
     the cells above and to the left in dominance order, a value being the
-    solved gain, else the ceiling."""
+    solved gain, else the least of the ceiling and the screen bound."""
     ps = sorted(set(scenario.grid.success_probs), reverse=True)
     cs = sorted(set(scenario.grid.sampling_costs))
     ceilings, values = {}, {}
@@ -811,9 +827,12 @@ def _ceilings(scenario, outcomes):
             key = p_success, sampling_cost
             bounds = [values[k] for k in [(ps[i - 1], sampling_cost)] * (i > 0)
                       + [(p_success, cs[j - 1])] * (j > 0)]
-            gains = outcomes[key][1].diagnostics["candidate_gains"]
+            diagnostics = outcomes[key][1].diagnostics
+            gains = diagnostics["candidate_gains"]
             ceilings[key] = np.min(bounds, axis=0) if bounds else np.full(gains.shape, np.inf)
-            values[key] = np.where(np.isnan(gains), ceilings[key], gains)
+            values[key] = np.where(np.isnan(gains), np.minimum(ceilings[key],
+                                                               diagnostics["candidate_bounds"]),
+                                   gains)
     return ceilings
 
 
@@ -854,22 +873,41 @@ def test_anchor_gains_bound_random_grids_and_pruning_keeps_their_rows(monkeypatc
                                        sampling_costs=(2.0, 0.0, 0.7)))
     sides = _against_unpruned_path(monkeypatch, scenario)
     _assert_pruned_equals_unpruned(sides)
+    _assert_skips_follow_the_rule(scenario, sides)
+
+
+def _assert_skips_follow_the_rule(scenario, sides):
+    """On every cell of the pruned side: the anchor's gains bound the cell's,
+    the screen runs where the ceiling keeps a candidate and a floor exists,
+    and a candidate is skipped exactly where the least of its ceiling and its
+    screen bound is below the floor less epsilon, which bounds its gain."""
     epsilon = scenario.solver.epsilon
+    anchor = max(scenario.grid.success_probs), min(scenario.grid.sampling_costs)
     for (_, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
-        # the anchor is solved in full, and its gains bound every cell's
-        anchor = outcomes[1.0, 0.0][1].diagnostics
-        assert anchor["candidates_pruned"] == 0
         for key, ceiling in _ceilings(scenario, outcomes).items():
-            assert (full[key][1].diagnostics["candidate_gains"]
-                    <= anchor["candidate_gains"] + epsilon).all(), key
-            gains = outcomes[key][1].diagnostics["candidate_gains"]
-            skipped = np.isnan(gains)
-            # a candidate is skipped exactly where its ceiling is below the
-            # floor less epsilon, and the ceiling bounds its gain there
-            assert np.array_equal(skipped, ceiling < floors[key] - epsilon), key
             true_gains = full[key][1].diagnostics["candidate_gains"]
-            assert (true_gains[skipped] <= ceiling[skipped] + epsilon).all(), key
+            assert (true_gains <= full[anchor][1].diagnostics["candidate_gains"]
+                    + epsilon).all(), key
+            diagnostics = outcomes[key][1].diagnostics
+            gains, bounds = diagnostics["candidate_gains"], diagnostics["candidate_bounds"]
+            kept = ~(ceiling < floors[key] - epsilon) & (floors[key] > -np.inf)
+            assert np.array_equal(np.isfinite(bounds), kept), key
+            least = np.minimum(ceiling, bounds)
+            skipped = np.isnan(gains)
+            assert np.array_equal(skipped, least < floors[key] - epsilon), key
+            assert (true_gains <= least + epsilon).all() and (true_gains <= bounds).all(), key
             assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_cell_grids_screen_against_their_floor(monkeypatch, shipped, seed):
+    rng = np.random.default_rng(320 + seed)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=int(rng.integers(3, 5)))
+    scenario = replace(shipped, model=model, state_values=np.arange(3.0),
+                       grid=GridConfig(success_probs=(0.65,), sampling_costs=(0.7,)))
+    sides = _against_unpruned_path(monkeypatch, scenario)
+    _assert_pruned_equals_unpruned(sides)
+    _assert_skips_follow_the_rule(scenario, sides)
 
 
 def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
@@ -954,11 +992,16 @@ def test_a_failed_cell_bounds_what_it_dominates_by_its_own_ceiling(monkeypatch, 
     assert rows == [row for row in want[0] if (row["pS"], row["CS"]) != cell]
     solved, = solved
     if cell == (1.0, 0.0):
-        # the failed anchor's ceiling is +inf: the cells next to it are solved
-        # in full, and those beyond them stay bounded
-        assert solved[1.0, 4.0] == solved[0.6, 0.0] == 11 ** 3
-        assert all(n < 11 ** 3 for key, n in solved.items()
-                   if key not in {(1.0, 4.0), (0.6, 0.0)})
+        # the failed anchor's ceiling is +inf: the cells next to it skip only
+        # what their screen bounds prove below the floor, and those beyond
+        # them are bounded by their ceilings too
+        (_, floors, outcomes), = calls
+        for key in ((1.0, 4.0), (0.6, 0.0)):
+            diagnostics = outcomes[key][1].diagnostics
+            below = diagnostics["candidate_bounds"] < floors[key] - scenario.solver.epsilon
+            assert np.array_equal(np.isnan(diagnostics["candidate_gains"]), below)
+            assert solved[key] == np.count_nonzero(~below) < 11 ** 3
+        assert all(n < 11 ** 3 for key, n in solved.items())
     else:
         assert cell not in solved and all(n < 11 ** 3 for key, n in solved.items()
                                           if key != (1.0, 0.0))
@@ -975,16 +1018,49 @@ def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shi
         with monkeypatch.context() as patch:
             calls = _spied_grid_brute(patch)
             rows, failed = optimality_gap(scenario)
-        (_, _, outcomes), = calls
+        (_, floors, outcomes), = calls
         reports.append({key: (_report_key(report), report.diagnostics["candidates_evaluated"])
                         for key, (_, report) in outcomes.items()})
     assert reports[0] == reports[1] and len(reports[0]) == 6
-    assert reports[0][1.0, 0.0][1] == 11 ** 3
+    # the anchor has no ceiling: it skips only what its screen bounds prove
+    below = (outcomes[1.0, 0.0][1].diagnostics["candidate_bounds"]
+             < floors[1.0, 0.0] - shipped.solver.epsilon)
+    assert reports[0][1.0, 0.0][1] == np.count_nonzero(~below) < 11 ** 3
     assert failed == [] and [(r["pS"], r["CS"]) for r in rows] == [
         (p, c) for p in (0.6, 1.0, 0.2, 1.0) for c in (10.0, 0.0)]
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_grid_brute", _unpruned())
         assert optimality_gap(permuted) == (rows, failed)
+
+
+def _generated(gen):
+    """Scenario of ``perfbench/generate.py``'s document ``gen`` (N = 48)."""
+    import importlib.util
+    from pathlib import Path
+    from goaltensor.scenario import scenario_from_dict
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return scenario_from_dict(module.large_document(gen))
+
+
+def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
+    # unscreened: 3,010 on this grid, and 6 x 1,296 on the generated cells
+    with monkeypatch.context() as patch:
+        calls = _spied_grid_brute(patch)
+        optimality_gap(_small_grid(shipped, sampling_costs=(0.0, 10.0)))
+    assert sum(_solved(calls)[0].values()) < 3010
+    # documents 0-5 at pS = 0.6 and 1.0 by turns, CS = 0.5, as a benchmark
+    # round orders them
+    with monkeypatch.context() as patch:
+        calls = _spied_grid_brute(patch)
+        for gen in range(6):
+            scenario = _generated(gen)
+            optimality_gap(replace(scenario, grid=GridConfig(
+                success_probs=((0.6, 1.0)[gen % 2],), sampling_costs=(0.5,))))
+    solved = [n for cells in _solved(calls) for n in cells.values()]
+    assert len(solved) == 6 and sum(solved) <= 1600
 
 
 def test_brute_grid_checks_cells_here_and_solves_candidate_slices_in_workers(

@@ -1121,10 +1121,11 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
 
 def _ceiling_run(monkeypatch, model, ceiling, floor):
     """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
-    report, the enumeration indices of each request it made, in order, with
-    their gains, and the batch sizes policy iteration saw."""
+    report, the enumeration indices of each sampler request it made, in
+    order, with their gains, the batch sizes policy iteration saw, and the
+    indices of each screen request."""
     n_actions, n_states = model.alphabets.n_actions, model.alphabets.n_states
-    chunks, batches, taken = [], [], []
+    chunks, batches, taken, screened = [], [], [], []
     real_rows, real_served = solvers.DecisionRows, solvers._served
     real_batch = solvers._policy_iteration_batch
 
@@ -1135,7 +1136,10 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
     def served_spy(requests):
         outcomes = real_served(requests)
         (ok, results), = outcomes
-        chunks.append((np.concatenate(taken), results[1][:, 0]))
+        if requests[0].kind == solvers._SCREENS:
+            screened.append(np.concatenate(taken))
+        else:
+            chunks.append((np.concatenate(taken), results[1][:, 0]))
         taken.clear()
         return outcomes
 
@@ -1148,7 +1152,7 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
         patch.setattr(solvers, "_served", served_spy)
         patch.setattr(solvers, "_policy_iteration_batch", batch_spy)
         report = brute_force_joint(model, ceiling=ceiling, floor=floor)
-    return report, chunks, batches
+    return report, chunks, batches, screened
 
 
 @pytest.mark.parametrize("floor", ["jesp", -np.inf], ids=["jesp-floor", "no-floor"])
@@ -1160,9 +1164,9 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     if floor == "jesp":
         floor = jesp(model, heuristic_initial_decision(model)).average_reward
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
-    report, chunks, batches = _ceiling_run(monkeypatch, model, ceiling, floor)
+    report, chunks, batches, screened = _ceiling_run(monkeypatch, model, ceiling, floor)
     diagnostics = report.diagnostics
-    gains = diagnostics["candidate_gains"]
+    gains, bounds = diagnostics["candidate_gains"], diagnostics["candidate_bounds"]
     solved = np.concatenate([indices for indices, _ in chunks])
     skipped = np.flatnonzero(np.isnan(gains))
     # skipped candidates never reach policy iteration
@@ -1170,11 +1174,19 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     assert np.array_equal(np.sort(solved), np.flatnonzero(~np.isnan(gains)))
     assert diagnostics["candidates_pruned"] == skipped.size
     assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
-    # a candidate is skipped exactly where its ceiling is below the floor less
-    # epsilon: no running incumbent moves the bound
-    assert np.array_equal(skipped,
-                          np.flatnonzero(ceiling < floor - solvers.DEFAULT_EPSILON))
+    # the screen sweeps, in one request, the candidates the ceiling keeps, and
+    # only where there is a floor
+    target = floor - solvers.DEFAULT_EPSILON
+    kept = np.flatnonzero(~(ceiling < target))
+    assert [indices.tolist() for indices in screened] == ([kept.tolist()] if floor > -np.inf
+                                                          else [])
+    assert np.array_equal(np.flatnonzero(np.isfinite(bounds)), kept if screened else [])
+    # a candidate is skipped exactly where its ceiling or its screen bound is
+    # below the floor less epsilon: no running incumbent moves the bound
+    assert np.array_equal(skipped, np.flatnonzero(np.minimum(ceiling, bounds) < target))
     assert (skipped.size > 0) == (floor > -np.inf)
+    if screened:                    # the screen skips candidates the ceiling keeps
+        assert np.isnan(gains[kept]).any()
     # solved gains, the winner and its certificate are the unpruned solve's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
@@ -1182,6 +1194,53 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     np.testing.assert_array_equal(report.decision_policy.actions, full.decision_policy.actions)
     np.testing.assert_array_equal(report.sampling_policy.decisions,
                                   full.sampling_policy.decisions)
+
+
+def test_screen_bounds_every_candidate_gain_from_every_start_state():
+    multichain = 0
+    for seed, (p_success, sampling_cost) in enumerate(
+            itertools.product((0.3, 1.0), (0.0, 2.0, 0.0, 2.0))):
+        # half the models concentrate their source rows, which leaves more
+        # estimates that idling freezes: several closed classes
+        model = random_model(np.random.default_rng(900 + seed), n_states=3, n_contexts=2,
+                             n_actions=3, success_prob=p_success, sampling_cost=sampling_cost,
+                             concentration=0.1 if seed >= 4 else 1.0)
+        rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(27), (3,) * 3),
+                                                    axis=1))
+        bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf)
+        # policy iteration as brute force runs it, from sampling everywhere:
+        # the optimal gain of every candidate from every start state
+        _, gains, _, _, _, n_closed = _policy_iteration_batch(
+            rows.kernels, rows.rewards, solvers.DEFAULT_EPSILON, solvers.MAX_PI_ROUNDS, 1)
+        assert (gains <= bounds[:, None]).all(), seed
+        multichain += int((n_closed > 1).sum())
+        # a search under a floor keeps the bound where its sweeps stopped
+        # early, never below the full sweeps' bound
+        floor = np.median(gains[:, 0])
+        report = brute_force_joint(model, floor=floor)
+        screened = report.diagnostics["candidate_bounds"]
+        assert (screened >= bounds).all()
+        assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]),
+                              screened < floor - solvers.DEFAULT_EPSILON)
+    assert multichain > 0
+
+
+@pytest.mark.parametrize("model", [
+    default_scenario(0.6, 4.0).model,
+    random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6),
+], ids=["bundled", "random-48"])
+def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
+    floor = jesp(model, heuristic_initial_decision(model)).average_reward
+    outcomes = []
+    for chunk, workers in itertools.product((7, 128), (1, 3)):
+        with monkeypatch.context() as patch:
+            _threaded(patch, workers)
+            patch.setattr(solvers, "BRUTE_CHUNK", chunk)
+            report = brute_force_joint(model, floor=floor)
+        outcomes.append((report.diagnostics["candidate_bounds"].tobytes(),
+                         report.diagnostics["candidate_gains"].tobytes(), repr(report)))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert 0 < brute_force_joint(model, floor=floor).diagnostics["candidates_pruned"]
 
 
 def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
@@ -1193,13 +1252,14 @@ def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
 def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(monkeypatch,
                                                                            shipped):
     # unpruned, (0, 0, 9) is the first to fail; skip it and the nine before it
+    # by their ceilings, under a floor below every screen bound
     ceiling = np.zeros(11 ** 3)
     ceiling[:10] = -np.inf
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(shipped.model, max_sweeps=2, ceiling=ceiling, floor=-1.0)
+            brute_force_joint(shipped.model, max_sweeps=2, ceiling=ceiling, floor=-1e3)
         messages.add(str(info.value))
     # with one candidate a chunk, the first failure met is the first failing
     # policy among those solved; every chunk size names the same one
