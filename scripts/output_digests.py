@@ -21,7 +21,8 @@ this directory):
   where there are cores for them; its ``report.txt`` holds ``iterations``,
   ``residual`` and ``multichain_candidates``), and ``compare --include-classic
   --algorithm brute`` there at pS = 0.6, CS = 0.5 (one cell at N = 48 under
-  the baselines' floor);
+  the baselines' floor), and the same on generated document 3, where jesp's
+  floor sits farthest below the optimum;
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots;
@@ -37,8 +38,9 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 5 seconds on one core or on two
-(brute force screens most decision tables before solving them).
+any did and 0 if none did.  Takes about 4 seconds on two cores and 5 on
+one (brute force screens most decision tables before solving them, and a
+one-cell search solves few beyond its best-bound probe).
 """
 
 import argparse
@@ -98,9 +100,10 @@ def runs(work):
                                        "--algorithm", "rvi-fixed-decision"]
     yield "solve-brute-large-0", ["solve", "--scenario", work / "large-0.json",
                                   "--algorithm", "brute"]
-    yield "compare-brute-large-0", ["compare", "--scenario", work / "large-0.json",
-                                    "--include-classic", "--algorithm", "brute",
-                                    "--grid", "ps=0.6;cs=0.5"]
+    for gen in (0, 3):
+        yield f"compare-brute-large-{gen}", ["compare", "--scenario", work / f"large-{gen}.json",
+                                             "--include-classic", "--algorithm", "brute",
+                                             "--grid", "ps=0.6;cs=0.5"]
     for family in ("uniform", "age", "change", "aoii"):
         yield f"sweep-{family}", ["sweep", "--scenario", BUNDLED, "--families", family,
                                   "--horizon", HORIZON]

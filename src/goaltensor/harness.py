@@ -52,11 +52,13 @@ screen bound (``solvers``) it was skipped by, so by induction the least over
 every dominating cell.  A cell skips each candidate whose ceiling or screen
 bound is below its floor less the solver's epsilon: jesp's reward in
 ``gap``, the best ``FLOOR_FAMILIES`` baseline in ``compare --algorithm
-brute``.  No running incumbent moves the floor, so the winner and every
-exact tie are still solved with the same arithmetic, and neither the CSVs
-nor the candidates solved depend on W.  A grid of one distinct cell is
+brute``.  No running incumbent moves a slice's floor, so the winner and
+every exact tie are still solved with the same arithmetic, and neither the
+CSVs nor the candidates solved depend on W.  A grid of one distinct cell is
 solved in this process under the same floor, where large sampler batches
-and screens use threads.
+and screens use threads; its one search holds every candidate, so it
+raises the floor by the best gain of the candidates it solves first
+(``solvers.brute_force_joint``).
 
 Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in

@@ -10,7 +10,9 @@ fast route use it:
   scored by its sampler MDP's optimal gain from the start state; it skips
   every candidate that an upper bound on its gain proves below a floor, a
   gain known to be reached: a given ceiling, such as its gain in a grid cell
-  that dominates this one, or its screen bound;
+  that dominates this one, or its screen bound.  A search that holds every
+  candidate raises the floor to the best gain of the ``PROBE`` candidates
+  of highest screen bound, solved first, and screens the rest again;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
@@ -19,7 +21,8 @@ The screen bounds a candidate's gain before any solve.  For any h and any
 policy, g = P*(r + P h - h) <= max_s (T h - h)(s), multichain chains
 included (Puterman 1994, section 8.5 and ch. 9; Odoni 1969), so up to
 ``SCREEN_SWEEPS`` relative value-iteration sweeps from h = 0 give a bound
-for a fraction of a solve.  Each bound adds ``PI_NOISE`` times the reward
+for a fraction of a solve, and four times as many a tighter one for the
+second screen.  Each bound adds ``PI_NOISE`` times the reward
 and h magnitudes, above the sweep's rounding at any N the byte limit admits,
 so a skip holds at every epsilon.
 
@@ -98,7 +101,8 @@ BRUTE_CHUNK = 128           # sampler MDPs in flight at once, over all threads
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 BRUTE_THREADED_STATES = 24  # global states N from which sampler batches run on threads
-SCREEN_SWEEPS = 10          # most value-iteration sweeps of brute force's screen
+SCREEN_SWEEPS = 10          # most value-iteration sweeps of brute force's first screen
+PROBE = 8                   # best-bound candidates a whole-cell brute force solves first
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +602,12 @@ def _solve_samplers(T, R, epsilon, max_rounds, initial_action):
     return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action)
 
 
-def _screen_bounds(T, R, target):
+def _screen_bounds(T, R, target, sweeps):
     """Upper bounds on the optimal gains, from every start state, of MDPs
     ``T`` (K, A, N, N), ``R`` (K, N, A): the least over relative
     value-iteration sweeps from h = 0 of max_s (T h - h)(s) plus a rounding
     margin (module docstring).  A member's bound stops moving after
-    ``SCREEN_SWEEPS`` sweeps, or once it is below ``target``; the sweeps stop
+    ``sweeps`` sweeps, or once it is below ``target``; the sweeps stop
     when every member's has.  A member's products are its own, so its bound
     does not depend on the batch."""
     k, _, n, _ = T.shape
@@ -611,7 +615,7 @@ def _screen_bounds(T, R, target):
     scale = 1.0 + np.abs(R).max(axis=(1, 2))
     bounds = np.full(k, np.inf)
     h = np.zeros((k, n, 1))
-    for _ in range(SCREEN_SWEEPS):
+    for _ in range(sweeps):
         Th = (rewards + (kernels @ h).reshape(rewards.shape)).max(axis=1)
         bound = (Th - h[..., 0]).max(axis=1) + PI_NOISE * (scale + np.abs(h).max(axis=(1, 2)))
         np.minimum(bounds, bound, out=bounds, where=~(bounds < target))
@@ -1047,10 +1051,15 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some policy
     pair is known to reach (``gap`` passes jesp's); where ``floor`` is
     finite, the rest are screened (module docstring) and skipped where their
-    screen bound is below it too.  No running incumbent tightens it.  Every
-    solved gain is certified to within ``epsilon``, so a skipped candidate is
-    worse than the optimum, and the winner and every exact tie are still
-    solved, their arithmetic the same as unpruned.
+    screen bound is below it too.  Where more than ``PROBE`` are left, a
+    running incumbent tightens it: the ``PROBE`` of highest screen bound
+    (ties to the lowest index) are solved first, the floor becomes the
+    larger of ``floor`` and their best gain, and the rest are screened again
+    with up to four times the sweeps, keeping each smaller bound, and
+    skipped where their ceiling or bound is below it less ``epsilon``.
+    Every solved gain is certified to within ``epsilon``, so a skipped
+    candidate is worse than the optimum, and the winner and every exact tie
+    are still solved, their arithmetic the same as unpruned.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
@@ -1063,7 +1072,10 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     wherever sampling ties with idling, so few are.  ``stalled_candidates``
     is always empty: a candidate that does not converge raises
     ``NonConvergenceError``, which names the lexicographically first failing
-    decision policy among those solved, whatever the batching.
+    decision policy among those solved, whatever the batching.  Where one
+    of the ``PROBE`` fails, the rest before it are solved against ``floor``
+    alone, so the error names the first failing policy among all that the
+    floor keeps, as it would without them.
 
     This runs ``brute_force_search`` alone (``lockstep`` sizes, threads and
     fails its batches) and ``brute_force_report`` on it, and warns up front
@@ -1106,12 +1118,15 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
                        members=None):
     """Brute force's solves on one model as a search for ``lockstep``, its
     arguments checked and the model's kernels built before it starts: the
-    candidates of ``members`` (ascending indices, all by default) whose
-    ``ceiling`` is not below ``floor`` less ``epsilon``, screened in one
-    request where the floor is finite, and those whose bound is not below it
-    either solved in one more, none where none is left.  Returns a
-    ``BrutePart``; a failing member's ``NonConvergenceError`` names its
-    decision policy, ``candidate`` its index."""
+    candidates of ``members`` (ascending indices) whose ``ceiling`` is not
+    below ``floor`` less ``epsilon``, screened in one request where the floor
+    is finite, and those whose bound is not below it either solved in one
+    more, none where none is left.  With ``members`` None the search holds
+    every candidate, and where more than ``PROBE`` are left it solves those
+    of highest bound first and screens the rest again against their best
+    gain (``brute_force_joint``): two screen and two sampler requests.
+    Returns a ``BrutePart``; a failing member's ``NonConvergenceError``
+    names its decision policy, ``candidate`` its index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
@@ -1126,39 +1141,71 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     if ceiling.shape != (n_candidates,):
         raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
                              f"of the {n_candidates} decision policies")
-    members = np.arange(n_candidates) if members is None else np.asarray(members, dtype=int)
-    kept = members[~(ceiling[members] < floor - epsilon)]
+    whole = members is None
+    members = np.arange(n_candidates) if whole else np.asarray(members, dtype=int)
     model.kernels                   # read, never built, by the worker threads
-    return _brute_steps(model, kept, epsilon, max_sweeps, start_state, (n_actions,) * n_states,
-                        floor - epsilon)
+    return _brute_steps(model, members, epsilon, max_sweeps, start_state,
+                        (n_actions,) * n_states, ceiling, floor, whole)
 
 
-def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, target):
+def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, floor, whole):
     gains, bounds = np.full(np.prod(shape), np.nan), np.full(np.prod(shape), np.inf)
-    candidates = np.stack(np.unravel_index(kept, shape), axis=1)    # in lexicographic order
 
-    def take(lo, hi):               # of the candidates left when the request is served
-        rows = DecisionRows(model, candidates[lo:hi])
-        return rows.kernels, rows.rewards
+    def request(kind, settings, indices):
+        candidates = np.stack(np.unravel_index(indices, shape), axis=1)
 
-    if kept.size and target > -np.inf:
-        bounds[kept], = yield _Request(_SCREENS, (target,), model.n_global_states, kept.size,
-                                       take)
-        left = ~(bounds[kept] < target)
-        kept, candidates = kept[left], candidates[left]
-    if not kept.size:
+        def take(lo, hi):
+            rows = DecisionRows(model, candidates[lo:hi])
+            return rows.kernels, rows.rewards
+        return _Request(kind, settings, model.n_global_states, indices.size, take)
+
+    def screen(indices, target, sweeps):
+        """The candidates of ``indices`` whose ceiling and bound are not below
+        ``target``, each bound the least of its own and what ``sweeps`` more
+        give."""
+        indices = indices[~(np.minimum(ceiling[indices], bounds[indices]) < target)]
+        if indices.size:
+            found, = yield request(_SCREENS, (target, sweeps), indices)
+            bounds[indices] = np.minimum(bounds[indices], found)
+        return indices[~(bounds[indices] < target)]
+
+    def solve(indices):
+        try:
+            return (yield request(_SAMPLERS, (epsilon, max_sweeps, 1), indices))
+        except NonConvergenceError as exc:
+            index = int(indices[exc.candidate])
+            policy = tuple(int(action) for action in np.unravel_index(index, shape))
+            raise _renamed(exc, f"decision policy {policy}", index) from None
+
+    parts = []                      # (indices, results) of each sampler request
+    if floor > -np.inf:
+        kept = yield from screen(kept, floor - epsilon, SCREEN_SWEEPS)
+        if whole and kept.size > PROBE:
+            first = np.sort(kept[np.argsort(-bounds[kept], kind="stable")[:PROBE]])
+            rest = np.setdiff1d(kept, first, assume_unique=True)
+            try:
+                results = yield from solve(first)
+            except NonConvergenceError as exc:
+                # the floor alone bounds the rest: the lowest failing index wins
+                earlier = rest[rest < exc.candidate]
+                if earlier.size:
+                    yield from solve(earlier)
+                raise
+            parts.append((first, results))
+            best = results[1][:, start_state].max()
+            kept = yield from screen(rest, max(floor, best) - epsilon, 4 * SCREEN_SWEEPS)
+    if kept.size:
+        parts.append((kept, (yield from solve(kept))))
+    if not parts:
         return BrutePart(gains, bounds, None, np.nan, 0, kept)
-    try:
-        results = yield _Request(_SAMPLERS, (epsilon, max_sweeps, 1), model.n_global_states,
-                                 kept.size, take)
-    except NonConvergenceError as exc:
-        policy = tuple(candidates[exc.candidate].tolist())
-        raise _renamed(exc, f"decision policy {policy}", int(kept[exc.candidate])) from None
-    sampling, gain, _, rounds, residuals, n_closed = results
-    scores = gains[kept] = gain[:, start_state]
-    j = int(scores.argmax())                    # ties go to the earliest candidate
-    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
-                     kept[n_closed > 1])
+    for indices, results in parts:
+        gains[indices] = results[1][:, start_state]
+    best = int(np.nanargmax(gains))             # ties go to the earliest candidate
+    indices, (sampling, _, _, _, residuals, _) = next(part for part in parts if best in part[0])
+    j = int(np.searchsorted(indices, best))
+    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]),
+                     sum(int(results[3].sum()) for _, results in parts),
+                     np.concatenate([indices[results[5] > 1] for indices, results in parts]))
 
 
 def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,

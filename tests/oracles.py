@@ -19,8 +19,9 @@ from scipy.sparse.csgraph import connected_components
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecisionRows, DecPomdpModel, TabularMdp
-from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, _ChainEval,
-                                _FixedSamplingProblem, cesaro_limit, stationary_distribution)
+from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, PROBE, SCREEN_SWEEPS,
+                                _ChainEval, _FixedSamplingProblem, _screen_bounds, cesaro_limit,
+                                stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy
 
 MAX_RVI_SWEEPS = 10_000
@@ -221,6 +222,45 @@ def exhaustive_joint_search(model: DecPomdpModel, start=0):
             results.append((bits, decision, value))
             best = max(best, value)
     return best, results
+
+
+class WholeCellSkips(NamedTuple):
+    skipped: np.ndarray     # bool per candidate
+    probe: list             # indices solved first, ascending
+    rescreened: list        # indices screened a second time, ascending
+    bounds: np.ndarray      # the least screen bound per candidate, inf where not screened
+
+
+def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon, gains):
+    """What a brute force holding every candidate of its cell skips under a
+    finite ``floor``, by the rule written out one candidate at a time, with
+    ``gains`` each candidate's optimal gain from the start state.
+
+    A candidate whose ceiling is below floor less epsilon is not screened; one
+    whose first bound (``SCREEN_SWEEPS`` sweeps) is below it is skipped.  With
+    more than ``PROBE`` left, the ``PROBE`` of best first bound (ties to the
+    lowest index) are solved; the target becomes max(floor, their best gain)
+    less epsilon; every other one left whose ceiling and bound are not below
+    it is screened again with four times the sweeps, keeps the smaller bound,
+    and is skipped where that is below the target.
+    """
+    n = len(gains)
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    rows = DecisionRows(model, np.stack(np.unravel_index(np.arange(n), shape), axis=1))
+    target = floor - epsilon
+    first, = _screen_bounds(rows.kernels, rows.rewards, target, SCREEN_SWEEPS)
+    bounds = np.where(ceiling < target, np.inf, first)
+    left = [k for k in range(n) if not min(ceiling[k], bounds[k]) < target]
+    if len(left) <= PROBE:
+        return WholeCellSkips(np.array([k not in left for k in range(n)]), [], [], bounds)
+    probe = sorted(sorted(left, key=lambda k: (-bounds[k], k))[:PROBE])
+    target = max(floor, max(gains[k] for k in probe)) - epsilon
+    second, = _screen_bounds(rows.kernels, rows.rewards, target, 4 * SCREEN_SWEEPS)
+    rescreened = [k for k in left if k not in probe and not min(ceiling[k], bounds[k]) < target]
+    bounds[rescreened] = np.minimum(bounds[rescreened], second[rescreened])
+    skipped = [k not in left or (k not in probe and min(ceiling[k], bounds[k]) < target)
+               for k in range(n)]
+    return WholeCellSkips(np.array(skipped), probe, rescreened, bounds)
 
 
 def random_model(rng, n_states=3, n_contexts=2, n_actions=3, success_prob=None,

@@ -25,7 +25,8 @@ from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 from conftest import GRID_CS, GRID_PS, assert_no_child_process
 from oracles import (TraceRecord, analyze_chain, compare_cell_by_cell, policy_chain,
-                     random_model, simulate_records, sweep_one_by_one, write_records_csv)
+                     random_model, simulate_records, sweep_one_by_one, whole_cell_skips,
+                     write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -880,10 +881,15 @@ def _assert_skips_follow_the_rule(scenario, sides):
     """On every cell of the pruned side: the anchor's gains bound the cell's,
     the screen runs where the ceiling keeps a candidate and a floor exists,
     and a candidate is skipped exactly where the least of its ceiling and its
-    screen bound is below the floor less epsilon, which bounds its gain."""
+    screen bound is below the floor less epsilon, which bounds its gain; or,
+    where the grid has one distinct cell, searched whole under a finite
+    floor, by the rule of ``oracles.whole_cell_skips``.  Returns, per grid
+    study, whether such a cell solved a probe first."""
     epsilon = scenario.solver.epsilon
     anchor = max(scenario.grid.success_probs), min(scenario.grid.sampling_costs)
-    for (_, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
+    probed = []
+    for (cells, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
+        probed.append(False)
         for key, ceiling in _ceilings(scenario, outcomes).items():
             true_gains = full[key][1].diagnostics["candidate_gains"]
             assert (true_gains <= full[anchor][1].diagnostics["candidate_gains"]
@@ -894,9 +900,17 @@ def _assert_skips_follow_the_rule(scenario, sides):
             assert np.array_equal(np.isfinite(bounds), kept), key
             least = np.minimum(ceiling, bounds)
             skipped = np.isnan(gains)
-            assert np.array_equal(skipped, least < floors[key] - epsilon), key
+            if len(outcomes) == 1 and floors[key] > -np.inf:
+                model = next(cell.model for p, c, cell in cells if (p, c) == key)
+                rule = whole_cell_skips(model, ceiling, floors[key], epsilon, true_gains)
+                assert np.array_equal(skipped, rule.skipped), key
+                assert bounds.tobytes() == rule.bounds.tobytes(), key
+                probed[-1] = bool(rule.probe)
+            else:
+                assert np.array_equal(skipped, least < floors[key] - epsilon), key
             assert (true_gains <= least + epsilon).all() and (true_gains <= bounds).all(), key
             assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
+    return probed
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -908,6 +922,19 @@ def test_one_cell_grids_screen_against_their_floor(monkeypatch, shipped, seed):
     sides = _against_unpruned_path(monkeypatch, scenario)
     _assert_pruned_equals_unpruned(sides)
     _assert_skips_follow_the_rule(scenario, sides)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_cell_grids_solve_their_best_bounds_first(monkeypatch, shipped, seed):
+    # enough decision tables that more than PROBE survive the first screen
+    # under jesp's floor (gap) and under the baselines' (compare)
+    rng = np.random.default_rng(340 + seed)
+    model = random_model(rng, n_states=3, n_contexts=2, n_actions=6)
+    scenario = replace(shipped, model=model, state_values=np.arange(3.0),
+                       grid=GridConfig(success_probs=(0.65,), sampling_costs=(0.7,)))
+    sides = _against_unpruned_path(monkeypatch, scenario)
+    _assert_pruned_equals_unpruned(sides)
+    assert _assert_skips_follow_the_rule(scenario, sides) == [True, True]
 
 
 def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
@@ -1061,6 +1088,21 @@ def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
                 success_probs=((0.6, 1.0)[gen % 2],), sampling_costs=(0.5,))))
     solved = [n for cells in _solved(calls) for n in cells.values()]
     assert len(solved) == 6 and sum(solved) <= 1600
+
+
+def test_a_probe_leaves_few_tables_where_the_floor_is_far_below_the_optimum(monkeypatch):
+    # documents 1 and 3 at pS = 0.6, CS = 0.5: jesp's floor sits 0.081 and
+    # 0.125 below the optimum, and the floor alone leaves 732 and 693 of the
+    # 1,296 tables to solve
+    for gen in (1, 3):
+        scenario = _generated(gen)
+        with monkeypatch.context() as patch:
+            calls = _spied_grid_brute(patch)
+            rows, failed = optimality_gap(replace(scenario, grid=GridConfig(
+                success_probs=(0.6,), sampling_costs=(0.5,))))
+        (solved,), = (cells.values() for cells in _solved(calls))
+        assert failed == [] and solved <= 2 * solvers.PROBE, gen
+        assert rows[0]["theta_jesp"] - rows[0]["theta_bf"] > 0.08, gen
 
 
 def test_brute_grid_checks_cells_here_and_solves_candidate_slices_in_workers(

@@ -36,7 +36,7 @@ from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_rewar
                      joint_chain_by_hand, limit_matrix, local_search_one_by_one,
                      pi_step_size_every_table, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
-                     tiny_two_state_model)
+                     tiny_two_state_model, whole_cell_skips)
 
 
 def _evaluate(problem, table, start=0):
@@ -1123,7 +1123,9 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
     """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
     report, the enumeration indices of each sampler request it made, in
     order, with their gains, the batch sizes policy iteration saw, and the
-    indices of each screen request."""
+    indices of each screen request with their bounds.  Every request lists
+    its candidates in ascending order, so the indices its pieces took,
+    sorted, are the request's, whatever threads took them."""
     n_actions, n_states = model.alphabets.n_actions, model.alphabets.n_states
     chunks, batches, taken, screened = [], [], [], []
     real_rows, real_served = solvers.DecisionRows, solvers._served
@@ -1136,10 +1138,11 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
     def served_spy(requests):
         outcomes = real_served(requests)
         (ok, results), = outcomes
+        indices = np.sort(np.concatenate(taken))
         if requests[0].kind == solvers._SCREENS:
-            screened.append(np.concatenate(taken))
+            screened.append((indices, results[0]))
         else:
-            chunks.append((np.concatenate(taken), results[1][:, 0]))
+            chunks.append((indices, results[1][:, 0]))
         taken.clear()
         return outcomes
 
@@ -1174,19 +1177,36 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     assert np.array_equal(np.sort(solved), np.flatnonzero(~np.isnan(gains)))
     assert diagnostics["candidates_pruned"] == skipped.size
     assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
-    # the screen sweeps, in one request, the candidates the ceiling keeps, and
-    # only where there is a floor
     target = floor - solvers.DEFAULT_EPSILON
     kept = np.flatnonzero(~(ceiling < target))
-    assert [indices.tolist() for indices in screened] == ([kept.tolist()] if floor > -np.inf
-                                                          else [])
-    assert np.array_equal(np.flatnonzero(np.isfinite(bounds)), kept if screened else [])
-    # a candidate is skipped exactly where its ceiling or its screen bound is
-    # below the floor less epsilon: no running incumbent moves the bound
-    assert np.array_equal(skipped, np.flatnonzero(np.minimum(ceiling, bounds) < target))
-    assert (skipped.size > 0) == (floor > -np.inf)
-    if screened:                    # the screen skips candidates the ceiling keeps
+    if floor == -np.inf:
+        # no floor: no screen, and what the ceiling keeps (every candidate) in one request
+        assert screened == [] and [indices.tolist() for indices, _ in chunks] == [kept.tolist()]
+        assert np.isinf(bounds).all() and skipped.size == 0
+    else:
+        # the whole cell: the first screen sweeps what the ceiling keeps, the
+        # probe's PROBE best bounds are solved, the rest are screened again
+        # against max(floor, the probe's best gain) less epsilon, and what is
+        # still above it is solved: two screen and two sampler requests
+        rule = whole_cell_skips(model, ceiling, floor, solvers.DEFAULT_EPSILON,
+                                full.diagnostics["candidate_gains"])
+        assert [indices.tolist() for indices, _ in screened] == [kept.tolist(), rule.rescreened]
+        assert [indices.tolist() for indices, _ in chunks] == [
+            rule.probe, np.flatnonzero(~rule.skipped & ~np.isin(np.arange(11 ** 3),
+                                                               rule.probe)).tolist()]
+        assert len(rule.probe) == solvers.PROBE
+        incumbent = max(floor, chunks[0][1].max()) - solvers.DEFAULT_EPSILON
+        assert incumbent > target
+        # each bound the least of its screens, and every skip proved: below
+        # the raised target by the ceiling or that bound, outside the probe
+        assert bounds.tobytes() == rule.bounds.tobytes()
+        assert np.array_equal(np.isfinite(bounds), np.isin(np.arange(11 ** 3), kept))
+        below = np.minimum(ceiling, bounds) < incumbent
+        below[rule.probe] = False
+        assert np.array_equal(skipped, np.flatnonzero(below))
+        # the ceiling, the floor and the incumbent each skip what the others keep
         assert np.isnan(gains[kept]).any()
+        assert ((bounds >= target) & (bounds < incumbent) & np.isnan(gains)).any()
     # solved gains, the winner and its certificate are the unpruned solve's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
@@ -1196,7 +1216,7 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
                                   full.sampling_policy.decisions)
 
 
-def test_screen_bounds_every_candidate_gain_from_every_start_state():
+def test_screen_bounds_every_candidate_gain_from_every_start_state(monkeypatch):
     multichain = 0
     for seed, (p_success, sampling_cost) in enumerate(
             itertools.product((0.3, 1.0), (0.0, 2.0, 0.0, 2.0))):
@@ -1207,7 +1227,9 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state():
                              concentration=0.1 if seed >= 4 else 1.0)
         rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(27), (3,) * 3),
                                                     axis=1))
-        bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf)
+        # every sweep a search can make: the second screen's four times as many
+        bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf,
+                                         4 * solvers.SCREEN_SWEEPS)
         # policy iteration as brute force runs it, from sampling everywhere:
         # the optimal gain of every candidate from every start state
         _, gains, _, _, _, n_closed = _policy_iteration_batch(
@@ -1215,13 +1237,21 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state():
         assert (gains <= bounds[:, None]).all(), seed
         multichain += int((n_closed > 1).sum())
         # a search under a floor keeps the bound where its sweeps stopped
-        # early, never below the full sweeps' bound
+        # early, never below the full sweeps' bound, and skips a candidate
+        # outside the probe where its bound is below max(floor, the probe's
+        # best gain) less epsilon
         floor = np.median(gains[:, 0])
-        report = brute_force_joint(model, floor=floor)
+        report, chunks, _, _ = _ceiling_run(monkeypatch, model, None, floor)
         screened = report.diagnostics["candidate_bounds"]
         assert (screened >= bounds).all()
-        assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]),
-                              screened < floor - solvers.DEFAULT_EPSILON)
+        probe, probe_gains = chunks[0]
+        assert probe.size == solvers.PROBE
+        below = screened < max(floor, probe_gains.max()) - solvers.DEFAULT_EPSILON
+        below[probe] = False
+        assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]), below)
+        rule = whole_cell_skips(model, np.full(27, np.inf), floor, solvers.DEFAULT_EPSILON,
+                                gains[:, 0])
+        assert rule.probe == probe.tolist() and np.array_equal(rule.skipped, below)
     assert multichain > 0
 
 
@@ -1241,6 +1271,28 @@ def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
                          report.diagnostics["candidate_gains"].tobytes(), repr(report)))
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert 0 < brute_force_joint(model, floor=floor).diagnostics["candidates_pruned"]
+
+
+@pytest.mark.parametrize("model", [
+    default_scenario(0.6, 4.0).model,
+    random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6),
+], ids=["bundled", "random-48"])
+def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, model):
+    floor = jesp(model, heuristic_initial_decision(model)).average_reward
+    runs = []
+    for chunk, cores, threaded in [(128, solvers.CORES, False)] + list(
+            itertools.product((1, 7, 128), (1, 3), (True,))):
+        with monkeypatch.context() as patch:
+            if threaded:
+                _threaded(patch, cores)
+            patch.setattr(solvers, "BRUTE_CHUNK", chunk)
+            report, chunks, _, screened = _ceiling_run(patch, model, None, floor)
+        runs.append(([(indices.tobytes(), found.tobytes()) for indices, found in screened],
+                     [(indices.tobytes(), found.tobytes()) for indices, found in chunks],
+                     report.diagnostics["candidate_bounds"].tobytes(), repr(report)))
+    assert all(run == runs[0] for run in runs)
+    # the probe ran: two sampler requests, the first of PROBE candidates
+    assert len(runs[0][1]) == 2 and len(np.frombuffer(runs[0][1][0][0], int)) == solvers.PROBE
 
 
 def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
@@ -1265,6 +1317,37 @@ def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(mon
     # policy among those solved; every chunk size names the same one
     assert len(messages) == 1
     assert messages.pop().startswith("decision policy (0, 0, 10) still changing policy after 2 ")
+
+
+def test_whole_cell_failure_in_the_probe_names_its_lowest_failing_policy(monkeypatch, shipped):
+    # keep, by their ceilings, the PROBE best screen bounds and, above them in
+    # enumeration order, the next best: the probe holds the lowest index kept
+    model = shipped.model
+    rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(11 ** 3), (11,) * 3),
+                                                axis=1))
+    bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf, solvers.SCREEN_SWEEPS)
+    order = sorted(range(11 ** 3), key=lambda k: (-bounds[k], k))
+    probe = sorted(order[:solvers.PROBE])
+    after = next(k for k in order[solvers.PROBE:] if k > probe[-1])
+    ceiling = np.full(11 ** 3, -np.inf)
+    ceiling[probe + [after]] = 0.0
+    # the lowest of the probe that fails alone within two rounds
+    failing = []
+    for k in probe:
+        try:
+            _policy_iteration_batch(rows.kernels[k:k + 1], rows.rewards[k:k + 1],
+                                    solvers.DEFAULT_EPSILON, 2, 1)
+        except NonConvergenceError:
+            failing.append(k)
+    policy = tuple(int(a) for a in np.unravel_index(failing[0], (11,) * 3))
+    messages = set()
+    for chunk in (1, 7, 128):
+        _in_flight(monkeypatch, model, chunk)
+        with pytest.raises(NonConvergenceError) as info:
+            brute_force_joint(model, max_sweeps=2, ceiling=ceiling, floor=-1e3)
+        messages.add((str(info.value), info.value.candidate))
+    (message, candidate), = messages
+    assert candidate == failing[0] and message.startswith(f"decision policy {policy} ")
 
 
 def test_brute_force_refuses_a_ceiling_of_the_wrong_shape_or_below_the_floor(shipped):
