@@ -40,7 +40,7 @@ runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
 any did and 0 if none did.  Takes about 4 seconds on two cores and 5 on
 one (brute force screens most decision tables before solving them, and a
-one-cell search solves few beyond its best-bound probe).
+one-cell search raises its floor by the screen's lower bounds).
 """
 
 import argparse

@@ -57,8 +57,7 @@ every exact tie are still solved with the same arithmetic, and neither the
 CSVs nor the candidates solved depend on W.  A grid of one distinct cell is
 solved in this process under the same floor, where large sampler batches
 and screens use threads; its one search holds every candidate, so it
-raises the floor by the best gain of the candidates it solves first
-(``solvers.brute_force_joint``).
+raises the floor by its screen's lower bounds (``solvers.brute_force_joint``).
 
 Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in

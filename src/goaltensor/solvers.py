@@ -11,20 +11,21 @@ fast route use it:
   every candidate that an upper bound on its gain proves below a floor, a
   gain known to be reached: a given ceiling, such as its gain in a grid cell
   that dominates this one, or its screen bound.  A search that holds every
-  candidate raises the floor to the best gain of the ``PROBE`` candidates
-  of highest screen bound, solved first, and screens the rest again;
+  candidate raises the floor by the screen's lower bounds as it goes;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
 
-The screen bounds a candidate's gain before any solve.  For any h and any
-policy, g = P*(r + P h - h) <= max_s (T h - h)(s), multichain chains
-included (Puterman 1994, section 8.5 and ch. 9; Odoni 1969), so up to
-``SCREEN_SWEEPS`` relative value-iteration sweeps from h = 0 give a bound
-for a fraction of a solve, and four times as many a tighter one for the
-second screen.  Each bound adds ``PI_NOISE`` times the reward
-and h magnitudes, above the sweep's rounding at any N the byte limit admits,
-so a skip holds at every epsilon.
+The screen bounds a candidate's gain before any solve, from both sides.  For
+any h and any policy, g = P*(r + P h - h) <= max_s (T h - h)(s), multichain
+chains included (Puterman 1994, section 8.5 and ch. 9; Odoni 1969); and the
+greedy policy d of h has g_d = P_d*(T h - h) >= min_s (T h - h)(s) from every
+start state (MacQueen 1967), so the optimal gain does too.  Rounds of
+``SCREEN_SWEEPS`` relative value-iteration sweeps, each continuing from the
+h the last one reached, give both bounds for a fraction of a solve.  Each
+bound moves by ``PI_NOISE`` times the reward and h magnitudes, past the
+sweep's rounding at any N the byte limit admits, so a skip holds at every
+epsilon.
 
 Both searches are written once, as generators (``brute_force_search``,
 ``jesp_search``) that yield each solver call they need: a batch of sampler
@@ -101,8 +102,7 @@ BRUTE_CHUNK = 128           # sampler MDPs in flight at once, over all threads
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 BRUTE_THREADED_STATES = 24  # global states N from which sampler batches run on threads
-SCREEN_SWEEPS = 10          # most value-iteration sweeps of brute force's first screen
-PROBE = 8                   # best-bound candidates a whole-cell brute force solves first
+SCREEN_SWEEPS = 10          # most value-iteration sweeps of one round of brute force's screen
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +236,12 @@ def chain_law(P, start) -> np.ndarray:
     the law of each chain of a (K, N, N) stack, every one started in ``start``.
 
     The stationary law when the chain has one closed class, whatever the
-    start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9).
-    The chains ``_unichain_batch`` certifies need no classifying; only the
-    rest are classified, one by one (see ``_chain_laws``).
+    start; otherwise the Cesaro row of ``start`` (Puterman 1994, ch. 8-9),
+    the chains classified by ``_closed_heads`` (see ``_chain_laws``).
     """
     P = np.asarray(P, dtype=float)
     stack = P if P.ndim == 3 else P[None]
-    single = _unichain_batch(stack)
-    for j in np.flatnonzero(~single):
-        single[j] = len(closed_classes(stack[j])) == 1
-    laws, _ = _chain_laws(stack, np.full(len(stack), start), single)
+    laws, _ = _chain_laws(stack, np.full(len(stack), start), _closed_heads(stack)[0] == 1)
     return laws if P.ndim == 3 else laws[0]
 
 
@@ -416,11 +412,26 @@ def _unichain_batch(P):
     return reached.all(axis=(1, 2))
 
 
+def _closed_heads(P):
+    """The number of closed classes of each chain of a batch (K, N, N), and
+    per chain and state whether the state heads (is the lowest state of) a
+    closed class.  ``_unichain_batch`` certifies most chains as unichain,
+    their one head left unmarked; only the rest go through the full
+    classifier, ``_closed_classes_batch``, in one call."""
+    k, n, _ = P.shape
+    n_closed, heads = np.ones(k, dtype=int), np.zeros((k, n), dtype=bool)
+    rest = np.flatnonzero(~_unichain_batch(P))
+    if rest.size:
+        representative, closed = _closed_classes_batch(P[rest])
+        heads[rest] = closed & (representative == np.arange(n))
+        n_closed[rest] = heads[rest].sum(axis=1)
+    return n_closed, heads
+
+
 def _evaluate_batch(P, r):
     """Gain and bias vectors of a batch of fixed-policy chains.
 
-    ``_unichain_batch`` certifies most members as unichain; only the rest go
-    through the full classifier, ``_closed_classes_batch``.  A unichain member
+    ``_closed_heads`` classifies the members.  A unichain member
     solves the N x N system g + (I - P) h = r with h[0] = 0.  A multichain
     member solves the 2N x 2N system (I - P) g = 0, g + (I - P) h = r, with
     h = 0 at the representative state of each closed class in place of that
@@ -428,12 +439,7 @@ def _evaluate_batch(P, r):
     all per member.
     """
     k, n, _ = P.shape
-    n_closed = np.ones(k, dtype=int)
-    rest = np.flatnonzero(~_unichain_batch(P))
-    if rest.size:
-        representative, closed = _closed_classes_batch(P[rest])
-        heads = closed & (representative == np.arange(n))
-        n_closed[rest] = heads.sum(axis=1)
+    n_closed, heads = _closed_heads(P)
     multi = n_closed > 1
     eye = np.eye(n)
     g = np.empty((k, n))
@@ -454,7 +460,7 @@ def _evaluate_batch(P, r):
         system[:, n:, n:] = system[:, :n, :n]
         rhs = np.zeros((m, 2 * n))
         rhs[:, n:] = r[multi]
-        member, state = np.nonzero(heads[multi[rest]])
+        member, state = np.nonzero(heads[multi])
         system[member, state, :] = 0.0
         system[member, state, n + state] = 1.0
         x = np.linalg.solve(system, rhs[..., None])[..., 0]
@@ -602,27 +608,30 @@ def _solve_samplers(T, R, epsilon, max_rounds, initial_action):
     return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action)
 
 
-def _screen_bounds(T, R, target, sweeps):
-    """Upper bounds on the optimal gains, from every start state, of MDPs
-    ``T`` (K, A, N, N), ``R`` (K, N, A): the least over relative
-    value-iteration sweeps from h = 0 of max_s (T h - h)(s) plus a rounding
-    margin (module docstring).  A member's bound stops moving after
-    ``sweeps`` sweeps, or once it is below ``target``; the sweeps stop
-    when every member's has.  A member's products are its own, so its bound
-    does not depend on the batch."""
+def _screen_bounds(T, R, h, target, sweeps):
+    """Bounds on the optimal gains, from every start state, of MDPs ``T``
+    (K, A, N, N), ``R`` (K, N, A), by relative value-iteration sweeps that
+    continue each member from its row of ``h`` (K, N) (module docstring).
+    A member sweeps ``sweeps`` times, or until its upper bound is below
+    ``target``.  Returns per member the upper bound, the least over its
+    sweeps of max_s (T h - h)(s) plus a rounding margin; the lower bound,
+    min_s (T h - h)(s) less that margin at its last sweep; and the h it
+    reached; -inf and NaN where its upper bound fell below ``target``.  A
+    member's products are its own, so nothing it gets depends on the batch."""
     k, _, n, _ = T.shape
     kernels, rewards = T.reshape(k, -1, n), R.transpose(0, 2, 1)
     scale = 1.0 + np.abs(R).max(axis=(1, 2))
-    bounds = np.full(k, np.inf)
-    h = np.zeros((k, n, 1))
+    upper, live = np.full(k, np.inf), np.ones(k, dtype=bool)
     for _ in range(sweeps):
-        Th = (rewards + (kernels @ h).reshape(rewards.shape)).max(axis=1)
-        bound = (Th - h[..., 0]).max(axis=1) + PI_NOISE * (scale + np.abs(h).max(axis=(1, 2)))
-        np.minimum(bounds, bound, out=bounds, where=~(bounds < target))
-        if (bounds < target).all():
+        Th = (rewards + (kernels @ h[..., None]).reshape(rewards.shape)).max(axis=1)
+        span, margin = Th - h, PI_NOISE * (scale + np.abs(h).max(axis=1))
+        np.minimum(upper, span.max(axis=1) + margin, out=upper, where=live)
+        live = ~(upper < target)
+        if not live.any():
             break
-        h[..., 0] = Th - Th[:, :1]
-    return (bounds,)
+        h = Th - Th[:, :1]
+    return (upper, np.where(live, span.min(axis=1) - margin, -np.inf),
+            np.where(live[:, None], h, np.nan))
 
 
 _SOLVES = {_CHAINS: _solve_chains, _TRIALS: _solve_trials, _SCREENS: _screen_bounds,
@@ -1050,13 +1059,12 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     cells that dominate this one.  A candidate whose ceiling is below
     ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some policy
     pair is known to reach (``gap`` passes jesp's); where ``floor`` is
-    finite, the rest are screened (module docstring) and skipped where their
-    screen bound is below it too.  Where more than ``PROBE`` are left, a
-    running incumbent tightens it: the ``PROBE`` of highest screen bound
-    (ties to the lowest index) are solved first, the floor becomes the
-    larger of ``floor`` and their best gain, and the rest are screened again
-    with up to four times the sweeps, keeping each smaller bound, and
-    skipped where their ceiling or bound is below it less ``epsilon``.
+    finite, the rest are screened (module docstring) in rounds of
+    ``SCREEN_SWEEPS`` sweeps, each candidate continuing from the h it
+    reached.  After each round the floor becomes the larger of itself and
+    the best lower bound, a gain some candidate reaches, and a candidate is
+    skipped where its ceiling or least upper bound is below the floor less
+    ``epsilon``; the rounds stop after four, or once one candidate is left.
     Every solved gain is certified to within ``epsilon``, so a skipped
     candidate is worse than the optimum, and the winner and every exact tie
     are still solved, their arithmetic the same as unpruned.
@@ -1064,18 +1072,15 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
     diagnostics hold ``candidate_gains`` and ``candidate_bounds``, each
-    candidate's gain and screen bound in enumeration order (NaN where
-    skipped, inf where not screened), ``candidates_evaluated`` and
+    candidate's gain and least upper screen bound in enumeration order (NaN
+    where skipped, inf where not screened), ``candidates_evaluated`` and
     ``candidates_pruned``, the solved and skipped counts, which add up to
     A^S, and ``multichain_candidates``, the solved candidates whose sampling
     policy leaves several closed classes; policy iteration keeps sampling
     wherever sampling ties with idling, so few are.  ``stalled_candidates``
     is always empty: a candidate that does not converge raises
     ``NonConvergenceError``, which names the lexicographically first failing
-    decision policy among those solved, whatever the batching.  Where one
-    of the ``PROBE`` fails, the rest before it are solved against ``floor``
-    alone, so the error names the first failing policy among all that the
-    floor keeps, as it would without them.
+    decision policy among those solved, whatever the batching.
 
     This runs ``brute_force_search`` alone (``lockstep`` sizes, threads and
     fails its batches) and ``brute_force_report`` on it, and warns up front
@@ -1101,7 +1106,7 @@ def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
 
 class BrutePart(NamedTuple):
     """What one ``brute_force_search`` solved: each candidate's gain from the
-    start state and screen bound by enumeration index (NaN and inf where
+    start state and upper screen bound by enumeration index (NaN and inf where
     none), the flat sampling policy and residual of its first best candidate
     (None and NaN where none), its policy-iteration rounds, and the indices
     of its multichain candidates."""
@@ -1122,9 +1127,8 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     below ``floor`` less ``epsilon``, screened in one request where the floor
     is finite, and those whose bound is not below it either solved in one
     more, none where none is left.  With ``members`` None the search holds
-    every candidate, and where more than ``PROBE`` are left it solves those
-    of highest bound first and screens the rest again against their best
-    gain (``brute_force_joint``): two screen and two sampler requests.
+    every candidate and screens in up to four rounds, one request each,
+    raising its floor by their lower bounds (``brute_force_joint``).
     Returns a ``BrutePart``; a failing member's ``NonConvergenceError``
     names its decision policy, ``candidate`` its index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
@@ -1151,61 +1155,45 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
 def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, floor, whole):
     gains, bounds = np.full(np.prod(shape), np.nan), np.full(np.prod(shape), np.inf)
 
-    def request(kind, settings, indices):
+    def request(kind, settings, indices, *arrays):
         candidates = np.stack(np.unravel_index(indices, shape), axis=1)
 
         def take(lo, hi):
             rows = DecisionRows(model, candidates[lo:hi])
-            return rows.kernels, rows.rewards
+            return (rows.kernels, rows.rewards) + tuple(array[lo:hi] for array in arrays)
         return _Request(kind, settings, model.n_global_states, indices.size, take)
 
-    def screen(indices, target, sweeps):
-        """The candidates of ``indices`` whose ceiling and bound are not below
-        ``target``, each bound the least of its own and what ``sweeps`` more
-        give."""
-        indices = indices[~(np.minimum(ceiling[indices], bounds[indices]) < target)]
-        if indices.size:
-            found, = yield request(_SCREENS, (target, sweeps), indices)
-            bounds[indices] = np.minimum(bounds[indices], found)
-        return indices[~(bounds[indices] < target)]
-
-    def solve(indices):
-        try:
-            return (yield request(_SAMPLERS, (epsilon, max_sweeps, 1), indices))
-        except NonConvergenceError as exc:
-            index = int(indices[exc.candidate])
-            policy = tuple(int(action) for action in np.unravel_index(index, shape))
-            raise _renamed(exc, f"decision policy {policy}", index) from None
-
-    parts = []                      # (indices, results) of each sampler request
     if floor > -np.inf:
-        kept = yield from screen(kept, floor - epsilon, SCREEN_SWEEPS)
-        if whole and kept.size > PROBE:
-            first = np.sort(kept[np.argsort(-bounds[kept], kind="stable")[:PROBE]])
-            rest = np.setdiff1d(kept, first, assume_unique=True)
-            try:
-                results = yield from solve(first)
-            except NonConvergenceError as exc:
-                # the floor alone bounds the rest: the lowest failing index wins
-                earlier = rest[rest < exc.candidate]
-                if earlier.size:
-                    yield from solve(earlier)
-                raise
-            parts.append((first, results))
-            best = results[1][:, start_state].max()
-            kept = yield from screen(rest, max(floor, best) - epsilon, 4 * SCREEN_SWEEPS)
-    if kept.size:
-        parts.append((kept, (yield from solve(kept))))
-    if not parts:
+        target = floor - epsilon
+        kept = kept[~(ceiling[kept] < target)]
+        h = np.zeros((kept.size, model.n_global_states))
+        # a whole cell raises its target by the best lower bound after each
+        # round, for at most 4 rounds; a slice keeps its floor, so what it
+        # solves does not depend on the slicing
+        for _ in range(4 if whole else 1):
+            if not kept.size:
+                break
+            upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS), kept, h)
+            bounds[kept] = np.minimum(bounds[kept], upper)
+            if whole:
+                target = max(target, lower.max() - epsilon)
+            left = ~(np.minimum(ceiling[kept], bounds[kept]) < target)
+            kept, h = kept[left], h[left]
+            if kept.size <= 1:
+                break
+    if not kept.size:
         return BrutePart(gains, bounds, None, np.nan, 0, kept)
-    for indices, results in parts:
-        gains[indices] = results[1][:, start_state]
-    best = int(np.nanargmax(gains))             # ties go to the earliest candidate
-    indices, (sampling, _, _, _, residuals, _) = next(part for part in parts if best in part[0])
-    j = int(np.searchsorted(indices, best))
-    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]),
-                     sum(int(results[3].sum()) for _, results in parts),
-                     np.concatenate([indices[results[5] > 1] for indices, results in parts]))
+    try:
+        sampling, values, _, rounds, residuals, n_closed = yield request(
+            _SAMPLERS, (epsilon, max_sweeps, 1), kept)
+    except NonConvergenceError as exc:
+        index = int(kept[exc.candidate])
+        policy = tuple(int(action) for action in np.unravel_index(index, shape))
+        raise _renamed(exc, f"decision policy {policy}", index) from None
+    gains[kept] = values[:, start_state]
+    j = int(gains[kept].argmax())               # ties go to the earliest candidate
+    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
+                     kept[n_closed > 1])
 
 
 def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,

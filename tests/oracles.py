@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecisionRows, DecPomdpModel, TabularMdp
-from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, PROBE, SCREEN_SWEEPS,
+from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, SCREEN_SWEEPS,
                                 _ChainEval, _FixedSamplingProblem, _screen_bounds, cesaro_limit,
                                 stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy
@@ -226,41 +226,42 @@ def exhaustive_joint_search(model: DecPomdpModel, start=0):
 
 class WholeCellSkips(NamedTuple):
     skipped: np.ndarray     # bool per candidate
-    probe: list             # indices solved first, ascending
-    rescreened: list        # indices screened a second time, ascending
-    bounds: np.ndarray      # the least screen bound per candidate, inf where not screened
+    screened: list          # indices screened in each round, ascending
+    target: float           # the target of the last skips
+    bounds: np.ndarray      # the least upper screen bound per candidate, inf where not screened
 
 
-def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon, gains):
+def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon):
     """What a brute force holding every candidate of its cell skips under a
-    finite ``floor``, by the rule written out one candidate at a time, with
-    ``gains`` each candidate's optimal gain from the start state.
+    finite ``floor``, by the rule written out one candidate at a time.
 
-    A candidate whose ceiling is below floor less epsilon is not screened; one
-    whose first bound (``SCREEN_SWEEPS`` sweeps) is below it is skipped.  With
-    more than ``PROBE`` left, the ``PROBE`` of best first bound (ties to the
-    lowest index) are solved; the target becomes max(floor, their best gain)
-    less epsilon; every other one left whose ceiling and bound are not below
-    it is screened again with four times the sweeps, keeps the smaller bound,
-    and is skipped where that is below the target.
+    A candidate whose ceiling is below floor less epsilon is not screened.
+    The rest are screened in rounds of ``SCREEN_SWEEPS`` sweeps, each
+    candidate alone and from the h its last round reached (0 at first).
+    After a round the target becomes the larger of itself and the best
+    lower bound less epsilon, and a candidate is skipped where its ceiling
+    or least upper bound is below the target.  The rounds stop after four,
+    or once at most one candidate is left.
     """
-    n = len(gains)
+    n = len(ceiling)
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
     rows = DecisionRows(model, np.stack(np.unravel_index(np.arange(n), shape), axis=1))
     target = floor - epsilon
-    first, = _screen_bounds(rows.kernels, rows.rewards, target, SCREEN_SWEEPS)
-    bounds = np.where(ceiling < target, np.inf, first)
-    left = [k for k in range(n) if not min(ceiling[k], bounds[k]) < target]
-    if len(left) <= PROBE:
-        return WholeCellSkips(np.array([k not in left for k in range(n)]), [], [], bounds)
-    probe = sorted(sorted(left, key=lambda k: (-bounds[k], k))[:PROBE])
-    target = max(floor, max(gains[k] for k in probe)) - epsilon
-    second, = _screen_bounds(rows.kernels, rows.rewards, target, 4 * SCREEN_SWEEPS)
-    rescreened = [k for k in left if k not in probe and not min(ceiling[k], bounds[k]) < target]
-    bounds[rescreened] = np.minimum(bounds[rescreened], second[rescreened])
-    skipped = [k not in left or (k not in probe and min(ceiling[k], bounds[k]) < target)
-               for k in range(n)]
-    return WholeCellSkips(np.array(skipped), probe, rescreened, bounds)
+    bounds = np.full(n, np.inf)
+    left = [k for k in range(n) if not ceiling[k] < target]
+    h = {k: np.zeros((1, model.n_global_states)) for k in left}
+    screened = []
+    while left and len(screened) < 4 and (len(left) > 1 or not screened):
+        screened.append(left)
+        best = -np.inf
+        for k in left:
+            upper, lower, h[k] = _screen_bounds(rows.kernels[k:k + 1], rows.rewards[k:k + 1],
+                                                h[k], target, SCREEN_SWEEPS)
+            bounds[k] = min(bounds[k], upper[0])
+            best = max(best, lower[0])
+        target = max(target, best - epsilon)
+        left = [k for k in left if not min(ceiling[k], bounds[k]) < target]
+    return WholeCellSkips(np.array([k not in left for k in range(n)]), screened, target, bounds)
 
 
 def random_model(rng, n_states=3, n_contexts=2, n_actions=3, success_prob=None,

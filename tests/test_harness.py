@@ -884,12 +884,12 @@ def _assert_skips_follow_the_rule(scenario, sides):
     screen bound is below the floor less epsilon, which bounds its gain; or,
     where the grid has one distinct cell, searched whole under a finite
     floor, by the rule of ``oracles.whole_cell_skips``.  Returns, per grid
-    study, whether such a cell solved a probe first."""
+    study, how many screen rounds such a cell ran (0 where none did)."""
     epsilon = scenario.solver.epsilon
     anchor = max(scenario.grid.success_probs), min(scenario.grid.sampling_costs)
-    probed = []
+    rounds = []
     for (cells, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
-        probed.append(False)
+        rounds.append(0)
         for key, ceiling in _ceilings(scenario, outcomes).items():
             true_gains = full[key][1].diagnostics["candidate_gains"]
             assert (true_gains <= full[anchor][1].diagnostics["candidate_gains"]
@@ -902,15 +902,15 @@ def _assert_skips_follow_the_rule(scenario, sides):
             skipped = np.isnan(gains)
             if len(outcomes) == 1 and floors[key] > -np.inf:
                 model = next(cell.model for p, c, cell in cells if (p, c) == key)
-                rule = whole_cell_skips(model, ceiling, floors[key], epsilon, true_gains)
+                rule = whole_cell_skips(model, ceiling, floors[key], epsilon)
                 assert np.array_equal(skipped, rule.skipped), key
                 assert bounds.tobytes() == rule.bounds.tobytes(), key
-                probed[-1] = bool(rule.probe)
+                rounds[-1] = len(rule.screened)
             else:
                 assert np.array_equal(skipped, least < floors[key] - epsilon), key
             assert (true_gains <= least + epsilon).all() and (true_gains <= bounds).all(), key
             assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
-    return probed
+    return rounds
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -926,15 +926,15 @@ def test_one_cell_grids_screen_against_their_floor(monkeypatch, shipped, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_one_cell_grids_solve_their_best_bounds_first(monkeypatch, shipped, seed):
-    # enough decision tables that more than PROBE survive the first screen
-    # under jesp's floor (gap) and under the baselines' (compare)
+    # enough decision tables that more than one survives each of the first
+    # three screen rounds, under jesp's floor (gap) and the baselines' (compare)
     rng = np.random.default_rng(340 + seed)
     model = random_model(rng, n_states=3, n_contexts=2, n_actions=6)
     scenario = replace(shipped, model=model, state_values=np.arange(3.0),
                        grid=GridConfig(success_probs=(0.65,), sampling_costs=(0.7,)))
     sides = _against_unpruned_path(monkeypatch, scenario)
     _assert_pruned_equals_unpruned(sides)
-    assert _assert_skips_follow_the_rule(scenario, sides) == [True, True]
+    assert _assert_skips_follow_the_rule(scenario, sides) == [4, 4]
 
 
 def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
@@ -1090,7 +1090,7 @@ def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
     assert len(solved) == 6 and sum(solved) <= 1600
 
 
-def test_a_probe_leaves_few_tables_where_the_floor_is_far_below_the_optimum(monkeypatch):
+def test_screen_rounds_leave_few_tables_where_the_floor_is_far_below_the_optimum(monkeypatch):
     # documents 1 and 3 at pS = 0.6, CS = 0.5: jesp's floor sits 0.081 and
     # 0.125 below the optimum, and the floor alone leaves 732 and 693 of the
     # 1,296 tables to solve
@@ -1101,7 +1101,7 @@ def test_a_probe_leaves_few_tables_where_the_floor_is_far_below_the_optimum(monk
             rows, failed = optimality_gap(replace(scenario, grid=GridConfig(
                 success_probs=(0.6,), sampling_costs=(0.5,))))
         (solved,), = (cells.values() for cells in _solved(calls))
-        assert failed == [] and solved <= 2 * solvers.PROBE, gen
+        assert failed == [] and solved <= 2, gen
         assert rows[0]["theta_jesp"] - rows[0]["theta_bf"] > 0.08, gen
 
 
@@ -1203,9 +1203,18 @@ def test_compare_equals_the_cell_by_cell_oracle(monkeypatch, shipped, study):
     scenario = {"bundled": shipped, "bundled-small": _small_grid(shipped)}.get(case)
     if scenario is None:
         scenario = _random_grid(shipped, case)
-    got = compare_policies(scenario, algorithm=algorithm, include_classic=include_classic)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = compare_policies(scenario, algorithm=algorithm, include_classic=include_classic)
+        want = compare_cell_by_cell(scenario, algorithm, include_classic)
     assert got[2] == [] and got[0]
-    assert repr(got) == repr(compare_cell_by_cell(scenario, algorithm, include_classic))
+    assert repr(got) == repr(want)
+    # random model 2's reference chain has several closed classes: brute
+    # force warns that its gains may depend on the start state; nothing else
+    # warns
+    assert {(w.category, str(w.message).split(";")[0]) for w in caught} == (
+        {(UserWarning, "reference chain (always sample, lowest actuation) is not unichain")}
+        if case == 2 else set())
 
 
 def _count_calls(monkeypatch, module, name, record):

@@ -277,6 +277,17 @@ def test_chain_law_matches_limit_oracle_from_every_start(seed):
     limit = limit_matrix(P)
     for start in range(len(P)):
         np.testing.assert_allclose(chain_law(P, start), limit[start], atol=1e-9)
+    # stacked with a certified unichain chain, a chain of absorbing states and
+    # P relabelled, classified in one closure: each law to the bit what the
+    # chain alone gets
+    n = len(P)
+    V = rng.gamma(1.0, size=(n, n)) + 0.01
+    order = rng.permutation(n)
+    stack = np.stack([P, V / V.sum(axis=1, keepdims=True), np.eye(n), P[np.ix_(order, order)]])
+    assert _unichain_batch(stack).tolist() == [False, True, False, False]
+    for start in range(n):
+        want = np.array([chain_law(Q, start) for Q in stack])
+        assert chain_law(stack, start).tobytes() == want.tobytes(), start
     # every state leads to state 0, so one closed class: the stationary law,
     # whatever the start
     U = rng.gamma(1.0, size=(6, 6)) * (rng.random((6, 6)) < 0.5) + 0.01 * np.eye(6)[0]
@@ -1122,10 +1133,11 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
 def _ceiling_run(monkeypatch, model, ceiling, floor):
     """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
     report, the enumeration indices of each sampler request it made, in
-    order, with their gains, the batch sizes policy iteration saw, and the
-    indices of each screen request with their bounds.  Every request lists
-    its candidates in ascending order, so the indices its pieces took,
-    sorted, are the request's, whatever threads took them."""
+    order, with their results, the batch sizes policy iteration saw, and the
+    indices of each screen request with their upper bounds, lower bounds
+    and h.  Every request lists its candidates in ascending order, so the
+    indices its pieces took, sorted, are the request's, whatever threads
+    took them."""
     n_actions, n_states = model.alphabets.n_actions, model.alphabets.n_states
     chunks, batches, taken, screened = [], [], [], []
     real_rows, real_served = solvers.DecisionRows, solvers._served
@@ -1139,10 +1151,7 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
         outcomes = real_served(requests)
         (ok, results), = outcomes
         indices = np.sort(np.concatenate(taken))
-        if requests[0].kind == solvers._SCREENS:
-            screened.append((indices, results[0]))
-        else:
-            chunks.append((indices, results[1][:, 0]))
+        (screened if requests[0].kind == solvers._SCREENS else chunks).append((indices, results))
         taken.clear()
         return outcomes
 
@@ -1184,29 +1193,23 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
         assert screened == [] and [indices.tolist() for indices, _ in chunks] == [kept.tolist()]
         assert np.isinf(bounds).all() and skipped.size == 0
     else:
-        # the whole cell: the first screen sweeps what the ceiling keeps, the
-        # probe's PROBE best bounds are solved, the rest are screened again
-        # against max(floor, the probe's best gain) less epsilon, and what is
-        # still above it is solved: two screen and two sampler requests
-        rule = whole_cell_skips(model, ceiling, floor, solvers.DEFAULT_EPSILON,
-                                full.diagnostics["candidate_gains"])
-        assert [indices.tolist() for indices, _ in screened] == [kept.tolist(), rule.rescreened]
+        # the whole cell: rounds of screens, the first over what the ceiling
+        # keeps and each over what is left, against a target the best lower
+        # bound raises, then one sampler request for what is still above it
+        rule = whole_cell_skips(model, ceiling, floor, solvers.DEFAULT_EPSILON)
+        assert [indices.tolist() for indices, _ in screened] == rule.screened
+        assert rule.screened[0] == kept.tolist() and len(rule.screened) > 1
         assert [indices.tolist() for indices, _ in chunks] == [
-            rule.probe, np.flatnonzero(~rule.skipped & ~np.isin(np.arange(11 ** 3),
-                                                               rule.probe)).tolist()]
-        assert len(rule.probe) == solvers.PROBE
-        incumbent = max(floor, chunks[0][1].max()) - solvers.DEFAULT_EPSILON
-        assert incumbent > target
-        # each bound the least of its screens, and every skip proved: below
-        # the raised target by the ceiling or that bound, outside the probe
+            np.flatnonzero(~rule.skipped).tolist()]
+        assert rule.target > target
+        # each bound the least of its rounds', and every skip proved: below
+        # the raised target by the ceiling or that bound
         assert bounds.tobytes() == rule.bounds.tobytes()
         assert np.array_equal(np.isfinite(bounds), np.isin(np.arange(11 ** 3), kept))
-        below = np.minimum(ceiling, bounds) < incumbent
-        below[rule.probe] = False
-        assert np.array_equal(skipped, np.flatnonzero(below))
-        # the ceiling, the floor and the incumbent each skip what the others keep
+        assert np.array_equal(skipped, np.flatnonzero(np.minimum(ceiling, bounds) < rule.target))
+        # the ceiling, the floor and the raised target each skip what the others keep
         assert np.isnan(gains[kept]).any()
-        assert ((bounds >= target) & (bounds < incumbent) & np.isnan(gains)).any()
+        assert ((bounds >= target) & (bounds < rule.target) & np.isnan(gains)).any()
     # solved gains, the winner and its certificate are the unpruned solve's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
@@ -1227,32 +1230,54 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state(monkeypatch):
                              concentration=0.1 if seed >= 4 else 1.0)
         rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(27), (3,) * 3),
                                                     axis=1))
-        # every sweep a search can make: the second screen's four times as many
-        bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf,
-                                         4 * solvers.SCREEN_SWEEPS)
         # policy iteration as brute force runs it, from sampling everywhere:
         # the optimal gain of every candidate from every start state
         _, gains, _, _, _, n_closed = _policy_iteration_batch(
             rows.kernels, rows.rewards, solvers.DEFAULT_EPSILON, solvers.MAX_PI_ROUNDS, 1)
-        assert (gains <= bounds[:, None]).all(), seed
         multichain += int((n_closed > 1).sum())
+        # every round a search can make, each from the h the last one reached:
+        # each encloses every gain between its lower and upper bounds
+        h, bounds = np.zeros((27, model.n_global_states)), np.full(27, np.inf)
+        for _ in range(4):
+            upper, lower, h = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
+                                                     solvers.SCREEN_SWEEPS)
+            assert (lower[:, None] <= gains).all() and (gains <= upper[:, None]).all(), seed
+            bounds = np.minimum(bounds, upper)
         # a search under a floor keeps the bound where its sweeps stopped
         # early, never below the full sweeps' bound, and skips a candidate
-        # outside the probe where its bound is below max(floor, the probe's
-        # best gain) less epsilon
+        # where its bound is below the target its rounds raised
         floor = np.median(gains[:, 0])
-        report, chunks, _, _ = _ceiling_run(monkeypatch, model, None, floor)
-        screened = report.diagnostics["candidate_bounds"]
-        assert (screened >= bounds).all()
-        probe, probe_gains = chunks[0]
-        assert probe.size == solvers.PROBE
-        below = screened < max(floor, probe_gains.max()) - solvers.DEFAULT_EPSILON
-        below[probe] = False
-        assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]), below)
-        rule = whole_cell_skips(model, np.full(27, np.inf), floor, solvers.DEFAULT_EPSILON,
-                                gains[:, 0])
-        assert rule.probe == probe.tolist() and np.array_equal(rule.skipped, below)
+        report, chunks, _, screened = _ceiling_run(monkeypatch, model, None, floor)
+        found = report.diagnostics["candidate_bounds"]
+        assert (found >= bounds).all()
+        rule = whole_cell_skips(model, np.full(27, np.inf), floor, solvers.DEFAULT_EPSILON)
+        assert [indices.tolist() for indices, _ in screened] == rule.screened
+        assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]), rule.skipped)
+        assert np.array_equal(rule.skipped, found < rule.target)
     assert multichain > 0
+
+
+@pytest.mark.parametrize("model", [
+    default_scenario(0.6, 4.0).model,
+    random_model(np.random.default_rng(904), n_states=3, n_contexts=2, n_actions=3,
+                 concentration=0.1),
+], ids=["bundled", "multichain"])
+def test_screen_rounds_continue_where_the_last_one_stopped(model):
+    # four rounds, each from the h the last reached, give to the bit what
+    # one screen of four times the sweeps gives: no sweep is made twice
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(np.prod(shape)), shape),
+                                                axis=1))
+    h = np.zeros((len(rows.kernels), model.n_global_states))
+    whole = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
+                                   4 * solvers.SCREEN_SWEEPS)
+    upper = np.full(len(h), np.inf)
+    for _ in range(4):
+        found, lower, h = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
+                                                 solvers.SCREEN_SWEEPS)
+        upper = np.minimum(upper, found)
+    assert [a.tobytes() for a in (upper, lower, h)] == [a.tobytes() for a in whole]
+    assert np.isfinite(lower).all() and (lower <= upper).all()
 
 
 @pytest.mark.parametrize("model", [
@@ -1278,6 +1303,9 @@ def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
     random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6),
 ], ids=["bundled", "random-48"])
 def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, model):
+    # the screen rounds probe every candidate; the sampler solves those they
+    # keep: each request's indices and results, the bounds and the report
+    # agree unthreaded and at every chunk size and thread count
     floor = jesp(model, heuristic_initial_decision(model)).average_reward
     runs = []
     for chunk, cores, threaded in [(128, solvers.CORES, False)] + list(
@@ -1287,12 +1315,13 @@ def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, 
                 _threaded(patch, cores)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
             report, chunks, _, screened = _ceiling_run(patch, model, None, floor)
-        runs.append(([(indices.tobytes(), found.tobytes()) for indices, found in screened],
-                     [(indices.tobytes(), found.tobytes()) for indices, found in chunks],
+        runs.append(([(indices.tobytes(), [field.tobytes() for field in results])
+                      for indices, results in screened + chunks],
                      report.diagnostics["candidate_bounds"].tobytes(), repr(report)))
+        # the rounds ran: several screen requests, then one sampler request
+        assert len(screened) > 1 and len(chunks) == 1
     assert all(run == runs[0] for run in runs)
-    # the probe ran: two sampler requests, the first of PROBE candidates
-    assert len(runs[0][1]) == 2 and len(np.frombuffer(runs[0][1][0][0], int)) == solvers.PROBE
+    assert 0 < report.diagnostics["candidates_pruned"]
 
 
 def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
@@ -1304,14 +1333,16 @@ def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
 def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(monkeypatch,
                                                                            shipped):
     # unpruned, (0, 0, 9) is the first to fail; skip it and the nine before it
-    # by their ceilings, under a floor below every screen bound
+    # by their ceilings, under a floor below every screen bound, in a search
+    # over every candidate that keeps its floor fixed, as a grid slice does
     ceiling = np.zeros(11 ** 3)
     ceiling[:10] = -np.inf
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(shipped.model, max_sweeps=2, ceiling=ceiling, floor=-1e3)
+            _run(solvers.brute_force_search(shipped.model, max_sweeps=2, ceiling=ceiling,
+                                            floor=-1e3, members=np.arange(11 ** 3)))
         messages.add(str(info.value))
     # with one candidate a chunk, the first failure met is the first failing
     # policy among those solved; every chunk size names the same one
@@ -1319,27 +1350,26 @@ def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(mon
     assert messages.pop().startswith("decision policy (0, 0, 10) still changing policy after 2 ")
 
 
-def test_whole_cell_failure_in_the_probe_names_its_lowest_failing_policy(monkeypatch, shipped):
-    # keep, by their ceilings, the PROBE best screen bounds and, above them in
-    # enumeration order, the next best: the probe holds the lowest index kept
+def test_whole_cell_failure_names_the_lowest_failing_policy_the_rounds_keep(monkeypatch,
+                                                                           shipped):
+    # the ceilings keep three tables, the rounds two of them: (0, 0, 9)
+    # fails within two policy-iteration rounds but is skipped; of the two
+    # kept, the lower settles and the higher fails
     model = shipped.model
-    rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(11 ** 3), (11,) * 3),
-                                                axis=1))
-    bounds, = solvers._screen_bounds(rows.kernels, rows.rewards, -np.inf, solvers.SCREEN_SWEEPS)
-    order = sorted(range(11 ** 3), key=lambda k: (-bounds[k], k))
-    probe = sorted(order[:solvers.PROBE])
-    after = next(k for k in order[solvers.PROBE:] if k > probe[-1])
     ceiling = np.full(11 ** 3, -np.inf)
-    ceiling[probe + [after]] = 0.0
-    # the lowest of the probe that fails alone within two rounds
+    ceiling[[9, 182, 248]] = 0.0
+    rule = whole_cell_skips(model, ceiling, -1e3, solvers.DEFAULT_EPSILON)
+    kept = np.flatnonzero(~rule.skipped).tolist()
+    assert kept == [182, 248]
+    rows = solvers.DecisionRows(model, np.stack(np.unravel_index([9] + kept, (11,) * 3), axis=1))
     failing = []
-    for k in probe:
+    for j, k in enumerate([9] + kept):
         try:
-            _policy_iteration_batch(rows.kernels[k:k + 1], rows.rewards[k:k + 1],
+            _policy_iteration_batch(rows.kernels[j:j + 1], rows.rewards[j:j + 1],
                                     solvers.DEFAULT_EPSILON, 2, 1)
         except NonConvergenceError:
             failing.append(k)
-    policy = tuple(int(a) for a in np.unravel_index(failing[0], (11,) * 3))
+    assert failing == [9, 248]
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, model, chunk)
@@ -1347,7 +1377,7 @@ def test_whole_cell_failure_in_the_probe_names_its_lowest_failing_policy(monkeyp
             brute_force_joint(model, max_sweeps=2, ceiling=ceiling, floor=-1e3)
         messages.add((str(info.value), info.value.candidate))
     (message, candidate), = messages
-    assert candidate == failing[0] and message.startswith(f"decision policy {policy} ")
+    assert candidate == 248 and message.startswith("decision policy (2, 0, 6) ")
 
 
 def test_brute_force_refuses_a_ceiling_of_the_wrong_shape_or_below_the_floor(shipped):
