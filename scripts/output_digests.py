@@ -17,8 +17,8 @@ this directory):
   scenario whose solver runs jesp with two restarts;
 * ``solve`` with ``brute``, ``jesp`` and ``rvi-fixed-decision`` (``report.txt``,
   ``policy.json``), and ``solve --algorithm brute`` on generated document 0
-  (N = 48: every candidate solved, the policy-iteration batches on threads
-  where there are cores for them; its ``report.txt`` holds ``iterations``,
+  (N = 48: every candidate solved, in policy-iteration batches of up to
+  ``solvers.BRUTE_CHUNK``; its ``report.txt`` holds ``iterations``,
   ``residual`` and ``multichain_candidates``), and ``compare --include-classic
   --algorithm brute`` there at pS = 0.6, CS = 0.5 (one cell at N = 48 under
   the baselines' floor), and the same on generated document 3, where jesp's

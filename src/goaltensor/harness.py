@@ -55,9 +55,9 @@ bound is below its floor less the solver's epsilon: jesp's reward in
 brute``.  No running incumbent moves a slice's floor, so the winner and
 every exact tie are still solved with the same arithmetic, and neither the
 CSVs nor the candidates solved depend on W.  A grid of one distinct cell is
-solved in this process under the same floor, where large sampler batches
-and screens use threads; its one search holds every candidate, so it
-raises the floor by its screen's lower bounds (``solvers.brute_force_joint``).
+solved in this process, in the calling thread, under the same floor; its
+one search holds every candidate, so it raises the floor by its screen's
+lower bounds (``solvers.brute_force_joint``).
 
 Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in
@@ -654,7 +654,7 @@ def _grid_brute(scenario, cells, floors):
     width, failed = solvers.CORES, set()
     while True:
         slices = solvers.pool_map(functools.partial(_brute_slice, order, floors, failed, width),
-                                  range(width), width, fork=True)
+                                  range(width), width)
         failing = {key for outcomes in slices for key, (ok, _) in outcomes.items() if not ok}
         if failing == failed:
             break

@@ -22,7 +22,10 @@ chains included (Puterman 1994, section 8.5 and ch. 9; Odoni 1969); and the
 greedy policy d of h has g_d = P_d*(T h - h) >= min_s (T h - h)(s) from every
 start state (MacQueen 1967), so the optimal gain does too.  Rounds of
 ``SCREEN_SWEEPS`` relative value-iteration sweeps, each continuing from the
-h the last one reached, give both bounds for a fraction of a solve.  Each
+h the last one reached, give both bounds for a fraction of a solve.  A
+sweep runs through the kernel's factors (``model``), never a dense N x N
+kernel: h is contracted over the next context, then over the next source
+state at the estimate idling keeps and at the one a delivery lands.  Each
 bound moves by ``PI_NOISE`` times the reward and h magnitudes, past the
 sweep's rounding at any N the byte limit admits, so a skip holds at every
 epsilon.
@@ -35,12 +38,12 @@ number of searches together, stacking every waiting call of one kind into
 one batched solve; ``brute_force_joint`` and ``jesp`` are that driver on one
 search, and a grid study runs all its cells' jesp searches in one pass, as
 many at once as hold at most half of ``model.MAX_KERNEL_BYTES`` between
-their steps (``jesp_in_flight``).  One owner, ``_served``, sizes, threads and
-fails every batch: within the other half, at most ``BRUTE_CHUNK`` sampler
-MDPs at once, on threads for large models, and a request ends at its first
-failing member.  numpy solves a stack member by member, so each search
-gets, to the bit, what it gets alone, and a member's failure goes to its
-own search only.
+their steps (``jesp_in_flight``).  One owner, ``_served``, sizes and fails
+every batch in the calling thread: within the other half, at most
+``BRUTE_CHUNK`` sampler or screened MDPs at once, and a request ends at
+its first failing member.  numpy solves a stack member by member, so each
+search gets, to the bit, what it gets alone, and a member's failure goes
+to its own search only.
 
 Everything here speaks rewards (negated costs).  Reported ``average_reward``
 is always the negation of the long-term average cost.
@@ -60,11 +63,10 @@ taken from the start state, and ``_chain_laws`` gives the matching long-run
 law, for ``chain_law`` and for soft policy iteration: the stationary law with
 one closed class, else the Cesaro row of the start state.
 
-One ordered map, ``pool_map``, spreads work over the cores: the pieces of
-a large sampler batch over threads (``_served``), and the candidate slices
-of ``harness``'s grid brute force over forked processes, inside which every
-``pool_map`` call runs in place.  ``CORES`` sets the width of both, so at
-``CORES = 1`` every solve runs in the calling thread.
+One ordered map, ``pool_map``, spreads the candidate slices of
+``harness``'s grid brute force over forked processes, one per core
+(``CORES``), inside which every ``pool_map`` call runs in place; at
+``CORES = 1`` every solve runs in the calling process.
 """
 
 from __future__ import annotations
@@ -97,11 +99,10 @@ DEFAULT_EPSILON = 1e-6
 MAX_PI_ROUNDS = 500
 MAX_JESP_ROUNDS = 100
 DEFAULT_BUDGET = 200_000    # most decision policies brute force enumerates
-BRUTE_CHUNK = 128           # sampler MDPs in flight at once, over all threads
-# cores this process may run on: the width of every pool (``pool_map``)
+BRUTE_CHUNK = 128           # sampler or screened MDPs in one batch
+# cores this process may run on: the width of the pool (``pool_map``)
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-BRUTE_THREADED_STATES = 24  # global states N from which sampler batches run on threads
 SCREEN_SWEEPS = 10          # most value-iteration sweeps of one round of brute force's screen
 
 
@@ -123,49 +124,43 @@ def _worker_call(index):
     return fn(items[index])
 
 
-def pool_map(fn, items, workers, fork=False):
-    """``list(map(fn, items))``, the calls spread over ``workers`` threads, or
-    with ``fork`` over as many forked worker processes.
+def pool_map(fn, items, workers):
+    """``list(map(fn, items))``, the calls spread over ``workers`` forked
+    worker processes.
 
     At most one worker per item.  Results come back in item order.  An
     exception that ``fn`` raises reaches the caller as it would from ``map``,
     the first failing item's, after the pool is shut down: items not yet
     started are cancelled and every worker is joined before this returns or
-    raises.  Threads suit calls whose time goes to numpy work that releases
-    the GIL; processes suit calls that hold it.  A forked worker inherits
-    ``fn`` and the items at the fork, so neither is pickled; each result comes
-    back pickled.
+    raises.  A worker inherits ``fn`` and the items at the fork, so neither
+    is pickled; each result comes back pickled.
 
-    Runs in place, in the calling thread, with fewer than two workers and
-    inside a forked worker, whose siblings already use every core.  With
-    ``fork`` it also runs in place where the platform has no ``fork`` start
-    method and while other threads run: a fork copies only the calling
-    thread, so a lock another thread held would stay held in the workers.
+    Runs in place, in the calling thread, with fewer than two workers,
+    inside a forked worker, whose siblings already use every core, where the
+    platform has no ``fork`` start method, and while other threads run: a
+    fork copies only the calling thread, so a lock another thread held would
+    stay held in the workers.
     """
     workers = min(workers, len(items))
     if workers < 2 or _WORKER_JOB is not None:
         return list(map(fn, items))
     # imported only here: they load logging and queue, which runs that never
     # start a pool would carry in memory for nothing
+    import multiprocessing
+    import threading
     from concurrent import futures
-    if not fork:
-        pool = futures.ThreadPoolExecutor(workers)
-    else:
-        import multiprocessing
-        import threading
-        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-            return list(map(fn, items))
-        # a worker flushes the stdio buffers it inherited when it exits: empty
-        # them first, or their text is written once more by every worker
-        # (CPython's fork start method flushes them too, but documents no such
-        # promise)
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                           initializer=_start_worker, initargs=(fn, items))
-        fn, items = _worker_call, range(len(items))
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return list(map(fn, items))
+    # a worker flushes the stdio buffers it inherited when it exits: empty
+    # them first, or their text is written once more by every worker
+    # (CPython's fork start method flushes them too, but documents no such
+    # promise)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_start_worker, initargs=(fn, items))
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_worker_call, range(len(items))))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -574,8 +569,10 @@ _CHAINS, _TRIALS, _SCREENS, _SAMPLERS = range(4)    # request kinds, in the orde
 # N = 48 and 144, by tracemalloc) and, for a sampler MDP, its two kernels with
 # policy iteration's copies of them (about 9.5); one more copy of the kernels
 # where a batch is solved again without a failing member.  A screened MDP
-# holds its two kernels and their copy where a piece stacks several requests.
-_MEMBER_ARRAYS = {_CHAINS: 9, _TRIALS: 9, _SCREENS: 4, _SAMPLERS: 12}
+# holds rows of N only (source rows, rewards, h, a sweep's products): 0.53
+# N x N arrays at N = 48, 0.16-0.23 at N = 144 by tracemalloc, so one bounds
+# it wherever the limit, not BRUTE_CHUNK, sets the batch (N > 362).
+_MEMBER_ARRAYS = {_CHAINS: 9, _TRIALS: 9, _SCREENS: 1, _SAMPLERS: 12}
 
 
 class _Request(NamedTuple):
@@ -608,22 +605,36 @@ def _solve_samplers(T, R, epsilon, max_rounds, initial_action):
     return _policy_iteration_batch(T, R, epsilon, max_rounds, initial_action)
 
 
-def _screen_bounds(T, R, h, target, sweeps):
-    """Bounds on the optimal gains, from every start state, of MDPs ``T``
-    (K, A, N, N), ``R`` (K, N, A), by relative value-iteration sweeps that
+def _screen_bounds(source, R, h, target, sweeps, p, context):
+    """Bounds on the optimal gains, from every start state, of the sampler
+    MDPs of decision tables, by relative value-iteration sweeps that
     continue each member from its row of ``h`` (K, N) (module docstring).
-    A member sweeps ``sweeps`` times, or until its upper bound is below
+    A member is given by its source rows ``source`` (K, N, n_states)
+    (``model.DecisionRows``) and its rewards ``R`` (K, N, 2); its model by
+    the success probability ``p`` and the context rows ``context``.  A
+    member sweeps ``sweeps`` times, or until its upper bound is below
     ``target``.  Returns per member the upper bound, the least over its
     sweeps of max_s (T h - h)(s) plus a rounding margin; the lower bound,
     min_s (T h - h)(s) less that margin at its last sweep; and the h it
     reached; -inf and NaN where its upper bound fell below ``target``.  A
     member's products are its own, so nothing it gets depends on the batch."""
-    k, _, n, _ = T.shape
-    kernels, rewards = T.reshape(k, -1, n), R.transpose(0, 2, 1)
+    (k, N, n), context = source.shape, np.asarray(context)
+    v = len(context)
+    rows = source.reshape(k, v, n * n, n).swapaxes(-1, -2).copy()    # [k, phi, u, xhat n + x]
+    # state s = x + n xhat + n^2 phi reads a sweep's products at [phi, e,
+    # xhat n + x], e = xhat idling and e = x on a delivery
+    states = np.arange(N)
+    at = states // (n * n) * n ** 3 + states % (n * n)
+    idle_at, sent_at = at + states // n % n * n * n, at + states % n * n * n
+    idle_r, sent_r = R[..., 0].copy(), R[..., 1].copy()
     scale = 1.0 + np.abs(R).max(axis=(1, 2))
     upper, live = np.full(k, np.inf), np.ones(k, dtype=bool)
     for _ in range(sweeps):
-        Th = (rewards + (kernels @ h[..., None]).reshape(rewards.shape)).max(axis=1)
+        # g[k, phi, e, u] = sum_r context[phi, r] h[k, u + n e + n^2 r]
+        g = (context @ h.reshape(k, v, n * n)).reshape(k, v, n, n)
+        products = (g @ rows).reshape(k, -1)
+        idle = products[:, idle_at]
+        Th = np.maximum(idle_r + idle, sent_r + (p * products[:, sent_at] + (1 - p) * idle))
         span, margin = Th - h, PI_NOISE * (scale + np.abs(h).max(axis=1))
         np.minimum(upper, span.max(axis=1) + margin, out=upper, where=live)
         live = ~(upper < target)
@@ -684,66 +695,53 @@ def _served(requests):
     (``_serve``), a ``NonConvergenceError`` naming it by its request index.
 
     The members of ``requests``, which share kind, settings and N, are
-    stacked in request order and cut into near-equal pieces, as many in
-    flight as keep their working sets (``_MEMBER_ARRAYS``) within half of
+    stacked in request order and cut into near-equal pieces, each as large
+    as keeps its working set (``_MEMBER_ARRAYS``) within half of
     ``model.MAX_KERNEL_BYTES`` (``jesp_in_flight`` keeps the other half), at
-    most ``BRUTE_CHUNK`` sampler or screened MDPs, and at least one.  From
-    ``BRUTE_THREADED_STATES`` global states on, where numpy's solves release
-    the GIL most of the time, those pieces run on one ``pool_map`` thread
-    per core with at least 64 members each, a multiple of the threads so that
-    none runs alone at the end, each thread taking the next as it finishes
-    one.  A piece takes its arrays in its own call, and skips each request
-    an earlier piece found failing.
+    most ``BRUTE_CHUNK`` sampler or screened MDPs, and at least one.  The
+    pieces run in order in the calling thread.  Each takes its arrays in
+    its own call, writes its members' results into their requests' result
+    arrays, and leaves out every request that has already failed.
     """
     kind, settings, n = requests[0][:3]
     room = max(1, model_module.MAX_KERNEL_BYTES // 2 // (_MEMBER_ARRAYS[kind] * n * n * 8))
-    total = sum(request.count for request in requests)
-    threads = 1
     if kind in (_SCREENS, _SAMPLERS):
         room = min(room, BRUTE_CHUNK)
-        if n >= BRUTE_THREADED_STATES:
-            threads = max(1, min(CORES, room // 64, total // 64))
-    count = -(-total // (room // threads))
-    count = max(1, min(total, -(-count // threads) * threads))   # 1 for an empty request
+    total = sum(request.count for request in requests)
+    count = max(1, min(total, -(-total // room)))      # 1 for an empty request
     base, extra = divmod(total, count)
     # pieces of (request, lo, hi) parts, cut at bounds over the stacked members
     bounds = list(itertools.accumulate([base + 1] * extra + [base] * (count - extra), initial=0))
     starts = list(itertools.accumulate((request.count for request in requests), initial=0))
-    pieces = [[(i, lo - starts[i], hi - starts[i]) for i in range(len(requests))
-               if (lo := max(a, starts[i])) < (hi := min(b, starts[i + 1]))]
-              for a, b in zip(bounds, bounds[1:])]
-    # shared by the threads without a lock: appends are atomic, and a failure
-    # missed only costs solving members whose results are not returned
-    solved = [[] for _ in requests]         # (lo, fields of members lo..) of each part
-    failures = [[] for _ in requests]       # (index, error) of each failing member met
-
-    def serve(piece):
-        if any(failures):
-            piece = [(i, lo, hi) for i, lo, hi in piece
-                     if not failures[i] or min(failures[i])[0] >= lo]
-            if not piece:
-                return
+    results, errors = [[] for _ in requests], [None] * len(requests)
+    for a, b in zip(bounds, bounds[1:]):
+        piece = [(i, lo - starts[i], hi - starts[i]) for i in range(len(requests))
+                 if errors[i] is None and (lo := max(a, starts[i])) < (hi := min(b, starts[i + 1]))]
+        if not piece:
+            continue
         stacks = [arrays[0] if len(arrays) == 1 else np.concatenate(arrays) for arrays in
                   zip(*(requests[i].take(lo, hi) for i, lo, hi in piece))]
         ends = list(itertools.accumulate(hi - lo for _, lo, hi in piece))
         fields, failed = _serve(kind, settings, stacks, ends)
-        for (i, lo, hi), end in zip(piece, ends):
-            if fields is not None:
-                solved[i].append((lo, fields if len(piece) == 1 else
-                                  [field[end - hi + lo:end] for field in fields]))
         for m, exc in failed:
             k = bisect.bisect_right(ends, m)
             i, lo, hi = piece[k]
             index = m - ends[k] + hi
-            if isinstance(exc, NonConvergenceError):
-                exc = _renamed(exc, f"candidate {index}", index)
-            failures[i].append((index, exc))
-
-    pool_map(serve, pieces, threads)
-    return [(False, min(failed, key=lambda f: f[0])[1]) if failed else
-            (True, parts[0][1] if len(parts) == 1 else [np.concatenate(rows) for rows in
-             zip(*(fields for _, fields in sorted(parts, key=lambda part: part[0])))])
-            for failed, parts in zip(failures, solved)]
+            errors[i] = (_renamed(exc, f"candidate {index}", index)
+                         if isinstance(exc, NonConvergenceError) else exc)
+        for (i, lo, hi), end in zip(piece, ends):
+            if errors[i] is not None:
+                continue
+            rows = fields if len(piece) == 1 else [field[end - hi + lo:end] for field in fields]
+            if hi - lo == requests[i].count:
+                results[i] = rows
+                continue
+            results[i] = results[i] or [np.empty((requests[i].count,) + row.shape[1:], row.dtype)
+                                        for row in rows]
+            for field, row in zip(results[i], rows):
+                field[lo:hi] = row
+    return [(False, error) if error is not None else (True, fields)
+            for error, fields in zip(errors, results)]
 
 
 def lockstep(searches, in_flight=None):
@@ -1082,8 +1080,8 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     ``NonConvergenceError``, which names the lexicographically first failing
     decision policy among those solved, whatever the batching.
 
-    This runs ``brute_force_search`` alone (``lockstep`` sizes, threads and
-    fails its batches) and ``brute_force_report`` on it, and warns up front
+    This runs ``brute_force_search`` alone (``lockstep`` sizes and fails its
+    batches) and ``brute_force_report`` on it, and warns up front
     (``warn_if_start_dependent``).  A model where one candidate's kernels
     pass ``model.MAX_KERNEL_BYTES`` is refused with ``MemoryBudgetError``
     before anything of that size is built.
@@ -1147,7 +1145,7 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
                              f"of the {n_candidates} decision policies")
     whole = members is None
     members = np.arange(n_candidates) if whole else np.asarray(members, dtype=int)
-    model.kernels                   # read, never built, by the worker threads
+    model.kernels                   # built here, before a grid's forked slices read them
     return _brute_steps(model, members, epsilon, max_sweeps, start_state,
                         (n_actions,) * n_states, ceiling, floor, whole)
 
@@ -1160,20 +1158,22 @@ def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, 
 
         def take(lo, hi):
             rows = DecisionRows(model, candidates[lo:hi])
-            return (rows.kernels, rows.rewards) + tuple(array[lo:hi] for array in arrays)
+            return ((rows.source if kind == _SCREENS else rows.kernels, rows.rewards)
+                    + tuple(array[lo:hi] for array in arrays))
         return _Request(kind, settings, model.n_global_states, indices.size, take)
 
     if floor > -np.inf:
         target = floor - epsilon
         kept = kept[~(ceiling[kept] < target)]
         h = np.zeros((kept.size, model.n_global_states))
+        factors = model.channel.success_prob, tuple(map(tuple, model.context.probs.tolist()))
         # a whole cell raises its target by the best lower bound after each
         # round, for at most 4 rounds; a slice keeps its floor, so what it
         # solves does not depend on the slicing
         for _ in range(4 if whole else 1):
             if not kept.size:
                 break
-            upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS), kept, h)
+            upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS) + factors, kept, h)
             bounds[kept] = np.minimum(bounds[kept], upper)
             if whole:
                 target = max(target, lower.max() - epsilon)

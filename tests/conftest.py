@@ -51,10 +51,22 @@ def grid_solutions():
 
     cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
     return {cell: (default_scenario(*cell), bf, je)
-            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES, fork=True))}
+            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES))}
 
 
 def assert_no_child_process():
     """Fail if this process has a child, running or exited and not yet reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def generated_scenario(gen):
+    """Scenario of ``perfbench/generate.py``'s document ``gen`` (N = 48)."""
+    import importlib.util
+    from pathlib import Path
+    from goaltensor.scenario import scenario_from_dict
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return scenario_from_dict(module.large_document(gen))

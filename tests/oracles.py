@@ -231,17 +231,43 @@ class WholeCellSkips(NamedTuple):
     bounds: np.ndarray      # the least upper screen bound per candidate, inf where not screened
 
 
+def screen_factors(model: DecPomdpModel):
+    """The model's arguments of ``solvers._screen_bounds``: its success
+    probability and context rows."""
+    return model.channel.success_prob, model.context.probs
+
+
+def dense_screen_bounds(T, R, h, target, sweeps):
+    """``solvers._screen_bounds`` through dense kernels: MDPs ``T`` (K, A, N, N)
+    and ``R`` (K, N, A), each sweep a full N x N mat-vec per action, the
+    same bounds, margin and stopping rule."""
+    k, _, n, _ = T.shape
+    kernels, rewards = T.reshape(k, -1, n), R.transpose(0, 2, 1)
+    scale = 1.0 + np.abs(R).max(axis=(1, 2))
+    upper, live = np.full(k, np.inf), np.ones(k, dtype=bool)
+    for _ in range(sweeps):
+        Th = (rewards + (kernels @ h[..., None]).reshape(rewards.shape)).max(axis=1)
+        span, margin = Th - h, PI_NOISE * (scale + np.abs(h).max(axis=1))
+        np.minimum(upper, span.max(axis=1) + margin, out=upper, where=live)
+        live = ~(upper < target)
+        if not live.any():
+            break
+        h = Th - Th[:, :1]
+    return (upper, np.where(live, span.min(axis=1) - margin, -np.inf),
+            np.where(live[:, None], h, np.nan))
+
+
 def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon):
     """What a brute force holding every candidate of its cell skips under a
     finite ``floor``, by the rule written out one candidate at a time.
 
     A candidate whose ceiling is below floor less epsilon is not screened.
     The rest are screened in rounds of ``SCREEN_SWEEPS`` sweeps, each
-    candidate alone and from the h its last round reached (0 at first).
-    After a round the target becomes the larger of itself and the best
-    lower bound less epsilon, and a candidate is skipped where its ceiling
-    or least upper bound is below the target.  The rounds stop after four,
-    or once at most one candidate is left.
+    candidate alone and from the h its last round reached (0 at first), by
+    ``solvers._screen_bounds``.  After a round the target becomes the larger
+    of itself and the best lower bound less epsilon, and a candidate is
+    skipped where its ceiling or least upper bound is below the target.
+    The rounds stop after four, or once at most one candidate is left.
     """
     n = len(ceiling)
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
@@ -255,8 +281,9 @@ def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon):
         screened.append(left)
         best = -np.inf
         for k in left:
-            upper, lower, h[k] = _screen_bounds(rows.kernels[k:k + 1], rows.rewards[k:k + 1],
-                                                h[k], target, SCREEN_SWEEPS)
+            upper, lower, h[k] = _screen_bounds(rows.source[k:k + 1], rows.rewards[k:k + 1],
+                                                h[k], target, SCREEN_SWEEPS,
+                                                *screen_factors(model))
             bounds[k] = min(bounds[k], upper[0])
             best = max(best, lower[0])
         target = max(target, best - epsilon)

@@ -23,7 +23,7 @@ from goaltensor.model import (ChannelModel, ContextDynamics, DecPomdpModel,
 from goaltensor.scenario import GridConfig, Scenario
 from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
-from conftest import GRID_CS, GRID_PS, assert_no_child_process
+from conftest import GRID_CS, GRID_PS, assert_no_child_process, generated_scenario
 from oracles import (TraceRecord, analyze_chain, compare_cell_by_cell, policy_chain,
                      random_model, simulate_records, sweep_one_by_one, whole_cell_skips,
                      write_records_csv)
@@ -568,47 +568,43 @@ def three_workers(monkeypatch):
 
 
 def _nested_calls(i):
-    # a pool_map call inside a forked worker, threaded or forked, runs in that
-    # worker's process and thread
+    # a pool_map call inside a forked worker runs in that worker's process
+    # and thread
     here = os.getpid(), threading.get_ident()
-    threaded = solvers.pool_map(lambda _: (os.getpid(), threading.get_ident()), range(4), 3)
-    forked = solvers.pool_map(lambda _: (os.getpid(), threading.get_ident()), range(4), 3,
-                              fork=True)
-    return i, here[0], set(threaded) | set(forked) == {here}
+    nested = solvers.pool_map(lambda _: (os.getpid(), threading.get_ident()), range(4), 3)
+    return i, here[0], set(nested) == {here}
 
 
 def test_pool_map_forks_results_in_order_from_worker_processes(three_workers):
     parent = os.getpid()
-    results = solvers.pool_map(_nested_calls, range(7), solvers.CORES, fork=True)
+    results = solvers.pool_map(_nested_calls, range(7), solvers.CORES)
     assert [i for i, _, _ in results] == list(range(7))
     assert parent not in {pid for _, pid, _ in results}
     assert all(nested_in_place for _, _, nested_in_place in results)
     assert_no_child_process()
     # one item runs here
-    assert solvers.pool_map(lambda i: os.getpid(), [0], solvers.CORES, fork=True) == [parent]
+    assert solvers.pool_map(lambda i: os.getpid(), [0], solvers.CORES) == [parent]
 
 
-def test_brute_force_chunk_threads_take_at_least_64_candidates_each(shipped, monkeypatch):
-    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
-    widths, real = [], solvers.pool_map
+def test_brute_force_and_sampler_batches_start_no_pool(shipped, monkeypatch):
+    # every piece of a batch, screened or solved, runs in the calling thread,
+    # whatever the cores and whoever asks
+    calls, real = [], solvers.pool_map
 
-    def spy(fn, items, workers, fork=False):
-        widths.append(workers)
-        return real(fn, items, 1)
+    def spy(fn, items, workers):
+        calls.append(workers)
+        return real(fn, items, workers)
 
     monkeypatch.setattr(solvers, "pool_map", spy)
     for cores in (1, 2, 8):
         monkeypatch.setattr(solvers, "CORES", cores)
-        solvers.brute_force_joint(shipped.model)
-    assert widths == [1, 2, 2]
-    assert solvers.BRUTE_CHUNK // max(widths) >= 64
-    # the rule is the sampler batches' own, whoever asks: 127 MDPs take one
-    # thread, 128 two
+        best = solvers.brute_force_joint(shipped.model).average_reward
+        solvers.brute_force_joint(shipped.model, floor=best - 0.5)
     mdp = induced_mdp(shipped.model, DecisionPolicy([0, 3, 7]))
-    for count in (127, 128):
+    for count in (127, 128, 300):
         solvers.solve_mdps(np.repeat(mdp.transitions[None], count, axis=0),
                            np.repeat(mdp.rewards[None], count, axis=0), 1e-6, 100, "mdp")
-    assert widths[3:] == [1, 2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -925,7 +921,7 @@ def test_one_cell_grids_screen_against_their_floor(monkeypatch, shipped, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_one_cell_grids_solve_their_best_bounds_first(monkeypatch, shipped, seed):
+def test_one_cell_grids_run_every_screen_round(monkeypatch, shipped, seed):
     # enough decision tables that more than one survives each of the first
     # three screen rounds, under jesp's floor (gap) and the baselines' (compare)
     rng = np.random.default_rng(340 + seed)
@@ -1060,18 +1056,6 @@ def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shi
         assert optimality_gap(permuted) == (rows, failed)
 
 
-def _generated(gen):
-    """Scenario of ``perfbench/generate.py``'s document ``gen`` (N = 48)."""
-    import importlib.util
-    from pathlib import Path
-    from goaltensor.scenario import scenario_from_dict
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("generate", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return scenario_from_dict(module.large_document(gen))
-
-
 def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
     # unscreened: 3,010 on this grid, and 6 x 1,296 on the generated cells
     with monkeypatch.context() as patch:
@@ -1083,7 +1067,7 @@ def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
     with monkeypatch.context() as patch:
         calls = _spied_grid_brute(patch)
         for gen in range(6):
-            scenario = _generated(gen)
+            scenario = generated_scenario(gen)
             optimality_gap(replace(scenario, grid=GridConfig(
                 success_probs=((0.6, 1.0)[gen % 2],), sampling_costs=(0.5,))))
     solved = [n for cells in _solved(calls) for n in cells.values()]
@@ -1095,7 +1079,7 @@ def test_screen_rounds_leave_few_tables_where_the_floor_is_far_below_the_optimum
     # 0.125 below the optimum, and the floor alone leaves 732 and 693 of the
     # 1,296 tables to solve
     for gen in (1, 3):
-        scenario = _generated(gen)
+        scenario = generated_scenario(gen)
         with monkeypatch.context() as patch:
             calls = _spied_grid_brute(patch)
             rows, failed = optimality_gap(replace(scenario, grid=GridConfig(

@@ -1,5 +1,4 @@
 import itertools
-import sys
 import threading
 import time
 import tracemalloc
@@ -29,6 +28,8 @@ from goaltensor.solvers import (_ChainEval, _balance, _balance_batch, _closed_cl
                                 solve_sampler_for_decision, stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 
+from conftest import assert_no_child_process, generated_scenario
+
 from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_reward,
                      balance_alone, closed_classes_by_components, closed_classes_by_squaring,
                      evaluate_by_closure, exhaustive_joint_search,
@@ -36,7 +37,8 @@ from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_rewar
                      joint_chain_by_hand, limit_matrix, local_search_one_by_one,
                      pi_step_size_every_table, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
-                     tiny_two_state_model, whole_cell_skips)
+                     dense_screen_bounds, screen_factors, tiny_two_state_model,
+                     whole_cell_skips)
 
 
 def _evaluate(problem, table, start=0):
@@ -864,19 +866,12 @@ def _brute_outcome(model):
             repr(report.residual), report.diagnostics["multichain_candidates"])
 
 
-def _threaded(monkeypatch, workers):
-    # threads at every N, so the bundled scenario's N = 18 runs them too
-    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
-    monkeypatch.setattr(solvers, "CORES", workers)
-
-
 def _in_flight(monkeypatch, model, count):
-    """``count`` sampler MDPs in flight over ``solvers.CORES`` threads.  Threads
-    get at least 64 members each, so ``BRUTE_CHUNK`` stays high enough for
-    every thread and the byte limit sets the count: ``_served`` keeps each
-    member's working set (``_MEMBER_ARRAYS``) within half of the limit."""
+    """``count`` sampler MDPs in one batch, set both by ``BRUTE_CHUNK`` and by
+    the byte limit: ``_served`` keeps each member's working set
+    (``_MEMBER_ARRAYS``) within half of the limit."""
     model.kernels                                 # built while they fit
-    monkeypatch.setattr(solvers, "BRUTE_CHUNK", max(count, 64 * solvers.CORES))
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", count)
     monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 2 * (count + 1) * _member(model) - 1)
 
 
@@ -894,11 +889,10 @@ def _member(model):
 ], ids=["bundled-0.2-10", "bundled-1.0-0", "random", "random-48"])
 def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
     n_candidates = model.alphabets.n_actions ** model.alphabets.n_states
-    outcomes = [_brute_outcome(model)]            # the default chunk, workers and threshold
-    # one candidate in flight leaves one worker, so chunk 1 runs once
-    grid = [(1, 1), *itertools.product((7, 128, n_candidates), (1, 2, 3))]
-    for chunk, workers in grid:
-        _threaded(monkeypatch, workers)
+    outcomes = [_brute_outcome(model)]            # the default chunk and cores
+    # the cores set no pool for a search alone: each chunk runs at one and three
+    for chunk, workers in itertools.product((1, 7, 128, n_candidates), (1, 3)):
+        monkeypatch.setattr(solvers, "CORES", workers)
         _in_flight(monkeypatch, model, chunk)
         outcomes.append(_brute_outcome(model))
     assert all(outcome == outcomes[0] for outcome in outcomes)
@@ -914,8 +908,8 @@ def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, 
     # the lexicographically first failing decision policy, not a chunk's index
     # or count, so the message depends neither on BRUTE_CHUNK nor on the workers
     messages = set()
-    for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 2, 3)):
-        _threaded(monkeypatch, workers)
+    for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 3)):
+        monkeypatch.setattr(solvers, "CORES", workers)
         _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
             brute_force_joint(shipped.model, **limits)
@@ -940,33 +934,31 @@ def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
 
 
 def test_brute_force_workers_share_the_byte_limit(monkeypatch):
+    # at any number of cores, one batch is in flight at a time, within the limit
     model = default_scenario(0.2, 10.0).model
     want = _brute_outcome(model)
     batches = []
-    lock = threading.Lock()
     in_flight = peak = 0
     def spy(T, *args, **kwargs):
         nonlocal in_flight, peak
-        with lock:
-            batches.append(len(T))
-            in_flight += len(T)
-            peak = max(peak, in_flight)
+        batches.append(len(T))
+        in_flight += len(T)
+        peak = max(peak, in_flight)
         try:
             return _policy_iteration_batch(T, *args, **kwargs)
         finally:
-            with lock:
-                in_flight -= len(T)
+            in_flight -= len(T)
     monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
-    _threaded(monkeypatch, 2)
-    _in_flight(monkeypatch, model, 130)           # room for two threads of 65
+    monkeypatch.setattr(solvers, "CORES", 2)
+    _in_flight(monkeypatch, model, 130)
     assert _brute_outcome(model) == want
-    assert 2 * max(batches) <= 130 and sum(batches) == 11 ** 3
-    assert peak <= 130
+    assert max(batches) <= 130 and sum(batches) == 11 ** 3
+    assert peak == max(batches)
 
 
 def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
-    _threaded(monkeypatch, 3)
-    _in_flight(monkeypatch, shipped.model, 128)   # two threads: 64 members each
+    monkeypatch.setattr(solvers, "CORES", 3)
+    _in_flight(monkeypatch, shipped.model, 64)
     before = set(threading.enumerate())
     brute_force_joint(shipped.model)
     assert set(threading.enumerate()) == before
@@ -974,24 +966,17 @@ def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
         brute_force_joint(shipped.model, max_sweeps=2)
     assert set(threading.enumerate()) == before
 
-    # one piece fails while another is still running, and later ones wait
-    together = threading.Barrier(2, timeout=10)
-    lock = threading.Lock()
+    # the first piece raises: no later piece is served
     calls = 0
     def failing(*args, **kwargs):
         nonlocal calls
-        with lock:
-            calls += 1
-            first_two = calls <= 2
-        if first_two and together.wait() == 0:
-            raise RuntimeError("injected")
-        return _policy_iteration_batch(*args, **kwargs)
+        calls += 1
+        raise RuntimeError("injected")
     monkeypatch.setattr(solvers, "_policy_iteration_batch", failing)
     with pytest.raises(RuntimeError, match="injected"):
         brute_force_joint(shipped.model)
     assert set(threading.enumerate()) == before
-    # the pieces not yet started, of the 22 of at most 64 members, were cancelled
-    assert calls < 11 ** 3 // 64
+    assert calls == 1
 
 
 def test_a_failing_member_ends_its_request(monkeypatch, shipped):
@@ -1008,24 +993,29 @@ def test_a_failing_member_ends_its_request(monkeypatch, shipped):
     assert sum(members) <= 2 * solvers.BRUTE_CHUNK
 
 
-def test_threaded_pieces_give_the_serial_outcomes(monkeypatch):
+def test_served_pieces_give_the_outcomes_of_one_batch(monkeypatch):
     # three requests of 300 two-state MDPs, failing members in the first and
-    # the last, served on more threads than cores with a short switch
-    # interval: every outcome is the serial one, to the bit
+    # the last, cut into pieces of every size at one and three cores: every
+    # outcome is the one batch's, to the bit, and no member of a request is
+    # solved after the piece that met its first failure
     rng = np.random.default_rng(5)
     T = rng.random((900, 2, 2, 2)) + 0.1
     T /= T.sum(axis=-1, keepdims=True)
     R = rng.normal(size=(900, 2, 2))
     R[[5, 70, 71, 200, 299, 610, 899]] -= 200.0
+    member = {value: j for j, value in enumerate(R[:, 0, 1])}
     real = _policy_iteration_batch
+    solved = []
 
     def failing(T, R, *args, **kwargs):
+        solved.extend(member[value] for value in R[:, 0, 1])
         j = np.flatnonzero(R.max(axis=(1, 2)) < -100)
         if j.size:
             raise NonConvergenceError(f"candidate {j[0]} forced failure", candidate=int(j[0]))
         return real(T, R, *args, **kwargs)
 
     def served():
+        solved.clear()
         return [(ok, str(value) if not ok else [field.tobytes() for field in value])
                 for ok, value in solvers._served([solvers._Request(
                     solvers._SAMPLERS, (1e-6, 100, 0), 2, 300,
@@ -1033,24 +1023,19 @@ def test_threaded_pieces_give_the_serial_outcomes(monkeypatch):
                     for k in (0, 300, 600)])]
 
     monkeypatch.setattr(solvers, "_policy_iteration_batch", failing)
-    monkeypatch.setattr(solvers, "BRUTE_THREADED_STATES", 0)
-    monkeypatch.setattr(solvers, "BRUTE_CHUNK", 256)
-    monkeypatch.setattr(solvers, "CORES", 1)
+    monkeypatch.setattr(solvers, "BRUTE_CHUNK", 900)
     want = served()
     assert [ok for ok, _ in want] == [False, True, False]
     assert want[0][1] == "candidate 5 forced failure" and want[2][1].startswith("candidate 10 ")
-    widths, real_map = [], solvers.pool_map
-    monkeypatch.setattr(solvers, "pool_map", lambda fn, items, workers: widths.append(workers)
-                        or real_map(fn, items, workers))
-    monkeypatch.setattr(solvers, "CORES", 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert served() == want
-    finally:
-        sys.setswitchinterval(interval)
-    assert widths == [4] * 5
+    for chunk, cores in itertools.product((1, 7, 128), (1, 3)):
+        monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
+        monkeypatch.setattr(solvers, "CORES", cores)
+        assert served() == want
+        # the first request stops with the piece of its member 5, the last
+        # with that of its member 10 (610), a piece holding at most ``chunk``
+        assert max(j for j in solved if j < 300) < 5 + chunk
+        assert max(j for j in solved if j >= 600) < 610 + chunk
+        assert set(range(300, 600)) <= set(solved)
 
 
 def test_brute_searches_in_lockstep_equal_each_alone(shipped):
@@ -1076,18 +1061,19 @@ def test_brute_searches_in_lockstep_equal_each_alone(shipped):
                                                               repr(want.residual))
 
 
-def test_pool_map_threads_return_in_order_and_raise_the_first_failure():
-    before = set(threading.enumerate())
+def test_pool_map_forks_return_in_order_and_raise_the_first_failure():
+    import multiprocessing
     # later items finish first, and still come back in item order
     slow_first = solvers.pool_map(lambda i: time.sleep((6 - i) * 0.005) or i, range(6), 3)
     assert slow_first == list(range(6))
-    assert set(threading.enumerate()) == before
+    assert_no_child_process()
 
     # item 1 fails first, then item 0: item 0's error is raised, as map raises it
-    failed = threading.Event()
-    started = []
+    failed = multiprocessing.Event()
+    started = multiprocessing.Value("i", 0)
     def work(i):
-        started.append(i)
+        with started.get_lock():
+            started.value += 1
         if i == 0:
             failed.wait(timeout=10)
             raise RuntimeError("item 0")
@@ -1098,14 +1084,14 @@ def test_pool_map_threads_return_in_order_and_raise_the_first_failure():
         return i
     with pytest.raises(RuntimeError, match="^item 0$"):
         solvers.pool_map(work, range(12), 2)
-    assert set(threading.enumerate()) == before
+    assert_no_child_process()
     # the items not yet started were cancelled
-    assert len(started) < 12
+    assert started.value < 12
 
 
 def test_brute_force_workers_call_no_wrapped_function(monkeypatch):
     # perfbench/tracing.py wraps module functions such as these with one span
-    # stack; the kernels are built on the calling thread before any worker starts
+    # stack; brute force alone calls them in the calling thread only
     model = default_scenario(0.2, 10.0).model      # a fresh model: no kernels yet
     threads = []
     for module, name in ((model_module, "dense_kernels"), (solvers, "closed_classes")):
@@ -1113,7 +1099,7 @@ def test_brute_force_workers_call_no_wrapped_function(monkeypatch):
             threads.append(threading.current_thread())
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
-    _threaded(monkeypatch, 2)
+    monkeypatch.setattr(solvers, "CORES", 2)
     brute_force_joint(model)
     assert len(threads) == 2 and set(threads) == {threading.main_thread()}
 
@@ -1239,8 +1225,8 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state(monkeypatch):
         # each encloses every gain between its lower and upper bounds
         h, bounds = np.zeros((27, model.n_global_states)), np.full(27, np.inf)
         for _ in range(4):
-            upper, lower, h = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
-                                                     solvers.SCREEN_SWEEPS)
+            upper, lower, h = solvers._screen_bounds(rows.source, rows.rewards, h, -np.inf,
+                                                     solvers.SCREEN_SWEEPS, *screen_factors(model))
             assert (lower[:, None] <= gains).all() and (gains <= upper[:, None]).all(), seed
             bounds = np.minimum(bounds, upper)
         # a search under a floor keeps the bound where its sweeps stopped
@@ -1268,16 +1254,68 @@ def test_screen_rounds_continue_where_the_last_one_stopped(model):
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
     rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(np.prod(shape)), shape),
                                                 axis=1))
-    h = np.zeros((len(rows.kernels), model.n_global_states))
-    whole = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
-                                   4 * solvers.SCREEN_SWEEPS)
+    h = np.zeros((len(rows.source), model.n_global_states))
+    whole = solvers._screen_bounds(rows.source, rows.rewards, h, -np.inf,
+                                   4 * solvers.SCREEN_SWEEPS, *screen_factors(model))
     upper = np.full(len(h), np.inf)
     for _ in range(4):
-        found, lower, h = solvers._screen_bounds(rows.kernels, rows.rewards, h, -np.inf,
-                                                 solvers.SCREEN_SWEEPS)
+        found, lower, h = solvers._screen_bounds(rows.source, rows.rewards, h, -np.inf,
+                                                 solvers.SCREEN_SWEEPS, *screen_factors(model))
         upper = np.minimum(upper, found)
     assert [a.tobytes() for a in (upper, lower, h)] == [a.tobytes() for a in whole]
     assert np.isfinite(lower).all() and (lower <= upper).all()
+
+
+@pytest.mark.parametrize("model, count", [
+    (default_scenario(0.6, 4.0).model, 11 ** 3),
+    (random_model(np.random.default_rng(904), n_states=3, n_contexts=2, n_actions=3,
+                  concentration=0.1), 27),
+    (generated_scenario(0).model, 216),
+], ids=["bundled", "multichain", "generated-0"])
+def test_factored_screen_agrees_with_the_dense_oracle(model, count):
+    # four rounds from h = 0: the kernel's factors and the dense kernels give
+    # bounds within the margin of each other, and each encloses every
+    # candidate's gain from every start state
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    rows = solvers.DecisionRows(model, np.stack(np.unravel_index(np.arange(count), shape), axis=1))
+    _, gains, _, _, _, _ = _policy_iteration_batch(
+        rows.kernels, rows.rewards, solvers.DEFAULT_EPSILON, solvers.MAX_PI_ROUNDS, 1)
+    factored = dense = np.zeros((count, model.n_global_states))
+    scale = 1.0 + np.abs(rows.rewards).max(axis=(1, 2))
+    for _ in range(4):
+        margin = solvers.PI_NOISE * (scale + np.abs(dense).max(axis=1))
+        upper, lower, factored = solvers._screen_bounds(
+            rows.source, rows.rewards, factored, -np.inf, solvers.SCREEN_SWEEPS,
+            *screen_factors(model))
+        *want, dense = dense_screen_bounds(rows.kernels, rows.rewards, dense, -np.inf,
+                                           solvers.SCREEN_SWEEPS)
+        for found, oracle in zip((upper, lower), want):
+            assert (np.abs(found - oracle) <= margin).all()
+        assert (lower[:, None] <= gains).all() and (gains <= upper[:, None]).all()
+
+
+def test_factored_screen_rounds_keep_the_dense_oracles_tables(monkeypatch):
+    # the 12 generated cells of the exact-large benchmark under jesp's floor:
+    # every round keeps the tables that rounds of the dense screen keep
+    epsilon = solvers.DEFAULT_EPSILON
+    for gen, p_success in itertools.product(range(6), (0.6, 1.0)):
+        model = generated_scenario(gen).with_channel(p_success).with_sampling_cost(0.5).model
+        floor = jesp(model, heuristic_initial_decision(model)).average_reward
+        _, _, _, screened = _ceiling_run(monkeypatch, model, None, floor)
+        shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+        left, target = np.arange(np.prod(shape)), floor - epsilon
+        h, bounds = np.zeros((left.size, model.n_global_states)), np.full(left.size, np.inf)
+        rounds = []
+        while left.size and len(rounds) < 4 and (left.size > 1 or not rounds):
+            rounds.append(left.tolist())
+            rows = solvers.DecisionRows(model, np.stack(np.unravel_index(left, shape), axis=1))
+            upper, lower, h = dense_screen_bounds(rows.kernels, rows.rewards, h, target,
+                                                  solvers.SCREEN_SWEEPS)
+            bounds = np.minimum(bounds, upper)
+            target = max(target, lower.max() - epsilon)
+            keep = ~(bounds < target)
+            left, h, bounds = left[keep], h[keep], bounds[keep]
+        assert [indices.tolist() for indices, _ in screened] == rounds, (gen, p_success)
 
 
 @pytest.mark.parametrize("model", [
@@ -1287,9 +1325,9 @@ def test_screen_rounds_continue_where_the_last_one_stopped(model):
 def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
     floor = jesp(model, heuristic_initial_decision(model)).average_reward
     outcomes = []
-    for chunk, workers in itertools.product((7, 128), (1, 3)):
+    for chunk, workers in itertools.product((1, 7, 128), (1, 3)):
         with monkeypatch.context() as patch:
-            _threaded(patch, workers)
+            patch.setattr(solvers, "CORES", workers)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
             report = brute_force_joint(model, floor=floor)
         outcomes.append((report.diagnostics["candidate_bounds"].tobytes(),
@@ -1305,14 +1343,12 @@ def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
 def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, model):
     # the screen rounds probe every candidate; the sampler solves those they
     # keep: each request's indices and results, the bounds and the report
-    # agree unthreaded and at every chunk size and thread count
+    # agree at every chunk size and number of cores
     floor = jesp(model, heuristic_initial_decision(model)).average_reward
     runs = []
-    for chunk, cores, threaded in [(128, solvers.CORES, False)] + list(
-            itertools.product((1, 7, 128), (1, 3), (True,))):
+    for chunk, cores in itertools.product((1, 7, 128), (1, 3)):
         with monkeypatch.context() as patch:
-            if threaded:
-                _threaded(patch, cores)
+            patch.setattr(solvers, "CORES", cores)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
             report, chunks, _, screened = _ceiling_run(patch, model, None, floor)
         runs.append(([(indices.tobytes(), [field.tobytes() for field in results])
