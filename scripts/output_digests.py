@@ -10,7 +10,8 @@ this directory):
   repeated values pS = 0.6, 1.0, 0.2, 1.0 and CS = 10, 0 (and ``compare
   --include-classic --algorithm brute`` there), and on generated 4x3x6
   documents 0-5 (``perfbench/generate.py``) at the cells pS = 0.6 and 1.0,
-  CS = 0.5;
+  CS = 0.5, and on document 0 at the four cells pS = 0.6 and 1.0, CS = 0.5
+  and 2;
 * ``compare --include-classic`` with ``jesp`` and with ``brute``
   (``compare.csv`` and ``decomp.csv``);
 * ``compare --include-classic`` and ``gap`` on a copy of the bundled
@@ -38,9 +39,10 @@ two commits show which outputs a change moved:
 
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
-any did and 0 if none did.  Takes about 4 seconds on two cores and 5 on
-one (brute force screens most decision tables before solving them, and a
-one-cell search raises its floor by the screen's lower bounds).
+any did and 0 if none did.  Takes about 5 seconds on one core or two:
+brute force screens most decision tables before solving them, each cell's
+search raising its floor by the screen's lower bounds, and the searches of
+a grid's cells run on one forked worker per core.
 """
 
 import argparse
@@ -72,8 +74,7 @@ GENERATED = range(6)
 def runs(work):
     """(run name, CLI arguments) for every run, outputs under ``work``."""
     yield "gap-bundled", ["gap", "--scenario", BUNDLED]
-    # grid values out of order and repeated: brute force's dominance order
-    # starts at the grid's fourth and eighth cell (largest pS, smallest CS)
+    # grid values out of order and repeated: six distinct cells of eight
     yield "gap-bundled-permuted", ["gap", "--scenario", BUNDLED,
                                    "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]
     # the same grid under compare's floors, the best stationary baselines
@@ -85,6 +86,9 @@ def runs(work):
         path.write_text(json.dumps(large_document(gen)))
         yield f"gap-large-{gen}", ["gap", "--scenario", path,
                                    "--grid", "ps=0.6,1.0;cs=0.5"]
+    # four cells at N = 48, more than the cores of a small machine
+    yield "gap-large-0-grid", ["gap", "--scenario", work / "large-0.json",
+                               "--grid", "ps=0.6,1.0;cs=0.5,2"]
     restarts = work / "restarts.json"
     document = json.loads(BUNDLED.read_text())
     document.setdefault("solver", {})["restarts"] = 2

@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# One BLAS thread unless the caller chose a count, set before numpy loads: a
+# large dense solve (``solvers._balance`` at N = 48) can round differently on
+# several threads, and a fixed input should give the same CSV bytes on every
+# machine.  A process that loaded numpy first keeps the count it started with.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .tensor import (Alphabets, CostModel, DecisionPolicy, GoTensor, SamplingPolicy,
                      build_got_tensor, degenerate_tensor, validate_cost_model)
 from .model import (ChannelModel, ContextDynamics, DecPomdpModel, SourceDynamics,

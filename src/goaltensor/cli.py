@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -87,9 +88,8 @@ def _write_manifest(out_dir: Path, args, scenario_path, outputs, started, **seed
     manifest = {
         "tool": "goaltensor",
         "version": __version__,
-        "command": " ".join([Path(sys.argv[0]).name] + sys.argv[1:])
-        if sys.argv else "goaltensor",
-        "arguments": {k: v for k, v in vars(args).items() if k != "func"},
+        "command": shlex.join(["goaltensor", *args.argv]),
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "argv")},
         "scenario": str(scenario_path),
         "scenario_sha256": scenario_digest(scenario_path),
         **seed,
@@ -375,8 +375,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv                # the manifest's command line
     try:
         if getattr(args, "epsilon", None) is not None:
             checked_epsilon(args.epsilon)

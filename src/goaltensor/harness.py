@@ -35,29 +35,18 @@ row builders over one cell loop, ``_grid``, which sets failed cells aside.
 Every solve is made before that loop, in one pass per solver, and every row
 is built in this process.
 
-Brute force on a grid of two or more distinct cells (``_grid_brute``)
-splits the candidates over forked worker processes, one per core
-(``solvers.pool_map``; at N = 18 a solve holds the GIL): candidate k goes to
-slice k mod W, W = ``solvers.CORES``, and each worker solves its slice at
-every distinct cell in dominance order, pS descending then CS ascending.  A
-decision table's optimal sampler gain from the start state does not rise
-with the sampling cost c >= 0, which every policy pays per transmission, nor
-fall with the success probability: at p' >= p the sampler can attempt with
-probability p/p' wherever it attempted at p, for the same law at less
-charge, and no randomized policy beats the best deterministic one (Puterman
-1994, ch. 9).  So the anchor, (max pS, min CS), has no ceiling, and cell
-(i, j) takes as its ceiling the least of the values of cells (i-1, j) and
-(i, j-1): a value is the solved gain, else the least of the ceiling and the
-screen bound (``solvers``) it was skipped by, so by induction the least over
-every dominating cell.  A cell skips each candidate whose ceiling or screen
-bound is below its floor less the solver's epsilon: jesp's reward in
-``gap``, the best ``FLOOR_FAMILIES`` baseline in ``compare --algorithm
-brute``.  No running incumbent moves a slice's floor, so the winner and
-every exact tie are still solved with the same arithmetic, and neither the
-CSVs nor the candidates solved depend on W.  A grid of one distinct cell is
-solved in this process, in the calling thread, under the same floor; its
-one search holds every candidate, so it raises the floor by its screen's
-lower bounds (``solvers.brute_force_joint``).
+Brute force runs one whole-cell search per distinct cell
+(``_grid_brute``), under that cell's floor: jesp's reward in ``gap``, the
+best ``FLOOR_FAMILIES`` baseline in ``compare --algorithm brute``.  Each
+search skips only the decision tables its screen proves below its floor,
+which it raises by the screen's lower bounds as it goes
+(``solvers.brute_force_joint``), so the winner and every exact tie are
+still solved with the same arithmetic.  The cells are checked, and warn,
+in this process; their searches are spread over forked worker processes,
+one per core (``solvers.pool_map``; at N = 18 a solve holds the GIL), and a
+grid of one distinct cell runs its search here.  No search reads another
+cell's, so neither the CSVs nor the candidates solved depend on the number
+of workers.
 
 Both studies run jesp on every cell first, in one pass
 (``_grid_jesp``): the cells' searches advance together in
@@ -87,7 +76,6 @@ messages.
 from __future__ import annotations
 
 import csv
-import functools
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -594,82 +582,32 @@ def _grid_jesp(scenario, cells):
         solvers.jesp_in_flight(scenario.model))))
 
 
-def _brute_slice(order, floors, failed, width, w):
-    """Brute force on slice ``w``, the candidates whose index is ``w`` modulo
-    ``width``, at each cell of ``order`` in turn (``_grid_brute``), by (pS, CS):
-    ``(True, solvers.BrutePart)``, or ``(False, (index, message))`` of the
-    failing candidate, -1 where none is named.  A cell of ``failed``, or one
-    that fails here, takes its ceiling as its values."""
-    values, outcomes = {}, {}
-    for key, cell, bounds, (ready, _) in order:
-        alphabets = cell.model.alphabets
-        top = np.full(alphabets.n_actions ** alphabets.n_states, np.inf)
-        values[key] = ceiling = functools.reduce(np.minimum, [values[b] for b in bounds], top)
-        if not ready:
-            continue
-        (ok, result), = solvers.lockstep([solvers.brute_force_search(
-            cell.model, **_brute_settings(cell), ceiling=ceiling, floor=floors[key],
-            members=range(w, len(top), width))])
-        if ok:
-            outcomes[key] = True, result
-            if key not in failed:
-                values[key] = np.where(np.isnan(result.gains), np.minimum(ceiling, result.bounds),
-                                       result.gains)
-        else:
-            index = getattr(result, "candidate", None)
-            outcomes[key] = False, (-1 if index is None else index, str(result))
-    return outcomes
-
-
 def _grid_brute(scenario, cells, floors):
-    """Brute force on every cell of ``cells``, ``_attempt``ed, by (pS, CS), each
-    skipping what its ``floors`` entry and its dominating cells allow (module
-    docstring).  The cells are checked here, which builds the kernels the
-    workers inherit and warns once per cell.  A cell fails where a slice does,
-    with the error naming the lowest failing candidate index.  A slice cannot
-    see another's failures, so the slices run again, every failed cell's
-    values being its ceiling, until the failed cells repeat: each pass
-    settles the next cell in order, and the last is what one slice gives.
-    Each report merges the slices (``solvers.brute_force_report``) and is
-    ``solve_cell``'s but for the candidates skipped; so is a one-cell grid's,
-    solved here under its floor."""
+    """Brute force on every cell of ``cells``, ``_attempt``ed, by (pS, CS): one
+    whole-cell search per distinct cell under its ``floors`` entry
+    (``solvers.brute_force_search``).  The cells are checked here, which
+    builds the kernels the workers inherit and warns once per cell; the
+    searches of the cells that pass are spread over ``solvers.pool_map``,
+    which runs a single one here.  Each report is ``solve_cell``'s but for
+    the candidates the screen skips."""
     keys = {(p_success, sampling_cost): cell for p_success, sampling_cost, cell in cells}
-    if len(keys) == 1:
-        return {key: _attempt(lambda: solvers.brute_force_joint(cell.model, floor=floors[key],
-                                                                **_brute_settings(cell)))
-                for key, cell in keys.items()}
-    success_probs = sorted({p_success for p_success, _ in keys}, reverse=True)
-    sampling_costs = sorted({sampling_cost for _, sampling_cost in keys})
-    order = []
-    for i, p_success in enumerate(success_probs):
-        for j, sampling_cost in enumerate(sampling_costs):
-            cell = keys[p_success, sampling_cost]
-            checked = _attempt(lambda: solvers.brute_force_search(cell.model,
-                                                                  **_brute_settings(cell)))
-            if checked[0]:
-                solvers.warn_if_start_dependent(cell.model)
-            bounds = [(success_probs[i - 1], sampling_cost)] if i else []
-            bounds += [(p_success, sampling_costs[j - 1])] if j else []
-            order.append(((p_success, sampling_cost), cell, bounds, checked))
-    width, failed = solvers.CORES, set()
-    while True:
-        slices = solvers.pool_map(functools.partial(_brute_slice, order, floors, failed, width),
-                                  range(width), width)
-        failing = {key for outcomes in slices for key, (ok, _) in outcomes.items() if not ok}
-        if failing == failed:
-            break
-        failed = failing
     reports = {}
-    for key, cell, _, checked in order:
-        outcomes = [outcomes[key] for outcomes in slices if key in outcomes]
-        failures = [error for ok, error in outcomes if not ok]
-        if failures:
-            checked = False, GoalTensorError(min(failures)[1])
-        elif checked[0]:
-            checked = _attempt(lambda: solvers.brute_force_report(
-                cell.model, [part for _, part in outcomes], floors[key], cell.solver.epsilon))
-        reports[key] = checked
+    for key, cell in keys.items():
+        reports[key] = _attempt(lambda: solvers.brute_force_search(
+            cell.model, floor=floors[key], **_brute_settings(cell)))
+        if reports[key][0]:
+            solvers.warn_if_start_dependent(cell.model)
+    ready = [key for key, (ok, _) in reports.items() if ok]
+    reports.update(zip(ready, solvers.pool_map(
+        _searched, [reports[key][1] for key in ready], solvers.CORES)))
     return reports
+
+
+def _searched(search):
+    """``search`` run to its end: ``(True, report)``, or ``(False, error)`` of
+    the ``GoalTensorError`` it raised (``solvers.lockstep``)."""
+    (outcome,) = solvers.lockstep([search])
+    return outcome
 
 
 # Baselines whose pairs (a stationary sampling policy of the global state with
@@ -682,7 +620,7 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     """Average cost of the co-designed pair versus the separate-design baselines.
 
     Returns ``(compare rows, decomp rows, failed cells)`` from one solve per
-    grid cell (failures as in ``_grid``): brute force by the grid's slices
+    grid cell (failures as in ``_grid``): brute force by one search per cell
     (``_grid_brute``), jesp by the grid's lockstep pass (``_grid_jesp``).  A
     cell's compare rows are the solver's value, then each ``FAMILIES``
     baseline (``include_classic`` adds the classic ones) evaluated exactly at
@@ -775,9 +713,9 @@ def optimality_gap(scenario):
     """Exact-versus-equilibrium cost gap per grid cell, in cost units.
 
     Brute force and jesp each solve every cell once, before the rows: jesp in
-    one lockstep pass (``_grid_jesp``), then brute force over the grid's
-    candidate slices (``_grid_brute``), with jesp's reward as each cell's
-    floor where jesp succeeded.  Returns ``(gap rows, failed cells)``,
+    one lockstep pass (``_grid_jesp``), then brute force one search per
+    cell (``_grid_brute``), with jesp's reward as each cell's floor where
+    jesp succeeded.  Returns ``(gap rows, failed cells)``,
     failures as in ``_grid``; where both solvers fail in a cell, brute
     force's error is the one named.
     """

@@ -8,10 +8,9 @@ fast route use it:
 * the sampler's best response to a fixed decision policy, one MDP;
 * brute-force enumeration of all deterministic decision policies, each
   scored by its sampler MDP's optimal gain from the start state; it skips
-  every candidate that an upper bound on its gain proves below a floor, a
-  gain known to be reached: a given ceiling, such as its gain in a grid cell
-  that dominates this one, or its screen bound.  A search that holds every
-  candidate raises the floor by the screen's lower bounds as it goes;
+  every candidate whose screen bound, an upper bound on its gain, proves it
+  below a floor, a gain known to be reached, and raises the floor by the
+  screen's lower bounds as it goes;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
@@ -63,8 +62,8 @@ taken from the start state, and ``_chain_laws`` gives the matching long-run
 law, for ``chain_law`` and for soft policy iteration: the stationary law with
 one closed class, else the Cesaro row of the start state.
 
-One ordered map, ``pool_map``, spreads the candidate slices of
-``harness``'s grid brute force over forked processes, one per core
+One ordered map, ``pool_map``, spreads the cells of ``harness``'s grid
+brute force, one search each, over forked processes, one per core
 (``CORES``), inside which every ``pool_map`` call runs in place; at
 ``CORES = 1`` every solve runs in the calling process.
 """
@@ -1043,7 +1042,7 @@ def _soft_pi(model, sampling, initial_decision, epsilon, step_schedule, max_roun
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=DEFAULT_BUDGET, max_sweeps=MAX_PI_ROUNDS,
-                      start_state=0, ceiling=None, floor=-np.inf) -> SolveReport:
+                      start_state=0, floor=-np.inf) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
     Decision policies are visited in lexicographic order; each induces a
@@ -1052,20 +1051,17 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     its optimal gain from ``start_state``, the rule ``jesp`` scores by.  The
     best score wins, with earlier-enumerated policies preferred on exact ties.
 
-    ``ceiling``, one value per candidate in enumeration order, is an upper
-    bound on each candidate's gain, such as its least gain over the grid
-    cells that dominate this one.  A candidate whose ceiling is below
-    ``floor`` less ``epsilon`` is skipped, ``floor`` being a gain some policy
-    pair is known to reach (``gap`` passes jesp's); where ``floor`` is
-    finite, the rest are screened (module docstring) in rounds of
-    ``SCREEN_SWEEPS`` sweeps, each candidate continuing from the h it
-    reached.  After each round the floor becomes the larger of itself and
-    the best lower bound, a gain some candidate reaches, and a candidate is
-    skipped where its ceiling or least upper bound is below the floor less
-    ``epsilon``; the rounds stop after four, or once one candidate is left.
-    Every solved gain is certified to within ``epsilon``, so a skipped
-    candidate is worse than the optimum, and the winner and every exact tie
-    are still solved, their arithmetic the same as unpruned.
+    ``floor`` is a gain some policy pair is known to reach (``gap`` passes
+    jesp's).  Where it is finite, every candidate is screened (module
+    docstring) in rounds of ``SCREEN_SWEEPS`` sweeps, each candidate
+    continuing from the h it reached.  After each round the floor becomes
+    the larger of itself and the best lower bound, a gain some candidate
+    reaches, and a candidate is skipped where its least upper bound is below
+    the floor less ``epsilon``; the rounds stop after four, or once one
+    candidate is left.  Every solved gain is certified to within
+    ``epsilon``, so a skipped candidate is worse than the optimum, and the
+    winner and every exact tie are still solved, their arithmetic the same
+    as unpruned.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
@@ -1081,15 +1077,14 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     decision policy among those solved, whatever the batching.
 
     This runs ``brute_force_search`` alone (``lockstep`` sizes and fails its
-    batches) and ``brute_force_report`` on it, and warns up front
-    (``warn_if_start_dependent``).  A model where one candidate's kernels
-    pass ``model.MAX_KERNEL_BYTES`` is refused with ``MemoryBudgetError``
-    before anything of that size is built.
+    batches) and warns up front (``warn_if_start_dependent``).  A model
+    where one candidate's kernels pass ``model.MAX_KERNEL_BYTES`` is refused
+    with ``MemoryBudgetError`` before anything of that size is built.
     """
     search = brute_force_search(model, epsilon=epsilon, budget=budget, max_sweeps=max_sweeps,
-                                start_state=start_state, ceiling=ceiling, floor=floor)
+                                start_state=start_state, floor=floor)
     warn_if_start_dependent(model, stacklevel=2)
-    return brute_force_report(model, [_run(search)], floor, epsilon)
+    return _run(search)
 
 
 def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
@@ -1102,33 +1097,14 @@ def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
                       stacklevel=stacklevel + 1)
 
 
-class BrutePart(NamedTuple):
-    """What one ``brute_force_search`` solved: each candidate's gain from the
-    start state and upper screen bound by enumeration index (NaN and inf where
-    none), the flat sampling policy and residual of its first best candidate
-    (None and NaN where none), its policy-iteration rounds, and the indices
-    of its multichain candidates."""
-    gains: np.ndarray
-    bounds: np.ndarray
-    sampling: np.ndarray | None
-    residual: float
-    rounds: int
-    multichain: np.ndarray
-
-
 def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEFAULT_BUDGET,
-                       max_sweeps=MAX_PI_ROUNDS, start_state=0, ceiling=None, floor=-np.inf,
-                       members=None):
-    """Brute force's solves on one model as a search for ``lockstep``, its
-    arguments checked and the model's kernels built before it starts: the
-    candidates of ``members`` (ascending indices) whose ``ceiling`` is not
-    below ``floor`` less ``epsilon``, screened in one request where the floor
-    is finite, and those whose bound is not below it either solved in one
-    more, none where none is left.  With ``members`` None the search holds
-    every candidate and screens in up to four rounds, one request each,
-    raising its floor by their lower bounds (``brute_force_joint``).
-    Returns a ``BrutePart``; a failing member's ``NonConvergenceError``
-    names its decision policy, ``candidate`` its index."""
+                       max_sweeps=MAX_PI_ROUNDS, start_state=0, floor=-np.inf):
+    """Brute force on one model as a search for ``lockstep``, its arguments
+    checked and the model's kernels built before it starts: up to four
+    screen requests where ``floor`` is finite, then one request solving what
+    they leave.  Returns ``brute_force_joint``'s report; a failing member's
+    ``NonConvergenceError`` names its decision policy, ``candidate`` its
+    index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
@@ -1139,19 +1115,13 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     N = model.n_global_states
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
-    ceiling = np.full(n_candidates, np.inf) if ceiling is None else np.asarray(ceiling, float)
-    if ceiling.shape != (n_candidates,):
-        raise ParameterError(f"ceiling has shape {ceiling.shape}, not one value for each "
-                             f"of the {n_candidates} decision policies")
-    whole = members is None
-    members = np.arange(n_candidates) if whole else np.asarray(members, dtype=int)
-    model.kernels                   # built here, before a grid's forked slices read them
-    return _brute_steps(model, members, epsilon, max_sweeps, start_state,
-                        (n_actions,) * n_states, ceiling, floor, whole)
+    model.kernels                   # built here, before a grid's forked workers read them
+    return _brute_steps(model, epsilon, max_sweeps, start_state, (n_actions,) * n_states, floor)
 
 
-def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, floor, whole):
-    gains, bounds = np.full(np.prod(shape), np.nan), np.full(np.prod(shape), np.inf)
+def _brute_steps(model, epsilon, max_sweeps, start_state, shape, floor):
+    kept = np.arange(np.prod(shape))
+    gains, bounds = np.full(kept.size, np.nan), np.full(kept.size, np.inf)
 
     def request(kind, settings, indices, *arrays):
         candidates = np.stack(np.unravel_index(indices, shape), axis=1)
@@ -1164,25 +1134,19 @@ def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, 
 
     if floor > -np.inf:
         target = floor - epsilon
-        kept = kept[~(ceiling[kept] < target)]
         h = np.zeros((kept.size, model.n_global_states))
         factors = model.channel.success_prob, tuple(map(tuple, model.context.probs.tolist()))
-        # a whole cell raises its target by the best lower bound after each
-        # round, for at most 4 rounds; a slice keeps its floor, so what it
-        # solves does not depend on the slicing
-        for _ in range(4 if whole else 1):
-            if not kept.size:
-                break
+        for _ in range(4):
             upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS) + factors, kept, h)
             bounds[kept] = np.minimum(bounds[kept], upper)
-            if whole:
-                target = max(target, lower.max() - epsilon)
-            left = ~(np.minimum(ceiling[kept], bounds[kept]) < target)
+            target = max(target, lower.max() - epsilon)
+            left = ~(bounds[kept] < target)
             kept, h = kept[left], h[left]
             if kept.size <= 1:
                 break
     if not kept.size:
-        return BrutePart(gains, bounds, None, np.nan, 0, kept)
+        raise ParameterError(f"every decision policy's screen bound is below the floor "
+                             f"{floor!r} less {epsilon:g}: none is left to solve")
     try:
         sampling, values, _, rounds, residuals, n_closed = yield request(
             _SAMPLERS, (epsilon, max_sweeps, 1), kept)
@@ -1192,37 +1156,18 @@ def _brute_steps(model, kept, epsilon, max_sweeps, start_state, shape, ceiling, 
         raise _renamed(exc, f"decision policy {policy}", index) from None
     gains[kept] = values[:, start_state]
     j = int(gains[kept].argmax())               # ties go to the earliest candidate
-    return BrutePart(gains, bounds, sampling[j].copy(), float(residuals[j]), int(rounds.sum()),
-                     kept[n_closed > 1])
-
-
-def brute_force_report(model: DecPomdpModel, parts, floor=-np.inf,
-                       epsilon=DEFAULT_EPSILON) -> SolveReport:
-    """``brute_force_joint``'s report from the ``BrutePart``s of searches over
-    disjoint candidates of ``model``: the best gain wins, ties going to the
-    lowest index, with its part's sampling policy and residual; rounds add
-    up.  ``ParameterError`` where no part solved anything."""
-    gains = np.fmax.reduce([part.gains for part in parts])
-    evaluated = int(np.count_nonzero(~np.isnan(gains)))
-    if not evaluated:
-        raise ParameterError(f"every decision policy's ceiling or screen bound is below the "
-                             f"floor {floor!r} less {epsilon:g}: none is left to solve")
-    best = int(np.nanargmax(gains))
-    winner = next(part for part in parts if part.gains[best] == gains[best])
-    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
-    multichain = np.unravel_index(np.sort(np.concatenate([part.multichain for part in parts])),
-                                  shape)
+    multichain = np.unravel_index(kept[n_closed > 1], shape)
     return SolveReport(
-        sampling_policy=sampling_from_flat(winner.sampling, model),
-        decision_policy=DecisionPolicy(np.unravel_index(best, shape)),
-        average_reward=float(gains[best]),
-        iterations=sum(part.rounds for part in parts),
-        residual=float(winner.residual),
+        sampling_policy=sampling_from_flat(sampling[j].copy(), model),
+        decision_policy=DecisionPolicy(np.unravel_index(kept[j], shape)),
+        average_reward=float(gains[kept[j]]),
+        iterations=int(rounds.sum()),
+        residual=float(residuals[j]),
         converged=True,
-        diagnostics={"candidates_evaluated": evaluated,
-                     "candidates_pruned": len(gains) - evaluated,
+        diagnostics={"candidates_evaluated": kept.size,
+                     "candidates_pruned": gains.size - kept.size,
                      "candidate_gains": gains,
-                     "candidate_bounds": np.minimum.reduce([part.bounds for part in parts]),
+                     "candidate_bounds": bounds,
                      "multichain_candidates": list(zip(*(a.tolist() for a in multichain))),
                      "stalled_candidates": []},
     )

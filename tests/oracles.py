@@ -257,24 +257,23 @@ def dense_screen_bounds(T, R, h, target, sweeps):
             np.where(live[:, None], h, np.nan))
 
 
-def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon):
-    """What a brute force holding every candidate of its cell skips under a
-    finite ``floor``, by the rule written out one candidate at a time.
+def whole_cell_skips(model: DecPomdpModel, floor, epsilon):
+    """What brute force skips under a finite ``floor``, by the rule written
+    out one candidate at a time.
 
-    A candidate whose ceiling is below floor less epsilon is not screened.
-    The rest are screened in rounds of ``SCREEN_SWEEPS`` sweeps, each
+    Every candidate is screened in rounds of ``SCREEN_SWEEPS`` sweeps, each
     candidate alone and from the h its last round reached (0 at first), by
     ``solvers._screen_bounds``.  After a round the target becomes the larger
     of itself and the best lower bound less epsilon, and a candidate is
-    skipped where its ceiling or least upper bound is below the target.
-    The rounds stop after four, or once at most one candidate is left.
+    skipped where its least upper bound is below the target.  The rounds
+    stop after four, or once at most one candidate is left.
     """
-    n = len(ceiling)
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    n = int(np.prod(shape))
     rows = DecisionRows(model, np.stack(np.unravel_index(np.arange(n), shape), axis=1))
     target = floor - epsilon
     bounds = np.full(n, np.inf)
-    left = [k for k in range(n) if not ceiling[k] < target]
+    left = list(range(n))
     h = {k: np.zeros((1, model.n_global_states)) for k in left}
     screened = []
     while left and len(screened) < 4 and (len(left) > 1 or not screened):
@@ -287,7 +286,7 @@ def whole_cell_skips(model: DecPomdpModel, ceiling, floor, epsilon):
             bounds[k] = min(bounds[k], upper[0])
             best = max(best, lower[0])
         target = max(target, best - epsilon)
-        left = [k for k in left if not min(ceiling[k], bounds[k]) < target]
+        left = [k for k in left if not bounds[k] < target]
     return WholeCellSkips(np.array([k not in left for k in range(n)]), screened, target, bounds)
 
 

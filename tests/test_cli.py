@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from goaltensor.harness import simulate_closed_loop, write_decomp_csv
 from goaltensor.scenario import (GridConfig, default_document, default_scenario,
                                  load_scenario, save_scenario)
 from goaltensor.solvers import flatten_sampling, greedy_decision_policy
-from conftest import assert_no_child_process
+from conftest import assert_no_child_process, generated_scenario
 from oracles import decomposition_grid, simulate_records, write_records_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
@@ -91,6 +92,22 @@ def test_solve_writes_report_policy_manifest(tmp_path, scenario_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario_sha256"] == digest(scenario_file)
     assert sorted(manifest["outputs"]) == ["policy.json", "report.txt"]
+
+
+def test_manifest_records_the_command_main_parsed(tmp_path, scenario_file, monkeypatch):
+    # not the host's command line: a caller may hand main arguments of its own
+    out = tmp_path / "solve out"
+    argv = ["solve", "--scenario", scenario_file, "--algorithm", "rvi-fixed-decision",
+            "--out", str(out)]
+    commands = []
+    for host, args in ((["host.py", "-x", "foo"], argv), (["goaltensor", *argv], None)):
+        monkeypatch.setattr(sys, "argv", host)
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        commands.append(shlex.split(manifest["command"]))
+        assert manifest["arguments"]["algorithm"] == "rvi-fixed-decision"
+        assert "argv" not in manifest["arguments"]
+    assert commands == [["goaltensor", *argv]] * 2
 
 
 def test_solve_algorithms_agree_on_reported_policy(tmp_path, scenario_file):
@@ -356,7 +373,8 @@ def test_solver_settings_reach_every_solver_call(tmp_path, monkeypatch):
     doc["solver"].update(max_pi_rounds=77, max_jesp_rounds=9)
     path = str(save_scenario(doc, tmp_path / "caps.json"))
     jesp_calls = _spy(monkeypatch, "jesp_search")
-    brute_calls = _spy(monkeypatch, "brute_force_joint")
+    # every brute force solve, a grid cell's or ``solve``'s, makes one search
+    brute_calls = _spy(monkeypatch, "brute_force_search")
     assert main(["gap", "--scenario", path, "--grid", "ps=0.8;cs=2",
                  "--out", str(tmp_path / "gap")]) == 0
     assert main(["compare", "--scenario", path, "--grid", "ps=0.8;cs=2",
@@ -516,6 +534,30 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_csvs_do_not_depend_on_blas_threads_the_caller_left_unset(tmp_path):
+    # the package runs BLAS on one thread unless told otherwise: this cell's
+    # 192-state change-aware chain (generated document 0, N = 48) rounds
+    # differently on two threads, which an unset variable gives a two-core
+    # machine
+    document = save_scenario(generated_scenario(0).document, tmp_path / "large-0.json")
+    runs = []
+    for threads in (None, "1"):
+        env = _package_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run([sys.executable, "-m", "goaltensor", "compare",
+                               "--scenario", str(document), "--include-classic",
+                               "--algorithm", "brute", "--grid", "ps=0.6;cs=0.5",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([(out / name).read_bytes() for name in ("compare.csv", "decomp.csv")])
+    assert runs[0] == runs[1]
 
 
 def test_gap_output_through_pipes_does_not_depend_on_the_worker_count(tmp_path):

@@ -732,7 +732,7 @@ def test_csv_headers_exact(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the dominance bound across a grid's brute-force cells
+# brute force's screen across a grid's cells
 
 
 def _report_key(report):
@@ -783,9 +783,9 @@ def _solved(calls):
 
 
 def _against_unpruned_path(monkeypatch, scenario, solve=_solved_in_full):
-    """The grid studies of ``scenario`` with the dominance bound, then on the
-    unpruned path (through ``solve``): both, as (studies, brute force's report
-    keys by cell, ``_grid_brute``'s calls)."""
+    """The grid studies of ``scenario`` as they run, then on the unpruned path
+    (through ``solve``): both, as (studies, brute force's report keys by
+    cell, ``_grid_brute``'s calls)."""
     sides = []
     for grid_brute in (None, _unpruned(solve)):
         with monkeypatch.context() as patch:
@@ -809,28 +809,6 @@ def _assert_pruned_equals_unpruned(sides):
     solved = [n for cells in _solved(calls) for n in cells.values()]
     full = [n for cells in _solved(full_calls) for n in cells.values()]
     assert len(set(full)) == 1 and sum(solved) < sum(full)
-
-
-def _ceilings(scenario, outcomes):
-    """Each cell's ceiling by (pS, CS), rebuilt from the reports ``_grid_brute``
-    returned by the rule of the harness docstring: the least of the values of
-    the cells above and to the left in dominance order, a value being the
-    solved gain, else the least of the ceiling and the screen bound."""
-    ps = sorted(set(scenario.grid.success_probs), reverse=True)
-    cs = sorted(set(scenario.grid.sampling_costs))
-    ceilings, values = {}, {}
-    for i, p_success in enumerate(ps):
-        for j, sampling_cost in enumerate(cs):
-            key = p_success, sampling_cost
-            bounds = [values[k] for k in [(ps[i - 1], sampling_cost)] * (i > 0)
-                      + [(p_success, cs[j - 1])] * (j > 0)]
-            diagnostics = outcomes[key][1].diagnostics
-            gains = diagnostics["candidate_gains"]
-            ceilings[key] = np.min(bounds, axis=0) if bounds else np.full(gains.shape, np.inf)
-            values[key] = np.where(np.isnan(gains), np.minimum(ceilings[key],
-                                                               diagnostics["candidate_bounds"]),
-                                   gains)
-    return ceilings
 
 
 def test_anchor_gains_bound_every_cell_of_the_bundled_grid(grid_solutions):
@@ -874,37 +852,32 @@ def test_anchor_gains_bound_random_grids_and_pruning_keeps_their_rows(monkeypatc
 
 
 def _assert_skips_follow_the_rule(scenario, sides):
-    """On every cell of the pruned side: the anchor's gains bound the cell's,
-    the screen runs where the ceiling keeps a candidate and a floor exists,
-    and a candidate is skipped exactly where the least of its ceiling and its
-    screen bound is below the floor less epsilon, which bounds its gain; or,
-    where the grid has one distinct cell, searched whole under a finite
-    floor, by the rule of ``oracles.whole_cell_skips``.  Returns, per grid
-    study, how many screen rounds such a cell ran (0 where none did)."""
+    """On every cell of the pruned side: the anchor's gains bound the cell's;
+    a cell with a finite floor skips what ``oracles.whole_cell_skips`` skips,
+    with its bounds, and one without a floor screens nothing; and no bound
+    is below its candidate's gain.  Returns, per grid study, the most screen
+    rounds a cell ran."""
     epsilon = scenario.solver.epsilon
     anchor = max(scenario.grid.success_probs), min(scenario.grid.sampling_costs)
     rounds = []
     for (cells, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
         rounds.append(0)
-        for key, ceiling in _ceilings(scenario, outcomes).items():
+        models = {(p, c): cell.model for p, c, cell in cells}
+        for key, (_, report) in outcomes.items():
             true_gains = full[key][1].diagnostics["candidate_gains"]
             assert (true_gains <= full[anchor][1].diagnostics["candidate_gains"]
                     + epsilon).all(), key
-            diagnostics = outcomes[key][1].diagnostics
-            gains, bounds = diagnostics["candidate_gains"], diagnostics["candidate_bounds"]
-            kept = ~(ceiling < floors[key] - epsilon) & (floors[key] > -np.inf)
-            assert np.array_equal(np.isfinite(bounds), kept), key
-            least = np.minimum(ceiling, bounds)
+            gains, bounds = (report.diagnostics["candidate_gains"],
+                             report.diagnostics["candidate_bounds"])
             skipped = np.isnan(gains)
-            if len(outcomes) == 1 and floors[key] > -np.inf:
-                model = next(cell.model for p, c, cell in cells if (p, c) == key)
-                rule = whole_cell_skips(model, ceiling, floors[key], epsilon)
+            if floors[key] > -np.inf:
+                rule = whole_cell_skips(models[key], floors[key], epsilon)
                 assert np.array_equal(skipped, rule.skipped), key
                 assert bounds.tobytes() == rule.bounds.tobytes(), key
-                rounds[-1] = len(rule.screened)
+                rounds[-1] = max(rounds[-1], len(rule.screened))
             else:
-                assert np.array_equal(skipped, least < floors[key] - epsilon), key
-            assert (true_gains <= least + epsilon).all() and (true_gains <= bounds).all(), key
+                assert np.isinf(bounds).all() and not skipped.any(), key
+            assert (true_gains <= bounds).all(), key
             assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
     return rounds
 
@@ -980,58 +953,49 @@ def _failing_candidates(monkeypatch, cell, candidates):
             return steps
 
         def failing():
-            part = yield from steps
-            hit = [k for k in candidates if not np.isnan(part.gains[k])]
+            report = yield from steps
+            gains = report.diagnostics["candidate_gains"]
+            hit = [k for k in candidates if not np.isnan(gains[k])]
             if hit:
                 raise NonConvergenceError(f"candidate {min(hit)} forced failure",
                                           candidate=min(hit))
-            return part
+            return report
         return failing()
 
     monkeypatch.setattr(solvers, "brute_force_search", search)
 
 
 @pytest.mark.parametrize("cell", [(1.0, 0.0), (0.6, 4.0)], ids=["anchor", "inner"])
-def test_a_failed_cell_bounds_what_it_dominates_by_its_own_ceiling(monkeypatch, shipped, cell):
+def test_a_failed_grid_cell_fails_alone(monkeypatch, shipped, cell):
     scenario = _small_grid(shipped, sampling_costs=(0.0, 4.0, 10.0))
     with monkeypatch.context() as patch:
-        full = _spied_grid_brute(patch, _unpruned())
+        _spied_grid_brute(patch, _unpruned())
         want = optimality_gap(scenario)
-    # the winner at the failing cell and one more candidate, in other slices
-    # at three workers; the lower index names the error
-    winner = int(np.ravel_multi_index(full[0][2][cell][1].decision_policy.actions, (11,) * 3))
-    chosen = [winner, winner + 4]
+    with monkeypatch.context() as patch:
+        calls = _spied_grid_brute(patch)
+        assert optimality_gap(scenario) == want
+    solved_alone, = _solved(calls)
+    kept = np.flatnonzero(~np.isnan(calls[0][2][cell][1].diagnostics["candidate_gains"]))
+    assert kept[0] > 0
+    # every table fails: the cell's error names the lowest its rounds keep,
+    # not a lower one they skip
     runs = []
     for cores in (1, 3):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "CORES", cores)
-            _failing_candidates(patch, cell, chosen)
-            calls = _spied_grid_brute(patch)
-            runs.append((optimality_gap(scenario), _solved(calls)))
+            _failing_candidates(patch, cell, range(11 ** 3))
+            failing_calls = _spied_grid_brute(patch)
+            runs.append((optimality_gap(scenario), _solved(failing_calls)))
             assert_no_child_process()
     (rows, failed), solved = runs[0]
     assert runs[1] == runs[0]
-    assert failed == [cell + (f"candidate {winner} forced failure",)]
+    assert failed == [cell + (f"candidate {kept[0]} forced failure",)]
     assert rows == [row for row in want[0] if (row["pS"], row["CS"]) != cell]
-    solved, = solved
-    if cell == (1.0, 0.0):
-        # the failed anchor's ceiling is +inf: the cells next to it skip only
-        # what their screen bounds prove below the floor, and those beyond
-        # them are bounded by their ceilings too
-        (_, floors, outcomes), = calls
-        for key in ((1.0, 4.0), (0.6, 0.0)):
-            diagnostics = outcomes[key][1].diagnostics
-            below = diagnostics["candidate_bounds"] < floors[key] - scenario.solver.epsilon
-            assert np.array_equal(np.isnan(diagnostics["candidate_gains"]), below)
-            assert solved[key] == np.count_nonzero(~below) < 11 ** 3
-        assert all(n < 11 ** 3 for key, n in solved.items())
-    else:
-        assert cell not in solved and all(n < 11 ** 3 for key, n in solved.items()
-                                          if key != (1.0, 0.0))
+    # the other cells solve what they solve when none fails
+    assert solved == [{key: n for key, n in solved_alone.items() if key != cell}]
 
 
 def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shipped):
-    # and the same dominance order after it
     sorted_grid = replace(shipped, grid=GridConfig(success_probs=(0.2, 0.6, 1.0),
                                                    sampling_costs=(0.0, 10.0)))
     permuted = replace(shipped, grid=GridConfig(success_probs=(0.6, 1.0, 0.2, 1.0),
@@ -1045,10 +1009,11 @@ def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shi
         reports.append({key: (_report_key(report), report.diagnostics["candidates_evaluated"])
                         for key, (_, report) in outcomes.items()})
     assert reports[0] == reports[1] and len(reports[0]) == 6
-    # the anchor has no ceiling: it skips only what its screen bounds prove
-    below = (outcomes[1.0, 0.0][1].diagnostics["candidate_bounds"]
-             < floors[1.0, 0.0] - shipped.solver.epsilon)
-    assert reports[0][1.0, 0.0][1] == np.count_nonzero(~below) < 11 ** 3
+    # the anchor, (max pS, min CS), skips what its screen rounds prove below
+    # the floor they raise
+    rule = whole_cell_skips(shipped.with_channel(1.0).with_sampling_cost(0.0).model,
+                            floors[1.0, 0.0], shipped.solver.epsilon)
+    assert reports[0][1.0, 0.0][1] == np.count_nonzero(~rule.skipped) < 11 ** 3
     assert failed == [] and [(r["pS"], r["CS"]) for r in rows] == [
         (p, c) for p in (0.6, 1.0, 0.2, 1.0) for c in (10.0, 0.0)]
     with monkeypatch.context() as patch:
@@ -1089,33 +1054,33 @@ def test_screen_rounds_leave_few_tables_where_the_floor_is_far_below_the_optimum
         assert rows[0]["theta_jesp"] - rows[0]["theta_bf"] > 0.08, gen
 
 
-def test_brute_grid_checks_cells_here_and_solves_candidate_slices_in_workers(
+def test_brute_grid_checks_cells_here_and_searches_each_whole_in_a_worker(
         monkeypatch, shipped, three_workers, tmp_path):
     real, log = solvers.brute_force_search, tmp_path / "searches"
+    checked = []
 
-    def spy(model, *args, members=None, **kwargs):
-        with open(log, "a") as fh:
-            span = None if members is None else (members.start, members.step)
-            fh.write(repr((os.getpid(), model.channel.success_prob, model.cost.sampling_cost,
-                           span)) + "\n")
-        return real(model, *args, members=members, **kwargs)
+    def spy(model, *args, **kwargs):
+        cell = model.channel.success_prob, model.cost.sampling_cost
+        checked.append((os.getpid(), cell))
+        steps = real(model, *args, **kwargs)
+
+        def logged():
+            with open(log, "a") as fh:
+                fh.write(repr((os.getpid(), cell)) + "\n")
+            return (yield from steps)
+        return logged()
 
     monkeypatch.setattr(solvers, "brute_force_search", spy)
     rows, failed = optimality_gap(_small_grid(shipped))
     assert len(rows) == 6 and failed == []
-    calls = [eval(line) for line in log.read_text().splitlines()]
-    order = [(p, c) for p in (1.0, 0.6, 0.2) for c in (0.0, 4.0)]
-    # each cell is checked here, in dominance order, with every candidate
-    assert [call[1:] for call in calls[:6]] == [cell + (None,) for cell in order]
-    assert {call[0] for call in calls[:6]} == {os.getpid()}
-    # then each of three workers takes every cell in that order, on its slice
-    by_worker = {}
-    for pid, p, c, span in calls[6:]:
-        by_worker.setdefault(pid, []).append(((p, c), span))
-    assert os.getpid() not in by_worker and len(by_worker) == 3
-    assert sorted(cells[0][1] for cells in by_worker.values()) == [(0, 3), (1, 3), (2, 3)]
-    for cells in by_worker.values():
-        assert [cell for cell, _ in cells] == order and len({span for _, span in cells}) == 1
+    cells = [(p, c) for p in (0.2, 0.6, 1.0) for c in (0.0, 4.0)]
+    # each cell is checked here, in grid order
+    assert checked == [(os.getpid(), cell) for cell in cells]
+    # then searched once, whole, on one of three workers
+    searched = [eval(line) for line in log.read_text().splitlines()]
+    assert sorted(cell for _, cell in searched) == cells
+    pids = {pid for pid, _ in searched}
+    assert os.getpid() not in pids and len(pids) <= 3
     assert_no_child_process()
 
 

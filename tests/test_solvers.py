@@ -1040,25 +1040,23 @@ def test_served_pieces_give_the_outcomes_of_one_batch(monkeypatch):
 
 def test_brute_searches_in_lockstep_equal_each_alone(shipped):
     models = [default_scenario(0.2, 10.0).model, shipped.model]
-    alone = [brute_force_joint(model) for model in models]
-    # each model whole, then each model in three interleaved slices
-    searches = [solvers.brute_force_search(model) for model in models]
-    searches += [solvers.brute_force_search(model, members=range(w, 11 ** 3, 3))
-                 for model in models for w in range(3)]
-    together = solvers.lockstep(searches)
+    floors = [-np.inf] * 2 + [jesp(model, heuristic_initial_decision(model)).average_reward
+                              for model in models]
+    alone = [brute_force_joint(model, floor=floor) for model, floor in zip(models * 2, floors)]
+    # each model without a floor, solving every candidate, and under jesp's,
+    # screening in rounds
+    together = solvers.lockstep([solvers.brute_force_search(model, floor=floor)
+                                 for model, floor in zip(models * 2, floors)])
     assert all(ok for ok, _ in together)
-    parts = [part for _, part in together]
-    reports = [solvers.brute_force_report(model, [part]) for model, part in zip(models, parts)]
-    reports += [solvers.brute_force_report(model, parts[2 + 3 * i:5 + 3 * i])
-                for i, model in enumerate(models)]
-    for report, want in zip(reports, alone + alone):
+    for (_, report), want in zip(together, alone):
         assert repr(report) == repr(want)
         for key in ("candidates_evaluated", "candidates_pruned", "multichain_candidates"):
             assert report.diagnostics[key] == want.diagnostics[key]
-        np.testing.assert_array_equal(report.diagnostics["candidate_gains"],
-                                      want.diagnostics["candidate_gains"])
+        for key in ("candidate_gains", "candidate_bounds"):
+            np.testing.assert_array_equal(report.diagnostics[key], want.diagnostics[key])
         assert (report.iterations, repr(report.residual)) == (want.iterations,
                                                               repr(want.residual))
+    assert alone[2].diagnostics["candidates_pruned"] > 0
 
 
 def test_pool_map_forks_return_in_order_and_raise_the_first_failure():
@@ -1116,8 +1114,8 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
         brute_force_joint(model)
 
 
-def _ceiling_run(monkeypatch, model, ceiling, floor):
-    """``brute_force_joint`` with ``ceiling`` and ``floor``, spied on: its
+def _spied_run(monkeypatch, model, floor):
+    """``brute_force_joint`` under ``floor``, spied on: its
     report, the enumeration indices of each sampler request it made, in
     order, with their results, the batch sizes policy iteration saw, and the
     indices of each screen request with their upper bounds, lower bounds
@@ -1149,20 +1147,21 @@ def _ceiling_run(monkeypatch, model, ceiling, floor):
         patch.setattr(solvers, "DecisionRows", rows_spy)
         patch.setattr(solvers, "_served", served_spy)
         patch.setattr(solvers, "_policy_iteration_batch", batch_spy)
-        report = brute_force_joint(model, ceiling=ceiling, floor=floor)
+        report = brute_force_joint(model, floor=floor)
     return report, chunks, batches, screened
 
 
 @pytest.mark.parametrize("floor", ["jesp", -np.inf], ids=["jesp-floor", "no-floor"])
 @pytest.mark.parametrize("chunk", [7, 128])
 def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, floor, chunk):
-    ceiling = brute_force_joint(default_scenario(1.0, 0.0).model).diagnostics["candidate_gains"]
+    # a candidate's ceiling is its least upper screen bound, which only a
+    # search with a floor computes
     model = default_scenario(0.6, 4.0).model
     full = brute_force_joint(model)
     if floor == "jesp":
         floor = jesp(model, heuristic_initial_decision(model)).average_reward
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
-    report, chunks, batches, screened = _ceiling_run(monkeypatch, model, ceiling, floor)
+    report, chunks, batches, screened = _spied_run(monkeypatch, model, floor)
     diagnostics = report.diagnostics
     gains, bounds = diagnostics["candidate_gains"], diagnostics["candidate_bounds"]
     solved = np.concatenate([indices for indices, _ in chunks])
@@ -1173,29 +1172,29 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     assert diagnostics["candidates_pruned"] == skipped.size
     assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
     target = floor - solvers.DEFAULT_EPSILON
-    kept = np.flatnonzero(~(ceiling < target))
     if floor == -np.inf:
-        # no floor: no screen, and what the ceiling keeps (every candidate) in one request
-        assert screened == [] and [indices.tolist() for indices, _ in chunks] == [kept.tolist()]
+        # no floor: no screen, and every candidate in one request
+        assert screened == [] and [indices.tolist() for indices, _ in chunks] == [
+            list(range(11 ** 3))]
         assert np.isinf(bounds).all() and skipped.size == 0
     else:
-        # the whole cell: rounds of screens, the first over what the ceiling
-        # keeps and each over what is left, against a target the best lower
-        # bound raises, then one sampler request for what is still above it
-        rule = whole_cell_skips(model, ceiling, floor, solvers.DEFAULT_EPSILON)
+        # rounds of screens, the first over every candidate and each over
+        # what is left, against a target the best lower bound raises, then
+        # one sampler request for what is still above it
+        rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
         assert [indices.tolist() for indices, _ in screened] == rule.screened
-        assert rule.screened[0] == kept.tolist() and len(rule.screened) > 1
+        assert rule.screened[0] == list(range(11 ** 3)) and len(rule.screened) > 1
         assert [indices.tolist() for indices, _ in chunks] == [
             np.flatnonzero(~rule.skipped).tolist()]
         assert rule.target > target
         # each bound the least of its rounds', and every skip proved: below
-        # the raised target by the ceiling or that bound
+        # the raised target by that bound
         assert bounds.tobytes() == rule.bounds.tobytes()
-        assert np.array_equal(np.isfinite(bounds), np.isin(np.arange(11 ** 3), kept))
-        assert np.array_equal(skipped, np.flatnonzero(np.minimum(ceiling, bounds) < rule.target))
-        # the ceiling, the floor and the raised target each skip what the others keep
-        assert np.isnan(gains[kept]).any()
-        assert ((bounds >= target) & (bounds < rule.target) & np.isnan(gains)).any()
+        assert np.isfinite(bounds).all()
+        assert np.array_equal(skipped, np.flatnonzero(bounds < rule.target))
+        # the floor and the raised target each skip what the other keeps
+        assert (bounds < target).any()
+        assert ((bounds >= target) & (bounds < rule.target)).any()
     # solved gains, the winner and its certificate are the unpruned solve's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
@@ -1233,10 +1232,10 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state(monkeypatch):
         # early, never below the full sweeps' bound, and skips a candidate
         # where its bound is below the target its rounds raised
         floor = np.median(gains[:, 0])
-        report, chunks, _, screened = _ceiling_run(monkeypatch, model, None, floor)
+        report, chunks, _, screened = _spied_run(monkeypatch, model, floor)
         found = report.diagnostics["candidate_bounds"]
         assert (found >= bounds).all()
-        rule = whole_cell_skips(model, np.full(27, np.inf), floor, solvers.DEFAULT_EPSILON)
+        rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
         assert [indices.tolist() for indices, _ in screened] == rule.screened
         assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]), rule.skipped)
         assert np.array_equal(rule.skipped, found < rule.target)
@@ -1301,7 +1300,7 @@ def test_factored_screen_rounds_keep_the_dense_oracles_tables(monkeypatch):
     for gen, p_success in itertools.product(range(6), (0.6, 1.0)):
         model = generated_scenario(gen).with_channel(p_success).with_sampling_cost(0.5).model
         floor = jesp(model, heuristic_initial_decision(model)).average_reward
-        _, _, _, screened = _ceiling_run(monkeypatch, model, None, floor)
+        _, _, _, screened = _spied_run(monkeypatch, model, floor)
         shape = (model.alphabets.n_actions,) * model.alphabets.n_states
         left, target = np.arange(np.prod(shape)), floor - epsilon
         h, bounds = np.zeros((left.size, model.n_global_states)), np.full(left.size, np.inf)
@@ -1350,7 +1349,7 @@ def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, 
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "CORES", cores)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
-            report, chunks, _, screened = _ceiling_run(patch, model, None, floor)
+            report, chunks, _, screened = _spied_run(patch, model, floor)
         runs.append(([(indices.tobytes(), [field.tobytes() for field in results])
                       for indices, results in screened + chunks],
                      report.diagnostics["candidate_bounds"].tobytes(), repr(report)))
@@ -1368,59 +1367,51 @@ def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
 
 def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(monkeypatch,
                                                                            shipped):
-    # unpruned, (0, 0, 9) is the first to fail; skip it and the nine before it
-    # by their ceilings, under a floor below every screen bound, in a search
-    # over every candidate that keeps its floor fixed, as a grid slice does
-    ceiling = np.zeros(11 ** 3)
-    ceiling[:10] = -np.inf
+    # unpruned, (0, 0, 9) is the first to fail; under a floor below every
+    # screen bound the target the rounds raise still skips it and every other
+    # table but (2, 3, 6), which fails too
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            _run(solvers.brute_force_search(shipped.model, max_sweeps=2, ceiling=ceiling,
-                                            floor=-1e3, members=np.arange(11 ** 3)))
-        messages.add(str(info.value))
-    # with one candidate a chunk, the first failure met is the first failing
-    # policy among those solved; every chunk size names the same one
-    assert len(messages) == 1
-    assert messages.pop().startswith("decision policy (0, 0, 10) still changing policy after 2 ")
+            brute_force_joint(shipped.model, max_sweeps=2, floor=-1e3)
+        messages.add((str(info.value), info.value.candidate))
+    (message, candidate), = messages
+    assert candidate == 281
+    assert message.startswith("decision policy (2, 3, 6) still changing policy after 2 ")
 
 
-def test_whole_cell_failure_names_the_lowest_failing_policy_the_rounds_keep(monkeypatch,
-                                                                           shipped):
-    # the ceilings keep three tables, the rounds two of them: (0, 0, 9)
-    # fails within two policy-iteration rounds but is skipped; of the two
-    # kept, the lower settles and the higher fails
-    model = shipped.model
-    ceiling = np.full(11 ** 3, -np.inf)
-    ceiling[[9, 182, 248]] = 0.0
-    rule = whole_cell_skips(model, ceiling, -1e3, solvers.DEFAULT_EPSILON)
+def test_whole_cell_failure_names_the_lowest_failing_policy_the_rounds_keep(monkeypatch):
+    # under jesp's floor the rounds keep 331 tables, the lowest 3 and 14:
+    # within two policy-iteration rounds 13 fails but is skipped, 3 settles
+    # and 14 fails
+    model = default_scenario(0.2, 10.0).model
+    floor = jesp(model, heuristic_initial_decision(model)).average_reward
+    rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
     kept = np.flatnonzero(~rule.skipped).tolist()
-    assert kept == [182, 248]
-    rows = solvers.DecisionRows(model, np.stack(np.unravel_index([9] + kept, (11,) * 3), axis=1))
+    assert kept[:2] == [3, 14] and len(kept) == 331
+    rows = solvers.DecisionRows(model, np.stack(np.unravel_index(range(15), (11,) * 3), axis=1))
     failing = []
-    for j, k in enumerate([9] + kept):
+    for k in range(15):
         try:
-            _policy_iteration_batch(rows.kernels[j:j + 1], rows.rewards[j:j + 1],
+            _policy_iteration_batch(rows.kernels[k:k + 1], rows.rewards[k:k + 1],
                                     solvers.DEFAULT_EPSILON, 2, 1)
         except NonConvergenceError:
             failing.append(k)
-    assert failing == [9, 248]
+    assert failing == [13, 14]
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(model, max_sweeps=2, ceiling=ceiling, floor=-1e3)
+            brute_force_joint(model, max_sweeps=2, floor=floor)
         messages.add((str(info.value), info.value.candidate))
     (message, candidate), = messages
-    assert candidate == 248 and message.startswith("decision policy (2, 0, 6) ")
+    assert candidate == 14 and message.startswith("decision policy (0, 1, 3) ")
 
 
-def test_brute_force_refuses_a_ceiling_of_the_wrong_shape_or_below_the_floor(shipped):
-    with pytest.raises(ParameterError, match="not one value for each of the 1331"):
-        brute_force_joint(shipped.model, ceiling=np.zeros(10))
+def test_brute_force_refuses_a_floor_above_every_screen_bound(shipped):
     with pytest.raises(ParameterError, match="none is left to solve"):
-        brute_force_joint(shipped.model, ceiling=np.zeros(11 ** 3), floor=1.0)
+        brute_force_joint(shipped.model, floor=1.0)
 
 
 def _starts_with_name_not_index(exc_info, name):
