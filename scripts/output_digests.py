@@ -18,12 +18,12 @@ this directory):
   scenario whose solver runs jesp with two restarts;
 * ``solve`` with ``brute``, ``jesp`` and ``rvi-fixed-decision`` (``report.txt``,
   ``policy.json``), and ``solve --algorithm brute`` on generated document 0
-  (N = 48: every candidate solved, in policy-iteration batches of up to
-  ``solvers.BRUTE_CHUNK``; its ``report.txt`` holds ``iterations``,
-  ``residual`` and ``multichain_candidates``), and ``compare --include-classic
-  --algorithm brute`` there at pS = 0.6, CS = 0.5 (one cell at N = 48 under
-  the baselines' floor), and the same on generated document 3, where jesp's
-  floor sits farthest below the optimum;
+  (N = 48: every candidate screened, those the screen keeps solved; its
+  ``report.txt`` holds ``candidates_evaluated``, ``iterations``, ``residual``
+  and ``multichain_candidates``), and ``compare --include-classic
+  --algorithm brute`` there at pS = 0.6, CS = 0.5 (one cell at N = 48), and
+  the same on generated document 3, where jesp's reward sits farthest below
+  the optimum;
 * ``sweep`` of each swept family, and ``simulate`` of the co-designed pair
   and each family (``trace.csv``; uniform period 4, age threshold 3), over
   20,000 slots;
@@ -40,9 +40,9 @@ two commits show which outputs a change moved:
 runs the same set on this checkout and prints each output whose digest
 differs from the saved list (or that only one side has), then exits 1 if
 any did and 0 if none did.  Takes about 5 seconds on one core or two:
-brute force screens most decision tables before solving them, each cell's
-search raising its floor by the screen's lower bounds, and the searches of
-a grid's cells run on one forked worker per core.
+brute force screens every decision table before solving the few the screen
+keeps, each cell's search raising its target by the screen's lower bounds,
+and the searches of a grid's cells run on one forked worker per core.
 """
 
 import argparse
@@ -77,7 +77,7 @@ def runs(work):
     # grid values out of order and repeated: six distinct cells of eight
     yield "gap-bundled-permuted", ["gap", "--scenario", BUNDLED,
                                    "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]
-    # the same grid under compare's floors, the best stationary baselines
+    # the same grid through compare, brute force with every baseline
     yield "compare-brute-permuted", ["compare", "--scenario", BUNDLED, "--include-classic",
                                      "--algorithm", "brute",
                                      "--grid", "ps=0.6,1.0,0.2,1.0;cs=10,0"]

@@ -36,19 +36,17 @@ Every solve is made before that loop, in one pass per solver, and every row
 is built in this process.
 
 Brute force runs one whole-cell search per distinct cell
-(``_grid_brute``), under that cell's floor: jesp's reward in ``gap``, the
-best ``FLOOR_FAMILIES`` baseline in ``compare --algorithm brute``.  Each
-search skips only the decision tables its screen proves below its floor,
-which it raises by the screen's lower bounds as it goes
-(``solvers.brute_force_joint``), so the winner and every exact tie are
-still solved with the same arithmetic.  The cells are checked, and warn,
-in this process; their searches are spread over forked worker processes,
+(``_grid_brute``), which reads no other solve.  Each search skips only the
+decision tables its screen proves below a target that the screen's lower
+bounds raise as it goes (``solvers.brute_force_joint``), so the winner and
+every exact tie are still solved with the same arithmetic.  The cells are
+checked, and warn, in this process; their searches are spread over forked worker processes,
 one per core (``solvers.pool_map``; at N = 18 a solve holds the GIL), and a
 grid of one distinct cell runs its search here.  No search reads another
 cell's, so neither the CSVs nor the candidates solved depend on the number
 of workers.
 
-Both studies run jesp on every cell first, in one pass
+jesp runs on every cell of a grid study in one pass
 (``_grid_jesp``): the cells' searches advance together in
 ``solvers.lockstep``, which stacks the pending solver calls of all of them
 into one batched call per step.  At N = 18 a call's time is mostly numpy's
@@ -519,9 +517,10 @@ def solve_cell(cell, algorithm, initial_decision=None):
     The one place that turns ``cell.solver`` into solver arguments: epsilon,
     budget and every round cap, scored from the scenario's start state.
     ``algorithm`` is ``"brute"`` (``brute_force_joint``, every candidate
-    solved), ``"jesp"``, or ``"rvi-fixed-decision"``: the sampler's best
-    response to the greedy decision policy (``solve_sampler_for_decision``),
-    reported with 0 iterations and residual 0.0.  jesp starts from
+    screened and those the screen keeps solved), ``"jesp"``, or
+    ``"rvi-fixed-decision"``: the sampler's best response to the greedy
+    decision policy (``solve_sampler_for_decision``), reported with 0
+    iterations and residual 0.0.  jesp starts from
     ``initial_decision``, the cell's ``heuristic_initial_decision``, computed
     here when not given.
     """
@@ -582,19 +581,18 @@ def _grid_jesp(scenario, cells):
         solvers.jesp_in_flight(scenario.model))))
 
 
-def _grid_brute(scenario, cells, floors):
+def _grid_brute(scenario, cells):
     """Brute force on every cell of ``cells``, ``_attempt``ed, by (pS, CS): one
-    whole-cell search per distinct cell under its ``floors`` entry
-    (``solvers.brute_force_search``).  The cells are checked here, which
-    builds the kernels the workers inherit and warns once per cell; the
-    searches of the cells that pass are spread over ``solvers.pool_map``,
-    which runs a single one here.  Each report is ``solve_cell``'s but for
-    the candidates the screen skips."""
+    whole-cell search per distinct cell (``solvers.brute_force_search``).
+    The cells are checked here, which builds the kernels the workers inherit
+    and warns once per cell; the searches of the cells that pass are spread
+    over ``solvers.pool_map``, which runs a single one here.  Each report is
+    ``solve_cell``'s."""
     keys = {(p_success, sampling_cost): cell for p_success, sampling_cost, cell in cells}
     reports = {}
     for key, cell in keys.items():
         reports[key] = _attempt(lambda: solvers.brute_force_search(
-            cell.model, floor=floors[key], **_brute_settings(cell)))
+            cell.model, **_brute_settings(cell)))
         if reports[key][0]:
             solvers.warn_if_start_dependent(cell.model)
     ready = [key for key, (ok, _) in reports.items() if ok]
@@ -608,12 +606,6 @@ def _searched(search):
     the ``GoalTensorError`` it raised (``solvers.lockstep``)."""
     (outcome,) = solvers.lockstep([search])
     return outcome
-
-
-# Baselines whose pairs (a stationary sampling policy of the global state with
-# the greedy decision table) brute force's greedy candidate weakly beats from
-# the start state, so their best reward is a floor for brute force.
-FLOOR_FAMILIES = ("aoii", "mse")
 
 
 def compare_policies(scenario, algorithm="jesp", include_classic=False):
@@ -639,10 +631,7 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
     A shared computation that raised a ``GoalTensorError`` raises it again in
     every cell that uses it, where that cell would have raised it.
 
-    Every cell's baselines and solve are computed first, before the rows.
-    With ``algorithm="brute"`` each cell's floor is the best of its
-    ``FLOOR_FAMILIES`` baselines' rewards when every baseline of the cell
-    succeeded, else none.
+    Every cell's solve and baselines are computed first, before the rows.
     """
     from .solvers import greedy_decision_policy
     greedy = _attempt(lambda: greedy_decision_policy(scenario.model))
@@ -677,21 +666,15 @@ def compare_policies(scenario, algorithm="jesp", include_classic=False):
             policy = family.by_cost(model, [sampling_cost], decision, values)[0]
         return pair_cost(cell, policy, decision).average_cost
 
-    # every cell's baselines and solve first: each row's shared work runs once
+    # every cell's solve and baselines first: each row's shared work runs once
     cells = list(_cell_scenarios(scenario, scenario.grid))
-    reports = _grid_jesp(scenario, cells) if algorithm == "jesp" else None
+    reports = (_grid_jesp(scenario, cells) if algorithm == "jesp"
+               else _grid_brute(scenario, cells) if algorithm == "brute" else None)
     cell_baselines = {
         (p_success, sampling_cost): [
             (name, family.baseline, _attempt(lambda: baseline_cost(name, family, cell)))
             for name, family in families]
         for p_success, sampling_cost, cell in cells}
-    if algorithm == "brute":
-        floors = dict.fromkeys(cell_baselines, -np.inf)
-        for key, baselines in cell_baselines.items():
-            if all(ok for _, _, (ok, _) in baselines):
-                floors[key] = max((-cost for name, _, (_, cost) in baselines
-                                   if name in FLOOR_FAMILIES), default=-np.inf)
-        reports = _grid_brute(scenario, cells, floors)
 
     def cell_rows(p_success, sampling_cost, cell):
         baselines = cell_baselines[p_success, sampling_cost]
@@ -714,15 +697,13 @@ def optimality_gap(scenario):
 
     Brute force and jesp each solve every cell once, before the rows: jesp in
     one lockstep pass (``_grid_jesp``), then brute force one search per
-    cell (``_grid_brute``), with jesp's reward as each cell's floor where
-    jesp succeeded.  Returns ``(gap rows, failed cells)``,
-    failures as in ``_grid``; where both solvers fail in a cell, brute
-    force's error is the one named.
+    cell (``_grid_brute``), which reads none of jesp's reports.  Returns
+    ``(gap rows, failed cells)``, failures as in ``_grid``; where both
+    solvers fail in a cell, brute force's error is the one named.
     """
     cells = list(_cell_scenarios(scenario, scenario.grid))
     reports = _grid_jesp(scenario, cells)
-    brute = _grid_brute(scenario, cells, {key: report.average_reward if ok else -np.inf
-                                          for key, (ok, report) in reports.items()})
+    brute = _grid_brute(scenario, cells)
 
     def cell_row(p_success, sampling_cost, cell):
         bf = _unwrap(brute[p_success, sampling_cost]).average_cost

@@ -9,8 +9,8 @@ fast route use it:
 * brute-force enumeration of all deterministic decision policies, each
   scored by its sampler MDP's optimal gain from the start state; it skips
   every candidate whose screen bound, an upper bound on its gain, proves it
-  below a floor, a gain known to be reached, and raises the floor by the
-  screen's lower bounds as it goes;
+  below a target, a gain some candidate is known to reach, which the
+  screen's lower bounds raise from -inf as it goes;
 * alternating best-response search between the two agents, seeded from a
   perfect-estimate heuristic that the caller computes, which converges to a
   Nash pair (its sampler step is the best response above).
@@ -1042,7 +1042,7 @@ def _soft_pi(model, sampling, initial_decision, epsilon, step_schedule, max_roun
 
 def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
                       budget=DEFAULT_BUDGET, max_sweeps=MAX_PI_ROUNDS,
-                      start_state=0, floor=-np.inf) -> SolveReport:
+                      start_state=0) -> SolveReport:
     """Exact joint solve: enumerate every deterministic decision policy.
 
     Decision policies are visited in lexicographic order; each induces a
@@ -1051,30 +1051,30 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     its optimal gain from ``start_state``, the rule ``jesp`` scores by.  The
     best score wins, with earlier-enumerated policies preferred on exact ties.
 
-    ``floor`` is a gain some policy pair is known to reach (``gap`` passes
-    jesp's).  Where it is finite, every candidate is screened (module
-    docstring) in rounds of ``SCREEN_SWEEPS`` sweeps, each candidate
-    continuing from the h it reached.  After each round the floor becomes
-    the larger of itself and the best lower bound, a gain some candidate
-    reaches, and a candidate is skipped where its least upper bound is below
-    the floor less ``epsilon``; the rounds stop after four, or once one
-    candidate is left.  Every solved gain is certified to within
-    ``epsilon``, so a skipped candidate is worse than the optimum, and the
-    winner and every exact tie are still solved, their arithmetic the same
-    as unpruned.
+    Every candidate is first screened (module docstring) in rounds of
+    ``SCREEN_SWEEPS`` sweeps, each candidate continuing from the h it
+    reached.  After each round the target becomes the larger of itself
+    (-inf at first) and the best lower bound less ``epsilon``, the best
+    lower bound being a gain some candidate reaches, and a candidate is
+    skipped where its least upper bound is below the target; the rounds
+    stop after four, or once one candidate is left.  The candidate with the
+    best lower bound always stays.  Every solved gain is certified to
+    within ``epsilon``, so a skipped candidate is worse than the optimum,
+    and the winner and every exact tie are still solved, their arithmetic
+    the same as unpruned.
 
     ``iterations`` counts policy-iteration rounds summed over the solved
     candidates, and ``max_sweeps`` caps each candidate's rounds.  The
     diagnostics hold ``candidate_gains`` and ``candidate_bounds``, each
     candidate's gain and least upper screen bound in enumeration order (NaN
-    where skipped, inf where not screened), ``candidates_evaluated`` and
+    where skipped), ``candidates_evaluated`` and
     ``candidates_pruned``, the solved and skipped counts, which add up to
     A^S, and ``multichain_candidates``, the solved candidates whose sampling
     policy leaves several closed classes; policy iteration keeps sampling
     wherever sampling ties with idling, so few are.  ``stalled_candidates``
     is always empty: a candidate that does not converge raises
     ``NonConvergenceError``, which names the lexicographically first failing
-    decision policy among those solved, whatever the batching.
+    decision policy among those the screen keeps, whatever the batching.
 
     This runs ``brute_force_search`` alone (``lockstep`` sizes and fails its
     batches) and warns up front (``warn_if_start_dependent``).  A model
@@ -1082,7 +1082,7 @@ def brute_force_joint(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
     with ``MemoryBudgetError`` before anything of that size is built.
     """
     search = brute_force_search(model, epsilon=epsilon, budget=budget, max_sweeps=max_sweeps,
-                                start_state=start_state, floor=floor)
+                                start_state=start_state)
     warn_if_start_dependent(model, stacklevel=2)
     return _run(search)
 
@@ -1098,13 +1098,12 @@ def warn_if_start_dependent(model: DecPomdpModel, stacklevel=1):
 
 
 def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEFAULT_BUDGET,
-                       max_sweeps=MAX_PI_ROUNDS, start_state=0, floor=-np.inf):
+                       max_sweeps=MAX_PI_ROUNDS, start_state=0):
     """Brute force on one model as a search for ``lockstep``, its arguments
     checked and the model's kernels built before it starts: up to four
-    screen requests where ``floor`` is finite, then one request solving what
-    they leave.  Returns ``brute_force_joint``'s report; a failing member's
-    ``NonConvergenceError`` names its decision policy, ``candidate`` its
-    index."""
+    screen requests, then one request solving what they leave.  Returns
+    ``brute_force_joint``'s report; a failing member's ``NonConvergenceError``
+    names its decision policy, ``candidate`` its index."""
     n_states, n_actions = model.alphabets.n_states, model.alphabets.n_actions
     n_candidates = n_actions ** n_states
     if n_candidates > budget:
@@ -1116,10 +1115,10 @@ def brute_force_search(model: DecPomdpModel, epsilon=DEFAULT_EPSILON, budget=DEF
     if not 0 <= start_state < N:
         raise ParameterError(f"start state {start_state} outside 0..{N - 1}")
     model.kernels                   # built here, before a grid's forked workers read them
-    return _brute_steps(model, epsilon, max_sweeps, start_state, (n_actions,) * n_states, floor)
+    return _brute_steps(model, epsilon, max_sweeps, start_state, (n_actions,) * n_states)
 
 
-def _brute_steps(model, epsilon, max_sweeps, start_state, shape, floor):
+def _brute_steps(model, epsilon, max_sweeps, start_state, shape):
     kept = np.arange(np.prod(shape))
     gains, bounds = np.full(kept.size, np.nan), np.full(kept.size, np.inf)
 
@@ -1132,21 +1131,17 @@ def _brute_steps(model, epsilon, max_sweeps, start_state, shape, floor):
                     + tuple(array[lo:hi] for array in arrays))
         return _Request(kind, settings, model.n_global_states, indices.size, take)
 
-    if floor > -np.inf:
-        target = floor - epsilon
-        h = np.zeros((kept.size, model.n_global_states))
-        factors = model.channel.success_prob, tuple(map(tuple, model.context.probs.tolist()))
-        for _ in range(4):
-            upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS) + factors, kept, h)
-            bounds[kept] = np.minimum(bounds[kept], upper)
-            target = max(target, lower.max() - epsilon)
-            left = ~(bounds[kept] < target)
-            kept, h = kept[left], h[left]
-            if kept.size <= 1:
-                break
-    if not kept.size:
-        raise ParameterError(f"every decision policy's screen bound is below the floor "
-                             f"{floor!r} less {epsilon:g}: none is left to solve")
+    target = -np.inf
+    h = np.zeros((kept.size, model.n_global_states))
+    factors = model.channel.success_prob, tuple(map(tuple, model.context.probs.tolist()))
+    for _ in range(4):
+        upper, lower, h = yield request(_SCREENS, (target, SCREEN_SWEEPS) + factors, kept, h)
+        bounds[kept] = np.minimum(bounds[kept], upper)
+        target = max(target, lower.max() - epsilon)
+        left = ~(bounds[kept] < target)
+        kept, h = kept[left], h[left]
+        if kept.size <= 1:
+            break
     try:
         sampling, values, _, rounds, residuals, n_closed = yield request(
             _SAMPLERS, (epsilon, max_sweeps, 1), kept)

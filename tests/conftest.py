@@ -1,12 +1,18 @@
 import os
 
-import numpy as np
-import pytest
+# one BLAS thread, as the package pins it, before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from goaltensor.scenario import default_scenario
-from goaltensor.solvers import (CORES, brute_force_joint, heuristic_initial_decision, jesp,
-                                pool_map)
-from goaltensor.tensor import CostModel, DecisionPolicy
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from goaltensor.scenario import default_scenario  # noqa: E402
+from goaltensor.solvers import (CORES, brute_force_joint, heuristic_initial_decision,  # noqa: E402
+                                jesp, pool_map)
+from goaltensor.tensor import CostModel, DecisionPolicy  # noqa: E402
+
+from oracles import exhaustive_brute_force  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -42,16 +48,27 @@ def shipped():
 def grid_solutions():
     """Brute-force and equilibrium solves over the bundled scenario's full
     evaluation grid, by (pS, CS): (cell scenario, brute-force report, jesp
-    report).  Each brute force solves every candidate, with no grid anchor.
-    The cells are spread over worker processes as ``goaltensor gap`` spreads
+    report).  Each brute-force report is the exhaustive oracle's, every
+    candidate solved; on every cell ``brute_force_joint``, which screens,
+    returns its decision table, sampling policy and gain to the bit.  The
+    cells are spread over worker processes as ``goaltensor gap`` spreads
     them."""
     def solve(cell):
         model = default_scenario(*cell).model
-        return brute_force_joint(model), jesp(model, heuristic_initial_decision(model))
+        return (exhaustive_brute_force(model), brute_force_joint(model),
+                jesp(model, heuristic_initial_decision(model)))
 
     cells = [(p_success, sampling_cost) for p_success in GRID_PS for sampling_cost in GRID_CS]
-    return {cell: (default_scenario(*cell), bf, je)
-            for cell, (bf, je) in zip(cells, pool_map(solve, cells, CORES))}
+    solutions = {}
+    for cell, (bf, screened, je) in zip(cells, pool_map(solve, cells, CORES)):
+        assert [screened.decision_policy.actions.tobytes(),
+                screened.sampling_policy.decisions.tobytes(), repr(screened.average_reward)] == [
+            bf.decision_policy.actions.tobytes(), bf.sampling_policy.decisions.tobytes(),
+            repr(bf.average_reward)]
+        diagnostics = screened.diagnostics
+        assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
+        solutions[cell] = default_scenario(*cell), bf, je
+    return solutions
 
 
 def assert_no_child_process():

@@ -19,8 +19,10 @@ from scipy.sparse.csgraph import connected_components
 from goaltensor.errors import ErgodicityError, NonConvergenceError, ParameterError
 from goaltensor.harness import BATCHES, TRACE_HEADER, _cumulative_rows, _summary
 from goaltensor.model import DecisionRows, DecPomdpModel, TabularMdp
-from goaltensor.solvers import (DEFAULT_EPSILON, PI_NOISE, POISSON_TOL, SCREEN_SWEEPS,
-                                _ChainEval, _FixedSamplingProblem, _screen_bounds, cesaro_limit,
+from goaltensor.solvers import (DEFAULT_EPSILON, MAX_PI_ROUNDS, PI_NOISE, POISSON_TOL,
+                                SCREEN_SWEEPS, _SAMPLERS, SolveReport, _ChainEval,
+                                _FixedSamplingProblem, _Request, _renamed, _screen_bounds,
+                                _run, cesaro_limit, sampling_from_flat,
                                 stationary_distribution)
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy
 
@@ -228,7 +230,7 @@ class WholeCellSkips(NamedTuple):
     skipped: np.ndarray     # bool per candidate
     screened: list          # indices screened in each round, ascending
     target: float           # the target of the last skips
-    bounds: np.ndarray      # the least upper screen bound per candidate, inf where not screened
+    bounds: np.ndarray      # the least upper screen bound per candidate
 
 
 def screen_factors(model: DecPomdpModel):
@@ -257,21 +259,22 @@ def dense_screen_bounds(T, R, h, target, sweeps):
             np.where(live[:, None], h, np.nan))
 
 
-def whole_cell_skips(model: DecPomdpModel, floor, epsilon):
-    """What brute force skips under a finite ``floor``, by the rule written
-    out one candidate at a time.
+def whole_cell_skips(model: DecPomdpModel, epsilon):
+    """What brute force skips, by the rule written out one candidate at a
+    time.
 
     Every candidate is screened in rounds of ``SCREEN_SWEEPS`` sweeps, each
     candidate alone and from the h its last round reached (0 at first), by
-    ``solvers._screen_bounds``.  After a round the target becomes the larger
-    of itself and the best lower bound less epsilon, and a candidate is
-    skipped where its least upper bound is below the target.  The rounds
-    stop after four, or once at most one candidate is left.
+    ``solvers._screen_bounds``, against a target that starts at -inf.  After
+    a round the target becomes the larger of itself and the best lower bound
+    less epsilon, and a candidate is skipped where its least upper bound is
+    below the target.  The rounds stop after four, or once at most one
+    candidate is left.
     """
     shape = (model.alphabets.n_actions,) * model.alphabets.n_states
     n = int(np.prod(shape))
     rows = DecisionRows(model, np.stack(np.unravel_index(np.arange(n), shape), axis=1))
-    target = floor - epsilon
+    target = -np.inf
     bounds = np.full(n, np.inf)
     left = list(range(n))
     h = {k: np.zeros((1, model.n_global_states)) for k in left}
@@ -288,6 +291,46 @@ def whole_cell_skips(model: DecPomdpModel, floor, epsilon):
         target = max(target, best - epsilon)
         left = [k for k in left if not bounds[k] < target]
     return WholeCellSkips(np.array([k not in left for k in range(n)]), screened, target, bounds)
+
+
+def exhaustive_brute_force(model: DecPomdpModel, epsilon=DEFAULT_EPSILON,
+                           max_sweeps=MAX_PI_ROUNDS, start_state=0):
+    """Brute force with no screen: every decision table's sampler MDP solved,
+    in one request of all A^S tables in enumeration order, which
+    ``solvers.lockstep`` runs and ``_served`` cuts into batches.  Returns
+    ``solvers.brute_force_joint``'s report, with every candidate's gain,
+    every bound inf, ``candidates_pruned`` 0 and ``iterations`` summed over
+    all A^S candidates; a failing table's ``NonConvergenceError`` names the
+    lowest failing table's decision policy, ``candidate`` its index."""
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    n = int(np.prod(shape))
+    candidates = np.stack(np.unravel_index(np.arange(n), shape), axis=1)
+
+    def take(lo, hi):
+        rows = DecisionRows(model, candidates[lo:hi])
+        return rows.kernels, rows.rewards
+
+    def search():
+        try:
+            sampling, values, _, rounds, residuals, n_closed = yield _Request(
+                _SAMPLERS, (epsilon, max_sweeps, 1), model.n_global_states, n, take)
+        except NonConvergenceError as exc:
+            policy = tuple(int(action) for action in candidates[exc.candidate])
+            raise _renamed(exc, f"decision policy {policy}", exc.candidate) from None
+        gains = values[:, start_state]
+        j = int(gains.argmax())                     # ties go to the earliest candidate
+        return SolveReport(
+            sampling_policy=sampling_from_flat(sampling[j].copy(), model),
+            decision_policy=DecisionPolicy(candidates[j]),
+            average_reward=float(gains[j]), iterations=int(rounds.sum()),
+            residual=float(residuals[j]), converged=True,
+            diagnostics={"candidates_evaluated": n, "candidates_pruned": 0,
+                         "candidate_gains": gains, "candidate_bounds": np.full(n, np.inf),
+                         "multichain_candidates": [tuple(c) for c in
+                                                   candidates[n_closed > 1].tolist()],
+                         "stalled_candidates": []})
+
+    return _run(search())
 
 
 def random_model(rng, n_states=3, n_contexts=2, n_actions=3, success_prob=None,
@@ -927,7 +970,6 @@ def pi_step_size_every_table(model: DecPomdpModel, sampling, initial_decision,
 def _jesp_rounds(model, initial_decision, epsilon, max_rounds, respond):
     """The alternating best-response loop, ``respond(decision)`` giving a
     round's (sampling policy, soft-PI result)."""
-    from goaltensor.solvers import SolveReport
     decision = initial_decision
     theta_prev = None
     theta = None

@@ -25,8 +25,8 @@ from goaltensor.solvers import greedy_decision_policy
 from goaltensor.tensor import Alphabets, CostModel, DecisionPolicy, SamplingPolicy
 from conftest import GRID_CS, GRID_PS, assert_no_child_process, generated_scenario
 from oracles import (TraceRecord, analyze_chain, compare_cell_by_cell, policy_chain,
-                     random_model, simulate_records, sweep_one_by_one, whole_cell_skips,
-                     write_records_csv)
+                     exhaustive_brute_force, random_model, simulate_records, sweep_one_by_one,
+                     whole_cell_skips, write_records_csv)
 
 
 def cycle_model(sampling_cost=0.5):
@@ -598,8 +598,7 @@ def test_brute_force_and_sampler_batches_start_no_pool(shipped, monkeypatch):
     monkeypatch.setattr(solvers, "pool_map", spy)
     for cores in (1, 2, 8):
         monkeypatch.setattr(solvers, "CORES", cores)
-        best = solvers.brute_force_joint(shipped.model).average_reward
-        solvers.brute_force_joint(shipped.model, floor=best - 0.5)
+        solvers.brute_force_joint(shipped.model)
     mdp = induced_mdp(shipped.model, DecisionPolicy([0, 3, 7]))
     for count in (127, 128, 300):
         solvers.solve_mdps(np.repeat(mdp.transitions[None], count, axis=0),
@@ -743,13 +742,16 @@ def _report_key(report):
 
 
 def _solved_in_full(cell):
-    return harness.solve_cell(cell, "brute")
+    """``oracles.exhaustive_brute_force`` on ``cell`` with its solver settings."""
+    solver = cell.solver
+    return exhaustive_brute_force(cell.model, solver.epsilon, solver.max_pi_rounds,
+                                  cell.start_state)
 
 
 def _unpruned(solve=_solved_in_full):
     """``harness._grid_brute`` on the unpruned path: every distinct cell solved
     in full by ``solve(cell)``, in this process."""
-    def grid_brute(scenario, cells, floors):
+    def grid_brute(scenario, cells):
         return {(p_success, sampling_cost): harness._attempt(lambda: solve(cell))
                 for p_success, sampling_cost, cell in cells}
     return grid_brute
@@ -757,13 +759,13 @@ def _unpruned(solve=_solved_in_full):
 
 def _spied_grid_brute(monkeypatch, grid_brute=None):
     """Route ``harness._grid_brute`` through ``grid_brute`` (the real one by
-    default) and return the list it records each call in: (cells, floors,
-    outcomes by (pS, CS))."""
+    default) and return the list it records each call in: (cells, outcomes
+    by (pS, CS))."""
     calls, real = [], grid_brute or harness._grid_brute
 
-    def spy(scenario, cells, floors):
-        outcomes = real(scenario, cells, floors)
-        calls.append((cells, dict(floors), outcomes))
+    def spy(scenario, cells):
+        outcomes = real(scenario, cells)
+        calls.append((cells, outcomes))
         return outcomes
 
     monkeypatch.setattr(harness, "_grid_brute", spy)
@@ -779,7 +781,7 @@ def _grid_studies(scenario):
 def _solved(calls):
     """Candidates solved per cell, by call of ``_grid_brute``, from its reports."""
     return [{key: report.diagnostics["candidates_evaluated"]
-             for key, (ok, report) in outcomes.items() if ok} for _, _, outcomes in calls]
+             for key, (ok, report) in outcomes.items() if ok} for _, outcomes in calls]
 
 
 def _against_unpruned_path(monkeypatch, scenario, solve=_solved_in_full):
@@ -792,7 +794,7 @@ def _against_unpruned_path(monkeypatch, scenario, solve=_solved_in_full):
             calls = _spied_grid_brute(patch, grid_brute)
             reports = {}
             studies = _grid_studies(scenario)
-            for _, _, outcomes in calls:
+            for _, outcomes in calls:
                 for key, (ok, report) in outcomes.items():
                     if ok:
                         reports.setdefault(key, set()).add(_report_key(report))
@@ -853,14 +855,13 @@ def test_anchor_gains_bound_random_grids_and_pruning_keeps_their_rows(monkeypatc
 
 def _assert_skips_follow_the_rule(scenario, sides):
     """On every cell of the pruned side: the anchor's gains bound the cell's;
-    a cell with a finite floor skips what ``oracles.whole_cell_skips`` skips,
-    with its bounds, and one without a floor screens nothing; and no bound
-    is below its candidate's gain.  Returns, per grid study, the most screen
-    rounds a cell ran."""
+    the cell skips what ``oracles.whole_cell_skips`` skips, with its bounds;
+    and no bound is below its candidate's gain.  Returns, per grid study,
+    the most screen rounds a cell ran."""
     epsilon = scenario.solver.epsilon
     anchor = max(scenario.grid.success_probs), min(scenario.grid.sampling_costs)
     rounds = []
-    for (cells, floors, outcomes), (_, _, full) in zip(sides[0][2], sides[1][2]):
+    for (cells, outcomes), (_, full) in zip(sides[0][2], sides[1][2]):
         rounds.append(0)
         models = {(p, c): cell.model for p, c, cell in cells}
         for key, (_, report) in outcomes.items():
@@ -870,13 +871,10 @@ def _assert_skips_follow_the_rule(scenario, sides):
             gains, bounds = (report.diagnostics["candidate_gains"],
                              report.diagnostics["candidate_bounds"])
             skipped = np.isnan(gains)
-            if floors[key] > -np.inf:
-                rule = whole_cell_skips(models[key], floors[key], epsilon)
-                assert np.array_equal(skipped, rule.skipped), key
-                assert bounds.tobytes() == rule.bounds.tobytes(), key
-                rounds[-1] = max(rounds[-1], len(rule.screened))
-            else:
-                assert np.isinf(bounds).all() and not skipped.any(), key
+            rule = whole_cell_skips(models[key], epsilon)
+            assert np.array_equal(skipped, rule.skipped), key
+            assert bounds.tobytes() == rule.bounds.tobytes(), key
+            rounds[-1] = max(rounds[-1], len(rule.screened))
             assert (true_gains <= bounds).all(), key
             assert np.array_equal(gains[~skipped], true_gains[~skipped]), key
     return rounds
@@ -896,7 +894,7 @@ def test_one_cell_grids_screen_against_their_floor(monkeypatch, shipped, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_one_cell_grids_run_every_screen_round(monkeypatch, shipped, seed):
     # enough decision tables that more than one survives each of the first
-    # three screen rounds, under jesp's floor (gap) and the baselines' (compare)
+    # three screen rounds, in gap and in compare
     rng = np.random.default_rng(340 + seed)
     model = random_model(rng, n_states=3, n_contexts=2, n_actions=6)
     scenario = replace(shipped, model=model, state_values=np.arange(3.0),
@@ -922,8 +920,11 @@ def test_pruning_keeps_the_first_of_exactly_tied_winners(monkeypatch, shipped):
     tied = 0
     for _, _, cell in harness._cell_scenarios(scenario, scenario.grid):
         report = harness.solve_cell(cell, "brute")
-        gains = report.diagnostics["candidate_gains"]
+        gains = _solved_in_full(cell).diagnostics["candidate_gains"]
         winners = np.flatnonzero(gains == gains.max())
+        # the screen keeps every winner and solves it
+        assert np.isin(winners, np.flatnonzero(~np.isnan(
+            report.diagnostics["candidate_gains"]))).all()
         tied += winners.size > 1
         first = np.unravel_index(winners[0], (3, 3, 3))
         assert report.decision_policy.actions.tolist() == list(first)
@@ -975,7 +976,7 @@ def test_a_failed_grid_cell_fails_alone(monkeypatch, shipped, cell):
         calls = _spied_grid_brute(patch)
         assert optimality_gap(scenario) == want
     solved_alone, = _solved(calls)
-    kept = np.flatnonzero(~np.isnan(calls[0][2][cell][1].diagnostics["candidate_gains"]))
+    kept = np.flatnonzero(~np.isnan(calls[0][1][cell][1].diagnostics["candidate_gains"]))
     assert kept[0] > 0
     # every table fails: the cell's error names the lowest its rounds keep,
     # not a lower one they skip
@@ -1005,14 +1006,14 @@ def test_permuted_and_repeated_grid_values_pick_the_same_anchor(monkeypatch, shi
         with monkeypatch.context() as patch:
             calls = _spied_grid_brute(patch)
             rows, failed = optimality_gap(scenario)
-        (_, floors, outcomes), = calls
+        (_, outcomes), = calls
         reports.append({key: (_report_key(report), report.diagnostics["candidates_evaluated"])
                         for key, (_, report) in outcomes.items()})
     assert reports[0] == reports[1] and len(reports[0]) == 6
     # the anchor, (max pS, min CS), skips what its screen rounds prove below
-    # the floor they raise
+    # the target they raise
     rule = whole_cell_skips(shipped.with_channel(1.0).with_sampling_cost(0.0).model,
-                            floors[1.0, 0.0], shipped.solver.epsilon)
+                            shipped.solver.epsilon)
     assert reports[0][1.0, 0.0][1] == np.count_nonzero(~rule.skipped) < 11 ** 3
     assert failed == [] and [(r["pS"], r["CS"]) for r in rows] == [
         (p, c) for p in (0.6, 1.0, 0.2, 1.0) for c in (10.0, 0.0)]
@@ -1040,9 +1041,9 @@ def test_the_screen_leaves_few_decision_tables_to_solve(monkeypatch, shipped):
 
 
 def test_screen_rounds_leave_few_tables_where_the_floor_is_far_below_the_optimum(monkeypatch):
-    # documents 1 and 3 at pS = 0.6, CS = 0.5: jesp's floor sits 0.081 and
-    # 0.125 below the optimum, and the floor alone leaves 732 and 693 of the
-    # 1,296 tables to solve
+    # documents 1 and 3 at pS = 0.6, CS = 0.5: jesp's reward sits 0.081 and
+    # 0.125 below the optimum, and a floor at it alone would leave 732 and
+    # 693 of the 1,296 tables to solve
     for gen in (1, 3):
         scenario = generated_scenario(gen)
         with monkeypatch.context() as patch:
@@ -1332,28 +1333,3 @@ def test_a_failed_seed_fails_every_jesp_cell_with_its_message(monkeypatch, shipp
     assert optimality_gap(scenario) == ([], cells)
     # brute force needs no seed
     assert compare_policies(scenario, algorithm="brute")[2] == []
-
-
-def test_compare_brute_floor_is_the_best_stationary_baseline(monkeypatch, shipped):
-    # on the bundled grid: each cell's floor is the better of the aoii-optimal
-    # and mse-optimal rewards, never above brute force's reward, and it skips
-    # candidates without changing a row
-    runs = {}
-    for families in (harness.FLOOR_FAMILIES, ()):
-        monkeypatch.setattr(harness, "FLOOR_FAMILIES", families)
-        with monkeypatch.context() as patch:
-            calls = _spied_grid_brute(patch)
-            result = compare_policies(shipped, algorithm="brute", include_classic=True)
-        (_, floors, outcomes), = calls
-        runs[families] = result, floors, outcomes
-    (floored, floors, outcomes), (unfloored, no_floors, plain) = runs.values()
-    assert floored == unfloored
-    costs = {(row["pS"], row["CS"], row["policy"]): row["cost"] for row in floored[0]}
-    cells = [(p, c) for p in shipped.grid.success_probs for c in shipped.grid.sampling_costs]
-    assert floors == {cell: max(-costs[cell + ("aoii-optimal",)], -costs[cell + ("mse-optimal",)])
-                      for cell in cells}
-    assert all(floors[cell] <= outcomes[cell][1].average_reward for cell in cells)
-    assert set(no_floors.values()) == {-np.inf}
-    solved = [sum(cells.values()) for cells in _solved([(None, None, outcomes),
-                                                        (None, None, plain)])]
-    assert solved[0] < solved[1] == 30 * 11 ** 3

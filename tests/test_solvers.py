@@ -37,8 +37,8 @@ from oracles import (_general_analysis, _rvi_batch, analyze_chain, average_rewar
                      joint_chain_by_hand, limit_matrix, local_search_one_by_one,
                      pi_step_size_every_table, policy_chain, policy_gain,
                      policy_iteration_copying, random_model, relative_reward, rvi_solve,
-                     dense_screen_bounds, screen_factors, tiny_two_state_model,
-                     whole_cell_skips)
+                     dense_screen_bounds, exhaustive_brute_force, screen_factors,
+                     tiny_two_state_model, whole_cell_skips)
 
 
 def _evaluate(problem, table, start=0):
@@ -859,8 +859,8 @@ def test_closed_classes_batch_matches_fixed_squaring_oracle(seed):
     assert representative[0].tolist() == list(range(n))
 
 
-def _brute_outcome(model):
-    report = brute_force_joint(model)
+def _brute_outcome(model, solve=brute_force_joint):
+    report = solve(model)
     return (repr(report.average_reward), report.decision_policy.actions.tolist(),
             report.sampling_policy.decisions.tolist(), report.iterations,
             repr(report.residual), report.diagnostics["multichain_candidates"])
@@ -899,28 +899,50 @@ def test_brute_force_is_chunk_invariant(monkeypatch, model, multichain):
     assert bool(outcomes[0][-1]) == multichain
 
 
-@pytest.mark.parametrize("limits, failure", [
-    ({"epsilon": 1e-15}, "decision policy (0, 0, 0) optimality-equation residual "),
-    ({"max_sweeps": 2}, "decision policy (0, 0, 9) still changing policy after 2 "),
+def _lowest_failing_kept(model, epsilon=solvers.DEFAULT_EPSILON,
+                         max_sweeps=solvers.MAX_PI_ROUNDS):
+    """The lowest enumeration index among the tables ``whole_cell_skips``
+    keeps whose sampler MDP, solved alone, fails at these limits, with its
+    decision policy; None where none fails."""
+    shape = (model.alphabets.n_actions,) * model.alphabets.n_states
+    for k in np.flatnonzero(~whole_cell_skips(model, epsilon).skipped):
+        policy = tuple(int(action) for action in np.unravel_index(k, shape))
+        rows = solvers.DecisionRows(model, np.array([policy]))
+        try:
+            _policy_iteration_batch(rows.kernels, rows.rewards, epsilon, max_sweeps, 1)
+        except NonConvergenceError:
+            return int(k), policy
+    return None
+
+
+@pytest.mark.parametrize("limits, first, failure", [
+    ({"epsilon": 1e-15}, (0, 0, 0), "optimality-equation residual "),
+    ({"max_sweeps": 2}, (0, 0, 9), "still changing policy after 2 "),
 ], ids=["epsilon", "max_sweeps"])
 def test_brute_force_failure_names_the_same_policy_for_every_chunk(monkeypatch, shipped,
-                                                                    limits, failure):
+                                                                    limits, first, failure):
     # the lexicographically first failing decision policy, not a chunk's index
-    # or count, so the message depends neither on BRUTE_CHUNK nor on the workers
-    messages = set()
-    for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 3)):
-        monkeypatch.setattr(solvers, "CORES", workers)
-        _in_flight(monkeypatch, shipped.model, chunk)
-        with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(shipped.model, **limits)
-        messages.add(str(info.value))
-    assert len(messages) == 1
-    assert messages.pop().startswith(failure)
+    # or count, so the message depends neither on BRUTE_CHUNK nor on the
+    # workers: over every table (the exhaustive oracle), and over the tables
+    # brute force's screen rounds keep
+    lowest = _lowest_failing_kept(shipped.model, **limits)
+    for solve, policy in ((exhaustive_brute_force, first), (brute_force_joint, lowest[1])):
+        messages = set()
+        for chunk, workers in itertools.product((1, 7, 128, 11 ** 3), (1, 3)):
+            monkeypatch.setattr(solvers, "CORES", workers)
+            _in_flight(monkeypatch, shipped.model, chunk)
+            with pytest.raises(NonConvergenceError) as info:
+                solve(shipped.model, **limits)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert messages.pop().startswith(f"decision policy {policy} {failure}")
+    assert lowest[1] != first
 
 
 def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
+    # one request of every table (the exhaustive oracle)
     model = default_scenario(0.2, 10.0).model     # multichain candidates, N = 18
-    want = _brute_outcome(model)                  # also builds the model's kernels
+    want = _brute_outcome(model, exhaustive_brute_force)   # also builds the model's kernels
     batches = []
     def spy(T, *args, **kwargs):
         batches.append(len(T))
@@ -929,14 +951,15 @@ def test_brute_force_sizes_chunks_by_the_byte_limit(monkeypatch):
     # room for 7 sampler MDPs' working sets in half the limit, far below
     # BRUTE_CHUNK's 128
     monkeypatch.setattr(model_module, "MAX_KERNEL_BYTES", 2 * 8 * _member(model) - 1)
-    assert _brute_outcome(model) == want
+    assert _brute_outcome(model, exhaustive_brute_force) == want
     assert max(batches) == 7 and sum(batches) == 11 ** 3
 
 
 def test_brute_force_workers_share_the_byte_limit(monkeypatch):
-    # at any number of cores, one batch is in flight at a time, within the limit
+    # at any number of cores, one batch is in flight at a time, within the
+    # limit, through a request of every table (the exhaustive oracle)
     model = default_scenario(0.2, 10.0).model
-    want = _brute_outcome(model)
+    want = _brute_outcome(model, exhaustive_brute_force)
     batches = []
     in_flight = peak = 0
     def spy(T, *args, **kwargs):
@@ -951,7 +974,7 @@ def test_brute_force_workers_share_the_byte_limit(monkeypatch):
     monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
     monkeypatch.setattr(solvers, "CORES", 2)
     _in_flight(monkeypatch, model, 130)
-    assert _brute_outcome(model) == want
+    assert _brute_outcome(model, exhaustive_brute_force) == want
     assert max(batches) <= 130 and sum(batches) == 11 ** 3
     assert peak == max(batches)
 
@@ -981,14 +1004,15 @@ def test_brute_force_leaves_no_worker_thread(monkeypatch, shipped):
 
 def test_a_failing_member_ends_its_request(monkeypatch, shipped):
     # nearly every candidate fails at two rounds: once (0, 0, 9) fails, none
-    # of the request's later candidates is solved, in its batch or after it
+    # of the request of every table's (the exhaustive oracle's) later
+    # candidates is solved, in its batch or after it
     members = []
     def spy(T, *args, **kwargs):
         members.append(len(T))
         return _policy_iteration_batch(T, *args, **kwargs)
     monkeypatch.setattr(solvers, "_policy_iteration_batch", spy)
     with pytest.raises(NonConvergenceError) as info:
-        brute_force_joint(shipped.model, max_sweeps=2)
+        exhaustive_brute_force(shipped.model, max_sweeps=2)
     assert str(info.value).startswith("decision policy (0, 0, 9) still changing policy after 2")
     assert sum(members) <= 2 * solvers.BRUTE_CHUNK
 
@@ -1039,14 +1063,11 @@ def test_served_pieces_give_the_outcomes_of_one_batch(monkeypatch):
 
 
 def test_brute_searches_in_lockstep_equal_each_alone(shipped):
-    models = [default_scenario(0.2, 10.0).model, shipped.model]
-    floors = [-np.inf] * 2 + [jesp(model, heuristic_initial_decision(model)).average_reward
-                              for model in models]
-    alone = [brute_force_joint(model, floor=floor) for model, floor in zip(models * 2, floors)]
-    # each model without a floor, solving every candidate, and under jesp's,
-    # screening in rounds
-    together = solvers.lockstep([solvers.brute_force_search(model, floor=floor)
-                                 for model, floor in zip(models * 2, floors)])
+    # one search keeps 331 tables after four rounds, one keeps 1 after two,
+    # and one keeps 2 after four
+    models = [default_scenario(0.2, 10.0).model, shipped.model, default_scenario(0.6, 4.0).model]
+    alone = [brute_force_joint(model) for model in models]
+    together = solvers.lockstep([solvers.brute_force_search(model) for model in models])
     assert all(ok for ok, _ in together)
     for (_, report), want in zip(together, alone):
         assert repr(report) == repr(want)
@@ -1056,7 +1077,7 @@ def test_brute_searches_in_lockstep_equal_each_alone(shipped):
             np.testing.assert_array_equal(report.diagnostics[key], want.diagnostics[key])
         assert (report.iterations, repr(report.residual)) == (want.iterations,
                                                               repr(want.residual))
-    assert alone[2].diagnostics["candidates_pruned"] > 0
+    assert [report.diagnostics["candidates_evaluated"] for report in alone] == [331, 1, 2]
 
 
 def test_pool_map_forks_return_in_order_and_raise_the_first_failure():
@@ -1114,8 +1135,8 @@ def test_brute_force_refuses_a_candidate_over_the_byte_limit(monkeypatch):
         brute_force_joint(model)
 
 
-def _spied_run(monkeypatch, model, floor):
-    """``brute_force_joint`` under ``floor``, spied on: its
+def _spied_run(monkeypatch, model):
+    """``brute_force_joint``, spied on: its
     report, the enumeration indices of each sampler request it made, in
     order, with their results, the batch sizes policy iteration saw, and the
     indices of each screen request with their upper bounds, lower bounds
@@ -1147,21 +1168,17 @@ def _spied_run(monkeypatch, model, floor):
         patch.setattr(solvers, "DecisionRows", rows_spy)
         patch.setattr(solvers, "_served", served_spy)
         patch.setattr(solvers, "_policy_iteration_batch", batch_spy)
-        report = brute_force_joint(model, floor=floor)
+        report = brute_force_joint(model)
     return report, chunks, batches, screened
 
 
-@pytest.mark.parametrize("floor", ["jesp", -np.inf], ids=["jesp-floor", "no-floor"])
 @pytest.mark.parametrize("chunk", [7, 128])
-def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, floor, chunk):
-    # a candidate's ceiling is its least upper screen bound, which only a
-    # search with a floor computes
+def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, chunk):
+    # a candidate's ceiling is its least upper screen bound
     model = default_scenario(0.6, 4.0).model
-    full = brute_force_joint(model)
-    if floor == "jesp":
-        floor = jesp(model, heuristic_initial_decision(model)).average_reward
+    full = exhaustive_brute_force(model)
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
-    report, chunks, batches, screened = _spied_run(monkeypatch, model, floor)
+    report, chunks, batches, screened = _spied_run(monkeypatch, model)
     diagnostics = report.diagnostics
     gains, bounds = diagnostics["candidate_gains"], diagnostics["candidate_bounds"]
     solved = np.concatenate([indices for indices, _ in chunks])
@@ -1171,31 +1188,22 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     assert np.array_equal(np.sort(solved), np.flatnonzero(~np.isnan(gains)))
     assert diagnostics["candidates_pruned"] == skipped.size
     assert diagnostics["candidates_evaluated"] + diagnostics["candidates_pruned"] == 11 ** 3
-    target = floor - solvers.DEFAULT_EPSILON
-    if floor == -np.inf:
-        # no floor: no screen, and every candidate in one request
-        assert screened == [] and [indices.tolist() for indices, _ in chunks] == [
-            list(range(11 ** 3))]
-        assert np.isinf(bounds).all() and skipped.size == 0
-    else:
-        # rounds of screens, the first over every candidate and each over
-        # what is left, against a target the best lower bound raises, then
-        # one sampler request for what is still above it
-        rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
-        assert [indices.tolist() for indices, _ in screened] == rule.screened
-        assert rule.screened[0] == list(range(11 ** 3)) and len(rule.screened) > 1
-        assert [indices.tolist() for indices, _ in chunks] == [
-            np.flatnonzero(~rule.skipped).tolist()]
-        assert rule.target > target
-        # each bound the least of its rounds', and every skip proved: below
-        # the raised target by that bound
-        assert bounds.tobytes() == rule.bounds.tobytes()
-        assert np.isfinite(bounds).all()
-        assert np.array_equal(skipped, np.flatnonzero(bounds < rule.target))
-        # the floor and the raised target each skip what the other keeps
-        assert (bounds < target).any()
-        assert ((bounds >= target) & (bounds < rule.target)).any()
-    # solved gains, the winner and its certificate are the unpruned solve's, to the bit
+    # rounds of screens, the first over every candidate and each over what
+    # is left, against a target the best lower bound raises from -inf, then
+    # one sampler request for what is still above it
+    rule = whole_cell_skips(model, solvers.DEFAULT_EPSILON)
+    assert [indices.tolist() for indices, _ in screened] == rule.screened
+    assert rule.screened[0] == list(range(11 ** 3)) and len(rule.screened) > 1
+    assert [indices.tolist() for indices, _ in chunks] == [
+        np.flatnonzero(~rule.skipped).tolist()]
+    assert np.isfinite(rule.target)
+    # each bound the least of its rounds', and every skip proved: below
+    # the raised target by that bound
+    assert bounds.tobytes() == rule.bounds.tobytes()
+    assert np.isfinite(bounds).all()
+    assert np.array_equal(skipped, np.flatnonzero(bounds < rule.target))
+    # solved gains, the winner and its certificate are the exhaustive
+    # oracle's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
     assert (repr(report.average_reward), repr(report.residual)) == (
         repr(full.average_reward), repr(full.residual))
@@ -1228,14 +1236,13 @@ def test_screen_bounds_every_candidate_gain_from_every_start_state(monkeypatch):
                                                      solvers.SCREEN_SWEEPS, *screen_factors(model))
             assert (lower[:, None] <= gains).all() and (gains <= upper[:, None]).all(), seed
             bounds = np.minimum(bounds, upper)
-        # a search under a floor keeps the bound where its sweeps stopped
-        # early, never below the full sweeps' bound, and skips a candidate
-        # where its bound is below the target its rounds raised
-        floor = np.median(gains[:, 0])
-        report, chunks, _, screened = _spied_run(monkeypatch, model, floor)
+        # a search keeps the bound where its sweeps stopped early, never
+        # below the full sweeps' bound, and skips a candidate where its bound
+        # is below the target its rounds raised
+        report, chunks, _, screened = _spied_run(monkeypatch, model)
         found = report.diagnostics["candidate_bounds"]
         assert (found >= bounds).all()
-        rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
+        rule = whole_cell_skips(model, solvers.DEFAULT_EPSILON)
         assert [indices.tolist() for indices, _ in screened] == rule.screened
         assert np.array_equal(np.isnan(report.diagnostics["candidate_gains"]), rule.skipped)
         assert np.array_equal(rule.skipped, found < rule.target)
@@ -1294,15 +1301,14 @@ def test_factored_screen_agrees_with_the_dense_oracle(model, count):
 
 
 def test_factored_screen_rounds_keep_the_dense_oracles_tables(monkeypatch):
-    # the 12 generated cells of the exact-large benchmark under jesp's floor:
-    # every round keeps the tables that rounds of the dense screen keep
+    # the 12 generated cells of the exact-large benchmark: every round keeps
+    # the tables that rounds of the dense screen keep
     epsilon = solvers.DEFAULT_EPSILON
     for gen, p_success in itertools.product(range(6), (0.6, 1.0)):
         model = generated_scenario(gen).with_channel(p_success).with_sampling_cost(0.5).model
-        floor = jesp(model, heuristic_initial_decision(model)).average_reward
-        _, _, _, screened = _spied_run(monkeypatch, model, floor)
+        _, _, _, screened = _spied_run(monkeypatch, model)
         shape = (model.alphabets.n_actions,) * model.alphabets.n_states
-        left, target = np.arange(np.prod(shape)), floor - epsilon
+        left, target = np.arange(np.prod(shape)), -np.inf
         h, bounds = np.zeros((left.size, model.n_global_states)), np.full(left.size, np.inf)
         rounds = []
         while left.size and len(rounds) < 4 and (left.size > 1 or not rounds):
@@ -1322,17 +1328,16 @@ def test_factored_screen_rounds_keep_the_dense_oracles_tables(monkeypatch):
     random_model(np.random.default_rng(7), n_states=4, n_contexts=3, n_actions=6),
 ], ids=["bundled", "random-48"])
 def test_screen_bounds_do_not_depend_on_the_batching(monkeypatch, model):
-    floor = jesp(model, heuristic_initial_decision(model)).average_reward
     outcomes = []
     for chunk, workers in itertools.product((1, 7, 128), (1, 3)):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "CORES", workers)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
-            report = brute_force_joint(model, floor=floor)
+            report = brute_force_joint(model)
         outcomes.append((report.diagnostics["candidate_bounds"].tobytes(),
                          report.diagnostics["candidate_gains"].tobytes(), repr(report)))
     assert all(outcome == outcomes[0] for outcome in outcomes)
-    assert 0 < brute_force_joint(model, floor=floor).diagnostics["candidates_pruned"]
+    assert 0 < brute_force_joint(model).diagnostics["candidates_pruned"]
 
 
 @pytest.mark.parametrize("model", [
@@ -1343,13 +1348,12 @@ def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, 
     # the screen rounds probe every candidate; the sampler solves those they
     # keep: each request's indices and results, the bounds and the report
     # agree at every chunk size and number of cores
-    floor = jesp(model, heuristic_initial_decision(model)).average_reward
     runs = []
     for chunk, cores in itertools.product((1, 7, 128), (1, 3)):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "CORES", cores)
             patch.setattr(solvers, "BRUTE_CHUNK", chunk)
-            report, chunks, _, screened = _spied_run(patch, model, floor)
+            report, chunks, _, screened = _spied_run(patch, model)
         runs.append(([(indices.tobytes(), [field.tobytes() for field in results])
                       for indices, results in screened + chunks],
                      report.diagnostics["candidate_bounds"].tobytes(), repr(report)))
@@ -1359,22 +1363,15 @@ def test_probe_and_solved_candidates_do_not_depend_on_the_batching(monkeypatch, 
     assert 0 < report.diagnostics["candidates_pruned"]
 
 
-def test_brute_force_without_a_ceiling_solves_every_candidate(shipped):
-    diagnostics = brute_force_joint(shipped.model).diagnostics
-    assert (diagnostics["candidates_evaluated"], diagnostics["candidates_pruned"]) == (11 ** 3, 0)
-    assert np.isfinite(diagnostics["candidate_gains"]).all()
-
-
 def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(monkeypatch,
                                                                            shipped):
-    # unpruned, (0, 0, 9) is the first to fail; under a floor below every
-    # screen bound the target the rounds raise still skips it and every other
-    # table but (2, 3, 6), which fails too
+    # unpruned, (0, 0, 9) is the first to fail; the target the rounds raise
+    # skips it and every other table but (2, 3, 6), which fails too
     messages = set()
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, shipped.model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(shipped.model, max_sweeps=2, floor=-1e3)
+            brute_force_joint(shipped.model, max_sweeps=2)
         messages.add((str(info.value), info.value.candidate))
     (message, candidate), = messages
     assert candidate == 281
@@ -1382,12 +1379,10 @@ def test_pruned_brute_force_failure_names_the_first_failing_policy_it_solves(mon
 
 
 def test_whole_cell_failure_names_the_lowest_failing_policy_the_rounds_keep(monkeypatch):
-    # under jesp's floor the rounds keep 331 tables, the lowest 3 and 14:
-    # within two policy-iteration rounds 13 fails but is skipped, 3 settles
-    # and 14 fails
+    # the rounds keep 331 tables, the lowest 3 and 14: within two
+    # policy-iteration rounds 13 fails but is skipped, 3 settles and 14 fails
     model = default_scenario(0.2, 10.0).model
-    floor = jesp(model, heuristic_initial_decision(model)).average_reward
-    rule = whole_cell_skips(model, floor, solvers.DEFAULT_EPSILON)
+    rule = whole_cell_skips(model, solvers.DEFAULT_EPSILON)
     kept = np.flatnonzero(~rule.skipped).tolist()
     assert kept[:2] == [3, 14] and len(kept) == 331
     rows = solvers.DecisionRows(model, np.stack(np.unravel_index(range(15), (11,) * 3), axis=1))
@@ -1403,15 +1398,10 @@ def test_whole_cell_failure_names_the_lowest_failing_policy_the_rounds_keep(monk
     for chunk in (1, 7, 128):
         _in_flight(monkeypatch, model, chunk)
         with pytest.raises(NonConvergenceError) as info:
-            brute_force_joint(model, max_sweeps=2, floor=floor)
+            brute_force_joint(model, max_sweeps=2)
         messages.add((str(info.value), info.value.candidate))
     (message, candidate), = messages
     assert candidate == 14 and message.startswith("decision policy (0, 1, 3) ")
-
-
-def test_brute_force_refuses_a_floor_above_every_screen_bound(shipped):
-    with pytest.raises(ParameterError, match="none is left to solve"):
-        brute_force_joint(shipped.model, floor=1.0)
 
 
 def _starts_with_name_not_index(exc_info, name):
