@@ -1172,11 +1172,15 @@ def _spied_run(monkeypatch, model):
     return report, chunks, batches, screened
 
 
+@pytest.mark.parametrize("floor", ["jesp", -np.inf], ids=["jesp-floor", "no-floor"])
 @pytest.mark.parametrize("chunk", [7, 128])
-def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, chunk):
-    # a candidate's ceiling is its least upper screen bound
+def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch, floor, chunk):
+    # a candidate's ceiling is its least upper screen bound; brute force
+    # takes no floor, and ``floor`` is one it could have been given
     model = default_scenario(0.6, 4.0).model
     full = exhaustive_brute_force(model)
+    if floor == "jesp":
+        floor = jesp(model, heuristic_initial_decision(model)).average_reward
     monkeypatch.setattr(solvers, "BRUTE_CHUNK", chunk)
     report, chunks, batches, screened = _spied_run(monkeypatch, model)
     diagnostics = report.diagnostics
@@ -1202,6 +1206,12 @@ def test_brute_force_skips_only_candidates_the_ceiling_proves_worse(monkeypatch,
     assert bounds.tobytes() == rule.bounds.tobytes()
     assert np.isfinite(bounds).all()
     assert np.array_equal(skipped, np.flatnonzero(bounds < rule.target))
+    # the floor is redundant: the rounds raise their own target past it, so
+    # they skip every candidate it would, and some it would keep
+    target = floor - solvers.DEFAULT_EPSILON
+    assert rule.target > target
+    assert np.isnan(gains[bounds < target]).all()
+    assert ((bounds >= target) & np.isnan(gains)).any()
     # solved gains, the winner and its certificate are the exhaustive
     # oracle's, to the bit
     assert np.array_equal(gains[solved], full.diagnostics["candidate_gains"][solved])
